@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -31,6 +32,19 @@ func (t *countingTransport) Send(from, to wire.NodeID, data []byte) error {
 	t.bytes += int64(len(data))
 	return nil
 }
+
+// process injects one datagram on its shard synchronously: the single-packet
+// degenerate burst, egress included, for tests and benchmarks that drive a
+// shard directly instead of through its queue and worker.
+func (n *Node) process(sh *shard, from wire.NodeID, data []byte) {
+	p := processScratch.Get().(*[1]wire.Packet)
+	n.processBurst(sh, []inPkt{{from: from, data: data}}, p[:])
+	n.runEgress(sh)
+	p[0] = wire.Packet{}
+	processScratch.Put(p)
+}
+
+var processScratch = sync.Pool{New: func() any { return new([1]wire.Packet) }}
 
 // BenchmarkForwardDataPacket measures the steady-state relay forward path —
 // unmarshal, slot verify, round bookkeeping, re-frame, send — for one data
@@ -70,8 +84,6 @@ func BenchmarkForwardDataPacket(b *testing.B) {
 				setupPkts:  make(map[wire.NodeID]*wire.Packet),
 				ownByD:     make(map[int][]code.Slice),
 				geomByD:    make(map[int][2]int),
-				rounds:     make(map[uint32]*round),
-				chunks:     make(map[uint32][]byte),
 				seen:       make(map[wire.NodeID]bool),
 				info:       info,
 				parents:    map[wire.NodeID]bool{parents[0]: true, parents[1]: true, parents[2]: true},
@@ -82,7 +94,7 @@ func BenchmarkForwardDataPacket(b *testing.B) {
 				// One parent is dead: its child's slice is regenerated every
 				// round from the survivors' degrees of freedom (d of them
 				// remain, so the round is decodable).
-				fs.deadParents = map[wire.NodeID]bool{parents[2]: true}
+				fs.missStreak = map[wire.NodeID]int{parents[2]: deadParentStreak}
 			}
 			sh := n.shardFor(flow)
 			sh.mu.Lock()
@@ -168,8 +180,6 @@ func BenchmarkForwardBurst(b *testing.B) {
 				setupPkts:  make(map[wire.NodeID]*wire.Packet),
 				ownByD:     make(map[int][]code.Slice),
 				geomByD:    make(map[int][2]int),
-				rounds:     make(map[uint32]*round),
-				chunks:     make(map[uint32][]byte),
 				seen:       make(map[wire.NodeID]bool),
 				info:       info,
 				parents:    map[wire.NodeID]bool{parent: true},
@@ -205,7 +215,7 @@ func BenchmarkForwardBurst(b *testing.B) {
 				buf := wire.AppendPacketHeader(nil, wire.MsgData, flow, 0, d, uint16(slotLen), 1)
 				burst[j] = inPkt{from: parent, data: wire.AppendSlot(buf, s)}
 			}
-			parsed := make([]*wire.Packet, 0, k)
+			parsed := make([]wire.Packet, k)
 			b.SetBytes(int64(k * len(burst[0].data)))
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -215,7 +225,7 @@ func BenchmarkForwardBurst(b *testing.B) {
 				for j := range burst {
 					binary.BigEndian.PutUint32(burst[j].data[9:], uint32(i*k+j))
 				}
-				parsed = n.processBurst(sh, burst, parsed[:0])
+				n.processBurst(sh, burst, parsed)
 				n.runEgress(sh)
 			}
 			b.StopTimer()

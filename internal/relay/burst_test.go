@@ -67,7 +67,7 @@ func TestBurstExactlyOnceForwarding(t *testing.T) {
 		{from: p1, data: dataFrame(flow, 0, 2, slices[0]), release: rel}, // duplicate
 		{from: p2, data: dataFrame(flow, 0, 2, slices[1]), release: rel},
 	}
-	n.processBurst(sh, burst, nil)
+	n.processBurst(sh, burst, make([]wire.Packet, len(burst)))
 	n.runEgress(sh)
 	for i := range burst {
 		burst[i].release()
@@ -161,7 +161,7 @@ func TestBurstShutdownReleasesHolds(t *testing.T) {
 	if got := n.Stats().DataPacketsIn; got != 0 {
 		t.Fatalf("%d packets processed after close", got)
 	}
-	if got := n.flowTableSize(); got != 0 {
+	if got := n.FlowTableSize(); got != 0 {
 		t.Fatalf("shutdown burst resurrected %d flow(s)", got)
 	}
 }

@@ -224,13 +224,14 @@ func (n *Node) handleSplice(sh *shard, fs *flowState, pkt *wire.Packet) {
 	// routing to this shard (table.go).
 	n.dirDelLocked(sh, fs, fs.info)
 	fs.info = pi
+	fs.opener = nil // keyed to the old block
 	n.dirAddLocked(sh, fs, pi)
 	now := n.clk.Now()
 	newParents := parentSet(pi)
 	for p := range newParents {
 		if !fs.parents[p] {
 			fs.lastHeard[p] = now
-			delete(fs.deadParents, p)
+			delete(fs.missStreak, p)
 		}
 	}
 	for p := range fs.parents {
@@ -238,7 +239,7 @@ func (n *Node) handleSplice(sh *shard, fs *flowState, pkt *wire.Packet) {
 			delete(fs.lastHeard, p)
 			delete(fs.downSince, p)
 			delete(fs.downCount, p)
-			delete(fs.deadParents, p)
+			delete(fs.missStreak, p)
 		}
 	}
 	fs.parents = newParents

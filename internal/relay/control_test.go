@@ -74,8 +74,6 @@ func injectFlowAt(n *Node, flow wire.FlowID, pi *wire.PerNodeInfo, now time.Time
 		setupPkts:  make(map[wire.NodeID]*wire.Packet),
 		ownByD:     make(map[int][]code.Slice),
 		geomByD:    make(map[int][2]int),
-		rounds:     make(map[uint32]*round),
-		chunks:     make(map[uint32][]byte),
 		seen:       make(map[wire.NodeID]bool),
 		lastHeard:  make(map[wire.NodeID]time.Time),
 		info:       pi,
@@ -290,7 +288,7 @@ func TestSpliceSwapsParentAtomically(t *testing.T) {
 	})
 	sh := n.shardFor(flow)
 	sh.mu.Lock()
-	fs.deadParents = map[wire.NodeID]bool{oldPar: true}
+	fs.missStreak = map[wire.NodeID]int{oldPar: deadParentStreak}
 	fs.downSince = map[wire.NodeID]time.Time{oldPar: time.Now()}
 	sh.mu.Unlock()
 
@@ -333,7 +331,7 @@ func TestSpliceSwapsParentAtomically(t *testing.T) {
 	if _, ok := fs.lastHeard[newPar]; !ok {
 		t.Fatal("new parent has no liveness grace")
 	}
-	if fs.deadParents[oldPar] || len(fs.downSince) != 0 {
+	if fs.deadParents() != 0 || len(fs.downSince) != 0 {
 		t.Fatal("stale liveness state for the removed parent survives")
 	}
 }
@@ -407,7 +405,7 @@ func TestSpliceIgnoredForUnknownOrUnestablishedFlow(t *testing.T) {
 	n.onPacket(5, wire.AppendSplice(nil, 0x123, sealed))
 	n.onPacket(5, wire.AppendHeartbeat(nil, 0x456))
 	time.Sleep(25 * time.Millisecond)
-	if got := n.flowTableSize(); got != 0 {
+	if got := n.FlowTableSize(); got != 0 {
 		t.Fatalf("control traffic created %d flow(s)", got)
 	}
 }
@@ -463,7 +461,7 @@ func TestRelayMalformedControlTraffic(t *testing.T) {
 		n.onPacket(froms[i%len(froms)], b)
 	}
 	time.Sleep(25 * time.Millisecond)
-	if got := n.flowTableSize(); got != 1 {
+	if got := n.FlowTableSize(); got != 1 {
 		t.Fatalf("noise changed the flow table: %d flows, want 1", got)
 	}
 	if got := n.Stats().SplicesApplied; got != 0 {

@@ -107,7 +107,7 @@ func TestCuckooOverflowPassThrough(t *testing.T) {
 	}
 	miss := false
 	for i := uint64(0); i < 64; i++ {
-		if !cf.mayContain(0xf00d_0000+i) {
+		if !cf.mayContain(0xf00d_0000 + i) {
 			miss = true
 			break
 		}

@@ -2,6 +2,7 @@ package relay
 
 import (
 	"errors"
+	"slices"
 
 	"infoslicing/internal/code"
 	"infoslicing/internal/overlay"
@@ -12,7 +13,7 @@ import (
 // Two-stage egress pipeline (DESIGN.md rule 9).
 //
 // Under sh.mu a forwarding round is only *claimed*: stageRoundLocked does
-// the round bookkeeping (forwarded flag, timer stop, dead-parent streaks)
+// the round bookkeeping (forwarded flag, dead-parent streaks)
 // and snapshots which slice goes to which child into the shard's staging
 // arenas. Everything expensive — regeneration (GF(256) recombination),
 // header/slot framing, CRC, and the transport hand-off — happens in
@@ -72,26 +73,18 @@ type destBatch struct {
 // stageRoundLocked claims a round for forwarding: bookkeeping that must see
 // shard state stays here, the recode/frame/send work is described into the
 // staging arenas for runEgress. Runs with sh.mu held.
-func (n *Node) stageRoundLocked(sh *shard, fs *flowState, seq uint32, r *round) {
+func (n *Node) stageRoundLocked(sh *shard, fs *flowState, seq uint32, r *roundSlot) {
 	r.forwarded = true
-	if r.timer != nil {
-		r.timer.Stop()
-	}
 	// Parents silent for deadParentStreak whole rounds in a row are
-	// presumed down; stop stalling future rounds on them.
-	if fs.deadParents == nil {
-		fs.deadParents = sh.getNodeSetLocked()
-	}
-	if fs.missStreak == nil {
-		fs.missStreak = sh.getNodeCountsLocked()
-	}
+	// presumed down; later rounds stop stalling on them. Only a new packet
+	// revives one: a slice that arrived before the mark does not.
 	for p := range fs.parents {
-		if _, ok := r.slices[p]; !ok {
-			fs.missStreak[p]++
-			if fs.missStreak[p] >= deadParentStreak {
-				fs.deadParents[p] = true
+		if !slices.Contains(r.from, p) {
+			if fs.missStreak == nil {
+				fs.missStreak = make(map[wire.NodeID]int)
 			}
-		} else {
+			fs.missStreak[p]++
+		} else if fs.missStreak[p] < deadParentStreak {
 			delete(fs.missStreak, p)
 		}
 	}
@@ -103,7 +96,7 @@ func (n *Node) stageRoundLocked(sh *shard, fs *flowState, seq uint32, r *round) 
 		if int(e.Child) >= len(pi.Children) {
 			continue
 		}
-		if s, ok := r.slices[e.Parent]; ok {
+		if s, ok := r.slice(e.Parent); ok {
 			st.emits = append(st.emits, egEmit{child: int(e.Child), slice: s})
 		} else if pi.Recode {
 			st.emits = append(st.emits, egEmit{child: int(e.Child), regen: true})
@@ -115,21 +108,17 @@ func (n *Node) stageRoundLocked(sh *shard, fs *flowState, seq uint32, r *round) 
 	job.emitN = len(st.emits) - job.emitOff
 	if needRegen {
 		// Snapshot the survivors: the decodability check and recombination
-		// run off-lock, after r.slices may have been cleared or mutated.
-		for _, s := range r.slices {
-			st.slices = append(st.slices, s)
-		}
+		// run off-lock, after the slot has given up its views.
+		st.slices = append(st.slices, r.got...)
 		job.sliceN = len(st.slices) - job.sliceOff
 	}
 	if job.emitN > 0 {
 		st.jobs = append(st.jobs, job)
 	}
-	// If the node is not the receiver the slices are dead weight now (they
-	// pin the receive buffers they view into); the claimed views live on in
-	// the staging arena until egress drains it. clear keeps the map's
-	// capacity — no realloc per round.
-	if !pi.Receiver {
-		clear(r.slices)
+	// The claimed views live on in the staging arena until egress drains
+	// it; the slot's own go the moment no decode is waiting on them.
+	if _, decode := fs.needs(seq, r); !decode {
+		r.release()
 	}
 }
 
@@ -269,45 +258,4 @@ func (n *Node) flushEgress(sh *shard, slab *transport.Slab) (drops int64) {
 	}
 	sh.egBatches = sh.egBatches[:0]
 	return drops
-}
-
-// mapPoolCap bounds the per-shard free lists of small per-flow maps
-// (dead-parent sets, miss-streak counters). Beyond it, retired maps fall
-// to the GC.
-const mapPoolCap = 256
-
-func (sh *shard) getNodeSetLocked() map[wire.NodeID]bool {
-	if n := len(sh.setFree); n > 0 {
-		m := sh.setFree[n-1]
-		sh.setFree[n-1] = nil
-		sh.setFree = sh.setFree[:n-1]
-		return m
-	}
-	return make(map[wire.NodeID]bool)
-}
-
-func (sh *shard) putNodeSetLocked(m map[wire.NodeID]bool) {
-	if m == nil || len(sh.setFree) >= mapPoolCap {
-		return
-	}
-	clear(m)
-	sh.setFree = append(sh.setFree, m)
-}
-
-func (sh *shard) getNodeCountsLocked() map[wire.NodeID]int {
-	if n := len(sh.cntFree); n > 0 {
-		m := sh.cntFree[n-1]
-		sh.cntFree[n-1] = nil
-		sh.cntFree = sh.cntFree[:n-1]
-		return m
-	}
-	return make(map[wire.NodeID]int)
-}
-
-func (sh *shard) putNodeCountsLocked(m map[wire.NodeID]int) {
-	if m == nil || len(sh.cntFree) >= mapPoolCap {
-		return
-	}
-	clear(m)
-	sh.cntFree = append(sh.cntFree, m)
 }

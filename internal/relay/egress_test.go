@@ -114,7 +114,7 @@ func (t *sheddingOwnedTransport) SendOwned(from, to wire.NodeID, bufs [][]byte, 
 
 // fanoutFlow installs one established middle-of-graph flow fanning two
 // parents out to eight children, and returns a refillable round.
-func fanoutFlow(tb testing.TB, n *Node) (*shard, *flowState, *round, []wire.NodeID, []code.Slice) {
+func fanoutFlow(tb testing.TB, n *Node) (*shard, *flowState, *roundSlot, []wire.NodeID, []code.Slice) {
 	tb.Helper()
 	const d = 2
 	const flow = wire.FlowID(7)
@@ -149,10 +149,7 @@ func fanoutFlow(tb testing.TB, n *Node) (*shard, *flowState, *round, []wire.Node
 	if err != nil {
 		tb.Fatal(err)
 	}
-	r := &round{slices: map[wire.NodeID]code.Slice{
-		parents[0]: slices[0],
-		parents[1]: slices[1],
-	}}
+	r := &roundSlot{from: []wire.NodeID{parents[0], parents[1]}, got: []code.Slice{slices[0], slices[1]}}
 	return n.shardFor(flow), fs, r, parents, slices
 }
 
@@ -200,10 +197,10 @@ func BenchmarkForwardFanout(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// stageRoundLocked consumed the previous claims (clear(r.slices)).
+		// stageRoundLocked consumed the previous claims (the slot released
+		// its views).
 		r.forwarded = false
-		r.slices[parents[0]] = slices[0]
-		r.slices[parents[1]] = slices[1]
+		r.from, r.got = append(r.from, parents...), append(r.got, slices[0], slices[1])
 		sh.mu.Lock()
 		n.stageRoundLocked(sh, fs, uint32(i), r)
 		sh.mu.Unlock()

@@ -87,8 +87,9 @@ func TestResyncFilterRealigns(t *testing.T) {
 		info:    &wire.PerNodeInfo{Receiver: true, Key: key},
 		nextSeq: 5,
 		resync:  true,
-		chunks:  map[uint32][]byte{5: tail, 6: head},
+		win:     &roundWindow{slots: make([]roundSlot, minWindow), low: 5, high: 7, buffered: 2},
 	}
+	fs.win.at(5).chunk, fs.win.at(6).chunk = tail, head
 	sh.flows[9] = fs
 
 	n.spliceChunksLocked(sh, 9, fs)

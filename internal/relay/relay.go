@@ -16,8 +16,8 @@
 // flow table is striped into 2^k shards by a hash of the clear-text
 // flow-id; every flow lives its whole life on one shard. Each shard owns a
 // bounded inbound queue drained in bursts by a dedicated worker goroutine
-// (one lock acquisition, shutdown check, and stats flush per burst), its own
-// flow map, its own reused framing/gather/regeneration scratch, its own
+// (one lock acquisition and shutdown check per burst), its own
+// flow map, its own reused framing and regeneration scratch, its own
 // deterministic RNG, and its own activity counters, so packets of
 // unrelated flows touch no shared mutable state. The transport handler
 // only classifies the datagram and enqueues it; all parsing and
@@ -48,7 +48,9 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,6 +59,7 @@ import (
 	"infoslicing/internal/metrics"
 	"infoslicing/internal/overlay"
 	"infoslicing/internal/simnet"
+	"infoslicing/internal/slcrypto"
 	"infoslicing/internal/transport"
 	"infoslicing/internal/wire"
 )
@@ -101,10 +104,10 @@ type Config struct {
 	QueueDepth int
 	// Burst bounds how many queued packets a shard worker drains per wakeup.
 	// Headers for the whole burst are parsed before any flow state is
-	// touched; then the shard lock is taken once, the shutdown check and
-	// inbound-stats flush happen once, and the packets' clock holds are
-	// released together after the lock drops — amortizing per-packet
-	// overhead the way writev batching does for the peer writer. Default 64.
+	// touched; then the shard lock is taken once, the shutdown check runs
+	// once, and the packets' clock holds are released together after the
+	// lock drops — amortizing per-packet overhead the way writev batching
+	// does for the peer writer. Default 64.
 	Burst int
 	// Heartbeat enables the live-churn control plane: every established
 	// flow sends a per-flow keepalive to each child at this interval, and
@@ -193,6 +196,8 @@ type Stats struct {
 	FlowsEstablished  int64
 	MessagesDelivered int64
 	RoundsSkipped     int64 // receiver rounds written off after GapWait
+	RoundsExpired     int64 // unfinished rounds written off by window overflow
+	LateSlices        int64 // slices for a round below the window or already finished
 	StreamResyncs     int64 // reassembly re-alignments after a skip
 	Dropped           int64 // undeliverable app messages (channel full)
 	QueueDrops        int64 // packets dropped at a full shard queue
@@ -215,26 +220,13 @@ type Stats struct {
 	SplicesApplied      int64 // info blocks swapped by an authenticated splice
 }
 
+// add folds o into s: every field is an int64 counter, so a counter added
+// to Stats is in the fold by construction.
 func (s *Stats) add(o Stats) {
-	s.SetupPacketsIn += o.SetupPacketsIn
-	s.DataPacketsIn += o.DataPacketsIn
-	s.PacketsOut += o.PacketsOut
-	s.Regenerated += o.Regenerated
-	s.FlowsEstablished += o.FlowsEstablished
-	s.MessagesDelivered += o.MessagesDelivered
-	s.RoundsSkipped += o.RoundsSkipped
-	s.StreamResyncs += o.StreamResyncs
-	s.Dropped += o.Dropped
-	s.QueueDrops += o.QueueDrops
-	s.SendDrops += o.SendDrops
-	s.FlowsEvicted += o.FlowsEvicted
-	s.FlowsRejected += o.FlowsRejected
-	s.FilterMisses += o.FilterMisses
-	s.HeartbeatsIn += o.HeartbeatsIn
-	s.HeartbeatsOut += o.HeartbeatsOut
-	s.ParentDownSent += o.ParentDownSent
-	s.ParentDownForwarded += o.ParentDownForwarded
-	s.SplicesApplied += o.SplicesApplied
+	sv, ov := reflect.ValueOf(s).Elem(), reflect.ValueOf(o)
+	for i := range sv.NumField() {
+		sv.Field(i).SetInt(sv.Field(i).Int() + ov.Field(i).Int())
+	}
 }
 
 // Node is one overlay relay daemon.
@@ -305,12 +297,9 @@ type shard struct {
 	stats   Stats
 	rng     *rand.Rand
 
-	// Per-shard scratch: the control-plane framing buffer and the
-	// receiver-side slice-gather workspace are reused across every round of
-	// every flow on this shard, so the steady state allocates nothing.
-	// (Forwarding's regeneration scratch moved to the egress side: egRegen.)
+	// pktBuf is the control-plane framing buffer, reused for every flow on
+	// this shard. (Forwarding's regeneration scratch is egress-side: egRegen.)
 	pktBuf []byte
-	gather []code.Slice
 
 	// byChild indexes established flows by child address: acks and
 	// ParentDown reports are sender-addressed, and used to scan the whole
@@ -319,11 +308,6 @@ type shard struct {
 	// ackTargets is the reusable parent-set scratch for the ack and
 	// ParentDown floods (sendAckLocked, floodUpstreamLocked).
 	ackTargets map[wire.NodeID]bool
-
-	// Free lists for the small per-flow maps retired at flow teardown
-	// (egress.go); capped at mapPoolCap.
-	setFree []map[wire.NodeID]bool
-	cntFree []map[wire.NodeID]int
 
 	// Two-stage egress (egress.go): rounds are claimed into stage under mu;
 	// runEgress swaps stage/work under a brief mu window and does recode,
@@ -388,22 +372,18 @@ type flowState struct {
 	d       int
 	slotLen int
 	nSlots  int
-	geomSet bool
 	geomByD map[int][2]int
 
-	// Data phase.
-	rounds      map[uint32]*round
+	// Data phase: the round window, allocated by the first slice to hold.
+	win         *roundWindow
 	pendingData []pendingPacket
-	// deadParents marks parents that missed deadParentStreak consecutive
-	// rounds; later rounds stop waiting for them (they are unmarked the
-	// moment they speak again). missStreak counts the consecutive misses:
-	// requiring more than one keeps a single dropped datagram — routine on
-	// a lossy substrate — from lowering the forward threshold, where the
-	// next round would forward the instant the surviving parent spoke and
-	// discard the marked parent's microseconds-late slice, re-marking it
-	// in a self-sustaining loop that sheds redundancy for many rounds.
-	deadParents map[wire.NodeID]bool
-	missStreak  map[wire.NodeID]int
+	// missStreak counts the consecutive rounds each parent has missed; at
+	// deadParentStreak it is presumed down and rounds stop waiting for it,
+	// until it speaks again. More than one miss is required so that a single
+	// dropped datagram cannot lower the forward threshold: the next round
+	// would forward the instant the surviving parent spoke and discard the
+	// marked parent's microseconds-late slice, re-marking it, round after round.
+	missStreak map[wire.NodeID]int
 
 	// Control plane (live churn repair; populated only when the node runs
 	// with Config.Heartbeat > 0, except lastHeard which is cheap enough to
@@ -425,16 +405,16 @@ type flowState struct {
 	spliceSeq uint64
 
 	// Receiver-side reassembly. nextSeq is the round the stream is waiting
-	// on; decoded rounds ahead of it buffer in chunks. gapTimer arms while a
-	// hole blocks buffered rounds (gapSeq records which hole, so a firing
-	// timer can tell progress from a stall); resync marks that the byte
-	// stream lost framing to a skipped round and must re-align on a message
-	// boundary before delivering again.
+	// on; decoded rounds ahead of it park in their window slots, and opener
+	// opens messages under the flow's key. gapTimer arms while a hole blocks
+	// buffered rounds (gapSeq records which hole, so a firing timer can tell
+	// progress from a stall); resync marks that the byte stream lost framing
+	// to a skipped round and must re-align on a message boundary.
 	// tainted marks that the stream's framing derives from a resync guess
 	// rather than an unbroken chunk sequence; it gates the length sanity
 	// check in drainStreamLocked and clears once a message authenticates.
 	nextSeq  uint32
-	chunks   map[uint32][]byte
+	opener   *slcrypto.Sealer
 	stream   []byte
 	gapTimer simnet.Timer
 	gapSeq   uint32
@@ -455,37 +435,20 @@ type pendingPacket struct {
 	pkt  *wire.Packet
 }
 
-type round struct {
-	slices    map[wire.NodeID]code.Slice
-	forwarded bool
-	decoded   bool
-	timer     simnet.Timer
-}
-
-// maxLiveRounds bounds the per-flow round table: a long-lived flow must not
-// grow relay memory without limit (the flip side of the paper's "small
-// state on overlay nodes" claim, §9.2).
-const maxLiveRounds = 8192
-
 // deadParentStreak is how many consecutive rounds a parent must miss before
 // it is presumed down. One round is too trigger-happy on a datagram
 // substrate: a single 2%-loss drop would shed redundancy for a stretch of
 // following rounds (see flowState.missStreak).
 const deadParentStreak = 2
 
-// pruneRounds drops rounds far behind the current sequence number; handled
-// rounds go first, but anything older than a full window is reaped even if
-// it never completed (its missing slices are not coming).
-func (fs *flowState) pruneRounds(cur uint32) {
-	for s, r := range fs.rounds {
-		old := s < cur && cur-s > maxLiveRounds/2
-		if old && (r.forwarded || r.decoded || cur-s > maxLiveRounds) {
-			if r.timer != nil {
-				r.timer.Stop()
-			}
-			delete(fs.rounds, s)
+// deadParents counts the parents presumed down.
+func (fs *flowState) deadParents() (n int) {
+	for _, k := range fs.missStreak {
+		if k >= deadParentStreak {
+			n++
 		}
 	}
+	return n
 }
 
 // ErrClosed is returned by operations on a closed node.
@@ -609,9 +572,6 @@ func (n *Node) EstablishedCount() int {
 // FlowTableSize reports current flow-table occupancy across shards.
 func (n *Node) FlowTableSize() int { return int(n.flowCount.Load()) }
 
-// flowTableSize is the historical internal name (tests, GC).
-func (n *Node) flowTableSize() int { return n.FlowTableSize() }
-
 // Close detaches the node, stops its workers, and stops its timers. The
 // shard workers are joined BEFORE the flow table is swept: a worker
 // mid-burst can insert a flow (taking an admission reservation), so
@@ -629,9 +589,9 @@ func (n *Node) Close() {
 		}
 		n.wg.Wait()
 		for _, sh := range n.shards {
-			// A transport goroutine that raced Detach may have enqueued
-			// after the worker's final drain; release those holds so a
-			// virtual clock is not wedged by packets nobody will process.
+			// The worker is gone: release the holds of what is still queued
+			// (a transport goroutine that raced Detach may enqueue this late)
+			// so a virtual clock is not wedged by packets nobody processes.
 			for {
 				select {
 				case p := <-sh.in:
@@ -658,10 +618,8 @@ func (fs *flowState) stopTimers() {
 	if fs.gapTimer != nil {
 		fs.gapTimer.Stop()
 	}
-	for _, r := range fs.rounds {
-		if r.timer != nil {
-			r.timer.Stop()
-		}
+	if fs.win != nil && fs.win.timer != nil {
+		fs.win.timer.Stop()
 	}
 }
 
@@ -717,29 +675,22 @@ func (n *Node) onPacket(from wire.NodeID, data []byte) {
 		return
 	default:
 	}
-	switch wire.MsgType(data[0]) {
-	case wire.MsgAck, wire.MsgParentDown:
+	t := wire.MsgType(data[0])
+	if t == wire.MsgAck || t == wire.MsgParentDown {
 		// The buffer is shared read-only across the matched shards: every
 		// shard only parses it and copies what it forwards.
 		mask := n.childMask(from)
 		if mask == 0 {
 			n.dirMisses.Add(1)
-			return
 		}
-		for mask != 0 {
-			i := bits.TrailingZeros64(mask)
-			mask &^= 1 << uint(i)
-			n.shards[i].enqueue(from, data, n.clk.Hold())
+		for ; mask != 0; mask &= mask - 1 {
+			n.shards[bits.TrailingZeros64(mask)].enqueue(from, data, n.clk.Hold())
 		}
-		return
-	case wire.MsgSetup, wire.MsgData:
-		f := wire.FlowID(binary.BigEndian.Uint64(data[1:]))
-		n.shardFor(f).enqueue(from, data, n.clk.Hold())
 		return
 	}
 	f := wire.FlowID(binary.BigEndian.Uint64(data[1:]))
 	sh := n.shardFor(f)
-	if !sh.filter.mayContain(uint64(f)) {
+	if t != wire.MsgSetup && t != wire.MsgData && !sh.filter.mayContain(uint64(f)) {
 		sh.filterMisses.Add(1)
 		return
 	}
@@ -765,20 +716,11 @@ func (sh *shard) enqueue(from wire.NodeID, data []byte, release func()) {
 func (n *Node) runShard(sh *shard) {
 	defer n.wg.Done()
 	burst := make([]inPkt, 0, n.cfg.Burst)
-	parsed := make([]*wire.Packet, 0, n.cfg.Burst)
+	parsed := make([]wire.Packet, n.cfg.Burst)
 	for {
 		select {
 		case <-n.done:
-			// Release anything still queued so a virtual clock does not
-			// wait forever on packets nobody will process.
-			for {
-				select {
-				case p := <-sh.in:
-					p.release()
-				default:
-					return
-				}
-			}
+			return // Close releases whatever is still queued
 		case p := <-sh.in:
 			// One packet is in hand; opportunistically take whatever else
 			// is already queued, up to the burst bound.
@@ -792,7 +734,7 @@ func (n *Node) runShard(sh *shard) {
 					break fill
 				}
 			}
-			parsed = n.processBurst(sh, burst, parsed[:0])
+			n.processBurst(sh, burst, parsed)
 			// Drain the egress stage before releasing the burst's clock
 			// holds: under a virtual clock the sends must land in the same
 			// instant that admitted the packets, or quiescence would race
@@ -810,18 +752,16 @@ func (n *Node) runShard(sh *shard) {
 	}
 }
 
-// processBurst parses every packet header in the burst, then takes the shard
-// lock once, performs one shutdown check, dispatches each packet, and
-// flushes the inbound counters once. It does not release clock holds — that
-// is the caller's job (releases happen after the lock drops). The parse
-// scratch is returned for reuse.
-func (n *Node) processBurst(sh *shard, burst []inPkt, parsed []*wire.Packet) []*wire.Packet {
+// processBurst parses every packet header in the burst into the worker's
+// reused parse scratch (parsed[i] for burst[i]; handlers that keep a packet
+// clone it), then takes the shard lock once, performs one shutdown check,
+// and dispatches each packet. It does not release clock holds — that is the
+// caller's job (releases happen after the lock drops).
+func (n *Node) processBurst(sh *shard, burst []inPkt, parsed []wire.Packet) {
 	for i := range burst {
-		pkt, err := wire.UnmarshalPacket(burst[i].data)
-		if err != nil {
-			pkt = nil // garbage: drop
+		if wire.ParsePacket(burst[i].data, &parsed[i]) != nil {
+			parsed[i].Type = 0 // garbage: drop
 		}
-		parsed = append(parsed, pkt)
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -830,60 +770,20 @@ func (n *Node) processBurst(sh *shard, burst []inPkt, parsed []*wire.Packet) []*
 		// Close has (or is about to have) cleared this shard under its
 		// lock; processing queued packets now would resurrect flow state,
 		// leak reservations, and arm timers nobody stops.
-		return parsed
-	default:
-	}
-	var c inCounts
-	for i, pkt := range parsed {
-		if pkt == nil {
-			continue
-		}
-		n.dispatchLocked(sh, burst[i].from, pkt, &c)
-	}
-	c.flushLocked(sh)
-	return parsed
-}
-
-// process parses and dispatches one datagram on its shard: the single-packet
-// degenerate burst, kept for timers, tests, and benchmarks that inject
-// packets directly.
-func (n *Node) process(sh *shard, from wire.NodeID, data []byte) {
-	pkt, err := wire.UnmarshalPacket(data)
-	if err != nil {
-		return // garbage: drop
-	}
-	sh.mu.Lock()
-	select {
-	case <-n.done:
-		sh.mu.Unlock()
 		return
 	default:
 	}
-	var c inCounts
-	n.dispatchLocked(sh, from, pkt, &c)
-	c.flushLocked(sh)
-	sh.mu.Unlock()
-	n.runEgress(sh)
-}
-
-// inCounts accumulates the per-packet inbound counters across one burst so
-// the shard's stats cache line is written once per burst, not once per
-// packet. Counters that fire at most once per burst in practice (flow
-// establishment, regeneration, sends) keep writing sh.stats directly.
-type inCounts struct {
-	setup, data, heartbeat int64
-}
-
-func (c *inCounts) flushLocked(sh *shard) {
-	sh.stats.SetupPacketsIn += c.setup
-	sh.stats.DataPacketsIn += c.data
-	sh.stats.HeartbeatsIn += c.heartbeat
+	for i := range burst {
+		if parsed[i].Type != 0 {
+			n.dispatchLocked(sh, burst[i].from, &parsed[i])
+		}
+	}
 }
 
 // dispatchLocked routes one parsed packet to its handler. It is the only
 // data-path writer of the shard's state; the shard lock is held for the
 // benefit of timers, GC, and stats snapshots.
-func (n *Node) dispatchLocked(sh *shard, from wire.NodeID, pkt *wire.Packet, c *inCounts) {
+func (n *Node) dispatchLocked(sh *shard, from wire.NodeID, pkt *wire.Packet) {
 	switch pkt.Type {
 	case wire.MsgAck:
 		// Acks are matched by sender address, not flow-id, and never create
@@ -932,13 +832,13 @@ func (n *Node) dispatchLocked(sh *shard, from wire.NodeID, pkt *wire.Packet, c *
 	}
 	switch pkt.Type {
 	case wire.MsgSetup:
-		c.setup++
+		sh.stats.SetupPacketsIn++
 		n.handleSetup(sh, pkt.Flow, fs, from, pkt)
 	case wire.MsgData:
-		c.data++
+		sh.stats.DataPacketsIn++
 		n.handleData(sh, pkt.Flow, fs, from, pkt)
 	case wire.MsgHeartbeat:
-		c.heartbeat++
+		sh.stats.HeartbeatsIn++
 	case wire.MsgSplice:
 		n.handleSplice(sh, fs, pkt)
 	}
@@ -995,10 +895,7 @@ func (n *Node) sendAckLocked(sh *shard, flow wire.FlowID, fs *flowState) {
 	fs.ackSent = true
 	pkt := &wire.Packet{Type: wire.MsgAck, Flow: flow}
 	sh.pktBuf = pkt.AppendTo(sh.pktBuf[:0])
-	buf := sh.pktBuf
-	for p := range sh.ackTargetsLocked(fs) {
-		n.sendLocked(sh, p, buf)
-	}
+	n.floodUpstreamLocked(sh, fs, sh.pktBuf)
 }
 
 // handleSetup runs on the shard worker with sh.mu held.
@@ -1014,7 +911,8 @@ func (n *Node) handleSetup(sh *shard, f wire.FlowID, fs *flowState, from wire.No
 		fs.ownByD = make(map[int][]code.Slice)
 		fs.geomByD = make(map[int][2]int)
 	}
-	fs.setupPkts[from] = pkt
+	// Kept until the wave is forwarded; pkt itself is parse scratch.
+	fs.setupPkts[from] = pkt.Clone()
 	// Slot 0 carries one of our own slices (if it validates; padding and
 	// slices lost upstream do not). The packet's claimed split factor only
 	// labels the candidate group — it becomes authoritative when the group
@@ -1046,7 +944,6 @@ func (n *Node) handleSetup(sh *shard, f wire.FlowID, fs *flowState, from wire.No
 			fs.d = cand
 			geom := fs.geomByD[cand]
 			fs.slotLen, fs.nSlots = geom[0], geom[1]
-			fs.geomSet = true
 			sh.stats.FlowsEstablished++
 			// Register the flow's children so sender-addressed acks and
 			// reports from them route to this shard (table.go).
@@ -1063,12 +960,6 @@ func (n *Node) handleSetup(sh *shard, f wire.FlowID, fs *flowState, from wire.No
 					fs.lastHeard[p] = now
 				}
 			}
-			if pi.Spliced {
-				// A spliced-in replacement received its block straight from
-				// the source endpoints; its children were patched directly,
-				// so there is no setup wave to forward.
-				fs.setupSent = true
-			}
 			if pi.Receiver {
 				// Establishment acknowledgment toward the source endpoints
 				// (§7.4): originated by the destination, re-stamped hop by
@@ -1083,9 +974,15 @@ func (n *Node) handleSetup(sh *shard, f wire.FlowID, fs *flowState, from wire.No
 			break
 		}
 	}
-	if fs.info == nil || len(fs.info.Children) == 0 || fs.setupSent {
-		// Leaf (last stage), not yet decodable, or a spliced-in flow with
-		// nothing to forward. If the flow never decodes, GC reaps it.
+	if fs.info == nil {
+		return // not yet decodable; if it never is, GC reaps the flow
+	}
+	if fs.info.Spliced || len(fs.info.Children) == 0 {
+		// A spliced-in replacement (its block came straight from the source
+		// endpoints, its children were patched directly) or a leaf: no wave
+		// to forward, so the setup state, and the buffers it pins, is done.
+		fs.setupSent = true
+		fs.setupPkts, fs.ownByD, fs.geomByD = nil, nil, nil
 		return
 	}
 	if len(fs.setupPkts) >= len(fs.parents) && fs.parentsAllPresent() {
@@ -1165,8 +1062,8 @@ func (n *Node) forwardSetupLocked(sh *shard, f wire.FlowID, fs *flowState) {
 		sh.pktBuf = out[c].AppendTo(sh.pktBuf[:0])
 		n.sendLocked(sh, ch, sh.pktBuf)
 	}
-	// Setup packets are no longer needed; free the slabs.
-	fs.setupPkts = map[wire.NodeID]*wire.Packet{}
+	// The setup state is done: free it, and the receive buffers it pins.
+	fs.setupPkts, fs.ownByD, fs.geomByD = nil, nil, nil
 }
 
 // handleData runs on the shard worker with sh.mu held.
@@ -1174,77 +1071,50 @@ func (n *Node) handleData(sh *shard, f wire.FlowID, fs *flowState, from wire.Nod
 	if fs.info == nil {
 		// Data raced ahead of setup; buffer a bounded amount.
 		if len(fs.pendingData) < 1024 {
-			fs.pendingData = append(fs.pendingData, pendingPacket{from, pkt})
+			fs.pendingData = append(fs.pendingData, pendingPacket{from, pkt.Clone()})
 		}
 		return
 	}
-	if len(pkt.Slots) < 1 {
-		return
+	fwd := len(fs.info.Children) > 0
+	if len(pkt.Slots) < 1 || !fwd && !fs.info.Receiver {
+		return // a last-stage bystander has no use for the slice: hold nothing
 	}
-	s, err := wire.DecodeSlot(pkt.Slots[0], fs.d)
+	sl, err := wire.DecodeSlot(pkt.Slots[0], fs.d)
 	if err != nil {
 		return
 	}
-	r := fs.rounds[pkt.Seq]
-	if r == nil {
-		r = &round{slices: make(map[wire.NodeID]code.Slice)}
-		if fs.rounds == nil {
-			fs.rounds = make(map[uint32]*round)
-		}
-		fs.rounds[pkt.Seq] = r
-		if len(fs.rounds) > maxLiveRounds {
-			fs.pruneRounds(pkt.Seq)
-		}
+	delete(fs.missStreak, from) // a parent that speaks is alive, however late its slice
+	seq := pkt.Seq
+	var forward, decode bool
+	s := n.slotLocked(sh, fs, seq)
+	if s != nil {
+		forward, decode = fs.needs(seq, s)
 	}
-	if _, dup := r.slices[from]; dup {
+	if !forward && !decode {
+		sh.stats.LateSlices++ // below the window, or a round already finished
 		return
 	}
-	r.slices[from] = s
-	if fs.deadParents[from] {
-		delete(fs.deadParents, from)
+	if slices.Contains(s.from, from) {
+		return // duplicate
 	}
-	if fs.missStreak[from] != 0 {
-		delete(fs.missStreak, from)
+	if s.deadline.IsZero() {
+		s.deadline = fs.lastActive.Add(n.cfg.RoundWait) // lastActive is this packet's arrival
 	}
-
-	if fs.info.Receiver && !r.decoded {
-		n.tryDeliverLocked(sh, f, fs, pkt.Seq, r)
+	if s.got == nil {
+		k := max(len(fs.parents), len(fs.seen))
+		s.from, s.got = make([]wire.NodeID, 0, k), make([]code.Slice, 0, k)
 	}
-	if len(fs.info.Children) == 0 {
-		return
+	s.from, s.got = append(s.from, from), append(s.got, sl)
+	if decode {
+		n.tryDeliverLocked(sh, f, fs, seq, s)
 	}
-	if r.forwarded {
-		return
+	if forward && len(s.got) >= len(fs.parents)-fs.deadParents() {
+		n.stageRoundLocked(sh, fs, seq, s)
 	}
-	if len(r.slices) >= len(fs.parents)-len(fs.deadParents) {
-		n.stageRoundLocked(sh, fs, pkt.Seq, r)
-		return
+	fs.advanceLocked()
+	if w := fs.win; fwd && w.low != w.high {
+		n.armRoundTimerLocked(sh, fs, n.cfg.RoundWait)
 	}
-	if r.timer == nil {
-		seq := pkt.Seq
-		r.timer = n.clk.AfterFunc(n.cfg.RoundWait, func() {
-			sh.mu.Lock()
-			// Identity check on the round itself, not just its flag: the
-			// flow may have been evicted and recreated, or the round pruned,
-			// between arming and firing.
-			if cur := sh.flows[f]; cur == fs && fs.rounds[seq] == r && !r.forwarded {
-				n.stageRoundLocked(sh, fs, seq, r)
-			}
-			sh.mu.Unlock()
-			n.runEgress(sh)
-		})
-	}
-}
-
-// gatherLocked collects a round's slices into the shard's reusable gather
-// scratch. The result is valid until the next call on the same shard; runs
-// with sh.mu held.
-func (sh *shard) gatherLocked(r *round) []code.Slice {
-	sh.gather = sh.gather[:0]
-	for _, s := range r.slices {
-		sh.gather = append(sh.gather, s)
-	}
-	return sh.gather
 }
 
 // maxSealedLen bounds a single sealed message on the reassembly stream. It
@@ -1257,23 +1127,19 @@ const maxSealedLen = 1 << 20
 // tryDeliverLocked decodes a round and advances the receiver's reassembly
 // stream: [4-byte sealed length ‖ sealed bytes ‖ next message ...], each
 // chunk independently length-prefixed by the coding layer.
-func (n *Node) tryDeliverLocked(sh *shard, f wire.FlowID, fs *flowState, seq uint32, r *round) {
-	if seq < fs.nextSeq {
-		return // already delivered or written off; late slices are moot
+func (n *Node) tryDeliverLocked(sh *shard, f wire.FlowID, fs *flowState, seq uint32, s *roundSlot) {
+	if len(s.got) < fs.d {
+		return // cannot span the round yet
 	}
-	all := sh.gatherLocked(r)
-	if !code.Decodable(fs.d, all) {
-		return
-	}
-	chunk, err := code.Decode(fs.d, all)
+	chunk, err := code.Decode(fs.d, s.got)
 	if err != nil {
 		return
 	}
-	r.decoded = true
-	if fs.chunks == nil {
-		fs.chunks = make(map[uint32][]byte)
+	s.chunk = chunk
+	fs.win.buffered++
+	if forward, _ := fs.needs(seq, s); !forward {
+		s.release() // decoded and nothing to forward: the views are dead weight
 	}
-	fs.chunks[seq] = chunk
 	n.spliceChunksLocked(sh, f, fs)
 	n.watchGapLocked(sh, f, fs)
 }
@@ -1282,20 +1148,17 @@ func (n *Node) tryDeliverLocked(sh *shard, f wire.FlowID, fs *flowState, seq uin
 // stream and parses out completed messages. While resyncing after a skip it
 // discards chunks until one passes the message-head plausibility test.
 func (n *Node) spliceChunksLocked(sh *shard, f wire.FlowID, fs *flowState) {
-	for {
-		c, ok := fs.chunks[fs.nextSeq]
-		if !ok {
-			break
-		}
-		delete(fs.chunks, fs.nextSeq)
+	for w := fs.win; fs.nextSeq != w.high && w.at(fs.nextSeq).chunk != nil; {
+		s := w.at(fs.nextSeq)
+		c := s.chunk
+		s.chunk = nil
+		w.buffered--
 		fs.nextSeq++
 		if fs.resync {
 			if len(c) < 4 {
 				continue
 			}
-			total := int(uint32(c[0])<<24 | uint32(c[1])<<16 |
-				uint32(c[2])<<8 | uint32(c[3]))
-			if total > maxSealedLen {
+			if binary.BigEndian.Uint32(c) > maxSealedLen {
 				continue // mid-message ciphertext, not a length prefix
 			}
 			fs.resync = false
@@ -1310,27 +1173,23 @@ func (n *Node) spliceChunksLocked(sh *shard, f wire.FlowID, fs *flowState) {
 // timer, not round arrival, drives the write-off: the hole round may never
 // reach this node at all.
 func (n *Node) watchGapLocked(sh *shard, f wire.FlowID, fs *flowState) {
-	if len(fs.chunks) == 0 {
-		if fs.gapTimer != nil {
-			fs.gapTimer.Stop()
-			fs.gapTimer = nil
-		}
-		return
-	}
-	if fs.gapTimer != nil && fs.gapSeq == fs.nextSeq {
-		return // already watching this hole
-	}
 	if fs.gapTimer != nil {
+		if fs.win.buffered > 0 && fs.gapSeq == fs.nextSeq {
+			return // already watching this hole
+		}
 		fs.gapTimer.Stop()
+		fs.gapTimer = nil
+	}
+	if fs.win.buffered == 0 {
+		return
 	}
 	fs.gapSeq = fs.nextSeq
 	fs.gapTimer = n.clk.AfterFunc(n.cfg.GapWait, func() {
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		if cur := sh.flows[f]; cur != fs {
-			return
+		if sh.flows[f] == fs {
+			n.skipGapLocked(sh, f, fs)
 		}
-		n.skipGapLocked(sh, f, fs)
 	})
 }
 
@@ -1344,20 +1203,24 @@ func (n *Node) watchGapLocked(sh *shard, f wire.FlowID, fs *flowState) {
 // re-aligns delivery on the next plausible message boundary.
 func (n *Node) skipGapLocked(sh *shard, f wire.FlowID, fs *flowState) {
 	fs.gapTimer = nil
-	if len(fs.chunks) == 0 {
-		return
-	}
-	if fs.nextSeq != fs.gapSeq {
-		n.watchGapLocked(sh, f, fs) // progress since arming; watch the new hole
+	if fs.win.buffered == 0 || fs.nextSeq != fs.gapSeq {
+		n.watchGapLocked(sh, f, fs) // progress since arming: watch the new hole, if any
 		return
 	}
 	next := fs.nextSeq
-	first := true
-	for s := range fs.chunks {
-		if first || s < next {
-			next, first = s, false
-		}
+	for next != fs.win.high && fs.win.at(next).chunk == nil {
+		next++
 	}
+	n.skipStreamLocked(sh, fs, next)
+	n.spliceChunksLocked(sh, f, fs)
+	n.watchGapLocked(sh, f, fs)
+	fs.advanceLocked()
+}
+
+// skipStreamLocked moves the reassembly stream forward to round next,
+// writing off the rounds in between and dropping the partial message they
+// clipped.
+func (n *Node) skipStreamLocked(sh *shard, fs *flowState, next uint32) {
 	sh.stats.RoundsSkipped += int64(next - fs.nextSeq)
 	if len(fs.stream) > 0 || !fs.resync {
 		fs.stream = fs.stream[:0]
@@ -1366,8 +1229,6 @@ func (n *Node) skipGapLocked(sh *shard, f wire.FlowID, fs *flowState) {
 		sh.stats.StreamResyncs++
 	}
 	fs.nextSeq = next
-	n.spliceChunksLocked(sh, f, fs)
-	n.watchGapLocked(sh, f, fs)
 }
 
 func (n *Node) drainStreamLocked(sh *shard, f wire.FlowID, fs *flowState) {
@@ -1375,8 +1236,7 @@ func (n *Node) drainStreamLocked(sh *shard, f wire.FlowID, fs *flowState) {
 		if len(fs.stream) < 4 {
 			return
 		}
-		total := int(uint32(fs.stream[0])<<24 | uint32(fs.stream[1])<<16 |
-			uint32(fs.stream[2])<<8 | uint32(fs.stream[3]))
+		total := int(binary.BigEndian.Uint32(fs.stream))
 		if fs.tainted && total > maxSealedLen {
 			// Framing lost (a resync accepted ciphertext that happened to
 			// parse as a plausible length). Drop the stream and re-align at
@@ -1391,7 +1251,10 @@ func (n *Node) drainStreamLocked(sh *shard, f wire.FlowID, fs *flowState) {
 			return
 		}
 		sealed := fs.stream[4 : 4+total]
-		plain, err := fs.info.Key.Open(sealed)
+		if fs.opener == nil {
+			fs.opener = slcrypto.NewSealer(fs.info.Key)
+		}
+		plain, err := fs.opener.OpenTo(nil, sealed)
 		// Compact in place instead of reallocating per message; the buffer
 		// is reused by the next chunks.
 		fs.stream = fs.stream[:copy(fs.stream, fs.stream[4+total:])]

@@ -314,7 +314,7 @@ func TestFlowGarbageCollection(t *testing.T) {
 	net.Send(1, 42, junk.Marshal())
 	sawFlow := false
 	ok := simnet.Eventually(2*time.Second, 2*time.Millisecond, func() bool {
-		cnt := n.flowTableSize()
+		cnt := n.FlowTableSize()
 		if cnt > 0 {
 			sawFlow = true
 		}
@@ -342,9 +342,9 @@ func TestMaxFlowsBound(t *testing.T) {
 		net.Send(1, 42, junk.Marshal())
 	}
 	simnet.Eventually(time.Second, 2*time.Millisecond, func() bool {
-		return n.flowTableSize() == 5
+		return n.FlowTableSize() == 5
 	})
-	if got := n.flowTableSize(); got > 5 {
+	if got := n.FlowTableSize(); got > 5 {
 		t.Fatalf("flow table grew to %d", got)
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"infoslicing/internal/code"
 	"infoslicing/internal/overlay"
+	"infoslicing/internal/simnet"
 	"infoslicing/internal/wire"
 )
 
@@ -120,8 +121,6 @@ func TestConcurrentFlowsStress(t *testing.T) {
 			setupPkts: make(map[wire.NodeID]*wire.Packet),
 			ownByD:    make(map[int][]code.Slice),
 			geomByD:   make(map[int][2]int),
-			rounds:    make(map[uint32]*round),
-			chunks:    make(map[uint32][]byte),
 			seen:      make(map[wire.NodeID]bool),
 			info: &wire.PerNodeInfo{
 				Children:   children,
@@ -186,6 +185,15 @@ func TestConcurrentFlowsStress(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
+	// One straggler per flow — round 0 again, long forwarded — so the
+	// late-slice counter is non-zero in the fold checked below.
+	for f := range setups {
+		n.onPacket(setups[f].parents[0], append([]byte(nil), setups[f].frames[0]...))
+	}
+	if !simnet.Eventually(10*time.Second, time.Millisecond, func() bool { return n.Stats().LateSlices >= flows }) {
+		t.Fatalf("LateSlices = %d after %d stragglers", n.Stats().LateSlices, flows)
+	}
+
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	if tr.total != want {
@@ -223,7 +231,7 @@ func TestConcurrentFlowsStress(t *testing.T) {
 	}
 	silentPerChurned := int64(reviveAt - churnAt)
 	churnedFlows := int64((flows + 1) / 2)
-	wantIn := int64(flows*rounds*dp) - silentPerChurned*churnedFlows
+	wantIn := int64(flows*rounds*dp) - silentPerChurned*churnedFlows + flows // + the stragglers
 	if stats.DataPacketsIn != wantIn {
 		t.Fatalf("DataPacketsIn = %d, want %d", stats.DataPacketsIn, wantIn)
 	}

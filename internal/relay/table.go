@@ -35,16 +35,13 @@ const maxObservedHops = 64
 // remainder ages out on following ticks.
 const gcBatch = 1024
 
-// tenantOf derives the admission key for a flow: the previous-hop node
-// that created it. A relay cannot see deeper identity than that (the
-// anonymity invariant), but the previous hop is exactly the party whose
-// traffic admission should meter.
-type tenantKey = wire.NodeID
-
 // admit claims one flow-table slot against the global bound and, when
 // per-tenant quotas are enabled, against the creating tenant's quota.
-// Callers that get false must drop the packet (counted FlowsRejected).
-func (n *Node) admit(tenant tenantKey) bool {
+// Callers that get false must drop the packet (counted FlowsRejected). The
+// tenant is the previous-hop node that created the flow: a relay cannot see
+// deeper identity than that (the anonymity invariant), and the previous hop
+// is exactly the party whose traffic admission should meter.
+func (n *Node) admit(tenant wire.NodeID) bool {
 	if n.flowCount.Add(1) > int64(n.cfg.MaxFlows) {
 		n.flowCount.Add(-1)
 		return false
@@ -63,7 +60,7 @@ func (n *Node) admit(tenant tenantKey) bool {
 }
 
 // releaseSlot returns a flow's admission reservation.
-func (n *Node) releaseSlot(tenant tenantKey) {
+func (n *Node) releaseSlot(tenant wire.NodeID) {
 	n.flowCount.Add(-1)
 	if n.cfg.TenantQuota > 0 {
 		n.tenantMu.Lock()
@@ -126,11 +123,6 @@ func (n *Node) removeFlowLocked(sh *shard, f wire.FlowID, fs *flowState, evicted
 	if fs.info != nil {
 		n.dirDelLocked(sh, fs, fs.info)
 	}
-	// Retire the small per-flow maps into the shard free lists (egress.go).
-	sh.putNodeSetLocked(fs.deadParents)
-	fs.deadParents = nil
-	sh.putNodeCountsLocked(fs.missStreak)
-	fs.missStreak = nil
 	n.releaseSlot(fs.tenant)
 	if evicted {
 		sh.stats.FlowsEvicted++

@@ -93,14 +93,14 @@ func TestEvictionUnderLoad(t *testing.T) {
 		s.Net.Send(src, 1, junkDataFrame(fid(i)))
 	}
 	s.Run(10 * time.Millisecond)
-	if got := n.flowTableSize(); got != flows {
+	if got := n.FlowTableSize(); got != flows {
 		t.Fatalf("installed %d flows, want %d", got, flows)
 	}
 
 	// Let every flow idle past the TTL; the incremental sweep must reap all
 	// of them and release every admission reservation.
 	s.Run(200 * time.Millisecond)
-	if got := n.flowTableSize(); got != 0 {
+	if got := n.FlowTableSize(); got != 0 {
 		t.Fatalf("%d flows survived the TTL sweep", got)
 	}
 	st := n.Stats()
@@ -115,7 +115,7 @@ func TestEvictionUnderLoad(t *testing.T) {
 		s.Net.Send(src, 1, wire.AppendHeartbeat(nil, fid(i)))
 	}
 	s.Run(210 * time.Millisecond)
-	if got := n.flowTableSize(); got != 0 {
+	if got := n.FlowTableSize(); got != 0 {
 		t.Fatalf("heartbeats resurrected %d evicted flows", got)
 	}
 	if got := n.Stats().FilterMisses - preMisses; got == 0 {
@@ -128,7 +128,7 @@ func TestEvictionUnderLoad(t *testing.T) {
 		s.Net.Send(src, 1, junkDataFrame(fid(i)))
 	}
 	s.Run(220 * time.Millisecond)
-	if got := n.flowTableSize(); got != flows {
+	if got := n.FlowTableSize(); got != flows {
 		t.Fatalf("re-admitted %d flows, want %d", got, flows)
 	}
 	if got := n.Stats().FlowsRejected; got != 0 {
@@ -156,7 +156,7 @@ func TestTenantQuotaNoStarvation(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		n.process(sh, greedy, junkDataFrame(wire.FlowID(0x100+uint64(i))))
 	}
-	if got := n.flowTableSize(); got != 3 {
+	if got := n.FlowTableSize(); got != 3 {
 		t.Fatalf("greedy tenant holds %d flows, want 3 (quota)", got)
 	}
 	if got := n.Stats().FlowsRejected; got != 7 {
@@ -166,7 +166,7 @@ func TestTenantQuotaNoStarvation(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		n.process(sh, modest, junkDataFrame(wire.FlowID(0x200+uint64(i))))
 	}
-	if got := n.flowTableSize(); got != 5 {
+	if got := n.FlowTableSize(); got != 5 {
 		t.Fatalf("table = %d flows, want 5 (3 greedy + 2 modest)", got)
 	}
 	occ := n.TenantFlows()
@@ -190,7 +190,7 @@ func TestTenantQuotaNoStarvation(t *testing.T) {
 	}
 	sh.mu.Unlock()
 	n.gcSweep()
-	if got := n.flowTableSize(); got != 2 {
+	if got := n.FlowTableSize(); got != 2 {
 		t.Fatalf("table = %d flows after sweep, want 2", got)
 	}
 	n.process(sh, greedy, junkDataFrame(wire.FlowID(0x300)))
@@ -236,7 +236,7 @@ func TestMillionFlowBoundedMemory(t *testing.T) {
 		wire.PatchFlow(frame, wire.FlowID(0x5eed_0000_0000+uint64(i)))
 		n.process(sh, wire.NodeID(100+i%256), frame)
 	}
-	if got := n.flowTableSize(); got != flows {
+	if got := n.FlowTableSize(); got != flows {
 		t.Fatalf("installed %d flows, want %d", got, flows)
 	}
 
@@ -263,7 +263,7 @@ func TestMillionFlowBoundedMemory(t *testing.T) {
 	// A heartbeat for an absent flow may or may not be a filter false
 	// positive at this occupancy, but it must never create state.
 	n.onPacket(1, wire.AppendHeartbeat(nil, wire.FlowID(0xffff_ffff_0000_0001)))
-	if got := n.flowTableSize(); got != flows {
+	if got := n.FlowTableSize(); got != flows {
 		t.Fatal("heartbeat for an absent flow created state")
 	}
 }

@@ -1,6 +1,7 @@
 package relay
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"time"
@@ -140,6 +141,83 @@ func TestRoundWaitExpiryRacesArrival(t *testing.T) {
 	}
 }
 
+// TestRoundWaitForwardsAtExactInstant: a round that stays short forwards
+// exactly RoundWait after its first slice, to the virtual nanosecond — also
+// when the flow's one round timer was armed for an earlier round and has to
+// re-arm for this one, and when an unrelated round completed in between.
+func TestRoundWaitForwardsAtExactInstant(t *testing.T) {
+	const (
+		flow   = wire.FlowID(0xbeef)
+		p1, p2 = wire.NodeID(11), wire.NodeID(12)
+		chld   = wire.NodeID(21)
+		wait   = 40 * time.Millisecond
+	)
+	s, n := virtualNode(t, 1, Config{RoundWait: wait})
+	for _, id := range []wire.NodeID{p1, p2} {
+		if err := s.Net.Attach(id, func(wire.NodeID, []byte) {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The child stamps every round it is sent with the instant it arrived
+	// (links are zero-delay, so that is the instant the relay forwarded).
+	forwardedAt := map[uint32]time.Duration{}
+	if err := s.Net.Attach(chld, func(_ wire.NodeID, b []byte) {
+		forwardedAt[binary.BigEndian.Uint32(b[9:])] = s.Elapsed()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	injectFlowAt(n, flow, &wire.PerNodeInfo{
+		Children:   []wire.NodeID{chld},
+		ChildFlows: []wire.FlowID{0xcafe},
+		Key:        testKey(0x11),
+		DataMap:    []wire.DataForward{{Parent: p1, Child: 0}},
+	}, s.Clk.Now())
+	// The data-map names one parent; make the flow wait on two so a round
+	// with p1's slice alone is short.
+	n.shards[0].flows[flow].parents[p2] = true
+
+	rng := rand.New(rand.NewSource(7))
+	enc, err := code.NewEncoder(2, 2, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices, err := enc.Encode(make([]byte, 600))
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func(at time.Duration, from wire.NodeID, sl code.Slice, seq uint32) {
+		s.At(at, func() { s.Net.Send(from, 1, dataFrame(flow, seq, 2, sl)) })
+	}
+	firstSlice := map[uint32]time.Duration{
+		0: 0,                         // arms the timer
+		1: 7*time.Millisecond + 1,    // deadline between two others: the timer must re-arm onto it
+		3: 13 * time.Millisecond,     // round 2 is skipped: a hole below a pending round
+		4: wait + 5*time.Millisecond, // opens after the first deadline fired
+	}
+	for seq, at := range firstSlice {
+		send(at, p1, slices[0], seq)
+	}
+	// Round 5 completes on its own in the middle of all that.
+	send(20*time.Millisecond, p1, slices[0], 5)
+	send(21*time.Millisecond, p2, slices[1], 5)
+	s.Run(200 * time.Millisecond)
+
+	for seq, at := range firstSlice {
+		if got, ok := forwardedAt[seq]; !ok || got != at+wait {
+			t.Errorf("round %d: first slice at %v, forwarded at %v (sent=%v), want exactly %v", seq, at, got, ok, at+wait)
+		}
+	}
+	if got := forwardedAt[5]; got != 21*time.Millisecond {
+		t.Errorf("complete round forwarded at %v, want the instant its last slice arrived (21ms)", got)
+	}
+	if _, ok := forwardedAt[2]; ok {
+		t.Error("round 2 was never sent a slice, yet something was forwarded for it")
+	}
+	if w := n.shards[0].flows[flow].win; w.low != w.high || w.timer != nil {
+		t.Errorf("window [%d,%d) timer %v after every deadline ran out, want empty and disarmed", w.low, w.high, w.timer)
+	}
+}
+
 // TestGCSweepRacesSplice: a splice landing at exactly the GC sweep that
 // would reap its idle flow refreshes the flow first (deliveries before
 // timers) and keeps it alive; a splice arriving after the sweep finds the
@@ -186,7 +264,7 @@ func TestGCSweepRacesSplice(t *testing.T) {
 	if got := n.Stats().SplicesApplied; got != 1 {
 		t.Fatalf("mid-sweep splice applied %d times, want 1", got)
 	}
-	if got := n.flowTableSize(); got != 1 {
+	if got := n.FlowTableSize(); got != 1 {
 		t.Fatalf("flow reaped despite same-instant splice: table size %d", got)
 	}
 
@@ -198,7 +276,7 @@ func TestGCSweepRacesSplice(t *testing.T) {
 	if got := n2.Stats().SplicesApplied; got != 0 {
 		t.Fatalf("post-sweep splice applied %d times, want 0", got)
 	}
-	if got := n2.flowTableSize(); got != 0 {
+	if got := n2.FlowTableSize(); got != 0 {
 		t.Fatalf("splice resurrected a reaped flow: table size %d", got)
 	}
 }

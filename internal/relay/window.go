@@ -1,0 +1,195 @@
+package relay
+
+import (
+	"slices"
+	"time"
+
+	"infoslicing/internal/code"
+	"infoslicing/internal/simnet"
+	"infoslicing/internal/wire"
+)
+
+// A flow's data rounds live in one sliding window: a power-of-two ring of
+// reusable slots covering [low, low+len(slots)), allocated by the first
+// slice the flow has to hold and sized by work in flight, never by history.
+// A round drops its slice views the instant nothing needs them (forwarded,
+// for a relay; decoded, for a receiver), low advances over finished rounds,
+// and a slice for anything below low is a counted late drop. The ring
+// doubles only to keep a round still needed; past maxWindow the oldest
+// rounds are written off instead. Round deadlines share one timer per flow:
+// it fires at the earliest stamp still ahead, forwards what is due and
+// re-arms — at most one timer operation per RoundWait in steady traffic.
+type roundWindow struct {
+	slots     []roundSlot
+	low, high uint32 // rounds tracked: low ≤ high ≤ low+len(slots)
+	buffered  int    // decoded chunks parked behind a missing round
+	timer     simnet.Timer
+	fire      func() // timer's callback, built once per flow
+}
+
+const minWindow, maxWindow = 4, 4096
+
+// roundSlot is one round. A zero deadline means no slice of it has been
+// seen: a hole below some later round.
+type roundSlot struct {
+	from      []wire.NodeID // from[i] sent got[i]; both reused round after
+	got       []code.Slice  // round (parents ≤ d', so lookups scan)
+	chunk     []byte        // decoded, awaiting its turn in the stream
+	deadline  time.Time     // first slice + RoundWait
+	forwarded bool          // staged for egress, or written off as lost
+}
+
+// slice returns the slice parent p sent for this round, if it has.
+func (s *roundSlot) slice(p wire.NodeID) (code.Slice, bool) {
+	if i := slices.Index(s.from, p); i >= 0 {
+		return s.got[i], true
+	}
+	return code.Slice{}, false
+}
+
+// release drops the slot's slice views, which pin whole receive buffers.
+func (s *roundSlot) release() {
+	clear(s.got)
+	s.from, s.got = s.from[:0], s.got[:0]
+}
+
+// recycle readies the slot for another round.
+func (s *roundSlot) recycle() {
+	s.release()
+	*s = roundSlot{from: s.from, got: s.got}
+}
+
+func (w *roundWindow) at(seq uint32) *roundSlot {
+	return &w.slots[seq&uint32(len(w.slots)-1)]
+}
+
+// needs reports what the flow still wants from round seq: to forward it,
+// and to decode it. A round that needs neither holds no slice views.
+func (fs *flowState) needs(seq uint32, s *roundSlot) (forward, decode bool) {
+	forward = len(fs.info.Children) > 0 && !s.forwarded
+	decode = fs.info.Receiver && s.chunk == nil && int32(seq-fs.nextSeq) >= 0
+	return
+}
+
+// slotLocked returns the slot tracking round seq, making room for it (which
+// may re-seat the ring: older slot pointers die), or nil below the window.
+func (n *Node) slotLocked(sh *shard, fs *flowState, seq uint32) *roundSlot {
+	w := fs.win
+	if w == nil {
+		w = &roundWindow{slots: make([]roundSlot, minWindow)}
+		fs.win = w
+	}
+	off := seq - w.low
+	switch size := len(w.slots); {
+	case int32(off) < 0:
+		return nil
+	case off >= maxWindow:
+		// Out of reach even fully grown: slide, writing off the oldest.
+		n.slideLocked(sh, fs, seq-uint32(size)+1)
+	case off >= uint32(size):
+		for uint32(size) <= off {
+			size <<= 1
+		}
+		ns := make([]roundSlot, size)
+		for q := w.low; q != w.high; q++ {
+			ns[q&uint32(size-1)] = *w.at(q)
+		}
+		w.slots = ns
+	}
+	if int32(seq-w.high) >= 0 {
+		w.high = seq + 1
+	}
+	return w.at(seq)
+}
+
+// slideLocked moves the window base up to low, writing off every round it
+// passes, O(1) each. A receiver's stream skips with them.
+func (n *Node) slideLocked(sh *shard, fs *flowState, low uint32) {
+	w := fs.win
+	for ; w.low != w.high && w.low != low; w.low++ {
+		s := w.at(w.low)
+		if fwd, dec := fs.needs(w.low, s); (fwd || dec) && len(s.got) > 0 || s.chunk != nil {
+			sh.stats.RoundsExpired++
+		}
+		if s.chunk != nil {
+			w.buffered--
+		}
+		s.recycle()
+	}
+	w.low = low
+	if int32(w.high-low) < 0 {
+		w.high = low
+	}
+	if fs.info.Receiver && int32(low-fs.nextSeq) > 0 {
+		n.skipStreamLocked(sh, fs, low)
+	}
+}
+
+// advanceLocked recycles the rounds at low that nothing is waiting on.
+func (fs *flowState) advanceLocked() {
+	for w := fs.win; w.low != w.high; w.low++ {
+		s := w.at(w.low)
+		if fwd, dec := fs.needs(w.low, s); fwd || dec || s.chunk != nil {
+			return
+		}
+		s.recycle()
+	}
+}
+
+// armRoundTimerLocked arms the flow's round timer unless one is pending.
+func (n *Node) armRoundTimerLocked(sh *shard, fs *flowState, d time.Duration) {
+	w := fs.win
+	if w.timer != nil {
+		return
+	}
+	if w.fire == nil {
+		w.fire = func() {
+			sh.mu.Lock()
+			if sh.flows[fs.flow] == fs {
+				w.timer = nil
+				n.roundDeadlineLocked(sh, fs)
+			}
+			sh.mu.Unlock()
+			n.runEgress(sh)
+		}
+	}
+	w.timer = n.clk.AfterFunc(d, w.fire)
+}
+
+// roundDeadlineLocked is the round timer's body: a round whose RoundWait has
+// run out forwards with what it has, and a hole is written off once a later
+// round is GapWait old — when the receiver would skip it anyway, and after an
+// upstream relay has had its own RoundWait to forward it short. The timer
+// re-arms for the earliest instant still ahead.
+func (n *Node) roundDeadlineLocked(sh *shard, fs *flowState) {
+	w, now := fs.win, n.clk.Now()
+	grace := max(n.cfg.GapWait-n.cfg.RoundWait, 0) // a hole's write-off lags the deadline above it
+	lastDue := w.low                               // holes in [low, lastDue) are written off
+	for seq := w.low; seq != w.high; seq++ {
+		if s := w.at(seq); !s.deadline.IsZero() && !s.deadline.Add(grace).After(now) {
+			lastDue = seq
+		}
+	}
+	var next time.Time
+	for seq := w.low; seq != w.high; seq++ {
+		s := w.at(seq)
+		at := s.deadline // the round's next instant of interest: its deadline,
+		if at.IsZero() {
+			s.forwarded = s.forwarded || int32(lastDue-seq) > 0
+			continue
+		}
+		if !at.After(now) {
+			if fwd, _ := fs.needs(seq, s); fwd {
+				n.stageRoundLocked(sh, fs, seq, s)
+			}
+			at = at.Add(grace) // then the write-off of any hole below it
+		}
+		if at.After(now) && (next.IsZero() || at.Before(next)) {
+			next = at
+		}
+	}
+	fs.advanceLocked()
+	if w.low != w.high && !next.IsZero() {
+		n.armRoundTimerLocked(sh, fs, next.Sub(now))
+	}
+}

@@ -36,9 +36,9 @@ type Universe struct {
 // UniverseConfig sizes a Universe.
 type UniverseConfig struct {
 	Nodes   int
-	Degree  int           // neighbors per node (default 4)
-	Walkers int           // circulating packets (default Nodes/10)
-	Payload int           // walker packet size in bytes (default 64, min 8)
+	Degree  int // neighbors per node (default 4)
+	Walkers int // circulating packets (default Nodes/10)
+	Payload int // walker packet size in bytes (default 64, min 8)
 	// HopDelay is the fixed per-hop link delay (default 1ms). Fixed — not
 	// jittered — so same-phase walkers coalesce into one batch per instant.
 	HopDelay time.Duration

@@ -23,6 +23,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 )
 
@@ -46,49 +47,78 @@ func NewSymmetricKey(r io.Reader) (SymmetricKey, error) {
 }
 
 // Seal encrypts plaintext with AES-CTR under a random IV drawn from r, and
-// appends an HMAC-SHA256 tag. Layout: iv ‖ ciphertext ‖ tag[:16].
+// appends an HMAC-SHA256 tag. Layout: iv ‖ ciphertext ‖ tag[:16]. It is
+// Sealer.SealTo with a throwaway Sealer; per-flow callers keep one.
 func (k SymmetricKey) Seal(r io.Reader, plaintext []byte) ([]byte, error) {
-	block, err := aes.NewCipher(k[:])
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, aes.BlockSize+len(plaintext)+KeySize)
-	iv := out[:aes.BlockSize]
-	if _, err := io.ReadFull(r, iv); err != nil {
-		return nil, fmt.Errorf("slcrypto: %w", err)
-	}
-	cipher.NewCTR(block, iv).XORKeyStream(out[aes.BlockSize:aes.BlockSize+len(plaintext)], plaintext)
-	tag := k.mac(out[:aes.BlockSize+len(plaintext)])
-	copy(out[aes.BlockSize+len(plaintext):], tag[:KeySize])
-	return out, nil
+	return NewSealer(k).SealTo(nil, r, plaintext)
 }
 
 // Open reverses Seal, verifying the tag first.
 func (k SymmetricKey) Open(sealed []byte) ([]byte, error) {
-	if len(sealed) < aes.BlockSize+KeySize {
-		return nil, ErrAuth
-	}
-	body := sealed[:len(sealed)-KeySize]
-	tag := sealed[len(sealed)-KeySize:]
-	want := k.mac(body)
-	if !hmac.Equal(tag, want[:KeySize]) {
-		return nil, ErrAuth
-	}
-	block, err := aes.NewCipher(k[:])
-	if err != nil {
-		return nil, err
-	}
-	pt := make([]byte, len(body)-aes.BlockSize)
-	cipher.NewCTR(block, body[:aes.BlockSize]).XORKeyStream(pt, body[aes.BlockSize:])
-	return pt, nil
+	return NewSealer(k).OpenTo(nil, sealed)
 }
 
-func (k SymmetricKey) mac(msg []byte) [sha256.Size]byte {
-	h := hmac.New(sha256.New, k[:])
-	h.Write(msg)
-	var tag [sha256.Size]byte
-	copy(tag[:], h.Sum(nil))
-	return tag
+// SealedLen is the length Seal produces for n plaintext bytes.
+func SealedLen(n int) int { return aes.BlockSize + n + KeySize }
+
+// Sealer seals and opens messages under one key with the AES block and the
+// HMAC state built once, so the per-message cost is the keystream and the
+// digest, not their construction. Not safe for concurrent use: hold one per
+// flow, under that flow's lock.
+type Sealer struct {
+	block cipher.Block
+	mac   hash.Hash
+	dirty bool // mac has absorbed a message and needs a Reset
+	sum   [sha256.Size]byte
+}
+
+// NewSealer keys a Sealer.
+func NewSealer(k SymmetricKey) *Sealer {
+	block, err := aes.NewCipher(k[:])
+	if err != nil {
+		panic(err) // unreachable: KeySize is a valid AES key length
+	}
+	return &Sealer{block: block, mac: hmac.New(sha256.New, k[:])}
+}
+
+// SealTo appends Seal's output for plaintext to dst and returns the
+// extended slice; plaintext must not alias dst's spare capacity.
+func (s *Sealer) SealTo(dst []byte, r io.Reader, plaintext []byte) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, make([]byte, SealedLen(len(plaintext)))...)
+	out := dst[start:]
+	iv, body := out[:aes.BlockSize], out[:aes.BlockSize+len(plaintext)]
+	if _, err := io.ReadFull(r, iv); err != nil {
+		return dst[:start], fmt.Errorf("slcrypto: %w", err)
+	}
+	cipher.NewCTR(s.block, iv).XORKeyStream(body[aes.BlockSize:], plaintext)
+	copy(out[len(body):], s.tag(body))
+	return dst, nil
+}
+
+// OpenTo verifies sealed and appends its plaintext to dst.
+func (s *Sealer) OpenTo(dst, sealed []byte) ([]byte, error) {
+	if len(sealed) < aes.BlockSize+KeySize {
+		return dst, ErrAuth
+	}
+	body, tag := sealed[:len(sealed)-KeySize], sealed[len(sealed)-KeySize:]
+	if !hmac.Equal(tag, s.tag(body)) {
+		return dst, ErrAuth
+	}
+	start := len(dst)
+	dst = append(dst, body[aes.BlockSize:]...)
+	cipher.NewCTR(s.block, body[:aes.BlockSize]).XORKeyStream(dst[start:], dst[start:])
+	return dst, nil
+}
+
+// tag returns the truncated HMAC of msg; valid until the next call.
+func (s *Sealer) tag(msg []byte) []byte {
+	if s.dirty {
+		s.mac.Reset() // the first Reset snapshots the keyed state: not free, so not for a one-shot
+	}
+	s.dirty = true
+	s.mac.Write(msg)
+	return s.mac.Sum(s.sum[:0])[:KeySize]
 }
 
 // Identity is an RSA keypair for the onion baseline. Information slicing

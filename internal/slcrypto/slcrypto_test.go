@@ -2,6 +2,11 @@ package slcrypto
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/hmac"
+	"crypto/sha256"
+	"io"
 	"math/rand"
 	"testing"
 )
@@ -99,5 +104,68 @@ func TestUnwrapWithWrongIdentityFails(t *testing.T) {
 	wrapped, _ := WrapKey(r, id1.Public(), k)
 	if _, err := id2.UnwrapKey(wrapped); err == nil {
 		t.Fatal("wrong identity unwrapped key")
+	}
+}
+
+// referenceSeal is the sealing construction written out longhand, as Seal
+// was before Sealer existed: every primitive built per message. The wire
+// bytes are pinned to it.
+func referenceSeal(k SymmetricKey, r io.Reader, plaintext []byte) []byte {
+	block, _ := aes.NewCipher(k[:])
+	out := make([]byte, aes.BlockSize+len(plaintext)+KeySize)
+	io.ReadFull(r, out[:aes.BlockSize])
+	cipher.NewCTR(block, out[:aes.BlockSize]).XORKeyStream(out[aes.BlockSize:aes.BlockSize+len(plaintext)], plaintext)
+	h := hmac.New(sha256.New, k[:])
+	h.Write(out[:aes.BlockSize+len(plaintext)])
+	copy(out[aes.BlockSize+len(plaintext):], h.Sum(nil)[:KeySize])
+	return out
+}
+
+// TestSealerWireBytesIdentical: one Sealer reused across many messages —
+// appending behind a prefix, as the sender's frame buffer does — produces
+// byte for byte what the per-message construction produced, and opens it.
+func TestSealerWireBytesIdentical(t *testing.T) {
+	k, _ := NewSymmetricKey(testRand(8))
+	s := NewSealer(k)
+	rNew, rRef := testRand(9), testRand(9)
+	sizes := testRand(10)
+	for i := 0; i < 200; i++ {
+		msg := make([]byte, sizes.Intn(3000))
+		sizes.Read(msg)
+		prefix := []byte{0xde, 0xad, byte(i)}
+		got, err := s.SealTo(append([]byte(nil), prefix...), rNew, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := referenceSeal(k, rRef, msg)
+		if !bytes.Equal(got[:3], prefix) || !bytes.Equal(got[3:], want) {
+			t.Fatalf("message %d (%d bytes): SealTo differs from the reference construction", i, len(msg))
+		}
+		if len(want) != SealedLen(len(msg)) {
+			t.Fatalf("SealedLen(%d) = %d, sealed %d", len(msg), SealedLen(len(msg)), len(want))
+		}
+		if viaKey, _ := k.Seal(testRand(int64(100+i)), msg); !bytes.Equal(viaKey, referenceSeal(k, testRand(int64(100+i)), msg)) {
+			t.Fatalf("message %d: SymmetricKey.Seal differs from the reference construction", i)
+		}
+		pt, err := s.OpenTo(prefix[:1:1], want)
+		if err != nil || pt[0] != prefix[0] || !bytes.Equal(pt[1:], msg) {
+			t.Fatalf("message %d: OpenTo after prefix: err %v", i, err)
+		}
+		want[len(want)-1] ^= 1
+		if _, err := s.OpenTo(nil, want); err != ErrAuth {
+			t.Fatalf("message %d: tampered tag opened (err %v)", i, err)
+		}
+	}
+}
+
+// The reused Sealer is the point of the type: sealing allocates only the
+// CTR stream, opening only that and the plaintext it returns.
+func BenchmarkSealerSeal(b *testing.B) {
+	k, _ := NewSymmetricKey(testRand(11))
+	s, r := NewSealer(k), testRand(12)
+	msg, buf := make([]byte, 1200), make([]byte, 0, 2048)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf, _ = s.SealTo(buf[:0], r, msg)
 	}
 }

@@ -14,6 +14,7 @@
 package source
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -25,6 +26,7 @@ import (
 	"infoslicing/internal/core"
 	"infoslicing/internal/overlay"
 	"infoslicing/internal/simnet"
+	"infoslicing/internal/slcrypto"
 	"infoslicing/internal/wire"
 )
 
@@ -79,9 +81,11 @@ type Sender struct {
 	established bool
 	paceFree    time.Time // virtual-time pacer for Config.RateBps
 
-	// Round scratch, guarded by mu: the encoder (which carries its own
-	// matrix and chop workspaces), the coded slices, and the packet framing
-	// buffer are reused across every round of the flow.
+	// Round scratch, guarded by mu: the destination-keyed sealer, the
+	// encoder (which carries its own matrix and chop workspaces), the coded
+	// slices, and the packet framing buffer are reused across every round
+	// of the flow.
+	sealer *slcrypto.Sealer
 	enc    *code.Encoder
 	encErr error
 	slices []code.Slice
@@ -155,19 +159,18 @@ func (s *Sender) Send(msg []byte) error {
 		s.mu.Unlock()
 		return ErrNotEstablished
 	}
+	if s.sealer == nil {
+		s.sealer = slcrypto.NewSealer(s.graph.DestKey)
+	}
+	// Frame: 4-byte length prefix, then the sealed bytes — sealed straight
+	// into the frame, which is then cut into rounds.
+	n := slcrypto.SealedLen(len(msg))
+	framed := binary.BigEndian.AppendUint32(make([]byte, 0, 4+n), uint32(n))
+	framed, err := s.sealer.SealTo(framed, rngReader{s.rng}, msg)
 	s.mu.Unlock()
-
-	sealed, err := s.graph.DestKey.Seal(rngReader{s}, msg)
 	if err != nil {
 		return fmt.Errorf("source: %w", err)
 	}
-	// Frame: 4-byte length prefix, then the sealed bytes, cut into rounds.
-	framed := make([]byte, 4+len(sealed))
-	framed[0] = byte(len(sealed) >> 24)
-	framed[1] = byte(len(sealed) >> 16)
-	framed[2] = byte(len(sealed) >> 8)
-	framed[3] = byte(len(sealed))
-	copy(framed[4:], sealed)
 
 	chunk := s.cfg.ChunkPayload
 	for off := 0; off < len(framed); off += chunk {
@@ -204,19 +207,21 @@ func (s *Sender) pace(bytes int) {
 		// its slowest destination's window allows. Ask the advisor for each
 		// destination's suggested hold-off and sleep the maximum. Per-slice
 		// bytes approximate the per-destination load of the round.
+		// SendDelay only reads the peer's window (no blocking, the same
+		// locks Send takes under s.mu), so the stage is walked in place.
+		var worst time.Duration
 		s.mu.Lock()
-		stage1 := append([]wire.NodeID(nil), s.graph.Stages[0]...)
-		s.mu.Unlock()
+		stage1 := s.graph.Stages[0]
 		per := bytes
 		if n := len(stage1); n > 0 {
 			per = bytes/n + 64 // slice payload + header overhead, roughly
 		}
-		var worst time.Duration
 		for _, v := range stage1 {
 			if d := s.adv.SendDelay(v, per); d > worst {
 				worst = d
 			}
 		}
+		s.mu.Unlock()
 		if worst > 0 {
 			s.clk.Sleep(worst)
 		}
@@ -305,16 +310,15 @@ func (s *Sender) send(from, to wire.NodeID, buf []byte) {
 	}
 }
 
-// rngReader adapts the sender RNG to io.Reader for sealing. Experiments are
-// deterministic under a fixed seed; production callers can wrap crypto/rand
-// by seeding Config with it at a higher layer.
-type rngReader struct{ s *Sender }
+// rngReader adapts the sender RNG to io.Reader for sealing; the caller
+// holds the sender's lock. Experiments are deterministic under a fixed
+// seed; production callers can wrap crypto/rand by seeding Config with it
+// at a higher layer.
+type rngReader struct{ rng *rand.Rand }
 
 func (r rngReader) Read(p []byte) (int, error) {
-	r.s.mu.Lock()
-	defer r.s.mu.Unlock()
 	for i := range p {
-		p[i] = byte(r.s.rng.Intn(256))
+		p[i] = byte(r.rng.Intn(256))
 	}
 	return len(p), nil
 }

@@ -760,10 +760,10 @@ type UDPAcceptor struct {
 
 // rxSource is the acceptor's per-source-socket ack state.
 type rxSource struct {
-	count    uint64    // datagrams received (post-shim) from this source
-	high     uint32    // highest data seq seen
+	count    uint64 // datagrams received (post-shim) from this source
+	high     uint32 // highest data seq seen
 	started  bool
-	lastSeen time.Time // last batch this source appeared in (eviction clock)
+	lastSeen time.Time     // last batch this source appeared in (eviction clock)
 	senders  []wire.NodeID // sender ids already reported to OnSender (≤ maxSendersPerConn)
 }
 

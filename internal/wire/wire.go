@@ -69,6 +69,11 @@ type Packet struct {
 	CoeffLen uint8  // d: length of each slice's coefficient vector
 	SlotLen  uint16 // bytes per slot, identical for all slots
 	Slots    [][]byte
+
+	// one backs Slots for single-slot packets (every data packet), so
+	// parsing one allocates nothing. Slots may therefore point into the
+	// Packet itself: copy a parsed Packet with Clone, never by value.
+	one [1][]byte
 }
 
 // Marshal serializes the packet into a fresh buffer.
@@ -114,34 +119,59 @@ func PatchFlow(b []byte, flow FlowID) {
 // Size returns the marshaled length without serializing.
 func (p *Packet) Size() int { return packetHeader + len(p.Slots)*int(p.SlotLen) }
 
-// UnmarshalPacket parses a packet. The returned packet's slots are views
-// into b — no bytes are copied. The caller must own b (both transports hand
-// each handler a private buffer) and must copy any slot it intends to
-// mutate; retaining a slot view pins the whole receive buffer, which is the
-// intended zero-copy behavior on the relay hot path.
+// UnmarshalPacket parses a packet into a fresh Packet; see ParsePacket.
 func UnmarshalPacket(b []byte) (*Packet, error) {
-	if len(b) < packetHeader {
-		return nil, ErrTruncated
-	}
-	p := &Packet{
-		Type:     MsgType(b[0]),
-		Flow:     FlowID(binary.BigEndian.Uint64(b[1:])),
-		Seq:      binary.BigEndian.Uint32(b[9:]),
-		CoeffLen: b[13],
-		SlotLen:  binary.BigEndian.Uint16(b[14:]),
-	}
-	n := int(b[16])
-	want := packetHeader + n*int(p.SlotLen)
-	if len(b) < want {
-		return nil, ErrTruncated
-	}
-	p.Slots = make([][]byte, n)
-	off := packetHeader
-	for i := range p.Slots {
-		p.Slots[i] = b[off : off+int(p.SlotLen) : off+int(p.SlotLen)]
-		off += int(p.SlotLen)
+	p := new(Packet)
+	if err := ParsePacket(b, p); err != nil {
+		return nil, err
 	}
 	return p, nil
+}
+
+// ParsePacket parses b into the caller-owned p, overwriting it; on error p
+// is unspecified. The slots are views into b — no bytes are copied. The
+// caller must own b (both transports hand each handler a private buffer)
+// and must copy any slot it intends to mutate; retaining a slot view pins
+// the whole receive buffer, which is the intended zero-copy behavior on the
+// relay hot path. p's slot table is reused across calls (a single-slot
+// packet uses storage inside p), so the steady state allocates nothing; a
+// holder that keeps the packet past p's next parse must Clone it.
+func ParsePacket(b []byte, p *Packet) error {
+	if len(b) < packetHeader {
+		return ErrTruncated
+	}
+	p.Type = MsgType(b[0])
+	p.Flow = FlowID(binary.BigEndian.Uint64(b[1:]))
+	p.Seq = binary.BigEndian.Uint32(b[9:])
+	p.CoeffLen = b[13]
+	p.SlotLen = binary.BigEndian.Uint16(b[14:])
+	n, sl := int(b[16]), int(p.SlotLen)
+	if len(b) < packetHeader+n*sl {
+		return ErrTruncated
+	}
+	switch {
+	case n == 1:
+		p.Slots = p.one[:1]
+	case n <= cap(p.Slots):
+		p.Slots = p.Slots[:n]
+	default:
+		p.Slots = make([][]byte, n)
+	}
+	off := packetHeader
+	for i := range p.Slots {
+		p.Slots[i] = b[off : off+sl : off+sl]
+		off += sl
+	}
+	return nil
+}
+
+// Clone returns a copy of p with its own slot table (the slot bytes are
+// still the shared views): what a holder keeps when p itself is parse
+// scratch about to be reused.
+func (p *Packet) Clone() *Packet {
+	q := &Packet{Type: p.Type, Flow: p.Flow, Seq: p.Seq, CoeffLen: p.CoeffLen, SlotLen: p.SlotLen}
+	q.Slots = append(q.one[:0], p.Slots...)
+	return q
 }
 
 // --- Slice slots -----------------------------------------------------------

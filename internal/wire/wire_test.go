@@ -433,3 +433,58 @@ func TestXorKeystreamMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestParsePacketReusesCallerStorage: parsing into a caller-owned Packet
+// gives what UnmarshalPacket gives, allocates nothing once the slot table
+// has its capacity (never, for single-slot packets), and a Clone survives
+// the scratch being parsed over.
+func TestParsePacketReusesCallerStorage(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	mk := func(seq uint32, slots int) []byte {
+		p := &Packet{Type: MsgData, Flow: 77, Seq: seq, CoeffLen: 2, SlotLen: 24}
+		for i := 0; i < slots; i++ {
+			p.Slots = append(p.Slots, RandomSlot(24, rng))
+		}
+		return p.Marshal()
+	}
+	one, three, none := mk(1, 1), mk(3, 3), mk(0, 0)
+
+	var p Packet
+	for _, b := range [][]byte{three, one, none, three, one} {
+		if err := ParsePacket(b, &p); err != nil {
+			t.Fatal(err)
+		}
+		want, _ := UnmarshalPacket(b)
+		if p.Seq != want.Seq || p.Flow != want.Flow || p.SlotLen != want.SlotLen || len(p.Slots) != len(want.Slots) {
+			t.Fatalf("ParsePacket header %+v, UnmarshalPacket %+v", p, want)
+		}
+		for i := range p.Slots {
+			if !bytes.Equal(p.Slots[i], want.Slots[i]) || &p.Slots[i][0] != &b[packetHeader+i*24] {
+				t.Fatalf("slot %d is not a view of the input", i)
+			}
+		}
+	}
+	if err := ParsePacket(three[:len(three)-1], &p); err != ErrTruncated {
+		t.Fatalf("truncated packet: err %v", err)
+	}
+
+	ParsePacket(three, &p)
+	kept := p.Clone()
+	ParsePacket(one, &p)
+	ParsePacket(mk(9, 3), &p)
+	if kept.Seq != 3 || len(kept.Slots) != 3 || !bytes.Equal(kept.Slots[2], three[packetHeader+48:]) {
+		t.Fatal("clone changed when its source was parsed over")
+	}
+	ParsePacket(one, &p)
+	kept = p.Clone()
+	ParsePacket(mk(5, 1), &p)
+	if kept.Seq != 1 || !bytes.Equal(kept.Slots[0], one[packetHeader:]) {
+		t.Fatal("single-slot clone shares its slot table with the source")
+	}
+
+	for _, b := range [][]byte{one, three} {
+		if n := testing.AllocsPerRun(100, func() { ParsePacket(b, &p) }); n != 0 {
+			t.Fatalf("ParsePacket of %d slots allocates %v times per call into warm storage", b[16], n)
+		}
+	}
+}
