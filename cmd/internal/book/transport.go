@@ -4,27 +4,15 @@ import (
 	"fmt"
 
 	"infoslicing/internal/overlay"
-	"infoslicing/internal/transport"
 	"infoslicing/internal/wire"
 )
-
-// Transport is the command-facing surface of the static socket transports:
-// the full overlay contract plus the peer-layer diagnostics both daemons
-// print at shutdown.
-type Transport interface {
-	overlay.Transport
-	PeerStats() transport.Stats
-	// LearnedEndpoints reports how many sender endpoints the transport's
-	// registry has learned from inbound traffic (ids absent from the book).
-	LearnedEndpoints() int
-}
 
 // NewTransport constructs the overlay substrate both commands share, keyed
 // by the -transport flag: "tcp" for stream sockets (reconnect, writev
 // batching), "udp" for congestion-controlled datagrams (sendmmsg batching,
 // CUBIC windows, loss measured — never retransmitted; the slicing
 // redundancy d' > d absorbs erasures instead).
-func NewTransport(kind string, addrs map[wire.NodeID]string) (Transport, error) {
+func NewTransport(kind string, addrs map[wire.NodeID]string) (*overlay.Static, error) {
 	switch kind {
 	case "tcp":
 		return overlay.NewStaticTCP(addrs), nil

@@ -63,25 +63,17 @@ var (
 // TransportStats re-exports the unified transport counter vocabulary.
 type TransportStats = overlay.TransportStats
 
-// bookTransport is the shared surface of the address-book socket
-// transports (StaticTCP, StaticUDP): the full overlay.Transport plus the
-// dynamic-attach escape hatch the facade needs for relays grown on the fly.
-type bookTransport interface {
-	overlay.Transport
-	AttachDynamic(id wire.NodeID, h overlay.Handler) error
-}
-
-// staticFacade adapts a book transport to the facade: node ids with a book
-// entry bind their pre-agreed address, everything else — relays grown on
-// the fly, transient source endpoints — binds a fresh loopback port that
+// staticFacade adapts the socket transport to the facade: node ids with a
+// book entry bind their pre-agreed address, everything else — relays grown
+// on the fly, transient source endpoints — binds a fresh loopback port that
 // stays resolvable inside this process.
-type staticFacade struct{ bookTransport }
+type staticFacade struct{ *overlay.Static }
 
 func (s staticFacade) Attach(id wire.NodeID, h overlay.Handler) error {
-	if err := s.bookTransport.Attach(id, h); err == nil || !errors.Is(err, overlay.ErrUnknownNode) {
+	if err := s.Static.Attach(id, h); err == nil || !errors.Is(err, overlay.ErrUnknownNode) {
 		return err
 	}
-	return s.bookTransport.AttachDynamic(id, h)
+	return s.AttachDynamic(id, h)
 }
 
 // Network is an in-process information-slicing overlay: a transport plus a
@@ -106,8 +98,8 @@ type transportKind int
 
 const (
 	chanKind    transportKind = iota // in-memory ChanNetwork (default)
-	tcpKind                          // StaticTCP over real sockets
-	udpKind                          // StaticUDP, congestion-controlled datagrams
+	tcpKind                          // overlay.Static over TCP sockets
+	udpKind                          // overlay.Static over congestion-controlled datagrams
 	virtualKind                      // simnet.SimNet on a virtual clock
 )
 

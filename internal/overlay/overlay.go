@@ -1,16 +1,16 @@
 // Package overlay provides the peer-to-peer substrate that information
 // slicing runs over: node identities, transports that deliver packets
-// between nodes, network profiles that emulate LAN and PlanetLab conditions
-// (§7), and a churn controller that fails nodes mid-transfer (§8).
+// between nodes, and network profiles that emulate LAN and PlanetLab
+// conditions (§7).
 //
-// Three transports are provided. ChanNetwork is an in-process network with
+// Two transports are provided. ChanNetwork is an in-process network with
 // configurable per-node bandwidth, link latency, and loss — the workhorse
 // for experiments, since one machine can host hundreds of relay goroutines.
-// TCPNetwork runs the identical byte protocol over real loopback sockets,
-// and StaticTCP over a pre-agreed address book spanning processes and
-// hosts; both are thin shims over the production peer layer
-// (internal/transport): per-host bounded queues, batched writev writers,
-// reconnect with backoff, and slab-based zero-copy readers.
+// Static runs the byte protocol over real sockets — TCP streams or
+// congestion-controlled UDP datagrams, over a pre-agreed address book
+// spanning processes and hosts or collapsed onto loopback — as a thin shim
+// over the production peer layer (internal/transport): per-host bounded
+// queues, batched writers, reconnect with backoff, slab-based readers.
 package overlay
 
 import (
@@ -24,6 +24,7 @@ import (
 
 	"infoslicing/internal/metrics"
 	"infoslicing/internal/simnet"
+	"infoslicing/internal/transport"
 	"infoslicing/internal/wire"
 )
 
@@ -124,8 +125,9 @@ type LossReporter interface {
 
 // OwnedSender is optionally implemented by transports that can take a
 // burst of frames toward one destination by reference instead of copying
-// each (the static TCP/UDP transports hand the views straight to the peer
-// writer's writev / datagram packer; ChanNetwork and SimNet copy in bulk).
+// each (Static hands the views straight to the peer writer's writev /
+// datagram packer; ChanNetwork copies the burst in bulk; SimNet, which
+// copies every packet into its event core anyway, leaves it out).
 // The caller keeps bufs' backing memory alive until release fires; the
 // transport calls release exactly once on EVERY path — flushed, shed at a
 // full queue, dropped at a down node, or rejected outright — and after it
@@ -161,6 +163,11 @@ var (
 	ErrDuplicateNode = errors.New("overlay: node already attached")
 	ErrUnknownNode   = errors.New("overlay: unknown node")
 	ErrNodeDown      = errors.New("overlay: node is down")
+	// ErrSendQueueFull re-exports the peer layer's advisory drop error: the
+	// frame was shed at a full per-peer queue. Callers on the data path
+	// count it (relay Stats.SendDrops); datagram semantics mean nothing
+	// else changes.
+	ErrSendQueueFull = transport.ErrQueueFull
 )
 
 // Profile shapes traffic to emulate a deployment environment.
@@ -261,9 +268,6 @@ func NewChanNetwork(p Profile, rng *rand.Rand) *ChanNetwork {
 	}
 }
 
-// Profile returns the network's shaping profile.
-func (n *ChanNetwork) Profile() Profile { return n.profile }
-
 // Attach implements Transport.
 func (n *ChanNetwork) Attach(id wire.NodeID, h Handler) error {
 	n.mu.Lock()
@@ -316,10 +320,29 @@ func (n *ChanNetwork) Down(id wire.NodeID) bool {
 	return ep == nil || ep.down.Load()
 }
 
-// Send implements Transport. Delivery happens on a separate goroutine after
-// the shaped delay; ordering between sends from the same node is preserved
-// by the egress serialization only when bandwidth shaping is on.
+// Send implements Transport: the one-frame case of the burst path.
 func (n *ChanNetwork) Send(from, to wire.NodeID, data []byte) error {
+	one := [1][]byte{data}
+	return n.send(from, to, one[:])
+}
+
+// SendOwned implements OwnedSender. Every path copies before returning, so
+// release fires here.
+func (n *ChanNetwork) SendOwned(from, to wire.NodeID, bufs [][]byte, release func()) error {
+	defer release()
+	return n.send(from, to, bufs)
+}
+
+// send delivers a burst of frames toward one node, on a separate goroutine
+// after the shaped delay. On a shaped or lossy profile every frame gets its
+// own delay and loss draw (ordering between sends from the same node is
+// preserved by the egress serialization only when bandwidth shaping is on);
+// unshaped, the whole burst is copied into one backing buffer and delivered
+// in order on a single goroutine — one allocation and one scheduler
+// hand-off where per-frame delivery pays one of each per frame. Handlers
+// own their views outright (the backing buffer is never reused), exactly
+// the Handler contract.
+func (n *ChanNetwork) send(from, to wire.NodeID, bufs [][]byte) error {
 	if n.closed.Load() {
 		return nil
 	}
@@ -336,75 +359,6 @@ func (n *ChanNetwork) Send(from, to wire.NodeID, data []byte) error {
 	if dst == nil || dst.down.Load() {
 		// Receiver unknown or crashed: silently dropped, like the real
 		// network.
-		n.pktsLost.Add(uint64(from), 1)
-		return nil
-	}
-	n.pktsSent.Add(uint64(from), 1)
-	n.bytesSent.Add(uint64(from), int64(len(data)))
-
-	delay := n.sendDelay(src, len(data))
-	if n.dropPacket() {
-		n.pktsLost.Add(uint64(from), 1)
-		return nil
-	}
-	payload := append([]byte(nil), data...)
-	epoch := dst.failEpoch.Load()
-	deliver := func() {
-		if !dst.down.Load() && dst.failEpoch.Load() == epoch && !n.closed.Load() {
-			dst.handler(from, payload)
-		}
-	}
-	if delay == 0 {
-		// Fast path: immediate asynchronous delivery.
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			deliver()
-		}()
-		return nil
-	}
-	n.wg.Add(1)
-	timer := time.AfterFunc(delay, func() {
-		defer n.wg.Done()
-		deliver()
-	})
-	_ = timer
-	return nil
-}
-
-// SendOwned implements OwnedSender. On a shaped or lossy profile it is
-// per-frame Send semantics (every frame gets its own delay and loss draw);
-// unshaped, the whole burst is copied into one backing buffer and
-// delivered in order on a single goroutine — one allocation and one
-// scheduler hand-off where per-frame Send pays one of each per frame.
-// Handlers own their views outright (the backing buffer is never reused),
-// exactly the Handler contract.
-func (n *ChanNetwork) SendOwned(from, to wire.NodeID, bufs [][]byte, release func()) error {
-	defer release()
-	p := n.profile
-	if p.BandwidthBps > 0 || p.LatencyMax > 0 || p.CPUDelayPerKB > 0 || p.Loss > 0 {
-		var err error
-		for _, b := range bufs {
-			if e := n.Send(from, to, b); e != nil && err == nil {
-				err = e
-			}
-		}
-		return err
-	}
-	if n.closed.Load() || len(bufs) == 0 {
-		return nil
-	}
-	n.mu.RLock()
-	src := n.nodes[from]
-	dst := n.nodes[to]
-	n.mu.RUnlock()
-	if src == nil {
-		return fmt.Errorf("%w: sender %d", ErrUnknownNode, from)
-	}
-	if src.down.Load() {
-		return fmt.Errorf("%w: %d", ErrNodeDown, from)
-	}
-	if dst == nil || dst.down.Load() {
 		n.pktsLost.Add(uint64(from), int64(len(bufs)))
 		return nil
 	}
@@ -414,39 +368,65 @@ func (n *ChanNetwork) SendOwned(from, to wire.NodeID, bufs [][]byte, release fun
 	}
 	n.pktsSent.Add(uint64(from), int64(len(bufs)))
 	n.bytesSent.Add(uint64(from), int64(total))
-	if len(bufs) == 1 {
-		// Singleton batch — the common case on sparse fan-outs: one payload
-		// copy and one hand-off, no batch bookkeeping.
-		payload := append([]byte(nil), bufs[0]...)
-		epoch := dst.failEpoch.Load()
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			if !dst.down.Load() && dst.failEpoch.Load() == epoch && !n.closed.Load() {
-				dst.handler(from, payload)
+	// Every queued delivery carries the receiver's epoch at send time: a
+	// crash loses everything already in flight toward the host.
+	epoch := dst.failEpoch.Load()
+	p := n.profile
+	if p.BandwidthBps > 0 || p.LatencyMax > 0 || p.CPUDelayPerKB > 0 || p.Loss > 0 {
+		for _, b := range bufs {
+			delay := n.sendDelay(src, len(b))
+			if n.dropPacket() {
+				n.pktsLost.Add(uint64(from), 1)
+				continue
 			}
-		}()
+			n.deliver(dst, epoch, from, delay, append([]byte(nil), b...), nil)
+		}
 		return nil
 	}
 	back := make([]byte, 0, total)
-	views := make([][]byte, len(bufs))
+	var rest [][]byte
+	if len(bufs) > 1 {
+		rest = make([][]byte, 0, len(bufs)-1)
+	}
 	for i, b := range bufs {
 		off := len(back)
 		back = append(back, b...)
-		views[i] = back[off:len(back):len(back)]
-	}
-	epoch := dst.failEpoch.Load()
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		for _, v := range views {
-			if dst.down.Load() || dst.failEpoch.Load() != epoch || n.closed.Load() {
-				return
-			}
-			dst.handler(from, v)
+		if i > 0 {
+			rest = append(rest, back[off:len(back):len(back)])
 		}
-	}()
+	}
+	if len(bufs) > 0 {
+		n.deliver(dst, epoch, from, 0, back[:len(bufs[0]):len(bufs[0])], rest)
+	}
 	return nil
+}
+
+// deliver hands first, then rest, to the receiver's handler after delay,
+// stopping at the first frame that finds the receiver crashed since the
+// send or the network closed. A singleton (the common case on sparse
+// fan-outs) passes a nil rest: one payload copy and one hand-off, no batch
+// bookkeeping.
+func (n *ChanNetwork) deliver(dst *chanEndpoint, epoch uint64, from wire.NodeID, delay time.Duration, first []byte, rest [][]byte) {
+	run := func() {
+		defer n.wg.Done()
+		for ok, i := n.hand(dst, epoch, from, first), 0; ok && i < len(rest); i++ {
+			ok = n.hand(dst, epoch, from, rest[i])
+		}
+	}
+	n.wg.Add(1)
+	if delay == 0 {
+		go run()
+	} else {
+		time.AfterFunc(delay, run)
+	}
+}
+
+func (n *ChanNetwork) hand(dst *chanEndpoint, epoch uint64, from wire.NodeID, v []byte) bool {
+	if dst.down.Load() || dst.failEpoch.Load() != epoch || n.closed.Load() {
+		return false
+	}
+	dst.handler(from, v)
+	return true
 }
 
 // sendDelay computes the shaped delay: serialization on the sender's uplink

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -253,34 +252,6 @@ func TestChanNetworkSenderDataIsolation(t *testing.T) {
 	}
 }
 
-func TestTCPNetworkDelivery(t *testing.T) {
-	n := NewTCPNetwork()
-	defer n.Close()
-	s := newSink()
-	if err := n.Attach(1, s.handler); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Attach(2, func(wire.NodeID, []byte) {}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := n.Addr(1); !ok {
-		t.Fatal("missing addr")
-	}
-	for i := 0; i < 10; i++ {
-		if err := n.Send(2, 1, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.waitFor(t, 10, 2*time.Second)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, m := range s.msgs {
-		if m.from != 2 {
-			t.Fatalf("wrong sender %d", m.from)
-		}
-	}
-}
-
 func TestTCPNetworkLargeFrames(t *testing.T) {
 	n := NewTCPNetwork()
 	defer n.Close()
@@ -300,57 +271,6 @@ func TestTCPNetworkLargeFrames(t *testing.T) {
 	}
 }
 
-func TestTCPNetworkFailStopsDelivery(t *testing.T) {
-	n := NewTCPNetwork()
-	defer n.Close()
-	var got atomic.Int64
-	n.Attach(1, func(wire.NodeID, []byte) { got.Add(1) })
-	n.Attach(2, func(wire.NodeID, []byte) {})
-	n.Fail(1)
-	n.Send(2, 1, []byte("lost"))
-	time.Sleep(50 * time.Millisecond)
-	if got.Load() != 0 {
-		t.Fatal("failed node received data")
-	}
-	if err := n.Send(1, 2, []byte("x")); err == nil {
-		t.Fatal("failed sender should error")
-	}
-	n.Revive(1)
-	n.Send(2, 1, []byte("hello"))
-	deadline := time.Now().Add(2 * time.Second)
-	for got.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got.Load() == 0 {
-		t.Fatal("revived node got nothing")
-	}
-}
-
-func TestTCPNetworkDuplicateAttach(t *testing.T) {
-	n := NewTCPNetwork()
-	defer n.Close()
-	n.Attach(1, func(wire.NodeID, []byte) {})
-	if err := n.Attach(1, func(wire.NodeID, []byte) {}); err == nil {
-		t.Fatal("duplicate attach accepted")
-	}
-}
-
-func TestTCPNetworkDetach(t *testing.T) {
-	n := NewTCPNetwork()
-	defer n.Close()
-	s := newSink()
-	n.Attach(1, s.handler)
-	n.Attach(2, func(wire.NodeID, []byte) {})
-	n.Detach(1)
-	if err := n.Send(2, 1, []byte("gone")); err != nil {
-		t.Fatal(err) // datagram semantics: no error, just dropped
-	}
-	time.Sleep(30 * time.Millisecond)
-	if s.count() != 0 {
-		t.Fatal("detached node received data")
-	}
-}
-
 func TestProfiles(t *testing.T) {
 	lan, pl := LAN(), PlanetLab()
 	if lan.BandwidthBps <= pl.BandwidthBps {
@@ -361,77 +281,5 @@ func TestProfiles(t *testing.T) {
 	}
 	if Unshaped().BandwidthBps != 0 {
 		t.Fatal("unshaped should be unlimited")
-	}
-}
-
-func TestChurnModelFailureProbability(t *testing.T) {
-	m := ChurnModel{MeanLifetime: 20 * time.Minute}
-	p30 := m.FailureProbability(30 * time.Minute)
-	if p30 < 0.7 || p30 > 0.85 { // 1-e^-1.5 ≈ 0.777
-		t.Fatalf("p(30min)=%v", p30)
-	}
-	if (ChurnModel{}).FailureProbability(time.Hour) != 0 {
-		t.Fatal("zero model should never fail")
-	}
-	if m.FailureProbability(0) != 0 {
-		t.Fatal("zero session should never fail")
-	}
-}
-
-func TestChurnerFailsNodes(t *testing.T) {
-	n := NewChanNetwork(Unshaped(), rand.New(rand.NewSource(8)))
-	defer n.Close()
-	ids := make([]wire.NodeID, 20)
-	for i := range ids {
-		ids[i] = wire.NodeID(i + 1)
-		n.Attach(ids[i], func(wire.NodeID, []byte) {})
-	}
-	ch := NewChurner(ChurnModel{MeanLifetime: 10 * time.Millisecond}, n, rand.New(rand.NewSource(9)))
-	defer ch.Stop()
-	ch.Watch(ids...)
-	deadline := time.Now().Add(2 * time.Second)
-	for ch.FailedCount() < 15 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if ch.FailedCount() < 15 {
-		t.Fatalf("only %d nodes failed", ch.FailedCount())
-	}
-}
-
-func TestChurnerRejoin(t *testing.T) {
-	n := NewChanNetwork(Unshaped(), rand.New(rand.NewSource(10)))
-	defer n.Close()
-	n.Attach(1, func(wire.NodeID, []byte) {})
-	ch := NewChurner(ChurnModel{
-		MeanLifetime: 5 * time.Millisecond,
-		Rejoin:       5 * time.Millisecond,
-	}, n, rand.New(rand.NewSource(11)))
-	defer ch.Stop()
-	ch.Watch(1)
-	// Node should cycle: observe at least one failure and one revival.
-	sawDown, sawUp := false, false
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) && !(sawDown && sawUp) {
-		if n.Down(1) {
-			sawDown = true
-		} else if sawDown {
-			sawUp = true
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if !sawDown || !sawUp {
-		t.Fatalf("churn cycle incomplete: down=%v up=%v", sawDown, sawUp)
-	}
-}
-
-func TestChurnerStopCancels(t *testing.T) {
-	n := NewChanNetwork(Unshaped(), rand.New(rand.NewSource(12)))
-	defer n.Close()
-	n.Attach(1, func(wire.NodeID, []byte) {})
-	ch := NewChurner(ChurnModel{MeanLifetime: time.Hour}, n, rand.New(rand.NewSource(13)))
-	ch.Watch(1)
-	ch.Stop()
-	if ch.FailedCount() != 0 {
-		t.Fatal("stop should leave nothing failed")
 	}
 }

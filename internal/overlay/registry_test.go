@@ -88,99 +88,71 @@ func TestRegistryCapEviction(t *testing.T) {
 	}
 }
 
-// TestStaticUDPLearnsSender is the NAT/restart scenario end to end at the
+// TestStaticLearnsSender is the NAT/restart scenario end to end at the
 // transport layer: node B is absent from A's book, so A can only reach B's
 // observed endpoint after B's traffic teaches the registry. The test
 // asserts the learning path — observation, registry resolution, peer
-// creation, frames emitted — not round-trip delivery: the observed address
-// is B's *sending* socket, and whether a daemon answers where it speaks is
-// a deployment property (see the registry doc comment).
-func TestStaticUDPLearnsSender(t *testing.T) {
-	const a, b = wire.NodeID(1), wire.NodeID(2)
-	sA := NewStaticUDP(nil, UDPOptions{})
-	defer sA.Close()
-	var sink tcpSink
-	if err := sA.AttachDynamic(a, sink.handler); err != nil {
-		t.Fatal(err)
-	}
-	addrA, _ := sA.Addr(a)
+// creation, frames emitted where the flavour can emit them — not round-trip
+// delivery: the observed address is B's *sending* socket, and whether a
+// daemon answers where it speaks is a deployment property (see the registry
+// doc comment).
+func TestStaticLearnsSender(t *testing.T) {
+	for _, fl := range flavours {
+		t.Run(fl.name, func(t *testing.T) {
+			const a, b = wire.NodeID(1), wire.NodeID(2)
+			sA := fl.static(nil)
+			defer sA.Close()
+			var sink tcpSink
+			if err := sA.AttachDynamic(a, sink.handler); err != nil {
+				t.Fatal(err)
+			}
+			addrA, _ := sA.Addr(a)
 
-	// B's process knows A; A's process does not know B.
-	sB := NewStaticUDP(map[wire.NodeID]string{a: addrA}, UDPOptions{})
-	defer sB.Close()
-	if err := sB.AttachDynamic(b, func(wire.NodeID, []byte) {}); err != nil {
-		t.Fatal(err)
-	}
+			// B's process knows A; A's process does not know B.
+			sB := fl.static(map[wire.NodeID]string{a: addrA})
+			defer sB.Close()
+			if err := sB.AttachDynamic(b, func(wire.NodeID, []byte) {}); err != nil {
+				t.Fatal(err)
+			}
 
-	// Before any traffic, A cannot resolve B at all: Send is a silent no-op
-	// (no book entry, no learned endpoint, no peer minted).
-	if err := sA.Send(a, b, []byte("early")); err != nil {
-		t.Fatal(err)
-	}
-	if got := sA.Stats().Packets; got != 0 {
-		t.Fatalf("%d frames out before B was resolvable", got)
-	}
+			// Before any traffic, A cannot resolve B at all: Send is a
+			// silent no-op (no book entry, no learned endpoint, no peer
+			// minted).
+			if err := sA.Send(a, b, []byte("early")); err != nil {
+				t.Fatal(err)
+			}
+			if got := sA.PeerStats().Enqueued; got != 0 {
+				t.Fatalf("%d frames queued before B was resolvable", got)
+			}
 
-	// B talks to A; A's acceptor observes the claimed sender id and feeds
-	// the registry.
-	if !simnet.Eventually(5*time.Second, 5*time.Millisecond, func() bool {
-		sB.Send(b, a, []byte("hello from B"))
-		return sA.LearnedEndpoints() == 1
-	}) {
-		t.Fatalf("registry never learned B's endpoint (learned=%d)", sA.LearnedEndpoints())
-	}
-	sink.wait(t, 1, 5*time.Second)
+			// B talks to A; A's acceptor observes the claimed sender id and
+			// feeds the registry.
+			if !simnet.Eventually(5*time.Second, 5*time.Millisecond, func() bool {
+				sB.Send(b, a, []byte("hello from B"))
+				return sA.LearnedEndpoints() == 1
+			}) {
+				t.Fatalf("registry never learned B's endpoint (learned=%d)", sA.LearnedEndpoints())
+			}
+			sink.wait(t, 1, 5*time.Second)
 
-	// Now A resolves B through the registry: a peer is created and frames
-	// leave the building.
-	if !simnet.Eventually(5*time.Second, 5*time.Millisecond, func() bool {
-		if err := sA.Send(a, b, []byte("reply to learned endpoint")); err != nil {
-			t.Fatal(err)
-		}
-		return sA.Stats().Packets > 0
-	}) {
-		t.Fatalf("no frames toward learned endpoint: %+v", sA.Stats())
-	}
-}
-
-// Same scenario over the TCP transport: the stream acceptor observes the
-// sender id on B's first frame and the registry makes B resolvable.
-func TestStaticTCPLearnsSender(t *testing.T) {
-	const a, b = wire.NodeID(1), wire.NodeID(2)
-	sA := NewStaticTCP(nil)
-	defer sA.Close()
-	var sink tcpSink
-	if err := sA.AttachDynamic(a, sink.handler); err != nil {
-		t.Fatal(err)
-	}
-	addrA, _ := sA.Addr(a)
-
-	sB := NewStaticTCP(map[wire.NodeID]string{a: addrA})
-	defer sB.Close()
-	if err := sB.AttachDynamic(b, func(wire.NodeID, []byte) {}); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := sA.Send(a, b, []byte("early")); err != nil {
-		t.Fatal(err)
-	}
-	if got := sA.Stats().Packets; got != 0 {
-		t.Fatalf("%d frames out before B was resolvable", got)
-	}
-
-	if !simnet.Eventually(5*time.Second, 5*time.Millisecond, func() bool {
-		sB.Send(b, a, []byte("hello from B"))
-		return sA.LearnedEndpoints() == 1
-	}) {
-		t.Fatalf("registry never learned B's endpoint (learned=%d)", sA.LearnedEndpoints())
-	}
-	sink.wait(t, 1, 5*time.Second)
-
-	// Resolvable now: Send mints a peer for the learned address. (The
-	// learned address is B's outbound socket, so the dial itself may not
-	// complete — resolution, not reachability, is the registry's contract.)
-	if err := sA.Send(a, b, []byte("reply")); err != nil {
-		t.Fatal(err)
+			// Now A resolves B through the registry: Send mints a peer for
+			// the learned address and queues the frame. On a stream the
+			// learned address is B's outbound socket, so the dial itself
+			// may not complete; a datagram socket needs no listener, so
+			// there the frames must leave the building.
+			if err := sA.Send(a, b, []byte("reply to learned endpoint")); err != nil {
+				t.Fatal(err)
+			}
+			if got := sA.PeerStats().Enqueued; got != 1 {
+				t.Fatalf("%d frames queued toward the learned endpoint, want 1", got)
+			}
+			if fl.name == "udp" && !simnet.Eventually(5*time.Second, 5*time.Millisecond, func() bool {
+				sA.Send(a, b, []byte("again")) //nolint:errcheck
+				return sA.Stats().Packets > 0
+			}) {
+				t.Fatalf("no frames toward learned endpoint: %+v", sA.Stats())
+			}
+		})
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"infoslicing/internal/simnet"
+	"infoslicing/internal/transport"
 	"infoslicing/internal/wire"
 )
 
@@ -139,7 +140,7 @@ func TestTCPNetworkSendFailureCountedAndReconnects(t *testing.T) {
 	// write after a hangup can land in the kernel buffer), so keep sending
 	// until the failure is counted.
 	n.mu.RLock()
-	n.local[1].acc.DropConns()
+	n.local[1].endpoint.(*transport.Acceptor).DropConns()
 	n.mu.RUnlock()
 	if !simnet.Eventually(10*time.Second, time.Millisecond, func() bool {
 		n.Send(2, 1, []byte("during")) //nolint:errcheck
@@ -155,51 +156,6 @@ func TestTCPNetworkSendFailureCountedAndReconnects(t *testing.T) {
 	}
 	if st := n.PeerStats(); st.Reconnects < 1 {
 		t.Fatalf("peer stats %+v, want ≥1 reconnect", st)
-	}
-}
-
-// Detach + re-Attach gives a node a fresh port; because peers resolve the
-// address at dial time, senders must follow it there.
-func TestTCPNetworkReattachNewAddress(t *testing.T) {
-	n := NewTCPNetwork()
-	defer n.Close()
-	var mu sync.Mutex
-	count := 0
-	h := func(wire.NodeID, []byte) {
-		mu.Lock()
-		count++
-		mu.Unlock()
-	}
-	if err := n.Attach(1, h); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Attach(2, func(wire.NodeID, []byte) {}); err != nil {
-		t.Fatal(err)
-	}
-	addr1, _ := n.Addr(1)
-	n.Send(2, 1, []byte("a")) //nolint:errcheck
-	if !simnet.Eventually(5*time.Second, time.Millisecond, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return count >= 1
-	}) {
-		t.Fatal("no delivery before re-attach")
-	}
-	n.Detach(1)
-	if err := n.Attach(1, h); err != nil {
-		t.Fatal(err)
-	}
-	addr2, _ := n.Addr(1)
-	if addr1 == addr2 {
-		t.Skip("kernel reissued the same ephemeral port; nothing to follow")
-	}
-	if !simnet.Eventually(10*time.Second, time.Millisecond, func() bool {
-		n.Send(2, 1, []byte("b")) //nolint:errcheck
-		mu.Lock()
-		defer mu.Unlock()
-		return count >= 2
-	}) {
-		t.Fatal("sender did not follow the node to its new address")
 	}
 }
 
@@ -230,61 +186,6 @@ func TestTCPNetworkQueueFullSurfaces(t *testing.T) {
 	}
 	if st := n.PeerStats(); st.Dropped == 0 {
 		t.Fatalf("peer stats %+v, want counted drops", st)
-	}
-}
-
-func TestStaticTCPFacadeLifecycle(t *testing.T) {
-	s := NewStaticTCP(nil)
-	defer s.Close()
-	var mu sync.Mutex
-	var got []string
-	if err := s.AttachDynamic(7, func(_ wire.NodeID, data []byte) {
-		mu.Lock()
-		got = append(got, string(data))
-		mu.Unlock()
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AttachDynamic(8, func(wire.NodeID, []byte) {}); err != nil {
-		t.Fatal(err)
-	}
-	recv := func(want string) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, g := range got {
-			if g == want {
-				return true
-			}
-		}
-		return false
-	}
-	s.Send(8, 7, []byte("up")) //nolint:errcheck
-	if !simnet.Eventually(5*time.Second, time.Millisecond, func() bool { return recv("up") }) {
-		t.Fatal("dynamic attach not resolvable in-process")
-	}
-	// Churn injection: a failed node neither sends nor receives…
-	s.Fail(7)
-	if !s.Down(7) {
-		t.Fatal("Down(7) = false after Fail")
-	}
-	s.Send(8, 7, []byte("while-down")) //nolint:errcheck
-	if err := s.Send(7, 8, []byte("x")); err == nil {
-		t.Fatal("send from failed node accepted")
-	}
-	time.Sleep(50 * time.Millisecond)
-	if recv("while-down") {
-		t.Fatal("failed node received a frame")
-	}
-	// …and a revived one picks up where it left off.
-	s.Revive(7)
-	if !simnet.Eventually(5*time.Second, time.Millisecond, func() bool {
-		s.Send(8, 7, []byte("back")) //nolint:errcheck
-		return recv("back")
-	}) {
-		t.Fatal("no delivery after Revive")
-	}
-	if st := s.Stats(); st.Packets == 0 || st.Bytes == 0 {
-		t.Fatalf("Stats() = %d pkts %d bytes, want nonzero", st.Packets, st.Bytes)
 	}
 }
 
@@ -328,7 +229,7 @@ func TestStaticTCPManySendersShareHostConn(t *testing.T) {
 	}
 	// One daemon per host: the 4 senders share one connection to node 1.
 	tr.mu.RLock()
-	conns := tr.local[1].acc.ConnCount()
+	conns := tr.local[1].endpoint.(*transport.Acceptor).ConnCount()
 	tr.mu.RUnlock()
 	if conns != 1 {
 		t.Fatalf("%d inbound conns at node 1, want 1 shared host connection", conns)

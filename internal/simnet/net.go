@@ -463,23 +463,6 @@ func (n *SimNet) rngLocked(ls *linkState, from, to wire.NodeID) *rand.Rand {
 	return ls.rng
 }
 
-// SendOwned implements the overlay's optional owned-buffer send: SimNet
-// copies each packet into its event core anyway (payload pooling and the
-// deterministic schedule both require it), so the owned path is per-frame
-// Send in burst order — which preserves the per-(from,to) delivery
-// sequence the same-seed-same-trace gate pins — with release consumed
-// exactly once before returning.
-func (n *SimNet) SendOwned(from, to wire.NodeID, bufs [][]byte, release func()) error {
-	var err error
-	for _, b := range bufs {
-		if e := n.Send(from, to, b); e != nil && err == nil {
-			err = e
-		}
-	}
-	release()
-	return err
-}
-
 // Send implements overlay.Transport: the packet is copied and scheduled for
 // delivery after the link's shaped delay, on the virtual clock. When no
 // per-link shaping state exists and the profile draws no randomness the

@@ -1,0 +1,179 @@
+package transport
+
+import (
+	"bytes"
+	"encoding/binary"
+	"net"
+	"net/netip"
+	"testing"
+
+	"infoslicing/internal/wire"
+)
+
+// The two network-facing frame splitters — the stream reader and the
+// datagram unpacker — against one plain reference: whatever bytes a peer
+// sends, in whatever chunking, neither may panic, and what they deliver
+// must be exactly the frames the reference finds, each in memory nothing
+// else will touch.
+
+const fuzzMaxFrame = 128 << 10 // above the reader's 64 KiB slab, far below any hostile length
+
+type refFrame struct {
+	from    wire.NodeID
+	payload []byte
+}
+
+// refSplit is the reference splitter, in uint64 arithmetic: whole frames
+// from the front of b, stopping at the first header that claims more than
+// maxFrame (bad) or more than b still holds.
+func refSplit(b []byte, maxFrame int) (frames []refFrame, bad bool) {
+	for len(b) >= HeaderLen {
+		size := uint64(binary.BigEndian.Uint32(b))
+		if size > uint64(maxFrame) {
+			return frames, true
+		}
+		if uint64(HeaderLen)+size > uint64(len(b)) {
+			break
+		}
+		end := HeaderLen + int(size)
+		frames = append(frames, refFrame{
+			from:    wire.NodeID(binary.BigEndian.Uint32(b[4:])),
+			payload: append([]byte(nil), b[HeaderLen:end]...),
+		})
+		b = b[end:]
+	}
+	return frames, false
+}
+
+// checkDelivered compares what a splitter handed out with the reference,
+// after the splitter is done: a view that a later read or copy overwrote,
+// or one an appending handler could grow into its neighbour, fails here.
+func checkDelivered(t *testing.T, got, want []refFrame) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("delivered %d frames, reference finds %d", len(got), len(want))
+	}
+	for i := range got {
+		if cap(got[i].payload) != len(got[i].payload) {
+			t.Fatalf("frame %d: view has cap %d > len %d (an append would write into the next frame)",
+				i, cap(got[i].payload), len(got[i].payload))
+		}
+	}
+	for i := range got {
+		if got[i].from != want[i].from || !bytes.Equal(got[i].payload, want[i].payload) {
+			t.Fatalf("frame %d = {from %d, %d bytes}, want {from %d, %d bytes}",
+				i, got[i].from, len(got[i].payload), want[i].from, len(want[i].payload))
+		}
+	}
+}
+
+func frame(from wire.NodeID, payload []byte) []byte {
+	b := make([]byte, HeaderLen, HeaderLen+len(payload))
+	putHeader(b, from, len(payload))
+	return append(b, payload...)
+}
+
+// hostileHeader claims a payload of n bytes it does not carry.
+func hostileHeader(n uint32) []byte {
+	b := make([]byte, HeaderLen, HeaderLen+8)
+	binary.BigEndian.PutUint32(b, n)
+	binary.BigEndian.PutUint32(b[4:], 1)
+	return append(b, "trailing"...)
+}
+
+func FuzzStreamSplitter(f *testing.F) {
+	// Hostile lengths, truncated headers and zero-length frames are seeded
+	// from testdata/fuzz; a frame larger than the reader's slab is not
+	// something to keep in a text file.
+	f.Add(append(frame(7, []byte("alpha")), frame(8, nil)...), []byte{3, 1, 200})
+	f.Add(frame(9, bytes.Repeat([]byte{0xAB}, 70<<10)), []byte{255, 17})
+	f.Fuzz(func(t *testing.T, stream, cuts []byte) {
+		var got []refFrame
+		a := NewAcceptor(nil, fuzzMaxFrame, func(from wire.NodeID, payload []byte) bool {
+			got = append(got, refFrame{from, payload})
+			return true
+		})
+		client, server := net.Pipe()
+		go func() {
+			// Write the stream in the chunk sizes cuts dictates (cycled; a
+			// zero byte is a 256-byte chunk), so frame and read boundaries
+			// fall everywhere. Chunks scale up with the stream so one input
+			// costs at most a few hundred pipe hand-offs.
+			defer client.Close()
+			scale := len(stream)/(64<<10) + 1
+			for i, rest := 0, stream; len(rest) > 0; i++ {
+				n := 256
+				if len(cuts) > 0 && cuts[i%len(cuts)] != 0 {
+					n = int(cuts[i%len(cuts)])
+				}
+				n *= scale
+				if n > len(rest) {
+					n = len(rest)
+				}
+				if _, err := client.Write(rest[:n]); err != nil {
+					return // the reader hung up on a bad header
+				}
+				rest = rest[n:]
+			}
+		}()
+		a.readLoop(server)
+		server.Close()
+		want, _ := refSplit(stream, fuzzMaxFrame)
+		checkDelivered(t, got, want)
+	})
+}
+
+func datagramOf(seq uint32, body []byte) []byte {
+	b := append([]byte(nil), dgMagic[:]...)
+	b = append(b, dgKindData, 0, 0, 0, 0)
+	binary.BigEndian.PutUint32(b[5:], seq)
+	return append(b, body...)
+}
+
+// deliverDatagram runs one datagram through a fresh acceptor's unpacker.
+func deliverDatagram(dg []byte) (got []refFrame) {
+	a := NewUDPAcceptor(nil, fuzzMaxFrame, UDPConfig{}, func(from wire.NodeID, payload []byte) bool {
+		got = append(got, refFrame{from, payload})
+		return true
+	})
+	srcs := make(map[netip.AddrPort]*rxSource)
+	var seen []netip.AddrPort
+	var slab []byte
+	a.handleDatagram(dg, netip.MustParseAddrPort("127.0.0.1:9"), srcs, &seen, &slab)
+	return got
+}
+
+func FuzzDatagram(f *testing.F) {
+	f.Add(datagramOf(1, append(frame(7, []byte("alpha")), frame(8, nil)...)))
+	f.Add([]byte("not-a-datagram-at-all!"))
+	f.Fuzz(func(t *testing.T, dg []byte) {
+		var want []refFrame
+		if len(dg) >= dgHdrLen && [4]byte(dg[:4]) == dgMagic && dg[4] == dgKindData {
+			want, _ = refSplit(dg[dgHdrLen:], fuzzMaxFrame)
+		}
+		staging := append([]byte(nil), dg...)
+		got := deliverDatagram(staging)
+		// The staging buffer is reused by the next recvmmsg: delivered
+		// views must not live in it.
+		for i := range staging {
+			staging[i] ^= 0xFF
+		}
+		checkDelivered(t, got, want)
+	})
+}
+
+// The regression the shared header parser fixes: on a 32-bit platform a
+// claimed length ≥ 2^31 converted to int before the bound went negative,
+// passed both checks and panicked the slice expression — one 21-byte
+// datagram killed the daemon. (Fails before the fix under GOARCH=386; CI
+// runs this package there.) The frames in front of the hostile header are
+// still delivered, the rest of the datagram is dropped.
+func TestDatagramHostileLengthDropsTail(t *testing.T) {
+	for _, claim := range []uint32{0xFFFFFFF0, 1 << 31, 0x7FFFFFFF, fuzzMaxFrame + 1} {
+		body := append(frame(7, []byte("kept")), hostileHeader(claim)...)
+		got := deliverDatagram(datagramOf(1, body))
+		if len(got) != 1 || string(got[0].payload) != "kept" {
+			t.Fatalf("claim %#x: delivered %d frames, want only the one before the hostile header", claim, len(got))
+		}
+	}
+}

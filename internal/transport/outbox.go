@@ -1,19 +1,16 @@
 package transport
 
 import (
+	"math/rand"
+	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"infoslicing/internal/simnet"
 	"infoslicing/internal/wire"
 )
 
-// outbox is the transport-agnostic half of a peer: the bounded outbound
-// frame queue, the freelist of frame buffers, and the shutdown lifecycle
-// (graceful drain vs immediate kill). The TCP Peer and the UDPPeer embed it
-// and add only their wire I/O — stream writev on one side, congestion-
-// controlled sendmmsg on the other — so Enqueue semantics, drop accounting,
-// and Close behaviour are identical across transports by construction.
 // outFrame is one outbound queue entry: either a copied frame (buf, from
 // the freelist, header already prepended) or an owned batch of frames
 // sharing one refcounted backing buffer (ob). Exactly one of the two is
@@ -44,8 +41,17 @@ type ownedBatch struct {
 	hdrs    []byte
 }
 
+// outbox is the transport-agnostic half of a peer: the bounded outbound
+// frame queue, the freelist of frame buffers, and the whole writer
+// lifecycle — next-batch selection, graceful drain vs immediate kill,
+// dead-then-reap exit, the connection holder, resolve→dial→backoff. The TCP
+// Peer and the UDPPeer embed it and add only their flavour (dial and flush:
+// stream writev on one side, congestion-controlled sendmmsg on the other),
+// so Enqueue semantics, drop accounting, and Close behaviour are identical
+// across transports by construction.
 type outbox struct {
-	cfg Config
+	cfg     Config
+	resolve func() (string, bool)
 
 	out    chan outFrame    // framed buffers / owned batches awaiting the writer
 	free   chan []byte      // recycled copied-frame buffers
@@ -70,6 +76,17 @@ type outbox struct {
 	// run loop, a dial-retry loop, or a backoff sleep — so frames in hand
 	// when Close lands keep flushing (and dialing) for the full grace.
 	drainBy time.Time
+	// backoff and jitter are writer-goroutine-only too. The jitter RNG is
+	// only materialized on the first backoff sleep: a peer whose dials
+	// succeed never pays for seeding one (it costs a 607-word table fill,
+	// visible in single-core profiles).
+	backoff time.Duration
+	jitter  lazyRand
+
+	// The current connection, under its own lock: shared by the writer
+	// (dial, drop) and the shutdown paths (sever, deadline).
+	connMu sync.Mutex
+	cur    net.Conn
 
 	enqueued     atomic.Int64
 	dropped      atomic.Int64
@@ -81,15 +98,28 @@ type outbox struct {
 	reconnects   atomic.Int64
 }
 
-func newOutbox(cfg Config) outbox {
+// flavour is what a peer adds to the outbox: how to open a connection to a
+// resolved address, and how to put one batch on it. Both run on the writer
+// goroutine only. flush consumes the batch (recycleBatch) and does its own
+// accounting; on a write error it drops the connection, and the next batch
+// re-dials.
+type flavour interface {
+	dial(addr string) (net.Conn, error)
+	flush(c net.Conn, batch []outFrame)
+}
+
+func newOutbox(cfg Config, resolve func() (string, bool)) outbox {
 	return outbox{
-		cfg:    cfg,
-		out:    make(chan outFrame, cfg.QueueDepth),
-		free:   make(chan []byte, cfg.QueueDepth+cfg.MaxBatch),
-		freeOB: make(chan *ownedBatch, cfg.QueueDepth),
-		closed: make(chan struct{}),
-		killed: make(chan struct{}),
-		done:   make(chan struct{}),
+		cfg:     cfg,
+		resolve: resolve,
+		backoff: cfg.BackoffMin,
+		jitter:  lazyRand{seed: simnet.NextSeed()},
+		out:     make(chan outFrame, cfg.QueueDepth),
+		free:    make(chan []byte, cfg.QueueDepth+cfg.MaxBatch),
+		freeOB:  make(chan *ownedBatch, cfg.QueueDepth),
+		closed:  make(chan struct{}),
+		killed:  make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 }
 
@@ -269,12 +299,11 @@ func (o *outbox) recycleBatch(batch []outFrame) {
 // During a drain the sleep is clamped to the drain deadline; outside one,
 // a graceful Close wakes the sleep early (once — the caller re-evaluates
 // and enters drain mode) so shutdown never waits out a full backoff.
-func (o *outbox) sleepBackoff(rng *lazyRand, backoff *time.Duration) bool {
-	d := *backoff
-	d = d/2 + time.Duration(rng.Int63n(int64(d)))
-	*backoff *= 2
-	if *backoff > o.cfg.BackoffMax {
-		*backoff = o.cfg.BackoffMax
+func (o *outbox) sleepBackoff() bool {
+	d := o.backoff/2 + time.Duration(o.jitter.Int63n(int64(o.backoff)))
+	o.backoff *= 2
+	if o.backoff > o.cfg.BackoffMax {
+		o.backoff = o.cfg.BackoffMax
 	}
 	draining := o.isClosed()
 	if draining {
@@ -318,4 +347,181 @@ func (o *outbox) discardQueue() {
 			return
 		}
 	}
+}
+
+// Close shuts the peer down gracefully: queued frames keep flushing (and
+// the writer keeps trying to connect) for up to DrainTimeout before the
+// connection is dropped. Blocks until the writer has exited, which the
+// drain deadline bounds even against a write wedged on a stalled receiver
+// or a full socket buffer — the deadline expiry tightens the connection's
+// write deadline out from under it.
+func (o *outbox) Close() {
+	o.closeOnce.Do(func() {
+		close(o.closed)
+		time.AfterFunc(o.cfg.DrainTimeout, func() {
+			o.connMu.Lock()
+			if o.cur != nil {
+				o.cur.SetWriteDeadline(time.Now()) //nolint:errcheck
+			}
+			o.connMu.Unlock()
+		})
+	})
+	<-o.done
+}
+
+// CloseNow shuts the peer down immediately: queued frames are dropped and
+// any in-flight write, window wait or backoff sleep is interrupted. Used
+// when the remote is known dead (churn injection, detach).
+func (o *outbox) CloseNow() {
+	o.immediate.Store(true)
+	o.killOnce.Do(func() {
+		close(o.killed)
+		o.dropConn()
+	})
+	o.closeOnce.Do(func() { close(o.closed) })
+	<-o.done
+}
+
+func (o *outbox) conn() net.Conn {
+	o.connMu.Lock()
+	defer o.connMu.Unlock()
+	return o.cur
+}
+
+func (o *outbox) dropConn() {
+	o.connMu.Lock()
+	c := o.cur
+	o.cur = nil
+	o.connMu.Unlock()
+	if c != nil {
+		c.Close()
+	}
+}
+
+// run is the writer: the only goroutine that dials, writes, or closes the
+// peer's connection. Everything it pulls off the queue in one wakeup (up to
+// MaxBatch) goes to the flavour as one batch, so a burst of n frames costs
+// ~n/MaxBatch syscalls instead of n.
+func (o *outbox) run(f flavour) {
+	defer func() {
+		// dead-then-reap, strictly in this order: Enqueue's post-send
+		// check on dead guarantees a frame that slips in during exit is
+		// discarded by one side or the other, never stranded (a done-based
+		// check would leave an instruction-wide strand window between the
+		// final reap and close(done) — the Close-race test pins this).
+		o.dead.Store(true)
+		o.dropConn()
+		o.discardQueue()
+		close(o.done)
+	}()
+	batch := make([]outFrame, 0, o.cfg.MaxBatch)
+	for {
+		first, ok := o.next()
+		if !ok {
+			return
+		}
+		batch = append(batch[:0], first)
+	fill:
+		for len(batch) < o.cfg.MaxBatch {
+			select {
+			case fr := <-o.out:
+				batch = append(batch, fr)
+			default:
+				break fill
+			}
+		}
+		if c := o.ensureConn(f); c != nil {
+			f.flush(c, batch)
+			continue
+		}
+		for _, fr := range batch {
+			o.dropped.Add(fr.frames())
+		}
+		o.recycleBatch(batch)
+	}
+}
+
+// next blocks for the batch's first entry. It is the shutdown ladder: a
+// kill reaps the queue and stops; a graceful close keeps handing out
+// entries (flushing, dialing included, continues) until the queue empties
+// or the drain deadline passes. false means the writer must exit.
+func (o *outbox) next() (outFrame, bool) {
+	for !o.isClosed() {
+		select {
+		case f := <-o.out:
+			return f, true
+		case <-o.closed:
+		}
+	}
+	if o.immediate.Load() {
+		return outFrame{}, false // the exit path reaps the queue
+	}
+	drainDeadline := o.armDrain()
+	select {
+	case f := <-o.out:
+		if time.Now().After(drainDeadline) {
+			o.dropped.Add(f.frames())
+			o.finish(f)
+			return outFrame{}, false
+		}
+		return f, true
+	default:
+		return outFrame{}, false // queue drained; graceful exit
+	}
+}
+
+// ensureConn returns the live connection, resolving and dialing (with
+// jittered exponential backoff between attempts) if there is none. It gives
+// up — returning nil — only when the peer is closing: immediately for
+// CloseNow, at the drain deadline for a graceful Close (armed here if this
+// dial loop is where the close is first observed, so a batch in hand when
+// Close lands still gets its full drain grace to find a connection).
+func (o *outbox) ensureConn(f flavour) net.Conn {
+	if c := o.conn(); c != nil {
+		return c
+	}
+	hadConn := o.dials.Load() > 0
+	for {
+		if o.immediate.Load() {
+			return nil
+		}
+		if o.isClosed() && time.Now().After(o.armDrain()) {
+			return nil
+		}
+		if addr, ok := o.resolve(); ok {
+			if c, err := f.dial(addr); err == nil {
+				o.backoff = o.cfg.BackoffMin
+				o.connMu.Lock()
+				o.cur = c
+				o.connMu.Unlock()
+				o.dials.Add(1)
+				if hadConn {
+					o.reconnects.Add(1)
+				}
+				if o.immediate.Load() {
+					// Lost the race with CloseNow's dropConn: do not hand
+					// a conn back to a writer that is about to exit.
+					o.dropConn()
+					return nil
+				}
+				return c
+			}
+		}
+		if !o.sleepBackoff() {
+			return nil
+		}
+	}
+}
+
+// lazyRand defers seeding a math/rand generator until the first draw.
+type lazyRand struct {
+	seed int64
+	rng  *rand.Rand
+}
+
+func (l *lazyRand) Int63n(n int64) int64 {
+	if l.rng == nil {
+		l.rng = rand.New(rand.NewSource(l.seed))
+	}
+	return l.rng.Int63n(n)
 }

@@ -10,12 +10,10 @@ import (
 	"infoslicing/internal/wire"
 )
 
-// Ownership-leak detectors for the refcounted egress path (DESIGN.md rule
-// 9): every slab reference handed to a transport must come back — after a
-// clean flush, a queue-full shed, a graceful Close, and an immediate
-// CloseNow — and the SlabPool.Outstanding gauge is the proof. All tests
-// run under -race in CI, so a release racing a writer flush is caught as
-// well as a leak.
+// The slab pool's refcount contract (DESIGN.md rule 9) and the owned write
+// path's allocation gate. That every reference handed to a peer comes back
+// exactly once — flushed, shed, drained, reaped — is checked for both peer
+// flavours in lifecycle_test.go.
 
 func TestSlabPoolRefcountLifecycle(t *testing.T) {
 	pool := NewSlabPool(1024, 2)
@@ -73,130 +71,6 @@ func frameInSlab(s *Slab, payload []byte) []byte {
 	off := len(s.Buf)
 	s.Buf = append(s.Buf, payload...)
 	return s.Buf[off:len(s.Buf):len(s.Buf)]
-}
-
-// TestEnqueueOwnedDeliversAndReleases pushes an owned batch through a live
-// TCP peer: the frames must arrive intact and attributed to the sender,
-// and the slab must be fully released once flushed.
-func TestEnqueueOwnedDeliversAndReleases(t *testing.T) {
-	s := &sink{}
-	acc, err := Listen("127.0.0.1:0", 0, s.deliver)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer acc.Close()
-	p := NewPeer(fixedResolver(acc.Addr()), testConfig())
-	defer p.Close()
-
-	pool := NewSlabPool(0, 4)
-	slab := pool.Get(64)
-	bufs := [][]byte{
-		frameInSlab(slab, []byte("alpha")),
-		frameInSlab(slab, []byte("beta")),
-		frameInSlab(slab, []byte("gamma")),
-	}
-	if !p.EnqueueOwned(7, bufs, slab.ReleaseFn) {
-		t.Fatal("EnqueueOwned rejected an idle queue")
-	}
-	s.await(t, 3, 5*time.Second)
-	want := []string{"alpha", "beta", "gamma"}
-	s.mu.Lock()
-	for i, w := range want {
-		if s.froms[i] != 7 || !bytes.Equal(s.frames[i], []byte(w)) {
-			t.Fatalf("frame %d = {from %d, %q}, want {from 7, %q}", i, s.froms[i], s.frames[i], w)
-		}
-	}
-	s.mu.Unlock()
-	if !simnet.Eventually(5*time.Second, time.Millisecond, func() bool {
-		return pool.Outstanding() == 0
-	}) {
-		t.Fatalf("slab never released after flush: outstanding %d", pool.Outstanding())
-	}
-	st := p.Stats()
-	if st.Enqueued != 3 || st.FramesOut != 3 {
-		t.Fatalf("owned batch counted wrong: %+v", st)
-	}
-}
-
-// TestEnqueueOwnedQueueFullSheds overfills a tiny peer queue whose address
-// never resolves (so nothing flushes) and verifies the shed path:
-// all-or-nothing rejection, drop accounting in frame units, the shed
-// batch's release consumed immediately — and CloseNow firing the releases
-// of everything still queued.
-func TestEnqueueOwnedQueueFullSheds(t *testing.T) {
-	cfg := testConfig()
-	cfg.QueueDepth = 2
-	cfg.MaxBatch = 1 // the writer holds at most one batch in hand
-	p := NewPeer(func() (string, bool) { return "", false }, cfg)
-
-	pool := NewSlabPool(0, 16)
-	accepted := int64(0)
-	shed := false
-	for i := 0; i < 64 && !shed; i++ {
-		slab := pool.Get(8)
-		bufs := [][]byte{frameInSlab(slab, []byte("a")), frameInSlab(slab, []byte("b"))}
-		if p.EnqueueOwned(1, bufs, slab.ReleaseFn) {
-			accepted++
-		} else {
-			shed = true
-		}
-	}
-	if !shed {
-		t.Fatal("queue depth 2 never filled after 64 batches")
-	}
-	// Accepted batches are pinned (address never resolves, so the writer
-	// cannot flush or drop them); only the shed batch released.
-	if got := pool.Outstanding(); got != accepted {
-		t.Fatalf("outstanding = %d, want %d: shed batch not released immediately", got, accepted)
-	}
-	if st := p.Stats(); st.Dropped != 2 {
-		t.Fatalf("Dropped = %d, want 2 (frame units, all-or-nothing)", st.Dropped)
-	}
-	// CloseNow reaps the queued batches; every release must fire.
-	p.CloseNow()
-	if !simnet.Eventually(5*time.Second, time.Millisecond, func() bool {
-		return pool.Outstanding() == 0
-	}) {
-		t.Fatalf("CloseNow leaked slab refs: outstanding %d", pool.Outstanding())
-	}
-}
-
-// TestEnqueueOwnedUDPReleasesAfterPack drives an owned batch through the
-// UDP datagram packer: payloads are copied into datagrams at pack time, so
-// the slab reference must come back as soon as the writer has packed —
-// and the frames must still arrive intact.
-func TestEnqueueOwnedUDPReleasesAfterPack(t *testing.T) {
-	s := &sink{}
-	lis, err := ListenUDP("127.0.0.1:0", 0, UDPConfig{}, s.deliver)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-	p := NewUDPPeer(func() (string, bool) { return lis.Addr(), true }, testConfig(), UDPConfig{})
-	defer p.Close()
-
-	pool := NewSlabPool(0, 4)
-	slab := pool.Get(64)
-	bufs := [][]byte{
-		frameInSlab(slab, []byte("dgram-1")),
-		frameInSlab(slab, []byte("dgram-2")),
-	}
-	if !p.EnqueueOwned(9, bufs, slab.ReleaseFn) {
-		t.Fatal("EnqueueOwned rejected an idle queue")
-	}
-	s.await(t, 2, 5*time.Second)
-	s.mu.Lock()
-	for i, from := range s.froms {
-		if from != 9 {
-			t.Fatalf("frame %d from %d, want 9", i, from)
-		}
-	}
-	s.mu.Unlock()
-	if !simnet.Eventually(5*time.Second, time.Millisecond, func() bool {
-		return pool.Outstanding() == 0
-	}) {
-		t.Fatalf("slab never released after pack: outstanding %d", pool.Outstanding())
-	}
 }
 
 // BenchmarkPeerWriteOwnedSteadyState gates the owned egress path's

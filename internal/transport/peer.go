@@ -1,12 +1,8 @@
 package transport
 
 import (
-	"math/rand"
 	"net"
-	"sync"
 	"time"
-
-	"infoslicing/internal/simnet"
 )
 
 // Peer is one remote overlay host: a single TCP connection carrying frames
@@ -19,17 +15,16 @@ import (
 // batches whatever has accumulated — across flows and senders — into one
 // writev.
 //
-// The queue, freelist, and shutdown lifecycle live in the embedded outbox,
-// shared with the datagram peer (UDPPeer); Peer adds only the TCP side:
-// lazy dial with jittered backoff, writev batching, idle teardown.
+// The queue, freelist, writer loop and shutdown lifecycle live in the
+// embedded outbox, shared with the datagram peer (UDPPeer); Peer adds only
+// the TCP flavour: the stream dial and the writev flush.
 type Peer struct {
 	outbox
-	resolve func() (string, bool)
 
-	connHolder
-
-	// lastDeadline is writer-goroutine-only: when the write deadline was
-	// last pushed out, so steady flushes skip the per-flush timer update.
+	// Writer-goroutine-only: the reusable iovec list, and when the write
+	// deadline was last pushed out, so steady flushes skip the per-flush
+	// timer update.
+	nb           net.Buffers
 	lastDeadline time.Time
 }
 
@@ -39,162 +34,14 @@ type Peer struct {
 // failed dial: backoff and retry.
 func NewPeer(resolve func() (string, bool), cfg Config) *Peer {
 	cfg.fillDefaults()
-	p := &Peer{
-		outbox:  newOutbox(cfg),
-		resolve: resolve,
-	}
-	go p.run(simnet.NextSeed())
+	p := &Peer{outbox: newOutbox(cfg, resolve)}
+	go p.run(p)
 	return p
 }
 
-// Close shuts the peer down gracefully: queued frames keep flushing (and
-// the writer keeps trying to connect) for up to DrainTimeout before the
-// connection is dropped. Blocks until the writer has exited, which the
-// drain deadline bounds even against a writev wedged on a stalled
-// receiver — the deadline expiry tightens the connection's write deadline
-// out from under it.
-func (p *Peer) Close() {
-	p.closeOnce.Do(func() {
-		close(p.closed)
-		time.AfterFunc(p.cfg.DrainTimeout, func() {
-			p.connMu.Lock()
-			if p.cur != nil {
-				p.cur.SetWriteDeadline(time.Now()) //nolint:errcheck
-			}
-			p.connMu.Unlock()
-		})
-	})
-	<-p.done
-}
-
-// CloseNow shuts the peer down immediately: queued frames are dropped and
-// any in-flight write or backoff sleep is interrupted. Used when the remote
-// is known dead (churn injection, detach).
-func (p *Peer) CloseNow() {
-	p.immediate.Store(true)
-	p.killOnce.Do(func() {
-		close(p.killed)
-		p.dropConn()
-	})
-	p.closeOnce.Do(func() { close(p.closed) })
-	<-p.done
-}
-
-// connHolder holds a peer's current connection under its own lock, shared
-// by the writer (dial, drop) and the shutdown paths (sever, deadline).
-type connHolder struct {
-	connMu sync.Mutex
-	cur    net.Conn
-}
-
-func (h *connHolder) conn() net.Conn {
-	h.connMu.Lock()
-	defer h.connMu.Unlock()
-	return h.cur
-}
-
-func (h *connHolder) setConn(c net.Conn) {
-	h.connMu.Lock()
-	h.cur = c
-	h.connMu.Unlock()
-}
-
-func (h *connHolder) dropConn() {
-	h.connMu.Lock()
-	c := h.cur
-	h.cur = nil
-	h.connMu.Unlock()
-	if c != nil {
-		c.Close()
-	}
-}
-
-// run is the writer: the only goroutine that dials, writes, or closes the
-// peer's connection. All frames it pulls off the queue are flushed in one
-// writev batch per wakeup (up to MaxBatch), so a burst of n frames costs
-// ~n/MaxBatch syscalls instead of n.
-func (p *Peer) run(jitterSeed int64) {
-	defer func() {
-		// dead-then-reap, strictly in this order: Enqueue's post-send
-		// check on dead guarantees a frame that slips in during exit is
-		// discarded by one side or the other, never stranded (the old
-		// done-based check left an instruction-wide strand window between
-		// the final reap and close(done) — the Close-race test pins this).
-		p.dead.Store(true)
-		p.dropConn()
-		p.discardQueue()
-		close(p.done)
-	}()
-	var (
-		batch = make([]outFrame, 0, p.cfg.MaxBatch)
-		nb    = new(net.Buffers)
-		idle  *time.Timer
-		// The jitter RNG is only materialized on the first backoff sleep:
-		// a peer whose dials succeed never pays for seeding one (it costs a
-		// 607-word table fill, visible in single-core profiles).
-		rng     = &lazyRand{seed: jitterSeed}
-		backoff = p.cfg.BackoffMin
-	)
-	for {
-		var first outFrame
-		if p.isClosed() {
-			if p.immediate.Load() {
-				p.discardQueue()
-				return
-			}
-			// Flushing (dialing included) continues until the drain
-			// deadline passes or the queue empties.
-			drainDeadline := p.armDrain()
-			select {
-			case first = <-p.out:
-			default:
-				return // queue drained; graceful exit
-			}
-			if time.Now().After(drainDeadline) {
-				p.dropped.Add(first.frames())
-				p.finish(first)
-				p.discardQueue()
-				return
-			}
-		} else if p.cfg.IdleTimeout > 0 && p.conn() != nil {
-			if idle == nil {
-				idle = time.NewTimer(p.cfg.IdleTimeout)
-			} else {
-				idle.Reset(p.cfg.IdleTimeout)
-			}
-			select {
-			case first = <-p.out:
-				if !idle.Stop() {
-					<-idle.C
-				}
-			case <-idle.C:
-				p.dropConn() // idle teardown; next frame re-dials
-				continue
-			case <-p.closed:
-				if !idle.Stop() {
-					<-idle.C
-				}
-				continue
-			}
-		} else {
-			select {
-			case first = <-p.out:
-			case <-p.closed:
-				continue
-			}
-		}
-		batch = append(batch[:0], first)
-	fill:
-		for len(batch) < p.cfg.MaxBatch {
-			select {
-			case f := <-p.out:
-				batch = append(batch, f)
-			default:
-				break fill
-			}
-		}
-		p.flush(batch, nb, rng, &backoff)
-	}
+func (p *Peer) dial(addr string) (net.Conn, error) {
+	p.lastDeadline = time.Time{} // fresh conn: no deadline yet
+	return net.DialTimeout("tcp", addr, p.cfg.DialTimeout)
 }
 
 // flush writes one batch with a single writev. Copied frames contribute
@@ -204,17 +51,7 @@ func (p *Peer) run(jitterSeed int64) {
 // severs the connection and drops the whole batch: a partial writev may
 // have split a frame, so resuming on a fresh connection would corrupt the
 // framing — every connection starts at a frame boundary.
-func (p *Peer) flush(batch []outFrame, nb *net.Buffers, rng *lazyRand, backoff *time.Duration) {
-	var frames int64
-	for _, f := range batch {
-		frames += f.frames()
-	}
-	c := p.ensureConn(rng, backoff)
-	if c == nil {
-		p.dropped.Add(frames)
-		p.recycleBatch(batch)
-		return
-	}
+func (p *Peer) flush(c net.Conn, batch []outFrame) {
 	// Stall protection: a wedged receiver must fail the flush instead of
 	// blocking the writer forever. Refreshing the deadline costs runtime
 	// timer locks, so it is pushed out in WriteTimeout/4 steps rather than
@@ -233,17 +70,19 @@ func (p *Peer) flush(batch []outFrame, nb *net.Buffers, rng *lazyRand, backoff *
 		c.SetWriteDeadline(now.Add(p.cfg.WriteTimeout)) //nolint:errcheck
 		p.lastDeadline = now
 	}
-	*nb = (*nb)[:0]
+	var frames int64
+	p.nb = p.nb[:0]
 	for _, f := range batch {
+		frames += f.frames()
 		if f.ob != nil {
 			for i, b := range f.ob.bufs {
-				*nb = append(*nb, f.ob.hdrs[i*HeaderLen:(i+1)*HeaderLen], b)
+				p.nb = append(p.nb, f.ob.hdrs[i*HeaderLen:(i+1)*HeaderLen], b)
 			}
 		} else {
-			*nb = append(*nb, f.buf)
+			p.nb = append(p.nb, f.buf)
 		}
 	}
-	n, err := nb.WriteTo(c)
+	n, err := p.nb.WriteTo(c)
 	p.bytesOut.Add(n)
 	if err != nil {
 		p.sendFailures.Add(1)
@@ -254,59 +93,4 @@ func (p *Peer) flush(batch []outFrame, nb *net.Buffers, rng *lazyRand, backoff *
 		p.framesOut.Add(frames)
 	}
 	p.recycleBatch(batch)
-}
-
-// ensureConn returns the live connection, dialing (with jittered
-// exponential backoff between attempts) if there is none. It gives up —
-// returning nil — only when the peer is closing: immediately for CloseNow,
-// at the drain deadline for a graceful Close (armed here if this dial loop
-// is where the close is first observed, so a batch in hand when Close
-// lands still gets its full drain grace to find a connection).
-func (p *Peer) ensureConn(rng *lazyRand, backoff *time.Duration) net.Conn {
-	if c := p.conn(); c != nil {
-		return c
-	}
-	hadConn := p.dials.Load() > 0
-	for {
-		if p.immediate.Load() {
-			return nil
-		}
-		if p.isClosed() && time.Now().After(p.armDrain()) {
-			return nil
-		}
-		if addr, ok := p.resolve(); ok {
-			if c, err := net.DialTimeout("tcp", addr, p.cfg.DialTimeout); err == nil {
-				*backoff = p.cfg.BackoffMin
-				p.setConn(c)
-				p.lastDeadline = time.Time{} // fresh conn: no deadline yet
-				p.dials.Add(1)
-				if hadConn {
-					p.reconnects.Add(1)
-				}
-				if p.immediate.Load() {
-					// Lost the race with CloseNow's dropConn: do not hand
-					// a conn back to a writer that is about to exit.
-					p.dropConn()
-					return nil
-				}
-				return c
-			}
-		}
-		if !p.sleepBackoff(rng, backoff) {
-			return nil
-		}
-	}
-}
-
-// lazyRand defers seeding a math/rand generator until the first draw.
-type lazyRand struct {
-	seed int64
-	rng  *rand.Rand
-}
-
-func (l *lazyRand) Int63n(n int64) int64 {
-	if l.rng == nil {
-		l.rng = rand.New(rand.NewSource(l.seed))
-	}
-	return l.rng.Int63n(n)
 }

@@ -9,7 +9,7 @@ import (
 // Link is what a PeerSet needs from one outbound peer, satisfied by both
 // the stream Peer and the datagram UDPPeer: the non-blocking enqueues
 // (copying and owned-buffer), the counters, and the two shutdown
-// flavours. Both flavours inherit EnqueueOwned from the shared outbox.
+// flavours. Both flavours inherit all of it from the shared outbox.
 type Link interface {
 	Enqueue(from wire.NodeID, data []byte) bool
 	EnqueueOwned(from wire.NodeID, bufs [][]byte, release func()) bool
@@ -25,36 +25,33 @@ type Link interface {
 // a host funnel through one queue and coalesce into shared writev (or
 // sendmmsg) calls — each frame names its sender in its header. Get is on
 // the data path (one read-locked map lookup); everything else is
-// control-plane. The make hook decides which peer flavour a miss creates,
-// so the TCP and UDP transports share this set unchanged.
+// control-plane. The make hook decides which peer flavour a miss creates
+// and how that peer resolves its node's address, so the TCP and UDP
+// transports share this set unchanged and the data path builds no
+// resolver closure per call.
 type PeerSet struct {
-	make func(to wire.NodeID, resolve func() (string, bool)) Link
+	make func(to wire.NodeID) Link
 
-	mu     sync.RWMutex
-	peers  map[wire.NodeID]Link
-	closed bool
+	mu    sync.RWMutex
+	peers map[wire.NodeID]Link
+	// Counters are cumulative across peer lifetimes: a peer removed by Drop
+	// or Close sits in leaving while its writer exits, then its final
+	// counters are folded into gone/goneUDP. Stats reads all three under
+	// one lock hold, so a retiring peer's counts never leave the sum.
+	leaving []Link
+	gone    Stats
+	goneUDP UDPPeerStats
+	closed  bool
 }
 
-// NewPeerSet creates an empty peer set whose misses create stream (TCP)
-// peers with the given per-peer config.
-func NewPeerSet(cfg Config) *PeerSet {
-	cfg.fillDefaults()
-	return NewLinkSet(func(_ wire.NodeID, resolve func() (string, bool)) Link {
-		return NewPeer(resolve, cfg)
-	})
-}
-
-// NewLinkSet creates an empty peer set over an arbitrary peer constructor;
-// the hook also receives the remote node, so flavours that keep per-
-// destination state (the UDP peer's loss watcher) can bind it at creation.
-func NewLinkSet(make func(to wire.NodeID, resolve func() (string, bool)) Link) *PeerSet {
+// NewPeerSet creates an empty peer set over a peer constructor. The hook
+// receives the remote node, so it can bind the node's address resolver and
+// any per-destination state (the UDP peer's loss watcher) at creation.
+func NewPeerSet(make func(to wire.NodeID) Link) *PeerSet {
 	return &PeerSet{make: make, peers: map[wire.NodeID]Link{}}
 }
 
-// Lookup returns the existing peer for the remote node, or nil. It is the
-// steady-state data path: callers hit it first so the resolver closure
-// Get takes — which escapes, costing one allocation — is only ever built
-// on the miss path that creates the peer.
+// Lookup returns the existing peer for the remote node, or nil.
 func (ps *PeerSet) Lookup(to wire.NodeID) Link {
 	ps.mu.RLock()
 	p := ps.peers[to]
@@ -62,9 +59,9 @@ func (ps *PeerSet) Lookup(to wire.NodeID) Link {
 	return p
 }
 
-// Get returns the peer for the remote node, creating it — with the given
-// address resolver — on first use. Returns nil after Close.
-func (ps *PeerSet) Get(to wire.NodeID, resolve func() (string, bool)) Link {
+// Get returns the peer for the remote node, creating it on first use.
+// Returns nil after Close.
+func (ps *PeerSet) Get(to wire.NodeID) Link {
 	ps.mu.RLock()
 	p, closed := ps.peers[to], ps.closed
 	ps.mu.RUnlock()
@@ -79,60 +76,85 @@ func (ps *PeerSet) Get(to wire.NodeID, resolve func() (string, bool)) Link {
 	if p = ps.peers[to]; p != nil {
 		return p
 	}
-	p = ps.make(to, resolve)
+	p = ps.make(to)
 	ps.peers[to] = p
 	return p
 }
 
-// Drop immediately closes (CloseNow) the peers for every matching remote
-// node, removing them from the set. Used by Detach, where draining toward
-// a gone listener would only stall; a later Send re-creates the peer and
-// resolves the node's fresh address.
-func (ps *PeerSet) Drop(match func(to wire.NodeID) bool) {
+// Drop immediately closes (CloseNow) the node's peer, if any, removing it
+// from the set. Used by Detach, where draining toward a gone listener would
+// only stall, and when a learned address moves; a later Get re-creates the
+// peer and resolves the node's fresh address.
+func (ps *PeerSet) Drop(to wire.NodeID) {
 	ps.mu.Lock()
-	var victims []Link
-	for to, p := range ps.peers {
-		if match(to) {
-			victims = append(victims, p)
-			delete(ps.peers, to)
-		}
+	p := ps.peers[to]
+	if p != nil {
+		delete(ps.peers, to)
+		ps.leaving = append(ps.leaving, p)
 	}
 	ps.mu.Unlock()
-	for _, p := range victims {
+	if p != nil {
 		p.CloseNow()
+		ps.retire(p)
 	}
 }
 
-// Each calls f for every live peer (diagnostics and per-flavour stats
-// aggregation; f must not call back into the set).
-func (ps *PeerSet) Each(f func(to wire.NodeID, p Link)) {
-	ps.mu.RLock()
-	type entry struct {
-		to wire.NodeID
-		p  Link
+// retire folds an exited peer's final counters into the cumulative totals.
+// Window, SRTT and loss rate are states of a live path, not counts: a
+// retired peer contributes none.
+func (ps *PeerSet) retire(p Link) {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	for i, q := range ps.leaving {
+		if q == p {
+			ps.leaving = append(ps.leaving[:i], ps.leaving[i+1:]...)
+			break
+		}
 	}
-	snap := make([]entry, 0, len(ps.peers))
-	for to, p := range ps.peers {
-		snap = append(snap, entry{to, p})
-	}
-	ps.mu.RUnlock()
-	for _, e := range snap {
-		f(e.to, e.p)
+	ps.gone.add(p.Stats())
+	if up, ok := p.(*UDPPeer); ok {
+		st := up.UDPStats()
+		st.Window, st.SRTT, st.LossRate = 0, 0, 0
+		ps.goneUDP.Add(st)
 	}
 }
 
-// Stats sums the counters of every live peer. Peers removed by Drop or
-// Close stop contributing, so long-lived transports should read stats
-// before tearing down.
+// Stats sums the counters of every peer the set has ever held.
 func (ps *PeerSet) Stats() Stats {
-	var tot Stats
-	ps.Each(func(_ wire.NodeID, p Link) { tot.add(p.Stats()) })
-	return tot
+	st, _ := ps.totals()
+	return st
+}
+
+// UDPStats sums the datagram-specific counters likewise (Window is summed
+// over live peers; SRTT and LossRate are their maxima). All zero when the
+// set holds stream peers.
+func (ps *PeerSet) UDPStats() UDPPeerStats {
+	_, st := ps.totals()
+	return st
+}
+
+func (ps *PeerSet) totals() (Stats, UDPPeerStats) {
+	ps.mu.RLock()
+	defer ps.mu.RUnlock()
+	st, ust := ps.gone, ps.goneUDP
+	add := func(p Link) {
+		st.add(p.Stats())
+		if up, ok := p.(*UDPPeer); ok {
+			ust.Add(up.UDPStats())
+		}
+	}
+	for _, p := range ps.peers {
+		add(p)
+	}
+	for _, p := range ps.leaving {
+		add(p)
+	}
+	return st, ust
 }
 
 // Close gracefully closes every peer concurrently (each drains its queue,
 // bounded by DrainTimeout) and blocks until all writers have exited. The
-// set refuses new peers afterwards.
+// set refuses new peers afterwards; its counters stay readable.
 func (ps *PeerSet) Close() {
 	ps.mu.Lock()
 	if ps.closed {
@@ -144,6 +166,7 @@ func (ps *PeerSet) Close() {
 	for _, p := range ps.peers {
 		peers = append(peers, p)
 	}
+	ps.leaving = append(ps.leaving, peers...)
 	ps.peers = map[wire.NodeID]Link{}
 	ps.mu.Unlock()
 	var wg sync.WaitGroup
@@ -152,6 +175,7 @@ func (ps *PeerSet) Close() {
 		go func(p Link) {
 			defer wg.Done()
 			p.Close()
+			ps.retire(p)
 		}(p)
 	}
 	wg.Wait()

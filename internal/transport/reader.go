@@ -78,20 +78,16 @@ func (a *Acceptor) Start() {
 	go a.acceptLoop()
 }
 
-// Serve is NewAcceptor + Start for callers with no registration window.
-func Serve(ln net.Listener, maxFrame int, deliver Deliver) *Acceptor {
-	a := NewAcceptor(ln, maxFrame, deliver)
-	a.Start()
-	return a
-}
-
-// Listen is Serve over a fresh TCP listener on addr.
+// Listen is NewAcceptor + Start over a fresh TCP listener on addr, for
+// callers with no registration window.
 func Listen(addr string, maxFrame int, deliver Deliver) (*Acceptor, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	return Serve(ln, maxFrame, deliver), nil
+	a := NewAcceptor(ln, maxFrame, deliver)
+	a.Start()
+	return a, nil
 }
 
 // Addr returns the listen address.
@@ -186,19 +182,14 @@ func (a *Acceptor) readLoop(c net.Conn) {
 	var seenSenders map[wire.NodeID]bool
 	for {
 		for end-start >= HeaderLen {
-			// Bounds-check in uint32 space: on a 32-bit platform a huge
-			// claimed length converted to int first would wrap negative and
-			// dodge the guard.
-			size32 := binary.BigEndian.Uint32(slab[start:])
-			if size32 > uint32(a.maxFrame) {
+			size, from, ok := parseHeader(slab[start:end], a.maxFrame)
+			if !ok {
 				return // nonsense frame; drop the connection
 			}
-			size := int(size32)
 			total := HeaderLen + size
 			if end-start < total {
 				break
 			}
-			from := wire.NodeID(binary.BigEndian.Uint32(slab[start+4:]))
 			off := start + HeaderLen
 			// Full slice expression: an appending handler must not be able
 			// to grow into the next frame's bytes.

@@ -15,8 +15,8 @@
 //     frames into one writev (net.Buffers) per syscall, and
 //   - the connection lifecycle: the dial happens lazily on the writer (off
 //     the data path), a broken connection is re-dialed with jittered
-//     exponential backoff, an idle connection is torn down, and Close
-//     drains what is queued before hanging up.
+//     exponential backoff, and Close drains what is queued before hanging
+//     up.
 //
 // The receive side (Acceptor) reads length-prefixed frames into reusable
 // slabs and hands each frame out as a view — zero copies between the
@@ -67,9 +67,6 @@ type Config struct {
 	// fails the flush, drops its frames, and severs the connection instead
 	// of wedging the writer goroutine forever (default 10s).
 	WriteTimeout time.Duration
-	// IdleTimeout tears down a connection with no traffic for this long;
-	// the next frame re-dials. Zero (default) keeps connections forever.
-	IdleTimeout time.Duration
 	// DrainTimeout bounds how long a graceful Close keeps flushing queued
 	// frames before hanging up (default 1s).
 	DrainTimeout time.Duration
@@ -133,4 +130,19 @@ func (s *Stats) add(o Stats) {
 func putHeader(hdr []byte, from wire.NodeID, n int) {
 	binary.BigEndian.PutUint32(hdr, uint32(n))
 	binary.BigEndian.PutUint32(hdr[4:], uint32(from))
+}
+
+// parseHeader reads the frame header at the front of b (at least HeaderLen
+// bytes) for both network-facing splitters. The claimed length is bounded
+// in uint32 space: converted to int first, a hostile length ≥ 2^31 wraps
+// negative on a 32-bit platform and dodges every later guard. Both
+// acceptors clamp maxFrame to at most MaxInt32−HeaderLen, so HeaderLen+size
+// cannot overflow either. ok=false means the peer is talking a different
+// protocol.
+func parseHeader(b []byte, maxFrame int) (size int, from wire.NodeID, ok bool) {
+	size32 := binary.BigEndian.Uint32(b)
+	if size32 > uint32(maxFrame) {
+		return 0, 0, false
+	}
+	return int(size32), wire.NodeID(binary.BigEndian.Uint32(b[4:])), true
 }

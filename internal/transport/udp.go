@@ -134,17 +134,19 @@ func (s *UDPPeerStats) Add(o UDPPeerStats) {
 }
 
 // UDPPeer is one remote overlay host over a connected UDP socket: the same
-// bounded queue, freelist, and writer-goroutine shape as the TCP Peer (the
-// shared outbox), but the writer packs frames into datagrams, sends them
-// with sendmmsg, and paces itself with a CUBIC window over the ack/echo
-// channel instead of trusting a stream's backpressure.
+// bounded queue, freelist, writer loop and shutdown lifecycle as the TCP
+// Peer (the shared outbox), but the flush packs frames into datagrams,
+// sends them with sendmmsg, and paces itself with a CUBIC window over the
+// ack/echo channel instead of trusting a stream's backpressure.
 type UDPPeer struct {
 	outbox
-	resolve func() (string, bool)
-	ucfg    UDPConfig
+	ucfg UDPConfig
 
-	connMu sync.Mutex
-	cur    *net.UDPConn
+	// Writer-goroutine-only flush scratch: the datagrams of the batch in
+	// hand, retired datagram buffers, and the sendmmsg vectors.
+	dgs    [][]byte
+	dgPool [][]byte
+	bs     batchSender
 
 	// Congestion state, guarded by ackMu (shared by the writer stamping
 	// seqs and the ack-reader goroutine).
@@ -177,45 +179,14 @@ func NewUDPPeer(resolve func() (string, bool), cfg Config, ucfg UDPConfig) *UDPP
 		cfg.MaxFrame = maxPayload
 	}
 	p := &UDPPeer{
-		outbox:    newOutbox(cfg),
-		resolve:   resolve,
+		outbox:    newOutbox(cfg, resolve),
 		ucfg:      ucfg,
 		est:       newRTTEstimator(ucfg.MinRTO, ucfg.MaxRTO),
 		win:       newCubicWindow(float64(ucfg.InitialWindow), float64(ucfg.MaxWindow)),
 		ackSignal: make(chan struct{}, 1),
 	}
-	go p.run(simnet.NextSeed())
+	go p.run(p)
 	return p
-}
-
-// Close drains queued frames (bounded by DrainTimeout) and shuts the
-// writer down; CloseNow drops everything immediately. Like the TCP peer,
-// a one-shot timer severs a socket wedged past the drain deadline (a full
-// send buffer can park the writer in sendmmsg).
-func (p *UDPPeer) Close() {
-	p.closeOnce.Do(func() {
-		close(p.closed)
-		time.AfterFunc(p.cfg.DrainTimeout, func() {
-			p.connMu.Lock()
-			if p.cur != nil {
-				p.cur.SetWriteDeadline(time.Now()) //nolint:errcheck
-			}
-			p.connMu.Unlock()
-		})
-	})
-	<-p.done
-}
-
-// CloseNow shuts the peer down immediately, dropping queued frames and
-// interrupting any window wait or backoff sleep.
-func (p *UDPPeer) CloseNow() {
-	p.immediate.Store(true)
-	p.killOnce.Do(func() {
-		close(p.killed)
-		p.dropConn()
-	})
-	p.closeOnce.Do(func() { close(p.closed) })
-	<-p.done
 }
 
 // UDPStats snapshots the datagram-specific counters.
@@ -270,91 +241,6 @@ func (p *UDPPeer) SendDelay(bytes int) time.Duration {
 	return d
 }
 
-func (p *UDPPeer) conn() *net.UDPConn {
-	p.connMu.Lock()
-	defer p.connMu.Unlock()
-	return p.cur
-}
-
-func (p *UDPPeer) setConn(c *net.UDPConn) {
-	p.connMu.Lock()
-	p.cur = c
-	p.connMu.Unlock()
-}
-
-func (p *UDPPeer) dropConn() {
-	p.connMu.Lock()
-	c := p.cur
-	p.cur = nil
-	p.connMu.Unlock()
-	if c != nil {
-		c.Close()
-	}
-}
-
-// run is the writer: the only goroutine that dials, packs, or sends. The
-// shutdown ladder is identical to the TCP peer's (drain on Close, reap on
-// kill, dead-then-discard so no frame strands); only the flush differs.
-func (p *UDPPeer) run(jitterSeed int64) {
-	defer func() {
-		p.dead.Store(true)
-		p.dropConn()
-		p.discardQueue()
-		close(p.done)
-	}()
-	var (
-		batch   = make([]outFrame, 0, p.cfg.MaxBatch)
-		dgs     = make([][]byte, 0, p.cfg.MaxBatch)
-		dgPool  [][]byte
-		bs      batchSender
-		rng     = &lazyRand{seed: jitterSeed}
-		backoff = p.cfg.BackoffMin
-	)
-	for {
-		var first outFrame
-		if p.isClosed() {
-			if p.immediate.Load() {
-				p.discardQueue()
-				return
-			}
-			drainDeadline := p.armDrain()
-			select {
-			case first = <-p.out:
-			default:
-				return // queue drained; graceful exit
-			}
-			if time.Now().After(drainDeadline) {
-				p.dropped.Add(first.frames())
-				p.finish(first)
-				p.discardQueue()
-				return
-			}
-		} else {
-			select {
-			case first = <-p.out:
-			case <-p.closed:
-				continue
-			}
-		}
-		batch = append(batch[:0], first)
-	fill:
-		for len(batch) < p.cfg.MaxBatch {
-			select {
-			case f := <-p.out:
-				batch = append(batch, f)
-			default:
-				break fill
-			}
-		}
-		dgs = p.pack(batch, dgs[:0], &dgPool)
-		p.recycleBatch(batch)
-		p.flushDatagrams(dgs, &bs, rng, &backoff)
-		for _, dg := range dgs {
-			dgPool = append(dgPool, dg)
-		}
-	}
-}
-
 // pack copies the batch's frames into datagram buffers: whole frames only,
 // greedily filling each datagram up to the MaxDatagram budget. A frame
 // that alone exceeds the budget gets its own oversized datagram (Enqueue
@@ -365,7 +251,7 @@ func (p *UDPPeer) run(jitterSeed int64) {
 // buffer. The 9-byte datagram header is laid down with a zero seq;
 // stamping happens at send time, after the window gate, so seqs stay
 // contiguous with what actually hits the wire.
-func (p *UDPPeer) pack(batch []outFrame, dgs [][]byte, pool *[][]byte) [][]byte {
+func (p *UDPPeer) pack(batch []outFrame, dgs [][]byte) [][]byte {
 	budget := p.ucfg.MaxDatagram
 	var cur []byte
 	for _, f := range batch {
@@ -386,9 +272,9 @@ func (p *UDPPeer) pack(batch []outFrame, dgs [][]byte, pool *[][]byte) [][]byte 
 				cur = nil
 			}
 			if cur == nil {
-				if n := len(*pool); n > 0 {
-					cur = (*pool)[n-1][:0]
-					*pool = (*pool)[:n-1]
+				if n := len(p.dgPool); n > 0 {
+					cur = p.dgPool[n-1][:0]
+					p.dgPool = p.dgPool[:n-1]
 				} else {
 					cur = make([]byte, 0, budget)
 				}
@@ -405,20 +291,21 @@ func (p *UDPPeer) pack(batch []outFrame, dgs [][]byte, pool *[][]byte) [][]byte 
 	return dgs
 }
 
-// flushDatagrams sends the packed datagrams, gating on the congestion
+// flush packs the batch into datagrams — after which the batch is done
+// with: owned buffers are released before any window wait — and sends them.
+func (p *UDPPeer) flush(c net.Conn, batch []outFrame) {
+	p.dgs = p.pack(batch, p.dgs[:0])
+	p.recycleBatch(batch)
+	p.send(c.(*net.UDPConn), p.dgs)
+	p.dgPool = append(p.dgPool, p.dgs...)
+}
+
+// send puts the packed datagrams on the wire, gating on the congestion
 // window: at most cwnd − inflight datagrams go out per sendmmsg, and when
 // the window is shut the writer parks until an ack opens it or the RTO
 // expires (which backs the RTO off, collapses the window, and writes the
 // flight off as lost — never retransmitted).
-func (p *UDPPeer) flushDatagrams(dgs [][]byte, bs *batchSender, rng *lazyRand, backoff *time.Duration) {
-	if len(dgs) == 0 {
-		return
-	}
-	c := p.ensureConn(bs, rng, backoff)
-	if c == nil {
-		p.dropped.Add(p.countFrames(dgs))
-		return
-	}
+func (p *UDPPeer) send(c *net.UDPConn, dgs [][]byte) {
 	i := 0
 	stamped := 0 // dgs[i:stamped] carry wire seqs but have not been sent yet
 	for i < len(dgs) {
@@ -442,7 +329,7 @@ func (p *UDPPeer) flushDatagrams(dgs [][]byte, bs *batchSender, rng *lazyRand, b
 		// it with the seqs it already carries. Re-stamping would punch a
 		// permanent hole in the seq space, and the ack math would charge the
 		// same datagrams as lost a second time for purely local backpressure.
-		sent, err := bs.send(c, dgs[i:stamped])
+		sent, err := p.bs.send(c, dgs[i:stamped])
 		if sent > 0 {
 			p.flushes.Add(1)
 			p.datagramsOut.Add(int64(sent))
@@ -467,7 +354,7 @@ func (p *UDPPeer) flushDatagrams(dgs [][]byte, bs *batchSender, rng *lazyRand, b
 			// A connected UDP socket fails sends with ECONNREFUSED while
 			// the remote listener is down; back off like a failed dial so
 			// a dead peer is not hammered at line rate.
-			p.sleepBackoff(rng, backoff)
+			p.sleepBackoff()
 			return
 		}
 	}
@@ -600,52 +487,24 @@ func (p *UDPPeer) resetAckState() {
 	p.ackMu.Unlock()
 }
 
-// ensureConn returns the live socket, dialing if there is none. UDP
-// "dialing" is address resolution plus socket setup — it only fails when
-// the peer's address is unknown, so the backoff loop is really a resolver
-// retry loop. A fresh socket gets a fresh ack-reader goroutine.
-func (p *UDPPeer) ensureConn(bs *batchSender, rng *lazyRand, backoff *time.Duration) *net.UDPConn {
-	if c := p.conn(); c != nil {
-		return c
-	}
-	hadConn := p.dials.Load() > 0
-	for {
-		if p.immediate.Load() {
-			return nil
-		}
-		if p.isClosed() && time.Now().After(p.armDrain()) {
-			return nil
-		}
-		if addr, ok := p.resolve(); ok {
-			if c, err := dialUDP(addr); err == nil {
-				bs.reset(p.cfg.MaxBatch)
-				p.resetAckState()
-				p.setConn(c)
-				p.dials.Add(1)
-				if hadConn {
-					p.reconnects.Add(1)
-				}
-				*backoff = p.cfg.BackoffMin
-				if p.immediate.Load() {
-					p.dropConn()
-					return nil
-				}
-				go p.readAcks(c)
-				return c
-			}
-		}
-		if !p.sleepBackoff(rng, backoff) {
-			return nil
-		}
-	}
-}
-
-func dialUDP(addr string) (*net.UDPConn, error) {
+// dial opens the connected socket. UDP "dialing" is address resolution
+// plus socket setup — it only fails when the peer's address is unusable, so
+// the outbox's backoff loop is really a resolver retry loop. A fresh socket
+// gets fresh ack state and its own ack-reader goroutine, which exits when
+// the socket is closed.
+func (p *UDPPeer) dial(addr string) (net.Conn, error) {
 	ra, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, err
 	}
-	return net.DialUDP("udp", nil, ra)
+	c, err := net.DialUDP("udp", nil, ra)
+	if err != nil {
+		return nil, err
+	}
+	p.bs.reset(p.cfg.MaxBatch)
+	p.resetAckState()
+	go p.readAcks(c)
+	return c, nil
 }
 
 // readAcks consumes transport acks on one socket until it is closed or
@@ -965,11 +824,10 @@ func (a *UDPAcceptor) handleDatagram(b []byte, from netip.AddrPort,
 	a.datagramsIn.Add(1)
 	rest := b[dgHdrLen:]
 	for len(rest) >= HeaderLen {
-		size := int(binary.BigEndian.Uint32(rest))
-		if size > a.maxFrame || HeaderLen+size > len(rest) {
+		size, sender, ok := parseHeader(rest, a.maxFrame)
+		if !ok || HeaderLen+size > len(rest) {
 			return // malformed tail: drop the rest of the datagram
 		}
-		sender := wire.NodeID(binary.BigEndian.Uint32(rest[4:8]))
 		if a.ucfg.OnSender != nil && src.noteSender(sender) {
 			a.ucfg.OnSender(sender, from.String())
 		}

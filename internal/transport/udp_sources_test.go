@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"encoding/binary"
 	"net"
 	"testing"
 	"time"
@@ -14,15 +13,7 @@ import (
 // single frame from the given sender. Raw sockets (not UDPPeer) keep the
 // test in control of exactly which source socket each datagram leaves from.
 func rawDatagram(seq uint32, sender wire.NodeID, payload []byte) []byte {
-	dg := make([]byte, 0, dgHdrLen+HeaderLen+len(payload))
-	dg = append(dg, dgMagic[:]...)
-	dg = append(dg, dgKindData, 0, 0, 0, 0)
-	binary.BigEndian.PutUint32(dg[5:9], seq)
-	var hdr [HeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], uint32(sender))
-	dg = append(dg, hdr[:]...)
-	return append(dg, payload...)
+	return datagramOf(seq, frame(sender, payload))
 }
 
 // TestUDPSourceEvictionVirtualTime pins the clock-injection fix: the idle-
