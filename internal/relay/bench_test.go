@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"infoslicing/internal/code"
+	"infoslicing/internal/core"
 	"infoslicing/internal/overlay"
 	"infoslicing/internal/wire"
 )
@@ -79,31 +80,14 @@ func BenchmarkForwardDataPacket(b *testing.B) {
 					{Parent: parents[2], Child: 2},
 				},
 			}
-			fs := &flowState{
-				flow:       flow,
-				setupPkts:  make(map[wire.NodeID]*wire.Packet),
-				ownByD:     make(map[int][]code.Slice),
-				geomByD:    make(map[int][2]int),
-				seen:       make(map[wire.NodeID]bool),
-				info:       info,
-				parents:    map[wire.NodeID]bool{parents[0]: true, parents[1]: true, parents[2]: true},
-				d:          d,
-				lastActive: time.Now(),
-			}
+			fs := injectFlow(n, flow, info)
 			if regen {
 				// One parent is dead: its child's slice is regenerated every
 				// round from the survivors' degrees of freedom (d of them
 				// remain, so the round is decodable).
-				fs.missStreak = map[wire.NodeID]int{parents[2]: deadParentStreak}
+				fs.hops[fs.hopIndex(parents[2])].miss = deadParentStreak
 			}
 			sh := n.shardFor(flow)
-			sh.mu.Lock()
-			sh.flows[flow] = fs
-			sh.lruPushLocked(fs)
-			fs.inFilter = sh.filter.insert(uint64(flow), sh.rng)
-			n.dirAddLocked(sh, fs, info)
-			sh.mu.Unlock()
-			n.flowCount.Add(1)
 
 			rng := rand.New(rand.NewSource(2))
 			enc, err := code.NewEncoder(d, dp, rng)
@@ -175,25 +159,8 @@ func BenchmarkForwardBurst(b *testing.B) {
 				ChildFlows: []wire.FlowID{55},
 				DataMap:    []wire.DataForward{{Parent: parent, Child: 0}},
 			}
-			fs := &flowState{
-				flow:       flow,
-				setupPkts:  make(map[wire.NodeID]*wire.Packet),
-				ownByD:     make(map[int][]code.Slice),
-				geomByD:    make(map[int][2]int),
-				seen:       make(map[wire.NodeID]bool),
-				info:       info,
-				parents:    map[wire.NodeID]bool{parent: true},
-				d:          d,
-				lastActive: time.Now(),
-			}
+			injectFlow(n, flow, info)
 			sh := n.shardFor(flow)
-			sh.mu.Lock()
-			sh.flows[flow] = fs
-			sh.lruPushLocked(fs)
-			fs.inFilter = sh.filter.insert(uint64(flow), sh.rng)
-			n.dirAddLocked(sh, fs, info)
-			sh.mu.Unlock()
-			n.flowCount.Add(1)
 
 			rng := rand.New(rand.NewSource(2))
 			enc, err := code.NewEncoder(d, d, rng)
@@ -260,11 +227,7 @@ func BenchmarkFlowLookup(b *testing.B) {
 		var target wire.FlowID
 		for i := 0; i < lookupResident; i++ {
 			flow := wire.FlowID(0xf10c_0000 + uint64(i)*2654435761)
-			fs := &flowState{
-				flow:       flow,
-				seen:       make(map[wire.NodeID]bool, 2),
-				lastActive: time.Now(),
-			}
+			fs := &flowState{flow: flow, lastActive: time.Now()}
 			sh := n.shardFor(flow)
 			sh.mu.Lock()
 			sh.flows[flow] = fs
@@ -318,4 +281,137 @@ func BenchmarkFlowLookup(b *testing.B) {
 			b.Fatalf("filterMisses = %d, want %d (miss path reached a shard)", got, b.N)
 		}
 	})
+}
+
+// BenchmarkFlowSetup measures what admitting one flow costs a relay: a
+// stage-2 node of an L=3, d=2, d'=3 graph takes its three set-up packets —
+// create, retain, decode the routing block, index the children, frame and
+// send the wave to stage 3 — and the flow is evicted again. A relay cannot
+// authenticate flow creation (§9.2), so this is its admission capacity, and
+// every allocation in it is one a stranger can make the node perform.
+func BenchmarkFlowSetup(b *testing.B) {
+	relays := make([]wire.NodeID, 9)
+	for i := range relays {
+		relays[i] = wire.NodeID(i + 1)
+	}
+	g, err := core.Build(core.Spec{
+		L: 3, D: 2, DPrime: 3, Relays: relays, Dest: relays[0], Sources: []wire.NodeID{1000, 1001, 1002},
+		Recode: true, Scramble: true, Rng: rand.New(rand.NewSource(1)),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Real stage-1 relays turn the source's wave into the target's input.
+	target := g.Stages[1][0]
+	type arrival struct {
+		from  wire.NodeID
+		frame []byte
+	}
+	var wave []arrival
+	for _, v := range g.Stages[0] {
+		tr := &rawTransport{}
+		n, err := New(v, tr, Config{Shards: 1, Rng: rand.New(rand.NewSource(int64(v)))})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, s := range g.Setup {
+			if s.To == v {
+				n.process(n.shards[0], s.From, s.Pkt.Marshal())
+			}
+		}
+		n.Close()
+		for _, s := range tr.packetsOfType(wire.MsgSetup) {
+			if s.to == target {
+				wave = append(wave, arrival{v, s.data})
+			}
+		}
+	}
+	if len(wave) != 3 {
+		b.Fatalf("stage 1 sent the target %d set-up packets, want 3", len(wave))
+	}
+	tr := &countingTransport{}
+	n, err := New(target, tr, Config{Shards: 1, Rng: rand.New(rand.NewSource(2))})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer n.Close()
+	sh, flow := n.shards[0], g.Flows[target]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, a := range wave {
+			n.process(sh, a.from, a.frame)
+		}
+		sh.mu.Lock()
+		n.removeFlowLocked(sh, sh.flows[flow], true)
+		sh.mu.Unlock()
+	}
+	b.StopTimer()
+	if st := n.Stats(); st.FlowsEstablished != int64(b.N) || tr.sent != int64(3*b.N) {
+		b.Fatalf("%d flows established and %d set-up packets forwarded in %d rounds, want %d and %d",
+			st.FlowsEstablished, tr.sent, b.N, b.N, 3*b.N)
+	}
+}
+
+// ackFanIn installs flows established flows that all list one child and
+// returns a function that delivers that child's ack for the first of them.
+func ackFanIn(tb testing.TB, flows int) (ack func(), tr *countingTransport) {
+	const child = wire.NodeID(77)
+	tr = &countingTransport{}
+	n, err := New(1, tr, Config{Shards: 1, MaxFlows: flows, Rng: rand.New(rand.NewSource(1))})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(n.Close)
+	fs := sharedChildFlows(n, flows, child)[0]
+	frame := ackFrame(faninChildFlow(0))
+	return func() {
+		fs.ackSent = false // re-arm: the ack is deduped per flow
+		n.process(n.shards[0], child, frame)
+	}, tr
+}
+
+// BenchmarkAckFanIn measures an establishment ack arriving for one flow
+// while N others on the node share its child: one exact-match lookup, one
+// upstream ack, whatever N is. An ack is the one packet a relay accepts
+// without any flow-id of its own in it, so a cost that grew with the table
+// would hand strangers a lever (§9.2).
+func BenchmarkAckFanIn(b *testing.B) {
+	for _, flows := range []int{16, 16384} {
+		b.Run(fmt.Sprintf("flows=%d", flows), func(b *testing.B) {
+			ack, tr := ackFanIn(b, flows)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ack()
+			}
+			b.StopTimer()
+			if tr.sent != int64(b.N) {
+				b.Fatalf("%d acks in, %d upstream acks out", b.N, tr.sent)
+			}
+		})
+	}
+}
+
+// TestAckCostIndependentOfTableSize holds the ack path to its O(1) claim: a
+// thousand times the flows sharing the child may not cost ten times as much
+// per ack (iterating them, as the per-child index used to, costs a hundred).
+func TestAckCostIndependentOfTableSize(t *testing.T) {
+	perAck := func(flows int) time.Duration {
+		ack, _ := ackFanIn(t, flows)
+		best := time.Duration(1 << 62)
+		for rep := 0; rep < 5; rep++ {
+			start := time.Now()
+			for i := 0; i < 2000; i++ {
+				ack()
+			}
+			best = min(best, time.Since(start)/2000)
+		}
+		return best
+	}
+	small, large := perAck(16), perAck(16384)
+	t.Logf("per ack: %v with 16 flows sharing the child, %v with 16384", small, large)
+	if large > 10*small {
+		t.Errorf("an ack costs %v with 16384 flows sharing its child and %v with 16: it grows with the table", large, small)
+	}
 }

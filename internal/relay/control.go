@@ -2,7 +2,6 @@ package relay
 
 import (
 	"encoding/binary"
-	"time"
 
 	"infoslicing/internal/wire"
 )
@@ -33,16 +32,18 @@ func (n *Node) controlSweep() {
 		return
 	default:
 	}
-	now := n.clk.Now()
+	now := n.stamp(n.clk.Now())
 	for _, sh := range n.shards {
 		sh.mu.Lock()
-		for f, fs := range sh.flows {
+		for _, fs := range sh.flows {
 			if fs.info == nil {
 				continue
 			}
 			n.sendHeartbeatsLocked(sh, fs)
 			if n.cfg.LivenessTimeout > 0 {
-				n.checkParentsLocked(sh, f, fs, now)
+				fs.sweepHops(now, int64(n.cfg.LivenessTimeout), func(dead wire.NodeID) {
+					n.sendParentDownLocked(sh, fs, dead)
+				})
 			}
 		}
 		sh.mu.Unlock()
@@ -62,66 +63,8 @@ func (n *Node) sendHeartbeatsLocked(sh *shard, fs *flowState) {
 }
 
 // obsReportLimit caps how often a leaf flow reports an observation-only
-// parent before forgetting it: a last-stage node knows its parents only by
-// observation, so once the source has spliced the dead node out nothing
-// ever tells the leaf to stop — after this many reports it drops the
-// address and the chatter ends (the node is re-adopted the moment it speaks
-// again).
+// parent before forgetting it (see sweepHops).
 const obsReportLimit = 3
-
-// checkParentsLocked flags parents that have been silent for longer than
-// LivenessTimeout and (re-)emits a ParentDown report for each, at most once
-// per timeout while the silence lasts. A parent that speaks again — data or
-// heartbeat — clears its pending-report state.
-//
-// The monitored set is the map-derived parents when the flow has any; a
-// last-stage flow has an empty slice-/data-map, so — exactly as for acks —
-// its observed previous hops stand in, with the obsReportLimit forgetting
-// rule above. Runs with sh.mu held.
-func (n *Node) checkParentsLocked(sh *shard, f wire.FlowID, fs *flowState, now time.Time) {
-	monitored := fs.parents
-	obsOnly := false
-	if len(monitored) == 0 {
-		monitored = fs.seen
-		obsOnly = true
-	}
-	for p := range monitored {
-		last, ok := fs.lastHeard[p]
-		if !ok {
-			// Never heard (shouldn't happen: liveness is seeded at decode);
-			// start the clock now rather than reporting blind.
-			fs.lastHeard[p] = now
-			continue
-		}
-		if now.Sub(last) <= n.cfg.LivenessTimeout {
-			if fs.downSince != nil {
-				delete(fs.downSince, p)
-				delete(fs.downCount, p)
-			}
-			continue
-		}
-		if fs.downSince == nil {
-			fs.downSince = make(map[wire.NodeID]time.Time)
-		}
-		if since, reported := fs.downSince[p]; reported && now.Sub(since) < n.cfg.LivenessTimeout {
-			continue
-		}
-		fs.downSince[p] = now
-		n.sendParentDownLocked(sh, f, fs, p)
-		if obsOnly {
-			if fs.downCount == nil {
-				fs.downCount = make(map[wire.NodeID]int)
-			}
-			fs.downCount[p]++
-			if fs.downCount[p] >= obsReportLimit {
-				delete(fs.seen, p)
-				delete(fs.lastHeard, p)
-				delete(fs.downSince, p)
-				delete(fs.downCount, p)
-			}
-		}
-	}
-}
 
 // sendParentDownLocked originates a report that parent `dead` has gone
 // quiet on this flow. The body — just the dead node's address — is sealed
@@ -129,49 +72,27 @@ func (n *Node) checkParentsLocked(sh *shard, f wire.FlowID, fs *flowState, now t
 // this node (or the source) could have produced it; the clear nonce exists
 // solely for dedup along the multipath flood toward the source. Runs with
 // sh.mu held.
-func (n *Node) sendParentDownLocked(sh *shard, f wire.FlowID, fs *flowState, dead wire.NodeID) {
+func (n *Node) sendParentDownLocked(sh *shard, fs *flowState, dead wire.NodeID) {
 	sealed, err := fs.info.Key.Seal(sh.rng, wire.MarshalDownReport(dead))
 	if err != nil {
 		return
 	}
 	nonce := sh.rng.Uint64()
 	fs.rememberReport(nonce)
-	sh.pktBuf = wire.AppendParentDown(sh.pktBuf[:0], f, nonce, sealed)
+	sh.pktBuf = wire.AppendParentDown(sh.pktBuf[:0], fs.flow, nonce, sealed)
 	n.floodUpstreamLocked(sh, fs, sh.pktBuf)
 	sh.stats.ParentDownSent++
 }
 
-// handleParentDown forwards a child's report one hop toward the source.
-// Exactly like acks, the report arrives stamped with the *child's* flow-id,
-// which this node cannot map; it matches by the sender's address instead,
-// locating every flow on this shard that lists the sender among its
-// children, re-stamping the report with its own flow-id, and flooding it to
-// its parents. The sealed body is opaque and copied verbatim. Runs with
-// sh.mu held; every shard sees every report.
-func (n *Node) handleParentDown(sh *shard, from wire.NodeID, pkt *wire.Packet) {
-	nonce, sealed, err := wire.ParseParentDown(pkt)
-	if err != nil {
-		return
-	}
-	for flow, fs := range sh.byChild[from] {
-		if fs.info == nil || fs.seenReports[nonce] {
-			continue
-		}
-		fs.rememberReport(nonce)
-		sh.pktBuf = wire.AppendParentDown(sh.pktBuf[:0], flow, nonce, sealed)
-		n.floodUpstreamLocked(sh, fs, sh.pktBuf)
-		sh.stats.ParentDownForwarded++
-	}
-}
-
-// floodUpstreamLocked sends buf to every parent named in the maps plus every
-// observed previous hop — the same target set the establishment ack uses.
-// Sends to currently-dead nodes are dropped by the transport; redundancy
-// across the surviving parents is what carries the report. Runs with sh.mu
-// held; buf must be fully framed (it is sh.pktBuf in every caller).
+// floodUpstreamLocked sends buf to every previous hop the flow knows —
+// parents named in the maps plus every observed sender (a last-stage
+// receiver has no maps) — the target set of acks and reports alike. Sends to
+// currently-dead nodes are dropped by the transport; redundancy across the
+// surviving parents is what carries the packet. Runs with sh.mu held; buf
+// must be fully framed (it is sh.pktBuf in every caller).
 func (n *Node) floodUpstreamLocked(sh *shard, fs *flowState, buf []byte) {
-	for p := range sh.ackTargetsLocked(fs) {
-		n.sendLocked(sh, p, buf)
+	for i := range fs.hops {
+		n.sendLocked(sh, fs.hops[i].id, buf)
 	}
 }
 
@@ -219,29 +140,14 @@ func (n *Node) handleSplice(sh *shard, fs *flowState, pkt *wire.Packet) {
 		return
 	}
 	fs.spliceSeq = seq
-	// The patch may add or remove children: swap the child-directory refs
-	// with the info block so sender-addressed acks and reports keep
-	// routing to this shard (table.go).
+	// The patch may add, remove or re-key children: swap the flow's index
+	// keys and directory refs with the info block, so the replacement's
+	// acks and reports find this flow and the old child's no longer do
+	// (table.go).
 	n.dirDelLocked(sh, fs, fs.info)
 	fs.info = pi
 	fs.opener = nil // keyed to the old block
 	n.dirAddLocked(sh, fs, pi)
-	now := n.clk.Now()
-	newParents := parentSet(pi)
-	for p := range newParents {
-		if !fs.parents[p] {
-			fs.lastHeard[p] = now
-			delete(fs.missStreak, p)
-		}
-	}
-	for p := range fs.parents {
-		if !newParents[p] {
-			delete(fs.lastHeard, p)
-			delete(fs.downSince, p)
-			delete(fs.downCount, p)
-			delete(fs.missStreak, p)
-		}
-	}
-	fs.parents = newParents
+	fs.declareParents(pi, n.stamp(fs.lastActive), true)
 	sh.stats.SplicesApplied++
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"infoslicing/internal/code"
 	"infoslicing/internal/overlay"
 	"infoslicing/internal/simnet"
 	"infoslicing/internal/slcrypto"
@@ -69,25 +68,14 @@ func injectFlow(n *Node, flow wire.FlowID, pi *wire.PerNodeInfo) *flowState {
 // injectFlowAt is injectFlow with an explicit "now" — virtual-clock tests
 // pass their clock's time so liveness and GC stamps live on that timeline.
 func injectFlowAt(n *Node, flow wire.FlowID, pi *wire.PerNodeInfo, now time.Time) *flowState {
-	fs := &flowState{
-		flow:       flow,
-		setupPkts:  make(map[wire.NodeID]*wire.Packet),
-		ownByD:     make(map[int][]code.Slice),
-		geomByD:    make(map[int][2]int),
-		seen:       make(map[wire.NodeID]bool),
-		lastHeard:  make(map[wire.NodeID]time.Time),
-		info:       pi,
-		parents:    parentSet(pi),
-		d:          2,
-		setupSent:  true,
-		lastActive: now,
+	fs := &flowState{flow: flow, info: pi, d: 2, setupSent: true, lastActive: now}
+	fs.declareParents(pi, n.stamp(now), false)
+	for i := range fs.hops {
+		fs.hops[i].flags |= hopObserved // every parent has been seen sending
 	}
-	for p := range fs.parents {
-		fs.seen[p] = true
-		fs.lastHeard[p] = now
-	}
-	// Full install: map, LRU link, filter fingerprint, child directory —
-	// exactly what creation + establishment on the packet path produce.
+	// Full install: map, LRU link, filter fingerprint, child index and
+	// directory — exactly what creation + establishment on the packet path
+	// produce.
 	sh := n.shardFor(flow)
 	sh.mu.Lock()
 	sh.flows[flow] = fs
@@ -288,8 +276,9 @@ func TestSpliceSwapsParentAtomically(t *testing.T) {
 	})
 	sh := n.shardFor(flow)
 	sh.mu.Lock()
-	fs.missStreak = map[wire.NodeID]int{oldPar: deadParentStreak}
-	fs.downSince = map[wire.NodeID]time.Time{oldPar: time.Now()}
+	old := &fs.hops[fs.hopIndex(oldPar)]
+	old.miss, old.downAt = deadParentStreak, n.stamp(time.Now())
+	old.flags |= hopReported
 	sh.mu.Unlock()
 
 	patch := &wire.PerNodeInfo{
@@ -325,13 +314,14 @@ func TestSpliceSwapsParentAtomically(t *testing.T) {
 	if fs.info.DataMap[0].Parent != newPar {
 		t.Fatal("data-map not swapped")
 	}
-	if !fs.parents[newPar] || fs.parents[oldPar] {
-		t.Fatalf("parents not swapped: %v", fs.parents)
+	nw, gone := fs.hops[fs.hopIndex(newPar)], fs.hops[fs.hopIndex(oldPar)]
+	if nw.flags&hopParent == 0 || gone.flags&hopParent != 0 || fs.nParents != 1 {
+		t.Fatalf("parents not swapped: %+v", fs.hops)
 	}
-	if _, ok := fs.lastHeard[newPar]; !ok {
+	if nw.flags&hopHeard == 0 {
 		t.Fatal("new parent has no liveness grace")
 	}
-	if fs.deadParents() != 0 || len(fs.downSince) != 0 {
+	if fs.deadParents() != 0 || gone.miss != 0 || gone.flags&(hopHeard|hopReported) != 0 {
 		t.Fatal("stale liveness state for the removed parent survives")
 	}
 }

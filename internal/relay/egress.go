@@ -2,7 +2,6 @@ package relay
 
 import (
 	"errors"
-	"slices"
 
 	"infoslicing/internal/code"
 	"infoslicing/internal/overlay"
@@ -43,9 +42,9 @@ type egEmit struct {
 }
 
 // egJob is one staged round: a view into the owning egState's emits and
-// slices arenas plus the immutable per-flow routing snapshot. pi is safe to
-// read off-lock — info blocks are replaced wholesale (splice), never
-// mutated in place.
+// slices arenas plus the per-flow routing snapshot. pi is safe to read
+// off-lock — info blocks are replaced wholesale (splice), never mutated in
+// place but to drop the spent slice-map, which egress does not read.
 type egJob struct {
 	pi               *wire.PerNodeInfo
 	seq              uint32
@@ -75,19 +74,7 @@ type destBatch struct {
 // staging arenas for runEgress. Runs with sh.mu held.
 func (n *Node) stageRoundLocked(sh *shard, fs *flowState, seq uint32, r *roundSlot) {
 	r.forwarded = true
-	// Parents silent for deadParentStreak whole rounds in a row are
-	// presumed down; later rounds stop stalling on them. Only a new packet
-	// revives one: a slice that arrived before the mark does not.
-	for p := range fs.parents {
-		if !slices.Contains(r.from, p) {
-			if fs.missStreak == nil {
-				fs.missStreak = make(map[wire.NodeID]int)
-			}
-			fs.missStreak[p]++
-		} else if fs.missStreak[p] < deadParentStreak {
-			delete(fs.missStreak, p)
-		}
-	}
+	fs.noteRound(r.from)
 	pi := fs.info
 	st := &sh.stage
 	job := egJob{pi: pi, seq: seq, d: fs.d, emitOff: len(st.emits), sliceOff: len(st.slices)}

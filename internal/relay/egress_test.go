@@ -130,14 +130,8 @@ func fanoutFlow(tb testing.TB, n *Node) (*shard, *flowState, *roundSlot, []wire.
 	info := &wire.PerNodeInfo{
 		Children: children, ChildFlows: childFlows, DataMap: dataMap,
 	}
-	fs := &flowState{
-		flow:       flow,
-		seen:       make(map[wire.NodeID]bool),
-		info:       info,
-		parents:    map[wire.NodeID]bool{parents[0]: true, parents[1]: true},
-		d:          d,
-		lastActive: time.Now(),
-	}
+	fs := &flowState{flow: flow, info: info, d: d, lastActive: time.Now()}
+	fs.declareParents(info, 0, false)
 	rng := rand.New(rand.NewSource(2))
 	enc, err := code.NewEncoder(d, d, rng)
 	if err != nil {

@@ -87,7 +87,7 @@ func TestResyncFilterRealigns(t *testing.T) {
 		info:    &wire.PerNodeInfo{Receiver: true, Key: key},
 		nextSeq: 5,
 		resync:  true,
-		win:     &roundWindow{slots: make([]roundSlot, minWindow), low: 5, high: 7, buffered: 2},
+		win:     roundWindow{slots: make([]roundSlot, 4), low: 5, high: 7, buffered: 2},
 	}
 	fs.win.at(5).chunk, fs.win.at(6).chunk = tail, head
 	sh.flows[9] = fs

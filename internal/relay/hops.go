@@ -1,0 +1,211 @@
+package relay
+
+import (
+	"slices"
+
+	"infoslicing/internal/wire"
+)
+
+// hop is one record of a flow's hop table: what the flow knows about one
+// previous hop. A record exists for every parent the routing block names
+// and every sender observed (capped, parents exempt), and is found by a
+// linear scan once per packet — a flow has d' parents. Stamps are
+// nanoseconds on the node's clock since Node.epoch, so a record holds no
+// pointer but the retained set-up packet.
+type hop struct {
+	id    wire.NodeID
+	flags uint8
+	// downCount is how often an observation-only hop has been reported.
+	downCount uint8
+	// The set-up packet this hop sent, retained until the wave is forwarded:
+	// the geometry its header claimed and its slot area (nil if none came).
+	setupD, setupSlots uint8
+	setupSlotLen       uint16
+	// miss counts the consecutive rounds a parent has missed; at
+	// deadParentStreak it is presumed down and rounds stop waiting for it,
+	// until it speaks again.
+	miss  uint32
+	setup []byte
+	// heardAt is the last packet's arrival (valid under hopHeard); downAt the
+	// last report of this hop's silence (valid under hopReported).
+	heardAt, downAt int64
+}
+
+const (
+	hopParent    uint8 = 1 << iota // named by the slice-map or data-map
+	hopObserved                    // seen sending; counted against maxObservedHops
+	hopHeard                       // heardAt is set
+	hopReported                    // downAt is set
+	hopWasParent                   // scratch of declareParents
+)
+
+// deadParentStreak is how many consecutive rounds a parent must miss before
+// it is presumed down. One is too trigger-happy on a datagram substrate: a
+// single drop would lower the forward threshold, and every following round
+// would forward the instant the others spoke, discard the marked parent's
+// microseconds-late slice and re-mark it.
+const deadParentStreak = 2
+
+// hopIndex returns the index of id's record, or -1.
+func (fs *flowState) hopIndex(id wire.NodeID) int {
+	for i := range fs.hops {
+		if fs.hops[i].id == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// observe stamps the sender of a packet that arrived at now and returns the
+// index of its record, or -1 when the flow will not remember it: sender ids
+// are claimed, not proven, so only maxObservedHops observed senders are kept
+// per flow (declared parents always are). Unrecorded senders' packets are
+// still processed — the cap bounds state, not traffic.
+func (fs *flowState) observe(from wire.NodeID, now int64) int {
+	i, observed := 0, 0
+	for ; i < len(fs.hops) && fs.hops[i].id != from; i++ {
+		if fs.hops[i].flags&hopObserved != 0 {
+			observed++
+		}
+	}
+	if i == len(fs.hops) {
+		if observed >= maxObservedHops {
+			return -1
+		}
+		fs.hops = append(fs.hops, hop{id: from})
+	}
+	h := &fs.hops[i]
+	h.flags |= hopObserved | hopHeard
+	h.heardAt = now
+	return i
+}
+
+// declareParents makes the parents named by pi's maps the flow's declared
+// parents. At establishment one not yet heard starts its liveness clock at
+// now, so a parent that never speaks is detected a LivenessTimeout later,
+// not reported blind. A splice also gives every parent it swaps in a fresh
+// grace and drops the liveness state of the ones it removes; a removed
+// parent that was seen sending stays as an observed hop.
+func (fs *flowState) declareParents(pi *wire.PerNodeInfo, now int64, splice bool) {
+	for i := range fs.hops {
+		if h := &fs.hops[i]; h.flags&hopParent != 0 {
+			h.flags ^= hopParent | hopWasParent
+		}
+	}
+	fs.nParents = 0
+	declare := func(p wire.NodeID) {
+		i := fs.hopIndex(p)
+		if i < 0 {
+			i = len(fs.hops)
+			fs.hops = append(fs.hops, hop{id: p})
+		}
+		h := &fs.hops[i]
+		if h.flags&hopParent != 0 {
+			return
+		}
+		h.flags |= hopParent
+		fs.nParents++
+		if fresh := splice && h.flags&hopWasParent == 0; fresh || h.flags&hopHeard == 0 {
+			h.flags |= hopHeard
+			h.heardAt = now
+			if fresh {
+				h.miss = 0
+			}
+		}
+	}
+	for _, e := range pi.DataMap {
+		declare(e.Parent)
+	}
+	for _, e := range pi.SliceMap {
+		declare(e.Src.Parent)
+	}
+	fs.hops = slices.DeleteFunc(fs.hops, func(h hop) bool {
+		return h.flags&(hopParent|hopObserved|hopWasParent) == hopWasParent
+	})
+	for i := range fs.hops {
+		h := &fs.hops[i]
+		if h.flags&(hopParent|hopWasParent) == hopWasParent {
+			h.flags &^= hopHeard | hopReported
+			h.miss, h.downCount = 0, 0
+		}
+		h.flags &^= hopWasParent
+	}
+}
+
+// noteRound updates the parents' miss streaks for a round forwarded with
+// slices from `from`. Only a new packet revives a parent presumed down: a
+// slice that arrived before the mark does not.
+func (fs *flowState) noteRound(from []wire.NodeID) {
+	for i := range fs.hops {
+		h := &fs.hops[i]
+		switch {
+		case h.flags&hopParent == 0:
+		case !slices.Contains(from, h.id):
+			h.miss++
+		case h.miss < deadParentStreak:
+			h.miss = 0
+		}
+	}
+}
+
+// deadParents counts the parents presumed down.
+func (fs *flowState) deadParents() (n int) {
+	for i := range fs.hops {
+		if h := &fs.hops[i]; h.flags&hopParent != 0 && h.miss >= deadParentStreak {
+			n++
+		}
+	}
+	return n
+}
+
+// sweepHops calls report for every monitored hop silent for longer than
+// timeout, at most once per timeout while the silence lasts; a hop that
+// spoke again — data or heartbeat — clears its pending-report state. The
+// declared parents are monitored when the flow has any; a last-stage flow
+// has empty maps, so — exactly as for acks — its observed hops stand in.
+// Nothing ever tells such a leaf that the source spliced a dead node out, so
+// after obsReportLimit reports it forgets the address and the chatter ends
+// (the node is re-adopted the moment it speaks again).
+func (fs *flowState) sweepHops(now, timeout int64, report func(dead wire.NodeID)) {
+	monitored := hopParent
+	if fs.nParents == 0 {
+		monitored = hopObserved
+	}
+	for i := 0; i < len(fs.hops); i++ {
+		h := &fs.hops[i]
+		switch {
+		case h.flags&monitored == 0:
+		case h.flags&hopHeard == 0:
+			// Seeded at decode; start the clock rather than report blind.
+			h.flags |= hopHeard
+			h.heardAt = now
+		case now-h.heardAt <= timeout:
+			h.flags &^= hopReported
+			h.downCount = 0
+		case h.flags&hopReported != 0 && now-h.downAt < timeout:
+		default:
+			h.flags |= hopReported
+			h.downAt = now
+			report(h.id)
+			if monitored == hopObserved {
+				if h.downCount++; h.downCount >= obsReportLimit {
+					fs.hops = slices.Delete(fs.hops, i, i+1)
+					i--
+				}
+			}
+		}
+	}
+}
+
+// setupStaged: every declared parent's set-up packet is in. dropSetup frees what
+// only the wave needed: the packets (and receive buffers they pin) and the slice-map.
+func (fs *flowState) setupStaged() bool {
+	return !slices.ContainsFunc(fs.hops, func(h hop) bool { return h.flags&hopParent != 0 && h.setup == nil })
+}
+
+func (fs *flowState) dropSetup() {
+	for i := range fs.hops {
+		fs.hops[i].setup = nil
+	}
+	fs.info.SliceMap = nil
+}

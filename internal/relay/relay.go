@@ -32,9 +32,10 @@
 // open overlay. A per-shard cuckoo filter (cuckoo.go) rejects
 // flow-addressed traffic for non-resident flows on the transport
 // goroutine, so unknown flows, garbage, and post-eviction stragglers never
-// take a shard lock; and a child→shard directory (table.go) routes
-// sender-addressed acks and ParentDown reports to exactly the shards
-// holding a matching flow instead of fanning out to all of them.
+// take a shard lock; and a child→shard directory (table.go) routes acks
+// and ParentDown reports — stamped with the child's flow-id, not ours — to
+// just the shards holding a flow that lists the sender as a child, where an
+// exact-match (child, child-flow) index finds the one flow they concern.
 // Admission is metered globally (MaxFlows) and, optionally, per tenant —
 // the previous-hop node that created the flow (TenantQuota) — and idle
 // flows age out via an intrusive LRU list walked incrementally by the GC
@@ -206,8 +207,8 @@ type Stats struct {
 	// Flow-table admission and eviction (multi-tenant daemon counters).
 	FlowsEvicted  int64 // flows reaped by TTL eviction
 	FlowsRejected int64 // flow creations refused by MaxFlows or TenantQuota
-	// FilterMisses counts packets the front filter (or, for sender-addressed
-	// acks/reports, the child directory) rejected on a transport goroutine
+	// FilterMisses counts packets the front filter (or, for acks and
+	// reports, the child directory) rejected on a transport goroutine
 	// without taking any shard lock: unknown flows, garbage, post-eviction
 	// stragglers.
 	FilterMisses int64
@@ -235,6 +236,8 @@ type Node struct {
 	tr  overlay.Transport
 	cfg Config
 	clk simnet.Clock
+	// epoch is the clock at New; hop records' stamps count from it (hops.go).
+	epoch time.Time
 
 	shards []*shard
 	mask   uint64
@@ -247,9 +250,9 @@ type Node struct {
 	tenantMu sync.Mutex
 	tenants  map[wire.NodeID]int64
 
-	// children routes sender-addressed packets (acks, ParentDown) to just
-	// the shards holding a matching flow; dirMisses counts the ones that
-	// matched nothing and were dropped lock-free (folded into
+	// children routes acks and ParentDown reports, by sender, to just the
+	// shards holding a flow that lists it as a child; dirMisses counts the
+	// ones that matched nothing and were dropped lock-free (folded into
 	// Stats.FilterMisses).
 	children  childDir
 	dirMisses atomic.Int64
@@ -301,13 +304,12 @@ type shard struct {
 	// this shard. (Forwarding's regeneration scratch is egress-side: egRegen.)
 	pktBuf []byte
 
-	// byChild indexes established flows by child address: acks and
-	// ParentDown reports are sender-addressed, and used to scan the whole
-	// flow table per packet. Maintained by dirAdd/dirDelLocked under sh.mu.
-	byChild map[wire.NodeID]map[wire.FlowID]*flowState
-	// ackTargets is the reusable parent-set scratch for the ack and
-	// ParentDown floods (sendAckLocked, floodUpstreamLocked).
-	ackTargets map[wire.NodeID]bool
+	// byChild is the exact-match fan-in index: an ack or ParentDown report
+	// carries its sender and the sender's own flow-id, which is what the one
+	// flow it concerns stamps on packets to that child (table.go).
+	byChild map[childKey]*flowState
+	// ownScratch gathers a flow's own set-up slices for a decode attempt.
+	ownScratch []code.Slice
 
 	// Two-stage egress (egress.go): rounds are claimed into stage under mu;
 	// runEgress swaps stage/work under a brief mu window and does recode,
@@ -342,62 +344,30 @@ type flowState struct {
 	tenant   wire.NodeID
 	inFilter bool
 	// Intrusive LRU links, guarded by the shard lock (table.go).
-	lruPrev *flowState
-	lruNext *flowState
+	lruPrev, lruNext *flowState
 
-	// Setup phase. Candidate own-slices are grouped by the split factor d
-	// claimed in their packet header: a forged packet cannot poison the
-	// flow because (d, geometry) are adopted only from the group that
-	// actually decodes into a checksummed routing block. All phase maps
-	// below are allocated lazily by the first packet of their phase: a
-	// million-flow table pays per flow for the phases the flow entered,
-	// not for every map it might ever need.
-	setupPkts map[wire.NodeID]*wire.Packet
-	ownByD    map[int][]code.Slice
-	info      *wire.PerNodeInfo
-	parents   map[wire.NodeID]bool
-	// seen records the previous-hop addresses observed for this flow; a
-	// last-stage node has an empty slice-map/data-map, so observation is
-	// its only parent knowledge (and all the threat model grants it).
-	// Sender ids are claimed, not proven, so the set is capped at
-	// maxObservedHops (map-derived parents are exempt) and observation-only
-	// entries age out under the forget-after-obsReportLimit rule — spoofed
-	// ids on a valid flow cannot grow it without bound.
-	seen       map[wire.NodeID]bool
-	setupSent  bool
-	setupTimer simnet.Timer
+	// hops is the flow's one table of previous hops — declared parents
+	// (nParents of them) and observed senders (hops.go). A last-stage node
+	// has an empty slice-map/data-map, so observation is its only parent
+	// knowledge (and all the threat model grants it).
+	hops     []hop
+	nParents int
 
-	// Packet geometry, adopted when the routing block decodes. geomByD
-	// remembers the setup slot geometry per claimed d until then.
-	d       int
-	slotLen int
-	nSlots  int
-	geomByD map[int][2]int
+	// Setup phase. Each hop's set-up packet waits in its record for the wave
+	// to be forwarded. What a packet claims only labels it: a forged one
+	// cannot poison the flow because (d, geometry) are adopted from packets
+	// whose own slices actually decode into a checksummed routing block.
+	info               *wire.PerNodeInfo
+	setupSent          bool
+	setupTimer         simnet.Timer
+	d, slotLen, nSlots int
 
-	// Data phase: the round window, allocated by the first slice to hold.
-	win         *roundWindow
+	// Data phase: the round window, its ring allocated by the first slice
+	// to hold.
+	win         roundWindow
 	pendingData []pendingPacket
-	// missStreak counts the consecutive rounds each parent has missed; at
-	// deadParentStreak it is presumed down and rounds stop waiting for it,
-	// until it speaks again. More than one miss is required so that a single
-	// dropped datagram cannot lower the forward threshold: the next round
-	// would forward the instant the surviving parent spoke and discard the
-	// marked parent's microseconds-late slice, re-marking it, round after round.
-	missStreak map[wire.NodeID]int
 
-	// Control plane (live churn repair; populated only when the node runs
-	// with Config.Heartbeat > 0, except lastHeard which is cheap enough to
-	// keep always).
-	//
-	// lastHeard timestamps every previous-hop address per packet received;
-	// the liveness sweep compares parents' entries against LivenessTimeout.
-	// downSince remembers when a quiet parent was last reported so reports
-	// re-emit at most once per timeout while it stays dead; downCount
-	// applies the leaf-flow forgetting rule (see checkParentsLocked).
 	// seenReports dedupes the ParentDown flood by its clear nonce.
-	lastHeard   map[wire.NodeID]time.Time
-	downSince   map[wire.NodeID]time.Time
-	downCount   map[wire.NodeID]int
 	seenReports map[uint64]bool
 	// spliceSeq is the sequence number of the last repair patch applied;
 	// older or duplicate patches (multipath, retransmission, reordering)
@@ -423,8 +393,8 @@ type flowState struct {
 
 	// ackSent dedupes the establishment acknowledgment that travels hop by
 	// hop back to the source endpoints (§7.4 measures setup latency with
-	// it). Relays recognise reverse traffic by the sender's address — a
-	// previous/next-hop identity they already hold.
+	// it). Relays recognise reverse traffic by the sender's address and the
+	// flow-id they stamp on packets to it — identities they already hold.
 	ackSent bool
 
 	lastActive time.Time
@@ -433,22 +403,6 @@ type flowState struct {
 type pendingPacket struct {
 	from wire.NodeID
 	pkt  *wire.Packet
-}
-
-// deadParentStreak is how many consecutive rounds a parent must miss before
-// it is presumed down. One round is too trigger-happy on a datagram
-// substrate: a single 2%-loss drop would shed redundancy for a stretch of
-// following rounds (see flowState.missStreak).
-const deadParentStreak = 2
-
-// deadParents counts the parents presumed down.
-func (fs *flowState) deadParents() (n int) {
-	for _, k := range fs.missStreak {
-		if k >= deadParentStreak {
-			n++
-		}
-	}
-	return n
 }
 
 // ErrClosed is returned by operations on a closed node.
@@ -463,6 +417,7 @@ func New(id wire.NodeID, tr overlay.Transport, cfg Config) (*Node, error) {
 		tr:        tr,
 		cfg:       cfg,
 		clk:       cfg.Clock,
+		epoch:     cfg.Clock.Now(),
 		shards:    make([]*shard, cfg.Shards),
 		mask:      uint64(cfg.Shards - 1),
 		received:  make(chan Message, 256),
@@ -485,7 +440,7 @@ func New(id wire.NodeID, tr overlay.Transport, cfg Config) (*Node, error) {
 			filter:  newCuckooFilter(perShard),
 			rng:     rand.New(rand.NewSource(cfg.Rng.Int63())),
 			egRng:   rand.New(rand.NewSource(cfg.Rng.Int63())),
-			byChild: make(map[wire.NodeID]map[wire.FlowID]*flowState),
+			byChild: make(map[childKey]*flowState),
 		}
 	}
 	n.egPool = transport.NewSlabPool(0, 0)
@@ -537,7 +492,7 @@ func (n *Node) ShardStats() []Stats {
 		out[i].QueueDrops = sh.queueDrops.Load()
 		out[i].FilterMisses = sh.filterMisses.Load()
 	}
-	// Directory misses (sender-addressed packets matching no shard) are
+	// Directory misses (acks and reports from a sender no shard lists) are
 	// node-level; fold them into the first shard's snapshot so Stats sums
 	// them exactly once.
 	out[0].FilterMisses += n.dirMisses.Load()
@@ -602,8 +557,8 @@ func (n *Node) Close() {
 				break
 			}
 			sh.mu.Lock()
-			for f, fs := range sh.flows {
-				n.removeFlowLocked(sh, f, fs, false)
+			for _, fs := range sh.flows {
+				n.removeFlowLocked(sh, fs, false)
 			}
 			sh.mu.Unlock()
 		}
@@ -618,7 +573,7 @@ func (fs *flowState) stopTimers() {
 	if fs.gapTimer != nil {
 		fs.gapTimer.Stop()
 	}
-	if fs.win != nil && fs.win.timer != nil {
+	if fs.win.timer != nil {
 		fs.win.timer.Stop()
 	}
 }
@@ -644,7 +599,7 @@ func (n *Node) gcSweep() {
 			if fs == nil || now.Sub(fs.lastActive) <= n.cfg.FlowTTL {
 				break
 			}
-			n.removeFlowLocked(sh, fs.flow, fs, true)
+			n.removeFlowLocked(sh, fs, true)
 		}
 		sh.mu.Unlock()
 	}
@@ -657,15 +612,15 @@ func (n *Node) gcSweep() {
 // parses and processes it.
 //
 // Two lock-free front filters keep non-flow traffic off the shard locks
-// entirely. Sender-addressed packets (acks, ParentDown reports — their
-// flow-id names the *child's* flow, unknown here) are routed by the child
-// directory to just the shards holding a flow that lists the sender as a
-// child, instead of fanning out to all of them; a sender matching nothing
-// is dropped here. Flow-addressed packets that can never create state
-// (heartbeats, splices, garbage types) consult the owning shard's cuckoo
-// filter and are dropped without enqueueing when the flow cannot be
-// resident. Setup and data packets always pass — they legitimately create
-// flows. Either drop is counted in Stats.FilterMisses.
+// entirely. Acks and ParentDown reports carry the *child's* flow-id, which
+// does not hash to the shard of the flow they concern: the child directory
+// routes them by sender to just the shards holding a flow that lists it as a
+// child (each looks the (sender, flow-id) pair up exactly) instead of to all
+// of them, and drops a sender matching nothing here. Flow-addressed packets
+// that can never create state (heartbeats, splices, garbage types) consult
+// the owning shard's cuckoo filter and are dropped without enqueueing when
+// the flow cannot be resident. Setup and data packets always pass — they
+// legitimately create flows. Either drop is counted in Stats.FilterMisses.
 func (n *Node) onPacket(from wire.NodeID, data []byte) {
 	if len(data) < wire.HeaderLen {
 		return // garbage: drop
@@ -785,14 +740,11 @@ func (n *Node) processBurst(sh *shard, burst []inPkt, parsed []wire.Packet) {
 // benefit of timers, GC, and stats snapshots.
 func (n *Node) dispatchLocked(sh *shard, from wire.NodeID, pkt *wire.Packet) {
 	switch pkt.Type {
-	case wire.MsgAck:
-		// Acks are matched by sender address, not flow-id, and never create
-		// flow state.
-		n.handleAck(sh, from)
-		return
-	case wire.MsgParentDown:
-		// Likewise matched by sender address; never creates flow state.
-		n.handleParentDown(sh, from, pkt)
+	case wire.MsgAck, wire.MsgParentDown:
+		// Matched on (sender, the sender's flow-id); never create flow state.
+		if fs := sh.byChild[childKey{uint64(from), uint64(pkt.Flow)}]; fs != nil {
+			n.handleUpstream(sh, fs, pkt)
+		}
 		return
 	}
 	fs := sh.flows[pkt.Flow]
@@ -807,22 +759,8 @@ func (n *Node) dispatchLocked(sh *shard, from wire.NodeID, pkt *wire.Packet) {
 			return // admission refused (MaxFlows or tenant quota)
 		}
 	}
-	// Record the previous hop, bounded: sender ids are claimed, so only
-	// maxObservedHops distinct observation-only senders are remembered per
-	// flow (map-derived parents always are). Unrecorded senders' packets
-	// are still processed — the cap bounds state, not traffic.
-	known := fs.seen[from]
-	if !known && (len(fs.seen) < maxObservedHops || fs.parents[from]) {
-		fs.seen[from] = true
-		known = true
-	}
 	now := n.clk.Now()
-	if known || fs.parents[from] {
-		if fs.lastHeard == nil {
-			fs.lastHeard = make(map[wire.NodeID]time.Time)
-		}
-		fs.lastHeard[from] = now
-	}
+	hi := fs.observe(from, n.stamp(now))
 	if pkt.Type != wire.MsgHeartbeat {
 		// Heartbeats prove the *parent* is alive; they deliberately do not
 		// refresh the flow itself, so an idle session still ages out of the
@@ -833,16 +771,19 @@ func (n *Node) dispatchLocked(sh *shard, from wire.NodeID, pkt *wire.Packet) {
 	switch pkt.Type {
 	case wire.MsgSetup:
 		sh.stats.SetupPacketsIn++
-		n.handleSetup(sh, pkt.Flow, fs, from, pkt)
+		n.handleSetup(sh, fs, hi, pkt)
 	case wire.MsgData:
 		sh.stats.DataPacketsIn++
-		n.handleData(sh, pkt.Flow, fs, from, pkt)
+		n.handleData(sh, fs, from, hi, pkt)
 	case wire.MsgHeartbeat:
 		sh.stats.HeartbeatsIn++
 	case wire.MsgSplice:
 		n.handleSplice(sh, fs, pkt)
 	}
 }
+
+// stamp puts a clock reading on the scale hop records keep (hops.go).
+func (n *Node) stamp(t time.Time) int64 { return int64(t.Sub(n.epoch)) }
 
 // sendLocked hands one framed packet to the transport, counting it out.
 // Transports never block the caller (the non-blocking send contract): a
@@ -857,217 +798,161 @@ func (n *Node) sendLocked(sh *shard, to wire.NodeID, buf []byte) {
 	}
 }
 
-// handleAck propagates an establishment acknowledgment one hop toward the
-// source: the ack arrives stamped with the *child's* flow-id, which this
-// node does not know — but it does know the child's address, so the
-// shard's byChild index hands it exactly the flows that list the sender
-// among their children (it used to scan every flow on the shard per ack).
-// Runs with sh.mu held.
-func (n *Node) handleAck(sh *shard, from wire.NodeID) {
-	for flow, fs := range sh.byChild[from] {
-		if fs.info == nil || fs.ackSent {
-			continue
+// handleUpstream moves an establishment ack or a ParentDown report from a
+// child one hop toward the source, for the one flow the exact-match index
+// found: re-stamped with this node's own flow-id (a report's sealed body is
+// opaque and copied verbatim) and flooded upstream. Runs with sh.mu held.
+func (n *Node) handleUpstream(sh *shard, fs *flowState, pkt *wire.Packet) {
+	if pkt.Type == wire.MsgAck {
+		if !fs.ackSent {
+			n.sendAckLocked(sh, fs)
 		}
-		n.sendAckLocked(sh, flow, fs)
+		return
 	}
+	nonce, sealed, err := wire.ParseParentDown(pkt)
+	if err != nil || fs.seenReports[nonce] {
+		return
+	}
+	fs.rememberReport(nonce)
+	sh.pktBuf = wire.AppendParentDown(sh.pktBuf[:0], fs.flow, nonce, sealed)
+	n.floodUpstreamLocked(sh, fs, sh.pktBuf)
+	sh.stats.ParentDownForwarded++
 }
 
-// ackTargetsLocked collects a flow's upstream fan-out — parents named in
-// the maps plus every observed previous hop (a last-stage receiver has no
-// maps) — into the shard's reusable scratch set. Valid until the next call
-// on the same shard; runs with sh.mu held.
-func (sh *shard) ackTargetsLocked(fs *flowState) map[wire.NodeID]bool {
-	if sh.ackTargets == nil {
-		sh.ackTargets = make(map[wire.NodeID]bool, 8)
-	}
-	clear(sh.ackTargets)
-	for p := range fs.parents {
-		sh.ackTargets[p] = true
-	}
-	for p := range fs.seen {
-		sh.ackTargets[p] = true
-	}
-	return sh.ackTargets
-}
-
-// sendAckLocked emits this flow's ack to all parents. Runs with sh.mu held.
-func (n *Node) sendAckLocked(sh *shard, flow wire.FlowID, fs *flowState) {
+// sendAckLocked emits this flow's establishment acknowledgment (§7.4:
+// originated by the destination, re-stamped hop by hop) to every previous
+// hop. Runs with sh.mu held.
+func (n *Node) sendAckLocked(sh *shard, fs *flowState) {
 	fs.ackSent = true
-	pkt := &wire.Packet{Type: wire.MsgAck, Flow: flow}
-	sh.pktBuf = pkt.AppendTo(sh.pktBuf[:0])
+	sh.pktBuf = wire.AppendPacketHeader(sh.pktBuf[:0], wire.MsgAck, fs.flow, 0, 0, 0, 0)
 	n.floodUpstreamLocked(sh, fs, sh.pktBuf)
 }
 
 // handleSetup runs on the shard worker with sh.mu held.
-func (n *Node) handleSetup(sh *shard, f wire.FlowID, fs *flowState, from wire.NodeID, pkt *wire.Packet) {
-	if fs.setupSent {
-		return // already forwarded; late packets are useless
+func (n *Node) handleSetup(sh *shard, fs *flowState, hi int, pkt *wire.Packet) {
+	if fs.setupSent || hi < 0 || fs.hops[hi].setup != nil {
+		return // late (already forwarded), past the observation cap, or a duplicate
 	}
-	if _, dup := fs.setupPkts[from]; dup {
-		return
-	}
-	if fs.setupPkts == nil {
-		fs.setupPkts = make(map[wire.NodeID]*wire.Packet)
-		fs.ownByD = make(map[int][]code.Slice)
-		fs.geomByD = make(map[int][2]int)
-	}
-	// Kept until the wave is forwarded; pkt itself is parse scratch.
-	fs.setupPkts[from] = pkt.Clone()
-	// Slot 0 carries one of our own slices (if it validates; padding and
-	// slices lost upstream do not). The packet's claimed split factor only
-	// labels the candidate group — it becomes authoritative when the group
-	// decodes into a block that passes magic and checksum.
-	d := int(pkt.CoeffLen)
-	if len(pkt.Slots) > 0 && d >= 1 && d <= 64 {
-		if s, err := wire.DecodeSlot(pkt.Slots[0], d); err == nil {
-			fs.ownByD[d] = append(fs.ownByD[d], s)
-			if _, ok := fs.geomByD[d]; !ok {
-				fs.geomByD[d] = [2]int{int(pkt.SlotLen), len(pkt.Slots)}
-			}
-		}
-	}
-	if fs.info == nil {
-		for cand, slices := range fs.ownByD {
-			if !code.Decodable(cand, slices) {
-				continue
-			}
-			blob, err := code.Decode(cand, slices)
-			if err != nil {
-				continue
-			}
-			pi, err := wire.UnmarshalPerNodeInfo(blob)
-			if err != nil {
-				continue
-			}
-			fs.info = pi
-			fs.parents = parentSet(pi)
-			fs.d = cand
-			geom := fs.geomByD[cand]
-			fs.slotLen, fs.nSlots = geom[0], geom[1]
-			sh.stats.FlowsEstablished++
-			// Register the flow's children so sender-addressed acks and
-			// reports from them route to this shard (table.go).
-			n.dirAddLocked(sh, fs, pi)
-			// Seed parent liveness: a parent that never speaks after
-			// establishment is detected one LivenessTimeout from now, not
-			// reported blind.
-			now := n.clk.Now()
-			if fs.lastHeard == nil {
-				fs.lastHeard = make(map[wire.NodeID]time.Time)
-			}
-			for p := range fs.parents {
-				if _, ok := fs.lastHeard[p]; !ok {
-					fs.lastHeard[p] = now
-				}
-			}
-			if pi.Receiver {
-				// Establishment acknowledgment toward the source endpoints
-				// (§7.4): originated by the destination, re-stamped hop by
-				// hop.
-				n.sendAckLocked(sh, f, fs)
-			}
-			// Process any data that raced ahead of the decode.
-			for _, pd := range fs.pendingData {
-				n.handleData(sh, f, fs, pd.from, pd.pkt)
-			}
-			fs.pendingData = nil
-			break
-		}
-	}
-	if fs.info == nil {
+	h := &fs.hops[hi]
+	// Kept until the wave is forwarded (the view pins the receive buffer).
+	h.setup, h.setupD, h.setupSlotLen, h.setupSlots = pkt.SlotArea(), pkt.CoeffLen, pkt.SlotLen, uint8(len(pkt.Slots))
+	if fs.info == nil && !n.establishLocked(sh, fs, int(pkt.CoeffLen)) {
 		return // not yet decodable; if it never is, GC reaps the flow
 	}
-	if fs.info.Spliced || len(fs.info.Children) == 0 {
+	switch {
+	case fs.info.Spliced || len(fs.info.Children) == 0:
 		// A spliced-in replacement (its block came straight from the source
 		// endpoints, its children were patched directly) or a leaf: no wave
 		// to forward, so the setup state, and the buffers it pins, is done.
 		fs.setupSent = true
-		fs.setupPkts, fs.ownByD, fs.geomByD = nil, nil, nil
-		return
-	}
-	if len(fs.setupPkts) >= len(fs.parents) && fs.parentsAllPresent() {
-		n.forwardSetupLocked(sh, f, fs)
-		return
-	}
-	if fs.setupTimer == nil {
+		fs.dropSetup()
+	case fs.setupStaged():
+		n.forwardSetupLocked(sh, fs)
+	case fs.setupTimer == nil:
 		fs.setupTimer = n.clk.AfterFunc(n.cfg.SetupWait, func() {
 			sh.mu.Lock()
 			defer sh.mu.Unlock()
-			if cur := sh.flows[f]; cur == fs && fs.info != nil && !fs.setupSent {
-				n.forwardSetupLocked(sh, f, fs)
+			if sh.flows[fs.flow] == fs && !fs.setupSent {
+				n.forwardSetupLocked(sh, fs)
 			}
 		})
 	}
 }
 
-func (fs *flowState) parentsAllPresent() bool {
-	for p := range fs.parents {
-		if _, ok := fs.setupPkts[p]; !ok {
-			return false
+// establishLocked tries to decode the flow's routing block from the set-up
+// packets that claim split factor d (the newest packet's: no other group can
+// have become decodable). Slot 0 of each carries one of our own slices, if it
+// validates; padding and slices lost upstream do not. The claim becomes
+// authoritative only when the group decodes into a block that passes magic
+// and checksum.
+func (n *Node) establishLocked(sh *shard, fs *flowState, d int) bool {
+	if d < 1 || d > 64 {
+		return false
+	}
+	own := sh.ownScratch[:0]
+	var geom *hop // the group's first packet with a valid own slice
+	for i := range fs.hops {
+		h := &fs.hops[i]
+		if h.setup == nil || int(h.setupD) != d || h.setupSlots == 0 {
+			continue
+		}
+		if s, err := wire.DecodeSlot(h.setup[:h.setupSlotLen], d); err == nil {
+			if own = append(own, s); geom == nil {
+				geom = h
+			}
 		}
 	}
+	sh.ownScratch = own[:0]
+	defer clear(own) // the views pin receive buffers
+	if len(own) < d {
+		return false
+	}
+	blob, err := code.Decode(d, own)
+	if err != nil {
+		return false
+	}
+	pi, err := wire.UnmarshalPerNodeInfo(blob)
+	if err != nil {
+		return false
+	}
+	fs.info = pi
+	fs.d, fs.slotLen, fs.nSlots = d, int(geom.setupSlotLen), int(geom.setupSlots)
+	sh.stats.FlowsEstablished++
+	fs.declareParents(pi, n.stamp(fs.lastActive), false)
+	n.dirAddLocked(sh, fs, pi) // its children's acks and reports now find it
+
+	if pi.Receiver {
+		n.sendAckLocked(sh, fs)
+	}
+	// Process any data that raced ahead of the decode.
+	for _, pd := range fs.pendingData {
+		n.handleData(sh, fs, pd.from, fs.hopIndex(pd.from), pd.pkt)
+	}
+	fs.pendingData = nil
 	return true
 }
 
-func parentSet(pi *wire.PerNodeInfo) map[wire.NodeID]bool {
-	s := make(map[wire.NodeID]bool)
-	for _, e := range pi.DataMap {
-		s[e.Parent] = true
-	}
-	for _, e := range pi.SliceMap {
-		s[e.Src.Parent] = true
-	}
-	return s
-}
-
-// forwardSetupLocked builds one packet per child: slot 0 and the downstream
-// slots come from the slice-map (each stripped of one scrambling layer);
-// everything else — including slots whose source packet never arrived — is
-// random padding, keeping packet size constant (§9.4c).
-func (n *Node) forwardSetupLocked(sh *shard, f wire.FlowID, fs *flowState) {
+// forwardSetupLocked frames one packet per child straight into the shard's
+// framing buffer: all of it is padded in one go, then each slice-map slot is
+// copied from the retained packet to its place and stripped of one
+// scrambling layer where it lies. Everything else — including slots whose
+// source packet never arrived — stays padding: packet size is constant (§9.4c).
+func (n *Node) forwardSetupLocked(sh *shard, fs *flowState) {
 	fs.setupSent = true
 	if fs.setupTimer != nil {
 		fs.setupTimer.Stop()
+		fs.setupTimer = nil
 	}
 	pi := fs.info
-	out := make([]*wire.Packet, len(pi.Children))
-	for c := range out {
-		slots := make([][]byte, fs.nSlots)
-		for i := range slots {
-			slots[i] = wire.RandomSlot(fs.slotLen, sh.rng)
-		}
-		out[c] = &wire.Packet{
-			Type:     wire.MsgSetup,
-			Flow:     pi.ChildFlows[c],
-			CoeffLen: uint8(fs.d),
-			SlotLen:  uint16(fs.slotLen),
-			Slots:    slots,
-		}
+	frame := wire.HeaderLen + fs.nSlots*fs.slotLen
+	buf := slices.Grow(sh.pktBuf[:0], len(pi.Children)*frame)[:len(pi.Children)*frame]
+	sh.pktBuf = buf
+	wire.FillRandom(buf, sh.rng)
+	for c := range pi.Children {
+		wire.AppendPacketHeader(buf[c*frame:c*frame], wire.MsgSetup, pi.ChildFlows[c], 0,
+			uint8(fs.d), uint16(fs.slotLen), fs.nSlots)
 	}
 	for _, e := range pi.SliceMap {
-		src, ok := fs.setupPkts[e.Src.Parent]
-		if !ok || int(e.Src.Slot) >= len(src.Slots) {
-			continue // lost upstream: the padding stays
+		hi := fs.hopIndex(e.Src.Parent)
+		if hi < 0 || int(e.Child) >= len(pi.Children) || int(e.DstSlot) >= fs.nSlots {
+			continue
 		}
-		blob := append([]byte(nil), src.Slots[e.Src.Slot]...)
-		if len(blob) != fs.slotLen {
-			continue // malformed or cross-phase packet; keep the padding
+		src := &fs.hops[hi]
+		if src.setup == nil || e.Src.Slot >= src.setupSlots || int(src.setupSlotLen) != fs.slotLen {
+			continue // lost upstream, or a malformed or cross-phase packet: the padding stays
 		}
-		e.Unscramble.Invert(blob)
-		if int(e.Child) < len(out) && int(e.DstSlot) < fs.nSlots {
-			out[e.Child].Slots[e.DstSlot] = blob
-		}
+		dst := buf[int(e.Child)*frame+wire.HeaderLen+int(e.DstSlot)*fs.slotLen:][:fs.slotLen]
+		copy(dst, src.setup[int(e.Src.Slot)*fs.slotLen:])
+		e.Unscramble.Invert(dst)
 	}
 	for c, ch := range pi.Children {
-		sh.pktBuf = out[c].AppendTo(sh.pktBuf[:0])
-		n.sendLocked(sh, ch, sh.pktBuf)
+		n.sendLocked(sh, ch, buf[c*frame:][:frame])
 	}
-	// The setup state is done: free it, and the receive buffers it pins.
-	fs.setupPkts, fs.ownByD, fs.geomByD = nil, nil, nil
+	fs.dropSetup()
 }
 
 // handleData runs on the shard worker with sh.mu held.
-func (n *Node) handleData(sh *shard, f wire.FlowID, fs *flowState, from wire.NodeID, pkt *wire.Packet) {
+func (n *Node) handleData(sh *shard, fs *flowState, from wire.NodeID, hi int, pkt *wire.Packet) {
 	if fs.info == nil {
 		// Data raced ahead of setup; buffer a bounded amount.
 		if len(fs.pendingData) < 1024 {
@@ -1083,7 +968,9 @@ func (n *Node) handleData(sh *shard, f wire.FlowID, fs *flowState, from wire.Nod
 	if err != nil {
 		return
 	}
-	delete(fs.missStreak, from) // a parent that speaks is alive, however late its slice
+	if hi >= 0 {
+		fs.hops[hi].miss = 0 // a parent that speaks is alive, however late its slice
+	}
 	seq := pkt.Seq
 	var forward, decode bool
 	s := n.slotLocked(sh, fs, seq)
@@ -1101,18 +988,18 @@ func (n *Node) handleData(sh *shard, f wire.FlowID, fs *flowState, from wire.Nod
 		s.deadline = fs.lastActive.Add(n.cfg.RoundWait) // lastActive is this packet's arrival
 	}
 	if s.got == nil {
-		k := max(len(fs.parents), len(fs.seen))
+		k := len(fs.hops)
 		s.from, s.got = make([]wire.NodeID, 0, k), make([]code.Slice, 0, k)
 	}
 	s.from, s.got = append(s.from, from), append(s.got, sl)
 	if decode {
-		n.tryDeliverLocked(sh, f, fs, seq, s)
+		n.tryDeliverLocked(sh, fs.flow, fs, seq, s)
 	}
-	if forward && len(s.got) >= len(fs.parents)-fs.deadParents() {
+	if forward && len(s.got) >= fs.nParents-fs.deadParents() {
 		n.stageRoundLocked(sh, fs, seq, s)
 	}
 	fs.advanceLocked()
-	if w := fs.win; fwd && w.low != w.high {
+	if w := &fs.win; fwd && w.low != w.high {
 		n.armRoundTimerLocked(sh, fs, n.cfg.RoundWait)
 	}
 }
@@ -1148,7 +1035,7 @@ func (n *Node) tryDeliverLocked(sh *shard, f wire.FlowID, fs *flowState, seq uin
 // stream and parses out completed messages. While resyncing after a skip it
 // discards chunks until one passes the message-head plausibility test.
 func (n *Node) spliceChunksLocked(sh *shard, f wire.FlowID, fs *flowState) {
-	for w := fs.win; fs.nextSeq != w.high && w.at(fs.nextSeq).chunk != nil; {
+	for w := &fs.win; fs.nextSeq != w.high && w.at(fs.nextSeq).chunk != nil; {
 		s := w.at(fs.nextSeq)
 		c := s.chunk
 		s.chunk = nil

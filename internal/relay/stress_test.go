@@ -108,38 +108,18 @@ func TestConcurrentFlowsStress(t *testing.T) {
 		children := make([]wire.NodeID, dp)
 		childFlows := make([]wire.FlowID, dp)
 		dataMap := make([]wire.DataForward, dp)
-		parentSet := make(map[wire.NodeID]bool, dp)
 		for p := 0; p < dp; p++ {
 			parents[p] = wire.NodeID(10_000 + f*16 + p)
 			children[p] = wire.NodeID(500_000 + f*16 + p)
 			childFlows[p] = wire.FlowID(0xcafe_0000 + uint64(f)*31 + uint64(p))
 			dataMap[p] = wire.DataForward{Parent: parents[p], Child: uint8(p)}
-			parentSet[parents[p]] = true
 		}
-		fs := &flowState{
-			flow:      flow,
-			setupPkts: make(map[wire.NodeID]*wire.Packet),
-			ownByD:    make(map[int][]code.Slice),
-			geomByD:   make(map[int][2]int),
-			seen:      make(map[wire.NodeID]bool),
-			info: &wire.PerNodeInfo{
-				Children:   children,
-				ChildFlows: childFlows,
-				Recode:     true,
-				DataMap:    dataMap,
-			},
-			parents:    parentSet,
-			d:          d,
-			lastActive: time.Now(),
-		}
-		sh := n.shardFor(flow)
-		sh.mu.Lock()
-		sh.flows[flow] = fs
-		sh.lruPushLocked(fs)
-		fs.inFilter = sh.filter.insert(uint64(flow), sh.rng)
-		n.dirAddLocked(sh, fs, fs.info)
-		sh.mu.Unlock()
-		n.flowCount.Add(1)
+		injectFlow(n, flow, &wire.PerNodeInfo{
+			Children:   children,
+			ChildFlows: childFlows,
+			Recode:     true,
+			DataMap:    dataMap,
+		})
 
 		frames := make([][]byte, dp)
 		for p := 0; p < dp; p++ {

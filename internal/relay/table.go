@@ -14,13 +14,14 @@ import (
 // removal is always removeFlowLocked, always under the shard lock, and
 // always in this order — stop timers, unmap, unlink from the LRU list,
 // withdraw the cuckoo fingerprint (or rebalance the overflow count),
-// withdraw the child directory refs, release the admission reservation.
+// withdraw the child index keys and directory refs, release the admission
+// reservation.
 // The fingerprint outlives the map entry within the critical section, so a
 // transport goroutine that passed the filter just before eviction finds a
 // clean miss under the lock, never a half-removed flow.
 
-// maxObservedHops caps the per-flow observed previous-hop set (fs.seen /
-// fs.lastHeard). Sender ids inside a frame are claimed, not proven, so a
+// maxObservedHops caps the observed senders in a flow's hop table
+// (hops.go). Sender ids inside a frame are claimed, not proven, so a
 // single valid flow-id must not let a peer inflate per-flow state without
 // bound by cycling spoofed sender ids. The cap matches the maximum split
 // factor (64): every legitimate parent of a maximally-wide flow still
@@ -88,10 +89,10 @@ func (n *Node) TenantFlows() map[wire.NodeID]int64 {
 // createFlowLocked admits and installs a fresh flow created by `from`.
 // Returns nil (counting the rejection) when admission fails. Only the two
 // flow-creating packet types reach here. The flowState starts with only
-// the observation maps; everything else — setup staging, round table,
-// receiver reassembly — is allocated lazily by the phase that needs it, so
-// a table holding a million mostly-idle flows pays for what each flow
-// actually did, not for every phase it might enter.
+// its hop table; everything else — round ring, receiver reassembly — is
+// allocated lazily by the phase that needs it, so a table holding a million
+// mostly-idle flows pays for what each flow actually did, not for every
+// phase it might enter.
 func (n *Node) createFlowLocked(sh *shard, f wire.FlowID, from wire.NodeID) *flowState {
 	if !n.admit(from) {
 		sh.stats.FlowsRejected++
@@ -100,7 +101,7 @@ func (n *Node) createFlowLocked(sh *shard, f wire.FlowID, from wire.NodeID) *flo
 	fs := &flowState{
 		flow:   f,
 		tenant: from,
-		seen:   make(map[wire.NodeID]bool, 2),
+		hops:   make([]hop, 0, 4), // d' parents: one allocation for the usual flow
 	}
 	sh.flows[f] = fs
 	sh.lruPushLocked(fs)
@@ -111,12 +112,12 @@ func (n *Node) createFlowLocked(sh *shard, f wire.FlowID, from wire.NodeID) *flo
 // removeFlowLocked tears one flow down in the canonical order (see the
 // file comment); evicted distinguishes TTL/pressure eviction (counted)
 // from shutdown teardown.
-func (n *Node) removeFlowLocked(sh *shard, f wire.FlowID, fs *flowState, evicted bool) {
+func (n *Node) removeFlowLocked(sh *shard, fs *flowState, evicted bool) {
 	fs.stopTimers()
-	delete(sh.flows, f)
+	delete(sh.flows, fs.flow)
 	sh.lruRemoveLocked(fs)
 	if fs.inFilter {
-		sh.filter.remove(uint64(f))
+		sh.filter.remove(uint64(fs.flow))
 	} else {
 		sh.filter.overflow.Add(-1)
 	}
@@ -167,13 +168,20 @@ func (sh *shard) lruTouchLocked(fs *flowState) {
 	sh.lruPushLocked(fs)
 }
 
+// childKey names a flow as its child knows it: the child's address and the
+// flow-id this node stamps on packets to it (pi.Children[i], ChildFlows[i]),
+// which the child's acks and ParentDown reports come back under. Both halves
+// are 64 bits wide so the key hashes as plain memory.
+type childKey struct{ child, flow uint64 }
+
 // childDir maps a known child node to the set of shards holding flows that
-// list it among their children. Acks and ParentDown reports are addressed
-// by sender, not by a flow-id this node can map, and used to fan out to
-// EVERY shard per packet — O(shards) enqueues and lock acquisitions each.
-// The directory narrows that to exactly the shards with a matching flow,
-// and a sender that matches nothing (garbage, long-evicted flows) is
-// dropped by the transport goroutine without touching any shard at all.
+// list it among their children. An ack or ParentDown report names the
+// child's flow, which says nothing about the shard of the flow it concerns,
+// and used to fan out to EVERY shard per packet. The directory narrows that
+// to the shards with a flow listing the sender, each of which finds the one
+// flow concerned (or none) in its byChild index; a sender that matches
+// nothing (garbage, long-evicted flows) is dropped by the transport
+// goroutine without touching any shard at all.
 type childDir struct {
 	mu      sync.RWMutex
 	entries map[wire.NodeID]*childEntry
@@ -198,23 +206,20 @@ func (n *Node) childMask(from wire.NodeID) uint64 {
 	return m
 }
 
-// dirAddLocked registers a flow's children for the shard: the global
-// child→shard mask consulted by transport goroutines, and the shard-local
-// byChild index that lets handleAck/handleParentDown touch only the flows
-// actually listing the sender instead of scanning the whole shard. Called
-// under sh.mu at establishment and splice; the nested directory lock is
-// fine because no path takes a shard lock while holding it.
+// dirAddLocked indexes a flow under its children: one byChild key per
+// (child, child-flow) pair — a key already held stays with its holder — and
+// a ref on the child→shard mask consulted by transport goroutines. Called
+// under sh.mu at establishment and splice; the nested directory lock is fine
+// because no path takes a shard lock while holding it.
 func (n *Node) dirAddLocked(sh *shard, fs *flowState, pi *wire.PerNodeInfo) {
 	if len(pi.Children) == 0 {
 		return
 	}
-	for _, c := range pi.Children {
-		m := sh.byChild[c]
-		if m == nil {
-			m = make(map[wire.FlowID]*flowState, 1)
-			sh.byChild[c] = m
+	for i, c := range pi.Children {
+		k := childKey{uint64(c), uint64(pi.ChildFlows[i])}
+		if _, held := sh.byChild[k]; !held {
+			sh.byChild[k] = fs
 		}
-		m[fs.flow] = fs
 	}
 	n.children.mu.Lock()
 	for _, c := range pi.Children {
@@ -229,17 +234,17 @@ func (n *Node) dirAddLocked(sh *shard, fs *flowState, pi *wire.PerNodeInfo) {
 	n.children.mu.Unlock()
 }
 
-// dirDelLocked withdraws a flow's children refs (eviction, splice, close).
+// dirDelLocked withdraws a flow's index keys and directory refs (eviction,
+// splice, close). A key is released only by the flow that holds it, so a
+// flow whose block claims someone else's (child, child-flow) pair cannot
+// unroute that flow by leaving.
 func (n *Node) dirDelLocked(sh *shard, fs *flowState, pi *wire.PerNodeInfo) {
 	if len(pi.Children) == 0 {
 		return
 	}
-	for _, c := range pi.Children {
-		if m := sh.byChild[c]; m != nil {
-			delete(m, fs.flow)
-			if len(m) == 0 {
-				delete(sh.byChild, c)
-			}
+	for i, c := range pi.Children {
+		if k := (childKey{uint64(c), uint64(pi.ChildFlows[i])}); sh.byChild[k] == fs {
+			delete(sh.byChild, k)
 		}
 	}
 	n.children.mu.Lock()

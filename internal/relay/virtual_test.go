@@ -174,7 +174,9 @@ func TestRoundWaitForwardsAtExactInstant(t *testing.T) {
 	}, s.Clk.Now())
 	// The data-map names one parent; make the flow wait on two so a round
 	// with p1's slice alone is short.
-	n.shards[0].flows[flow].parents[p2] = true
+	fs := n.shards[0].flows[flow]
+	fs.hops = append(fs.hops, hop{id: p2, flags: hopParent})
+	fs.nParents++
 
 	rng := rand.New(rand.NewSource(7))
 	enc, err := code.NewEncoder(2, 2, rng)
@@ -213,7 +215,7 @@ func TestRoundWaitForwardsAtExactInstant(t *testing.T) {
 	if _, ok := forwardedAt[2]; ok {
 		t.Error("round 2 was never sent a slice, yet something was forwarded for it")
 	}
-	if w := n.shards[0].flows[flow].win; w.low != w.high || w.timer != nil {
+	if w := &fs.win; w.low != w.high || w.timer != nil {
 		t.Errorf("window [%d,%d) timer %v after every deadline ran out, want empty and disarmed", w.low, w.high, w.timer)
 	}
 }

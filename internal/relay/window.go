@@ -11,7 +11,8 @@ import (
 
 // A flow's data rounds live in one sliding window: a power-of-two ring of
 // reusable slots covering [low, low+len(slots)), allocated by the first
-// slice the flow has to hold and sized by work in flight, never by history.
+// slice the flow has to hold and sized by work in flight, never by history:
+// one slot while rounds complete in order, more when they overlap, none once idle.
 // A round drops its slice views the instant nothing needs them (forwarded,
 // for a relay; decoded, for a receiver), low advances over finished rounds,
 // and a slice for anything below low is a counted late drop. The ring
@@ -27,7 +28,7 @@ type roundWindow struct {
 	fire      func() // timer's callback, built once per flow
 }
 
-const minWindow, maxWindow = 4, 4096
+const minWindow, maxWindow = 1, 4096
 
 // roundSlot is one round. A zero deadline means no slice of it has been
 // seen: a hole below some later round.
@@ -74,10 +75,9 @@ func (fs *flowState) needs(seq uint32, s *roundSlot) (forward, decode bool) {
 // slotLocked returns the slot tracking round seq, making room for it (which
 // may re-seat the ring: older slot pointers die), or nil below the window.
 func (n *Node) slotLocked(sh *shard, fs *flowState, seq uint32) *roundSlot {
-	w := fs.win
-	if w == nil {
-		w = &roundWindow{slots: make([]roundSlot, minWindow)}
-		fs.win = w
+	w := &fs.win
+	if w.slots == nil {
+		w.slots = make([]roundSlot, minWindow)
 	}
 	off := seq - w.low
 	switch size := len(w.slots); {
@@ -105,7 +105,7 @@ func (n *Node) slotLocked(sh *shard, fs *flowState, seq uint32) *roundSlot {
 // slideLocked moves the window base up to low, writing off every round it
 // passes, O(1) each. A receiver's stream skips with them.
 func (n *Node) slideLocked(sh *shard, fs *flowState, low uint32) {
-	w := fs.win
+	w := &fs.win
 	for ; w.low != w.high && w.low != low; w.low++ {
 		s := w.at(w.low)
 		if fwd, dec := fs.needs(w.low, s); (fwd || dec) && len(s.got) > 0 || s.chunk != nil {
@@ -127,7 +127,7 @@ func (n *Node) slideLocked(sh *shard, fs *flowState, low uint32) {
 
 // advanceLocked recycles the rounds at low that nothing is waiting on.
 func (fs *flowState) advanceLocked() {
-	for w := fs.win; w.low != w.high; w.low++ {
+	for w := &fs.win; w.low != w.high; w.low++ {
 		s := w.at(w.low)
 		if fwd, dec := fs.needs(w.low, s); fwd || dec || s.chunk != nil {
 			return
@@ -138,7 +138,7 @@ func (fs *flowState) advanceLocked() {
 
 // armRoundTimerLocked arms the flow's round timer unless one is pending.
 func (n *Node) armRoundTimerLocked(sh *shard, fs *flowState, d time.Duration) {
-	w := fs.win
+	w := &fs.win
 	if w.timer != nil {
 		return
 	}
@@ -162,7 +162,7 @@ func (n *Node) armRoundTimerLocked(sh *shard, fs *flowState, d time.Duration) {
 // upstream relay has had its own RoundWait to forward it short. The timer
 // re-arms for the earliest instant still ahead.
 func (n *Node) roundDeadlineLocked(sh *shard, fs *flowState) {
-	w, now := fs.win, n.clk.Now()
+	w, now := &fs.win, n.clk.Now()
 	grace := max(n.cfg.GapWait-n.cfg.RoundWait, 0) // a hole's write-off lags the deadline above it
 	lastDue := w.low                               // holes in [low, lastDue) are written off
 	for seq := w.low; seq != w.high; seq++ {
@@ -189,7 +189,11 @@ func (n *Node) roundDeadlineLocked(sh *shard, fs *flowState) {
 		}
 	}
 	fs.advanceLocked()
-	if w.low != w.high && !next.IsZero() {
+	switch {
+	case w.low == w.high:
+		// Idle a whole RoundWait: the ring goes; the next slice to hold makes one.
+		w.slots, w.fire = nil, nil
+	case !next.IsZero():
 		n.armRoundTimerLocked(sh, fs, next.Sub(now))
 	}
 }

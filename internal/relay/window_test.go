@@ -277,7 +277,7 @@ func newWindowHarness(tb testing.TB) *windowHarness {
 
 func (h *windowHarness) arrive(parent int, seq uint32) {
 	ring, lowBefore := minWindow, uint32(0)
-	if w := h.fs.win; w != nil {
+	if w := &h.fs.win; w.slots != nil {
 		ring, lowBefore = len(w.slots), w.low
 	}
 	sentBefore := len(h.tr.sent)
@@ -304,7 +304,7 @@ func (h *windowHarness) drain() {
 	h.clk.RunFor(3 * wmRoundWait)
 	h.ref.runTo(from, h.clk.Elapsed())
 	h.check("drain")
-	if w := h.fs.win; w != nil && w.low != w.high {
+	if w := &h.fs.win; w.low != w.high {
 		h.tb.Fatalf("window [%d,%d) not drained %v after the last arrival", w.low, w.high, 3*wmRoundWait)
 	}
 }
@@ -321,10 +321,7 @@ func (h *windowHarness) check(op string) {
 	}
 	h.sh.mu.Lock()
 	defer h.sh.mu.Unlock()
-	w, m := h.fs.win, h.ref
-	if w == nil {
-		w = &roundWindow{}
-	}
+	w, m := &h.fs.win, h.ref
 	if w.low != m.low || w.high != m.high {
 		fail("window [%d,%d), reference [%d,%d)", w.low, w.high, m.low, m.high)
 	}
@@ -338,8 +335,12 @@ func (h *windowHarness) check(op string) {
 	if st.LateSlices != m.late || st.RoundsExpired != m.expired {
 		fail("late %d expired %d, reference late %d expired %d", st.LateSlices, st.RoundsExpired, m.late, m.expired)
 	}
-	miss := map[wire.NodeID]int{} // a nil map equals an empty one
-	maps.Copy(miss, h.fs.missStreak)
+	miss := map[wire.NodeID]int{}
+	for _, hp := range h.fs.hops {
+		if hp.miss > 0 {
+			miss[hp.id] = int(hp.miss)
+		}
+	}
 	if !maps.Equal(miss, m.miss) {
 		fail("miss streaks %v, reference %v", miss, m.miss)
 	}
@@ -413,12 +414,12 @@ func TestRoundWindowAgainstModel(t *testing.T) {
 			h.arrive(1, seq)
 			h.advance(wmRoundWait)
 		}
-		if h.fs.deadParents() != 1 || h.fs.missStreak[wmParents[2]] < deadParentStreak {
+		if h.fs.deadParents() != 1 || h.fs.hops[h.fs.hopIndex(wmParents[2])].miss < deadParentStreak {
 			t.Fatal("silent parent not marked dead")
 		}
 		// Its late slice for a round long forwarded still proves it alive.
 		h.arrive(2, 12)
-		if h.fs.deadParents() != 0 || h.fs.missStreak[wmParents[2]] != 0 {
+		if h.fs.deadParents() != 0 || h.fs.hops[h.fs.hopIndex(wmParents[2])].miss != 0 {
 			t.Fatal("late slice did not clear the dead mark")
 		}
 		// Ring growth while a deadline is pending: one parent runs ahead by

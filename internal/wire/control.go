@@ -11,7 +11,8 @@
 //	report:  the child seals the dead parent's address with its own per-node
 //	         key and emits a MsgParentDown toward the source along the
 //	         existing ack path — each relay recognises the reporting child
-//	         by its previous-hop address, re-stamps the report with its own
+//	         by its address and the flow-id it stamps on packets to that
+//	         child (which the report carries), re-stamps it with its own
 //	         flow-id, and forwards it to its parents. Intermediate relays
 //	         learn nothing from the report body (it is sealed); the clear
 //	         nonce exists only so the flood can be deduplicated.

@@ -74,7 +74,15 @@ type Packet struct {
 	// parsing one allocates nothing. Slots may therefore point into the
 	// Packet itself: copy a parsed Packet with Clone, never by value.
 	one [1][]byte
+	// area is the contiguous run of the receive buffer the parsed Slots
+	// view (nil for a packet that was not parsed).
+	area []byte
 }
+
+// SlotArea returns the bytes behind a parsed packet's slots as one view:
+// slot i is SlotArea()[i*SlotLen:][:SlotLen]. A relay retains it, rather
+// than a clone of the slot table, for the set-up packets it will forward.
+func (p *Packet) SlotArea() []byte { return p.area }
 
 // Marshal serializes the packet into a fresh buffer.
 func (p *Packet) Marshal() []byte {
@@ -157,6 +165,7 @@ func ParsePacket(b []byte, p *Packet) error {
 	default:
 		p.Slots = make([][]byte, n)
 	}
+	p.area = b[packetHeader : packetHeader+n*sl : packetHeader+n*sl]
 	off := packetHeader
 	for i := range p.Slots {
 		p.Slots[i] = b[off : off+sl : off+sl]
@@ -169,7 +178,7 @@ func ParsePacket(b []byte, p *Packet) error {
 // still the shared views): what a holder keeps when p itself is parse
 // scratch about to be reused.
 func (p *Packet) Clone() *Packet {
-	q := &Packet{Type: p.Type, Flow: p.Flow, Seq: p.Seq, CoeffLen: p.CoeffLen, SlotLen: p.SlotLen}
+	q := &Packet{Type: p.Type, Flow: p.Flow, Seq: p.Seq, CoeffLen: p.CoeffLen, SlotLen: p.SlotLen, area: p.area}
 	q.Slots = append(q.one[:0], p.Slots...)
 	return q
 }
@@ -234,12 +243,19 @@ func DecodeSlot(slot []byte, d int) (code.Slice, error) {
 // slice slot.
 func RandomSlot(slotLen int, rng *rand.Rand) []byte {
 	b := make([]byte, slotLen)
-	fillRand(b, rng)
+	FillRandom(b, rng)
 	return b
 }
 
-func fillRand(b []byte, rng *rand.Rand) {
-	for i := range b {
-		b[i] = byte(rng.Intn(256))
+// FillRandom overwrites b with padding bytes, eight per draw. A relay pads
+// the whole slot area of an outgoing set-up packet with one call.
+func FillRandom(b []byte, rng *rand.Rand) {
+	for ; len(b) >= 8; b = b[8:] {
+		binary.LittleEndian.PutUint64(b, rng.Uint64())
+	}
+	if len(b) > 0 {
+		var tail [8]byte
+		binary.LittleEndian.PutUint64(tail[:], rng.Uint64())
+		copy(b, tail[:])
 	}
 }

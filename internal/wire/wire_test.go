@@ -94,6 +94,55 @@ func TestRandomSlotRejectedAsSlice(t *testing.T) {
 	}
 }
 
+// FillRandom draws eight bytes at a time: every length must be covered to
+// its last byte, nothing past it touched, and the draws counted per word.
+func TestFillRandomCoversEveryLength(t *testing.T) {
+	for n := 0; n <= 40; n++ {
+		rng, twin := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+		buf := make([]byte, n+1)
+		zero := make([]bool, n)
+		for try := 0; try < 8; try++ { // a byte is 0 by chance once in 256
+			FillRandom(buf[:n], rng)
+			for i := range zero {
+				zero[i] = (try == 0 || zero[i]) && buf[i] == 0
+			}
+		}
+		for i, z := range zero {
+			if z {
+				t.Fatalf("length %d: byte %d never written", n, i)
+			}
+		}
+		if buf[n] != 0 {
+			t.Fatalf("length %d: wrote past the end", n)
+		}
+		for i := 0; i < 8*((n+7)/8); i++ {
+			twin.Uint64()
+		}
+		if rng.Uint64() != twin.Uint64() {
+			t.Fatalf("length %d: not one draw per eight bytes", n)
+		}
+	}
+}
+
+// SlotArea is the one view behind all of a parsed packet's slots, and
+// survives Clone.
+func TestSlotAreaBacksSlots(t *testing.T) {
+	p := &Packet{Type: MsgSetup, Flow: 7, CoeffLen: 2, SlotLen: 5,
+		Slots: [][]byte{[]byte("aaaaa"), []byte("bbbbb"), []byte("ccccc")}}
+	if p.SlotArea() != nil {
+		t.Fatal("a packet that was not parsed has no slot area")
+	}
+	var q Packet
+	if err := ParsePacket(p.Marshal(), &q); err != nil {
+		t.Fatal(err)
+	}
+	for _, area := range [][]byte{q.SlotArea(), q.Clone().SlotArea()} {
+		if string(area) != "aaaaabbbbbccccc" || &area[5] != &q.Slots[1][0] {
+			t.Fatalf("slot area %q does not back the slots", area)
+		}
+	}
+}
+
 func TestDecodeSlotTooShort(t *testing.T) {
 	if _, err := DecodeSlot([]byte{1, 2, 3}, 3); err == nil {
 		t.Fatal("short slot accepted")
