@@ -151,3 +151,24 @@ func (n *Node) handleSplice(sh *shard, fs *flowState, pkt *wire.Packet) {
 	fs.declareParents(pi, n.stamp(fs.lastActive), true)
 	sh.stats.SplicesApplied++
 }
+
+// handleUpstream moves an establishment ack or a ParentDown report from a
+// child one hop toward the source, for the one flow the exact-match index
+// found: re-stamped with this node's own flow-id (a report's sealed body is
+// opaque and copied verbatim) and flooded upstream. Runs with sh.mu held.
+func (n *Node) handleUpstream(sh *shard, fs *flowState, pkt *wire.Packet) {
+	if pkt.Type == wire.MsgAck {
+		if !fs.ackSent {
+			n.sendAckLocked(sh, fs)
+		}
+		return
+	}
+	nonce, sealed, err := wire.ParseParentDown(pkt)
+	if err != nil || fs.seenReports[nonce] {
+		return
+	}
+	fs.rememberReport(nonce)
+	sh.pktBuf = wire.AppendParentDown(sh.pktBuf[:0], fs.flow, nonce, sealed)
+	n.floodUpstreamLocked(sh, fs, sh.pktBuf)
+	sh.stats.ParentDownForwarded++
+}

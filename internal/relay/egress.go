@@ -69,46 +69,6 @@ type destBatch struct {
 	bufs [][]byte
 }
 
-// stageRoundLocked claims a round for forwarding: bookkeeping that must see
-// shard state stays here, the recode/frame/send work is described into the
-// staging arenas for runEgress. Runs with sh.mu held.
-func (n *Node) stageRoundLocked(sh *shard, fs *flowState, seq uint32, r *roundSlot) {
-	r.forwarded = true
-	fs.noteRound(r.from)
-	pi := fs.info
-	st := &sh.stage
-	job := egJob{pi: pi, seq: seq, d: fs.d, emitOff: len(st.emits), sliceOff: len(st.slices)}
-	needRegen := false
-	for _, e := range pi.DataMap {
-		if int(e.Child) >= len(pi.Children) {
-			continue
-		}
-		if s, ok := r.slice(e.Parent); ok {
-			st.emits = append(st.emits, egEmit{child: int(e.Child), slice: s})
-		} else if pi.Recode {
-			st.emits = append(st.emits, egEmit{child: int(e.Child), regen: true})
-			needRegen = true
-		}
-		// Missing parent and no recode rights: this child's slice cannot be
-		// served (§4.4.1 — only recoding nodes hold spare degrees of freedom).
-	}
-	job.emitN = len(st.emits) - job.emitOff
-	if needRegen {
-		// Snapshot the survivors: the decodability check and recombination
-		// run off-lock, after the slot has given up its views.
-		st.slices = append(st.slices, r.got...)
-		job.sliceN = len(st.slices) - job.sliceOff
-	}
-	if job.emitN > 0 {
-		st.jobs = append(st.jobs, job)
-	}
-	// The claimed views live on in the staging arena until egress drains
-	// it; the slot's own go the moment no decode is waiting on them.
-	if _, decode := fs.needs(seq, r); !decode {
-		r.release()
-	}
-}
-
 // runEgress drains staged rounds: recode, frame into refcounted slabs, and
 // hand per-destination batches to the transport. Callers must NOT hold
 // sh.mu. Safe to call with nothing staged (cheap no-op).

@@ -1,0 +1,163 @@
+package relay
+
+import (
+	"encoding/binary"
+
+	"infoslicing/internal/code"
+	"infoslicing/internal/slcrypto"
+	"infoslicing/internal/wire"
+)
+
+// maxSealedLen bounds a single sealed message on the reassembly stream. It
+// doubles as the resync filter's plausibility test: after a skipped round
+// the first four bytes of a candidate chunk are AEAD ciphertext — uniform
+// random — unless the chunk really starts a message, so a parsed length
+// above the bound rejects a mid-message chunk with probability 1−2^-12.
+const maxSealedLen = 1 << 20
+
+// tryDeliverLocked decodes a round and advances the receiver's reassembly
+// stream: [4-byte sealed length ‖ sealed bytes ‖ next message ...], each
+// chunk independently length-prefixed by the coding layer.
+func (n *Node) tryDeliverLocked(sh *shard, f wire.FlowID, fs *flowState, seq uint32, s *roundSlot) {
+	if len(s.got) < fs.d {
+		return // cannot span the round yet
+	}
+	chunk, err := code.Decode(fs.d, s.got)
+	if err != nil {
+		return
+	}
+	s.chunk = chunk
+	fs.win.buffered++
+	if forward, _ := fs.needs(seq, s); !forward {
+		s.release() // decoded and nothing to forward: the views are dead weight
+	}
+	n.spliceChunksLocked(sh, f, fs)
+	n.watchGapLocked(sh, f, fs)
+}
+
+// spliceChunksLocked appends consecutively-decoded rounds to the byte
+// stream and parses out completed messages. While resyncing after a skip it
+// discards chunks until one passes the message-head plausibility test.
+func (n *Node) spliceChunksLocked(sh *shard, f wire.FlowID, fs *flowState) {
+	for w := &fs.win; fs.nextSeq != w.high && w.at(fs.nextSeq).chunk != nil; {
+		s := w.at(fs.nextSeq)
+		c := s.chunk
+		s.chunk = nil
+		w.buffered--
+		fs.nextSeq++
+		if fs.resync {
+			if len(c) < 4 {
+				continue
+			}
+			if binary.BigEndian.Uint32(c) > maxSealedLen {
+				continue // mid-message ciphertext, not a length prefix
+			}
+			fs.resync = false
+		}
+		fs.stream = append(fs.stream, c...)
+	}
+	n.drainStreamLocked(sh, f, fs)
+}
+
+// watchGapLocked arms the gap timer while decoded rounds sit buffered
+// behind a missing one, and disarms it once the stream is contiguous. The
+// timer, not round arrival, drives the write-off: the hole round may never
+// reach this node at all.
+func (n *Node) watchGapLocked(sh *shard, f wire.FlowID, fs *flowState) {
+	if fs.gapTimer != nil {
+		if fs.win.buffered > 0 && fs.gapSeq == fs.nextSeq {
+			return // already watching this hole
+		}
+		fs.gapTimer.Stop()
+		fs.gapTimer = nil
+	}
+	if fs.win.buffered == 0 {
+		return
+	}
+	fs.gapSeq = fs.nextSeq
+	fs.gapTimer = n.clk.AfterFunc(n.cfg.GapWait, func() {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		if sh.flows[f] == fs {
+			n.skipGapLocked(sh, f, fs)
+		}
+	})
+}
+
+// skipGapLocked writes off the missing rounds the reassembly stream has
+// been parked on for a full GapWait. The transport never retransmits, so a
+// round still absent after that long lost more than d'−d slices at some
+// stage and is gone for good; skipping it trades those messages — already
+// lost — for the rest of the flow, which would otherwise head-of-line
+// block forever. Any partial message in the stream lost its continuation
+// with the hole, so the buffered bytes are dropped and the resync filter
+// re-aligns delivery on the next plausible message boundary.
+func (n *Node) skipGapLocked(sh *shard, f wire.FlowID, fs *flowState) {
+	fs.gapTimer = nil
+	if fs.win.buffered == 0 || fs.nextSeq != fs.gapSeq {
+		n.watchGapLocked(sh, f, fs) // progress since arming: watch the new hole, if any
+		return
+	}
+	next := fs.nextSeq
+	for next != fs.win.high && fs.win.at(next).chunk == nil {
+		next++
+	}
+	n.skipStreamLocked(sh, fs, next)
+	n.spliceChunksLocked(sh, f, fs)
+	n.watchGapLocked(sh, f, fs)
+	fs.advanceLocked()
+}
+
+// skipStreamLocked moves the reassembly stream forward to round next,
+// writing off the rounds in between and dropping the partial message they
+// clipped.
+func (n *Node) skipStreamLocked(sh *shard, fs *flowState, next uint32) {
+	sh.stats.RoundsSkipped += int64(next - fs.nextSeq)
+	if len(fs.stream) > 0 || !fs.resync {
+		fs.stream = fs.stream[:0]
+		fs.resync = true
+		fs.tainted = true
+		sh.stats.StreamResyncs++
+	}
+	fs.nextSeq = next
+}
+
+func (n *Node) drainStreamLocked(sh *shard, f wire.FlowID, fs *flowState) {
+	for {
+		if len(fs.stream) < 4 {
+			return
+		}
+		total := int(binary.BigEndian.Uint32(fs.stream))
+		if fs.tainted && total > maxSealedLen {
+			// Framing lost (a resync accepted ciphertext that happened to
+			// parse as a plausible length). Drop the stream and re-align at
+			// the next chunk boundary. An unbroken chunk sequence is never
+			// second-guessed: legitimate messages may exceed the cap.
+			fs.stream = fs.stream[:0]
+			fs.resync = true
+			sh.stats.StreamResyncs++
+			return
+		}
+		if len(fs.stream) < 4+total {
+			return
+		}
+		sealed := fs.stream[4 : 4+total]
+		if fs.opener == nil {
+			fs.opener = slcrypto.NewSealer(fs.info.Key)
+		}
+		plain, err := fs.opener.OpenTo(nil, sealed)
+		// Compact in place instead of reallocating per message; the buffer
+		// is reused by the next chunks.
+		fs.stream = fs.stream[:copy(fs.stream, fs.stream[4+total:])]
+		if err != nil {
+			continue // corrupted message; skip
+		}
+		fs.tainted = false // authenticated: framing provably re-aligned
+		sh.stats.MessagesDelivered++
+		select {
+		case n.received <- Message{Flow: f, Data: plain}:
+		default:
+			sh.stats.Dropped++
+		}
+	}
+}

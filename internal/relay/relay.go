@@ -51,7 +51,6 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -795,366 +794,6 @@ func (n *Node) sendLocked(sh *shard, to wire.NodeID, buf []byte) {
 	sh.stats.PacketsOut++
 	if err := n.tr.Send(n.id, to, buf); err != nil && errors.Is(err, overlay.ErrSendQueueFull) {
 		sh.stats.SendDrops++
-	}
-}
-
-// handleUpstream moves an establishment ack or a ParentDown report from a
-// child one hop toward the source, for the one flow the exact-match index
-// found: re-stamped with this node's own flow-id (a report's sealed body is
-// opaque and copied verbatim) and flooded upstream. Runs with sh.mu held.
-func (n *Node) handleUpstream(sh *shard, fs *flowState, pkt *wire.Packet) {
-	if pkt.Type == wire.MsgAck {
-		if !fs.ackSent {
-			n.sendAckLocked(sh, fs)
-		}
-		return
-	}
-	nonce, sealed, err := wire.ParseParentDown(pkt)
-	if err != nil || fs.seenReports[nonce] {
-		return
-	}
-	fs.rememberReport(nonce)
-	sh.pktBuf = wire.AppendParentDown(sh.pktBuf[:0], fs.flow, nonce, sealed)
-	n.floodUpstreamLocked(sh, fs, sh.pktBuf)
-	sh.stats.ParentDownForwarded++
-}
-
-// sendAckLocked emits this flow's establishment acknowledgment (§7.4:
-// originated by the destination, re-stamped hop by hop) to every previous
-// hop. Runs with sh.mu held.
-func (n *Node) sendAckLocked(sh *shard, fs *flowState) {
-	fs.ackSent = true
-	sh.pktBuf = wire.AppendPacketHeader(sh.pktBuf[:0], wire.MsgAck, fs.flow, 0, 0, 0, 0)
-	n.floodUpstreamLocked(sh, fs, sh.pktBuf)
-}
-
-// handleSetup runs on the shard worker with sh.mu held.
-func (n *Node) handleSetup(sh *shard, fs *flowState, hi int, pkt *wire.Packet) {
-	if fs.setupSent || hi < 0 || fs.hops[hi].setup != nil {
-		return // late (already forwarded), past the observation cap, or a duplicate
-	}
-	h := &fs.hops[hi]
-	// Kept until the wave is forwarded (the view pins the receive buffer).
-	h.setup, h.setupD, h.setupSlotLen, h.setupSlots = pkt.SlotArea(), pkt.CoeffLen, pkt.SlotLen, uint8(len(pkt.Slots))
-	if fs.info == nil && !n.establishLocked(sh, fs, int(pkt.CoeffLen)) {
-		return // not yet decodable; if it never is, GC reaps the flow
-	}
-	switch {
-	case fs.info.Spliced || len(fs.info.Children) == 0:
-		// A spliced-in replacement (its block came straight from the source
-		// endpoints, its children were patched directly) or a leaf: no wave
-		// to forward, so the setup state, and the buffers it pins, is done.
-		fs.setupSent = true
-		fs.dropSetup()
-	case fs.setupStaged():
-		n.forwardSetupLocked(sh, fs)
-	case fs.setupTimer == nil:
-		fs.setupTimer = n.clk.AfterFunc(n.cfg.SetupWait, func() {
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
-			if sh.flows[fs.flow] == fs && !fs.setupSent {
-				n.forwardSetupLocked(sh, fs)
-			}
-		})
-	}
-}
-
-// establishLocked tries to decode the flow's routing block from the set-up
-// packets that claim split factor d (the newest packet's: no other group can
-// have become decodable). Slot 0 of each carries one of our own slices, if it
-// validates; padding and slices lost upstream do not. The claim becomes
-// authoritative only when the group decodes into a block that passes magic
-// and checksum.
-func (n *Node) establishLocked(sh *shard, fs *flowState, d int) bool {
-	if d < 1 || d > 64 {
-		return false
-	}
-	own := sh.ownScratch[:0]
-	var geom *hop // the group's first packet with a valid own slice
-	for i := range fs.hops {
-		h := &fs.hops[i]
-		if h.setup == nil || int(h.setupD) != d || h.setupSlots == 0 {
-			continue
-		}
-		if s, err := wire.DecodeSlot(h.setup[:h.setupSlotLen], d); err == nil {
-			if own = append(own, s); geom == nil {
-				geom = h
-			}
-		}
-	}
-	sh.ownScratch = own[:0]
-	defer clear(own) // the views pin receive buffers
-	if len(own) < d {
-		return false
-	}
-	blob, err := code.Decode(d, own)
-	if err != nil {
-		return false
-	}
-	pi, err := wire.UnmarshalPerNodeInfo(blob)
-	if err != nil {
-		return false
-	}
-	fs.info = pi
-	fs.d, fs.slotLen, fs.nSlots = d, int(geom.setupSlotLen), int(geom.setupSlots)
-	sh.stats.FlowsEstablished++
-	fs.declareParents(pi, n.stamp(fs.lastActive), false)
-	n.dirAddLocked(sh, fs, pi) // its children's acks and reports now find it
-
-	if pi.Receiver {
-		n.sendAckLocked(sh, fs)
-	}
-	// Process any data that raced ahead of the decode.
-	for _, pd := range fs.pendingData {
-		n.handleData(sh, fs, pd.from, fs.hopIndex(pd.from), pd.pkt)
-	}
-	fs.pendingData = nil
-	return true
-}
-
-// forwardSetupLocked frames one packet per child straight into the shard's
-// framing buffer: all of it is padded in one go, then each slice-map slot is
-// copied from the retained packet to its place and stripped of one
-// scrambling layer where it lies. Everything else — including slots whose
-// source packet never arrived — stays padding: packet size is constant (§9.4c).
-func (n *Node) forwardSetupLocked(sh *shard, fs *flowState) {
-	fs.setupSent = true
-	if fs.setupTimer != nil {
-		fs.setupTimer.Stop()
-		fs.setupTimer = nil
-	}
-	pi := fs.info
-	frame := wire.HeaderLen + fs.nSlots*fs.slotLen
-	buf := slices.Grow(sh.pktBuf[:0], len(pi.Children)*frame)[:len(pi.Children)*frame]
-	sh.pktBuf = buf
-	wire.FillRandom(buf, sh.rng)
-	for c := range pi.Children {
-		wire.AppendPacketHeader(buf[c*frame:c*frame], wire.MsgSetup, pi.ChildFlows[c], 0,
-			uint8(fs.d), uint16(fs.slotLen), fs.nSlots)
-	}
-	for _, e := range pi.SliceMap {
-		hi := fs.hopIndex(e.Src.Parent)
-		if hi < 0 || int(e.Child) >= len(pi.Children) || int(e.DstSlot) >= fs.nSlots {
-			continue
-		}
-		src := &fs.hops[hi]
-		if src.setup == nil || e.Src.Slot >= src.setupSlots || int(src.setupSlotLen) != fs.slotLen {
-			continue // lost upstream, or a malformed or cross-phase packet: the padding stays
-		}
-		dst := buf[int(e.Child)*frame+wire.HeaderLen+int(e.DstSlot)*fs.slotLen:][:fs.slotLen]
-		copy(dst, src.setup[int(e.Src.Slot)*fs.slotLen:])
-		e.Unscramble.Invert(dst)
-	}
-	for c, ch := range pi.Children {
-		n.sendLocked(sh, ch, buf[c*frame:][:frame])
-	}
-	fs.dropSetup()
-}
-
-// handleData runs on the shard worker with sh.mu held.
-func (n *Node) handleData(sh *shard, fs *flowState, from wire.NodeID, hi int, pkt *wire.Packet) {
-	if fs.info == nil {
-		// Data raced ahead of setup; buffer a bounded amount.
-		if len(fs.pendingData) < 1024 {
-			fs.pendingData = append(fs.pendingData, pendingPacket{from, pkt.Clone()})
-		}
-		return
-	}
-	fwd := len(fs.info.Children) > 0
-	if len(pkt.Slots) < 1 || !fwd && !fs.info.Receiver {
-		return // a last-stage bystander has no use for the slice: hold nothing
-	}
-	sl, err := wire.DecodeSlot(pkt.Slots[0], fs.d)
-	if err != nil {
-		return
-	}
-	if hi >= 0 {
-		fs.hops[hi].miss = 0 // a parent that speaks is alive, however late its slice
-	}
-	seq := pkt.Seq
-	var forward, decode bool
-	s := n.slotLocked(sh, fs, seq)
-	if s != nil {
-		forward, decode = fs.needs(seq, s)
-	}
-	if !forward && !decode {
-		sh.stats.LateSlices++ // below the window, or a round already finished
-		return
-	}
-	if slices.Contains(s.from, from) {
-		return // duplicate
-	}
-	if s.deadline.IsZero() {
-		s.deadline = fs.lastActive.Add(n.cfg.RoundWait) // lastActive is this packet's arrival
-	}
-	if s.got == nil {
-		k := len(fs.hops)
-		s.from, s.got = make([]wire.NodeID, 0, k), make([]code.Slice, 0, k)
-	}
-	s.from, s.got = append(s.from, from), append(s.got, sl)
-	if decode {
-		n.tryDeliverLocked(sh, fs.flow, fs, seq, s)
-	}
-	if forward && len(s.got) >= fs.nParents-fs.deadParents() {
-		n.stageRoundLocked(sh, fs, seq, s)
-	}
-	fs.advanceLocked()
-	if w := &fs.win; fwd && w.low != w.high {
-		n.armRoundTimerLocked(sh, fs, n.cfg.RoundWait)
-	}
-}
-
-// maxSealedLen bounds a single sealed message on the reassembly stream. It
-// doubles as the resync filter's plausibility test: after a skipped round
-// the first four bytes of a candidate chunk are AEAD ciphertext — uniform
-// random — unless the chunk really starts a message, so a parsed length
-// above the bound rejects a mid-message chunk with probability 1−2^-12.
-const maxSealedLen = 1 << 20
-
-// tryDeliverLocked decodes a round and advances the receiver's reassembly
-// stream: [4-byte sealed length ‖ sealed bytes ‖ next message ...], each
-// chunk independently length-prefixed by the coding layer.
-func (n *Node) tryDeliverLocked(sh *shard, f wire.FlowID, fs *flowState, seq uint32, s *roundSlot) {
-	if len(s.got) < fs.d {
-		return // cannot span the round yet
-	}
-	chunk, err := code.Decode(fs.d, s.got)
-	if err != nil {
-		return
-	}
-	s.chunk = chunk
-	fs.win.buffered++
-	if forward, _ := fs.needs(seq, s); !forward {
-		s.release() // decoded and nothing to forward: the views are dead weight
-	}
-	n.spliceChunksLocked(sh, f, fs)
-	n.watchGapLocked(sh, f, fs)
-}
-
-// spliceChunksLocked appends consecutively-decoded rounds to the byte
-// stream and parses out completed messages. While resyncing after a skip it
-// discards chunks until one passes the message-head plausibility test.
-func (n *Node) spliceChunksLocked(sh *shard, f wire.FlowID, fs *flowState) {
-	for w := &fs.win; fs.nextSeq != w.high && w.at(fs.nextSeq).chunk != nil; {
-		s := w.at(fs.nextSeq)
-		c := s.chunk
-		s.chunk = nil
-		w.buffered--
-		fs.nextSeq++
-		if fs.resync {
-			if len(c) < 4 {
-				continue
-			}
-			if binary.BigEndian.Uint32(c) > maxSealedLen {
-				continue // mid-message ciphertext, not a length prefix
-			}
-			fs.resync = false
-		}
-		fs.stream = append(fs.stream, c...)
-	}
-	n.drainStreamLocked(sh, f, fs)
-}
-
-// watchGapLocked arms the gap timer while decoded rounds sit buffered
-// behind a missing one, and disarms it once the stream is contiguous. The
-// timer, not round arrival, drives the write-off: the hole round may never
-// reach this node at all.
-func (n *Node) watchGapLocked(sh *shard, f wire.FlowID, fs *flowState) {
-	if fs.gapTimer != nil {
-		if fs.win.buffered > 0 && fs.gapSeq == fs.nextSeq {
-			return // already watching this hole
-		}
-		fs.gapTimer.Stop()
-		fs.gapTimer = nil
-	}
-	if fs.win.buffered == 0 {
-		return
-	}
-	fs.gapSeq = fs.nextSeq
-	fs.gapTimer = n.clk.AfterFunc(n.cfg.GapWait, func() {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		if sh.flows[f] == fs {
-			n.skipGapLocked(sh, f, fs)
-		}
-	})
-}
-
-// skipGapLocked writes off the missing rounds the reassembly stream has
-// been parked on for a full GapWait. The transport never retransmits, so a
-// round still absent after that long lost more than d'−d slices at some
-// stage and is gone for good; skipping it trades those messages — already
-// lost — for the rest of the flow, which would otherwise head-of-line
-// block forever. Any partial message in the stream lost its continuation
-// with the hole, so the buffered bytes are dropped and the resync filter
-// re-aligns delivery on the next plausible message boundary.
-func (n *Node) skipGapLocked(sh *shard, f wire.FlowID, fs *flowState) {
-	fs.gapTimer = nil
-	if fs.win.buffered == 0 || fs.nextSeq != fs.gapSeq {
-		n.watchGapLocked(sh, f, fs) // progress since arming: watch the new hole, if any
-		return
-	}
-	next := fs.nextSeq
-	for next != fs.win.high && fs.win.at(next).chunk == nil {
-		next++
-	}
-	n.skipStreamLocked(sh, fs, next)
-	n.spliceChunksLocked(sh, f, fs)
-	n.watchGapLocked(sh, f, fs)
-	fs.advanceLocked()
-}
-
-// skipStreamLocked moves the reassembly stream forward to round next,
-// writing off the rounds in between and dropping the partial message they
-// clipped.
-func (n *Node) skipStreamLocked(sh *shard, fs *flowState, next uint32) {
-	sh.stats.RoundsSkipped += int64(next - fs.nextSeq)
-	if len(fs.stream) > 0 || !fs.resync {
-		fs.stream = fs.stream[:0]
-		fs.resync = true
-		fs.tainted = true
-		sh.stats.StreamResyncs++
-	}
-	fs.nextSeq = next
-}
-
-func (n *Node) drainStreamLocked(sh *shard, f wire.FlowID, fs *flowState) {
-	for {
-		if len(fs.stream) < 4 {
-			return
-		}
-		total := int(binary.BigEndian.Uint32(fs.stream))
-		if fs.tainted && total > maxSealedLen {
-			// Framing lost (a resync accepted ciphertext that happened to
-			// parse as a plausible length). Drop the stream and re-align at
-			// the next chunk boundary. An unbroken chunk sequence is never
-			// second-guessed: legitimate messages may exceed the cap.
-			fs.stream = fs.stream[:0]
-			fs.resync = true
-			sh.stats.StreamResyncs++
-			return
-		}
-		if len(fs.stream) < 4+total {
-			return
-		}
-		sealed := fs.stream[4 : 4+total]
-		if fs.opener == nil {
-			fs.opener = slcrypto.NewSealer(fs.info.Key)
-		}
-		plain, err := fs.opener.OpenTo(nil, sealed)
-		// Compact in place instead of reallocating per message; the buffer
-		// is reused by the next chunks.
-		fs.stream = fs.stream[:copy(fs.stream, fs.stream[4+total:])]
-		if err != nil {
-			continue // corrupted message; skip
-		}
-		fs.tainted = false // authenticated: framing provably re-aligned
-		sh.stats.MessagesDelivered++
-		select {
-		case n.received <- Message{Flow: f, Data: plain}:
-		default:
-			sh.stats.Dropped++
-		}
 	}
 }
 
