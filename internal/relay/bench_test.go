@@ -34,13 +34,20 @@ func (t *countingTransport) Send(from, to wire.NodeID, data []byte) error {
 	return nil
 }
 
-// process injects one datagram on its shard synchronously: the single-packet
-// degenerate burst, egress included, for tests and benchmarks that drive a
-// shard directly instead of through its queue and worker.
+// process injects one datagram on its shard and waits for it: the
+// single-packet degenerate burst, egress included, for tests that drive a
+// shard directly instead of through its queue.
 func (n *Node) process(sh *shard, from wire.NodeID, data []byte) {
+	sh.do(func() { n.processHere(sh, from, data) })
+}
+
+// processHere is process for a caller already on the shard's worker: a
+// benchmark runs its whole loop inside one sh.do, so it measures the forward
+// path and not a goroutine hand-off per packet.
+func (n *Node) processHere(sh *shard, from wire.NodeID, data []byte) {
 	p := processScratch.Get().(*[1]wire.Packet)
 	n.processBurst(sh, []inPkt{{from: from, data: data}}, p[:])
-	n.runEgress(sh)
+	n.endBurst(sh)
 	p[0] = wire.Packet{}
 	processScratch.Put(p)
 }
@@ -117,16 +124,18 @@ func BenchmarkForwardDataPacket(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			// Drive the shard-worker path (parse, verify, round bookkeeping,
-			// re-frame, send) synchronously: the benchmark measures forward
-			// latency, not queue hand-off, and reusing bufs in place requires
-			// the single-owner discipline the worker normally provides.
-			for i := 0; i < b.N; i++ {
-				seq := uint32(i)
-				for p := 0; p < active; p++ {
-					binary.BigEndian.PutUint32(bufs[p][9:], seq)
-					n.process(sh, parents[p], bufs[p])
+			// re-frame, send) synchronously on the worker: the benchmark
+			// measures forward latency, not queue hand-off, and reusing bufs
+			// in place requires the single-owner discipline the worker provides.
+			sh.do(func() {
+				for i := 0; i < b.N; i++ {
+					seq := uint32(i)
+					for p := 0; p < active; p++ {
+						binary.BigEndian.PutUint32(bufs[p][9:], seq)
+						n.processHere(sh, parents[p], bufs[p])
+					}
 				}
-			}
+			})
 			b.StopTimer()
 			if want := int64(b.N * len(info.DataMap)); tr.sent < want {
 				b.Fatalf("forwarded %d packets, want >= %d", tr.sent, want)
@@ -138,7 +147,7 @@ func BenchmarkForwardDataPacket(b *testing.B) {
 // BenchmarkForwardBurst measures what burst draining amortizes: the same
 // single-parent forward path driven one packet at a time (the pre-burst shard
 // loop) versus through processBurst at the default burst bound — per-burst
-// parse batch, one lock acquisition, one done-check, one stats flush. Each
+// parse batch, one done-check, one egress drain. Each
 // packet is its own round, so every packet pays the full forward cost and
 // the delta is pure per-packet overhead.
 func BenchmarkForwardBurst(b *testing.B) {
@@ -188,13 +197,15 @@ func BenchmarkForwardBurst(b *testing.B) {
 			b.ResetTimer()
 			// Each iteration is one full burst of k packets, every packet its
 			// own round (seq strictly increasing).
-			for i := 0; i < b.N; i++ {
-				for j := range burst {
-					binary.BigEndian.PutUint32(burst[j].data[9:], uint32(i*k+j))
+			sh.do(func() {
+				for i := 0; i < b.N; i++ {
+					for j := range burst {
+						binary.BigEndian.PutUint32(burst[j].data[9:], uint32(i*k+j))
+					}
+					n.processBurst(sh, burst, parsed)
+					n.endBurst(sh)
 				}
-				n.processBurst(sh, burst, parsed)
-				n.runEgress(sh)
-			}
+			})
 			b.StopTimer()
 			perPkt := float64(b.Elapsed().Nanoseconds()) / float64(b.N*k)
 			b.ReportMetric(perPkt, "ns/pkt")
@@ -208,13 +219,13 @@ func BenchmarkForwardBurst(b *testing.B) {
 // BenchmarkFlowLookup measures the two flow-table lookup paths the cuckoo
 // front filter splits, against a table holding lookupResident flows:
 //
-//   - "hit": a heartbeat for a resident flow — parse, shard lock, flat map
-//     lookup, liveness stamp. The steady-state cost of being a known flow.
+//   - "hit": a heartbeat for a resident flow — parse, flat map lookup,
+//     liveness stamp. The steady-state cost of being a known flow.
 //   - "miss": a heartbeat for an absent flow through onPacket — the per-shard
-//     cuckoo filter must reject it on the transport goroutine without taking
-//     the shard lock or allocating. bench_baseline.json pins this path at
-//     zero allocs/op; a regression here means non-flow traffic is back on
-//     the shard locks.
+//     cuckoo filter must reject it on the transport goroutine without
+//     queueing or allocating. bench_baseline.json pins this path at zero
+//     allocs/op; a regression here means non-flow traffic is back on the
+//     shard queues.
 func BenchmarkFlowLookup(b *testing.B) {
 	const lookupResident = 1024
 	setup := func(b *testing.B) (*Node, *shard, wire.FlowID) {
@@ -229,11 +240,11 @@ func BenchmarkFlowLookup(b *testing.B) {
 			flow := wire.FlowID(0xf10c_0000 + uint64(i)*2654435761)
 			fs := &flowState{flow: flow, lastActive: time.Now()}
 			sh := n.shardFor(flow)
-			sh.mu.Lock()
-			sh.flows[flow] = fs
-			sh.lruPushLocked(fs)
-			fs.inFilter = sh.filter.insert(uint64(flow), sh.rng)
-			sh.mu.Unlock()
+			sh.do(func() {
+				sh.flows[flow] = fs
+				sh.lruPush(fs)
+				fs.inFilter = sh.filter.insert(uint64(flow), sh.rng)
+			})
 			n.flowCount.Add(1)
 			target = flow
 		}
@@ -248,12 +259,14 @@ func BenchmarkFlowLookup(b *testing.B) {
 		b.ResetTimer()
 		// Synchronous single-packet dispatch (the degenerate burst): the
 		// benchmark measures lookup cost, not queue hand-off.
-		for i := 0; i < b.N; i++ {
-			if !sh.filter.mayContain(uint64(flow)) {
-				b.Fatal("resident flow rejected by filter (false negative)")
+		sh.do(func() {
+			for i := 0; i < b.N; i++ {
+				if !sh.filter.mayContain(uint64(flow)) {
+					panic("resident flow rejected by filter (false negative)")
+				}
+				n.processHere(sh, from, buf)
 			}
-			n.process(sh, from, buf)
-		}
+		})
 		b.StopTimer()
 		if got := n.Stats().HeartbeatsIn; got < int64(b.N) {
 			b.Fatalf("HeartbeatsIn = %d, want >= %d", got, b.N)
@@ -338,14 +351,14 @@ func BenchmarkFlowSetup(b *testing.B) {
 	sh, flow := n.shards[0], g.Flows[target]
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, a := range wave {
-			n.process(sh, a.from, a.frame)
+	sh.do(func() {
+		for i := 0; i < b.N; i++ {
+			for _, a := range wave {
+				n.processHere(sh, a.from, a.frame)
+			}
+			n.removeFlow(sh, sh.flows[flow], true)
 		}
-		sh.mu.Lock()
-		n.removeFlowLocked(sh, sh.flows[flow], true)
-		sh.mu.Unlock()
-	}
+	})
 	b.StopTimer()
 	if st := n.Stats(); st.FlowsEstablished != int64(b.N) || tr.sent != int64(3*b.N) {
 		b.Fatalf("%d flows established and %d set-up packets forwarded in %d rounds, want %d and %d",
@@ -354,8 +367,9 @@ func BenchmarkFlowSetup(b *testing.B) {
 }
 
 // ackFanIn installs flows established flows that all list one child and
-// returns a function that delivers that child's ack for the first of them.
-func ackFanIn(tb testing.TB, flows int) (ack func(), tr *countingTransport) {
+// returns a function that delivers that child's ack for the first of them,
+// to be called on the shard's worker (inside sh.do).
+func ackFanIn(tb testing.TB, flows int) (ack func(), sh *shard, tr *countingTransport) {
 	const child = wire.NodeID(77)
 	tr = &countingTransport{}
 	n, err := New(1, tr, Config{Shards: 1, MaxFlows: flows, Rng: rand.New(rand.NewSource(1))})
@@ -367,8 +381,8 @@ func ackFanIn(tb testing.TB, flows int) (ack func(), tr *countingTransport) {
 	frame := ackFrame(faninChildFlow(0))
 	return func() {
 		fs.ackSent = false // re-arm: the ack is deduped per flow
-		n.process(n.shards[0], child, frame)
-	}, tr
+		n.processHere(n.shards[0], child, frame)
+	}, n.shards[0], tr
 }
 
 // BenchmarkAckFanIn measures an establishment ack arriving for one flow
@@ -379,12 +393,14 @@ func ackFanIn(tb testing.TB, flows int) (ack func(), tr *countingTransport) {
 func BenchmarkAckFanIn(b *testing.B) {
 	for _, flows := range []int{16, 16384} {
 		b.Run(fmt.Sprintf("flows=%d", flows), func(b *testing.B) {
-			ack, tr := ackFanIn(b, flows)
+			ack, sh, tr := ackFanIn(b, flows)
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ack()
-			}
+			sh.do(func() {
+				for i := 0; i < b.N; i++ {
+					ack()
+				}
+			})
 			b.StopTimer()
 			if tr.sent != int64(b.N) {
 				b.Fatalf("%d acks in, %d upstream acks out", b.N, tr.sent)
@@ -398,15 +414,17 @@ func BenchmarkAckFanIn(b *testing.B) {
 // per ack (iterating them, as the per-child index used to, costs a hundred).
 func TestAckCostIndependentOfTableSize(t *testing.T) {
 	perAck := func(flows int) time.Duration {
-		ack, _ := ackFanIn(t, flows)
+		ack, sh, _ := ackFanIn(t, flows)
 		best := time.Duration(1 << 62)
-		for rep := 0; rep < 5; rep++ {
-			start := time.Now()
-			for i := 0; i < 2000; i++ {
-				ack()
+		sh.do(func() {
+			for rep := 0; rep < 5; rep++ {
+				start := time.Now()
+				for i := 0; i < 2000; i++ {
+					ack()
+				}
+				best = min(best, time.Since(start)/2000)
 			}
-			best = min(best, time.Since(start)/2000)
-		}
+		})
 		return best
 	}
 	small, large := perAck(16), perAck(16384)

@@ -67,8 +67,7 @@ func TestBurstExactlyOnceForwarding(t *testing.T) {
 		{from: p1, data: dataFrame(flow, 0, 2, slices[0]), release: rel}, // duplicate
 		{from: p2, data: dataFrame(flow, 0, 2, slices[1]), release: rel},
 	}
-	n.processBurst(sh, burst, make([]wire.Packet, len(burst)))
-	n.runEgress(sh)
+	sh.do(func() { n.processBurst(sh, burst, make([]wire.Packet, len(burst))) }) // egress drains at the call's tail
 	for i := range burst {
 		burst[i].release()
 	}
@@ -107,10 +106,10 @@ func TestBurstQueueDropAccounting(t *testing.T) {
 	}
 }
 
-// TestBurstShutdownReleasesHolds closes the node while its worker is blocked
-// mid-burst on the shard lock with more packets still queued: every clock
-// hold — from the partially drained burst and from the untouched backlog —
-// must come back, or a virtual-time run would hang forever; and none of the
+// TestBurstShutdownReleasesHolds closes the node while its worker is held up
+// in a mailbox call with a backlog queued behind it: every clock hold — from
+// a burst the worker still picks up and from the untouched backlog — must
+// come back, or a virtual-time run would hang forever; and none of the
 // packets may be processed after the done-check.
 func TestBurstShutdownReleasesHolds(t *testing.T) {
 	const flow = wire.FlowID(0xdead)
@@ -129,21 +128,19 @@ func TestBurstShutdownReleasesHolds(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Stall the worker: it will pick up a burst, parse it, and block on
-	// sh.mu; the rest of the backlog stays queued.
-	sh.mu.Lock()
-	for i := 0; i < 12; i++ {
-		sh.enqueue(wire.NodeID(11), dataFrame(flow, uint32(i), 2, slices[0]), s.Clk.Hold())
-	}
+	// Stall the worker while the backlog queues up, and let it go only once
+	// Close has signalled shutdown, so no packet can slip through.
 	closed := make(chan struct{})
-	go func() {
-		n.Close()
-		close(closed)
-	}()
-	// Close signals shutdown before it touches any shard lock; release the
-	// worker only once the signal is visible so no packet can slip through.
-	<-n.done
-	sh.mu.Unlock()
+	sh.do(func() {
+		for i := 0; i < 12; i++ {
+			sh.enqueue(wire.NodeID(11), dataFrame(flow, uint32(i), 2, slices[0]), s.Clk.Hold())
+		}
+		go func() {
+			n.Close()
+			close(closed)
+		}()
+		<-n.done
+	})
 	<-closed
 
 	// Every hold must be back: a virtual clock step blocks until the

@@ -8,9 +8,8 @@ import (
 
 // Control plane: failure detection, ParentDown reporting, and splice
 // acceptance (see DESIGN.md, "The live churn control plane"). Everything
-// here runs either on a shard worker or on the control loop holding the
-// shard lock, so the single-writer-per-shard discipline (buffer-ownership
-// rule 6) is preserved.
+// here runs on a shard's worker — the sweep through its mailbox — so the
+// one-owner-per-shard discipline (buffer-ownership rule 6) holds.
 
 // seenReportsCap bounds the per-flow nonce dedup set; when it fills, the
 // set is reset wholesale. A re-forwarded duplicate after a reset is
@@ -20,45 +19,39 @@ const seenReportsCap = 512
 
 // controlSweep is the node's heartbeat/liveness driver, scheduled as a
 // periodic clock task (every Config.Heartbeat) only when the control plane
-// is on. Each sweep walks every shard under its lock: established flows
-// with children get one keepalive per child, and — when LivenessTimeout is
+// is on. Each sweep walks the shards in order, each on its own worker:
+// established flows with children get one keepalive per child, and — when LivenessTimeout is
 // set — parents that have been silent too long are reported toward the
 // source. Detection never alters round forwarding (deadParents stays
 // round-driven), so enabling the control plane does not change what the
 // data path delivers; it only adds the repair signal.
 func (n *Node) controlSweep() {
-	select {
-	case <-n.done:
-		return
-	default:
-	}
 	now := n.stamp(n.clk.Now())
 	for _, sh := range n.shards {
-		sh.mu.Lock()
-		for _, fs := range sh.flows {
-			if fs.info == nil {
-				continue
+		sh.post(func() {
+			for _, fs := range sh.flows {
+				if fs.info == nil {
+					continue
+				}
+				n.sendHeartbeats(sh, fs)
+				if n.cfg.LivenessTimeout > 0 {
+					fs.sweepHops(now, int64(n.cfg.LivenessTimeout), func(dead wire.NodeID) {
+						n.sendParentDown(sh, fs, dead)
+					})
+				}
 			}
-			n.sendHeartbeatsLocked(sh, fs)
-			if n.cfg.LivenessTimeout > 0 {
-				fs.sweepHops(now, int64(n.cfg.LivenessTimeout), func(dead wire.NodeID) {
-					n.sendParentDownLocked(sh, fs, dead)
-				})
-			}
-		}
-		sh.mu.Unlock()
+		})
 	}
 }
 
-// sendHeartbeatsLocked emits one keepalive per child, stamped with the
-// child's flow-id (the only identity this node holds for it). Runs with
-// sh.mu held.
-func (n *Node) sendHeartbeatsLocked(sh *shard, fs *flowState) {
+// sendHeartbeats emits one keepalive per child, stamped with the
+// child's flow-id (the only identity this node holds for it).
+func (n *Node) sendHeartbeats(sh *shard, fs *flowState) {
 	pi := fs.info
 	for c, ch := range pi.Children {
 		sh.pktBuf = wire.AppendHeartbeat(sh.pktBuf[:0], pi.ChildFlows[c])
 		sh.stats.HeartbeatsOut++
-		n.sendLocked(sh, ch, sh.pktBuf)
+		n.send(sh, ch, sh.pktBuf)
 	}
 }
 
@@ -66,13 +59,12 @@ func (n *Node) sendHeartbeatsLocked(sh *shard, fs *flowState) {
 // parent before forgetting it (see sweepHops).
 const obsReportLimit = 3
 
-// sendParentDownLocked originates a report that parent `dead` has gone
+// sendParentDown originates a report that parent `dead` has gone
 // quiet on this flow. The body — just the dead node's address — is sealed
 // under this node's per-node key, so only the source can read it and only
 // this node (or the source) could have produced it; the clear nonce exists
-// solely for dedup along the multipath flood toward the source. Runs with
-// sh.mu held.
-func (n *Node) sendParentDownLocked(sh *shard, fs *flowState, dead wire.NodeID) {
+// solely for dedup along the multipath flood toward the source.
+func (n *Node) sendParentDown(sh *shard, fs *flowState, dead wire.NodeID) {
 	sealed, err := fs.info.Key.Seal(sh.rng, wire.MarshalDownReport(dead))
 	if err != nil {
 		return
@@ -80,19 +72,19 @@ func (n *Node) sendParentDownLocked(sh *shard, fs *flowState, dead wire.NodeID) 
 	nonce := sh.rng.Uint64()
 	fs.rememberReport(nonce)
 	sh.pktBuf = wire.AppendParentDown(sh.pktBuf[:0], fs.flow, nonce, sealed)
-	n.floodUpstreamLocked(sh, fs, sh.pktBuf)
+	n.floodUpstream(sh, fs, sh.pktBuf)
 	sh.stats.ParentDownSent++
 }
 
-// floodUpstreamLocked sends buf to every previous hop the flow knows —
+// floodUpstream sends buf to every previous hop the flow knows —
 // parents named in the maps plus every observed sender (a last-stage
 // receiver has no maps) — the target set of acks and reports alike. Sends to
 // currently-dead nodes are dropped by the transport; redundancy across the
-// surviving parents is what carries the packet. Runs with sh.mu held; buf
-// must be fully framed (it is sh.pktBuf in every caller).
-func (n *Node) floodUpstreamLocked(sh *shard, fs *flowState, buf []byte) {
+// surviving parents is what carries the packet. buf must be fully framed
+// (it is sh.pktBuf in every caller).
+func (n *Node) floodUpstream(sh *shard, fs *flowState, buf []byte) {
 	for i := range fs.hops {
-		n.sendLocked(sh, fs.hops[i].id, buf)
+		n.send(sh, fs.hops[i].id, buf)
 	}
 }
 
@@ -110,12 +102,11 @@ func (fs *flowState) rememberReport(nonce uint64) {
 // idempotent and order-safe: two consecutive repairs' patches can arrive
 // reordered (every packet rides its own emulated link delay), and only a
 // patch newer than the last applied one wins. The new info replaces the old
-// one atomically under the shard lock; parents that the patch swaps in
+// one between two packets; parents that the patch swaps in
 // start with a fresh liveness grace so they are not instantly re-reported,
 // and liveness state for parents the patch removed is dropped. In-flight
 // rounds are untouched — slices already queued from surviving parents keep
-// flowing, which is the point of splicing instead of rebuilding. Runs on
-// the shard worker with sh.mu held.
+// flowing, which is the point of splicing instead of rebuilding.
 func (n *Node) handleSplice(sh *shard, fs *flowState, pkt *wire.Packet) {
 	if fs.info == nil {
 		return // splices only patch established flows
@@ -144,10 +135,10 @@ func (n *Node) handleSplice(sh *shard, fs *flowState, pkt *wire.Packet) {
 	// keys and directory refs with the info block, so the replacement's
 	// acks and reports find this flow and the old child's no longer do
 	// (table.go).
-	n.dirDelLocked(sh, fs, fs.info)
+	n.dirDel(sh, fs, fs.info)
 	fs.info = pi
 	fs.opener = nil // keyed to the old block
-	n.dirAddLocked(sh, fs, pi)
+	n.dirAdd(sh, fs, pi)
 	fs.declareParents(pi, n.stamp(fs.lastActive), true)
 	sh.stats.SplicesApplied++
 }
@@ -155,11 +146,11 @@ func (n *Node) handleSplice(sh *shard, fs *flowState, pkt *wire.Packet) {
 // handleUpstream moves an establishment ack or a ParentDown report from a
 // child one hop toward the source, for the one flow the exact-match index
 // found: re-stamped with this node's own flow-id (a report's sealed body is
-// opaque and copied verbatim) and flooded upstream. Runs with sh.mu held.
+// opaque and copied verbatim) and flooded upstream.
 func (n *Node) handleUpstream(sh *shard, fs *flowState, pkt *wire.Packet) {
 	if pkt.Type == wire.MsgAck {
 		if !fs.ackSent {
-			n.sendAckLocked(sh, fs)
+			n.sendAck(sh, fs)
 		}
 		return
 	}
@@ -169,6 +160,6 @@ func (n *Node) handleUpstream(sh *shard, fs *flowState, pkt *wire.Packet) {
 	}
 	fs.rememberReport(nonce)
 	sh.pktBuf = wire.AppendParentDown(sh.pktBuf[:0], fs.flow, nonce, sealed)
-	n.floodUpstreamLocked(sh, fs, sh.pktBuf)
+	n.floodUpstream(sh, fs, sh.pktBuf)
 	sh.stats.ParentDownForwarded++
 }

@@ -77,12 +77,12 @@ func injectFlowAt(n *Node, flow wire.FlowID, pi *wire.PerNodeInfo, now time.Time
 	// directory — exactly what creation + establishment on the packet path
 	// produce.
 	sh := n.shardFor(flow)
-	sh.mu.Lock()
-	sh.flows[flow] = fs
-	sh.lruPushLocked(fs)
-	fs.inFilter = sh.filter.insert(uint64(flow), sh.rng)
-	n.dirAddLocked(sh, fs, pi)
-	sh.mu.Unlock()
+	sh.do(func() {
+		sh.flows[flow] = fs
+		sh.lruPush(fs)
+		fs.inFilter = sh.filter.insert(uint64(flow), sh.rng)
+		n.dirAdd(sh, fs, pi)
+	})
 	n.flowCount.Add(1)
 	return fs
 }
@@ -275,11 +275,11 @@ func TestSpliceSwapsParentAtomically(t *testing.T) {
 		DataMap:    []wire.DataForward{{Parent: oldPar, Child: 0}},
 	})
 	sh := n.shardFor(flow)
-	sh.mu.Lock()
-	old := &fs.hops[fs.hopIndex(oldPar)]
-	old.miss, old.downAt = deadParentStreak, n.stamp(time.Now())
-	old.flags |= hopReported
-	sh.mu.Unlock()
+	sh.do(func() {
+		old := &fs.hops[fs.hopIndex(oldPar)]
+		old.miss, old.downAt = deadParentStreak, n.stamp(time.Now())
+		old.flags |= hopReported
+	})
 
 	patch := &wire.PerNodeInfo{
 		Children:   []wire.NodeID{childID},
@@ -309,8 +309,7 @@ func TestSpliceSwapsParentAtomically(t *testing.T) {
 	if got := n.Stats().SplicesApplied; got != 1 {
 		t.Fatalf("SplicesApplied = %d, want 1 (forged splice must not count)", got)
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	n.Close() // joins the worker: the flow is the test's to read
 	if fs.info.DataMap[0].Parent != newPar {
 		t.Fatal("data-map not swapped")
 	}
@@ -370,9 +369,7 @@ func TestSpliceOrderingNewestWins(t *testing.T) {
 	if got := n.Stats().SplicesApplied; got != 1 {
 		t.Fatalf("SplicesApplied = %d, want 1", got)
 	}
-	sh := n.shardFor(flow)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	n.Close() // joins the worker: the flow is the test's to read
 	if fs.info.DataMap[0].Parent != 97 {
 		t.Fatalf("stale patch won: parent = %d, want 97", fs.info.DataMap[0].Parent)
 	}
@@ -495,16 +492,16 @@ func BenchmarkSpliceApply(b *testing.B) {
 
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pkt, err := wire.UnmarshalPacket(frame)
-		if err != nil {
-			b.Fatal(err)
+	sh.do(func() {
+		for i := 0; i < b.N; i++ {
+			pkt, err := wire.UnmarshalPacket(frame)
+			if err != nil {
+				panic(err)
+			}
+			fs.spliceSeq = 0 // re-arm: the pre-sealed patch carries seq 1
+			n.handleSplice(sh, fs, pkt)
 		}
-		sh.mu.Lock()
-		fs.spliceSeq = 0 // re-arm: the pre-sealed patch carries seq 1
-		n.handleSplice(sh, fs, pkt)
-		sh.mu.Unlock()
-	}
+	})
 	b.StopTimer()
 	if fs.info.DataMap[0].Parent != 82 {
 		b.Fatal("splice not applied")

@@ -9,8 +9,8 @@ import (
 
 // cuckooFilter fronts one shard's flow map so traffic for flows the shard
 // does not hold — unknown flow-ids, garbage, post-eviction stragglers —
-// can be rejected by transport goroutines without ever taking the shard
-// lock (the DiCuPIT move: a small front filter keeps table lookups flat no
+// can be rejected by transport goroutines without ever reaching the shard's
+// worker (the DiCuPIT move: a small front filter keeps table lookups flat no
 // matter how much non-table traffic arrives).
 //
 // Layout: a power-of-two array of buckets, each bucket one uint32 holding
@@ -21,8 +21,8 @@ import (
 // makes eviction chains (kicks) possible without storing keys.
 //
 // Concurrency contract: reads (mayContain) are lock-free atomic loads and
-// may run from any goroutine; ALL mutations happen under the owning
-// shard's mutex, so the writer is single-threaded and plain
+// may run from any goroutine; ALL mutations happen on the owning shard's
+// worker, so the writer is single-threaded and plain
 // load-modify-store on the atomic words is race-free. The kick path
 // applies its displacement chain destination-first — every relocated
 // fingerprint is written into its new bucket before its old slot is
@@ -86,8 +86,8 @@ func hasFP(w uint32, fp byte) bool {
 }
 
 // mayContain is the lock-free read: false means the flow is definitely not
-// resident on this shard (modulo overflow mode); true means "take the lock
-// and check the map".
+// resident on this shard (modulo overflow mode); true means "queue it for
+// the worker, which checks the map".
 func (cf *cuckooFilter) mayContain(key uint64) bool {
 	i1, i2, fp := cf.indexes(key)
 	if hasFP(cf.buckets[i1].Load(), fp) || hasFP(cf.buckets[i2].Load(), fp) {
@@ -97,7 +97,7 @@ func (cf *cuckooFilter) mayContain(key uint64) bool {
 }
 
 // place writes fp into an empty slot of bucket b, if one exists. Writer
-// only (shard lock held).
+// only (the shard's worker).
 func (cf *cuckooFilter) place(b uint64, fp byte) bool {
 	w := cf.buckets[b].Load()
 	for s := uint(0); s < cuckooSlots; s++ {
@@ -119,7 +119,7 @@ func (cf *cuckooFilter) setSlot(b uint64, s uint, fp byte) {
 // after switching the filter to overflow (pass-through) mode — when no
 // chain within the kick budget frees a slot; the caller records that so
 // the matching remove can rebalance the overflow count instead of deleting
-// a fingerprint that was never placed. Writer only (shard lock held).
+// a fingerprint that was never placed. Writer only (the shard's worker).
 func (cf *cuckooFilter) insert(key uint64, rng *rand.Rand) bool {
 	i1, i2, fp := cf.indexes(key)
 	if cf.place(i1, fp) || cf.place(i2, fp) {
@@ -175,7 +175,7 @@ func (cf *cuckooFilter) insert(key uint64, rng *rand.Rand) bool {
 }
 
 // remove deletes one instance of the flow's fingerprint. Writer only
-// (shard lock held). Returns false if no instance was present — callers
+// (the shard's worker). Returns false if no instance was present — callers
 // pair removes with successful inserts, so false indicates accounting
 // drift and is worth asserting on in tests.
 func (cf *cuckooFilter) remove(key uint64) bool {

@@ -158,10 +158,7 @@ func TestEgressQueueFullShedReleasesAndCounts(t *testing.T) {
 	}
 	defer n.Close()
 	sh, fs, r, _, _ := fanoutFlow(t, n)
-	sh.mu.Lock()
-	n.stageRoundLocked(sh, fs, 1, r)
-	sh.mu.Unlock()
-	n.runEgress(sh)
+	sh.do(func() { n.stageRound(sh, fs, 1, r) }) // egress drains at the call's tail
 	if tr.shedFrames != 8 {
 		t.Fatalf("shed %d frames, want 8", tr.shedFrames)
 	}
@@ -174,8 +171,8 @@ func TestEgressQueueFullShedReleasesAndCounts(t *testing.T) {
 }
 
 // BenchmarkForwardFanout gates the owned egress stage in isolation: one
-// claimed round fanning 2 parents out to 8 children — stage under the shard
-// lock, frame into a pooled slab, one owned batch per destination. The
+// claimed round fanning 2 parents out to 8 children — stage, frame into a
+// pooled slab, one owned batch per destination. The
 // steady state allocates nothing (bench_baseline.json pins 0 allocs/op);
 // the round is refilled in place each op because staging claims its slices.
 func BenchmarkForwardFanout(b *testing.B) {
@@ -190,16 +187,16 @@ func BenchmarkForwardFanout(b *testing.B) {
 	b.SetBytes(int64(8 * frameLen))
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// stageRoundLocked consumed the previous claims (the slot released
-		// its views).
-		r.forwarded = false
-		r.from, r.got = append(r.from, parents...), append(r.got, slices[0], slices[1])
-		sh.mu.Lock()
-		n.stageRoundLocked(sh, fs, uint32(i), r)
-		sh.mu.Unlock()
-		n.runEgress(sh)
-	}
+	sh.do(func() {
+		for i := 0; i < b.N; i++ {
+			// stageRound consumed the previous claims (the slot released
+			// its views).
+			r.forwarded = false
+			r.from, r.got = append(r.from, parents...), append(r.got, slices[0], slices[1])
+			n.stageRound(sh, fs, uint32(i), r)
+			n.runEgress(sh)
+		}
+	})
 	b.StopTimer()
 	if want := int64(b.N * 8); tr.sent != want {
 		b.Fatalf("sent %d frames, want %d", tr.sent, want)

@@ -164,9 +164,7 @@ func TestChildIndexKeyReleasedOnlyByHolder(t *testing.T) {
 		Children: []wire.NodeID{child}, ChildFlows: []wire.FlowID{faninChildFlow(0)}, Key: testKey(9),
 	})
 	sh := n.shards[0]
-	sh.mu.Lock()
-	n.removeFlowLocked(sh, squatter, true)
-	sh.mu.Unlock()
+	sh.do(func() { n.removeFlow(sh, squatter, true) })
 	n.process(sh, child, ackFrame(faninChildFlow(0)))
 	if !victim.ackSent || squatter.ackSent {
 		t.Fatalf("ackSent holder=%v squatter=%v after the squatter came and went", victim.ackSent, squatter.ackSent)

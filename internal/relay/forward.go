@@ -7,12 +7,19 @@ import (
 	"infoslicing/internal/wire"
 )
 
-// handleData runs on the shard worker with sh.mu held.
+// maxPendingData bounds the data packets a flow holds while its routing
+// block is still undecoded.
+const maxPendingData = 1024
+
+// handleData files one slice under its round and forwards or decodes the
+// round when it is complete.
 func (n *Node) handleData(sh *shard, fs *flowState, from wire.NodeID, hi int, pkt *wire.Packet) {
 	if fs.info == nil {
 		// Data raced ahead of setup; buffer a bounded amount.
-		if len(fs.pendingData) < 1024 {
+		if len(fs.pendingData) < maxPendingData {
 			fs.pendingData = append(fs.pendingData, pendingPacket{from, pkt.Clone()})
+		} else {
+			sh.stats.PendingDropped++
 		}
 		return
 	}
@@ -22,6 +29,7 @@ func (n *Node) handleData(sh *shard, fs *flowState, from wire.NodeID, hi int, pk
 	}
 	sl, err := wire.DecodeSlot(pkt.Slots[0], fs.d)
 	if err != nil {
+		sh.stats.BadSlots++
 		return
 	}
 	if hi >= 0 {
@@ -29,7 +37,7 @@ func (n *Node) handleData(sh *shard, fs *flowState, from wire.NodeID, hi int, pk
 	}
 	seq := pkt.Seq
 	var forward, decode bool
-	s := n.slotLocked(sh, fs, seq)
+	s := n.slotFor(sh, fs, seq)
 	if s != nil {
 		forward, decode = fs.needs(seq, s)
 	}
@@ -49,52 +57,54 @@ func (n *Node) handleData(sh *shard, fs *flowState, from wire.NodeID, hi int, pk
 	}
 	s.from, s.got = append(s.from, from), append(s.got, sl)
 	if decode {
-		n.tryDeliverLocked(sh, fs.flow, fs, seq, s)
+		n.tryDeliver(sh, fs, seq, s)
 	}
 	if forward && len(s.got) >= fs.nParents-fs.deadParents() {
-		n.stageRoundLocked(sh, fs, seq, s)
+		n.stageRound(sh, fs, seq, s)
 	}
-	fs.advanceLocked()
-	if w := &fs.win; fwd && w.low != w.high {
-		n.armRoundTimerLocked(sh, fs, n.cfg.RoundWait)
+	fs.advance()
+	if w := &fs.win; fwd && w.low != w.high && fs.due[dlRound] == 0 {
+		sh.setDeadline(fs, dlRound, n.stamp(fs.lastActive.Add(n.cfg.RoundWait)))
 	}
 }
 
-// stageRoundLocked claims a round for forwarding: bookkeeping that must see
-// shard state stays here, the recode/frame/send work is described into the
-// staging arenas for runEgress. Runs with sh.mu held.
-func (n *Node) stageRoundLocked(sh *shard, fs *flowState, seq uint32, r *roundSlot) {
+// stageRound forwards a round: its bookkeeping, then one frame per data-map
+// entry into the shard's egress, recombined from the survivors where the
+// entry's parent sent nothing.
+func (n *Node) stageRound(sh *shard, fs *flowState, seq uint32, r *roundSlot) {
 	r.forwarded = true
 	fs.noteRound(r.from)
 	pi := fs.info
-	st := &sh.stage
-	job := egJob{pi: pi, seq: seq, d: fs.d, emitOff: len(st.emits), sliceOff: len(st.slices)}
-	needRegen := false
+	// Decodability is checked once per round, lazily: a round with every
+	// slice in never pays for it.
+	regenOK, regenChecked := false, false
 	for _, e := range pi.DataMap {
 		if int(e.Child) >= len(pi.Children) {
 			continue
 		}
-		if s, ok := r.slice(e.Parent); ok {
-			st.emits = append(st.emits, egEmit{child: int(e.Child), slice: s})
-		} else if pi.Recode {
-			st.emits = append(st.emits, egEmit{child: int(e.Child), regen: true})
-			needRegen = true
+		out, ok := r.slice(e.Parent)
+		if !ok {
+			// Missing parent: only a node with recode rights holds spare
+			// degrees of freedom to serve this child from (§4.4.1).
+			if !regenChecked {
+				regenChecked = true
+				regenOK = pi.Recode && code.Decodable(fs.d, r.got)
+			}
+			if !regenOK {
+				continue
+			}
+			fresh, err := code.RecombineInto(sh.eg.regen, r.got, 1, sh.eg.rng)
+			if err != nil {
+				continue
+			}
+			sh.eg.regen = fresh
+			out = fresh[0]
+			sh.stats.Regenerated++
 		}
-		// Missing parent and no recode rights: this child's slice cannot be
-		// served (§4.4.1 — only recoding nodes hold spare degrees of freedom).
+		n.frameData(sh, pi.Children[e.Child], pi.ChildFlows[e.Child], seq, fs.d, out)
 	}
-	job.emitN = len(st.emits) - job.emitOff
-	if needRegen {
-		// Snapshot the survivors: the decodability check and recombination
-		// run off-lock, after the slot has given up its views.
-		st.slices = append(st.slices, r.got...)
-		job.sliceN = len(st.slices) - job.sliceOff
-	}
-	if job.emitN > 0 {
-		st.jobs = append(st.jobs, job)
-	}
-	// The claimed views live on in the staging arena until egress drains
-	// it; the slot's own go the moment no decode is waiting on them.
+	// The frames hold copies; the slot's views go the moment no decode is
+	// waiting on them.
 	if _, decode := fs.needs(seq, r); !decode {
 		r.release()
 	}

@@ -84,6 +84,7 @@ func TestResyncFilterRealigns(t *testing.T) {
 	n := &Node{received: make(chan Message, 4), clk: simnet.Wall}
 	sh := &shard{flows: map[wire.FlowID]*flowState{}}
 	fs := &flowState{
+		flow:    9,
 		info:    &wire.PerNodeInfo{Receiver: true, Key: key},
 		nextSeq: 5,
 		resync:  true,
@@ -92,7 +93,7 @@ func TestResyncFilterRealigns(t *testing.T) {
 	fs.win.at(5).chunk, fs.win.at(6).chunk = tail, head
 	sh.flows[9] = fs
 
-	n.spliceChunksLocked(sh, 9, fs)
+	n.spliceChunks(sh, fs)
 
 	select {
 	case m := <-n.received:

@@ -5,7 +5,6 @@ import (
 
 	"infoslicing/internal/code"
 	"infoslicing/internal/slcrypto"
-	"infoslicing/internal/wire"
 )
 
 // maxSealedLen bounds a single sealed message on the reassembly stream. It
@@ -15,10 +14,10 @@ import (
 // above the bound rejects a mid-message chunk with probability 1−2^-12.
 const maxSealedLen = 1 << 20
 
-// tryDeliverLocked decodes a round and advances the receiver's reassembly
+// tryDeliver decodes a round and advances the receiver's reassembly
 // stream: [4-byte sealed length ‖ sealed bytes ‖ next message ...], each
 // chunk independently length-prefixed by the coding layer.
-func (n *Node) tryDeliverLocked(sh *shard, f wire.FlowID, fs *flowState, seq uint32, s *roundSlot) {
+func (n *Node) tryDeliver(sh *shard, fs *flowState, seq uint32, s *roundSlot) {
 	if len(s.got) < fs.d {
 		return // cannot span the round yet
 	}
@@ -31,14 +30,14 @@ func (n *Node) tryDeliverLocked(sh *shard, f wire.FlowID, fs *flowState, seq uin
 	if forward, _ := fs.needs(seq, s); !forward {
 		s.release() // decoded and nothing to forward: the views are dead weight
 	}
-	n.spliceChunksLocked(sh, f, fs)
-	n.watchGapLocked(sh, f, fs)
+	n.spliceChunks(sh, fs)
+	n.watchGap(sh, fs)
 }
 
-// spliceChunksLocked appends consecutively-decoded rounds to the byte
+// spliceChunks appends consecutively-decoded rounds to the byte
 // stream and parses out completed messages. While resyncing after a skip it
 // discards chunks until one passes the message-head plausibility test.
-func (n *Node) spliceChunksLocked(sh *shard, f wire.FlowID, fs *flowState) {
+func (n *Node) spliceChunks(sh *shard, fs *flowState) {
 	for w := &fs.win; fs.nextSeq != w.high && w.at(fs.nextSeq).chunk != nil; {
 		s := w.at(fs.nextSeq)
 		c := s.chunk
@@ -56,35 +55,26 @@ func (n *Node) spliceChunksLocked(sh *shard, f wire.FlowID, fs *flowState) {
 		}
 		fs.stream = append(fs.stream, c...)
 	}
-	n.drainStreamLocked(sh, f, fs)
+	n.drainStream(sh, fs)
 }
 
-// watchGapLocked arms the gap timer while decoded rounds sit buffered
-// behind a missing one, and disarms it once the stream is contiguous. The
-// timer, not round arrival, drives the write-off: the hole round may never
-// reach this node at all.
-func (n *Node) watchGapLocked(sh *shard, f wire.FlowID, fs *flowState) {
-	if fs.gapTimer != nil {
-		if fs.win.buffered > 0 && fs.gapSeq == fs.nextSeq {
-			return // already watching this hole
-		}
-		fs.gapTimer.Stop()
-		fs.gapTimer = nil
+// watchGap arms the gap wait while decoded rounds sit buffered behind a
+// missing one, and disarms it once the stream is contiguous. The wait, not
+// round arrival, drives the write-off: the hole round may never reach this
+// node at all.
+func (n *Node) watchGap(sh *shard, fs *flowState) {
+	if fs.due[dlGap] != 0 && fs.win.buffered > 0 && fs.gapSeq == fs.nextSeq {
+		return // already watching this hole
 	}
-	if fs.win.buffered == 0 {
-		return
+	var at int64
+	if fs.win.buffered > 0 {
+		fs.gapSeq = fs.nextSeq
+		at = n.stamp(n.clk.Now().Add(n.cfg.GapWait))
 	}
-	fs.gapSeq = fs.nextSeq
-	fs.gapTimer = n.clk.AfterFunc(n.cfg.GapWait, func() {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		if sh.flows[f] == fs {
-			n.skipGapLocked(sh, f, fs)
-		}
-	})
+	sh.setDeadline(fs, dlGap, at)
 }
 
-// skipGapLocked writes off the missing rounds the reassembly stream has
+// skipGap writes off the missing rounds the reassembly stream has
 // been parked on for a full GapWait. The transport never retransmits, so a
 // round still absent after that long lost more than d'−d slices at some
 // stage and is gone for good; skipping it trades those messages — already
@@ -92,26 +82,25 @@ func (n *Node) watchGapLocked(sh *shard, f wire.FlowID, fs *flowState) {
 // block forever. Any partial message in the stream lost its continuation
 // with the hole, so the buffered bytes are dropped and the resync filter
 // re-aligns delivery on the next plausible message boundary.
-func (n *Node) skipGapLocked(sh *shard, f wire.FlowID, fs *flowState) {
-	fs.gapTimer = nil
+func (n *Node) skipGap(sh *shard, fs *flowState) {
 	if fs.win.buffered == 0 || fs.nextSeq != fs.gapSeq {
-		n.watchGapLocked(sh, f, fs) // progress since arming: watch the new hole, if any
+		n.watchGap(sh, fs) // progress since arming: watch the new hole, if any
 		return
 	}
 	next := fs.nextSeq
 	for next != fs.win.high && fs.win.at(next).chunk == nil {
 		next++
 	}
-	n.skipStreamLocked(sh, fs, next)
-	n.spliceChunksLocked(sh, f, fs)
-	n.watchGapLocked(sh, f, fs)
-	fs.advanceLocked()
+	n.skipStream(sh, fs, next)
+	n.spliceChunks(sh, fs)
+	n.watchGap(sh, fs)
+	fs.advance()
 }
 
-// skipStreamLocked moves the reassembly stream forward to round next,
+// skipStream moves the reassembly stream forward to round next,
 // writing off the rounds in between and dropping the partial message they
 // clipped.
-func (n *Node) skipStreamLocked(sh *shard, fs *flowState, next uint32) {
+func (n *Node) skipStream(sh *shard, fs *flowState, next uint32) {
 	sh.stats.RoundsSkipped += int64(next - fs.nextSeq)
 	if len(fs.stream) > 0 || !fs.resync {
 		fs.stream = fs.stream[:0]
@@ -122,7 +111,7 @@ func (n *Node) skipStreamLocked(sh *shard, fs *flowState, next uint32) {
 	fs.nextSeq = next
 }
 
-func (n *Node) drainStreamLocked(sh *shard, f wire.FlowID, fs *flowState) {
+func (n *Node) drainStream(sh *shard, fs *flowState) {
 	for {
 		if len(fs.stream) < 4 {
 			return
@@ -155,7 +144,7 @@ func (n *Node) drainStreamLocked(sh *shard, f wire.FlowID, fs *flowState) {
 		fs.tainted = false // authenticated: framing provably re-aligned
 		sh.stats.MessagesDelivered++
 		select {
-		case n.received <- Message{Flow: f, Data: plain}:
+		case n.received <- Message{Flow: fs.flow, Data: plain}:
 		default:
 			sh.stats.Dropped++
 		}

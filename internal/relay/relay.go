@@ -16,15 +16,16 @@
 // flow table is striped into 2^k shards by a hash of the clear-text
 // flow-id; every flow lives its whole life on one shard. Each shard owns a
 // bounded inbound queue drained in bursts by a dedicated worker goroutine
-// (one lock acquisition and shutdown check per burst), its own
-// flow map, its own reused framing and regeneration scratch, its own
-// deterministic RNG, and its own activity counters, so packets of
-// unrelated flows touch no shared mutable state. The transport handler
-// only classifies the datagram and enqueues it; all parsing and
-// forwarding happens on the shard worker. The shard mutex exists solely so
-// the per-flow timers (setup wait, round wait) and the stats/GC sweeps can
-// interleave safely with the worker — the steady-state data path is a
-// single writer per shard and never contends.
+// (one shutdown check per burst), its own flow map, its own reused framing
+// and regeneration scratch, its own deterministic RNG, and its own activity
+// counters, so packets of unrelated flows touch no shared mutable state. The
+// transport handler only classifies the datagram and enqueues it; all
+// parsing and forwarding happens on the shard worker, which is the shard's
+// one owner: nothing else reads or writes its flows. The set-up, round and
+// gap waits are entries in the worker's deadline queue (deadline.go), and
+// whatever else needs a look — the GC and heartbeat sweeps, stats, Close —
+// hands the worker a closure through the shard's mailbox (shard.do) instead
+// of taking a lock.
 //
 // # Multi-tenant flow table
 //
@@ -32,7 +33,7 @@
 // open overlay. A per-shard cuckoo filter (cuckoo.go) rejects
 // flow-addressed traffic for non-resident flows on the transport
 // goroutine, so unknown flows, garbage, and post-eviction stragglers never
-// take a shard lock; and a child→shard directory (table.go) routes acks
+// reach a shard queue; and a child→shard directory (table.go) routes acks
 // and ParentDown reports — stamped with the child's flow-id, not ours — to
 // just the shards holding a flow that lists the sender as a child, where an
 // exact-match (child, child-flow) index finds the one flow they concern.
@@ -104,10 +105,9 @@ type Config struct {
 	QueueDepth int
 	// Burst bounds how many queued packets a shard worker drains per wakeup.
 	// Headers for the whole burst are parsed before any flow state is
-	// touched; then the shard lock is taken once, the shutdown check runs
-	// once, and the packets' clock holds are released together after the
-	// lock drops — amortizing per-packet overhead the way writev batching
-	// does for the peer writer. Default 64.
+	// touched; then the shutdown check runs once, egress drains once, and
+	// the packets' clock holds are released together — amortizing per-packet
+	// overhead the way writev batching does for the peer writer. Default 64.
 	Burst int
 	// Heartbeat enables the live-churn control plane: every established
 	// flow sends a per-flow keepalive to each child at this interval, and
@@ -203,12 +203,18 @@ type Stats struct {
 	QueueDrops        int64 // packets dropped at a full shard queue
 	SendDrops         int64 // packets shed at a full transport peer queue
 
+	// Packets thrown away on arrival, by reason.
+	Garbage        int64 // shorter than a header, or a header that does not parse
+	BadSlots       int64 // data packets whose slice failed its checksum
+	PendingDropped int64 // data ahead of set-up, past the per-flow buffer bound
+	SetupIgnored   int64 // set-up packets that were duplicates, past the hop cap, or after the wave left
+
 	// Flow-table admission and eviction (multi-tenant daemon counters).
 	FlowsEvicted  int64 // flows reaped by TTL eviction
 	FlowsRejected int64 // flow creations refused by MaxFlows or TenantQuota
 	// FilterMisses counts packets the front filter (or, for acks and
 	// reports, the child directory) rejected on a transport goroutine
-	// without taking any shard lock: unknown flows, garbage, post-eviction
+	// before any shard queue: unknown flows, garbage, post-eviction
 	// stragglers.
 	FilterMisses int64
 
@@ -251,10 +257,12 @@ type Node struct {
 
 	// children routes acks and ParentDown reports, by sender, to just the
 	// shards holding a flow that lists it as a child; dirMisses counts the
-	// ones that matched nothing and were dropped lock-free (folded into
-	// Stats.FilterMisses).
+	// ones that matched nothing and runts the datagrams too short to
+	// classify, both dropped on the transport goroutine (folded into
+	// Stats.FilterMisses and Stats.Garbage).
 	children  childDir
 	dirMisses atomic.Int64
+	runts     atomic.Int64
 
 	received  chan Message
 	done      chan struct{}
@@ -282,14 +290,20 @@ type shard struct {
 	in         chan inPkt
 	queueDrops atomic.Int64 // written by transport goroutines, not the worker
 	// filter fronts the flow map: transport goroutines consult it lock-free
-	// and drop flow-addressed traffic that cannot match (cuckoo.go);
-	// mutations ride the shard lock with the map itself.
+	// and drop flow-addressed traffic that cannot match (cuckoo.go); only
+	// the worker mutates it, with the map itself.
 	filter       *cuckooFilter
-	filterMisses atomic.Int64 // lookups the filter rejected without the lock
+	filterMisses atomic.Int64 // lookups the filter rejected on a transport goroutine
 
-	// mu serializes the worker with timers, GC sweeps, and stats snapshots.
-	// Everything below it is single-writer in the steady state.
-	mu    sync.Mutex
+	// The mailbox (post, do): one closure handed to the worker, and the
+	// worker's word that it ran. done and closed are the node's: Close has
+	// begun, Close has joined the workers and swept.
+	mail         chan func()
+	ran          chan struct{}
+	done, closed <-chan struct{}
+
+	// Everything below belongs to the worker goroutine alone (DESIGN.md,
+	// "One owner per shard").
 	flows map[wire.FlowID]*flowState
 	// lruHead/lruTail order resident flows by lastActive (head coldest);
 	// the intrusive links live in flowState, so touch is O(1) and the TTL
@@ -300,7 +314,7 @@ type shard struct {
 	rng     *rand.Rand
 
 	// pktBuf is the control-plane framing buffer, reused for every flow on
-	// this shard. (Forwarding's regeneration scratch is egress-side: egRegen.)
+	// this shard. (Forwarding's regeneration scratch is egress-side: eg.regen.)
 	pktBuf []byte
 
 	// byChild is the exact-match fan-in index: an ack or ParentDown report
@@ -310,17 +324,18 @@ type shard struct {
 	// ownScratch gathers a flow's own set-up slices for a decode attempt.
 	ownScratch []code.Slice
 
-	// Two-stage egress (egress.go): rounds are claimed into stage under mu;
-	// runEgress swaps stage/work under a brief mu window and does recode,
-	// framing, and sends under egMu only. Lock order egMu → mu, never the
-	// reverse. egRng/egRegen/egBatches are egress-side scratch, touched
-	// only under egMu.
-	egMu      sync.Mutex
-	stage     egState
-	work      egState
-	egRegen   []code.Slice
-	egRng     *rand.Rand
-	egBatches []destBatch
+	// The deadline queue (deadline.go): the flows with a wait pending, and
+	// the one clock timer that wakes the worker for its head. tickAt is the
+	// instant the timer is armed for, zero when it is not.
+	deadlines deadlineQueue
+	armSeq    uint64
+	tick      simnet.Timer
+	tickAt    int64
+	onTick    func() // tick's callback, built once: posts runDeadlines
+
+	// Egress (egress.go): rounds forwarded during a burst are framed into
+	// eg and leave at its tail.
+	eg egState
 }
 
 type inPkt struct {
@@ -338,12 +353,18 @@ type flowState struct {
 	// LRU sweep can unmap without a reverse lookup), the tenant whose
 	// quota the flow holds, and whether its fingerprint made it into the
 	// shard filter (false ⇒ it is carried by the filter's overflow count
-	// instead; see removeFlowLocked).
+	// instead; see removeFlow).
 	flow     wire.FlowID
 	tenant   wire.NodeID
 	inFilter bool
-	// Intrusive LRU links, guarded by the shard lock (table.go).
+	// Intrusive LRU links (table.go).
 	lruPrev, lruNext *flowState
+	// Pending waits, the earliest of them, and the flow's place in the
+	// shard's deadline queue (deadline.go).
+	due     [nDeadlines]int64
+	dueAt   int64
+	armSeq  uint64
+	heapPos int32
 
 	// hops is the flow's one table of previous hops — declared parents
 	// (nParents of them) and observed senders (hops.go). A last-stage node
@@ -358,7 +379,6 @@ type flowState struct {
 	// whose own slices actually decode into a checksummed routing block.
 	info               *wire.PerNodeInfo
 	setupSent          bool
-	setupTimer         simnet.Timer
 	d, slotLen, nSlots int
 
 	// Data phase: the round window, its ring allocated by the first slice
@@ -375,20 +395,19 @@ type flowState struct {
 
 	// Receiver-side reassembly. nextSeq is the round the stream is waiting
 	// on; decoded rounds ahead of it park in their window slots, and opener
-	// opens messages under the flow's key. gapTimer arms while a hole blocks
-	// buffered rounds (gapSeq records which hole, so a firing timer can tell
-	// progress from a stall); resync marks that the byte stream lost framing
+	// opens messages under the flow's key. The gap deadline is armed while a
+	// hole blocks buffered rounds (gapSeq records which hole, so its expiry
+	// can tell progress from a stall); resync marks that the byte stream lost framing
 	// to a skipped round and must re-align on a message boundary.
 	// tainted marks that the stream's framing derives from a resync guess
 	// rather than an unbroken chunk sequence; it gates the length sanity
-	// check in drainStreamLocked and clears once a message authenticates.
-	nextSeq  uint32
-	opener   *slcrypto.Sealer
-	stream   []byte
-	gapTimer simnet.Timer
-	gapSeq   uint32
-	resync   bool
-	tainted  bool
+	// check in drainStream and clears once a message authenticates.
+	nextSeq uint32
+	opener  *slcrypto.Sealer
+	stream  []byte
+	gapSeq  uint32
+	resync  bool
+	tainted bool
 
 	// ackSent dedupes the establishment acknowledgment that travels hop by
 	// hop back to the source endpoints (§7.4 measures setup latency with
@@ -432,15 +451,22 @@ func New(id wire.NodeID, tr overlay.Transport, cfg Config) (*Node, error) {
 	// (overflow mode) rather than ever reporting a resident flow absent.
 	perShard := cfg.MaxFlows / cfg.Shards
 	for i := range n.shards {
-		n.shards[i] = &shard{
+		sh := &shard{
 			idx:     i,
 			in:      make(chan inPkt, cfg.QueueDepth),
+			mail:    make(chan func()),
+			ran:     make(chan struct{}),
+			done:    n.done,
+			closed:  n.closeDone,
 			flows:   make(map[wire.FlowID]*flowState),
 			filter:  newCuckooFilter(perShard),
 			rng:     rand.New(rand.NewSource(cfg.Rng.Int63())),
-			egRng:   rand.New(rand.NewSource(cfg.Rng.Int63())),
+			eg:      egState{rng: rand.New(rand.NewSource(cfg.Rng.Int63()))},
 			byChild: make(map[childKey]*flowState),
 		}
+		runDue := func() { n.runDeadlines(sh) }
+		sh.onTick = func() { sh.post(runDue) }
+		n.shards[i] = sh
 	}
 	n.egPool = transport.NewSlabPool(0, 0)
 	n.owned, _ = tr.(overlay.OwnedSender)
@@ -485,40 +511,40 @@ func (n *Node) Stats() Stats {
 func (n *Node) ShardStats() []Stats {
 	out := make([]Stats, len(n.shards))
 	for i, sh := range n.shards {
-		sh.mu.Lock()
-		out[i] = sh.stats
-		sh.mu.Unlock()
+		sh.do(func() { out[i] = sh.stats })
 		out[i].QueueDrops = sh.queueDrops.Load()
 		out[i].FilterMisses = sh.filterMisses.Load()
 	}
-	// Directory misses (acks and reports from a sender no shard lists) are
-	// node-level; fold them into the first shard's snapshot so Stats sums
-	// them exactly once.
+	// Directory misses (acks and reports from a sender no shard lists) and
+	// runts are node-level; fold them into the first shard's snapshot so
+	// Stats sums them exactly once.
 	out[0].FilterMisses += n.dirMisses.Load()
+	out[0].Garbage += n.runts.Load()
 	return out
 }
 
 // Established reports whether the node has decoded its routing info for the
 // given flow (used by setup-latency experiments).
-func (n *Node) Established(f wire.FlowID) bool {
+func (n *Node) Established(f wire.FlowID) (ok bool) {
 	sh := n.shardFor(f)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	fs := sh.flows[f]
-	return fs != nil && fs.info != nil
+	sh.do(func() {
+		fs := sh.flows[f]
+		ok = fs != nil && fs.info != nil
+	})
+	return ok
 }
 
 // EstablishedCount returns how many flows this node has decoded info for.
 func (n *Node) EstablishedCount() int {
 	c := 0
 	for _, sh := range n.shards {
-		sh.mu.Lock()
-		for _, fs := range sh.flows {
-			if fs.info != nil {
-				c++
+		sh.do(func() {
+			for _, fs := range sh.flows {
+				if fs.info != nil {
+					c++
+				}
 			}
-		}
-		sh.mu.Unlock()
+		})
 	}
 	return c
 }
@@ -541,66 +567,68 @@ func (n *Node) Close() {
 		if n.ctrlTask != nil {
 			n.ctrlTask.Stop()
 		}
+		for _, sh := range n.shards {
+			sh.mail <- nil // the worker's cue to exit: its wait watches two channels, not three
+		}
 		n.wg.Wait()
 		for _, sh := range n.shards {
 			// The worker is gone: release the holds of what is still queued
 			// (a transport goroutine that raced Detach may enqueue this late)
 			// so a virtual clock is not wedged by packets nobody processes.
-			for {
-				select {
-				case p := <-sh.in:
-					p.release()
-					continue
-				default:
-				}
-				break
+			for len(sh.in) > 0 {
+				(<-sh.in).release()
 			}
-			sh.mu.Lock()
 			for _, fs := range sh.flows {
-				n.removeFlowLocked(sh, fs, false)
+				n.removeFlow(sh, fs, false)
 			}
-			sh.mu.Unlock()
+			n.armTick(sh) // nothing is pending any more: stops the timer
 		}
 	})
 	<-n.closeDone
 }
 
-func (fs *flowState) stopTimers() {
-	if fs.setupTimer != nil {
-		fs.setupTimer.Stop()
+// post runs fn on the shard's worker, between bursts, and returns when it
+// has run. Once Close has begun it reports false without running fn: the
+// worker may be gone, and Close itself does what a sweep or tick would.
+func (sh *shard) post(fn func()) bool {
+	select {
+	case sh.mail <- fn:
+		<-sh.ran
+		return true
+	case <-sh.done:
+		return false
 	}
-	if fs.gapTimer != nil {
-		fs.gapTimer.Stop()
-	}
-	if fs.win.timer != nil {
-		fs.win.timer.Stop()
+}
+
+// do is post for callers that want an answer whatever the node's state
+// (queries, tests): once Close has joined the workers and swept, fn runs on
+// the caller, against a shard nothing writes any more.
+func (sh *shard) do(fn func()) {
+	if !sh.post(fn) {
+		<-sh.closed
+		fn()
 	}
 }
 
 // gcSweep evicts idle flows; it runs as a periodic clock task. The sweep
 // is incremental: each shard walks its LRU list from the cold end and
 // stops at the first flow inside the TTL (the list is ordered by
-// lastActive, so everything behind it is live too), holding the shard
-// lock for O(evicted+1) work instead of a full-map scan — at large flow
+// lastActive, so everything behind it is live too), keeping the worker
+// for O(evicted+1) work instead of a full-map scan — at large flow
 // counts the old scan was itself the p99 cliff. At most gcBatch flows go
 // per shard per tick; a mass expiry drains over successive ticks.
 func (n *Node) gcSweep() {
-	select {
-	case <-n.done:
-		return
-	default:
-	}
 	now := n.clk.Now()
 	for _, sh := range n.shards {
-		sh.mu.Lock()
-		for i := 0; i < gcBatch; i++ {
-			fs := sh.lruHead
-			if fs == nil || now.Sub(fs.lastActive) <= n.cfg.FlowTTL {
-				break
+		sh.post(func() {
+			for i := 0; i < gcBatch; i++ {
+				fs := sh.lruHead
+				if fs == nil || now.Sub(fs.lastActive) <= n.cfg.FlowTTL {
+					break
+				}
+				n.removeFlow(sh, fs, true)
 			}
-			n.removeFlowLocked(sh, fs, true)
-		}
-		sh.mu.Unlock()
+		})
 	}
 }
 
@@ -610,7 +638,7 @@ func (n *Node) gcSweep() {
 // data transfers to the shard worker, which is the single goroutine that
 // parses and processes it.
 //
-// Two lock-free front filters keep non-flow traffic off the shard locks
+// Two lock-free front filters keep non-flow traffic off the shard queues
 // entirely. Acks and ParentDown reports carry the *child's* flow-id, which
 // does not hash to the shard of the flow they concern: the child directory
 // routes them by sender to just the shards holding a flow that lists it as a
@@ -622,7 +650,8 @@ func (n *Node) gcSweep() {
 // legitimately create flows. Either drop is counted in Stats.FilterMisses.
 func (n *Node) onPacket(from wire.NodeID, data []byte) {
 	if len(data) < wire.HeaderLen {
-		return // garbage: drop
+		n.runts.Add(1)
+		return
 	}
 	select {
 	case <-n.done:
@@ -662,19 +691,24 @@ func (sh *shard) enqueue(from wire.NodeID, data []byte, release func()) {
 	}
 }
 
-// runShard is a shard's worker pipeline: it drains the bounded queue in
-// bursts of up to Config.Burst packets and processes each burst against the
-// shard's slice of the flow table under one lock acquisition. The burst and
-// parse scratch are worker-local and reused forever; entries are zeroed
-// after release so the worker never pins receive buffers between bursts.
+// runShard is a shard's worker, the one goroutine that touches its flows:
+// it drains the queue in bursts of up to Config.Burst packets, and between
+// bursts runs what the mailbox hands it. The burst and parse scratch are
+// reused forever; entries are zeroed after release so the worker never pins
+// receive buffers between bursts.
 func (n *Node) runShard(sh *shard) {
 	defer n.wg.Done()
 	burst := make([]inPkt, 0, n.cfg.Burst)
 	parsed := make([]wire.Packet, n.cfg.Burst)
 	for {
 		select {
-		case <-n.done:
-			return // Close releases whatever is still queued
+		case fn := <-sh.mail:
+			if fn == nil {
+				return // Close; it releases whatever is still queued
+			}
+			fn()
+			n.endBurst(sh)
+			sh.ran <- struct{}{}
 		case p := <-sh.in:
 			// One packet is in hand; opportunistically take whatever else
 			// is already queued, up to the burst bound.
@@ -689,15 +723,14 @@ func (n *Node) runShard(sh *shard) {
 				}
 			}
 			n.processBurst(sh, burst, parsed)
-			// Drain the egress stage before releasing the burst's clock
-			// holds: under a virtual clock the sends must land in the same
-			// instant that admitted the packets, or quiescence would race
-			// the recode.
-			n.runEgress(sh)
-			// Releasing after the lock drops is safe for determinism: every
-			// packet in the burst acquired its hold at enqueue time, so the
-			// virtual clock could not have advanced past any of them; the
-			// batch only delays quiescence, never reorders it.
+			// Egress drains before the burst's clock holds are released:
+			// under a virtual clock the sends must land in the same instant
+			// that admitted the packets, or quiescence would race the recode.
+			n.endBurst(sh)
+			// Releasing them together is safe for determinism: every packet
+			// in the burst acquired its hold at enqueue time, so the virtual
+			// clock could not have advanced past any of them; the batch only
+			// delays quiescence, never reorders it.
 			for i := range burst {
 				burst[i].release()
 				burst[i] = inPkt{}
@@ -706,38 +739,38 @@ func (n *Node) runShard(sh *shard) {
 	}
 }
 
+// endBurst is the tail of everything the worker runs, burst or mailbox call:
+// what was framed leaves, and the clock timer follows the deadline queue.
+func (n *Node) endBurst(sh *shard) {
+	n.runEgress(sh)
+	n.armTick(sh)
+}
+
 // processBurst parses every packet header in the burst into the worker's
 // reused parse scratch (parsed[i] for burst[i]; handlers that keep a packet
-// clone it), then takes the shard lock once, performs one shutdown check,
-// and dispatches each packet. It does not release clock holds — that is the
-// caller's job (releases happen after the lock drops).
+// clone it), performs one shutdown check, and dispatches each packet. It
+// does not release clock holds — that is the caller's job.
 func (n *Node) processBurst(sh *shard, burst []inPkt, parsed []wire.Packet) {
-	for i := range burst {
-		if wire.ParsePacket(burst[i].data, &parsed[i]) != nil {
-			parsed[i].Type = 0 // garbage: drop
-		}
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	select {
 	case <-n.done:
-		// Close has (or is about to have) cleared this shard under its
-		// lock; processing queued packets now would resurrect flow state,
-		// leak reservations, and arm timers nobody stops.
-		return
+		return // queued when Close began: dropped, Close releases the holds
 	default:
 	}
 	for i := range burst {
+		if wire.ParsePacket(burst[i].data, &parsed[i]) != nil {
+			parsed[i].Type = 0
+			sh.stats.Garbage++
+		}
+	}
+	for i := range burst {
 		if parsed[i].Type != 0 {
-			n.dispatchLocked(sh, burst[i].from, &parsed[i])
+			n.dispatch(sh, burst[i].from, &parsed[i])
 		}
 	}
 }
 
-// dispatchLocked routes one parsed packet to its handler. It is the only
-// data-path writer of the shard's state; the shard lock is held for the
-// benefit of timers, GC, and stats snapshots.
-func (n *Node) dispatchLocked(sh *shard, from wire.NodeID, pkt *wire.Packet) {
+// dispatch routes one parsed packet to its handler.
+func (n *Node) dispatch(sh *shard, from wire.NodeID, pkt *wire.Packet) {
 	switch pkt.Type {
 	case wire.MsgAck, wire.MsgParentDown:
 		// Matched on (sender, the sender's flow-id); never create flow state.
@@ -754,7 +787,7 @@ func (n *Node) dispatchLocked(sh *shard, from wire.NodeID, pkt *wire.Packet) {
 		if pkt.Type != wire.MsgSetup && pkt.Type != wire.MsgData {
 			return
 		}
-		if fs = n.createFlowLocked(sh, pkt.Flow, from); fs == nil {
+		if fs = n.createFlow(sh, pkt.Flow, from); fs == nil {
 			return // admission refused (MaxFlows or tenant quota)
 		}
 	}
@@ -765,7 +798,7 @@ func (n *Node) dispatchLocked(sh *shard, from wire.NodeID, pkt *wire.Packet) {
 		// refresh the flow itself, so an idle session still ages out of the
 		// table (FlowTTL) instead of being kept alive forever by keepalives.
 		fs.lastActive = now
-		sh.lruTouchLocked(fs)
+		sh.lruTouch(fs)
 	}
 	switch pkt.Type {
 	case wire.MsgSetup:
@@ -784,13 +817,12 @@ func (n *Node) dispatchLocked(sh *shard, from wire.NodeID, pkt *wire.Packet) {
 // stamp puts a clock reading on the scale hop records keep (hops.go).
 func (n *Node) stamp(t time.Time) int64 { return int64(t.Sub(n.epoch)) }
 
-// sendLocked hands one framed packet to the transport, counting it out.
+// send hands one framed packet to the transport, counting it out.
 // Transports never block the caller (the non-blocking send contract): a
 // peer whose outbound queue is full sheds the packet and reports the
 // advisory ErrSendQueueFull, which is counted here — a shard worker or the
-// control loop must never stall on a slow peer's TCP backpressure. Runs
-// with sh.mu held.
-func (n *Node) sendLocked(sh *shard, to wire.NodeID, buf []byte) {
+// control sweep must never stall on a slow peer's TCP backpressure.
+func (n *Node) send(sh *shard, to wire.NodeID, buf []byte) {
 	sh.stats.PacketsOut++
 	if err := n.tr.Send(n.id, to, buf); err != nil && errors.Is(err, overlay.ErrSendQueueFull) {
 		sh.stats.SendDrops++

@@ -23,11 +23,12 @@ func TestEstablishmentAckOriginatesAtReceiverOnly(t *testing.T) {
 	// the dedup flag holds (no crash, no storm).
 	destFlow := h.graph.Flows[h.graph.Dest]
 	sh := h.dest.shardFor(destFlow)
-	acked := func() bool {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		fs := sh.flows[destFlow]
-		return fs != nil && fs.ackSent
+	acked := func() (ok bool) {
+		sh.do(func() {
+			fs := sh.flows[destFlow]
+			ok = fs != nil && fs.ackSent
+		})
+		return ok
 	}
 	if !simnet.Eventually(5*time.Second, 2*time.Millisecond, acked) {
 		t.Fatal("receiver did not send establishment ack")

@@ -7,24 +7,27 @@ import (
 	"infoslicing/internal/wire"
 )
 
-// sendAckLocked emits this flow's establishment acknowledgment (§7.4:
+// sendAck emits this flow's establishment acknowledgment (§7.4:
 // originated by the destination, re-stamped hop by hop) to every previous
-// hop. Runs with sh.mu held.
-func (n *Node) sendAckLocked(sh *shard, fs *flowState) {
+// hop.
+func (n *Node) sendAck(sh *shard, fs *flowState) {
 	fs.ackSent = true
 	sh.pktBuf = wire.AppendPacketHeader(sh.pktBuf[:0], wire.MsgAck, fs.flow, 0, 0, 0, 0)
-	n.floodUpstreamLocked(sh, fs, sh.pktBuf)
+	n.floodUpstream(sh, fs, sh.pktBuf)
 }
 
-// handleSetup runs on the shard worker with sh.mu held.
+// handleSetup retains one hop's set-up packet, decodes the routing block as
+// soon as the packets in hand allow, and forwards the wave when every parent's
+// packet is in or SetupWait after the decode, whichever comes first.
 func (n *Node) handleSetup(sh *shard, fs *flowState, hi int, pkt *wire.Packet) {
 	if fs.setupSent || hi < 0 || fs.hops[hi].setup != nil {
-		return // late (already forwarded), past the observation cap, or a duplicate
+		sh.stats.SetupIgnored++ // late (already forwarded), past the observation cap, or a duplicate
+		return
 	}
 	h := &fs.hops[hi]
 	// Kept until the wave is forwarded (the view pins the receive buffer).
 	h.setup, h.setupD, h.setupSlotLen, h.setupSlots = pkt.SlotArea(), pkt.CoeffLen, pkt.SlotLen, uint8(len(pkt.Slots))
-	if fs.info == nil && !n.establishLocked(sh, fs, int(pkt.CoeffLen)) {
+	if fs.info == nil && !n.establish(sh, fs, int(pkt.CoeffLen)) {
 		return // not yet decodable; if it never is, GC reaps the flow
 	}
 	switch {
@@ -35,25 +38,19 @@ func (n *Node) handleSetup(sh *shard, fs *flowState, hi int, pkt *wire.Packet) {
 		fs.setupSent = true
 		fs.dropSetup()
 	case fs.setupStaged():
-		n.forwardSetupLocked(sh, fs)
-	case fs.setupTimer == nil:
-		fs.setupTimer = n.clk.AfterFunc(n.cfg.SetupWait, func() {
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
-			if sh.flows[fs.flow] == fs && !fs.setupSent {
-				n.forwardSetupLocked(sh, fs)
-			}
-		})
+		n.forwardSetup(sh, fs)
+	case fs.due[dlSetup] == 0:
+		sh.setDeadline(fs, dlSetup, n.stamp(fs.lastActive)+int64(n.cfg.SetupWait)) // lastActive is this packet's arrival
 	}
 }
 
-// establishLocked tries to decode the flow's routing block from the set-up
+// establish tries to decode the flow's routing block from the set-up
 // packets that claim split factor d (the newest packet's: no other group can
 // have become decodable). Slot 0 of each carries one of our own slices, if it
 // validates; padding and slices lost upstream do not. The claim becomes
 // authoritative only when the group decodes into a block that passes magic
 // and checksum.
-func (n *Node) establishLocked(sh *shard, fs *flowState, d int) bool {
+func (n *Node) establish(sh *shard, fs *flowState, d int) bool {
 	if d < 1 || d > 64 {
 		return false
 	}
@@ -87,10 +84,10 @@ func (n *Node) establishLocked(sh *shard, fs *flowState, d int) bool {
 	fs.d, fs.slotLen, fs.nSlots = d, int(geom.setupSlotLen), int(geom.setupSlots)
 	sh.stats.FlowsEstablished++
 	fs.declareParents(pi, n.stamp(fs.lastActive), false)
-	n.dirAddLocked(sh, fs, pi) // its children's acks and reports now find it
+	n.dirAdd(sh, fs, pi) // its children's acks and reports now find it
 
 	if pi.Receiver {
-		n.sendAckLocked(sh, fs)
+		n.sendAck(sh, fs)
 	}
 	// Process any data that raced ahead of the decode.
 	for _, pd := range fs.pendingData {
@@ -100,17 +97,14 @@ func (n *Node) establishLocked(sh *shard, fs *flowState, d int) bool {
 	return true
 }
 
-// forwardSetupLocked frames one packet per child straight into the shard's
+// forwardSetup frames one packet per child straight into the shard's
 // framing buffer: all of it is padded in one go, then each slice-map slot is
 // copied from the retained packet to its place and stripped of one
 // scrambling layer where it lies. Everything else — including slots whose
 // source packet never arrived — stays padding: packet size is constant (§9.4c).
-func (n *Node) forwardSetupLocked(sh *shard, fs *flowState) {
+func (n *Node) forwardSetup(sh *shard, fs *flowState) {
 	fs.setupSent = true
-	if fs.setupTimer != nil {
-		fs.setupTimer.Stop()
-		fs.setupTimer = nil
-	}
+	sh.setDeadline(fs, dlSetup, 0)
 	pi := fs.info
 	frame := wire.HeaderLen + fs.nSlots*fs.slotLen
 	buf := slices.Grow(sh.pktBuf[:0], len(pi.Children)*frame)[:len(pi.Children)*frame]
@@ -134,7 +128,7 @@ func (n *Node) forwardSetupLocked(sh *shard, fs *flowState) {
 		e.Unscramble.Invert(dst)
 	}
 	for c, ch := range pi.Children {
-		n.sendLocked(sh, ch, buf[c*frame:][:frame])
+		n.send(sh, ch, buf[c*frame:][:frame])
 	}
 	fs.dropSetup()
 }

@@ -11,14 +11,13 @@ import (
 // long-running daemon can expose to the open overlay (ROADMAP item 2).
 //
 // Eviction ordering rules (see DESIGN.md, "Multi-tenant flow table"):
-// removal is always removeFlowLocked, always under the shard lock, and
-// always in this order — stop timers, unmap, unlink from the LRU list,
-// withdraw the cuckoo fingerprint (or rebalance the overflow count),
-// withdraw the child index keys and directory refs, release the admission
-// reservation.
-// The fingerprint outlives the map entry within the critical section, so a
-// transport goroutine that passed the filter just before eviction finds a
-// clean miss under the lock, never a half-removed flow.
+// removal is always removeFlow, always on the shard's worker, and always in
+// this order — cancel deadlines, unmap, unlink from the LRU list, withdraw
+// the cuckoo fingerprint (or rebalance the overflow count), withdraw the
+// child index keys and directory refs, release the admission reservation.
+// The filter and the directory are what transport goroutines read, so they
+// go after the map entry: a packet that passed either just before eviction
+// is queued behind it and finds a clean miss, never a half-removed flow.
 
 // maxObservedHops caps the observed senders in a flow's hop table
 // (hops.go). Sender ids inside a frame are claimed, not proven, so a
@@ -30,7 +29,7 @@ const maxObservedHops = 64
 
 // gcBatch bounds evictions per shard per gcSweep tick. The sweep walks the
 // LRU list from the cold end and stops at the first live flow, so its cost
-// is O(evicted+1) rather than a full-map scan under sh.mu — at 1M flows
+// is O(evicted+1) rather than a full-map scan on the worker — at 1M flows
 // the old full scan was itself the latency cliff the sweep existed to
 // prevent. The batch cap keeps even a mass-expiry tick bounded; the
 // remainder ages out on following ticks.
@@ -86,14 +85,14 @@ func (n *Node) TenantFlows() map[wire.NodeID]int64 {
 	return out
 }
 
-// createFlowLocked admits and installs a fresh flow created by `from`.
+// createFlow admits and installs a fresh flow created by `from`.
 // Returns nil (counting the rejection) when admission fails. Only the two
 // flow-creating packet types reach here. The flowState starts with only
 // its hop table; everything else — round ring, receiver reassembly — is
 // allocated lazily by the phase that needs it, so a table holding a million
 // mostly-idle flows pays for what each flow actually did, not for every
 // phase it might enter.
-func (n *Node) createFlowLocked(sh *shard, f wire.FlowID, from wire.NodeID) *flowState {
+func (n *Node) createFlow(sh *shard, f wire.FlowID, from wire.NodeID) *flowState {
 	if !n.admit(from) {
 		sh.stats.FlowsRejected++
 		return nil
@@ -104,25 +103,25 @@ func (n *Node) createFlowLocked(sh *shard, f wire.FlowID, from wire.NodeID) *flo
 		hops:   make([]hop, 0, 4), // d' parents: one allocation for the usual flow
 	}
 	sh.flows[f] = fs
-	sh.lruPushLocked(fs)
+	sh.lruPush(fs)
 	fs.inFilter = sh.filter.insert(uint64(f), sh.rng)
 	return fs
 }
 
-// removeFlowLocked tears one flow down in the canonical order (see the
+// removeFlow tears one flow down in the canonical order (see the
 // file comment); evicted distinguishes TTL/pressure eviction (counted)
 // from shutdown teardown.
-func (n *Node) removeFlowLocked(sh *shard, fs *flowState, evicted bool) {
-	fs.stopTimers()
+func (n *Node) removeFlow(sh *shard, fs *flowState, evicted bool) {
+	sh.cancelDeadlines(fs)
 	delete(sh.flows, fs.flow)
-	sh.lruRemoveLocked(fs)
+	sh.lruRemove(fs)
 	if fs.inFilter {
 		sh.filter.remove(uint64(fs.flow))
 	} else {
 		sh.filter.overflow.Add(-1)
 	}
 	if fs.info != nil {
-		n.dirDelLocked(sh, fs, fs.info)
+		n.dirDel(sh, fs, fs.info)
 	}
 	n.releaseSlot(fs.tenant)
 	if evicted {
@@ -135,7 +134,7 @@ func (n *Node) removeFlowLocked(sh *shard, fs *flowState, evicted bool) {
 // at the same points (creation and every non-heartbeat packet), so the
 // cold end of the list is always the oldest lastActive on the shard.
 
-func (sh *shard) lruPushLocked(fs *flowState) {
+func (sh *shard) lruPush(fs *flowState) {
 	fs.lruPrev = sh.lruTail
 	fs.lruNext = nil
 	if sh.lruTail != nil {
@@ -146,7 +145,7 @@ func (sh *shard) lruPushLocked(fs *flowState) {
 	sh.lruTail = fs
 }
 
-func (sh *shard) lruRemoveLocked(fs *flowState) {
+func (sh *shard) lruRemove(fs *flowState) {
 	if fs.lruPrev != nil {
 		fs.lruPrev.lruNext = fs.lruNext
 	} else if sh.lruHead == fs {
@@ -160,12 +159,12 @@ func (sh *shard) lruRemoveLocked(fs *flowState) {
 	fs.lruPrev, fs.lruNext = nil, nil
 }
 
-func (sh *shard) lruTouchLocked(fs *flowState) {
+func (sh *shard) lruTouch(fs *flowState) {
 	if sh.lruTail == fs {
 		return
 	}
-	sh.lruRemoveLocked(fs)
-	sh.lruPushLocked(fs)
+	sh.lruRemove(fs)
+	sh.lruPush(fs)
 }
 
 // childKey names a flow as its child knows it: the child's address and the
@@ -194,7 +193,7 @@ type childEntry struct {
 
 // childMask returns the shard bitmask for a sender, zero when no flow
 // anywhere lists it as a child. Read-locked only: safe from transport
-// goroutines, never nests a shard lock.
+// goroutines.
 func (n *Node) childMask(from wire.NodeID) uint64 {
 	n.children.mu.RLock()
 	e := n.children.entries[from]
@@ -206,12 +205,11 @@ func (n *Node) childMask(from wire.NodeID) uint64 {
 	return m
 }
 
-// dirAddLocked indexes a flow under its children: one byChild key per
+// dirAdd indexes a flow under its children: one byChild key per
 // (child, child-flow) pair — a key already held stays with its holder — and
 // a ref on the child→shard mask consulted by transport goroutines. Called
-// under sh.mu at establishment and splice; the nested directory lock is fine
-// because no path takes a shard lock while holding it.
-func (n *Node) dirAddLocked(sh *shard, fs *flowState, pi *wire.PerNodeInfo) {
+// at establishment and splice, never per data packet.
+func (n *Node) dirAdd(sh *shard, fs *flowState, pi *wire.PerNodeInfo) {
 	if len(pi.Children) == 0 {
 		return
 	}
@@ -234,11 +232,11 @@ func (n *Node) dirAddLocked(sh *shard, fs *flowState, pi *wire.PerNodeInfo) {
 	n.children.mu.Unlock()
 }
 
-// dirDelLocked withdraws a flow's index keys and directory refs (eviction,
+// dirDel withdraws a flow's index keys and directory refs (eviction,
 // splice, close). A key is released only by the flow that holds it, so a
 // flow whose block claims someone else's (child, child-flow) pair cannot
 // unroute that flow by leaving.
-func (n *Node) dirDelLocked(sh *shard, fs *flowState, pi *wire.PerNodeInfo) {
+func (n *Node) dirDel(sh *shard, fs *flowState, pi *wire.PerNodeInfo) {
 	if len(pi.Children) == 0 {
 		return
 	}

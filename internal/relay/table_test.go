@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"infoslicing/internal/simnet"
 	"infoslicing/internal/wire"
 )
 
@@ -22,21 +23,51 @@ func junkDataFrame(f wire.FlowID) []byte {
 // TestCloseInsertRaceFlowCount pins the Close-vs-insert accounting fix: the
 // shard workers are joined before Close sweeps the table, so a creation
 // racing Close either lands (and the sweep releases its reservation) or is
-// refused by the worker's done-check — never a leaked flowCount. Run under
-// -race this also exercises the teardown ordering for data races.
+// refused by the worker's done-check — never a leaked flowCount. Queries ride
+// the workers' mailboxes, so they race Close too: one in flight when the
+// workers exit, or made on the closed node, must return (against the swept
+// table) rather than wait on a mailbox nobody reads, and so must a sweep or
+// a deadline tick that fires late. Run under -race this also exercises the
+// teardown ordering for data races.
 func TestCloseInsertRaceFlowCount(t *testing.T) {
 	for round := 0; round < 8; round++ {
+		goroutines := runtime.NumGoroutine()
 		tr := &countingTransport{}
 		n, err := New(1, tr, Config{
-			Rng:      rand.New(rand.NewSource(int64(round))),
-			Shards:   4,
-			MaxFlows: 1 << 16,
+			Rng:         rand.New(rand.NewSource(int64(round))),
+			Shards:      4,
+			MaxFlows:    1 << 16,
+			TenantQuota: 1 << 16,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		queries := func() {
+			n.Stats()
+			n.Established(wire.FlowID(uint64(round) << 32))
+			n.EstablishedCount()
+			n.TenantFlows()
+			n.gcSweep()
+			n.controlSweep()
+			n.shards[round%4].onTick()
+		}
 		var wg sync.WaitGroup
 		start := make(chan struct{})
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for {
+					queries()
+					select {
+					case <-n.closeDone:
+						return
+					default:
+					}
+				}
+			}()
+		}
 		for g := 0; g < 4; g++ {
 			wg.Add(1)
 			go func(g int) {
@@ -63,12 +94,22 @@ func TestCloseInsertRaceFlowCount(t *testing.T) {
 			t.Fatalf("round %d: flowCount = %d after Close, want 0 (leaked reservations)", round, got)
 		}
 		for i, sh := range n.shards {
-			sh.mu.Lock()
-			left := len(sh.flows)
-			sh.mu.Unlock()
-			if left != 0 {
+			if left := len(sh.flows); left != 0 {
 				t.Fatalf("round %d: shard %d still holds %d flows after Close", round, i, left)
 			}
+			if sh.tickAt != 0 || len(sh.deadlines) != 0 {
+				t.Fatalf("round %d: shard %d closed with %d deadlines pending, timer armed for %d", round, i, len(sh.deadlines), sh.tickAt)
+			}
+		}
+		queries()
+		if got := len(n.TenantFlows()); got != 0 {
+			t.Fatalf("round %d: %d tenants still hold reservations after Close", round, got)
+		}
+		if got := n.egPool.Outstanding(); got != 0 {
+			t.Fatalf("round %d: %d egress slabs outstanding after Close", round, got)
+		}
+		if !simnet.Eventually(5*time.Second, time.Millisecond, func() bool { return runtime.NumGoroutine() <= goroutines }) {
+			t.Fatalf("round %d: %d goroutines after Close, %d before New", round, runtime.NumGoroutine(), goroutines)
 		}
 	}
 }
@@ -175,20 +216,20 @@ func TestTenantQuotaNoStarvation(t *testing.T) {
 	}
 	// Eviction releases quota: age the greedy tenant's flows out and its
 	// next creation is admitted again.
-	sh.mu.Lock()
-	for _, fs := range sh.flows {
-		if fs.tenant == greedy {
-			fs.lastActive = fs.lastActive.Add(-time.Hour)
+	sh.do(func() {
+		for _, fs := range sh.flows {
+			if fs.tenant == greedy {
+				fs.lastActive = fs.lastActive.Add(-time.Hour)
+			}
 		}
-	}
-	// The LRU order key (lastActive) changed behind the list's back; rebuild
-	// by touching the modest flows so the aged ones sit at the cold end.
-	for _, fs := range sh.flows {
-		if fs.tenant == modest {
-			sh.lruTouchLocked(fs)
+		// The LRU order key (lastActive) changed behind the list's back; rebuild
+		// by touching the modest flows so the aged ones sit at the cold end.
+		for _, fs := range sh.flows {
+			if fs.tenant == modest {
+				sh.lruTouch(fs)
+			}
 		}
-	}
-	sh.mu.Unlock()
+	})
 	n.gcSweep()
 	if got := n.FlowTableSize(); got != 2 {
 		t.Fatalf("table = %d flows after sweep, want 2", got)

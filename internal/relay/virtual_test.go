@@ -215,8 +215,8 @@ func TestRoundWaitForwardsAtExactInstant(t *testing.T) {
 	if _, ok := forwardedAt[2]; ok {
 		t.Error("round 2 was never sent a slice, yet something was forwarded for it")
 	}
-	if w := &fs.win; w.low != w.high || w.timer != nil {
-		t.Errorf("window [%d,%d) timer %v after every deadline ran out, want empty and disarmed", w.low, w.high, w.timer)
+	if w := &fs.win; w.low != w.high || fs.due[dlRound] != 0 {
+		t.Errorf("window [%d,%d) round wait %v after every deadline ran out, want empty and disarmed", w.low, w.high, fs.due[dlRound])
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"infoslicing/internal/code"
-	"infoslicing/internal/simnet"
 	"infoslicing/internal/wire"
 )
 
@@ -17,15 +16,14 @@ import (
 // for a relay; decoded, for a receiver), low advances over finished rounds,
 // and a slice for anything below low is a counted late drop. The ring
 // doubles only to keep a round still needed; past maxWindow the oldest
-// rounds are written off instead. Round deadlines share one timer per flow:
-// it fires at the earliest stamp still ahead, forwards what is due and
-// re-arms — at most one timer operation per RoundWait in steady traffic.
+// rounds are written off instead. Round deadlines share the flow's one
+// dlRound wait: it runs out at the earliest stamp still ahead, forwards what
+// is due and re-arms — at most one queue operation per RoundWait in steady
+// traffic.
 type roundWindow struct {
 	slots     []roundSlot
 	low, high uint32 // rounds tracked: low ≤ high ≤ low+len(slots)
 	buffered  int    // decoded chunks parked behind a missing round
-	timer     simnet.Timer
-	fire      func() // timer's callback, built once per flow
 }
 
 const minWindow, maxWindow = 1, 4096
@@ -72,9 +70,9 @@ func (fs *flowState) needs(seq uint32, s *roundSlot) (forward, decode bool) {
 	return
 }
 
-// slotLocked returns the slot tracking round seq, making room for it (which
+// slotFor returns the slot tracking round seq, making room for it (which
 // may re-seat the ring: older slot pointers die), or nil below the window.
-func (n *Node) slotLocked(sh *shard, fs *flowState, seq uint32) *roundSlot {
+func (n *Node) slotFor(sh *shard, fs *flowState, seq uint32) *roundSlot {
 	w := &fs.win
 	if w.slots == nil {
 		w.slots = make([]roundSlot, minWindow)
@@ -85,7 +83,7 @@ func (n *Node) slotLocked(sh *shard, fs *flowState, seq uint32) *roundSlot {
 		return nil
 	case off >= maxWindow:
 		// Out of reach even fully grown: slide, writing off the oldest.
-		n.slideLocked(sh, fs, seq-uint32(size)+1)
+		n.slide(sh, fs, seq-uint32(size)+1)
 	case off >= uint32(size):
 		for uint32(size) <= off {
 			size <<= 1
@@ -102,9 +100,9 @@ func (n *Node) slotLocked(sh *shard, fs *flowState, seq uint32) *roundSlot {
 	return w.at(seq)
 }
 
-// slideLocked moves the window base up to low, writing off every round it
+// slide moves the window base up to low, writing off every round it
 // passes, O(1) each. A receiver's stream skips with them.
-func (n *Node) slideLocked(sh *shard, fs *flowState, low uint32) {
+func (n *Node) slide(sh *shard, fs *flowState, low uint32) {
 	w := &fs.win
 	for ; w.low != w.high && w.low != low; w.low++ {
 		s := w.at(w.low)
@@ -121,12 +119,12 @@ func (n *Node) slideLocked(sh *shard, fs *flowState, low uint32) {
 		w.high = low
 	}
 	if fs.info.Receiver && int32(low-fs.nextSeq) > 0 {
-		n.skipStreamLocked(sh, fs, low)
+		n.skipStream(sh, fs, low)
 	}
 }
 
-// advanceLocked recycles the rounds at low that nothing is waiting on.
-func (fs *flowState) advanceLocked() {
+// advance recycles the rounds at low that nothing is waiting on.
+func (fs *flowState) advance() {
 	for w := &fs.win; w.low != w.high; w.low++ {
 		s := w.at(w.low)
 		if fwd, dec := fs.needs(w.low, s); fwd || dec || s.chunk != nil {
@@ -136,32 +134,12 @@ func (fs *flowState) advanceLocked() {
 	}
 }
 
-// armRoundTimerLocked arms the flow's round timer unless one is pending.
-func (n *Node) armRoundTimerLocked(sh *shard, fs *flowState, d time.Duration) {
-	w := &fs.win
-	if w.timer != nil {
-		return
-	}
-	if w.fire == nil {
-		w.fire = func() {
-			sh.mu.Lock()
-			if sh.flows[fs.flow] == fs {
-				w.timer = nil
-				n.roundDeadlineLocked(sh, fs)
-			}
-			sh.mu.Unlock()
-			n.runEgress(sh)
-		}
-	}
-	w.timer = n.clk.AfterFunc(d, w.fire)
-}
-
-// roundDeadlineLocked is the round timer's body: a round whose RoundWait has
+// roundDeadline is what the dlRound wait runs: a round whose RoundWait has
 // run out forwards with what it has, and a hole is written off once a later
 // round is GapWait old — when the receiver would skip it anyway, and after an
-// upstream relay has had its own RoundWait to forward it short. The timer
+// upstream relay has had its own RoundWait to forward it short. The wait
 // re-arms for the earliest instant still ahead.
-func (n *Node) roundDeadlineLocked(sh *shard, fs *flowState) {
+func (n *Node) roundDeadline(sh *shard, fs *flowState) {
 	w, now := &fs.win, n.clk.Now()
 	grace := max(n.cfg.GapWait-n.cfg.RoundWait, 0) // a hole's write-off lags the deadline above it
 	lastDue := w.low                               // holes in [low, lastDue) are written off
@@ -180,7 +158,7 @@ func (n *Node) roundDeadlineLocked(sh *shard, fs *flowState) {
 		}
 		if !at.After(now) {
 			if fwd, _ := fs.needs(seq, s); fwd {
-				n.stageRoundLocked(sh, fs, seq, s)
+				n.stageRound(sh, fs, seq, s)
 			}
 			at = at.Add(grace) // then the write-off of any hole below it
 		}
@@ -188,12 +166,12 @@ func (n *Node) roundDeadlineLocked(sh *shard, fs *flowState) {
 			next = at
 		}
 	}
-	fs.advanceLocked()
+	fs.advance()
 	switch {
 	case w.low == w.high:
 		// Idle a whole RoundWait: the ring goes; the next slice to hold makes one.
-		w.slots, w.fire = nil, nil
+		w.slots = nil
 	case !next.IsZero():
-		n.armRoundTimerLocked(sh, fs, next.Sub(now))
+		sh.setDeadline(fs, dlRound, n.stamp(next))
 	}
 }
