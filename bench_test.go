@@ -9,14 +9,12 @@ package infoslicing
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 	"time"
 
 	"infoslicing/internal/anonymity"
 	"infoslicing/internal/churn"
 	"infoslicing/internal/code"
-	"infoslicing/internal/metrics"
 	"infoslicing/internal/overlay"
 	"infoslicing/internal/perf"
 	"infoslicing/internal/wire"
@@ -265,124 +263,6 @@ func BenchmarkFig13Scaling(b *testing.B) {
 				total = tp
 			}
 			b.ReportMetric(total/1e6, "Mbps-total")
-		})
-	}
-}
-
-// --- Multi-core relay scaling: aggregate throughput vs GOMAXPROCS ------------
-
-// BenchmarkRelayScaling measures how the sharded relay uses cores: N
-// concurrent flows over a shared relay pool on an unshaped in-memory
-// transport (relay CPU work is the bottleneck), swept across GOMAXPROCS.
-// It extends the paper's §7 network-throughput experiment (Fig. 13) down
-// one level: Fig. 13 scales by adding relays, this scales one relay
-// process across cores. Aggregate Mb/s should grow with procs for
-// multi-flow runs while per-message tail latency stays bounded; the
-// flows=1 rows are the no-parallelism control.
-func BenchmarkRelayScaling(b *testing.B) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, flows := range []int{1, 8, 32} {
-		for _, procs := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("flows=%d/procs=%d", flows, procs), func(b *testing.B) {
-				prev := runtime.GOMAXPROCS(procs)
-				defer runtime.GOMAXPROCS(prev)
-				b.ReportAllocs()
-				var res perf.RelayScalingResult
-				for i := 0; i < b.N; i++ {
-					r, err := perf.RelayScaling(perf.RelayScalingParams{
-						Flows: flows, L: 2, D: 2,
-						Messages: 32, MessageBytes: 2048,
-						Seed: int64(i),
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					res = r
-				}
-				b.ReportMetric(res.AggregateMbps, "Mbps-total")
-				b.ReportMetric(float64(res.LatencyP50.Microseconds()), "p50-µs")
-				b.ReportMetric(float64(res.LatencyP99.Microseconds()), "p99-µs")
-			})
-		}
-	}
-}
-
-// BenchmarkTCPLoopback is BenchmarkRelayScaling with the OS network stack
-// in the path: the same flows × relay-pool experiment over real loopback
-// TCP sockets (one listener per relay, as in the paper's per-host daemon,
-// §7.1). It is the wire transport's entry in the perf trajectory — msgs/s
-// here measures framing, per-peer write batching, and the reader path, not
-// the coding kernels. Allocs/op is gated by bench_baseline.json: a
-// per-frame allocation sneaking into the peer write path multiplies by
-// every message of every flow and trips the gate.
-func BenchmarkTCPLoopback(b *testing.B) {
-	for _, flows := range []int{1, 8} {
-		b.Run(fmt.Sprintf("flows=%d", flows), func(b *testing.B) {
-			b.ReportAllocs()
-			var res perf.RelayScalingResult
-			var delivered int
-			var elapsed time.Duration
-			var lat []float64
-			for i := 0; i < b.N; i++ {
-				r, err := perf.TCPLoopback(perf.RelayScalingParams{
-					Flows: flows, L: 2, D: 2,
-					Messages: 128, MessageBytes: 512, Window: 16,
-					Seed: int64(i),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res = r
-				delivered += r.Delivered
-				elapsed += r.Elapsed
-				lat = append(lat, r.LatencySamples...)
-			}
-			// Every reported metric is pooled over all iterations — a
-			// single run's rate and tail swing with scheduler luck.
-			b.ReportMetric(float64(delivered)/elapsed.Seconds(), "msgs/s")
-			b.ReportMetric(res.AggregateMbps, "Mbps-total")
-			b.ReportMetric(metrics.Percentile(lat, 50)*1e6, "p50-µs")
-			b.ReportMetric(metrics.Percentile(lat, 99)*1e6, "p99-µs")
-		})
-	}
-}
-
-// BenchmarkUDPLoopback is the datagram twin of BenchmarkTCPLoopback: the
-// same flows × relay-pool experiment over real loopback UDP through the
-// congestion-controlled peer layer (frames packed whole into sendmmsg'd
-// datagrams, CUBIC windows paced by the ack/echo channel, recvmmsg reader
-// slabs). The acceptance bar is parity: flows=8 throughput within 20% of
-// the TCP run at zero loss, with the steady-state send path allocating
-// nothing per frame (gated by bench_baseline.json, like TCP).
-func BenchmarkUDPLoopback(b *testing.B) {
-	for _, flows := range []int{1, 8} {
-		b.Run(fmt.Sprintf("flows=%d", flows), func(b *testing.B) {
-			b.ReportAllocs()
-			var res perf.RelayScalingResult
-			var delivered int
-			var elapsed time.Duration
-			var lat []float64
-			for i := 0; i < b.N; i++ {
-				r, err := perf.UDPLoopback(perf.RelayScalingParams{
-					Flows: flows, L: 2, D: 2,
-					Messages: 128, MessageBytes: 512, Window: 16,
-					Seed: int64(i),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if r.Transport.Retransmissions != 0 {
-					b.Fatalf("datagram transport retransmitted: %+v", r.Transport)
-				}
-				res = r
-				delivered += r.Delivered
-				elapsed += r.Elapsed
-				lat = append(lat, r.LatencySamples...)
-			}
-			b.ReportMetric(float64(delivered)/elapsed.Seconds(), "msgs/s")
-			b.ReportMetric(res.AggregateMbps, "Mbps-total")
-			b.ReportMetric(metrics.Percentile(lat, 50)*1e6, "p50-µs")
-			b.ReportMetric(metrics.Percentile(lat, 99)*1e6, "p99-µs")
 		})
 	}
 }

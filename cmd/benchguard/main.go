@@ -1,23 +1,18 @@
-// Command benchguard gates performance regressions in CI: it parses `go
+// Command benchguard gates allocation regressions in CI: it parses `go
 // test -bench` output and fails (exit 1) when a benchmark named in the
-// committed baseline regresses — or is missing from the run entirely, so a
-// renamed benchmark cannot silently drop out of the gate.
+// committed baseline allocates more than its ceiling — or is missing from
+// the run entirely, so a renamed benchmark cannot silently drop out of the
+// gate.
 //
 //	go test -run '^$' -bench '...' -benchtime 200x ./... | tee bench.out
 //	go run ./cmd/benchguard -baseline bench_baseline.json bench.out
 //
-// Two kinds of gates, held in the same baseline file:
+// allocs/op is deterministic for a fixed -benchtime, so the ceilings
+// compare exactly and mean something on noisy shared CI runners. Timing is
+// not judged here: that is `bench -compare` on alternating pairs (bench/).
 //
-//   - allocs_per_op: hard ceilings. allocs/op is deterministic for a fixed
-//     -benchtime, so these compare exactly and are meaningful on noisy
-//     shared CI runners.
-//   - ns_per_op: time ceilings with a tolerance (ns_tolerance_pct, default
-//     50%). Wall time on shared runners is noisy, so the gate only trips on
-//     a regression larger than the tolerance; when -count > 1, the BEST run
-//     is compared (noise only slows benchmarks down, never speeds them up).
-//
-// Run with -update to rewrite both maps from the measured values after an
-// intentional change.
+// Run with -update to rewrite the ceilings from the measured values after
+// an intentional change.
 package main
 
 import (
@@ -26,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"regexp"
 	"sort"
@@ -41,19 +35,6 @@ type Baseline struct {
 	Note string `json:"note"`
 	// AllocsPerOp maps benchmark name to the maximum allowed allocs/op.
 	AllocsPerOp map[string]int64 `json:"allocs_per_op"`
-	// NsPerOp maps benchmark name to the baseline ns/op; a run fails when
-	// it measures more than baseline*(1+NsTolerancePct/100).
-	NsPerOp map[string]int64 `json:"ns_per_op,omitempty"`
-	// NsTolerancePct is the allowed ns/op regression in percent (0 → 50).
-	NsTolerancePct float64 `json:"ns_tolerance_pct,omitempty"`
-}
-
-// measured holds one benchmark's parsed results across a run.
-type measured struct {
-	allocs    int64
-	hasAllocs bool
-	ns        float64
-	hasNs     bool
 }
 
 // procSuffix strips the -GOMAXPROCS tail go test appends on multi-core
@@ -80,7 +61,7 @@ func main() {
 		fatalf("parse bench output: %v", err)
 	}
 	if len(results) == 0 {
-		fatalf("no benchmark result lines found (did the bench run crash?)")
+		fatalf("no allocs/op result lines found (did the bench run crash?)")
 	}
 
 	raw, err := os.ReadFile(*baselinePath)
@@ -101,16 +82,12 @@ func main() {
 		if err := os.WriteFile(*baselinePath, append(out, '\n'), 0o644); err != nil {
 			fatalf("write baseline: %v", err)
 		}
-		fmt.Printf("benchguard: baseline %s updated (%d alloc gates, %d time gates)\n",
-			*baselinePath, len(base.AllocsPerOp), len(base.NsPerOp))
+		fmt.Printf("benchguard: baseline %s updated (%d alloc gates)\n",
+			*baselinePath, len(base.AllocsPerOp))
 		return
 	}
 
 	failed, missing := gateAllocs(&base, results)
-	nsFailed, nsMissing := gateNs(&base, results)
-	failed += nsFailed
-	missing = append(missing, nsMissing...)
-
 	if len(missing) > 0 {
 		// A benchmark that disappears from the run is a gate silently
 		// switching off — usually a rename, a deleted sub-benchmark, or the
@@ -127,42 +104,26 @@ func main() {
 			"benchguard: renamed or deleted benchmarks must be updated in %s (and in the -bench pattern that produced this run)\n",
 			*baselinePath)
 	}
-	total := len(base.AllocsPerOp) + len(base.NsPerOp)
 	if failed > 0 {
-		fatalf("%d of %d gated benchmarks regressed or went missing", failed, total)
+		fatalf("%d of %d gated benchmarks regressed or went missing", failed, len(base.AllocsPerOp))
 	}
-	fmt.Printf("benchguard: all %d gated benchmarks within baseline\n", total)
+	fmt.Printf("benchguard: all %d gated benchmarks within baseline\n", len(base.AllocsPerOp))
 }
 
-func updateBaseline(base *Baseline, results map[string]measured, prune bool) {
+func updateBaseline(base *Baseline, results map[string]int64, prune bool) {
 	var stale []string
 	for name := range base.AllocsPerOp {
 		got, ok := results[name]
-		if !ok || !got.hasAllocs {
+		if !ok {
 			stale = append(stale, name)
 			continue
 		}
-		base.AllocsPerOp[name] = got.allocs
-	}
-	for name := range base.NsPerOp {
-		got, ok := results[name]
-		if !ok || !got.hasNs {
-			stale = append(stale, name)
-			continue
-		}
-		base.NsPerOp[name] = int64(math.Round(got.ns))
+		base.AllocsPerOp[name] = got
 	}
 	sort.Strings(stale)
 	for _, name := range stale {
 		if prune {
-			// A name may be stale in one map and live in the other; only the
-			// stale side is dropped.
-			if got, ok := results[name]; !ok || !got.hasAllocs {
-				delete(base.AllocsPerOp, name)
-			}
-			if got, ok := results[name]; !ok || !got.hasNs {
-				delete(base.NsPerOp, name)
-			}
+			delete(base.AllocsPerOp, name)
 			fmt.Printf("benchguard: pruned stale entry %q (matches no benchmark in this run)\n", name)
 		} else {
 			fmt.Fprintf(os.Stderr,
@@ -171,7 +132,7 @@ func updateBaseline(base *Baseline, results map[string]measured, prune bool) {
 	}
 }
 
-func gateAllocs(base *Baseline, results map[string]measured) (failed int, missing []string) {
+func gateAllocs(base *Baseline, results map[string]int64) (failed int, missing []string) {
 	names := make([]string, 0, len(base.AllocsPerOp))
 	for name := range base.AllocsPerOp {
 		names = append(names, name)
@@ -181,58 +142,25 @@ func gateAllocs(base *Baseline, results map[string]measured) (failed int, missin
 		allowed := base.AllocsPerOp[name]
 		got, ok := results[name]
 		switch {
-		case !ok || !got.hasAllocs:
+		case !ok:
 			fmt.Printf("MISSING  %-55s baseline %4d allocs/op, not measured\n", name, allowed)
 			missing = append(missing, name)
 			failed++
-		case got.allocs > allowed:
-			fmt.Printf("FAIL     %-55s baseline %4d, got %4d allocs/op\n", name, allowed, got.allocs)
+		case got > allowed:
+			fmt.Printf("FAIL     %-55s baseline %4d, got %4d allocs/op\n", name, allowed, got)
 			failed++
 		default:
-			fmt.Printf("ok       %-55s baseline %4d, got %4d allocs/op\n", name, allowed, got.allocs)
+			fmt.Printf("ok       %-55s baseline %4d, got %4d allocs/op\n", name, allowed, got)
 		}
 	}
 	return failed, missing
 }
 
-func gateNs(base *Baseline, results map[string]measured) (failed int, missing []string) {
-	tol := base.NsTolerancePct
-	if tol <= 0 {
-		tol = 50
-	}
-	names := make([]string, 0, len(base.NsPerOp))
-	for name := range base.NsPerOp {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		allowed := base.NsPerOp[name]
-		limit := float64(allowed) * (1 + tol/100)
-		got, ok := results[name]
-		switch {
-		case !ok || !got.hasNs:
-			fmt.Printf("MISSING  %-55s baseline %6d ns/op, not measured\n", name, allowed)
-			missing = append(missing, name)
-			failed++
-		case got.ns > limit:
-			fmt.Printf("FAIL     %-55s baseline %6d ns/op (+%.0f%% = %.0f), got %.0f ns/op\n",
-				name, allowed, tol, limit, got.ns)
-			failed++
-		default:
-			fmt.Printf("ok       %-55s baseline %6d ns/op (+%.0f%%), got %.0f ns/op\n",
-				name, allowed, tol, got.ns)
-		}
-	}
-	return failed, missing
-}
-
-// parseBench extracts allocs/op and ns/op per benchmark name from go test
-// -bench output. A name measured more than once (e.g. -count > 1) keeps
-// its worst allocs/op but its best ns/op: allocation counts are
-// deterministic so any excess is real, while timing noise on shared
-// runners only ever slows a run down.
-func parseBench(r io.Reader) (map[string]measured, error) {
-	out := make(map[string]measured)
+// parseBench extracts allocs/op per benchmark name from go test -bench
+// output. A name measured more than once (e.g. -count > 1) keeps its worst
+// value: allocation counts are deterministic, so any excess is real.
+func parseBench(r io.Reader) (map[string]int64, error) {
+	out := make(map[string]int64)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -241,30 +169,18 @@ func parseBench(r io.Reader) (map[string]measured, error) {
 			continue
 		}
 		name := procSuffix.ReplaceAllString(fields[0], "")
-		m := out[name]
 		for i := 2; i < len(fields); i++ {
-			switch fields[i] {
-			case "allocs/op":
-				v, err := strconv.ParseInt(fields[i-1], 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("line %q: bad allocs/op %q", sc.Text(), fields[i-1])
-				}
-				if !m.hasAllocs || v > m.allocs {
-					m.allocs = v
-				}
-				m.hasAllocs = true
-			case "ns/op":
-				v, err := strconv.ParseFloat(fields[i-1], 64)
-				if err != nil {
-					return nil, fmt.Errorf("line %q: bad ns/op %q", sc.Text(), fields[i-1])
-				}
-				if !m.hasNs || v < m.ns {
-					m.ns = v
-				}
-				m.hasNs = true
+			if fields[i] != "allocs/op" {
+				continue
+			}
+			v, err := strconv.ParseInt(fields[i-1], 10, 64)
+			if err != nil {
+				return nil, fmt.Errorf("line %q: bad allocs/op %q", sc.Text(), fields[i-1])
+			}
+			if prev, seen := out[name]; !seen || v > prev {
+				out[name] = v
 			}
 		}
-		out[name] = m
 	}
 	return out, sc.Err()
 }

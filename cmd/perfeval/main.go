@@ -7,14 +7,10 @@
 //	perfeval -fig 13   total network throughput vs concurrent flows
 //	perfeval -fig 14   LAN setup time vs path length for onion and d=2,3,4
 //	perfeval -fig 15   the same on the PlanetLab profile
-//	perfeval -fig 18   multi-core relay scaling: aggregate throughput and
-//	                   p99 latency for N flows × GOMAXPROCS (§7 extension;
-//	                   see EXPERIMENTS.md)
 //	perfeval -fig 0    all of the above
 //
 // -cpuprofile and -mutexprofile write pprof profiles covering the run
-// (combine with a single -fig so the profile isolates one experiment);
-// the mutex profile is what shows a shard lock held across sends.
+// (combine with a single -fig so the profile isolates one experiment).
 package main
 
 import (
@@ -39,8 +35,8 @@ func main() {
 	mutexprofile := flag.String("mutexprofile", "", "write a mutex-contention profile of the run to this file")
 	flag.Parse()
 
-	// Profiles cover the whole run: point perfeval at one figure (-fig 18
-	// for relay scaling) so the profile isolates the experiment of interest.
+	// Profiles cover the whole run: point perfeval at one figure so the
+	// profile isolates the experiment of interest.
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -77,58 +73,15 @@ func main() {
 		setupFig("Fig. 14 — LAN graph setup time (ms)", perf.LAN2007(), *reps, *seed)
 	case 15:
 		setupFig("Fig. 15 — PlanetLab graph setup time (ms)", perf.PlanetLab2007(), *reps, *seed)
-	case 18:
-		scalingFig(*seed)
 	case 0:
 		throughputFig("Fig. 11 — LAN per-flow throughput (Mb/s)", perf.LAN2007(), *transfer, *seed)
 		throughputFig("Fig. 12 — PlanetLab per-flow throughput (Mb/s)", perf.PlanetLab2007(), *transfer/8, *seed)
 		fig13(*transfer, *seed)
 		setupFig("Fig. 14 — LAN graph setup time (ms)", perf.LAN2007(), *reps, *seed)
 		setupFig("Fig. 15 — PlanetLab graph setup time (ms)", perf.PlanetLab2007(), *reps, *seed)
-		scalingFig(*seed)
 	default:
 		log.Fatalf("perfeval: unknown figure %d", *fig)
 	}
-}
-
-// scalingFig sweeps the sharded relay across cores (see
-// perf.RelayScaling): one table of aggregate goodput and one of p99
-// per-message latency, with one series per concurrent-flow count.
-func scalingFig(seed int64) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	flowCounts := []int{1, 8, 32}
-	tput := metrics.NewTable("Relay scaling — aggregate throughput (Mb/s) vs GOMAXPROCS", "procs")
-	tail := metrics.NewTable("Relay scaling — p99 message latency (ms) vs GOMAXPROCS", "procs")
-	var tputS, tailS []*metrics.Series
-	for _, f := range flowCounts {
-		tputS = append(tputS, tput.AddSeries(fmt.Sprintf("flows=%d", f)))
-		tailS = append(tailS, tail.AddSeries(fmt.Sprintf("flows=%d", f)))
-	}
-	for _, procs := range []int{1, 2, 4, 8} {
-		runtime.GOMAXPROCS(procs)
-		for i, flows := range flowCounts {
-			res, err := perf.RelayScaling(perf.RelayScalingParams{
-				Flows: flows, L: 2, D: 2,
-				Messages: 32, MessageBytes: 2048, Seed: seed,
-			})
-			if err != nil {
-				log.Fatalf("perfeval: scaling flows=%d procs=%d: %v", flows, procs, err)
-			}
-			tputS[i].Add(float64(procs), res.AggregateMbps)
-			tailS[i].Add(float64(procs), float64(res.LatencyP99.Microseconds())/1000)
-			if res.FlowsEvicted != 0 || res.FlowsRejected != 0 {
-				// The tail numbers are meaningless if flows churned through
-				// admission mid-run; a correctly sized table never evicts here.
-				log.Fatalf("perfeval: scaling flows=%d procs=%d: flow table churned (evicted=%d rejected=%d)",
-					flows, procs, res.FlowsEvicted, res.FlowsRejected)
-			}
-		}
-		fmt.Fprintf(os.Stderr, "perfeval: scaling procs=%d done\n", procs)
-	}
-	tput.Fprint(os.Stdout)
-	fmt.Println()
-	tail.Fprint(os.Stdout)
-	fmt.Println()
 }
 
 func throughputFig(title string, env perf.Env, transfer int, seed int64) {

@@ -114,9 +114,6 @@ type config struct {
 	vclk    *simnet.VirtualClock
 	book    map[NodeID]string
 	udpLoss float64
-
-	maxFlows    int
-	tenantQuota int
 }
 
 // clock returns the network's time source: the injected virtual clock, or
@@ -140,15 +137,6 @@ func WithSeed(seed int64) Option { return func(c *config) { c.seed = seed } }
 // WithRelayConfig overrides relay daemon timers.
 func WithRelayConfig(rc relay.Config) Option {
 	return func(c *config) { c.relayCfg = rc; c.hasRelayCfg = true }
-}
-
-// WithFlowTable bounds every relay daemon's flow table: at most maxFlows
-// resident flows per daemon and at most tenantQuota of them created by any
-// one previous-hop tenant (zero keeps the relay defaults). Composes with
-// WithRelayConfig — these bounds win when both are set, so harness code can
-// tighten admission without restating the whole timer config.
-func WithFlowTable(maxFlows, tenantQuota int) Option {
-	return func(c *config) { c.maxFlows = maxFlows; c.tenantQuota = tenantQuota }
 }
 
 // WithControlPlane enables the relays' live-churn control plane: every
@@ -234,20 +222,6 @@ func WithTransport(spec TransportSpec) Option {
 	}
 }
 
-// WithStaticTCP runs the overlay over real TCP sockets.
-//
-// Deprecated: use WithTransport(TCPSpec{Book: book}).
-func WithStaticTCP(book map[NodeID]string) Option {
-	return WithTransport(TCPSpec{Book: book})
-}
-
-// WithVirtualTime runs the network on the given virtual clock.
-//
-// Deprecated: use WithTransport(VirtualSpec{Clock: vc}).
-func WithVirtualTime(vc *simnet.VirtualClock) Option {
-	return WithTransport(VirtualSpec{Clock: vc})
-}
-
 // New creates an empty overlay network. Without WithSeed the seed derives
 // from the process base seed (simnet.BaseSeed), so a failing run can be
 // replayed by pinning INFOSLICING_SEED.
@@ -321,12 +295,6 @@ func (nw *Network) Grow(k int) ([]NodeID, error) {
 		}
 		if rc.Heartbeat == 0 && nw.cfg.ctrlHeartbeat > 0 {
 			rc.Heartbeat = nw.cfg.ctrlHeartbeat
-		}
-		if nw.cfg.maxFlows > 0 {
-			rc.MaxFlows = nw.cfg.maxFlows
-		}
-		if nw.cfg.tenantQuota > 0 {
-			rc.TenantQuota = nw.cfg.tenantQuota
 		}
 		rc.Clock = nw.cfg.clock()
 		if nw.cfg.vclk != nil {

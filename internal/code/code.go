@@ -103,11 +103,6 @@ func NewEncoder(d, dprime int, rng *rand.Rand) (*Encoder, error) {
 	return e, nil
 }
 
-// Redundancy returns the added redundancy R = (d'-d)/d (§4.4, §8.1).
-func (e *Encoder) Redundancy() float64 {
-	return float64(e.DPrime-e.D) / float64(e.D)
-}
-
 // Encode slices msg into e.DPrime freshly allocated slices. The message is
 // length-prefixed and zero-padded to a multiple of e.D, so arbitrary lengths
 // round-trip.
@@ -438,25 +433,6 @@ func DecodeBlocks(d int, slices []Slice) ([][]byte, error) {
 	return out, nil
 }
 
-// SelectIndependent returns d slices whose coefficient rows are linearly
-// independent, greedily scanning the input. It validates dimensions as it
-// goes.
-func SelectIndependent(d int, slices []Slice) ([]Slice, error) {
-	if d < 1 {
-		return nil, ErrBadParameters
-	}
-	dec := decoderPool.Get().(*Decoder)
-	defer decoderPool.Put(dec)
-	if err := dec.Reset(d); err != nil {
-		return nil, err
-	}
-	sel, err := dec.selectIndependent(slices)
-	if err != nil {
-		return nil, err
-	}
-	return append([]Slice(nil), sel...), nil
-}
-
 // Rank returns the rank of the coefficient matrix spanned by the slices —
 // how many degrees of freedom a holder of these slices has (d means
 // decodable).
@@ -492,19 +468,15 @@ func Rank(d int, slices []Slice) int {
 // Decodable reports whether the slices suffice to reconstruct the message.
 func Decodable(d int, slices []Slice) bool { return Rank(d, slices) >= d }
 
-// Recombine implements the network-coding regeneration step of §4.4.1:
+// RecombineInto implements the network-coding regeneration step of §4.4.1:
 // it produces count fresh slices, each a random linear combination
 // m'_new = Σ p_i m'_i with matching coefficient row A'_new = Σ p_i A'_i.
 // The inputs must share coefficient and payload lengths. If the inputs span
 // rank r, each output lies in the same span, so a downstream node that
-// gathers d independent combinations can still decode.
-func Recombine(slices []Slice, count int, rng *rand.Rand) ([]Slice, error) {
-	return RecombineInto(nil, slices, count, rng)
-}
-
-// RecombineInto is Recombine writing into dst, reusing each dst slice's
-// backing arrays when they have capacity (relays regenerate per missing
-// child per round; this keeps that path allocation-free).
+// gathers d independent combinations can still decode. It writes into dst,
+// reusing each dst slice's backing arrays when they have capacity (relays
+// regenerate per missing child per round; this keeps that path
+// allocation-free).
 func RecombineInto(dst []Slice, slices []Slice, count int, rng *rand.Rand) ([]Slice, error) {
 	if len(slices) == 0 {
 		return nil, ErrNotEnoughSlices

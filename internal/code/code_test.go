@@ -2,6 +2,7 @@ package code
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -101,15 +102,15 @@ func TestDecodeToleratesDuplicates(t *testing.T) {
 	}
 }
 
-func TestSelectIndependentDimensionChecks(t *testing.T) {
+func TestDecodeDimensionChecks(t *testing.T) {
 	s1 := Slice{Coeff: []byte{1, 2}, Payload: []byte{1}}
 	bad := Slice{Coeff: []byte{1}, Payload: []byte{1}}
-	if _, err := SelectIndependent(2, []Slice{s1, bad}); err == nil {
-		t.Fatal("want dimension error")
+	if _, err := Decode(2, []Slice{s1, bad}); !errors.Is(err, ErrInconsistent) {
+		t.Fatalf("coefficient length mismatch: got %v, want ErrInconsistent", err)
 	}
 	badPay := Slice{Coeff: []byte{3, 4}, Payload: []byte{1, 2}}
-	if _, err := SelectIndependent(2, []Slice{s1, badPay}); err == nil {
-		t.Fatal("want payload length error")
+	if _, err := Decode(2, []Slice{s1, badPay}); !errors.Is(err, ErrInconsistent) {
+		t.Fatalf("payload length mismatch: got %v, want ErrInconsistent", err)
 	}
 }
 
@@ -124,12 +125,8 @@ func TestNewEncoderValidation(t *testing.T) {
 	if _, err := NewEncoder(2, 4, nil); err == nil {
 		t.Fatal("nil rng should be rejected")
 	}
-	e, err := NewEncoder(2, 6, rng)
-	if err != nil {
+	if _, err := NewEncoder(2, 6, rng); err != nil {
 		t.Fatal(err)
-	}
-	if r := e.Redundancy(); r != 2.0 {
-		t.Fatalf("redundancy=%v want 2", r)
 	}
 }
 
@@ -179,7 +176,7 @@ func TestRecombineRegeneratesRedundancy(t *testing.T) {
 	// Lose one slice (a failed parent), keep d=2 — enough to decode but no
 	// spare. A relay recombines the survivors back into dp=3 fresh slices.
 	survivors := slices[:2]
-	fresh, err := Recombine(survivors, dp, rng)
+	fresh, err := RecombineInto(nil, survivors, dp, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +210,7 @@ func TestRecombineStaysInSpan(t *testing.T) {
 	e, _ := NewEncoder(d, d, rng)
 	slices, _ := e.Encode([]byte("span invariant"))
 	partial := slices[:2] // rank 2
-	fresh, err := Recombine(partial, 10, rng)
+	fresh, err := RecombineInto(nil, partial, 10, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,14 +224,14 @@ func TestRecombineStaysInSpan(t *testing.T) {
 
 func TestRecombineInputValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	if _, err := Recombine(nil, 3, rng); err == nil {
+	if _, err := RecombineInto(nil, nil, 3, rng); err == nil {
 		t.Fatal("empty input should error")
 	}
 	s := []Slice{
 		{Coeff: []byte{1, 2}, Payload: []byte{1, 2, 3}},
 		{Coeff: []byte{1}, Payload: []byte{1, 2, 3}},
 	}
-	if _, err := Recombine(s, 1, rng); err == nil {
+	if _, err := RecombineInto(nil, s, 1, rng); err == nil {
 		t.Fatal("ragged coeffs should error")
 	}
 }

@@ -13,10 +13,7 @@
 // which lets multiplication and division run through log/exp tables.
 package gf
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "encoding/binary"
 
 // Poly is the primitive polynomial used to construct GF(2^8), expressed with
 // the x^8 term included (0x11d = x^8+x^4+x^3+x^2+1).
@@ -86,9 +83,6 @@ func MulTable(c byte) *[Order]byte { return &mulTable[c] }
 
 // Add returns a+b in GF(2^8). Addition and subtraction coincide (XOR).
 func Add(a, b byte) byte { return a ^ b }
-
-// Sub returns a-b in GF(2^8); identical to Add.
-func Sub(a, b byte) byte { return a ^ b }
 
 // Mul returns a*b in GF(2^8).
 func Mul(a, b byte) byte {
@@ -248,6 +242,3 @@ func mulSlow(a, b byte) byte {
 // MulSlow exposes the shift-and-add reference multiplier for benchmarks and
 // cross-checking tests.
 func MulSlow(a, b byte) byte { return mulSlow(a, b) }
-
-// String helpers for diagnostics.
-func fmtElem(b byte) string { return fmt.Sprintf("%02x", b) }

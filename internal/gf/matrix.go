@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 )
 
 // Matrix is a dense row-major matrix over GF(2^8).
@@ -56,13 +55,6 @@ func (m *Matrix) Set(r, c int, v byte) { m.Data[r*m.Cols+c] = v }
 
 // Row returns a view (not a copy) of row r.
 func (m *Matrix) Row(r int) []byte { return m.Data[r*m.Cols : (r+1)*m.Cols] }
-
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
 
 // Reshape resizes m to rows×cols, reusing its backing array when capacity
 // allows. Contents after Reshape are unspecified; callers overwrite. It
@@ -464,18 +456,6 @@ func Cauchy(rows, cols int) *Matrix {
 	return m
 }
 
-// RandomMDS returns a rows×cols matrix with the any-cols-rows-independent
-// property, randomized so two flows never share coefficients: it multiplies a
-// Cauchy matrix on the right by a random invertible cols×cols matrix, which
-// preserves the MDS property (submatrix ranks are invariant under right
-// multiplication by an invertible matrix).
-func RandomMDS(rows, cols int, rng *rand.Rand) *Matrix {
-	if rows == cols {
-		return RandomInvertible(rows, rng)
-	}
-	return Cauchy(rows, cols).Mul(RandomInvertible(cols, rng))
-}
-
 // SubmatrixRows returns a new matrix made of the given rows, in order.
 func (m *Matrix) SubmatrixRows(rows []int) *Matrix {
 	out := NewMatrix(len(rows), m.Cols)
@@ -483,19 +463,4 @@ func (m *Matrix) SubmatrixRows(rows []int) *Matrix {
 		copy(out.Row(i), m.Row(r))
 	}
 	return out
-}
-
-// String renders the matrix in hex for diagnostics.
-func (m *Matrix) String() string {
-	var b strings.Builder
-	for r := 0; r < m.Rows; r++ {
-		for c := 0; c < m.Cols; c++ {
-			if c > 0 {
-				b.WriteByte(' ')
-			}
-			b.WriteString(fmtElem(m.At(r, c)))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

@@ -1,7 +1,7 @@
 // Package metrics provides the small statistics and table-formatting
-// helpers the experiment harnesses share: means, deviations, confidence
-// intervals, and fixed-width series printers that emit the rows of the
-// paper's tables and figures.
+// helpers the experiment harnesses share: means, percentiles, and
+// fixed-width series printers that emit the rows of the paper's tables and
+// figures.
 package metrics
 
 import (
@@ -24,35 +24,8 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Stddev returns the sample standard deviation (0 for n < 2).
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
-}
-
-// CI95 returns the half-width of a normal-approximation 95% confidence
-// interval of the mean.
-func CI95(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	return 1.96 * Stddev(xs) / math.Sqrt(float64(len(xs)))
-}
-
-// Median returns the median (0 for empty input).
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) with linear
-// interpolation between adjacent ranks (0 for empty input). The latency
-// tables of the scaling harness report P50/P95/P99 with it.
+// interpolation between adjacent ranks (0 for empty input).
 func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return 0
@@ -139,13 +112,6 @@ func (t *Table) Fprint(w io.Writer) {
 		}
 		fmt.Fprintf(w, "%s\n", strings.Join(pad(row), "  "))
 	}
-}
-
-// String renders the table to a string.
-func (t *Table) String() string {
-	var b strings.Builder
-	t.Fprint(&b)
-	return b.String()
 }
 
 func lookup(s *Series, x float64) (float64, bool) {

@@ -72,6 +72,3 @@ func (c *ShardedCounter) Value() int64 {
 	}
 	return total
 }
-
-// Stripes reports the stripe count (diagnostics, tests).
-func (c *ShardedCounter) Stripes() int { return len(c.stripes) }

@@ -38,11 +38,8 @@ const (
 	msgData  byte = 2
 )
 
-// Errors.
-var (
-	ErrNoIdentity = errors.New("onion: node has no identity in directory")
-	ErrBadCell    = errors.New("onion: malformed cell")
-)
+// ErrNoIdentity reports a node id the directory holds no key for.
+var ErrNoIdentity = errors.New("onion: node has no identity in directory")
 
 // Directory maps overlay nodes to their RSA identities — the paper's
 // "centralized trusted directory server" (Tor model, §2). Information
@@ -198,14 +195,6 @@ func (n *Node) Stats() Stats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.stats
-}
-
-// CircuitEstablished reports whether the node holds state for the circuit.
-func (n *Node) CircuitEstablished(circ uint64) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	_, ok := n.circuits[circ]
-	return ok
 }
 
 // Close detaches the node.

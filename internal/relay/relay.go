@@ -47,7 +47,6 @@ package relay
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math/bits"
 	"math/rand"
 	"reflect"
@@ -422,9 +421,6 @@ type pendingPacket struct {
 	from wire.NodeID
 	pkt  *wire.Packet
 }
-
-// ErrClosed is returned by operations on a closed node.
-var ErrClosed = errors.New("relay: node closed")
 
 // New attaches a relay daemon to the transport and starts its shard
 // workers.
@@ -827,9 +823,4 @@ func (n *Node) send(sh *shard, to wire.NodeID, buf []byte) {
 	if err := n.tr.Send(n.id, to, buf); err != nil && errors.Is(err, overlay.ErrSendQueueFull) {
 		sh.stats.SendDrops++
 	}
-}
-
-// String implements fmt.Stringer for diagnostics.
-func (n *Node) String() string {
-	return fmt.Sprintf("relay(%d)", n.id)
 }

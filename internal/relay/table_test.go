@@ -1,13 +1,16 @@
 package relay
 
 import (
+	"bytes"
 	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"infoslicing/internal/core"
 	"infoslicing/internal/simnet"
+	"infoslicing/internal/source"
 	"infoslicing/internal/wire"
 )
 
@@ -114,12 +117,19 @@ func TestCloseInsertRaceFlowCount(t *testing.T) {
 	}
 }
 
-// TestEvictionUnderLoad drives the full eviction lifecycle on a virtual
-// clock: idle flows age out of the LRU sweep (counted FlowsEvicted, all
-// reservations released), traffic for evicted flows is rejected by the
-// cuckoo filter without recreating state, and the same flow ids re-admit
-// cleanly afterwards — filter, map, and flowCount all consistent.
+// TestEvictionUnderLoad drives the eviction sweep on a virtual clock from
+// both sides: flows that went idle are reaped, flows that are in use are not.
 func TestEvictionUnderLoad(t *testing.T) {
+	t.Run("idle flows age out and re-admit", evictIdleFlows)
+	t.Run("live flows survive the sweep", liveFlowsSurviveSweeps)
+}
+
+// evictIdleFlows is the full eviction lifecycle: idle flows age out of the
+// LRU sweep (counted FlowsEvicted, all reservations released), traffic for
+// evicted flows is rejected by the cuckoo filter without recreating state,
+// and the same flow ids re-admit cleanly afterwards — filter, map, and
+// flowCount all consistent.
+func evictIdleFlows(t *testing.T) {
 	const flows = 32
 	const src = wire.NodeID(99)
 	s, n := virtualNode(t, 1, Config{
@@ -174,6 +184,124 @@ func TestEvictionUnderLoad(t *testing.T) {
 	}
 	if got := n.Stats().FlowsRejected; got != 0 {
 		t.Fatalf("FlowsRejected = %d on re-admission, want 0", got)
+	}
+}
+
+// liveFlowsSurviveSweeps is the no-GC-cliff check: with the sweep firing
+// every 5 ms and a TTL only a few message gaps long, flows kept alive by
+// nothing but their own traffic sit through hundreds of sweep ticks at
+// every relay without one eviction or rejection, and every message is
+// delivered intact and in order.
+func liveFlowsSurviveSweeps(t *testing.T) {
+	const (
+		l, d  = 2, 2
+		flows = 3
+		msgs  = 100
+		gap   = 20 * time.Millisecond
+		sweep = 5 * time.Millisecond
+	)
+	simnet.ReportSeed(t)
+	s := simnet.NewScript(5, simnet.LinkProfile{Delay: 500 * time.Microsecond})
+	relays := make([]wire.NodeID, l*d)
+	nodes := make([]*Node, len(relays))
+	for i := range relays {
+		relays[i] = wire.NodeID(i + 1)
+		n, err := New(relays[i], s.Net, Config{
+			SetupWait:  50 * time.Millisecond,
+			RoundWait:  50 * time.Millisecond,
+			FlowTTL:    5 * gap,
+			GCInterval: sweep,
+			MaxFlows:   64,
+			Shards:     1,
+			Clock:      s.Clk,
+			Rng:        rand.New(rand.NewSource(int64(i + 1))),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(n.Close)
+		nodes[i] = n
+	}
+	// Every flow crosses all four relays, each ending at a different one.
+	snds := make([]*source.Sender, flows)
+	flowOf := make(map[wire.FlowID]int, flows) // destination flow-id → flow
+	var next [flows]int                        // next message expected per flow
+	for f := range snds {
+		srcs := make([]wire.NodeID, d)
+		for i := range srcs {
+			srcs[i] = wire.NodeID(9000 + f*16 + i)
+			if err := s.Net.Attach(srcs[i], func(wire.NodeID, []byte) {}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g, err := core.Build(core.Spec{
+			L: l, D: d, DPrime: d,
+			Relays: relays, Dest: relays[f], Sources: srcs,
+			Recode: true, Scramble: true,
+			Rng: rand.New(rand.NewSource(int64(100 + f))),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snds[f] = source.New(s.Net, g, source.Config{ChunkPayload: 256, Clock: s.Clk},
+			rand.New(rand.NewSource(int64(200+f))))
+		if err := snds[f].Establish(); err != nil {
+			t.Fatal(err)
+		}
+		if !s.Await(time.Second, func() bool {
+			for _, n := range nodes {
+				if !n.Established(g.Flows[n.ID()]) {
+					return false
+				}
+			}
+			return true
+		}) {
+			t.Fatalf("flow %d never established", f)
+		}
+		flowOf[g.Flows[g.Dest]] = f
+	}
+	payload := func(f, m int) []byte { return bytes.Repeat([]byte{byte(f + 1), byte(m)}, 300) }
+	drain := func() {
+		for _, n := range nodes {
+			for len(n.Received()) > 0 {
+				got := <-n.Received()
+				f, ok := flowOf[got.Flow]
+				if !ok {
+					t.Fatalf("delivery for unknown flow %x", got.Flow)
+				}
+				if !bytes.Equal(got.Data, payload(f, next[f])) {
+					t.Fatalf("flow %d message %d corrupted or out of order", f, next[f])
+				}
+				next[f]++
+			}
+		}
+	}
+	start := s.Elapsed()
+	for m := 0; m < msgs; m++ {
+		for f, snd := range snds {
+			if err := snd.Send(payload(f, m)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Clk.RunFor(gap)
+		drain()
+	}
+	if ticks := (s.Elapsed() - start) / sweep; ticks < 200 {
+		t.Fatalf("only %d sweep ticks inside the data phase, want hundreds", ticks)
+	}
+	for f, m := range next {
+		if m != msgs {
+			t.Errorf("flow %d delivered %d/%d messages", f, m, msgs)
+		}
+	}
+	for _, n := range nodes {
+		if st := n.Stats(); st.FlowsEvicted != 0 || st.FlowsRejected != 0 {
+			t.Errorf("node %d churned live flows under sweep pressure: evicted=%d rejected=%d",
+				n.ID(), st.FlowsEvicted, st.FlowsRejected)
+		}
+		if got := n.FlowTableSize(); got != flows {
+			t.Errorf("node %d holds %d flows, want %d", n.ID(), got, flows)
+		}
 	}
 }
 

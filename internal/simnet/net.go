@@ -222,9 +222,6 @@ func (n *SimNet) TraceDropped() int64 {
 // handlers are known not to retain, e.g. the scale universes).
 func (n *SimNet) SetPooledPayloads(on bool) { n.pooled.Store(on) }
 
-// Clock returns the virtual clock the network schedules on.
-func (n *SimNet) Clock() *VirtualClock { return n.clk }
-
 // lookup resolves a NodeID to its dense index (-1 if never seen). Safe
 // without n.mu for the flat-index path.
 func (n *SimNet) lookup(id wire.NodeID) int32 {

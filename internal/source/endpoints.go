@@ -72,13 +72,6 @@ func AttachEndpoints(tr overlay.Transport, ids []wire.NodeID) (*Endpoints, error
 	return e, nil
 }
 
-// IDs returns the endpoint ids, in order.
-func (e *Endpoints) IDs() []wire.NodeID { return append([]wire.NodeID(nil), e.ids...) }
-
-// Acks yields the flow-ids stamped on arriving establishment acks (these
-// are stage-1 flow-ids: the last re-stamping hop before the source).
-func (e *Endpoints) Acks() <-chan wire.FlowID { return e.acks }
-
 // Reports yields arriving ParentDown failure reports. The repair loop
 // (Sender.StartRepair) is the intended consumer; if nobody listens the
 // channel simply fills and further reports are dropped, which is safe —

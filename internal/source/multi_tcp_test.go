@@ -30,13 +30,13 @@ func reserveBook(t *testing.T, ids ...wire.NodeID) map[wire.NodeID]string {
 	return book
 }
 
-// MultiSender over the real wire path: many concurrent flows from one
-// process, every slice crossing loopback TCP through the peer layer. The
-// flows share one StaticTCP transport — and so one connection per remote
-// relay — which is exactly the production "heavy client" deployment; the
-// test pins that per-flow isolation and message integrity survive the
-// move from in-memory channels to shared sockets.
-func TestMultiSenderOverStaticTCP(t *testing.T) {
+// Many concurrent flows from one process over the real wire path, every
+// slice crossing loopback TCP through the peer layer. The flows share one
+// StaticTCP transport — and so one connection per remote relay — which is
+// exactly the production "heavy client" deployment; the test pins that
+// per-flow isolation and message integrity survive the move from in-memory
+// channels to shared sockets.
+func TestConcurrentFlowsOverStaticTCP(t *testing.T) {
 	simnet.ReportSeed(t)
 	const (
 		flows = 3
@@ -55,7 +55,6 @@ func TestMultiSenderOverStaticTCP(t *testing.T) {
 	tr := overlay.NewStaticTCP(reserveBook(t, allIDs...))
 	defer tr.Close()
 	seed := int64(7)
-	ms := NewMulti(tr, rand.New(rand.NewSource(seed)))
 
 	var nodes []*relay.Node
 	defer func() {
@@ -111,7 +110,7 @@ func TestMultiSenderOverStaticTCP(t *testing.T) {
 				dest = n
 			}
 		}
-		snd := ms.Open(g, Config{})
+		snd := New(tr, g, Config{}, rand.New(rand.NewSource(seed+200+int64(f))))
 		if err := snd.EstablishAndWait(eps, 10*time.Second); err != nil {
 			t.Fatalf("flow %d: %v", f, err)
 		}

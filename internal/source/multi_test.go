@@ -17,7 +17,7 @@ import (
 // flow (disjoint relay subsets so each flow has its own destination).
 type multiStack struct {
 	net    *overlay.ChanNetwork
-	ms     *MultiSender
+	seed   int64
 	graphs []*core.Graph
 	dests  []*relay.Node
 	nodes  []*relay.Node
@@ -27,7 +27,7 @@ func buildMultiStack(t *testing.T, flows, l, d int, seed int64) *multiStack {
 	t.Helper()
 	net := overlay.NewChanNetwork(overlay.Unshaped(), rand.New(rand.NewSource(seed)))
 	perFlow := l * d
-	st := &multiStack{net: net, ms: NewMulti(net, rand.New(rand.NewSource(seed+1)))}
+	st := &multiStack{net: net, seed: seed}
 	nextID := wire.NodeID(1)
 	for f := 0; f < flows; f++ {
 		relays := make([]wire.NodeID, perFlow)
@@ -80,6 +80,12 @@ func buildMultiStack(t *testing.T, flows, l, d int, seed int64) *multiStack {
 	return st
 }
 
+// open creates flow f's sender: one Sender per flow, sharing only the
+// transport with the others.
+func (st *multiStack) open(f int, cfg Config) *Sender {
+	return New(st.net, st.graphs[f], cfg, rand.New(rand.NewSource(st.seed+1+int64(f))))
+}
+
 func (st *multiStack) establish(t *testing.T, snd *Sender, g *core.Graph, dest *relay.Node) {
 	t.Helper()
 	if err := snd.Establish(); err != nil {
@@ -94,18 +100,19 @@ func (st *multiStack) establish(t *testing.T, snd *Sender, g *core.Graph, dest *
 	}
 }
 
-// Two flows of one MultiSender deliver independently over the shared
+// Two flows from one process deliver independently over the shared
 // transport, each with its own encoder state.
-func TestMultiSenderTwoFlowsDeliver(t *testing.T) {
+func TestTwoFlowsShareTransportDeliver(t *testing.T) {
 	st := buildMultiStack(t, 2, 2, 2, 21)
 	msgs := [][]byte{
 		bytes.Repeat([]byte("flow-zero "), 120),
 		bytes.Repeat([]byte("flow-one "), 140),
 	}
+	var snds [2]*Sender
 	for f := 0; f < 2; f++ {
-		snd := st.ms.Open(st.graphs[f], Config{ChunkPayload: 256})
-		st.establish(t, snd, st.graphs[f], st.dests[f])
-		if err := snd.Send(msgs[f]); err != nil {
+		snds[f] = st.open(f, Config{ChunkPayload: 256})
+		st.establish(t, snds[f], st.graphs[f], st.dests[f])
+		if err := snds[f].Send(msgs[f]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -119,25 +126,23 @@ func TestMultiSenderTwoFlowsDeliver(t *testing.T) {
 			t.Fatalf("flow %d not delivered", f)
 		}
 	}
-	if len(st.ms.Flows()) != 2 {
-		t.Fatalf("Flows() = %d, want 2", len(st.ms.Flows()))
-	}
-	if st.ms.Rounds() == 0 {
-		t.Fatal("no rounds accounted")
+	for f, snd := range snds {
+		if snd.Rounds() == 0 {
+			t.Fatalf("flow %d: no rounds accounted", f)
+		}
 	}
 }
 
 // Regression for the per-flow lock scoping: a flow stalled in its pacer
-// must not stop an unrelated flow of the same MultiSender from making
-// progress. Before the multi-flow work this was only true by accident of
-// one-Sender-per-flow construction; this pins it as a contract.
-func TestMultiSenderStalledFlowDoesNotBlockOthers(t *testing.T) {
+// must not stop an unrelated flow on the same transport from making
+// progress.
+func TestStalledFlowDoesNotBlockOthers(t *testing.T) {
 	st := buildMultiStack(t, 2, 2, 2, 23)
 
 	// Flow 0 is the stalled one: paced to ~64 kb/s, sending 8 KiB takes
 	// about one second.
-	slow := st.ms.Open(st.graphs[0], Config{ChunkPayload: 2048, RateBps: 64_000})
-	fast := st.ms.Open(st.graphs[1], Config{ChunkPayload: 256})
+	slow := st.open(0, Config{ChunkPayload: 2048, RateBps: 64_000})
+	fast := st.open(1, Config{ChunkPayload: 256})
 	st.establish(t, slow, st.graphs[0], st.dests[0])
 	st.establish(t, fast, st.graphs[1], st.dests[1])
 

@@ -30,8 +30,8 @@ import (
 // behavior is the same as the old select-loop, minus its channel hop.
 //
 // Each Sender runs its own repair hooks over its own endpoints, holding only
-// its own per-flow lock while it mutates its own graph; a MultiSender
-// process therefore repairs every flow independently, with no cross-flow
+// its own per-flow lock while it mutates its own graph; a process with
+// many flows therefore repairs every flow independently, with no cross-flow
 // blocking — the same isolation the data path already has.
 
 // RepairConfig tunes a sender's repair loop.

@@ -288,11 +288,11 @@ func TestStopRepairIdempotent(t *testing.T) {
 	st.snd.StopRepair()
 }
 
-// TestMultiSenderRepairsFlowsIndependently: two flows of one MultiSender
-// over one shared transport, each with its own endpoints and repair loop. A
+// TestFlowsRepairIndependently: two flows from one process over one shared
+// transport, each with its own sender, endpoints and repair loop. A
 // relay death in flow A must be spliced by A's loop while flow B streams
 // undisturbed — no cross-flow blocking, no cross-flow splices.
-func TestMultiSenderRepairsFlowsIndependently(t *testing.T) {
+func TestFlowsRepairIndependently(t *testing.T) {
 	const (
 		l, d, dp = 2, 2, 3
 		seed     = int64(77)
@@ -300,7 +300,6 @@ func TestMultiSenderRepairsFlowsIndependently(t *testing.T) {
 	simnet.ReportSeed(t)
 	clk := simnet.NewVirtualClock()
 	net := simnet.NewSimNet(clk, seed, simnet.LinkProfile{Delay: 500 * time.Microsecond})
-	ms := NewMulti(net, rand.New(rand.NewSource(seed+1)))
 
 	type flow struct {
 		snd    *Sender
@@ -355,7 +354,7 @@ func TestMultiSenderRepairsFlowsIndependently(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snd := ms.Open(g, Config{ChunkPayload: 256, Clock: clk})
+		snd := New(net, g, Config{ChunkPayload: 256, Clock: clk}, rand.New(rand.NewSource(seed+1+int64(f))))
 		flows[f] = &flow{snd: snd, eps: eps, g: g, spares: spares}
 		for _, n := range nodes {
 			if n.ID() == g.Dest {

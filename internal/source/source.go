@@ -9,8 +9,8 @@
 // to every stage-1 relay, so each stage-1 relay starts the round holding all
 // d' slices, and the data-maps walk them down the graph.
 //
-// One Sender drives one flow; MultiSender fans a single process out to many
-// concurrent flows with per-flow encoder state over a shared transport.
+// One Sender drives one flow; a process with many concurrent flows holds one
+// Sender per flow over a shared transport.
 package source
 
 import (
@@ -54,9 +54,9 @@ type Config struct {
 
 // Sender drives one anonymous flow over an established forwarding graph.
 // Every mutable field below — the lock included — is scoped to this one
-// flow: a process driving many flows (see MultiSender) holds one Sender per
-// flow and nothing sender-side is shared between them except the
-// transport, so unrelated flows never serialize on each other.
+// flow: a process driving many flows holds one Sender per flow and nothing
+// sender-side is shared between them except the transport, so unrelated
+// flows never serialize on each other.
 type Sender struct {
 	tr    overlay.Transport
 	graph *core.Graph

@@ -96,7 +96,7 @@ func TestWaitEstablishedIgnoresForeignAcks(t *testing.T) {
 		t.Fatal(err)
 	}
 	bogus := &wire.Packet{Type: wire.MsgAck, Flow: 0xdddd}
-	net.Send(5555, eps.IDs()[0], bogus.Marshal())
+	net.Send(5555, eps.ids[0], bogus.Marshal())
 	if err := snd.WaitEstablished(eps, 100*time.Millisecond); err != ErrAckTimeout {
 		t.Fatalf("foreign ack accepted: %v", err)
 	}

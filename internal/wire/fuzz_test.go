@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -147,4 +149,58 @@ func TestDecodeSlotNeverPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzParsePacket is the one parser every packet crosses, with DecodeSlot
+// over every slot it claims: whatever bytes arrive, neither may panic or
+// touch memory outside the input, and what they accept must say exactly
+// what the input said — an accepted packet re-marshals to the bytes it was
+// parsed from, an accepted slot re-encodes to the slot. The seeds (valid
+// data / set-up / heartbeat packets, a truncated header, zero-length slots,
+// and the largest slot area a header can claim: 255 × 65535 bytes, which an
+// 8-bit count and a 16-bit length keep below 2^31 where int is 32 bits)
+// live in testdata/fuzz.
+func FuzzParsePacket(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Exact capacity: a view reaching past the input is a slice-bounds
+		// panic here, not a silent read of a neighbour's bytes.
+		in := append(make([]byte, 0, len(data)), data...)
+		var p Packet
+		if err := ParsePacket(in, &p); err != nil {
+			if len(in) >= HeaderLen && len(in) >= HeaderLen+int(in[16])*int(binary.BigEndian.Uint16(in[14:])) {
+				t.Fatalf("rejected a packet that holds every byte it claims: %v", err)
+			}
+			return
+		}
+		if !bytes.Equal(in, data) {
+			t.Fatal("parsing wrote to the input")
+		}
+		if p.Size() > len(in) || !bytes.Equal(p.Marshal(), in[:p.Size()]) {
+			t.Fatalf("accepted packet does not re-marshal to its %d input bytes", p.Size())
+		}
+		if !bytes.Equal(p.SlotArea(), in[HeaderLen:p.Size()]) {
+			t.Fatal("slot area is not the bytes behind the slots")
+		}
+		// The slot table is parse scratch: a Packet that last held another
+		// shape must come out the same as a fresh one.
+		q := Packet{Slots: make([][]byte, 3, 5)}
+		if err := ParsePacket(in, &q); err != nil || len(q.Slots) != len(p.Slots) {
+			t.Fatalf("reused Packet parsed to %d slots (%v), fresh to %d", len(q.Slots), err, len(p.Slots))
+		}
+		for i, slot := range p.Slots {
+			if len(slot) != int(p.SlotLen) || cap(slot) != len(slot) {
+				t.Fatalf("slot %d: len %d cap %d, header says %d", i, len(slot), cap(slot), p.SlotLen)
+			}
+			if !bytes.Equal(q.Slots[i], slot) {
+				t.Fatalf("slot %d differs between a reused and a fresh Packet", i)
+			}
+			s, err := DecodeSlot(slot, int(p.CoeffLen))
+			if err != nil {
+				continue
+			}
+			if len(s.Coeff) != int(p.CoeffLen) || !bytes.Equal(EncodeSlot(s), slot) {
+				t.Fatalf("slot %d: accepted slice does not re-encode to the slot", i)
+			}
+		}
+	})
 }

@@ -27,13 +27,3 @@ type TransportStats struct {
 	// (the UDP loss harness gates on Retransmissions == 0).
 	Retransmissions int64
 }
-
-// Add accumulates o into s.
-func (s *TransportStats) Add(o TransportStats) {
-	s.Packets += o.Packets
-	s.Bytes += o.Bytes
-	s.Lost += o.Lost
-	s.SendFailures += o.SendFailures
-	s.Reconnects += o.Reconnects
-	s.Retransmissions += o.Retransmissions
-}

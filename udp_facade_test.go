@@ -50,7 +50,6 @@ func TestFacadeUDPLoopback(t *testing.T) {
 // Injected datagram loss within the redundancy budget: with d'=d+1 the flow
 // tolerates one erasure per round, so 2% uniform socket-level loss must not
 // stop delivery — and the transport must restore nothing by retransmission.
-// This is the facade-level twin of the perf harness's UDPLoopback loss run.
 func TestFacadeUDPLoopbackWithLoss(t *testing.T) {
 	simnet.ReportSeed(t)
 	nw := New(WithSeed(17), WithTransport(UDPSpec{Loss: 0.02}))
@@ -90,9 +89,8 @@ func TestFacadeUDPLoopbackWithLoss(t *testing.T) {
 }
 
 // The api_redesign pin: every TransportSpec constructs through the one
-// WithTransport path, the deprecated wrappers delegate to it, and NO
-// combination of options panics — the old WithStaticTCP+WithVirtualTime
-// pair used to; now the last spec simply wins.
+// WithTransport path, and NO combination of options panics — the last spec
+// simply wins.
 func TestWithTransportOptionCombinations(t *testing.T) {
 	cases := []struct {
 		name string
@@ -104,10 +102,9 @@ func TestWithTransportOptionCombinations(t *testing.T) {
 		{"tcp", []Option{WithTransport(TCPSpec{})}, tcpKind},
 		{"udp", []Option{WithTransport(UDPSpec{Loss: 0.01})}, udpKind},
 		{"virtual", []Option{WithTransport(VirtualSpec{})}, virtualKind},
-		{"deprecated tcp wrapper", []Option{WithStaticTCP(nil)}, tcpKind},
-		{"deprecated virtual wrapper", []Option{WithVirtualTime(simnet.NewVirtualClock())}, virtualKind},
+		{"virtual, caller's clock", []Option{WithTransport(VirtualSpec{Clock: simnet.NewVirtualClock()})}, virtualKind},
 		{"tcp then virtual: last wins", []Option{WithTransport(TCPSpec{}), WithTransport(VirtualSpec{})}, virtualKind},
-		{"virtual then tcp: last wins", []Option{WithVirtualTime(simnet.NewVirtualClock()), WithStaticTCP(nil)}, tcpKind},
+		{"virtual then tcp: last wins", []Option{WithTransport(VirtualSpec{}), WithTransport(TCPSpec{})}, tcpKind},
 		{"udp then default stays udp", []Option{WithTransport(UDPSpec{}), WithTransport(nil)}, udpKind},
 	}
 	for _, tc := range cases {
