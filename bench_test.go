@@ -476,7 +476,7 @@ func BenchmarkAblationRecoding(b *testing.B) {
 // the zero-copy pipeline exactly as source and relays compose it: encode
 // into reused slices, frame into a reused buffer, parse the "received"
 // packet into views, verify and regenerate at a simulated relay, re-frame,
-// and decode with a held Decoder. ReportAllocs makes per-round garbage a
+// and decode with a held Decoder onto a reused stream. ReportAllocs makes per-round garbage a
 // visible regression; the matching per-layer benchmarks live in
 // internal/code and internal/relay.
 func BenchmarkDataPathSteadyState(b *testing.B) {
@@ -494,7 +494,7 @@ func BenchmarkDataPathSteadyState(b *testing.B) {
 	rng.Read(msg)
 
 	var slices []code.Slice
-	var frame []byte
+	var frame, stream []byte
 	var regen []code.Slice
 	received := make([]code.Slice, 0, dp)
 
@@ -533,8 +533,8 @@ func BenchmarkDataPathSteadyState(b *testing.B) {
 				received = append(received, s.Clone())
 			}
 		}
-		// Destination: decode the round.
-		if _, err := dec.DecodeBlocks(received); err != nil {
+		// Destination: decode the round onto its stream.
+		if stream, err = dec.DecodeTo(stream[:0], received); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -264,35 +264,77 @@ func (dec *Decoder) Reset(d int) error {
 // Decode reconstructs the original message from any d linearly independent
 // slices. The returned bytes are freshly allocated and owned by the caller.
 func (dec *Decoder) Decode(slices []Slice) ([]byte, error) {
-	blockLen, err := dec.decodeBlocks(slices)
+	return dec.DecodeTo(nil, slices)
+}
+
+// DecodeTo appends the message reconstructed from any d linearly independent
+// slices to dst and returns the extended slice; on error dst comes back
+// unchanged. Blocks are multiplied straight into dst — only the ones the
+// length prefix overlaps (one, unless blocks are under four bytes) pass
+// through the decoder's scratch — so a receiver appending rounds to its
+// stream writes each message byte once.
+func (dec *Decoder) DecodeTo(dst []byte, slices []Slice) ([]byte, error) {
+	blockLen, err := dec.invert(slices)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	joined := dec.joined[:dec.d*blockLen]
-	if len(joined) < lenPrefix {
-		return nil, ErrInconsistent
+	d, start := dec.d, len(dst)
+	body := d*blockLen - lenPrefix // message bytes and padding
+	if body < 0 {
+		return dst, ErrInconsistent
 	}
-	n := binary.BigEndian.Uint32(joined)
-	if int(n) > len(joined)-lenPrefix {
-		return nil, fmt.Errorf("code: corrupt length prefix %d > %d", n, len(joined)-lenPrefix)
+	head := (lenPrefix + blockLen - 1) / blockLen // blocks the prefix overlaps
+	dec.joined = grow(dec.joined, head*blockLen)
+	out := extend(dst, body)
+	for i := range dec.blocks {
+		if i < head {
+			dec.blocks[i] = dec.joined[i*blockLen : (i+1)*blockLen]
+		} else {
+			off := start + i*blockLen - lenPrefix
+			dec.blocks[i] = out[off : off+blockLen]
+		}
 	}
-	return append([]byte(nil), joined[lenPrefix:lenPrefix+int(n)]...), nil
+	dec.inv.MulBlocksInto(dec.pay, dec.blocks)
+	n := binary.BigEndian.Uint32(dec.joined)
+	if int64(n) > int64(body) {
+		return dst, fmt.Errorf("code: corrupt length prefix %d > %d", n, body)
+	}
+	copy(out[start:], dec.joined[lenPrefix:head*blockLen])
+	return out[:start+int(n)], nil
+}
+
+// extend returns b lengthened by n bytes, reusing spare capacity and
+// otherwise doubling; the new bytes are unspecified.
+func extend(b []byte, n int) []byte {
+	if cap(b)-len(b) >= n {
+		return b[:len(b)+n]
+	}
+	nb := make([]byte, len(b)+n, 2*cap(b)+n)
+	copy(nb, b)
+	return nb
 }
 
 // DecodeBlocks recovers the d raw blocks without interpreting padding. The
 // returned blocks are views into the decoder's scratch, valid until the next
 // call.
 func (dec *Decoder) DecodeBlocks(slices []Slice) ([][]byte, error) {
-	if _, err := dec.decodeBlocks(slices); err != nil {
+	blockLen, err := dec.invert(slices)
+	if err != nil {
 		return nil, err
 	}
+	dec.joined = grow(dec.joined, dec.d*blockLen)
+	for i := range dec.blocks {
+		dec.blocks[i] = dec.joined[i*blockLen : (i+1)*blockLen]
+	}
+	dec.inv.MulBlocksInto(dec.pay, dec.blocks)
 	return dec.blocks, nil
 }
 
-// decodeBlocks selects d independent slices, inverts their coefficient
-// matrix using the decoder's workspaces, and multiplies the payloads into
-// dec.joined / dec.blocks. Returns the block length.
-func (dec *Decoder) decodeBlocks(slices []Slice) (int, error) {
+// invert selects d independent slices, inverts their coefficient matrix
+// into dec.inv and gathers their payloads into dec.pay, leaving dec.blocks d
+// entries long for the caller to point at the output. Returns the block
+// length.
+func (dec *Decoder) invert(slices []Slice) (int, error) {
 	sel, err := dec.selectIndependent(slices)
 	if err != nil {
 		return 0, err
@@ -306,8 +348,6 @@ func (dec *Decoder) decodeBlocks(slices []Slice) (int, error) {
 		// caller mutated slices concurrently.
 		return 0, fmt.Errorf("code: %w", err)
 	}
-	blockLen := len(sel[0].Payload)
-	dec.joined = grow(dec.joined, d*blockLen)
 	if cap(dec.blocks) < d {
 		dec.blocks = make([][]byte, d)
 	}
@@ -316,11 +356,7 @@ func (dec *Decoder) decodeBlocks(slices []Slice) (int, error) {
 	for _, s := range sel {
 		dec.pay = append(dec.pay, s.Payload)
 	}
-	for i := 0; i < d; i++ {
-		dec.blocks[i] = dec.joined[i*blockLen : (i+1)*blockLen]
-	}
-	dec.inv.MulBlocksInto(dec.pay, dec.blocks)
-	return blockLen, nil
+	return len(sel[0].Payload), nil
 }
 
 // selectIndependent greedily picks d slices with linearly independent
@@ -399,15 +435,22 @@ var decoderPool = sync.Pool{
 // slices (paper: ~m = A^-1 ~I*). Extra or linearly dependent slices are
 // tolerated and skipped. The returned bytes are owned by the caller.
 func Decode(d int, slices []Slice) ([]byte, error) {
+	return DecodeTo(d, nil, slices)
+}
+
+// DecodeTo is Decode appending to dst on a pooled Decoder (see
+// Decoder.DecodeTo): a receiver decodes an in-order round straight onto its
+// reassembly stream. On error dst comes back unchanged.
+func DecodeTo(d int, dst []byte, slices []Slice) ([]byte, error) {
 	if d < 1 {
-		return nil, ErrBadParameters
+		return dst, ErrBadParameters
 	}
 	dec := decoderPool.Get().(*Decoder)
 	defer decoderPool.Put(dec)
 	if err := dec.Reset(d); err != nil {
-		return nil, err
+		return dst, err
 	}
-	return dec.Decode(slices)
+	return dec.DecodeTo(dst, slices)
 }
 
 // DecodeBlocks recovers the d raw blocks without interpreting padding. Used

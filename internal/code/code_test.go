@@ -486,6 +486,45 @@ func TestDecodeReturnsOwnedBytes(t *testing.T) {
 	}
 }
 
+// DecodeTo appends exactly what Decode returns behind whatever dst holds,
+// whether dst has room or must grow, for every d and for messages whose
+// length prefix straddles several blocks; a failed decode leaves dst alone.
+func TestDecodeToAppends(t *testing.T) {
+	rng := rand.New(rand.NewSource(85))
+	for d := 1; d <= 8; d++ {
+		e := newEnc(t, d, d+1, int64(86+d))
+		dec, _ := NewDecoder(d)
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 9, 31, 100, 1500} {
+			msg := make([]byte, n)
+			rng.Read(msg)
+			slices, _ := e.Encode(msg)
+			want, err := Decode(d, slices[1:])
+			if err != nil || !bytes.Equal(want, msg) {
+				t.Fatalf("d=%d n=%d: Decode: %v", d, n, err)
+			}
+			prefix := make([]byte, rng.Intn(8))
+			rng.Read(prefix)
+			dst := make([]byte, len(prefix), len(prefix)+rng.Intn(2*n+8)) // room or not
+			copy(dst, prefix)
+			got, err := dec.DecodeTo(dst, slices[1:])
+			if err != nil || !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], msg) {
+				t.Fatalf("d=%d n=%d prefix %d: DecodeTo = %x, %v", d, n, len(prefix), got, err)
+			}
+		}
+	}
+	// A length prefix past the decoded bytes is an error, not a panic, and
+	// dst comes back as it went in.
+	bad := []Slice{{Coeff: []byte{1}, Payload: []byte{0, 0, 1, 0, 'x'}}}
+	dst := []byte("kept")
+	got, err := DecodeTo(1, dst[:4:4], bad)
+	if err == nil || string(got) != "kept" || cap(got) != 4 {
+		t.Fatalf("corrupt prefix: got %q (cap %d), err %v", got, cap(got), err)
+	}
+	if got, err := DecodeTo(1, dst, []Slice{{Coeff: []byte{1}, Payload: []byte{0, 0}}}); err == nil || string(got) != "kept" {
+		t.Fatalf("blocks shorter than the prefix: got %q, err %v", got, err)
+	}
+}
+
 func TestRecombineIntoReusesBuffers(t *testing.T) {
 	const d = 2
 	rng := rand.New(rand.NewSource(83))

@@ -12,11 +12,12 @@ import (
 
 // Egress (DESIGN.md rule 9).
 //
-// A round forwarded while a burst is dispatched is framed at once — recode
-// where a slice is missing, header, slot, CRC — into the shard's open slab,
-// and the frame filed under its destination; nothing is sent until runEgress
-// at the tail of the burst, so N frames to the same child are one queue
-// transaction and one writer wakeup instead of N.
+// A round forwarded while a burst is dispatched is framed at once — header,
+// then each slot as it arrived or, where a slice is missing, a recoded one
+// under a fresh CRC — into the shard's open slab, and the frame filed under
+// its destination; nothing is sent until runEgress at the tail of the
+// burst, so N frames to the same child are one queue transaction and one
+// writer wakeup instead of N.
 //
 // Slabs are refcounted (transport.SlabPool) and handed to the transport by
 // reference when it implements overlay.OwnedSender. Transports without the
@@ -40,9 +41,17 @@ type destBatch struct {
 }
 
 // frameData frames one slice of round seq for a child into the open slab.
-func (n *Node) frameData(sh *shard, to wire.NodeID, flow wire.FlowID, seq uint32, d int, out code.Slice) {
+// A slice forwarded as it arrived is copied verbatim — its slot, CRC
+// included, was verified on arrival; only a regenerated slice (slot nil)
+// is encoded from out under a fresh CRC. The frame bytes are the same
+// either way.
+func (n *Node) frameData(sh *shard, to wire.NodeID, flow wire.FlowID, seq uint32, d int, slot []byte, out code.Slice) {
 	eg := &sh.eg
-	need := wire.DataFrameLen(len(out.Coeff), len(out.Payload))
+	slotLen := len(slot)
+	if slot == nil {
+		slotLen = wire.SlotLenFor(len(out.Coeff), len(out.Payload))
+	}
+	need := wire.HeaderLen + slotLen
 	if eg.slab == nil || eg.slab.Room() < need {
 		// Single-slab invariant: every open batch views the current slab, so
 		// all of them flush before it rolls. Growing the slab instead would
@@ -52,9 +61,12 @@ func (n *Node) frameData(sh *shard, to wire.NodeID, flow wire.FlowID, seq uint32
 	}
 	slab := eg.slab
 	off := len(slab.Buf)
-	slotLen := wire.SlotLenFor(len(out.Coeff), len(out.Payload))
 	slab.Buf = wire.AppendPacketHeader(slab.Buf, wire.MsgData, flow, seq, uint8(d), uint16(slotLen), 1)
-	slab.Buf = wire.AppendSlot(slab.Buf, out)
+	if slot != nil {
+		slab.Buf = append(slab.Buf, slot...)
+	} else {
+		slab.Buf = wire.AppendSlot(slab.Buf, out)
+	}
 	sh.batchFrame(to, slab.Buf[off:len(slab.Buf):len(slab.Buf)])
 }
 

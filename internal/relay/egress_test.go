@@ -114,7 +114,7 @@ func (t *sheddingOwnedTransport) SendOwned(from, to wire.NodeID, bufs [][]byte, 
 
 // fanoutFlow installs one established middle-of-graph flow fanning two
 // parents out to eight children, and returns a refillable round.
-func fanoutFlow(tb testing.TB, n *Node) (*shard, *flowState, *roundSlot, []wire.NodeID, []code.Slice) {
+func fanoutFlow(tb testing.TB, n *Node) (*shard, *flowState, *roundSlot, []wire.NodeID, [][]byte) {
 	tb.Helper()
 	const d = 2
 	const flow = wire.FlowID(7)
@@ -143,8 +143,9 @@ func fanoutFlow(tb testing.TB, n *Node) (*shard, *flowState, *roundSlot, []wire.
 	if err != nil {
 		tb.Fatal(err)
 	}
-	r := &roundSlot{from: []wire.NodeID{parents[0], parents[1]}, got: []code.Slice{slices[0], slices[1]}}
-	return n.shardFor(flow), fs, r, parents, slices
+	raw := [][]byte{wire.EncodeSlot(slices[0]), wire.EncodeSlot(slices[1])}
+	r := &roundSlot{from: []wire.NodeID{parents[0], parents[1]}, got: []code.Slice{slices[0], slices[1]}, raw: raw}
+	return n.shardFor(flow), fs, r, parents, raw
 }
 
 // TestEgressQueueFullShedReleasesAndCounts drives one staged round into a
@@ -170,6 +171,89 @@ func TestEgressQueueFullShedReleasesAndCounts(t *testing.T) {
 	}
 }
 
+// capturingOwnedTransport keeps a copy of the last frame sent to each
+// destination through the owned path.
+type capturingOwnedTransport struct {
+	countingTransport
+	frames map[wire.NodeID][]byte
+}
+
+func (t *capturingOwnedTransport) SendOwned(from, to wire.NodeID, bufs [][]byte, release func()) error {
+	for _, b := range bufs {
+		t.frames[to] = append([]byte(nil), b...)
+	}
+	release()
+	return nil
+}
+
+// A forwarded frame is the slot that arrived, verbatim: byte for byte what
+// framing the slice afresh (AppendPacketHeader + AppendSlot) produces. A
+// regenerated frame is framed afresh, under a CRC of its own that checks,
+// and carries a slice in the round's span.
+func TestEgressForwardsSlotsVerbatim(t *testing.T) {
+	tr := &capturingOwnedTransport{frames: map[wire.NodeID][]byte{}}
+	n, err := New(1, tr, Config{Rng: rand.New(rand.NewSource(1))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	const d, flow, seq = 2, wire.FlowID(7), uint32(9)
+	info := &wire.PerNodeInfo{Children: wmChildren, ChildFlows: []wire.FlowID{0xc1, 0xc2, 0xc3}, Recode: true}
+	for i, p := range wmParents {
+		info.DataMap = append(info.DataMap, wire.DataForward{Parent: p, Child: uint8(i)})
+	}
+	fs := &flowState{flow: flow, info: info, d: d, lastActive: time.Now()}
+	fs.declareParents(info, 0, false)
+	rng := rand.New(rand.NewSource(3))
+	enc, err := code.NewEncoder(d, len(wmParents), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk := make([]byte, 777)
+	rng.Read(chunk)
+	slices, err := enc.Encode(chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &roundSlot{}
+	for p := 0; p < 2; p++ { // the third parent's slice never came
+		raw := wire.EncodeSlot(slices[p])
+		sl, err := wire.DecodeSlot(raw, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.from, r.got, r.raw = append(r.from, wmParents[p]), append(r.got, sl), append(r.raw, raw)
+	}
+	sh := n.shardFor(flow)
+	sh.do(func() { n.stageRound(sh, fs, seq, r) })
+
+	slotLen := uint16(wire.SlotLenFor(d, len(slices[0].Payload)))
+	for p := 0; p < 2; p++ {
+		want := wire.AppendPacketHeader(nil, wire.MsgData, info.ChildFlows[p], seq, d, slotLen, 1)
+		want = wire.AppendSlot(want, slices[p])
+		if got := tr.frames[wmChildren[p]]; !bytes.Equal(got, want) {
+			t.Fatalf("frame to child %d differs from framing its slice afresh:\n got %x\nwant %x", p, got, want)
+		}
+	}
+	pkt, err := wire.UnmarshalPacket(tr.frames[wmChildren[2]])
+	if err != nil || pkt.Type != wire.MsgData || pkt.Flow != info.ChildFlows[2] || pkt.Seq != seq || pkt.SlotLen != slotLen {
+		t.Fatalf("regenerated frame header: %+v, %v", pkt, err)
+	}
+	fresh, err := wire.DecodeSlot(pkt.Slots[0], d)
+	if err != nil {
+		t.Fatalf("regenerated frame's CRC does not check: %v", err)
+	}
+	// fresh = a·s0 + b·s1 with (a, b) ≠ 0, so it spans the round with one of them.
+	a, _ := code.Decode(d, []code.Slice{fresh, slices[0]})
+	b, _ := code.Decode(d, []code.Slice{fresh, slices[1]})
+	if !bytes.Equal(a, chunk) && !bytes.Equal(b, chunk) {
+		t.Fatal("regenerated slice is not in the round's span")
+	}
+	if got := n.Stats().Regenerated; got != 1 {
+		t.Fatalf("Regenerated = %d, want 1", got)
+	}
+}
+
 // BenchmarkForwardFanout gates the owned egress stage in isolation: one
 // claimed round fanning 2 parents out to 8 children — stage, frame into a
 // pooled slab, one owned batch per destination. The
@@ -182,9 +266,9 @@ func BenchmarkForwardFanout(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer n.Close()
-	sh, fs, r, parents, slices := fanoutFlow(b, n)
-	frameLen := wire.DataFrameLen(len(slices[0].Coeff), len(slices[0].Payload))
-	b.SetBytes(int64(8 * frameLen))
+	sh, fs, r, parents, raw := fanoutFlow(b, n)
+	got := append([]code.Slice(nil), r.got...)
+	b.SetBytes(int64(8 * (wire.HeaderLen + len(raw[0]))))
 	b.ReportAllocs()
 	b.ResetTimer()
 	sh.do(func() {
@@ -192,7 +276,7 @@ func BenchmarkForwardFanout(b *testing.B) {
 			// stageRound consumed the previous claims (the slot released
 			// its views).
 			r.forwarded = false
-			r.from, r.got = append(r.from, parents...), append(r.got, slices[0], slices[1])
+			r.from, r.got, r.raw = append(r.from, parents...), append(r.got, got...), append(r.raw, raw...)
 			n.stageRound(sh, fs, uint32(i), r)
 			n.runEgress(sh)
 		}

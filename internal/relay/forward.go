@@ -53,9 +53,9 @@ func (n *Node) handleData(sh *shard, fs *flowState, from wire.NodeID, hi int, pk
 	}
 	if s.got == nil {
 		k := len(fs.hops)
-		s.from, s.got = make([]wire.NodeID, 0, k), make([]code.Slice, 0, k)
+		s.from, s.got, s.raw = make([]wire.NodeID, 0, k), make([]code.Slice, 0, k), make([][]byte, 0, k)
 	}
-	s.from, s.got = append(s.from, from), append(s.got, sl)
+	s.from, s.got, s.raw = append(s.from, from), append(s.got, sl), append(s.raw, pkt.Slots[0])
 	if decode {
 		n.tryDeliver(sh, fs, seq, s)
 	}
@@ -69,8 +69,8 @@ func (n *Node) handleData(sh *shard, fs *flowState, from wire.NodeID, hi int, pk
 }
 
 // stageRound forwards a round: its bookkeeping, then one frame per data-map
-// entry into the shard's egress, recombined from the survivors where the
-// entry's parent sent nothing.
+// entry into the shard's egress — the entry's parent's slot as it arrived,
+// or a slice recombined from the survivors where that parent sent nothing.
 func (n *Node) stageRound(sh *shard, fs *flowState, seq uint32, r *roundSlot) {
 	r.forwarded = true
 	fs.noteRound(r.from)
@@ -82,7 +82,8 @@ func (n *Node) stageRound(sh *shard, fs *flowState, seq uint32, r *roundSlot) {
 		if int(e.Child) >= len(pi.Children) {
 			continue
 		}
-		out, ok := r.slice(e.Parent)
+		var out code.Slice
+		slot, ok := r.slot(e.Parent)
 		if !ok {
 			// Missing parent: only a node with recode rights holds spare
 			// degrees of freedom to serve this child from (§4.4.1).
@@ -101,7 +102,7 @@ func (n *Node) stageRound(sh *shard, fs *flowState, seq uint32, r *roundSlot) {
 			out = fresh[0]
 			sh.stats.Regenerated++
 		}
-		n.frameData(sh, pi.Children[e.Child], pi.ChildFlows[e.Child], seq, fs.d, out)
+		n.frameData(sh, pi.Children[e.Child], pi.ChildFlows[e.Child], seq, fs.d, slot, out)
 	}
 	// The frames hold copies; the slot's views go the moment no decode is
 	// waiting on them.

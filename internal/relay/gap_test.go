@@ -2,10 +2,13 @@ package relay
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
+	"infoslicing/internal/code"
 	"infoslicing/internal/simnet"
 	"infoslicing/internal/slcrypto"
 	"infoslicing/internal/wire"
@@ -108,5 +111,241 @@ func TestResyncFilterRealigns(t *testing.T) {
 	}
 	if fs.nextSeq != 7 {
 		t.Fatalf("nextSeq = %d, want 7", fs.nextSeq)
+	}
+}
+
+// receiverFlow is a destination-only flow (d=2, three parents) on a virtual
+// clock, fed the frames a sender produces for msgs: each message sealed,
+// length-prefixed and cut into chunk-byte rounds — every message starts a
+// round — and each round coded into one slice per parent.
+type receiverFlow struct {
+	clk    *simnet.VirtualClock
+	n      *Node
+	sh     *shard
+	fs     *flowState
+	frames [][3][]byte // frames[seq][parent]
+	first  []uint32    // first[i] is message i's first round
+}
+
+func newReceiverFlow(tb testing.TB, chunk int, msgs ...[]byte) *receiverFlow {
+	tb.Helper()
+	clk := simnet.NewVirtualClock()
+	n, err := New(1, &wmTransport{clk: clk, sent: map[fwdKey]time.Duration{}}, Config{
+		Shards: 1, RoundWait: wmRoundWait, Clock: clk,
+		FlowTTL: time.Hour, Rng: rand.New(rand.NewSource(1)),
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(n.Close)
+	key := testKey(0x71)
+	rf := &receiverFlow{clk: clk, n: n, sh: n.shardFor(wmFlow)}
+	rf.fs = injectFlowAt(n, wmFlow, &wire.PerNodeInfo{Receiver: true, Key: key}, clk.Now())
+	rng := rand.New(rand.NewSource(72))
+	enc, err := code.NewEncoder(wmD, len(wmParents), rng)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sealer := slcrypto.NewSealer(key)
+	for _, m := range msgs {
+		framed := binary.BigEndian.AppendUint32(nil, uint32(slcrypto.SealedLen(len(m))))
+		if framed, err = sealer.SealTo(framed, rng, m); err != nil {
+			tb.Fatal(err)
+		}
+		rf.first = append(rf.first, uint32(len(rf.frames)))
+		for off := 0; off < len(framed); off += chunk {
+			slices, err := enc.Encode(framed[off:min(off+chunk, len(framed))])
+			if err != nil {
+				tb.Fatal(err)
+			}
+			seq := uint32(len(rf.frames))
+			var f [3][]byte
+			for p := range f {
+				f[p] = dataFrame(wmFlow, seq, wmD, slices[p])
+			}
+			rf.frames = append(rf.frames, f)
+		}
+	}
+	return rf
+}
+
+// arrive hands the node parent p's slice of round seq.
+func (rf *receiverFlow) arrive(seq uint32, p int) {
+	rf.n.process(rf.sh, wmParents[p], rf.frames[seq][p])
+}
+
+// delivered drains what the node has handed to Received() so far.
+func (rf *receiverFlow) delivered() (out [][]byte) {
+	for {
+		select {
+		case m := <-rf.n.received:
+			out = append(out, m.Data)
+		default:
+			return out
+		}
+	}
+}
+
+// A receiver must deliver the same messages however its rounds arrive: in
+// order (each decoded straight onto the stream), reordered (rounds ahead of
+// a hole park as chunks), with duplicate slices and replayed rounds, and
+// across lost rounds — one mid-message, one a message's head — which GapWait
+// writes off, losing exactly the messages they cut, while the resync filter
+// drops the orphaned continuation rounds.
+func TestReceiverDeliversRoundSequences(t *testing.T) {
+	sizes := []int{1, 30, 100, 200, 333, 57, 0, 150, 90, 64, 400, 12}
+	msgs := make([][]byte, len(sizes))
+	rng := rand.New(rand.NewSource(73))
+	for i, n := range sizes {
+		msgs[i] = make([]byte, n)
+		rng.Read(msgs[i])
+	}
+	type arrival struct {
+		seq uint32
+		p   int
+	}
+	inOrder := func(rounds int) (a []arrival) {
+		for seq := 0; seq < rounds; seq++ {
+			for p := range wmParents {
+				a = append(a, arrival{uint32(seq), p})
+			}
+		}
+		return a
+	}
+	for _, tc := range []struct {
+		name    string
+		script  func(rf *receiverFlow) []arrival
+		lost    []int // messages the script loses a round of
+		resyncs int64
+		// late, if set, names the first round held back until the hole
+		// below it has been written off.
+		late func(rf *receiverFlow) uint32
+	}{
+		{"in order", func(rf *receiverFlow) []arrival { return inOrder(len(rf.frames)) }, nil, 0, nil},
+		{"reordered", func(rf *receiverFlow) []arrival {
+			a := inOrder(len(rf.frames))
+			r := rand.New(rand.NewSource(74))
+			for i := 0; i < len(a); i += 10 { // shuffle within a few rounds
+				blk := a[i:min(i+10, len(a))]
+				r.Shuffle(len(blk), func(x, y int) { blk[x], blk[y] = blk[y], blk[x] })
+			}
+			return a
+		}, nil, 0, nil},
+		{"duplicated", func(rf *receiverFlow) []arrival {
+			var a []arrival
+			for _, x := range inOrder(len(rf.frames)) {
+				a = append(a, x, x)
+				if x.p == 2 && x.seq > 2 {
+					a = append(a, arrival{x.seq - 2, 0}) // a finished round replayed
+				}
+			}
+			return a
+		}, nil, 0, nil},
+		{"gap skipped", func(rf *receiverFlow) []arrival {
+			var a []arrival
+			for _, x := range inOrder(len(rf.frames)) {
+				switch {
+				case x.seq == rf.first[4]+1: // message 4 loses a middle round
+				case x.seq == rf.first[7] && x.p > 0: // message 7 loses its head
+				default:
+					a = append(a, x)
+				}
+			}
+			return a
+		}, []int{4, 7}, 2, nil},
+		// The rest of a clipped message arrives after its hole was written
+		// off, in order, while the stream still looks for a message head.
+		{"gap skipped, tail late", func(rf *receiverFlow) []arrival {
+			var a []arrival
+			for _, x := range inOrder(len(rf.frames)) {
+				if x.seq != rf.first[4]+1 {
+					a = append(a, x)
+				}
+			}
+			return a
+		}, []int{4}, 1, func(rf *receiverFlow) uint32 { return rf.first[4] + 3 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rf := newReceiverFlow(t, 64, msgs...)
+			if rf.first[4]+1 >= rf.first[5] {
+				t.Fatal("message 4 must span at least two rounds")
+			}
+			late := uint32(len(rf.frames))
+			if tc.late != nil {
+				late = tc.late(rf)
+			}
+			var held []arrival
+			for _, x := range tc.script(rf) {
+				if x.seq >= late {
+					held = append(held, x)
+					continue
+				}
+				rf.arrive(x.seq, x.p)
+			}
+			for range 4 {
+				rf.clk.RunFor(2 * wmRoundWait) // GapWait, default 2×RoundWait
+			}
+			for _, x := range held {
+				rf.arrive(x.seq, x.p)
+			}
+			var want [][]byte
+			for i, m := range msgs {
+				if !slices.Contains(tc.lost, i) {
+					want = append(want, m)
+				}
+			}
+			got := rf.delivered()
+			if len(got) != len(want) {
+				t.Fatalf("delivered %d messages, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("message %d: delivered %x, want %x", i, got[i], want[i])
+				}
+			}
+			if st := rf.n.Stats(); (st.RoundsSkipped > 0) != (tc.lost != nil) || st.StreamResyncs != tc.resyncs {
+				t.Fatalf("RoundsSkipped = %d with lost messages %v; StreamResyncs = %d, want %d",
+					st.RoundsSkipped, tc.lost, st.StreamResyncs, tc.resyncs)
+			}
+		})
+	}
+}
+
+// Once a flow's stream has held one message, every in-order round of the
+// next message of that size decodes onto it without allocating; only
+// opening the message, into the buffer Received() hands out, allocates.
+func TestInOrderRoundAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const runs = 32
+	msg := make([]byte, 64*(runs+4))
+	rand.New(rand.NewSource(75)).Read(msg)
+	rf := newReceiverFlow(t, 64, msg, msg)
+	for seq := uint32(0); seq < rf.first[1]; seq++ {
+		rf.arrive(seq, 0)
+		rf.arrive(seq, 1)
+	}
+	if got := rf.delivered(); len(got) != 1 || !bytes.Equal(got[0], msg) {
+		t.Fatalf("warm-up message not delivered (%d messages)", len(got))
+	}
+	seq := rf.first[1]
+	var allocs float64
+	rf.sh.do(func() {
+		allocs = testing.AllocsPerRun(runs, func() {
+			rf.n.processHere(rf.sh, wmParents[0], rf.frames[seq][0])
+			rf.n.processHere(rf.sh, wmParents[1], rf.frames[seq][1])
+			seq++
+		})
+	})
+	if allocs != 0 {
+		t.Fatalf("an in-order round allocated %v times", allocs)
+	}
+	for ; seq < uint32(len(rf.frames)); seq++ {
+		rf.arrive(seq, 0)
+		rf.arrive(seq, 1)
+	}
+	if got := rf.delivered(); len(got) != 1 || !bytes.Equal(got[0], msg) {
+		t.Fatalf("measured message not delivered (%d messages)", len(got))
 	}
 }

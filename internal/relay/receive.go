@@ -16,17 +16,28 @@ const maxSealedLen = 1 << 20
 
 // tryDeliver decodes a round and advances the receiver's reassembly
 // stream: [4-byte sealed length ‖ sealed bytes ‖ next message ...], each
-// chunk independently length-prefixed by the coding layer.
+// chunk independently length-prefixed by the coding layer. The round the
+// stream waits on decodes straight onto it; one ahead of a hole, or any
+// while the stream resyncs, parks as a chunk in its slot.
 func (n *Node) tryDeliver(sh *shard, fs *flowState, seq uint32, s *roundSlot) {
 	if len(s.got) < fs.d {
 		return // cannot span the round yet
 	}
-	chunk, err := code.Decode(fs.d, s.got)
-	if err != nil {
-		return
+	if seq == fs.nextSeq && !fs.resync {
+		stream, err := code.DecodeTo(fs.d, fs.stream, s.got)
+		if err != nil {
+			return
+		}
+		fs.stream = stream
+		fs.nextSeq++
+	} else {
+		chunk, err := code.Decode(fs.d, s.got)
+		if err != nil {
+			return
+		}
+		s.chunk = chunk
+		fs.win.buffered++
 	}
-	s.chunk = chunk
-	fs.win.buffered++
 	if forward, _ := fs.needs(seq, s); !forward {
 		s.release() // decoded and nothing to forward: the views are dead weight
 	}
@@ -34,7 +45,7 @@ func (n *Node) tryDeliver(sh *shard, fs *flowState, seq uint32, s *roundSlot) {
 	n.watchGap(sh, fs)
 }
 
-// spliceChunks appends consecutively-decoded rounds to the byte
+// spliceChunks appends the parked chunks now next in line to the byte
 // stream and parses out completed messages. While resyncing after a skip it
 // discards chunks until one passes the message-head plausibility test.
 func (n *Node) spliceChunks(sh *shard, fs *flowState) {

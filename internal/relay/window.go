@@ -31,31 +31,36 @@ const minWindow, maxWindow = 1, 4096
 // roundSlot is one round. A zero deadline means no slice of it has been
 // seen: a hole below some later round.
 type roundSlot struct {
-	from      []wire.NodeID // from[i] sent got[i]; both reused round after
-	got       []code.Slice  // round (parents ≤ d', so lookups scan)
-	chunk     []byte        // decoded, awaiting its turn in the stream
-	deadline  time.Time     // first slice + RoundWait
-	forwarded bool          // staged for egress, or written off as lost
+	// from[i] sent got[i], a view into raw[i], the slot bytes that arrived
+	// (coeff ‖ payload ‖ the CRC they passed). All three are reused round
+	// after round; parents ≤ d', so lookups scan.
+	from      []wire.NodeID
+	got       []code.Slice
+	raw       [][]byte
+	chunk     []byte    // decoded, awaiting its turn in the stream
+	deadline  time.Time // first slice + RoundWait
+	forwarded bool      // staged for egress, or written off as lost
 }
 
-// slice returns the slice parent p sent for this round, if it has.
-func (s *roundSlot) slice(p wire.NodeID) (code.Slice, bool) {
+// slot returns the slot bytes parent p sent for this round, if it has.
+func (s *roundSlot) slot(p wire.NodeID) ([]byte, bool) {
 	if i := slices.Index(s.from, p); i >= 0 {
-		return s.got[i], true
+		return s.raw[i], true
 	}
-	return code.Slice{}, false
+	return nil, false
 }
 
 // release drops the slot's slice views, which pin whole receive buffers.
 func (s *roundSlot) release() {
 	clear(s.got)
-	s.from, s.got = s.from[:0], s.got[:0]
+	clear(s.raw)
+	s.from, s.got, s.raw = s.from[:0], s.got[:0], s.raw[:0]
 }
 
 // recycle readies the slot for another round.
 func (s *roundSlot) recycle() {
 	s.release()
-	*s = roundSlot{from: s.from, got: s.got}
+	*s = roundSlot{from: s.from, got: s.got, raw: s.raw}
 }
 
 func (w *roundWindow) at(seq uint32) *roundSlot {

@@ -18,17 +18,20 @@ package slcrypto
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/hmac"
 	"crypto/rsa"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
+	"slices"
 )
 
-// KeySize is the symmetric key length in bytes (AES-128 + HMAC truncation).
+// KeySize is the symmetric key length in bytes (AES-128).
 const KeySize = 16
+
+// ivSize and tagSize frame a sealed message: iv ‖ ciphertext ‖ tag.
+const ivSize, tagSize = 16, 16
 
 // SymmetricKey is the per-node secret delivered in the sliced setup message.
 type SymmetricKey [KeySize]byte
@@ -46,30 +49,34 @@ func NewSymmetricKey(r io.Reader) (SymmetricKey, error) {
 	return k, nil
 }
 
-// Seal encrypts plaintext with AES-CTR under a random IV drawn from r, and
-// appends an HMAC-SHA256 tag. Layout: iv ‖ ciphertext ‖ tag[:16]. It is
-// Sealer.SealTo with a throwaway Sealer; per-flow callers keep one.
+// Seal encrypts and authenticates plaintext with AES-128-GCM under a 16-byte
+// IV drawn whole from r. Layout: iv ‖ ciphertext ‖ tag (16 bytes). It is a
+// throwaway Sealer that skips the counter: per-flow callers keep a Sealer.
 func (k SymmetricKey) Seal(r io.Reader, plaintext []byte) ([]byte, error) {
-	return NewSealer(k).SealTo(nil, r, plaintext)
+	dst, iv, err := readIV(nil, r, len(plaintext))
+	if err != nil {
+		return nil, err
+	}
+	return NewSealer(k).aead.Seal(dst, iv, plaintext, nil), nil
 }
 
-// Open reverses Seal, verifying the tag first.
+// Open reverses Seal (or SealTo), verifying the tag.
 func (k SymmetricKey) Open(sealed []byte) ([]byte, error) {
 	return NewSealer(k).OpenTo(nil, sealed)
 }
 
 // SealedLen is the length Seal produces for n plaintext bytes.
-func SealedLen(n int) int { return aes.BlockSize + n + KeySize }
+func SealedLen(n int) int { return ivSize + n + tagSize }
 
-// Sealer seals and opens messages under one key with the AES block and the
-// HMAC state built once, so the per-message cost is the keystream and the
-// digest, not their construction. Not safe for concurrent use: hold one per
+// Sealer seals and opens messages under one key with the AES key schedule
+// and the GHASH table built once, so a message costs one fused
+// encrypt-and-authenticate pass. Not safe for concurrent use: hold one per
 // flow, under that flow's lock.
 type Sealer struct {
-	block cipher.Block
-	mac   hash.Hash
-	dirty bool // mac has absorbed a message and needs a Reset
-	sum   [sha256.Size]byte
+	aead cipher.AEAD
+	// sealed counts SealTo calls; it is written over the first 8 bytes of
+	// each IV so no two IVs under one Sealer are equal, whatever r returns.
+	sealed uint64
 }
 
 // NewSealer keys a Sealer.
@@ -78,47 +85,49 @@ func NewSealer(k SymmetricKey) *Sealer {
 	if err != nil {
 		panic(err) // unreachable: KeySize is a valid AES key length
 	}
-	return &Sealer{block: block, mac: hmac.New(sha256.New, k[:])}
+	aead, err := cipher.NewGCMWithNonceSize(block, ivSize)
+	if err != nil {
+		panic(err) // only in FIPS 140-only mode, which forbids caller-chosen IVs
+	}
+	return &Sealer{aead: aead}
 }
 
 // SealTo appends Seal's output for plaintext to dst and returns the
-// extended slice; plaintext must not alias dst's spare capacity.
+// extended slice; plaintext must not alias dst's spare capacity. The IV is
+// 16 bytes read from r with the Sealer's message count over its first 8.
 func (s *Sealer) SealTo(dst []byte, r io.Reader, plaintext []byte) ([]byte, error) {
+	dst, iv, err := readIV(dst, r, len(plaintext))
+	if err != nil {
+		return dst, err
+	}
+	binary.BigEndian.PutUint64(iv, s.sealed)
+	s.sealed++
+	return s.aead.Seal(dst, iv, plaintext, nil), nil
+}
+
+// readIV grows dst to hold a sealed n-byte message and appends the 16 IV
+// bytes read from r, returning them as a view. On error dst is unchanged.
+func readIV(dst []byte, r io.Reader, n int) ([]byte, []byte, error) {
 	start := len(dst)
-	dst = append(dst, make([]byte, SealedLen(len(plaintext)))...)
-	out := dst[start:]
-	iv, body := out[:aes.BlockSize], out[:aes.BlockSize+len(plaintext)]
+	dst = slices.Grow(dst, SealedLen(n))[:start+ivSize]
+	iv := dst[start:]
 	if _, err := io.ReadFull(r, iv); err != nil {
-		return dst[:start], fmt.Errorf("slcrypto: %w", err)
+		return dst[:start], nil, fmt.Errorf("slcrypto: %w", err)
 	}
-	cipher.NewCTR(s.block, iv).XORKeyStream(body[aes.BlockSize:], plaintext)
-	copy(out[len(body):], s.tag(body))
-	return dst, nil
+	return dst, iv, nil
 }
 
-// OpenTo verifies sealed and appends its plaintext to dst.
+// OpenTo verifies sealed and appends its plaintext to dst; on ErrAuth dst
+// is returned unchanged.
 func (s *Sealer) OpenTo(dst, sealed []byte) ([]byte, error) {
-	if len(sealed) < aes.BlockSize+KeySize {
+	if len(sealed) < ivSize+tagSize {
 		return dst, ErrAuth
 	}
-	body, tag := sealed[:len(sealed)-KeySize], sealed[len(sealed)-KeySize:]
-	if !hmac.Equal(tag, s.tag(body)) {
+	out, err := s.aead.Open(dst, sealed[:ivSize], sealed[ivSize:], nil)
+	if err != nil {
 		return dst, ErrAuth
 	}
-	start := len(dst)
-	dst = append(dst, body[aes.BlockSize:]...)
-	cipher.NewCTR(s.block, body[:aes.BlockSize]).XORKeyStream(dst[start:], dst[start:])
-	return dst, nil
-}
-
-// tag returns the truncated HMAC of msg; valid until the next call.
-func (s *Sealer) tag(msg []byte) []byte {
-	if s.dirty {
-		s.mac.Reset() // the first Reset snapshots the keyed state: not free, so not for a one-shot
-	}
-	s.dirty = true
-	s.mac.Write(msg)
-	return s.mac.Sum(s.sum[:0])[:KeySize]
+	return out, nil
 }
 
 // Identity is an RSA keypair for the onion baseline. Information slicing

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/hmac"
-	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"io"
 	"math/rand"
 	"testing"
@@ -107,18 +107,20 @@ func TestUnwrapWithWrongIdentityFails(t *testing.T) {
 	}
 }
 
-// referenceSeal is the sealing construction written out longhand, as Seal
-// was before Sealer existed: every primitive built per message. The wire
-// bytes are pinned to it.
-func referenceSeal(k SymmetricKey, r io.Reader, plaintext []byte) []byte {
+// referenceSeal is the sealing construction written out longhand: the AES
+// block and a 16-byte-nonce GCM built per message, the IV read whole from r
+// and, for a Sealer's n-th message, n written over its first 8 bytes. The
+// wire bytes are pinned to it.
+func referenceSeal(k SymmetricKey, r io.Reader, plaintext []byte, counter *uint64) []byte {
 	block, _ := aes.NewCipher(k[:])
-	out := make([]byte, aes.BlockSize+len(plaintext)+KeySize)
-	io.ReadFull(r, out[:aes.BlockSize])
-	cipher.NewCTR(block, out[:aes.BlockSize]).XORKeyStream(out[aes.BlockSize:aes.BlockSize+len(plaintext)], plaintext)
-	h := hmac.New(sha256.New, k[:])
-	h.Write(out[:aes.BlockSize+len(plaintext)])
-	copy(out[aes.BlockSize+len(plaintext):], h.Sum(nil)[:KeySize])
-	return out
+	aead, _ := cipher.NewGCMWithNonceSize(block, 16)
+	iv := make([]byte, 16)
+	io.ReadFull(r, iv)
+	if counter != nil {
+		binary.BigEndian.PutUint64(iv, *counter)
+		*counter++
+	}
+	return aead.Seal(iv, iv, plaintext, nil)
 }
 
 // TestSealerWireBytesIdentical: one Sealer reused across many messages —
@@ -129,6 +131,7 @@ func TestSealerWireBytesIdentical(t *testing.T) {
 	s := NewSealer(k)
 	rNew, rRef := testRand(9), testRand(9)
 	sizes := testRand(10)
+	var count uint64
 	for i := 0; i < 200; i++ {
 		msg := make([]byte, sizes.Intn(3000))
 		sizes.Read(msg)
@@ -137,14 +140,14 @@ func TestSealerWireBytesIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := referenceSeal(k, rRef, msg)
+		want := referenceSeal(k, rRef, msg, &count)
 		if !bytes.Equal(got[:3], prefix) || !bytes.Equal(got[3:], want) {
 			t.Fatalf("message %d (%d bytes): SealTo differs from the reference construction", i, len(msg))
 		}
 		if len(want) != SealedLen(len(msg)) {
 			t.Fatalf("SealedLen(%d) = %d, sealed %d", len(msg), SealedLen(len(msg)), len(want))
 		}
-		if viaKey, _ := k.Seal(testRand(int64(100+i)), msg); !bytes.Equal(viaKey, referenceSeal(k, testRand(int64(100+i)), msg)) {
+		if viaKey, _ := k.Seal(testRand(int64(100+i)), msg); !bytes.Equal(viaKey, referenceSeal(k, testRand(int64(100+i)), msg, nil)) {
 			t.Fatalf("message %d: SymmetricKey.Seal differs from the reference construction", i)
 		}
 		pt, err := s.OpenTo(prefix[:1:1], want)
@@ -158,14 +161,115 @@ func TestSealerWireBytesIdentical(t *testing.T) {
 	}
 }
 
-// The reused Sealer is the point of the type: sealing allocates only the
-// CTR stream, opening only that and the plaintext it returns.
+// TestSealKnownAnswer pins the format to a vector computed by an independent
+// AES-GCM implementation: key 00..0f, IV a0..af, a 56-byte plaintext.
+func TestSealKnownAnswer(t *testing.T) {
+	var k SymmetricKey
+	iv := make([]byte, 16)
+	for i := range k {
+		k[i], iv[i] = byte(i), byte(0xa0+i)
+	}
+	pt := []byte("information slicing: anonymity using unreliable overlays")
+	want, _ := hex.DecodeString("a0a1a2a3a4a5a6a7a8a9aaabacadaeaf" +
+		"57373022c568b7217a0b5bf5763d0977b80c270cfeccd146226954b2f76aa92f" +
+		"c8fa3521022bf21eda446c30827683d75373d437af416927" +
+		"aa919648a2e6e4ab4090d79c33e636e9")
+	got, err := k.Seal(bytes.NewReader(iv), pt)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("Seal = %x (err %v), want %x", got, err, want)
+	}
+	if back, err := NewSealer(k).OpenTo(nil, want); err != nil || !bytes.Equal(back, pt) {
+		t.Fatalf("OpenTo(vector) = %q, %v", back, err)
+	}
+}
+
+// constReader returns the same byte forever: the worst r a caller can pass.
+type constReader byte
+
+func (c constReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(c)
+	}
+	return len(p), nil
+}
+
+// TestSealerIVsNeverRepeat: a Sealer's IVs stay distinct even when r returns
+// the same bytes every time, so a broken RNG cannot make it reuse a GCM nonce.
+func TestSealerIVsNeverRepeat(t *testing.T) {
+	k, _ := NewSymmetricKey(testRand(13))
+	s := NewSealer(k)
+	seen := make(map[[16]byte]bool, 10000)
+	var buf []byte
+	for i := 0; i < 10000; i++ {
+		buf, _ = s.SealTo(buf[:0], constReader(0x42), []byte("x"))
+		iv := [16]byte(buf[:16])
+		if seen[iv] {
+			t.Fatalf("seal %d repeated IV %x", i, iv)
+		}
+		seen[iv] = true
+	}
+}
+
+// FuzzOpen: arbitrary bytes never panic and never open; sealed for real they
+// open to themselves, and flipping any one byte of the seal gives ErrAuth.
+// The committed corpus holds no seal under the fuzz key: one that did would
+// be a single mutation away from opening.
+func FuzzOpen(f *testing.F) {
+	var k SymmetricKey
+	copy(k[:], "fuzz-open-key-16")
+	s := NewSealer(k)
+	f.Add([]byte{}, uint16(0), byte(1))
+	f.Add(make([]byte, 31), uint16(31), byte(0x80))
+	f.Add(make([]byte, 32), uint16(15), byte(0xff))
+	f.Fuzz(func(t *testing.T, data []byte, at uint16, flip byte) {
+		if pt, err := s.OpenTo(nil, data); err != ErrAuth {
+			t.Fatalf("arbitrary %d bytes opened to %x (err %v)", len(data), pt, err)
+		}
+		sealed, err := s.SealTo(nil, constReader(flip), data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pt, err := s.OpenTo(nil, sealed); err != nil || !bytes.Equal(pt, data) {
+			t.Fatalf("genuine seal of %d bytes did not open back (err %v)", len(data), err)
+		}
+		if flip == 0 {
+			flip = 1
+		}
+		i := int(at) % len(sealed)
+		sealed[i] ^= flip
+		if _, err := s.OpenTo(nil, sealed); err != ErrAuth {
+			t.Fatalf("seal with byte %d of %d flipped by %#x: err %v, want ErrAuth", i, len(sealed), flip, err)
+		}
+	})
+}
+
+// The reused Sealer is the point of the type: sealing into a reused buffer
+// allocates nothing.
 func BenchmarkSealerSeal(b *testing.B) {
 	k, _ := NewSymmetricKey(testRand(11))
 	s, r := NewSealer(k), testRand(12)
 	msg, buf := make([]byte, 1200), make([]byte, 0, 2048)
+	b.SetBytes(int64(len(msg)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf, _ = s.SealTo(buf[:0], r, msg)
+	}
+}
+
+// BenchmarkSealerOpen is the receiver's half: opening into a reused buffer
+// allocates nothing.
+func BenchmarkSealerOpen(b *testing.B) {
+	k, _ := NewSymmetricKey(testRand(14))
+	s := NewSealer(k)
+	msg := make([]byte, 1200)
+	sealed, _ := s.SealTo(nil, testRand(15), msg)
+	buf := make([]byte, 0, len(msg))
+	b.SetBytes(int64(len(msg)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if buf, err = s.OpenTo(buf[:0], sealed); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

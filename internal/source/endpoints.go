@@ -17,16 +17,15 @@ import (
 // hop (§7.4), and the ParentDown failure reports relays flood toward the
 // source when the live-repair control plane is on.
 type Endpoints struct {
-	tr      overlay.Transport
-	ids     []wire.NodeID
-	acks    chan wire.FlowID
-	reports chan DownReport
+	tr   overlay.Transport
+	ids  []wire.NodeID
+	acks chan wire.FlowID
 
 	// onReport, when set, consumes ParentDown reports synchronously on the
-	// delivery goroutine instead of the reports channel. The repair loop
-	// registers itself here: under a virtual clock this keeps report
-	// processing — and the splices it triggers — at the virtual instant the
-	// report arrived, which an asynchronous consumer could not guarantee.
+	// delivery goroutine; with none set a report is dropped, which is safe —
+	// relays re-report while a parent stays dead. The repair loop registers
+	// itself here: under a virtual clock this keeps report processing — and
+	// the splices it triggers — at the virtual instant the report arrived.
 	repMu    sync.Mutex
 	onReport func(DownReport)
 }
@@ -56,10 +55,9 @@ var ErrAckTimeout = errors.New("source: establishment ack timed out")
 // detaches them.
 func AttachEndpoints(tr overlay.Transport, ids []wire.NodeID) (*Endpoints, error) {
 	e := &Endpoints{
-		tr:      tr,
-		ids:     append([]wire.NodeID(nil), ids...),
-		acks:    make(chan wire.FlowID, 64),
-		reports: make(chan DownReport, 64),
+		tr:   tr,
+		ids:  append([]wire.NodeID(nil), ids...),
+		acks: make(chan wire.FlowID, 64),
 	}
 	for i, id := range e.ids {
 		if err := tr.Attach(id, e.onPacket); err != nil {
@@ -72,30 +70,22 @@ func AttachEndpoints(tr overlay.Transport, ids []wire.NodeID) (*Endpoints, error
 	return e, nil
 }
 
-// Reports yields arriving ParentDown failure reports. The repair loop
-// (Sender.StartRepair) is the intended consumer; if nobody listens the
-// channel simply fills and further reports are dropped, which is safe —
-// relays re-report while a parent stays dead.
-func (e *Endpoints) Reports() <-chan DownReport { return e.reports }
-
 // InjectTransportDown feeds the repair machinery a locally-observed
 // failure: the transport measured persistent loss toward node beyond what
 // the flow's redundancy can absorb. The report takes the same path as a
-// relayed ParentDown — synchronous handler if one is registered, else the
-// Reports channel — so splice repair, not transport retransmission, is
-// what restores delivery.
+// relayed ParentDown — the report handler, if one is registered — so splice
+// repair, not transport retransmission, is what restores delivery.
 func (e *Endpoints) InjectTransportDown(node wire.NodeID) {
-	r := DownReport{Transport: node}
+	e.report(DownReport{Transport: node})
+}
+
+// report hands r to the report handler, or drops it if none is registered.
+func (e *Endpoints) report(r DownReport) {
 	e.repMu.Lock()
 	h := e.onReport
 	e.repMu.Unlock()
 	if h != nil {
 		h(r)
-		return
-	}
-	select {
-	case e.reports <- r:
-	default:
 	}
 }
 
@@ -122,26 +112,15 @@ func (e *Endpoints) onPacket(_ wire.NodeID, data []byte) {
 		if err != nil {
 			return
 		}
-		r := DownReport{Flow: pkt.Flow, Nonce: nonce, Sealed: sealed}
-		e.repMu.Lock()
-		h := e.onReport
-		e.repMu.Unlock()
-		if h != nil {
-			// The sealed view pins the delivery buffer, which this handler
-			// owns outright (buffer-ownership rule 2); the report handler
-			// reads it synchronously and must not retain it.
-			h(r)
-			return
-		}
-		select {
-		case e.reports <- r:
-		default:
-		}
+		// The sealed view pins the delivery buffer, which this handler owns
+		// outright (buffer-ownership rule 2); the report handler reads it
+		// synchronously and must not retain it.
+		e.report(DownReport{Flow: pkt.Flow, Nonce: nonce, Sealed: sealed})
 	}
 }
 
 // setReportHandler installs (or, with nil, removes) the synchronous report
-// consumer. While set, the Reports channel receives nothing.
+// consumer.
 func (e *Endpoints) setReportHandler(h func(DownReport)) {
 	e.repMu.Lock()
 	e.onReport = h

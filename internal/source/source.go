@@ -72,6 +72,13 @@ type Sender struct {
 	// state; independent of RateBps.
 	adv overlay.CongestionAdvisor
 
+	// sendMu serializes Send: one message's rounds go out back to back, so
+	// concurrent callers cannot interleave rounds of different messages on
+	// the flow's single byte stream. It guards frame, the sealed message
+	// the rounds are cut from, reused message after message.
+	sendMu sync.Mutex
+	frame  []byte
+
 	// mu guards this flow's round pipeline only. It is held across
 	// sendRound (so the encoder and framing scratch can be reused round
 	// after round) but never across pacing sleeps, and never by any other
@@ -152,8 +159,11 @@ func (s *Sender) Establish() error {
 }
 
 // Send seals msg with the destination's key and streams it down the graph.
-// It may be called concurrently.
+// It may be called concurrently; calls on one Sender go out one message at
+// a time.
 func (s *Sender) Send(msg []byte) error {
+	s.sendMu.Lock()
+	defer s.sendMu.Unlock()
 	s.mu.Lock()
 	if !s.established {
 		s.mu.Unlock()
@@ -163,14 +173,15 @@ func (s *Sender) Send(msg []byte) error {
 		s.sealer = slcrypto.NewSealer(s.graph.DestKey)
 	}
 	// Frame: 4-byte length prefix, then the sealed bytes — sealed straight
-	// into the frame, which is then cut into rounds.
+	// into the flow's frame buffer, which is then cut into rounds.
 	n := slcrypto.SealedLen(len(msg))
-	framed := binary.BigEndian.AppendUint32(make([]byte, 0, 4+n), uint32(n))
+	framed := binary.BigEndian.AppendUint32(s.frame[:0], uint32(n))
 	framed, err := s.sealer.SealTo(framed, rngReader{s.rng}, msg)
 	s.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("source: %w", err)
 	}
+	s.frame = framed
 
 	chunk := s.cfg.ChunkPayload
 	for off := 0; off < len(framed); off += chunk {

@@ -242,3 +242,65 @@ func TestGraphAccessor(t *testing.T) {
 		t.Fatal("Graph() should expose the underlying graph")
 	}
 }
+
+// Concurrent Send calls on one flow must not interleave their messages'
+// rounds: the receiver reassembles one byte stream per flow, and a round of
+// another message landing mid-message makes it read ciphertext as a length
+// prefix and wait, on an unbroken stream, for gigabytes that never come.
+// Pacing sleeps between rounds, which is where a second caller used to cut in.
+func TestConcurrentSendOneFlow(t *testing.T) {
+	const senders, perSender = 4, 50
+	net, eps, _, nodes, g := buildStack(t, 2, 2, 2, 11)
+	snd := New(net, g, Config{ChunkPayload: 256, RateBps: 16_000_000}, rand.New(rand.NewSource(11)))
+	if err := snd.EstablishAndWait(eps, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]bool, senders*perSender)
+	msgs := make([][][]byte, senders)
+	rng := rand.New(rand.NewSource(12))
+	for w := range msgs {
+		for i := 0; i < perSender; i++ {
+			// About two and a half 256-byte rounds each, every one distinct.
+			m := make([]byte, 560+rng.Intn(80))
+			rng.Read(m)
+			m[0], m[1] = byte(w), byte(i)
+			msgs[w] = append(msgs[w], m)
+			want[string(m)] = true
+		}
+	}
+	got := make(chan []byte, senders*perSender)
+	go func() {
+		for m := range nodes[g.Dest].Received() {
+			got <- m.Data
+		}
+	}()
+	errs := make(chan error, senders)
+	for _, batch := range msgs {
+		go func() {
+			for _, m := range batch {
+				if err := snd.Send(m); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for range msgs {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.After(5 * time.Second)
+	for n := 0; n < senders*perSender; n++ {
+		select {
+		case m := <-got:
+			if !want[string(m)] {
+				t.Fatalf("delivered a message nobody sent, or twice (%d bytes)", len(m))
+			}
+			delete(want, string(m))
+		case <-deadline:
+			t.Fatalf("delivered %d of %d messages; the stream wedged", n, senders*perSender)
+		}
+	}
+}

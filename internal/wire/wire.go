@@ -196,15 +196,6 @@ const slotCRC = 4
 // SlotLenFor returns the slot size for split factor d and payload length.
 func SlotLenFor(d, payloadLen int) int { return d + payloadLen + slotCRC }
 
-// DataFrameLen returns the exact marshaled size of a single-slot data
-// packet carrying a slice with the given coefficient and payload lengths.
-// Egress stages that frame into shared slabs size their appends with this
-// up front: growing a slab mid-append would silently detach every frame
-// view already handed out over it.
-func DataFrameLen(coeffLen, payloadLen int) int {
-	return packetHeader + coeffLen + payloadLen + slotCRC
-}
-
 // EncodeSlot packs a slice into a freshly allocated slot.
 func EncodeSlot(s code.Slice) []byte {
 	return AppendSlot(make([]byte, 0, len(s.Coeff)+len(s.Payload)+slotCRC), s)
