@@ -23,11 +23,21 @@ import (
 // reference when it implements overlay.OwnedSender. Transports without the
 // owned path get the per-frame Send fallback (which copies), preserving
 // behavior exactly.
+//
+// The open slab outlives the burst: the next burst appends behind the frames
+// already handed out, and the slab rolls only when it is full. A shard
+// therefore holds at most one open slab while the node runs (Close releases
+// it), and many small bursts share one slab instead of each claiming a
+// whole one and parking it in the pool.
 
-// egState is a shard's egress: the slab the current burst frames into, the
-// batches that view it, and the recombination scratch.
+// egState is a shard's egress: the open slab and the append cursor into it,
+// the batches that view it, and the recombination scratch.
 type egState struct {
-	slab    *transport.Slab
+	slab *transport.Slab
+	// buf is the open slab's bytes, appended here rather than to slab.Buf:
+	// the slice header the worker rewrites per frame stays on the shard's own
+	// cache lines, away from the refcount transport writers hit on Release.
+	buf     []byte
 	batches []destBatch
 	regen   []code.Slice
 	rng     *rand.Rand
@@ -52,22 +62,32 @@ func (n *Node) frameData(sh *shard, to wire.NodeID, flow wire.FlowID, seq uint32
 		slotLen = wire.SlotLenFor(len(out.Coeff), len(out.Payload))
 	}
 	need := wire.HeaderLen + slotLen
-	if eg.slab == nil || eg.slab.Room() < need {
+	if cap(eg.buf)-len(eg.buf) < need { // full, or no slab open yet
 		// Single-slab invariant: every open batch views the current slab, so
 		// all of them flush before it rolls. Growing the slab instead would
-		// detach the views already batched.
+		// detach the views already handed out.
 		n.runEgress(sh)
+		eg.close()
 		eg.slab = n.egPool.Get(need)
+		eg.buf = eg.slab.Buf
 	}
-	slab := eg.slab
-	off := len(slab.Buf)
-	slab.Buf = wire.AppendPacketHeader(slab.Buf, wire.MsgData, flow, seq, uint8(d), uint16(slotLen), 1)
+	off := len(eg.buf)
+	eg.buf = wire.AppendPacketHeader(eg.buf, wire.MsgData, flow, seq, uint8(d), uint16(slotLen), 1)
 	if slot != nil {
-		slab.Buf = append(slab.Buf, slot...)
+		eg.buf = append(eg.buf, slot...)
 	} else {
-		slab.Buf = wire.AppendSlot(slab.Buf, out)
+		eg.buf = wire.AppendSlot(eg.buf, out)
 	}
-	sh.batchFrame(to, slab.Buf[off:len(slab.Buf):len(slab.Buf)])
+	sh.batchFrame(to, eg.buf[off:len(eg.buf):len(eg.buf)])
+}
+
+// close drops the shard's own reference to the open slab; the slab returns
+// to its pool once every transport holding a batch of it has released.
+func (eg *egState) close() {
+	if eg.slab != nil {
+		eg.slab.Release()
+		eg.slab, eg.buf = nil, nil
+	}
 }
 
 // batchFrame files one framed packet under its destination. Destinations
@@ -93,16 +113,14 @@ func (sh *shard) batchFrame(to wire.NodeID, frame []byte) {
 	sh.eg.batches = b
 }
 
-// runEgress hands every open batch to the transport, retires them and lets
-// the slab go. All batches view the slab: the owned path Retains once per
-// batch (the transport releases when flushed or dropped), the fallback path
-// copies via send so no extra reference is needed. Frames shed to full queues
-// count as SendDrops. Safe to call with nothing framed (cheap no-op).
+// runEgress hands every open batch to the transport and retires them; the
+// slab stays open for the next burst. All batches view the slab: the owned
+// path Retains once per batch (the transport releases when flushed or
+// dropped), the fallback path copies via send so no extra reference is
+// needed. Frames shed to full queues count as SendDrops. Safe to call with
+// nothing framed (cheap no-op).
 func (n *Node) runEgress(sh *shard) {
 	eg := &sh.eg
-	if eg.slab == nil {
-		return
-	}
 	for i := range eg.batches {
 		b := &eg.batches[i]
 		if n.owned != nil {
@@ -123,6 +141,4 @@ func (n *Node) runEgress(sh *shard) {
 		b.bufs = b.bufs[:0]
 	}
 	eg.batches = eg.batches[:0]
-	eg.slab.Release()
-	eg.slab = nil
 }

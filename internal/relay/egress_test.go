@@ -9,6 +9,7 @@ import (
 	"infoslicing/internal/code"
 	"infoslicing/internal/overlay"
 	"infoslicing/internal/simnet"
+	"infoslicing/internal/transport"
 	"infoslicing/internal/wire"
 )
 
@@ -16,19 +17,29 @@ import (
 // takes from its SlabPool must come back — after clean end-to-end delivery,
 // after mid-flight node failures, after queue-full sheds, and after
 // Node.Close — with n.egPool.Outstanding() as the gauge (DESIGN.md rule 9).
+// While a node runs each shard keeps its open slab for the next burst, so
+// the gauge settles at no more than one slab per shard; after Close it
+// reads zero.
 
-// outstandingZero waits for every relay's egress pool to drain. Transports
-// may fire the release on a delivery goroutine, so poll briefly.
-func outstandingZero(nodes map[wire.NodeID]*Node) bool {
+// outstandingAtMost waits until every relay's egress pool holds at most
+// perShard slabs per shard. Transports may fire the release on a delivery
+// goroutine, so poll briefly.
+func outstandingAtMost(nodes map[wire.NodeID]*Node, perShard int) bool {
 	return simnet.Eventually(5*time.Second, time.Millisecond, func() bool {
 		for _, n := range nodes {
-			if n.egPool.Outstanding() != 0 {
+			if n.egPool.Outstanding() > int64(perShard*len(n.shards)) {
 				return false
 			}
 		}
 		return true
 	})
 }
+
+// openSlabsOnly: traffic has stopped and only the shards' open slabs remain.
+func openSlabsOnly(nodes map[wire.NodeID]*Node) bool { return outstandingAtMost(nodes, 1) }
+
+// outstandingZero: every reference is back (after Close).
+func outstandingZero(nodes map[wire.NodeID]*Node) bool { return outstandingAtMost(nodes, 0) }
 
 func TestEgressSlabsReleasedEndToEnd(t *testing.T) {
 	h := newHarness(t, 3, 2, 3, 21, true)
@@ -41,7 +52,7 @@ func TestEgressSlabsReleasedEndToEnd(t *testing.T) {
 	if got := h.waitMsg(t, 10*time.Second); !bytes.Equal(got, msg) {
 		t.Fatal("message corrupted")
 	}
-	if !outstandingZero(h.nodes) {
+	if !openSlabsOnly(h.nodes) {
 		t.Fatal("egress slabs leaked after delivery")
 	}
 	h.close()
@@ -72,7 +83,7 @@ func TestEgressSlabsReleasedUnderMidFlightFailures(t *testing.T) {
 	if got := h.waitMsg(t, 15*time.Second); !bytes.Equal(got, msg) {
 		t.Fatal("message corrupted under failures")
 	}
-	if !outstandingZero(h.nodes) {
+	if !openSlabsOnly(h.nodes) {
 		t.Fatal("egress slabs leaked under mid-flight failures")
 	}
 	h.close()
@@ -149,8 +160,9 @@ func fanoutFlow(tb testing.TB, n *Node) (*shard, *flowState, *roundSlot, []wire.
 }
 
 // TestEgressQueueFullShedReleasesAndCounts drives one staged round into a
-// transport that sheds every batch: the slab must come back to the pool and
-// every shed frame must land in SendDrops.
+// transport that sheds every batch: the shed batches' references must come
+// back (only the shard's open slab stays out, until Close) and every shed
+// frame must land in SendDrops.
 func TestEgressQueueFullShedReleasesAndCounts(t *testing.T) {
 	tr := &sheddingOwnedTransport{}
 	n, err := New(1, tr, Config{Rng: rand.New(rand.NewSource(1))})
@@ -166,8 +178,83 @@ func TestEgressQueueFullShedReleasesAndCounts(t *testing.T) {
 	if got := n.Stats().SendDrops; got != 8 {
 		t.Fatalf("SendDrops = %d, want 8", got)
 	}
+	if got := n.egPool.Outstanding(); got != 1 {
+		t.Fatalf("outstanding %d after a shed, want 1 (the open slab)", got)
+	}
+	n.Close()
 	if got := n.egPool.Outstanding(); got != 0 {
-		t.Fatalf("slab leaked on shed: outstanding %d", got)
+		t.Fatalf("slab leaked on shed: outstanding %d after Close", got)
+	}
+}
+
+// holdingOwnedTransport keeps every owned batch — its frames as views and
+// as copies taken at hand-off — and releases nothing until told to.
+type holdingOwnedTransport struct {
+	countingTransport
+	views, copies [][]byte
+	releases      []func()
+}
+
+func (t *holdingOwnedTransport) SendOwned(from, to wire.NodeID, bufs [][]byte, release func()) error {
+	for _, b := range bufs {
+		t.views = append(t.views, b)
+		t.copies = append(t.copies, append([]byte(nil), b...))
+	}
+	t.releases = append(t.releases, release)
+	return nil
+}
+
+// Many small bursts share one egress slab: with every batch still held by
+// the transport, as many one-round bursts as fit in a slab claim a single
+// slab (one Get, so one outstanding) where per-burst slabs would claim one
+// each. Each burst appends behind the frames already handed out, so the
+// earlier views are never written again, and every frame is byte for byte
+// what framing its round alone produces.
+func TestEgressSlabSpansBursts(t *testing.T) {
+	tr := &holdingOwnedTransport{}
+	n, err := New(1, tr, Config{Rng: rand.New(rand.NewSource(1))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	sh, fs, r, parents, raw := fanoutFlow(t, n)
+	bursts := uint32(transport.DefaultSlabSize / (8 * (wire.HeaderLen + len(raw[0]))))
+	// Staging a round clears the slot's tables, which start out as these.
+	got, raw := append([]code.Slice(nil), r.got...), append([][]byte(nil), raw...)
+	for seq := uint32(0); seq < bursts; seq++ {
+		sh.do(func() { // one burst: its egress leaves at the call's tail
+			r.forwarded = false
+			r.from, r.got, r.raw = append(r.from[:0], parents...), append(r.got[:0], got...), append(r.raw[:0], raw...)
+			n.stageRound(sh, fs, seq, r)
+		})
+	}
+	if len(tr.views) != int(8*bursts) {
+		t.Fatalf("transport took %d frames, want %d", len(tr.views), 8*bursts)
+	}
+	if got := n.egPool.Outstanding(); got != 1 {
+		t.Fatalf("%d bursts claimed %d slabs, want 1", bursts, got)
+	}
+	slotLen := uint16(len(raw[0]))
+	for i, v := range tr.views {
+		seq, e := uint32(i/8), fs.info.DataMap[i%8]
+		want := wire.AppendPacketHeader(nil, wire.MsgData, fs.info.ChildFlows[e.Child], seq, uint8(fs.d), slotLen, 1)
+		want = append(want, raw[i%2]...)
+		if !bytes.Equal(tr.copies[i], want) {
+			t.Fatalf("frame %d (round %d) differs from framing its round alone", i, seq)
+		}
+		if !bytes.Equal(v, want) {
+			t.Fatalf("frame %d (round %d) was overwritten by a later burst", i, seq)
+		}
+	}
+	for _, release := range tr.releases {
+		release()
+	}
+	if got := n.egPool.Outstanding(); got != 1 {
+		t.Fatalf("outstanding %d with every batch released, want 1 (the open slab)", got)
+	}
+	n.Close()
+	if got := n.egPool.Outstanding(); got != 0 {
+		t.Fatalf("outstanding %d after Close, want 0", got)
 	}
 }
 
@@ -285,7 +372,8 @@ func BenchmarkForwardFanout(b *testing.B) {
 	if want := int64(b.N * 8); tr.sent != want {
 		b.Fatalf("sent %d frames, want %d", tr.sent, want)
 	}
+	n.Close()
 	if got := n.egPool.Outstanding(); got != 0 {
-		b.Fatalf("slab refs leaked: outstanding %d", got)
+		b.Fatalf("slab refs leaked: outstanding %d after Close", got)
 	}
 }

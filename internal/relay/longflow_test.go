@@ -21,8 +21,8 @@ import (
 // see the same machine), the heap is bounded by the window (each packet
 // arrives in its own buffer, as a transport hands them over, so a retained
 // view shows), the receiver holds no slice view once a round is decoded, the
-// bystander never holds one at all, and every egress slab is back in its
-// pool.
+// bystander never holds one at all, and every egress slab but the shard's
+// open one is back in its pool (that one too, after Close).
 func TestLongFlowFlatCostBoundedHeap(t *testing.T) {
 	const (
 		rounds  = 20_000
@@ -174,8 +174,13 @@ func TestLongFlowFlatCostBoundedHeap(t *testing.T) {
 		}
 	}
 	for _, m := range members {
+		// Running, a shard keeps its open slab (and no other); closed, none.
+		if got := m.n.egPool.Outstanding(); got > int64(len(m.n.shards)) {
+			t.Errorf("node %d: %d egress slabs outstanding on %d shards", m.n.id, got, len(m.n.shards))
+		}
+		m.n.Close()
 		if got := m.n.egPool.Outstanding(); got != 0 {
-			t.Errorf("%v: %d egress slabs outstanding", m.n, got)
+			t.Errorf("node %d: %d egress slabs outstanding after Close", m.n.id, got)
 		}
 	}
 }

@@ -333,7 +333,8 @@ type shard struct {
 	onTick    func() // tick's callback, built once: posts runDeadlines
 
 	// Egress (egress.go): rounds forwarded during a burst are framed into
-	// eg and leave at its tail.
+	// eg's open slab and leave at its tail; the slab stays open across
+	// bursts until it is full or the node closes.
 	eg egState
 }
 
@@ -578,6 +579,7 @@ func (n *Node) Close() {
 				n.removeFlow(sh, fs, false)
 			}
 			n.armTick(sh) // nothing is pending any more: stops the timer
+			sh.eg.close() // every burst's egress left at its tail
 		}
 	})
 	<-n.closeDone

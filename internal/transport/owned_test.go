@@ -21,8 +21,8 @@ func TestSlabPoolRefcountLifecycle(t *testing.T) {
 	if got := pool.Outstanding(); got != 1 {
 		t.Fatalf("Outstanding = %d after Get, want 1", got)
 	}
-	if s.Room() != 1024 {
-		t.Fatalf("Room = %d, want 1024", s.Room())
+	if len(s.Buf) != 0 || cap(s.Buf) != 1024 {
+		t.Fatalf("Buf len %d cap %d, want an empty 1024-byte slab", len(s.Buf), cap(s.Buf))
 	}
 	s.Retain()
 	s.Release()

@@ -214,12 +214,15 @@ func (a *Acceptor) readLoop(c net.Conn) {
 		if end == len(slab) {
 			// Slab exhausted. Handed-out frames pin slab[:start], so roll
 			// to a fresh slab, moving only the unparsed tail (at most one
-			// partial frame, whose size — if its header is in — the new
-			// slab must fit whole).
+			// partial frame). A header's size is only a claim: the new slab
+			// grows toward it no faster than its bytes arrive — at most
+			// double what is already in — so one peer claiming MaxFrame and
+			// then stalling commits memory in proportion to what it sent.
 			pending := end - start
 			need := slabMin
 			if pending >= HeaderLen {
-				if t := HeaderLen + int(binary.BigEndian.Uint32(slab[start:])); t > need {
+				total := HeaderLen + int(binary.BigEndian.Uint32(slab[start:]))
+				if t := pending + min(pending, total-pending); t > need {
 					need = t
 				}
 			}

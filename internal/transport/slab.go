@@ -3,8 +3,8 @@ package transport
 import "sync/atomic"
 
 // DefaultSlabSize is the egress slab capacity handed out by a SlabPool
-// built with size 0: big enough that a full relay burst's frames toward
-// all destinations usually share one slab, small enough that a handful of
+// built with size 0: big enough that a relay shard's bursts, large ones
+// included, fill one slab before it rolls, small enough that a handful of
 // in-flight slabs per shard stay cache-resident.
 const DefaultSlabSize = 128 << 10
 
@@ -34,10 +34,11 @@ func NewSlabPool(size, depth int) *SlabPool {
 }
 
 // Slab is one refcounted egress buffer. The producer appends frames to
-// Buf, Retains once per hand-off that outlives its own use, and Releases
-// its own reference when done framing; every consumer (a transport's
-// owned path, or the fallback copy path) releases exactly once. The last
-// release returns the slab to its pool.
+// Buf (or to its own copy of the slice header, keeping its writes off the
+// line Release hits), Retains once per hand-off that outlives its own use,
+// and Releases its own reference when done framing; every consumer (a
+// transport's owned path, or the fallback copy path) releases exactly
+// once. The last release returns the slab to its pool.
 type Slab struct {
 	Buf  []byte
 	pool *SlabPool
@@ -97,7 +98,3 @@ func (s *Slab) Release() {
 		panic("transport: slab over-released")
 	}
 }
-
-// Room reports how many bytes can still be appended without growing Buf
-// (growing would silently detach frames already handed out as views).
-func (s *Slab) Room() int { return cap(s.Buf) - len(s.Buf) }

@@ -339,6 +339,53 @@ func TestReaderRejectsOversizeFrame(t *testing.T) {
 	}
 }
 
+// A frame's length is a claim, not a commitment. A peer announces a frame
+// just under the 64 MiB default limit, sends 64 KiB of it and stalls: the
+// reader may commit memory for what arrived (at most double), never for
+// what was promised.
+func TestReaderCommitsMemoryAsBytesArrive(t *testing.T) {
+	const claim, body = 60 << 20, 64 << 10
+	acc, err := Listen("127.0.0.1:0", 0, func(wire.NodeID, []byte) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer acc.Close()
+	mem := func() runtime.MemStats {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms
+	}
+	before := mem()
+
+	c, err := net.Dial("tcp", acc.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	stream := make([]byte, HeaderLen+body)
+	putHeader(stream, 42, claim)
+	if _, err := c.Write(stream); err != nil {
+		t.Fatal(err)
+	}
+	// The reader has taken the body in once it has cut its second slab (the
+	// first fills at 64 KiB, header included); wait for those allocations.
+	if !simnet.Eventually(5*time.Second, time.Millisecond, func() bool {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.TotalAlloc-before.TotalAlloc >= 3*body
+	}) {
+		t.Fatal("the reader never took the body in")
+	}
+	if grown := int64(mem().HeapInuse) - int64(before.HeapInuse); grown >= 1<<20 {
+		t.Fatalf("a stalled %d MiB claim backed by %d KiB grew the heap by %d KiB, want < 1 MiB",
+			claim>>20, body>>10, grown>>10)
+	}
+	if acc.ConnCount() != 1 {
+		t.Fatal("a frame within the limit dropped the connection")
+	}
+}
+
 func TestPeerSetSharedHostConnAndDrop(t *testing.T) {
 	s := &sink{}
 	acc, err := Listen("127.0.0.1:0", 0, s.deliver)

@@ -54,7 +54,8 @@ type UDPConfig struct {
 	// MaxUDPPayload.
 	MaxDatagram int
 	// RecvBatch is how many datagrams one recvmmsg call can drain
-	// (default 8). Each vector holds a MaxUDPPayload-sized staging buffer.
+	// (default 8). Each vector holds a MaxUDPPayload-sized staging buffer,
+	// borrowed for the batch and returned before the socket sleeps.
 	RecvBatch int
 	// InitialWindow / MaxWindow bound the CUBIC congestion window, in
 	// datagrams in flight (defaults 16 / 1024).
@@ -596,10 +597,11 @@ func (p *UDPPeer) signalWindow() {
 
 // UDPAcceptor owns one listening UDP socket: the batched read loop, frame
 // parsing, and the ack/echo bookkeeping per source socket. The recvmmsg
-// staging buffers are reused every batch — they are STAGING ONLY, never
-// handed out — and each frame's payload is copied into a rolling delivery
-// slab whose regions the handlers own outright (buffer-ownership rule 2),
-// exactly the contract the TCP reader's slabs give.
+// staging buffers are borrowed per batch and given back once it is parsed
+// (or the socket runs dry) — they are STAGING ONLY, never handed out — and
+// each frame's payload is copied into a rolling delivery slab whose regions
+// the handlers own outright (buffer-ownership rule 2), exactly the contract
+// the TCP reader's slabs give.
 type UDPAcceptor struct {
 	conn     *net.UDPConn
 	maxFrame int
@@ -716,33 +718,28 @@ func (a *UDPAcceptor) Close() {
 	a.wg.Wait()
 }
 
-// recvSlabs recycles receive staging slabs across socket lifetimes. The
-// staging footprint is RecvBatch×MaxUDPPayload per socket — harnesses that
-// churn endpoints by the dozen would otherwise spend their time zeroing
-// half-megabyte slabs the reader immediately overwrites.
+// recvSlabs is the process-wide store of receive staging slabs
+// (RecvBatch×MaxUDPPayload each). Receivers borrow one per batch and give
+// it back as soon as the batch is copied out or the socket runs dry, so the
+// slabs in use track the batches in hand, not the sockets open. It pools
+// the *[]byte handles themselves: a slab goes back on every batch, and
+// boxing a fresh handle per Put would allocate each time.
 var recvSlabs sync.Pool
 
-func getRecvSlab(n int) []byte {
-	if v := recvSlabs.Get(); v != nil {
-		if s := *(v.(*[]byte)); cap(s) >= n {
-			return s[:n]
-		}
+func getRecvSlab(n int) *[]byte {
+	if s, _ := recvSlabs.Get().(*[]byte); s != nil && cap(*s) >= n {
+		*s = (*s)[:n]
+		return s
 	}
-	return make([]byte, n)
+	s := make([]byte, n)
+	return &s
 }
 
-func putRecvSlab(s []byte) {
-	if cap(s) == 0 {
-		return
-	}
-	s = s[:0]
-	recvSlabs.Put(&s)
-}
+func putRecvSlab(s *[]byte) { recvSlabs.Put(s) }
 
 func (a *UDPAcceptor) readLoop() {
 	defer a.wg.Done()
 	br := newBatchReceiver(a.conn, a.ucfg.RecvBatch)
-	defer br.free()
 	srcs := make(map[netip.AddrPort]*rxSource)
 	seen := make([]netip.AddrPort, 0, a.ucfg.RecvBatch)
 	var slab []byte
@@ -759,6 +756,7 @@ func (a *UDPAcceptor) readLoop() {
 		for i := 0; i < n; i++ {
 			a.handleDatagram(br.bufs[i][:br.lens[i]], br.addrs[i], srcs, &seen, &slab)
 		}
+		br.release() // every frame is copied out: the staging goes back now
 		// Echo one ack per source socket per batch: highest seq seen plus
 		// cumulative count, from which the sender reconstructs delivery,
 		// loss, and RTT. Coalescing to the batch keeps the ack rate at

@@ -24,6 +24,11 @@ func (s *batchSender) send(c *net.UDPConn, dgs [][]byte) (int, error) {
 	return len(dgs), nil
 }
 
+// batchReceiver reads one datagram per recv. ReadFromUDPAddrPort blocks
+// inside the net package with the buffer already handed over, so there is
+// no point at which staging could be given back before the goroutine
+// parks: this receiver keeps one MaxUDPPayload buffer for its lifetime and
+// release is a no-op.
 type batchReceiver struct {
 	c     *net.UDPConn
 	bufs  [][]byte
@@ -34,19 +39,13 @@ type batchReceiver struct {
 func newBatchReceiver(c *net.UDPConn, batch int) *batchReceiver {
 	return &batchReceiver{
 		c:     c,
-		bufs:  [][]byte{getRecvSlab(MaxUDPPayload)},
+		bufs:  [][]byte{make([]byte, MaxUDPPayload)},
 		lens:  make([]int, 1),
 		addrs: make([]netip.AddrPort, 1),
 	}
 }
 
-// free returns the staging buffer to the pool; the receiver is dead after.
-func (r *batchReceiver) free() {
-	if len(r.bufs) > 0 {
-		putRecvSlab(r.bufs[0])
-	}
-	r.bufs = nil
-}
+func (r *batchReceiver) release() {}
 
 func (r *batchReceiver) recv() (int, error) {
 	n, ap, err := r.c.ReadFromUDPAddrPort(r.bufs[0])

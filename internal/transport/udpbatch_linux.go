@@ -32,6 +32,14 @@ type batchSender struct {
 	rc   syscall.RawConn
 	msgs []mmsghdr
 	iovs []syscall.Iovec
+
+	// The RawConn.Write callback, bound once so a send allocates nothing,
+	// and its inputs and results: the vector length, and what sendmmsg
+	// reported.
+	writeFn func(fd uintptr) bool
+	vlen    int
+	sent    int
+	opErr   error
 }
 
 func (s *batchSender) reset(maxBatch int) {
@@ -53,6 +61,9 @@ func (s *batchSender) send(c *net.UDPConn, dgs [][]byte) (int, error) {
 		}
 		s.c, s.rc = c, rc
 	}
+	if s.writeFn == nil {
+		s.writeFn = s.sendmmsg
+	}
 	n := len(dgs)
 	if n > len(s.msgs) {
 		s.msgs = make([]mmsghdr, n)
@@ -65,41 +76,53 @@ func (s *batchSender) send(c *net.UDPConn, dgs [][]byte) (int, error) {
 		s.msgs[i].hdr.Iov = &s.iovs[i]
 		s.msgs[i].hdr.Iovlen = 1
 	}
-	var sent int
-	var opErr error
-	err := s.rc.Write(func(fd uintptr) bool {
-		r, _, errno := syscall.Syscall6(sysSendmmsg, fd,
-			uintptr(unsafe.Pointer(&s.msgs[0])), uintptr(n), 0, 0, 0)
-		if errno == syscall.EAGAIN {
-			return false // poller waits for writability, then retries
-		}
-		if errno != 0 {
-			opErr = errno
-		} else {
-			sent = int(r)
-		}
-		return true
-	})
-	if err != nil {
-		return sent, err
+	s.vlen, s.sent, s.opErr = n, 0, nil
+	if err := s.rc.Write(s.writeFn); err != nil {
+		return s.sent, err
 	}
-	return sent, opErr
+	return s.sent, s.opErr
 }
 
-// batchReceiver drains up to `batch` datagrams per recvmmsg into reusable
-// staging buffers. After recv returns n, bufs[i][:lens[i]] and addrs[i]
-// describe datagram i until the next recv call — staging only, the caller
-// copies out what must survive.
+func (s *batchSender) sendmmsg(fd uintptr) bool {
+	r, _, errno := syscall.Syscall6(sysSendmmsg, fd,
+		uintptr(unsafe.Pointer(&s.msgs[0])), uintptr(s.vlen), 0, 0, 0)
+	switch errno {
+	case 0:
+		s.sent = int(r)
+	case syscall.EAGAIN:
+		return false // poller waits for writability, then retries
+	default:
+		s.opErr = errno
+	}
+	return true
+}
+
+// batchReceiver drains up to `batch` datagrams per recvmmsg into staging
+// buffers it borrows for the batch. After recv returns n, bufs[i][:lens[i]]
+// and addrs[i] describe datagram i until release — staging only, the
+// caller copies out what must survive, then releases.
+//
+// The staging slab (batch × MaxUDPPayload) is borrowed from recvSlabs
+// inside the RawConn.Read callback, just before recvmmsg, and goes back on
+// EAGAIN, before the goroutine parks, or at release. A socket with nothing
+// to read therefore holds no staging: what a node parks for receiving is
+// sized by the batches in hand, not by how many sockets it has open.
 type batchReceiver struct {
-	c     *net.UDPConn
 	rc    syscall.RawConn
-	slab  []byte // pooled backing store carved into bufs
+	rcErr error
+	slab  *[]byte // the borrowed staging, nil between batches; bufs view it
 	bufs  [][]byte
 	lens  []int
 	addrs []netip.AddrPort
 	iovs  []syscall.Iovec
 	msgs  []mmsghdr
 	names []syscall.RawSockaddrAny
+
+	// The RawConn.Read callback, bound once so a receive allocates nothing,
+	// and its results.
+	readFn func(fd uintptr) bool
+	n      int
+	opErr  error
 }
 
 func newBatchReceiver(c *net.UDPConn, batch int) *batchReceiver {
@@ -107,8 +130,6 @@ func newBatchReceiver(c *net.UDPConn, batch int) *batchReceiver {
 		batch = 1
 	}
 	r := &batchReceiver{
-		c:     c,
-		slab:  getRecvSlab(batch * MaxUDPPayload),
 		bufs:  make([][]byte, batch),
 		lens:  make([]int, batch),
 		addrs: make([]netip.AddrPort, batch),
@@ -116,78 +137,84 @@ func newBatchReceiver(c *net.UDPConn, batch int) *batchReceiver {
 		msgs:  make([]mmsghdr, batch),
 		names: make([]syscall.RawSockaddrAny, batch),
 	}
-	rc, err := c.SyscallConn()
-	if err != nil {
-		// No raw access (exotic socket): recv degrades to one-at-a-time
-		// reads through the net package.
-		rc = nil
-	}
-	r.rc = rc
-	for i := range r.bufs {
-		b := r.slab[i*MaxUDPPayload : (i+1)*MaxUDPPayload : (i+1)*MaxUDPPayload]
-		r.bufs[i] = b
-		r.iovs[i].Base = &b[0]
+	r.rc, r.rcErr = c.SyscallConn()
+	r.readFn = r.recvmmsg
+	for i := range r.iovs {
 		r.iovs[i].SetLen(MaxUDPPayload)
 	}
 	return r
 }
 
-// free returns the staging slab to the pool; the receiver is dead after.
-func (r *batchReceiver) free() {
+// borrow takes a staging slab and points the receive vectors into it.
+func (r *batchReceiver) borrow() {
+	r.slab = getRecvSlab(len(r.bufs) * MaxUDPPayload)
+	s := *r.slab
+	for i := range r.bufs {
+		b := s[i*MaxUDPPayload : (i+1)*MaxUDPPayload : (i+1)*MaxUDPPayload]
+		r.bufs[i] = b
+		r.iovs[i].Base = &b[0]
+	}
+}
+
+// release gives the staging slab back, dropping every pointer into it (an
+// iovec base left behind would keep the slab live after the pool let it
+// go). The datagrams of the last batch are gone after. Safe to call with
+// nothing borrowed.
+func (r *batchReceiver) release() {
+	if r.slab == nil {
+		return
+	}
 	putRecvSlab(r.slab)
-	r.slab, r.bufs = nil, nil
+	r.slab = nil
+	for i := range r.bufs {
+		r.bufs[i] = nil
+		r.iovs[i].Base = nil
+	}
 }
 
 func (r *batchReceiver) recv() (int, error) {
-	if r.rc == nil {
-		return r.recvOne()
+	if r.rcErr != nil {
+		return 0, r.rcErr
 	}
-	vlen := len(r.msgs)
-	for i := 0; i < vlen; i++ {
+	for i := range r.msgs {
 		r.msgs[i] = mmsghdr{}
 		r.msgs[i].hdr.Iov = &r.iovs[i]
 		r.msgs[i].hdr.Iovlen = 1
 		r.msgs[i].hdr.Name = (*byte)(unsafe.Pointer(&r.names[i]))
 		r.msgs[i].hdr.Namelen = uint32(unsafe.Sizeof(r.names[i]))
 	}
-	var n int
-	var opErr error
-	err := r.rc.Read(func(fd uintptr) bool {
-		// Non-blocking fd: recvmmsg returns whatever is queued (up to
-		// vlen) or EAGAIN, never blocks for a full vector.
-		v, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
-			uintptr(unsafe.Pointer(&r.msgs[0])), uintptr(vlen), 0, 0, 0)
-		if errno == syscall.EAGAIN {
-			return false
-		}
-		if errno != 0 {
-			opErr = errno
-		} else {
-			n = int(v)
-		}
-		return true
-	})
-	if err != nil {
+	r.n, r.opErr = 0, nil
+	if err := r.rc.Read(r.readFn); err != nil {
 		return 0, err
 	}
-	if opErr != nil {
-		return 0, opErr
+	if r.opErr != nil {
+		return 0, r.opErr
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < r.n; i++ {
 		r.lens[i] = int(r.msgs[i].msgLen)
 		r.addrs[i] = sockaddrToAddrPort(&r.names[i])
 	}
-	return n, nil
+	return r.n, nil
 }
 
-func (r *batchReceiver) recvOne() (int, error) {
-	n, ap, err := r.c.ReadFromUDPAddrPort(r.bufs[0])
-	if err != nil {
-		return 0, err
+func (r *batchReceiver) recvmmsg(fd uintptr) bool {
+	if r.slab == nil {
+		r.borrow()
 	}
-	r.lens[0] = n
-	r.addrs[0] = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
-	return 1, nil
+	// Non-blocking fd: recvmmsg returns whatever is queued (up to the
+	// vector length) or EAGAIN, never blocks for a full vector.
+	v, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
+		uintptr(unsafe.Pointer(&r.msgs[0])), uintptr(len(r.msgs)), 0, 0, 0)
+	switch errno {
+	case 0:
+		r.n = int(v)
+	case syscall.EAGAIN:
+		r.release() // the poller parks us: hold no staging while asleep
+		return false
+	default:
+		r.opErr = errno
+	}
+	return true
 }
 
 func sockaddrToAddrPort(sa *syscall.RawSockaddrAny) netip.AddrPort {
