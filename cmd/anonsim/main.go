@@ -36,11 +36,10 @@ func main() {
 	nodes := flag.Int("nodes", 100000, "simnet overlay size for -measured")
 	loss := flag.Float64("loss", 0, "per-link slice loss probability for -measured")
 	churn := flag.Float64("churn", 0, "per-relay down probability for -measured")
-	workers := flag.Int("workers", 1, "simnet partition-parallel width for -measured")
 	flag.Parse()
 
 	if *measured {
-		figMeasured(*nodes, *trials, *seed, *loss, *churn, *workers)
+		figMeasured(*nodes, *trials, *seed, *loss, *churn)
 		return
 	}
 	switch *fig {
@@ -65,7 +64,7 @@ func main() {
 // figMeasured is the fig-7 sweep hosted on a real simnet overlay of the
 // given size: every trial's slice exchange actually runs over the virtual
 // network, so the attacker's view shrinks to what was delivered.
-func figMeasured(nodes, trials int, seed int64, loss, churn float64, workers int) {
+func figMeasured(nodes, trials int, seed int64, loss, churn float64) {
 	t := metrics.NewTable(fmt.Sprintf(
 		"Fig. 7 (measured) — anonymity vs f on a %d-node simnet (L=8, d=3, loss=%g, churn=%g)",
 		nodes, loss, churn), "f")
@@ -79,7 +78,6 @@ func figMeasured(nodes, trials int, seed int64, loss, churn float64, workers int
 			Seed:      seed,
 			Loss:      loss,
 			ChurnDown: churn,
-			Workers:   workers,
 		})
 		if err != nil {
 			log.Fatalf("anonsim: %v", err)

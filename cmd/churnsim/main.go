@@ -38,12 +38,11 @@ func main() {
 	seed := flag.Int64("seed", 1, "rng seed")
 	scale := flag.Bool("scale", false, "run the scale session-churn scenario instead of a figure")
 	nodes := flag.Int("nodes", 100000, "universe size for -scale")
-	workers := flag.Int("workers", runtime.NumCPU(), "simnet partition-parallel width for -scale")
 	window := flag.Duration("window", 100*time.Millisecond, "virtual run window for -scale")
 	flag.Parse()
 
 	if *scale {
-		runScale(*nodes, *workers, *seed, *window)
+		runScale(*nodes, *seed, *window)
 		return
 	}
 	switch *fig {
@@ -63,16 +62,13 @@ func main() {
 }
 
 // runScale exercises the million-node event core: an N-node walker
-// universe under trace-style session churn, driven partition-parallel.
-func runScale(nodes, workers int, seed int64, window time.Duration) {
+// universe under trace-style session churn.
+func runScale(nodes int, seed int64, window time.Duration) {
 	runtime.GC()
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 
 	clk := simnet.NewVirtualClock()
-	if workers > 1 {
-		clk.SetWorkers(workers)
-	}
 	net := simnet.NewSimNet(clk, seed, simnet.LinkProfile{Delay: time.Millisecond})
 	s := &simnet.Script{Clk: clk, Net: net}
 	u, err := simnet.NewUniverse(s, simnet.UniverseConfig{
@@ -98,7 +94,7 @@ func runScale(nodes, workers int, seed int64, window time.Duration) {
 	var after runtime.MemStats
 	runtime.ReadMemStats(&after)
 	perNode := float64(after.HeapAlloc-before.HeapAlloc) / float64(nodes)
-	fmt.Printf("scale scenario: %d nodes, %d workers, %s virtual window\n", nodes, workers, window)
+	fmt.Printf("scale scenario: %d nodes, %s virtual window\n", nodes, window)
 	fmt.Printf("  deliveries        %d\n", u.Deliveries())
 	fmt.Printf("  churn transitions %d\n", len(sched))
 	fmt.Printf("  wall time         %s (%.0f events/sec)\n", wall.Round(time.Millisecond),

@@ -89,7 +89,11 @@ type Network struct {
 	asTable *asmap.Table
 	nextID  NodeID
 	nextSrc NodeID
-	conns   []*Conn
+	// routes holds, per destination relay with a demux goroutine, its
+	// open Conns by flow id.
+	routes  map[NodeID]map[wire.FlowID]*Conn
+	done    chan struct{} // closed by Close: stops the demultiplexers
+	demuxWG sync.WaitGroup
 	closed  bool
 }
 
@@ -265,6 +269,8 @@ func New(opts ...Option) *Network {
 		asTable: table,
 		nextID:  1,
 		nextSrc: 1 << 20,
+		routes:  make(map[NodeID]map[wire.FlowID]*Conn),
+		done:    make(chan struct{}),
 	}
 }
 
@@ -297,11 +303,6 @@ func (nw *Network) Grow(k int) ([]NodeID, error) {
 			rc.Heartbeat = nw.cfg.ctrlHeartbeat
 		}
 		rc.Clock = nw.cfg.clock()
-		if nw.cfg.vclk != nil {
-			// One worker per node keeps the per-link send order canonical,
-			// which is what makes virtual-time runs trace-deterministic.
-			rc.Shards = 1
-		}
 		rc.Rng = rand.New(rand.NewSource(nw.cfg.seed + int64(id)*31))
 		n, err := relay.New(id, nw.chn, rc)
 		if err != nil {
@@ -377,13 +378,20 @@ func (nw *Network) Close() {
 		return
 	}
 	nw.closed = true
+	close(nw.done)
 	nodes := nw.nodes
 	nw.nodes = map[NodeID]*relay.Node{}
-	conns := nw.conns
+	var conns []*Conn
+	for _, flows := range nw.routes {
+		for _, c := range flows {
+			conns = append(conns, c)
+		}
+	}
 	nw.mu.Unlock()
 	for _, c := range conns {
 		c.stop()
 	}
+	nw.demuxWG.Wait()
 	for _, n := range nodes {
 		n.Close()
 	}
@@ -432,7 +440,6 @@ type Conn struct {
 	nw      *Network
 	sender  *source.Sender
 	graph   *core.Graph
-	dest    *relay.Node
 	srcs    []NodeID          // transient source-endpoint attachments
 	eps     *source.Endpoints // non-nil when Repair is on
 	unwatch func()            // removes the transport loss watcher, if any
@@ -571,7 +578,7 @@ func (nw *Network) Dial(spec DialSpec) (*Conn, error) {
 		return nil, err
 	}
 	c := &Conn{
-		nw: nw, sender: snd, graph: g, dest: destNode, srcs: srcs, eps: eps,
+		nw: nw, sender: snd, graph: g, srcs: srcs, eps: eps,
 		recv: make(chan []byte, 64),
 		done: make(chan struct{}),
 	}
@@ -636,28 +643,48 @@ func (nw *Network) Dial(spec DialSpec) (*Conn, error) {
 		}
 	}
 
-	// Demultiplex the destination relay's deliveries for this flow.
-	destFlow := g.Flows[spec.Dest]
-	go func() {
-		for {
-			select {
-			case m := <-destNode.Received():
-				if m.Flow == destFlow {
-					select {
-					case c.recv <- m.Data:
-					case <-c.done:
-						return
-					}
-				}
-			case <-c.done:
-				return
-			}
-		}
-	}()
 	nw.mu.Lock()
-	nw.conns = append(nw.conns, c)
+	if nw.closed {
+		nw.mu.Unlock()
+		c.stop()
+		return nil, ErrClosed
+	}
+	flows := nw.routes[spec.Dest]
+	if flows == nil {
+		flows = make(map[wire.FlowID]*Conn)
+		nw.routes[spec.Dest] = flows
+		nw.demuxWG.Add(1)
+		go nw.demux(destNode, flows)
+	}
+	flows[g.Flows[spec.Dest]] = c
 	nw.mu.Unlock()
 	return c, nil
+}
+
+// demux is the only reader of a destination relay's decoded messages: it
+// hands each to the open Conn its flow belongs to and drops the rest, so
+// Conns sharing a destination never take each other's messages. A Conn
+// whose buffer is full holds up the others at its destination until it is
+// read or closed. flows is guarded by nw.mu.
+func (nw *Network) demux(n *relay.Node, flows map[wire.FlowID]*Conn) {
+	defer nw.demuxWG.Done()
+	for {
+		select {
+		case m := <-n.Received():
+			nw.mu.Lock()
+			c := flows[m.Flow]
+			nw.mu.Unlock()
+			if c == nil {
+				continue
+			}
+			select {
+			case c.recv <- m.Data:
+			case <-c.done:
+			}
+		case <-nw.done:
+			return
+		}
+	}
 }
 
 // Send transmits an anonymous, confidential message to the destination.
@@ -679,12 +706,16 @@ func (c *Conn) SetupTime() time.Duration { return c.setupTime }
 // flow was dialed with Repair).
 func (c *Conn) RepairStats() RepairStats { return c.sender.RepairStats() }
 
-// Close releases the flow's demultiplexer and detaches the transient
-// source endpoints. Relay-side flow state expires via GC.
+// Close unregisters the flow from its destination's demultiplexer and
+// detaches the transient source endpoints. Relay-side flow state expires
+// via GC.
 func (c *Conn) Close() { c.stop() }
 
 func (c *Conn) stop() {
 	c.stopOnce.Do(func() {
+		c.nw.mu.Lock()
+		delete(c.nw.routes[c.graph.Dest], c.graph.Flows[c.graph.Dest])
+		c.nw.mu.Unlock()
 		close(c.done)
 		if c.unwatch != nil {
 			c.unwatch()

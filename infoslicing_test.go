@@ -140,6 +140,51 @@ func TestMultipleConcurrentConns(t *testing.T) {
 	}
 }
 
+// Two Conns ending at one destination relay share its Received() stream:
+// each must get all of its own messages and none of the other's, and
+// closing one must not cut the other off.
+func TestConnsSharingDestinationKeepTheirMessages(t *testing.T) {
+	const perConn = 20
+	nw := newNet(t, 12, 5)
+	defer nw.Close()
+	a, err := nw.Dial(DialSpec{L: 2, D: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := nw.Dial(DialSpec{L: 2, D: 2, Dest: a.Dest()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	conns := []*Conn{a, b}
+	for i := 0; i < perConn; i++ {
+		for k, c := range conns {
+			if err := c.Send([]byte{byte(k), byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for k, c := range conns {
+		seen := make(map[byte]bool)
+		for len(seen) < perConn {
+			m := recvOne(t, c, 10*time.Second)
+			if len(m) != 2 || m[0] != byte(k) {
+				t.Fatalf("conn %d received %v, another conn's message", k, m)
+			}
+			seen[m[1]] = true
+		}
+	}
+	a.Close()
+	msg := []byte("after the other conn closed")
+	if err := b.Send(msg); err != nil {
+		t.Fatal(err)
+	}
+	if got := recvOne(t, b, 10*time.Second); !bytes.Equal(got, msg) {
+		t.Fatalf("got %q", got)
+	}
+}
+
 func TestNetworkCloseIdempotentAndRejectsUse(t *testing.T) {
 	nw := newNet(t, 6, 7)
 	nw.Close()

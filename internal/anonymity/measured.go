@@ -35,8 +35,6 @@ type MeasuredParams struct {
 	// ChurnDown fails each sampled relay for the trial with this
 	// probability before slices flow — session churn hitting path setup.
 	ChurnDown float64
-	// Workers sets the clock's partition-parallel width (0/1 sequential).
-	Workers int
 }
 
 // MeasuredResult extends Result with delivery accounting.
@@ -58,7 +56,6 @@ type measuredEval struct {
 	stages [][]wire.NodeID // stages[l] = members of stage l+1 (0-indexed)
 
 	// recvTrial[id-1] = latest trial in which node id received a slice.
-	// Single-writer per node under partition-parallel execution.
 	recvTrial []uint32
 }
 
@@ -107,9 +104,6 @@ func SimulateMeasured(mp MeasuredParams) (MeasuredResult, error) {
 	p := &mp.Params
 
 	clk := simnet.NewVirtualClock()
-	if mp.Workers > 1 {
-		clk.SetWorkers(mp.Workers)
-	}
 	e := &measuredEval{
 		clk: clk,
 		net: simnet.NewSimNet(clk, mp.Seed, simnet.LinkProfile{

@@ -78,9 +78,8 @@ func TestMeasuredChurnWeakensAttacker(t *testing.T) {
 	}
 }
 
-// The measured evaluator is deterministic from its seed at any worker
-// count (churn/loss paths are seeded; delivery order cannot leak into the
-// metric).
+// The measured evaluator is deterministic from its seed (churn/loss paths
+// are seeded; delivery order cannot leak into the metric).
 func TestMeasuredDeterministic(t *testing.T) {
 	mp := MeasuredParams{
 		Params:    Params{N: 3_000, L: 4, D: 2, DPrime: 3, F: 0.25, Trials: 150},
@@ -97,13 +96,5 @@ func TestMeasuredDeterministic(t *testing.T) {
 	}
 	if a != b {
 		t.Fatalf("same seed, different results:\n%+v\n%+v", a, b)
-	}
-	mp.Workers = 4
-	c, err := SimulateMeasured(mp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Result != c.Result {
-		t.Fatalf("worker count changed the measured metric:\n%+v\n%+v", a.Result, c.Result)
 	}
 }

@@ -236,7 +236,6 @@ func relayCfg(seed int64, clk simnet.Clock) relay.Config {
 		RoundWait:  40 * time.Millisecond,
 		FlowTTL:    time.Minute,
 		GCInterval: time.Second,
-		Shards:     1, // one worker per node: canonical per-link send order
 		Rng:        rand.New(rand.NewSource(seed)),
 		Clock:      clk,
 	}

@@ -44,10 +44,6 @@ type SimScenarioSpec struct {
 	Spares       int
 	MessageBytes int
 	Repair       bool
-	// Workers selects the clock's partition-parallel execution width
-	// (0/1 = classic sequential stepping). The delivery trace is
-	// invariant across worker counts — the determinism gate pins it.
-	Workers int
 }
 
 func (sp *SimScenarioSpec) normalize() error {
@@ -71,9 +67,6 @@ func NewSimScenario(sp SimScenarioSpec) (*SimScenario, error) {
 		return nil, err
 	}
 	s := simnet.NewScript(sp.Seed, simLink())
-	if sp.Workers > 1 {
-		s.Clk.SetWorkers(sp.Workers)
-	}
 	rng := rand.New(rand.NewSource(sp.Seed))
 	relays := make([]wire.NodeID, sp.L*sp.DPrime)
 	for i := range relays {
@@ -101,10 +94,6 @@ func NewSimScenario(sp SimScenarioSpec) (*SimScenario, error) {
 		sc.Close()
 		return nil, err
 	}
-	// One Endpoints object serves every source id: pin them into one
-	// execution partition so parallel stepping never runs its handler
-	// concurrently with itself.
-	s.Net.Coaffine(srcIDs...)
 	sc.Eps = eps
 	g, err := core.Build(core.Spec{
 		L: sp.L, D: sp.D, DPrime: sp.DPrime,
@@ -243,21 +232,13 @@ type CanonicalScenarioResult struct {
 // from the seed, so two runs with the same seed produce byte-identical
 // delivery traces. The root-level determinism gate pins exactly that.
 func RunCanonicalScenario(seed int64, repair bool) (CanonicalScenarioResult, error) {
-	return RunCanonicalScenarioWorkers(seed, repair, 1)
-}
-
-// RunCanonicalScenarioWorkers is RunCanonicalScenario with the clock's
-// partition-parallel width pinned to workers. The result — including the
-// byte-exact delivery trace — must not depend on workers; the determinism
-// gate compares runs across worker counts.
-func RunCanonicalScenarioWorkers(seed int64, repair bool, workers int) (CanonicalScenarioResult, error) {
 	const (
 		messages = 8
 		cadence  = 100 * time.Millisecond
 		start    = 200 * time.Millisecond
 	)
 	sc, err := NewSimScenario(SimScenarioSpec{
-		Seed: seed, L: 3, D: 2, DPrime: 3, Spares: 3, Repair: repair, Workers: workers,
+		Seed: seed, L: 3, D: 2, DPrime: 3, Spares: 3, Repair: repair,
 	})
 	if err != nil {
 		return CanonicalScenarioResult{}, err
@@ -290,11 +271,9 @@ func RunCanonicalScenarioWorkers(seed int64, repair bool, workers int) (Canonica
 		d, s := sc.Counts()
 		return d >= s
 	})
-	// Drain to a fixed virtual horizon past the await: AwaitCond can stop
-	// mid-instant (classic mode steps one event, batch mode a whole
-	// instant), so without this the trace tail would depend on execution
-	// mode. Both modes exit the await at the same virtual time; running a
-	// fixed further window closes over the same set of in-flight events.
+	// Drain to a fixed virtual horizon past the await: AwaitCond stops at
+	// the event that made its condition true, possibly mid-instant, so the
+	// trace ends at a fixed window of virtual time instead.
 	sc.S.Run(sc.S.Elapsed() + 100*time.Millisecond)
 	delivered, sent := sc.Counts()
 	st := sc.Snd.RepairStats()

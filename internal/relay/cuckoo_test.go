@@ -2,6 +2,7 @@ package relay
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 )
 
@@ -140,4 +141,92 @@ func TestCuckooKickPreservesResidents(t *testing.T) {
 			}
 		}
 	}
+}
+
+// runCuckooScript drives a small filter with a byte script and checks it
+// against a map of resident keys. A byte below 0xc0 inserts 1+b%8 fresh
+// keys; any other byte removes resident number b%len, the way removeFlow
+// does: a key whose insert placed it is removed from the table, one whose
+// insert overflowed hands its overflow count back. After every byte each
+// resident reads present, each placed resident's fingerprint sits in one of
+// its two buckets, the table holds exactly one fingerprint per placed
+// resident, and overflow counts the residents whose insert returned false.
+func runCuckooScript(t *testing.T, seed int64, script []byte) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	nb := 4 << (uint64(seed) % 4) // 16..128 slots: long kick chains and saturation are common
+	cf := &cuckooFilter{buckets: make([]atomic.Uint32, nb), mask: uint64(nb - 1)}
+	placed := map[uint64]bool{} // resident key → its insert returned true
+	var residents []uint64
+	next := uint64(seed) << 20
+	for step, b := range script {
+		if b < 0xc0 {
+			for k := 0; k <= int(b%8); k++ {
+				next++
+				placed[next] = cf.insert(next, rng)
+				residents = append(residents, next)
+			}
+		} else if len(residents) > 0 {
+			j := int(b) % len(residents)
+			key := residents[j]
+			residents = append(residents[:j], residents[j+1:]...)
+			if placed[key] {
+				if !cf.remove(key) {
+					t.Fatalf("step %d: remove found no fingerprint for placed key %#x", step, key)
+				}
+			} else {
+				cf.overflow.Add(-1)
+			}
+			delete(placed, key)
+		}
+		var overflowed int64
+		for _, key := range residents {
+			if !cf.mayContain(key) {
+				t.Fatalf("step %d: resident key %#x reads absent", step, key)
+			}
+			if !placed[key] {
+				overflowed++
+				continue
+			}
+			i1, i2, fp := cf.indexes(key)
+			if !hasFP(cf.buckets[i1].Load(), fp) && !hasFP(cf.buckets[i2].Load(), fp) {
+				t.Fatalf("step %d: placed key %#x lost its fingerprint", step, key)
+			}
+		}
+		if got := cf.overflow.Load(); got != overflowed {
+			t.Fatalf("step %d: overflow = %d, want %d residents that did not place", step, got, overflowed)
+		}
+		stored := 0
+		for i := range cf.buckets {
+			for w := cf.buckets[i].Load(); w != 0; w >>= 8 {
+				if byte(w) != 0 {
+					stored++
+				}
+			}
+		}
+		if want := len(residents) - int(overflowed); stored != want {
+			t.Fatalf("step %d: table holds %d fingerprints, want %d", step, stored, want)
+		}
+	}
+}
+
+func TestCuckooAgainstModel(t *testing.T) {
+	for seed := int64(1); seed <= 64; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		script := make([]byte, 50+rng.Intn(200))
+		rng.Read(script)
+		runCuckooScript(t, seed, script)
+	}
+}
+
+func FuzzCuckooFilter(f *testing.F) {
+	f.Add(int64(0), []byte{7, 7, 0xc0, 7, 0xc1, 7, 7})
+	f.Add(int64(1), []byte{7, 7, 7, 7, 0xff, 0xfe, 7, 0xc3, 7, 7, 7, 0xd0})
+	f.Add(int64(2), []byte{3, 0xc5, 4, 0xc0, 5, 0xc7, 6, 0xc9, 7, 7, 7, 7, 7, 7})
+	f.Fuzz(func(t *testing.T, seed int64, script []byte) {
+		if len(script) > 256 {
+			script = script[:256]
+		}
+		runCuckooScript(t, seed, script)
+	})
 }

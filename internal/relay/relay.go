@@ -96,7 +96,8 @@ type Config struct {
 	TenantQuota int
 	// Shards is the number of flow-table stripes, each with its own worker
 	// pipeline; it is rounded up to a power of two. Defaults to GOMAXPROCS
-	// (rounded up, capped at 64).
+	// (rounded up, capped at 64). A node on any Clock but simnet.Wall runs
+	// one shard, whatever is set here.
 	Shards int
 	// QueueDepth bounds each shard's inbound packet queue; packets arriving
 	// at a full queue are dropped (datagram semantics) and counted in
@@ -175,6 +176,12 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Clock == nil {
 		c.Clock = simnet.Wall
+	}
+	if c.Clock != simnet.Wall {
+		// Off the wall clock a node is simulated: concurrent shard workers
+		// would race the virtual network's per-sender sequence, and traces
+		// would stop being a function of the seed.
+		c.Shards = 1
 	}
 }
 

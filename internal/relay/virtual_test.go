@@ -22,7 +22,6 @@ func virtualNode(t *testing.T, id wire.NodeID, cfg Config) (*simnet.Script, *Nod
 	t.Helper()
 	simnet.ReportSeed(t)
 	s := simnet.NewScript(1, simnet.LinkProfile{})
-	cfg.Shards = 1
 	cfg.Clock = s.Clk
 	if cfg.Rng == nil {
 		cfg.Rng = rand.New(rand.NewSource(int64(id)))
@@ -33,6 +32,24 @@ func virtualNode(t *testing.T, id wire.NodeID, cfg Config) (*simnet.Script, *Nod
 	}
 	t.Cleanup(n.Close)
 	return s, n
+}
+
+// A node off the wall clock runs one shard whatever Config.Shards asks for:
+// concurrent shard workers would race SimNet's per-sender sequence. A
+// wall-clock node keeps the shards it asked for.
+func TestVirtualClockRunsOneShard(t *testing.T) {
+	_, v := virtualNode(t, 1, Config{Shards: 4})
+	if got := len(v.shards); got != 1 {
+		t.Fatalf("virtual-clock node runs %d shards, want 1", got)
+	}
+	w, err := New(2, &countingTransport{}, Config{Shards: 4, Rng: rand.New(rand.NewSource(2))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if got := len(w.shards); got != 4 {
+		t.Fatalf("wall-clock node runs %d shards, want 4", got)
+	}
 }
 
 // TestLivenessBoundaryHeartbeat: a heartbeat arriving at exactly the virtual

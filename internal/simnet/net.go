@@ -31,15 +31,15 @@ import (
 // scheduled for the same virtual instant fire in the canonical
 // (from, to, sender-seq) order. The sender sequence is per source node;
 // since each link has a single logical writer, per-link relative order is
-// preserved and the delivery trace is a pure function of seed + scenario,
-// at any worker partition count.
+// preserved and the delivery trace is a pure function of seed + scenario.
 type SimNet struct {
 	clk    *VirtualClock
 	seed   int64
 	def    LinkProfile
 	sinkID uint8
 
-	// Hot-path state, readable without n.mu (workers run concurrently):
+	// Hot-path state, readable without n.mu (relay workers and other
+	// goroutines send concurrently with the driver):
 	chunks atomic.Pointer[[]*nodeChunk]
 	idIdx  atomic.Pointer[[]int32]
 	linksN atomic.Int32
@@ -61,12 +61,6 @@ type SimNet struct {
 	ringAt  int // next overwrite position once the ring is full
 	dropped int64
 	sinkFn  func(TraceEvent)
-
-	// per-batch trace scratch: workers write position-keyed slots, the
-	// driver merges them in canonical order at batchEnd.
-	scratch    []TraceEvent
-	scratchSet []bool
-	batchN     int
 }
 
 const (
@@ -89,12 +83,11 @@ type nodeChunk [nodeChunkSize]nodeSlot
 type handlerFunc = func(wire.NodeID, []byte)
 
 // nodeSlot is one endpoint's arena cell. state packs
-// attached(bit0) | down(bit1) | epoch(bits 2+) into one word so batch
-// workers can read liveness with a single atomic load; writes happen on
-// the control plane under n.mu.
+// attached(bit0) | down(bit1) | epoch(bits 2+) into one word so senders
+// read liveness with a single atomic load; writes happen on the control
+// plane under n.mu.
 type nodeSlot struct {
 	id    wire.NodeID
-	aff   int32 // partition affinity root (dense index); see Coaffine
 	state atomic.Uint64
 	h     atomic.Pointer[handlerFunc]
 	seq   atomic.Uint64 // canonical per-sender sequence
@@ -197,9 +190,9 @@ func (n *SimNet) EnableTraceN(cap int) {
 
 // SetTraceSink streams every delivery to fn instead of retaining it
 // (bounded memory regardless of run length). Events arrive in canonical
-// delivery order even under partition-parallel execution; fn runs on the
-// driver goroutine between batches and must not block. A nil fn reverts
-// to ring buffering.
+// delivery order; fn runs on the driver goroutine, just before the
+// delivery's handler, and must not block. A nil fn reverts to ring
+// buffering.
 func (n *SimNet) SetTraceSink(fn func(TraceEvent)) {
 	n.mu.Lock()
 	n.sinkFn = fn
@@ -303,7 +296,6 @@ func (n *SimNet) allocSlotLocked(id wire.NodeID) int32 {
 	}
 	s := &chunks[idx>>nodeChunkBits][idx&nodeChunkMask]
 	s.id = id
-	s.aff = idx
 	return idx
 }
 
@@ -373,23 +365,6 @@ func (n *SimNet) Down(id wire.NodeID) bool {
 	}
 	st := n.slotAt(idx).state.Load()
 	return st&slotAttached == 0 || st&slotDown != 0
-}
-
-// Coaffine pins the nodes into one execution partition: under
-// partition-parallel stepping their deliveries are processed by the same
-// worker, in canonical order. Required for ids whose handlers share
-// mutable state (e.g. one source.Endpoints object serving many source
-// ids). Unlisted nodes keep their own affinity.
-func (n *SimNet) Coaffine(ids ...wire.NodeID) {
-	if len(ids) == 0 {
-		return
-	}
-	n.mu.Lock()
-	root := n.slotAt(n.idxLocked(ids[0], true)).aff
-	for _, id := range ids[1:] {
-		n.slotAt(n.idxLocked(id, true)).aff = root
-	}
-	n.mu.Unlock()
 }
 
 // SetLink overrides the profile of the directed link from→to.
@@ -573,11 +548,8 @@ func (n *SimNet) recycle(pb *payloadBuf) {
 	}
 }
 
-// netDeliver implements netSink: the closure-free delivery path. pos >= 0
-// means partition-parallel execution (trace entries go to the
-// position-keyed scratch, merged in canonical order at batchEnd).
-func (n *SimNet) netDeliver(pos, part int32, from, to uint64, dstIdx int32, epoch uint64, payload []byte, pbuf *payloadBuf) {
-	_ = part
+// netDeliver implements netSink: the closure-free delivery path.
+func (n *SimNet) netDeliver(from, to uint64, dstIdx int32, epoch uint64, payload []byte, pbuf *payloadBuf) {
 	s := n.slotAt(dstIdx)
 	st := s.state.Load()
 	if n.closed.Load() || st&slotAttached == 0 || st&slotDown != 0 || st>>slotEpochLSB != epoch {
@@ -596,55 +568,12 @@ func (n *SimNet) netDeliver(pos, part int32, from, to uint64, dstIdx int32, epoc
 		if len(payload) > 0 {
 			typ = wire.MsgType(payload[0])
 		}
-		ev := TraceEvent{At: n.clk.Elapsed(), From: wire.NodeID(from), To: wire.NodeID(to), Type: typ}
-		if pos >= 0 {
-			n.scratch[pos] = ev
-			n.scratchSet[pos] = true
-		} else {
-			n.mu.Lock()
-			n.traceAppendLocked(ev)
-			n.mu.Unlock()
-		}
+		n.mu.Lock()
+		n.traceAppendLocked(TraceEvent{At: n.clk.Elapsed(), From: wire.NodeID(from), To: wire.NodeID(to), Type: typ})
+		n.mu.Unlock()
 	}
 	(*hp)(wire.NodeID(from), payload)
 	n.recycle(pbuf)
-}
-
-// partitionOf implements netSink.
-func (n *SimNet) partitionOf(dstIdx int32, p int) int {
-	return int(n.slotAt(dstIdx).aff) % p
-}
-
-// batchStart implements netSink.
-func (n *SimNet) batchStart(nEv int) {
-	n.batchN = nEv
-	if !n.traceOn.Load() {
-		return
-	}
-	if cap(n.scratch) < nEv {
-		n.scratch = make([]TraceEvent, nEv)
-		n.scratchSet = make([]bool, nEv)
-	}
-	n.scratch = n.scratch[:nEv]
-	n.scratchSet = n.scratchSet[:nEv]
-	for i := range n.scratchSet {
-		n.scratchSet[i] = false
-	}
-}
-
-// batchEnd implements netSink: merge the batch's trace entries in
-// canonical (batch position) order.
-func (n *SimNet) batchEnd() {
-	if !n.traceOn.Load() {
-		return
-	}
-	n.mu.Lock()
-	for i := 0; i < n.batchN; i++ {
-		if n.scratchSet[i] {
-			n.traceAppendLocked(n.scratch[i])
-		}
-	}
-	n.mu.Unlock()
 }
 
 func (n *SimNet) traceAppendLocked(ev TraceEvent) {

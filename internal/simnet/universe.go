@@ -20,14 +20,14 @@ import (
 // Determinism: the topology, the walker schedule, and every delivery
 // derive from (Seed, config) alone. Walkers are injected in a fixed
 // number of phase buckets; with a fixed HopDelay all walkers of a bucket
-// stay synchronized forever, so each virtual instant carries a large
-// batch of deliveries — the shape partition-parallel execution feeds on.
+// stay synchronized forever, so each virtual instant carries many
+// same-instant deliveries, fired one at a time in canonical order.
 type Universe struct {
 	S   *Script
 	cfg UniverseConfig
 
-	// recv counts deliveries per node. Written only by the partition that
-	// owns the node (single-writer), read by the driver between runs.
+	// recv counts deliveries per node, written by the handler on the
+	// driver and read between runs.
 	recv      []int64
 	neighbors []wire.NodeID // Degree entries per node
 	dropped   int64         // walkers that died on a dead next-hop
@@ -40,7 +40,7 @@ type UniverseConfig struct {
 	Walkers int // circulating packets (default Nodes/10)
 	Payload int // walker packet size in bytes (default 64, min 8)
 	// HopDelay is the fixed per-hop link delay (default 1ms). Fixed — not
-	// jittered — so same-phase walkers coalesce into one batch per instant.
+	// jittered — so same-phase walkers share one instant per hop.
 	HopDelay time.Duration
 	Phases   int   // walker phase buckets (default 8)
 	TTL      int   // hops before a walker dies (default: effectively unbounded)
@@ -112,8 +112,7 @@ func NewUniverse(s *Script, cfg UniverseConfig) (*Universe, error) {
 }
 
 // deliver is every node's handler: count, and forward the walker to the
-// next neighbor on its deterministic path. Runs on partition workers; it
-// touches only the receiving node's state (single-writer discipline).
+// next neighbor on its deterministic path.
 func (u *Universe) deliver(node int32, data []byte) {
 	u.recv[node]++
 	ttl := binary.BigEndian.Uint32(data[4:8])

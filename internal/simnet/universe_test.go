@@ -123,13 +123,11 @@ func TestSessionScheduleDeterministic(t *testing.T) {
 	}
 }
 
-// --- universe determinism at scale under parallel execution ---
-// (satellite: determinism gate extended to >=10^4 nodes with P>1)
+// --- universe determinism at scale ---
 
-func universeTraceHash(t *testing.T, seed int64, nodes, workers int, churn bool) (uint64, int64) {
+func universeTraceHash(t *testing.T, seed int64, nodes int) (uint64, int64) {
 	t.Helper()
 	clk := NewVirtualClock()
-	clk.SetWorkers(workers)
 	net := NewSimNet(clk, seed, LinkProfile{Delay: time.Millisecond})
 	s := &Script{Clk: clk, Net: net}
 	h := fnv.New64a()
@@ -149,40 +147,32 @@ func universeTraceHash(t *testing.T, seed int64, nodes, workers int, churn bool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if churn {
-		s.ScheduleSessionChurn(SessionChurnSpec{
-			Nodes:    u.NodeIDs()[:nodes/4],
-			Session:  SessionDist{Kind: DistWeibull, Shape: 0.6, Scale: 8 * time.Millisecond},
-			Downtime: SessionDist{Kind: DistLognormal, Shape: 0.8, Scale: 4 * time.Millisecond},
-			Start:    2 * time.Millisecond,
-			Stop:     28 * time.Millisecond,
-			Seed:     seed + 1,
-		})
-	}
+	s.ScheduleSessionChurn(SessionChurnSpec{
+		Nodes:    u.NodeIDs()[:nodes/4],
+		Session:  SessionDist{Kind: DistWeibull, Shape: 0.6, Scale: 8 * time.Millisecond},
+		Downtime: SessionDist{Kind: DistLognormal, Shape: 0.8, Scale: 4 * time.Millisecond},
+		Start:    2 * time.Millisecond,
+		Stop:     28 * time.Millisecond,
+		Seed:     seed + 1,
+	})
 	u.Seed()
 	u.Run(30 * time.Millisecond)
 	return h.Sum64(), u.Deliveries()
 }
 
-func TestUniverseParallelDeterminism10k(t *testing.T) {
+// A churned 10^4-node universe replays to the same streamed trace hash and
+// delivery count from its seed, and a different seed changes the trace.
+func TestUniverseDeterminism10k(t *testing.T) {
 	const nodes = 10_000
-	h1, d1 := universeTraceHash(t, 7, nodes, 1, true)
-	h4, d4 := universeTraceHash(t, 7, nodes, 4, true)
+	h1, d1 := universeTraceHash(t, 7, nodes)
+	h2, d2 := universeTraceHash(t, 7, nodes)
 	if d1 == 0 {
 		t.Fatal("universe made no deliveries")
 	}
-	if h1 != h4 || d1 != d4 {
-		t.Fatalf("parallel execution changed the universe: P=1 (hash %x, %d deliveries) vs P=4 (hash %x, %d)",
-			h1, d1, h4, d4)
+	if h1 != h2 || d1 != d2 {
+		t.Fatalf("same seed, different universe: hash %x, %d deliveries vs hash %x, %d", h1, d1, h2, d2)
 	}
-	// Replay at the same P must also agree (trivially), and a different
-	// seed must not.
-	h4b, _ := universeTraceHash(t, 7, nodes, 4, true)
-	if h4b != h4 {
-		t.Fatal("same seed, same P, different trace")
-	}
-	hx, _ := universeTraceHash(t, 8, nodes, 4, true)
-	if hx == h4 {
+	if hx, _ := universeTraceHash(t, 8, nodes); hx == h1 {
 		t.Fatal("different seed produced an identical trace")
 	}
 }
@@ -199,7 +189,6 @@ func TestUniverse100kChurnBoundedMemory(t *testing.T) {
 	runtime.ReadMemStats(&before)
 
 	clk := NewVirtualClock()
-	clk.SetWorkers(4)
 	net := NewSimNet(clk, 11, LinkProfile{Delay: time.Millisecond})
 	s := &Script{Clk: clk, Net: net}
 	u, err := NewUniverse(s, UniverseConfig{Nodes: nodes, Degree: 4, Walkers: nodes / 10, Seed: 11})
@@ -236,9 +225,8 @@ func TestUniverse100kChurnBoundedMemory(t *testing.T) {
 
 // --- scale benchmarks (gated in bench_baseline.json) ---
 
-func benchUniverse(b *testing.B, nodes, workers int) {
+func benchUniverse(b *testing.B, nodes int) {
 	clk := NewVirtualClock()
-	clk.SetWorkers(workers)
 	net := NewSimNet(clk, 7, LinkProfile{Delay: time.Millisecond})
 	s := &Script{Clk: clk, Net: net}
 	u, err := NewUniverse(s, UniverseConfig{
@@ -264,7 +252,7 @@ func benchUniverse(b *testing.B, nodes, workers int) {
 	}
 }
 
-// BenchmarkSimScale is the sequential-core scale benchmark (the A/B
+// BenchmarkSimScale is the event core's scale benchmark (the A/B
 // comparator against the pre-wheel heap core) at 10^3..10^5 nodes.
 func BenchmarkSimScale(b *testing.B) {
 	for _, nodes := range []int{1_000, 10_000, 100_000} {
@@ -273,21 +261,7 @@ func BenchmarkSimScale(b *testing.B) {
 			exp++
 		}
 		b.Run(fmt.Sprintf("nodes=1e%d", exp), func(b *testing.B) {
-			benchUniverse(b, nodes, 1)
-		})
-	}
-}
-
-// BenchmarkSimScalePar is the partition-parallel variant (not alloc-gated:
-// goroutine scheduling makes allocs/op noisy).
-func BenchmarkSimScalePar(b *testing.B) {
-	for _, nodes := range []int{10_000, 100_000} {
-		exp := 4
-		if nodes == 100_000 {
-			exp = 5
-		}
-		b.Run(fmt.Sprintf("nodes=1e%d/workers=4", exp), func(b *testing.B) {
-			benchUniverse(b, nodes, 4)
+			benchUniverse(b, nodes)
 		})
 	}
 }

