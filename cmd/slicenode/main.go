@@ -108,17 +108,11 @@ func main() {
 			}
 			fmt.Printf("received anonymous message (flow %x): %q\n", uint64(m.Flow), m.Data)
 		case <-sig:
+			// Every counter, by name: one line per relay, one for the transport.
 			for _, n := range nodes {
-				st := n.Stats()
-				log.Printf("slicenode %d: setup=%d data=%d out=%d regenerated=%d delivered=%d sendDrops=%d",
-					n.ID(), st.SetupPacketsIn, st.DataPacketsIn, st.PacketsOut,
-					st.Regenerated, st.MessagesDelivered, st.SendDrops)
-				log.Printf("slicenode %d flow table: flows=%d evicted=%d rejected=%d filterMisses=%d",
-					n.ID(), n.FlowTableSize(), st.FlowsEvicted, st.FlowsRejected, st.FilterMisses)
+				log.Printf("slicenode %d: flows=%d %v", n.ID(), n.FlowTableSize(), n.Counters())
 			}
-			ps := tr.PeerStats()
-			log.Printf("slicenode transport: frames=%d bytes=%d flushes=%d drops=%d sendFailures=%d reconnects=%d learnedEndpoints=%d",
-				ps.FramesOut, ps.BytesOut, ps.Flushes, ps.Dropped, ps.SendFailures, ps.Reconnects, tr.LearnedEndpoints())
+			log.Printf("slicenode transport: learned_endpoints=%d %v", tr.LearnedEndpoints(), tr.Counters())
 			return
 		}
 	}

@@ -150,7 +150,7 @@ func main() {
 	// Transport Close drains each peer's queued frames (bounded by the
 	// drain timeout); the extra beat lets the last round cross the graph.
 	time.Sleep(500 * time.Millisecond)
-	ps := tr.PeerStats()
-	log.Printf("sent %d message(s), %d bytes, along %d disjoint paths (drops=%d sendFailures=%d reconnects=%d)",
-		len(payloads), sent, *dp, snd.SendDrops(), ps.SendFailures, ps.Reconnects)
+	log.Printf("sent %d message(s), %d bytes, along %d disjoint paths", len(payloads), sent, *dp)
+	log.Printf("slicesend flow: %v", snd.Counters())
+	log.Printf("slicesend transport: %v", tr.Counters())
 }

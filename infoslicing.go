@@ -451,8 +451,10 @@ type Conn struct {
 	setupTime time.Duration
 }
 
-// RepairStats re-exports the per-flow repair counters.
-type RepairStats = source.RepairStats
+// RepairStats is the view of a flow's repair counters.
+type RepairStats struct {
+	Reports, Splices int64
+}
 
 // Dial selects relays, builds a forwarding graph, establishes it, and waits
 // until the destination can decode.
@@ -704,7 +706,10 @@ func (c *Conn) SetupTime() time.Duration { return c.setupTime }
 
 // RepairStats reports the flow's live-repair counters (all zero unless the
 // flow was dialed with Repair).
-func (c *Conn) RepairStats() RepairStats { return c.sender.RepairStats() }
+func (c *Conn) RepairStats() RepairStats {
+	s := c.sender.Counters()
+	return RepairStats{Reports: s.Get("repair_reports"), Splices: s.Get("repair_splices")}
+}
 
 // Close unregisters the flow from its destination's demultiplexer and
 // detaches the transient source endpoints. Relay-side flow state expires

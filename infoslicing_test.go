@@ -3,6 +3,8 @@ package infoslicing
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 	"time"
 )
@@ -14,6 +16,20 @@ func newNet(t *testing.T, relays int, seed int64) *Network {
 		t.Fatal(err)
 	}
 	return nw
+}
+
+// checkBooks holds every relay of the network to its conservation laws
+// (relay.Node.Books).
+func checkBooks(t *testing.T, nw *Network) {
+	t.Helper()
+	nw.mu.Lock()
+	nodes := slices.Collect(maps.Values(nw.nodes))
+	nw.mu.Unlock()
+	for _, n := range nodes {
+		if err := n.Books(); err != nil {
+			t.Error(err)
+		}
+	}
 }
 
 func recvOne(t *testing.T, c *Conn, timeout time.Duration) []byte {
@@ -48,6 +64,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if s := conn.DestStage(); s < 1 || s > 3 {
 		t.Fatalf("dest stage %d", s)
 	}
+	checkBooks(t, nw)
 }
 
 func TestDialValidation(t *testing.T) {
@@ -115,6 +132,7 @@ func TestRedundantFlowSurvivesFailure(t *testing.T) {
 	if got := recvOne(t, conn, 15*time.Second); !bytes.Equal(got, msg) {
 		t.Fatal("corrupted under failure")
 	}
+	checkBooks(t, nw)
 }
 
 func TestMultipleConcurrentConns(t *testing.T) {
@@ -138,6 +156,7 @@ func TestMultipleConcurrentConns(t *testing.T) {
 			t.Fatalf("conn %d cross-talk: %v", i, got)
 		}
 	}
+	checkBooks(t, nw)
 }
 
 // Two Conns ending at one destination relay share its Received() stream:
@@ -183,6 +202,7 @@ func TestConnsSharingDestinationKeepTheirMessages(t *testing.T) {
 	if got := recvOne(t, b, 10*time.Second); !bytes.Equal(got, msg) {
 		t.Fatalf("got %q", got)
 	}
+	checkBooks(t, nw)
 }
 
 func TestNetworkCloseIdempotentAndRejectsUse(t *testing.T) {
@@ -258,4 +278,5 @@ func TestFailReviveRoundTrip(t *testing.T) {
 	if nw.Stats().Packets == 0 {
 		t.Fatal("no packets counted")
 	}
+	checkBooks(t, nw)
 }

@@ -189,8 +189,8 @@ func SimulateMeasured(mp MeasuredParams) (MeasuredResult, error) {
 			res.DestCase1++
 		}
 	}
-	st := e.net.Stats()
-	res.Deliveries, res.Lost = int64(st.Packets)-int64(st.Lost), int64(st.Lost)
+	st := e.net.Counters()
+	res.Deliveries, res.Lost = st.Get("packets")-st.Get("lost"), st.Get("lost")
 	n := float64(p.Trials)
 	res.Source /= n
 	res.Destination /= n

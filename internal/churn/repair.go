@@ -243,7 +243,7 @@ func liveRepairTrial(p LiveRepairParams, seed int64) (int64, int64, int64, int64
 			if p.Repair {
 				clk.AwaitCond(5*time.Second, func() bool {
 					for _, fl := range flows {
-						if fl.snd.RepairStats().Splices < int64(fl.killed) {
+						if fl.snd.Counters().Get("repair_splices") < int64(fl.killed) {
 							return false
 						}
 					}
@@ -283,9 +283,9 @@ func liveRepairTrial(p LiveRepairParams, seed int64) (int64, int64, int64, int64
 		}
 		delivered += int64(fl.delivered)
 		sent += int64(fl.sent)
-		st := fl.snd.RepairStats()
-		splices += st.Splices
-		reports += st.Reports
+		st := fl.snd.Counters()
+		splices += st.Get("repair_splices")
+		reports += st.Get("repair_reports")
 	}
 	return delivered, sent, splices, reports
 }

@@ -276,12 +276,12 @@ func RunCanonicalScenario(seed int64, repair bool) (CanonicalScenarioResult, err
 	// trace ends at a fixed window of virtual time instead.
 	sc.S.Run(sc.S.Elapsed() + 100*time.Millisecond)
 	delivered, sent := sc.Counts()
-	st := sc.Snd.RepairStats()
+	st := sc.Snd.Counters()
 	return CanonicalScenarioResult{
 		Delivered:      delivered,
 		Sent:           sent,
-		Splices:        st.Splices,
-		Reports:        st.Reports,
+		Splices:        st.Get("repair_splices"),
+		Reports:        st.Get("repair_reports"),
 		Trace:          sc.S.Net.TraceString(),
 		VirtualElapsed: sc.S.Elapsed(),
 	}, nil

@@ -8,6 +8,17 @@ import (
 	"infoslicing/internal/simnet"
 )
 
+// checkBooks holds every relay of the scenario to its conservation laws
+// (relay.Node.Books).
+func checkBooks(t *testing.T, sc *SimScenario) {
+	t.Helper()
+	for _, n := range sc.Nodes {
+		if err := n.Books(); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
 // The scenario matrix the wall clock could not host: exact-instant fault
 // composition on the scripted virtual universe. Each test runs in
 // milliseconds of real time and is replayable from its seed.
@@ -78,13 +89,13 @@ func TestSpliceRacesSecondKill(t *testing.T) {
 	// Step to the exact instant the source has consumed the first report —
 	// the splice wave toward the replacement is in flight *now* — and kill
 	// the second victim at that same virtual time.
-	if !sc.S.Await(5*time.Second, func() bool { return sc.Snd.RepairStats().Reports >= 1 }) {
+	if !sc.S.Await(5*time.Second, func() bool { return sc.Snd.Counters().Get("repair_reports") >= 1 }) {
 		t.Fatal("first failure never reported")
 	}
 	sc.S.Net.Fail(victims[1])
 
-	if !sc.S.Await(10*time.Second, func() bool { return sc.Snd.RepairStats().Splices >= 2 }) {
-		t.Fatalf("splice racing a second kill did not converge: %+v", sc.Snd.RepairStats())
+	if !sc.S.Await(10*time.Second, func() bool { return sc.Snd.Counters().Get("repair_splices") >= 2 }) {
+		t.Fatalf("splice racing a second kill did not converge: %v", sc.Snd.Counters())
 	}
 	sc.S.Run(sc.S.Elapsed() + 200*time.Millisecond) // replacements establish
 	if err := sc.Send(rng, 256); err != nil {
@@ -94,6 +105,9 @@ func TestSpliceRacesSecondKill(t *testing.T) {
 		d, s := sc.Counts()
 		t.Fatalf("stream dead after racing kills: %d/%d", d, s)
 	}
+	checkBooks(t, sc)
+	sc.Close()
+	checkBooks(t, sc)
 }
 
 // TestPartitionHealsMidRepair: the source endpoints are partitioned from
@@ -124,13 +138,13 @@ func TestPartitionHealsMidRepair(t *testing.T) {
 	sc.S.Net.Partition(sc.SrcIDs, all)
 	sc.S.Net.Fail(victims[0])
 	sc.S.Run(sc.S.Elapsed() + 500*time.Millisecond)
-	if got := sc.Snd.RepairStats().Splices; got != 0 {
+	if got := sc.Snd.Counters().Get("repair_splices"); got != 0 {
 		t.Fatalf("spliced %d times across a partition", got)
 	}
 
 	sc.S.Net.HealPartition(sc.SrcIDs, all)
-	if !sc.S.Await(10*time.Second, func() bool { return sc.Snd.RepairStats().Splices >= 1 }) {
-		t.Fatalf("repair never completed after heal: %+v", sc.Snd.RepairStats())
+	if !sc.S.Await(10*time.Second, func() bool { return sc.Snd.Counters().Get("repair_splices") >= 1 }) {
+		t.Fatalf("repair never completed after heal: %v", sc.Snd.Counters())
 	}
 	sc.S.Run(sc.S.Elapsed() + 200*time.Millisecond)
 	rng := rand.New(rand.NewSource(13))
@@ -141,6 +155,9 @@ func TestPartitionHealsMidRepair(t *testing.T) {
 		d, s := sc.Counts()
 		t.Fatalf("stream dead after healed repair: %d/%d", d, s)
 	}
+	checkBooks(t, sc)
+	sc.Close()
+	checkBooks(t, sc)
 }
 
 // TestLossyLinksStillEstablish: per-link loss and duplication on every
@@ -178,4 +195,7 @@ func TestLossyLinksStillEstablish(t *testing.T) {
 	if !sc.S.Await(10*time.Second, func() bool { d, s := sc.Counts(); return d >= s }) {
 		t.Fatal("message lost")
 	}
+	checkBooks(t, sc)
+	sc.Close()
+	checkBooks(t, sc)
 }

@@ -1,7 +1,7 @@
-// Package metrics provides the small statistics and table-formatting
-// helpers the experiment harnesses share: means, percentiles, and
-// fixed-width series printers that emit the rows of the paper's tables and
-// figures.
+// Package metrics provides the program's counter blocks and their one read
+// type (sharded.go), and the small statistics and table-formatting helpers
+// the experiment harnesses share: means, percentiles, and fixed-width series
+// printers that emit the rows of the paper's tables and figures.
 package metrics
 
 import (

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -43,9 +44,10 @@ func TestPercentile(t *testing.T) {
 }
 
 func TestShardedCounter(t *testing.T) {
-	c := NewShardedCounter(5)
-	if len(c.stripes) != 8 {
-		t.Fatalf("stripes = %d, want 8", len(c.stripes))
+	v := NewVocab("a", "b", "c")
+	c := NewShardedCounter(5, v)
+	if stripes := len(c.cells) / c.stride; stripes != 8 || c.stride != cacheLine/8 {
+		t.Fatalf("%d stripes of %d cells, want 8 of %d", stripes, c.stride, cacheLine/8)
 	}
 	const workers = 8
 	const per = 1000
@@ -55,21 +57,103 @@ func TestShardedCounter(t *testing.T) {
 		go func(w uint64) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				c.Add(w, 1)
+				c.Add(w, 1, 1)
+				c.Add(w, 2, 2)
 			}
 		}(uint64(w))
 	}
 	wg.Wait()
-	if got := c.Value(); got != workers*per {
-		t.Fatalf("Value() = %d, want %d", got, workers*per)
+	c.Add(3, 1, -4)
+	s := c.Snapshot()
+	if s.Get("a") != 0 || s.Get("b") != workers*per-4 || s.Get("c") != 2*workers*per {
+		t.Fatalf("snapshot %v", s)
 	}
-	c.Add(3, -4)
-	if got := c.Value(); got != workers*per-4 {
-		t.Fatalf("negative delta: %d", got)
-	}
-	if len(NewShardedCounter(0).stripes) != 1 {
+	if len(NewShardedCounter(0, v).cells) != c.stride {
 		t.Fatal("min stripes")
 	}
+	if w := NewShardedCounter(1, NewVocab("1", "2", "3", "4", "5", "6", "7", "8", "9")); w.stride != 2*cacheLine/8 {
+		t.Fatalf("9 counters take a stride of %d cells, want two cache lines", w.stride)
+	}
+}
+
+// A vocabulary's names are unique and non-empty, or it fails at start.
+func TestCountersVocabRejectsBadNames(t *testing.T) {
+	for _, names := range [][]string{{"a", ""}, {"a", "b", "a"}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewVocab(%q) accepted", names)
+				}
+			}()
+			NewVocab(names...)
+		}()
+	}
+}
+
+// Add joins readings of different vocabularies and sums shared names; Sub
+// takes the change back out; Each walks the reading in order.
+func TestCountersSnapshotRoundTrip(t *testing.T) {
+	a := Block{1, 2, 3}.Snapshot(NewVocab("x", "y", "z"))
+	b := Block{10, 20}.Snapshot(NewVocab("y", "w"))
+	sum := a.Add(b)
+	var got []string
+	sum.Each(func(name string, v int64) { got = append(got, fmt.Sprintf("%s=%d", name, v)) })
+	if want := "x=1 y=12 z=3 w=20"; strings.Join(got, " ") != want {
+		t.Fatalf("a+b = %v, want %s", got, want)
+	}
+	back := sum.Sub(b)
+	for _, n := range a.Names {
+		if back.Get(n) != a.Get(n) {
+			t.Fatalf("(a+b)-b: %s = %d, want %d", n, back.Get(n), a.Get(n))
+		}
+	}
+	if back.Get("w") != 0 {
+		t.Fatalf("(a+b)-b: w = %d, want 0", back.Get("w"))
+	}
+	if a.Get("y") != 2 || len(a.Names) != 3 || b.Get("y") != 10 {
+		t.Fatal("Add or Sub wrote into an operand")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Get of an unknown name did not panic")
+		}
+	}()
+	a.Get("nope")
+}
+
+// Many writers record while one reader takes snapshots: a counter that only
+// grows never reads lower than it did in the reading before.
+func TestCountersSnapshotsNeverDecrease(t *testing.T) {
+	v := NewVocab("p", "q", "r")
+	c := NewShardedCounter(4, v)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w uint64) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+					c.Add(w, i%len(v), int64(1+i%3))
+				}
+			}
+		}(uint64(w))
+	}
+	prev := c.Snapshot()
+	for i := 0; i < 2000; i++ {
+		cur := c.Snapshot()
+		for j, n := range cur.Names {
+			if cur.Values[j] < prev.Values[j] {
+				t.Errorf("%s went %d → %d", n, prev.Values[j], cur.Values[j])
+			}
+		}
+		prev = cur
+	}
+	close(stop)
+	wg.Wait()
 }
 
 func TestTableRendering(t *testing.T) {

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"infoslicing/internal/erasure"
+	"infoslicing/internal/metrics"
 	"infoslicing/internal/overlay"
 	"infoslicing/internal/slcrypto"
 	"infoslicing/internal/wire"
@@ -98,7 +99,7 @@ type Node struct {
 	transfers map[uint64]*transfer
 
 	received chan Message
-	stats    Stats
+	ctr      metrics.Block // vocab, written under mu
 	closed   bool
 
 	// cryptoDelayPerKB emulates era-appropriate symmetric-crypto cost: the
@@ -113,13 +114,10 @@ type Node struct {
 	cryptoFree       time.Time
 }
 
-// Stats counts onion node activity.
-type Stats struct {
-	SetupIn   int64
-	DataIn    int64
-	Forwarded int64
-	Delivered int64
-}
+// The node's counters.
+const cSetupIn, cDataIn, cForwarded, cDelivered = 0, 1, 2, 3
+
+var vocab = metrics.NewVocab("setup_in", "data_in", "forwarded", "delivered")
 
 type circuit struct {
 	key      slcrypto.SymmetricKey
@@ -151,6 +149,7 @@ func NewNode(id wire.NodeID, dir *Directory, tr overlay.Transport) (*Node, error
 		pending:   make(map[uint64][][]byte),
 		transfers: make(map[uint64]*transfer),
 		received:  make(chan Message, 256),
+		ctr:       make(metrics.Block, len(vocab)),
 	}
 	if err := tr.Attach(id, n.onPacket); err != nil {
 		return nil, err
@@ -190,11 +189,11 @@ func (n *Node) emulateCrypto(bytes int) {
 // Received yields messages for which this node was the destination.
 func (n *Node) Received() <-chan Message { return n.received }
 
-// Stats snapshots activity counters.
-func (n *Node) Stats() Stats {
+// Counters reads the node's counters.
+func (n *Node) Counters() metrics.Snapshot {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.stats
+	return n.ctr.Snapshot(vocab)
 }
 
 // Close detaches the node.
@@ -231,7 +230,7 @@ func (n *Node) onPacket(from wire.NodeID, data []byte) {
 // Envelope: wrappedKeyLen(2) wrappedKey sealed(layer).
 func (n *Node) handleSetup(circ uint64, body []byte) {
 	n.mu.Lock()
-	n.stats.SetupIn++
+	n.ctr[cSetupIn]++
 	n.mu.Unlock()
 	if len(body) < 2 {
 		return
@@ -282,7 +281,7 @@ func (n *Node) handleSetup(circ uint64, body []byte) {
 // node is the circuit's receiver.
 func (n *Node) handleData(circ uint64, body []byte) {
 	n.mu.Lock()
-	n.stats.DataIn++
+	n.ctr[cDataIn]++
 	c, ok := n.circuits[circ]
 	if ok {
 		c.last = time.Now()
@@ -310,7 +309,7 @@ func (n *Node) handleData(circ uint64, body []byte) {
 	binary.BigEndian.PutUint64(frame[1:], c.nextCirc)
 	copy(frame[9:], plain)
 	n.mu.Lock()
-	n.stats.Forwarded++
+	n.ctr[cForwarded]++
 	n.mu.Unlock()
 	n.tr.Send(n.id, c.next, frame) //nolint:errcheck
 }
@@ -374,7 +373,7 @@ func (n *Node) deliver(circ uint64, cell []byte) {
 			return
 		}
 		tr.done = true
-		n.stats.Delivered++
+		n.ctr[cDelivered]++
 		select {
 		case n.received <- Message{Circuit: circ, Data: msg}:
 		default:

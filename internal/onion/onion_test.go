@@ -124,11 +124,11 @@ func TestIntermediateNodesSeeNoPlaintext(t *testing.T) {
 	waitMsg(t, e.nodes[3], 5*time.Second)
 	// Relays 1 and 2 forwarded but delivered nothing.
 	for _, id := range []wire.NodeID{1, 2} {
-		st := e.nodes[id].Stats()
-		if st.Delivered != 0 {
+		st := e.nodes[id].Counters()
+		if st.Get("delivered") != 0 {
 			t.Fatalf("relay %d delivered", id)
 		}
-		if st.Forwarded == 0 {
+		if st.Get("forwarded") == 0 {
 			t.Fatalf("relay %d forwarded nothing", id)
 		}
 	}

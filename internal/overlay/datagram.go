@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"infoslicing/internal/metrics"
 	"infoslicing/internal/simnet"
 	"infoslicing/internal/transport"
 	"infoslicing/internal/wire"
@@ -83,7 +84,7 @@ func NewUDPNetwork(opts UDPOptions) *Static {
 	return s
 }
 
-func (d *datagram) listen(addr string, deliver transport.Deliver, onSender func(wire.NodeID, string)) (endpoint, error) {
+func (d *datagram) listen(addr string, deliver transport.Deliver, onSender func(wire.NodeID, string), ctr *metrics.ShardedCounter) (endpoint, error) {
 	la, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, err
@@ -94,10 +95,10 @@ func (d *datagram) listen(addr string, deliver transport.Deliver, onSender func(
 	}
 	ucfg := d.ucfg
 	ucfg.OnSender = onSender
-	return transport.NewUDPAcceptor(conn, transport.DefaultMaxFrame, ucfg, deliver), nil
+	return transport.NewUDPAcceptor(conn, transport.DefaultMaxFrame, ucfg, deliver, ctr), nil
 }
 
-func (d *datagram) newPeer(to wire.NodeID, resolve func() (string, bool)) transport.Link {
+func (d *datagram) newPeer(to wire.NodeID, resolve func() (string, bool), ctr *metrics.ShardedCounter) transport.Link {
 	cfg := transport.Config{}
 	if d.ucfg.RxDrop != nil {
 		// The shim rolls the Bernoulli die once per datagram, so run one
@@ -112,7 +113,7 @@ func (d *datagram) newPeer(to wire.NodeID, resolve func() (string, bool)) transp
 	}
 	ucfg := d.ucfg
 	ucfg.OnLoss = func(rate float64) { d.reportLoss(to, rate) }
-	return transport.NewUDPPeer(resolve, cfg, ucfg)
+	return transport.NewUDPPeer(resolve, cfg, ucfg, ctr)
 }
 
 func (d *datagram) reportLoss(to wire.NodeID, rate float64) {
@@ -163,7 +164,10 @@ func (s *Static) SendDelay(to wire.NodeID, bytes int) time.Duration {
 	return p.SendDelay(bytes)
 }
 
-// UDPStats sums the datagram-specific counters over every peer the
-// transport has held (Window is summed over live peers; SRTT and LossRate
-// are their maxima). All zero on the stream flavour.
-func (s *Static) UDPStats() transport.UDPPeerStats { return s.peers.UDPStats() }
+// UDPStats returns the benchmark's view of the datagram counters and the
+// live peers' paths. All zero on the stream flavour.
+func (s *Static) UDPStats() transport.UDPPeerStats {
+	c := s.Counters()
+	srtt, win := s.peers.UDPPaths()
+	return transport.UDPPeerStats{DatagramsOut: c.Get("datagrams_out"), DatagramsLost: c.Get("datagrams_lost"), SRTT: srtt, Window: win}
+}

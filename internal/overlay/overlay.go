@@ -28,9 +28,10 @@ import (
 	"infoslicing/internal/wire"
 )
 
-// counterStripes sizes the transport's sharded counters: enough stripes
-// that concurrent senders rarely collide, independent of node count.
-var counterStripes = 4 * runtime.GOMAXPROCS(0)
+// ChanNetwork's counters, which back its TransportStats.
+const cPackets, cBytes, cLost = 0, 1, 2
+
+var chanVocab = metrics.NewVocab("packets", "bytes", "lost")
 
 // Handler consumes a raw packet addressed to an attached node. The data
 // buffer is private to the handler: the transport must hand each delivery
@@ -51,9 +52,9 @@ var counterStripes = 4 * runtime.GOMAXPROCS(0)
 // can satisfy Transport without importing it.
 type Handler = func(from wire.NodeID, data []byte)
 
-// TransportStats is the unified counter vocabulary every transport reports
-// (it is wire.TransportStats, aliased so transports below this package can
-// share it). It replaces the old per-transport tuple returns.
+// TransportStats is the view of its counters every transport reports (it is
+// wire.TransportStats, aliased so transports below this package can share
+// it).
 type TransportStats = wire.TransportStats
 
 // Transport moves opaque datagrams between overlay nodes. This is the ONE
@@ -79,7 +80,7 @@ type Transport interface {
 	// receiver. Real-network implementations hand the frame to a bounded
 	// per-peer queue drained by a dedicated writer (internal/transport); a
 	// full queue sheds the frame and returns the advisory ErrSendQueueFull,
-	// which data-path callers count (relay Stats.SendDrops) and nothing
+	// which data-path callers count (the relay's send_drops) and nothing
 	// retries — redundancy, not retransmission, is the protocol's answer.
 	Send(from, to wire.NodeID, data []byte) error
 	// Fail crashes a node (churn injection): it stops receiving and
@@ -165,7 +166,7 @@ var (
 	ErrNodeDown      = errors.New("overlay: node is down")
 	// ErrSendQueueFull re-exports the peer layer's advisory drop error: the
 	// frame was shed at a full per-peer queue. Callers on the data path
-	// count it (relay Stats.SendDrops); datagram semantics mean nothing
+	// count it (the relay's send_drops); datagram semantics mean nothing
 	// else changes.
 	ErrSendQueueFull = transport.ErrQueueFull
 )
@@ -225,12 +226,10 @@ type ChanNetwork struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	// Every Send bumps these from its caller's goroutine; striped counters
-	// keyed by the sending node keep concurrent senders off each other's
+	// Every Send records from its caller's goroutine; the striped block,
+	// keyed by the sending node, keeps concurrent senders off each other's
 	// cache lines (plain adjacent atomics false-share badly here).
-	bytesSent *metrics.ShardedCounter
-	pktsSent  *metrics.ShardedCounter
-	pktsLost  *metrics.ShardedCounter
+	ctr *metrics.ShardedCounter // chanVocab
 
 	closed atomic.Bool
 	wg     sync.WaitGroup
@@ -259,12 +258,10 @@ func NewChanNetwork(p Profile, rng *rand.Rand) *ChanNetwork {
 		rng = simnet.NewRand()
 	}
 	return &ChanNetwork{
-		profile:   p,
-		nodes:     make(map[wire.NodeID]*chanEndpoint),
-		rng:       rng,
-		bytesSent: metrics.NewShardedCounter(counterStripes),
-		pktsSent:  metrics.NewShardedCounter(counterStripes),
-		pktsLost:  metrics.NewShardedCounter(counterStripes),
+		profile: p,
+		nodes:   make(map[wire.NodeID]*chanEndpoint),
+		rng:     rng,
+		ctr:     metrics.NewShardedCounter(4*runtime.GOMAXPROCS(0), chanVocab),
 	}
 }
 
@@ -359,15 +356,15 @@ func (n *ChanNetwork) send(from, to wire.NodeID, bufs [][]byte) error {
 	if dst == nil || dst.down.Load() {
 		// Receiver unknown or crashed: silently dropped, like the real
 		// network.
-		n.pktsLost.Add(uint64(from), int64(len(bufs)))
+		n.ctr.Add(uint64(from), cLost, int64(len(bufs)))
 		return nil
 	}
 	total := 0
 	for _, b := range bufs {
 		total += len(b)
 	}
-	n.pktsSent.Add(uint64(from), int64(len(bufs)))
-	n.bytesSent.Add(uint64(from), int64(total))
+	n.ctr.Add(uint64(from), cPackets, int64(len(bufs)))
+	n.ctr.Add(uint64(from), cBytes, int64(total))
 	// Every queued delivery carries the receiver's epoch at send time: a
 	// crash loses everything already in flight toward the host.
 	epoch := dst.failEpoch.Load()
@@ -376,7 +373,7 @@ func (n *ChanNetwork) send(from, to wire.NodeID, bufs [][]byte) error {
 		for _, b := range bufs {
 			delay := n.sendDelay(src, len(b))
 			if n.dropPacket() {
-				n.pktsLost.Add(uint64(from), 1)
+				n.ctr.Add(uint64(from), cLost, 1)
 				continue
 			}
 			n.deliver(dst, epoch, from, delay, append([]byte(nil), b...), nil)
@@ -473,11 +470,8 @@ func (n *ChanNetwork) dropPacket() bool {
 
 // Stats reports cumulative network counters.
 func (n *ChanNetwork) Stats() TransportStats {
-	return TransportStats{
-		Packets: n.pktsSent.Value(),
-		Bytes:   n.bytesSent.Value(),
-		Lost:    n.pktsLost.Value(),
-	}
+	c := n.ctr.Snapshot()
+	return TransportStats{Packets: c.Get("packets"), Bytes: c.Get("bytes"), Lost: c.Get("lost")}
 }
 
 // Close stops delivering packets and waits for in-flight deliveries.

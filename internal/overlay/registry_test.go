@@ -121,7 +121,7 @@ func TestStaticLearnsSender(t *testing.T) {
 			if err := sA.Send(a, b, []byte("early")); err != nil {
 				t.Fatal(err)
 			}
-			if got := sA.PeerStats().Enqueued; got != 0 {
+			if got := sA.Counters().Get("enqueued"); got != 0 {
 				t.Fatalf("%d frames queued before B was resolvable", got)
 			}
 
@@ -143,7 +143,7 @@ func TestStaticLearnsSender(t *testing.T) {
 			if err := sA.Send(a, b, []byte("reply to learned endpoint")); err != nil {
 				t.Fatal(err)
 			}
-			if got := sA.PeerStats().Enqueued; got != 1 {
+			if got := sA.Counters().Get("enqueued"); got != 1 {
 				t.Fatalf("%d frames queued toward the learned endpoint, want 1", got)
 			}
 			if fl.name == "udp" && !simnet.Eventually(5*time.Second, 5*time.Millisecond, func() bool {

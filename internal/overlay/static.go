@@ -5,6 +5,7 @@ import (
 	"net"
 	"sync"
 
+	"infoslicing/internal/metrics"
 	"infoslicing/internal/transport"
 	"infoslicing/internal/wire"
 )
@@ -39,13 +40,14 @@ type Static struct {
 	peers  *transport.PeerSet
 	reg    *endpointRegistry
 	closed bool
+	ctr    *metrics.ShardedCounter // outlives every peer and listener that counts into it
 }
 
 // link is the flavour of a Static: how a node listens and how a host's
 // outbound peer is made. stream and *datagram implement it.
 type link interface {
-	listen(addr string, deliver transport.Deliver, onSender func(wire.NodeID, string)) (endpoint, error)
-	newPeer(to wire.NodeID, resolve func() (string, bool)) transport.Link
+	listen(addr string, deliver transport.Deliver, onSender func(wire.NodeID, string), ctr *metrics.ShardedCounter) (endpoint, error)
+	newPeer(to wire.NodeID, resolve func() (string, bool), ctr *metrics.ShardedCounter) transport.Link
 }
 
 // endpoint is one bound listener (transport.Acceptor or UDPAcceptor),
@@ -67,18 +69,18 @@ type staticEndpoint struct {
 // stream is the TCP flavour: reconnecting writev peers, slab readers.
 type stream struct{}
 
-func (stream) listen(addr string, deliver transport.Deliver, onSender func(wire.NodeID, string)) (endpoint, error) {
+func (stream) listen(addr string, deliver transport.Deliver, onSender func(wire.NodeID, string), ctr *metrics.ShardedCounter) (endpoint, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	acc := transport.NewAcceptor(ln, transport.DefaultMaxFrame, deliver)
+	acc := transport.NewAcceptor(ln, transport.DefaultMaxFrame, deliver, ctr)
 	acc.OnSender = onSender
 	return acc, nil
 }
 
-func (stream) newPeer(_ wire.NodeID, resolve func() (string, bool)) transport.Link {
-	return transport.NewPeer(resolve, transport.Config{})
+func (stream) newPeer(_ wire.NodeID, resolve func() (string, bool), ctr *metrics.ShardedCounter) transport.Link {
+	return transport.NewPeer(resolve, transport.Config{}, ctr)
 }
 
 // NewStaticTCP creates a TCP transport over the given id→address book.
@@ -104,6 +106,7 @@ func newStatic(book map[wire.NodeID]string, l link, reg *endpointRegistry) *Stat
 		local: make(map[wire.NodeID]*staticEndpoint),
 		down:  make(map[wire.NodeID]bool),
 		reg:   reg,
+		ctr:   transport.NewCounters(),
 	}
 	for id, addr := range book {
 		s.book[id] = addr
@@ -111,7 +114,7 @@ func newStatic(book map[wire.NodeID]string, l link, reg *endpointRegistry) *Stat
 	s.peers = transport.NewPeerSet(func(to wire.NodeID) transport.Link {
 		// The resolver runs on the peer's writer at dial time, never on the
 		// data path.
-		return l.newPeer(to, func() (string, bool) { return s.resolve(to) })
+		return l.newPeer(to, func() (string, bool) { return s.resolve(to) }, s.ctr)
 	})
 	return s
 }
@@ -190,7 +193,7 @@ func (s *Static) attach(id wire.NodeID, addr string, dynamic bool, h Handler) er
 		}
 		h(from, data)
 		return true
-	}, s.observeSender)
+	}, s.observeSender, s.ctr)
 	if err != nil {
 		return fmt.Errorf("overlay: %w", err)
 	}
@@ -346,24 +349,24 @@ func (s *Static) SendOwned(from, to wire.NodeID, bufs [][]byte, release func()) 
 	return nil
 }
 
-// PeerStats reports aggregate outbound peer counters, cumulative across
-// peer lifetimes (a detached or re-resolved peer's counts stay in).
-func (s *Static) PeerStats() transport.Stats { return s.peers.Stats() }
+// Counters reads the transport's counters: every peer's and listener's,
+// over the transport's whole life (see transport.NewCounters).
+func (s *Static) Counters() metrics.Snapshot { return s.ctr.Snapshot() }
 
-// Stats implements Transport with the unified counter vocabulary: frames
-// out, bytes out, frames lost locally (queue drops, failed flushes, drain
-// cutoffs). On the datagram flavour wire loss lives in
-// UDPStats().DatagramsLost, measured in datagrams, and Retransmissions is
-// structurally zero: that flavour never retransmits.
-func (s *Static) Stats() TransportStats {
-	st := s.peers.Stats()
-	return TransportStats{
-		Packets:      st.FramesOut,
-		Bytes:        st.BytesOut,
-		Lost:         st.Dropped,
-		SendFailures: st.SendFailures,
-		Reconnects:   st.Reconnects,
+// PeerStats returns the benchmark's view of the outbound peers' counters.
+func (s *Static) PeerStats() transport.Stats {
+	c := s.Counters()
+	return transport.Stats{
+		Enqueued: c.Get("enqueued"), Dropped: c.Get("dropped"), SendFailures: c.Get("send_failures"),
+		Flushes: c.Get("flushes"), FramesOut: c.Get("frames_out"), Reconnects: c.Get("reconnects"),
 	}
+}
+
+// Stats implements Transport: frames and bytes out, and frames lost locally
+// (wire loss on the datagram flavour is datagrams_lost).
+func (s *Static) Stats() TransportStats {
+	c := s.Counters()
+	return TransportStats{Packets: c.Get("frames_out"), Bytes: c.Get("bytes_out"), Lost: c.Get("dropped")}
 }
 
 // Close shuts down peers (draining queued frames briefly) and the

@@ -105,7 +105,7 @@ func TestTCPNetworkConcurrentSendersFrameIntegrity(t *testing.T) {
 // and silently dropped the conn even when the receiver was alive. Now a
 // broken connection is a counted send failure and the peer re-dials: break
 // every accepted conn under the receiver and delivery must resume, with
-// the failure and the reconnect visible in PeerStats.
+// the failure and the reconnect visible in the counters.
 func TestTCPNetworkSendFailureCountedAndReconnects(t *testing.T) {
 	n := NewTCPNetwork()
 	defer n.Close()
@@ -144,23 +144,23 @@ func TestTCPNetworkSendFailureCountedAndReconnects(t *testing.T) {
 	n.mu.RUnlock()
 	if !simnet.Eventually(10*time.Second, time.Millisecond, func() bool {
 		n.Send(2, 1, []byte("during")) //nolint:errcheck
-		return n.PeerStats().SendFailures >= 1
+		return n.Counters().Get("send_failures") >= 1
 	}) {
-		t.Fatalf("broken conn never surfaced as a send failure: %+v", n.PeerStats())
+		t.Fatalf("broken conn never surfaced as a send failure: %v", n.Counters())
 	}
 	if !simnet.Eventually(10*time.Second, time.Millisecond, func() bool {
 		n.Send(2, 1, []byte("post")) //nolint:errcheck
 		return has("post")
 	}) {
-		t.Fatalf("no delivery after reconnect: %+v", n.PeerStats())
+		t.Fatalf("no delivery after reconnect: %v", n.Counters())
 	}
-	if st := n.PeerStats(); st.Reconnects < 1 {
-		t.Fatalf("peer stats %+v, want ≥1 reconnect", st)
+	if st := n.Counters(); st.Get("reconnects") < 1 {
+		t.Fatalf("counters %v, want ≥1 reconnect", st)
 	}
 }
 
 // Queue-full sheds must surface as ErrSendQueueFull so data-path callers
-// can count them (relay Stats.SendDrops).
+// can count them (the relay's send_drops).
 func TestTCPNetworkQueueFullSurfaces(t *testing.T) {
 	n := NewTCPNetwork()
 	defer n.Close()
@@ -182,17 +182,16 @@ func TestTCPNetworkQueueFullSurfaces(t *testing.T) {
 		}
 	}
 	if !gotFull {
-		t.Fatalf("flooding a stalled receiver never returned ErrSendQueueFull: %+v", n.PeerStats())
+		t.Fatalf("flooding a stalled receiver never returned ErrSendQueueFull: %v", n.Counters())
 	}
-	if st := n.PeerStats(); st.Dropped == 0 {
-		t.Fatalf("peer stats %+v, want counted drops", st)
+	if st := n.Counters(); st.Get("dropped") == 0 {
+		t.Fatalf("counters %v, want counted drops", st)
 	}
 }
 
 func TestStaticTCPManySendersShareHostConn(t *testing.T) {
 	ids := []wire.NodeID{1, 2, 3, 4, 5}
-	book := freeBook(t, ids...)
-	tr := NewStaticTCP(book)
+	tr := NewTCPNetwork()
 	defer tr.Close()
 	var mu sync.Mutex
 	count := 0

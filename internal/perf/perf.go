@@ -251,7 +251,7 @@ func OnionFlow(p Params) (FlowResult, error) {
 	}
 	if !pollUntil(experimentTimeout, func() bool {
 		for _, n := range nodes {
-			if n.Stats().SetupIn == 0 {
+			if n.Counters().Get("setup_in") == 0 {
 				return false
 			}
 		}

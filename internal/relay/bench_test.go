@@ -268,7 +268,7 @@ func BenchmarkFlowLookup(b *testing.B) {
 			}
 		})
 		b.StopTimer()
-		if got := n.Stats().HeartbeatsIn; got < int64(b.N) {
+		if got := n.Counters().Get("heartbeats_in"); got < int64(b.N) {
 			b.Fatalf("HeartbeatsIn = %d, want >= %d", got, b.N)
 		}
 	})
@@ -290,8 +290,8 @@ func BenchmarkFlowLookup(b *testing.B) {
 			n.onPacket(from, buf)
 		}
 		b.StopTimer()
-		if got := sh.filterMisses.Load(); got != int64(b.N) {
-			b.Fatalf("filterMisses = %d, want %d (miss path reached a shard)", got, b.N)
+		if got := n.Counters().Get("filter_misses"); got != int64(b.N) {
+			b.Fatalf("filter_misses = %d, want %d (miss path reached a shard)", got, b.N)
 		}
 	})
 }
@@ -360,9 +360,9 @@ func BenchmarkFlowSetup(b *testing.B) {
 		}
 	})
 	b.StopTimer()
-	if st := n.Stats(); st.FlowsEstablished != int64(b.N) || tr.sent != int64(3*b.N) {
+	if est := n.Counters().Get("flows_established"); est != int64(b.N) || tr.sent != int64(3*b.N) {
 		b.Fatalf("%d flows established and %d set-up packets forwarded in %d rounds, want %d and %d",
-			st.FlowsEstablished, tr.sent, b.N, b.N, 3*b.N)
+			est, tr.sent, b.N, b.N, 3*b.N)
 	}
 }
 

@@ -2,10 +2,12 @@ package relay
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"infoslicing/internal/code"
+	"infoslicing/internal/metrics"
 	"infoslicing/internal/wire"
 )
 
@@ -72,31 +74,33 @@ func TestBurstExactlyOnceForwarding(t *testing.T) {
 		burst[i].release()
 	}
 
-	st := n.Stats()
-	if st.DataPacketsIn != 3 {
-		t.Fatalf("DataPacketsIn = %d, want 3 (duplicate counts inbound)", st.DataPacketsIn)
+	st := n.Counters()
+	if st.Get("data_in") != 3 || st.Get("duplicate_slices") != 1 {
+		t.Fatalf("counters %v, want 3 data packets in, one a duplicate", st)
 	}
-	if st.PacketsOut != 2 {
-		t.Fatalf("PacketsOut = %d, want 2 (one per data-map entry, exactly once)", st.PacketsOut)
+	if st.Get("packets_out") != 2 {
+		t.Fatalf("packets_out = %d, want 2 (one per data-map entry, exactly once)", st.Get("packets_out"))
 	}
+	checkBooks(t, n)
 	if released != 4 {
 		t.Fatalf("released %d holds, want 4", released)
 	}
 }
 
 // TestBurstQueueDropAccounting overfills a shard queue: every packet beyond
-// the queue depth must be counted in queueDrops and have its clock hold
+// the queue depth must be counted in queue_drops and have its clock hold
 // released immediately, and nothing may be double-counted when the excess
 // arrives while a burst is outstanding (the queue is never drained here, as
 // if the worker were mid-burst the whole time).
 func TestBurstQueueDropAccounting(t *testing.T) {
 	sh := &shard{in: make(chan inPkt, 4)}
+	n := &Node{ctr: metrics.NewShardedCounter(2, nodeVocab)}
 	released := 0
 	for i := 0; i < 10; i++ {
-		sh.enqueue(7, []byte{byte(i)}, func() { released++ })
+		n.enqueue(sh, 7, []byte{byte(i)}, func() { released++ })
 	}
-	if got := sh.queueDrops.Load(); got != 6 {
-		t.Fatalf("queueDrops = %d, want 6", got)
+	if got := n.ctr.Snapshot().Get("queue_drops"); got != 6 {
+		t.Fatalf("queue_drops = %d, want 6", got)
 	}
 	if released != 6 {
 		t.Fatalf("released %d holds at enqueue, want 6 (dropped packets only)", released)
@@ -133,7 +137,7 @@ func TestBurstShutdownReleasesHolds(t *testing.T) {
 	closed := make(chan struct{})
 	sh.do(func() {
 		for i := 0; i < 12; i++ {
-			sh.enqueue(wire.NodeID(11), dataFrame(flow, uint32(i), 2, slices[0]), s.Clk.Hold())
+			n.enqueue(sh, wire.NodeID(11), dataFrame(flow, uint32(i), 2, slices[0]), s.Clk.Hold())
 		}
 		go func() {
 			n.Close()
@@ -155,7 +159,7 @@ func TestBurstShutdownReleasesHolds(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("virtual clock never quiesced: shutdown leaked queued clock holds")
 	}
-	if got := n.Stats().DataPacketsIn; got != 0 {
+	if got := n.Counters().Get("data_in"); got != 0 {
 		t.Fatalf("%d packets processed after close", got)
 	}
 	if got := n.FlowTableSize(); got != 0 {
@@ -168,7 +172,7 @@ func TestBurstShutdownReleasesHolds(t *testing.T) {
 // identical stats — burst draining amortizes overhead but must never change
 // what is processed, forwarded, or regenerated.
 func TestBurstSizeInvariance(t *testing.T) {
-	run := func(burst int) Stats {
+	run := func(burst int) metrics.Snapshot {
 		const (
 			flow       = wire.FlowID(0xabc)
 			p1, p2, p3 = wire.NodeID(11), wire.NodeID(12), wire.NodeID(13)
@@ -218,24 +222,25 @@ func TestBurstSizeInvariance(t *testing.T) {
 			})
 		}
 		s.Run(200 * time.Millisecond)
-		st := n.Stats()
+		st := n.Counters()
 		n.Close()
+		checkBooks(t, n)
 		return st
 	}
 
 	base := run(4)
-	if base.DataPacketsIn == 0 || base.PacketsOut == 0 {
-		t.Fatalf("scenario processed nothing: %+v", base)
+	if base.Get("data_in") == 0 || base.Get("packets_out") == 0 {
+		t.Fatalf("scenario processed nothing: %v", base)
 	}
-	if base.Regenerated == 0 {
-		t.Fatalf("scenario never regenerated despite lost slices: %+v", base)
+	if base.Get("regenerated") == 0 {
+		t.Fatalf("scenario never regenerated despite lost slices: %v", base)
 	}
-	if again := run(4); again != base {
-		t.Fatalf("same seed, same burst, different outcomes:\n%+v\n%+v", again, base)
+	if again := run(4); !slices.Equal(again.Values, base.Values) {
+		t.Fatalf("same seed, same burst, different outcomes:\n%v\n%v", again, base)
 	}
 	for _, b := range []int{1, 64} {
-		if got := run(b); got != base {
-			t.Fatalf("burst=%d changed outcomes:\nburst=4: %+v\nburst=%d: %+v", b, base, b, got)
+		if got := run(b); !slices.Equal(got.Values, base.Values) {
+			t.Fatalf("burst=%d changed outcomes:\nburst=4: %v\nburst=%d: %v", b, base, b, got)
 		}
 	}
 }

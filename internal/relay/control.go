@@ -50,7 +50,7 @@ func (n *Node) sendHeartbeats(sh *shard, fs *flowState) {
 	pi := fs.info
 	for c, ch := range pi.Children {
 		sh.pktBuf = wire.AppendHeartbeat(sh.pktBuf[:0], pi.ChildFlows[c])
-		sh.stats.HeartbeatsOut++
+		sh.ctr[cHeartbeatsOut]++
 		n.send(sh, ch, sh.pktBuf)
 	}
 }
@@ -73,7 +73,7 @@ func (n *Node) sendParentDown(sh *shard, fs *flowState, dead wire.NodeID) {
 	fs.rememberReport(nonce)
 	sh.pktBuf = wire.AppendParentDown(sh.pktBuf[:0], fs.flow, nonce, sealed)
 	n.floodUpstream(sh, fs, sh.pktBuf)
-	sh.stats.ParentDownSent++
+	sh.ctr[cParentDownSent]++
 }
 
 // floodUpstream sends buf to every previous hop the flow knows —
@@ -95,7 +95,8 @@ func (fs *flowState) rememberReport(nonce uint64) {
 	fs.seenReports[nonce] = true
 }
 
-// handleSplice applies a repair patch to an established flow: the slot body
+// handleSplice applies a repair patch to an established flow and reports
+// whether it did: the slot body
 // must open under the flow's per-node key (only the source holds it, so a
 // valid seal *is* the authentication) and parse as seq ‖ routing block. The
 // sequence number — stamped by the source per repair — makes application
@@ -107,28 +108,25 @@ func (fs *flowState) rememberReport(nonce uint64) {
 // and liveness state for parents the patch removed is dropped. In-flight
 // rounds are untouched — slices already queued from surviving parents keep
 // flowing, which is the point of splicing instead of rebuilding.
-func (n *Node) handleSplice(sh *shard, fs *flowState, pkt *wire.Packet) {
+func (n *Node) handleSplice(sh *shard, fs *flowState, pkt *wire.Packet) bool {
 	if fs.info == nil {
-		return // splices only patch established flows
+		return false // splices only patch established flows
 	}
 	sealed, err := wire.ParseSplice(pkt)
 	if err != nil {
-		return
+		return false
 	}
 	plain, err := fs.info.Key.Open(sealed)
-	if err != nil {
-		return // forged or corrupted: drop silently
-	}
-	if len(plain) < 8 {
-		return
+	if err != nil || len(plain) < 8 {
+		return false // forged or corrupted
 	}
 	seq := binary.BigEndian.Uint64(plain)
 	if seq <= fs.spliceSeq {
-		return // stale or duplicate repair: the newer routing state stands
+		return false // stale or duplicate repair: the newer routing state stands
 	}
 	pi, err := wire.UnmarshalPerNodeInfo(plain[8:])
 	if err != nil {
-		return
+		return false
 	}
 	fs.spliceSeq = seq
 	// The patch may add, remove or re-key children: swap the flow's index
@@ -140,7 +138,7 @@ func (n *Node) handleSplice(sh *shard, fs *flowState, pkt *wire.Packet) {
 	fs.opener = nil // keyed to the old block
 	n.dirAdd(sh, fs, pi)
 	fs.declareParents(pi, n.stamp(fs.lastActive), true)
-	sh.stats.SplicesApplied++
+	return true
 }
 
 // handleUpstream moves an establishment ack or a ParentDown report from a
@@ -161,5 +159,5 @@ func (n *Node) handleUpstream(sh *shard, fs *flowState, pkt *wire.Packet) {
 	fs.rememberReport(nonce)
 	sh.pktBuf = wire.AppendParentDown(sh.pktBuf[:0], fs.flow, nonce, sealed)
 	n.floodUpstream(sh, fs, sh.pktBuf)
-	sh.stats.ParentDownForwarded++
+	sh.ctr[cParentDownForwarded]++
 }

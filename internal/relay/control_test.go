@@ -183,8 +183,8 @@ func TestLivenessDetectionReportsQuietParent(t *testing.T) {
 	if len(tr.packetsOfType(wire.MsgHeartbeat)) == 0 {
 		t.Fatal("no heartbeats emitted to children")
 	}
-	if s := n.Stats(); s.ParentDownSent == 0 || s.HeartbeatsOut == 0 || s.HeartbeatsIn == 0 {
-		t.Fatalf("control counters not maintained: %+v", s)
+	if s := n.Counters(); s.Get("parent_down_sent") == 0 || s.Get("heartbeats_out") == 0 || s.Get("heartbeats_in") == 0 {
+		t.Fatalf("control counters not maintained: %v", s)
 	}
 }
 
@@ -245,8 +245,8 @@ func TestParentDownForwardedUpstream(t *testing.T) {
 	if got := len(tr.packetsOfType(wire.MsgParentDown)); got != 2 {
 		t.Fatalf("after dup + fresh reports, %d forwards, want 2", got)
 	}
-	if s := n.Stats(); s.ParentDownForwarded != 2 {
-		t.Fatalf("ParentDownForwarded = %d, want 2", s.ParentDownForwarded)
+	if got := n.Counters().Get("parent_down_forwarded"); got != 2 {
+		t.Fatalf("parent_down_forwarded = %d, want 2", got)
 	}
 }
 
@@ -304,9 +304,9 @@ func TestSpliceSwapsParentAtomically(t *testing.T) {
 	n.onPacket(999, wire.AppendSplice(nil, flow, genuine))
 
 	simnet.Eventually(5*time.Second, 2*time.Millisecond, func() bool {
-		return n.Stats().SplicesApplied > 0
+		return n.Counters().Get("splices_applied") > 0
 	})
-	if got := n.Stats().SplicesApplied; got != 1 {
+	if got := n.Counters().Get("splices_applied"); got != 1 {
 		t.Fatalf("SplicesApplied = %d, want 1 (forged splice must not count)", got)
 	}
 	n.Close() // joins the worker: the flow is the test's to read
@@ -361,12 +361,12 @@ func TestSpliceOrderingNewestWins(t *testing.T) {
 	// Repair 2's patch (parent 97) overtakes repair 1's (parent 96).
 	n.onPacket(999, mkPatch(2, 97))
 	simnet.Eventually(5*time.Second, 2*time.Millisecond, func() bool {
-		return n.Stats().SplicesApplied > 0
+		return n.Counters().Get("splices_applied") > 0
 	})
 	n.onPacket(999, mkPatch(1, 96)) // late: must be dropped
 	n.onPacket(999, mkPatch(2, 97)) // duplicate: must be dropped
 	time.Sleep(30 * time.Millisecond)
-	if got := n.Stats().SplicesApplied; got != 1 {
+	if got := n.Counters().Get("splices_applied"); got != 1 {
 		t.Fatalf("SplicesApplied = %d, want 1", got)
 	}
 	n.Close() // joins the worker: the flow is the test's to read
@@ -451,7 +451,7 @@ func TestRelayMalformedControlTraffic(t *testing.T) {
 	if got := n.FlowTableSize(); got != 1 {
 		t.Fatalf("noise changed the flow table: %d flows, want 1", got)
 	}
-	if got := n.Stats().SplicesApplied; got != 0 {
+	if got := n.Counters().Get("splices_applied"); got != 0 {
 		t.Fatalf("mutated splice applied %d times", got)
 	}
 }

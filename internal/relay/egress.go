@@ -117,20 +117,20 @@ func (sh *shard) batchFrame(to wire.NodeID, frame []byte) {
 // slab stays open for the next burst. All batches view the slab: the owned
 // path Retains once per batch (the transport releases when flushed or
 // dropped), the fallback path copies via send so no extra reference is
-// needed. Frames shed to full queues count as SendDrops. Safe to call with
+// needed. Frames shed to full queues count as send_drops. Safe to call with
 // nothing framed (cheap no-op).
 func (n *Node) runEgress(sh *shard) {
 	eg := &sh.eg
 	for i := range eg.batches {
 		b := &eg.batches[i]
 		if n.owned != nil {
-			sh.stats.PacketsOut += int64(len(b.bufs))
+			sh.ctr[cPacketsOut] += int64(len(b.bufs))
 			eg.slab.Retain()
 			err := n.owned.SendOwned(n.id, b.to, b.bufs, eg.slab.ReleaseFn)
 			if err != nil && errors.Is(err, overlay.ErrSendQueueFull) {
 				// Owned batching is all-or-nothing: a full queue shed the
 				// whole batch.
-				sh.stats.SendDrops += int64(len(b.bufs))
+				sh.ctr[cSendDrops] += int64(len(b.bufs))
 			}
 		} else {
 			for _, fr := range b.bufs {

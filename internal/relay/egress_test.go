@@ -59,6 +59,7 @@ func TestEgressSlabsReleasedEndToEnd(t *testing.T) {
 	if !outstandingZero(h.nodes) {
 		t.Fatal("egress slabs leaked after Close")
 	}
+	h.checkBooks(t)
 }
 
 // Mid-flight failures exercise the ugly release paths: sends toward downed
@@ -90,6 +91,7 @@ func TestEgressSlabsReleasedUnderMidFlightFailures(t *testing.T) {
 	if !outstandingZero(h.nodes) {
 		t.Fatal("egress slabs leaked after Close under failures")
 	}
+	h.checkBooks(t)
 }
 
 // ownedCountingTransport counts sends through the owned path, consuming the
@@ -175,7 +177,7 @@ func TestEgressQueueFullShedReleasesAndCounts(t *testing.T) {
 	if tr.shedFrames != 8 {
 		t.Fatalf("shed %d frames, want 8", tr.shedFrames)
 	}
-	if got := n.Stats().SendDrops; got != 8 {
+	if got := n.Counters().Get("send_drops"); got != 8 {
 		t.Fatalf("SendDrops = %d, want 8", got)
 	}
 	if got := n.egPool.Outstanding(); got != 1 {
@@ -185,6 +187,26 @@ func TestEgressQueueFullShedReleasesAndCounts(t *testing.T) {
 	if got := n.egPool.Outstanding(); got != 0 {
 		t.Fatalf("slab leaked on shed: outstanding %d after Close", got)
 	}
+
+	// A transport without the owned path sheds frame by frame, and each shed
+	// frame lands in send_drops the same.
+	cp, err := New(1, &sheddingTransport{}, Config{Rng: rand.New(rand.NewSource(1))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cp.Close()
+	sh, fs, r, _, _ = fanoutFlow(t, cp)
+	sh.do(func() { cp.stageRound(sh, fs, 1, r) })
+	if c := cp.Counters(); c.Get("send_drops") != 8 || c.Get("packets_out") != 8 {
+		t.Fatalf("counters %v, want 8 packets out, all shed", c)
+	}
+}
+
+// sheddingTransport is a copying transport whose queues are all full.
+type sheddingTransport struct{ countingTransport }
+
+func (t *sheddingTransport) Send(from, to wire.NodeID, data []byte) error {
+	return overlay.ErrSendQueueFull
 }
 
 // holdingOwnedTransport keeps every owned batch — its frames as views and
@@ -336,8 +358,8 @@ func TestEgressForwardsSlotsVerbatim(t *testing.T) {
 	if !bytes.Equal(a, chunk) && !bytes.Equal(b, chunk) {
 		t.Fatal("regenerated slice is not in the round's span")
 	}
-	if got := n.Stats().Regenerated; got != 1 {
-		t.Fatalf("Regenerated = %d, want 1", got)
+	if c := n.Counters(); c.Get("regenerated") != 1 || c.Get("packets_out") != 3 {
+		t.Fatalf("counters %v, want 1 regenerated of 3 packets out", c)
 	}
 }
 

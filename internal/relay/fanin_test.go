@@ -89,7 +89,7 @@ func TestParentDownForwardedOncePerReport(t *testing.T) {
 	sharedChildFlows(n, 1+others, child)
 
 	n.process(n.shards[0], child, wire.AppendParentDown(nil, faninChildFlow(0), 42, []byte("sealed")))
-	if got := n.Stats().ParentDownForwarded; got != 1 {
+	if got := n.Counters().Get("parent_down_forwarded"); got != 1 {
 		t.Fatalf("one report for one flow was forwarded %d times with %d other flows sharing the child", got, others)
 	}
 	fwd := tr.packetsOfType(wire.MsgParentDown)
@@ -126,7 +126,7 @@ func TestSpliceSwapsChildIndexKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.process(sh, 999, wire.AppendSplice(nil, flow, sealed))
-	if n.Stats().SplicesApplied != 1 {
+	if n.Counters().Get("splices_applied") != 1 {
 		t.Fatal("splice not applied")
 	}
 	if _, held := sh.byChild[childKey{uint64(oldChild), uint64(oldFlow)}]; held || len(sh.byChild) != 1 {

@@ -19,17 +19,18 @@ func (n *Node) handleData(sh *shard, fs *flowState, from wire.NodeID, hi int, pk
 		if len(fs.pendingData) < maxPendingData {
 			fs.pendingData = append(fs.pendingData, pendingPacket{from, pkt.Clone()})
 		} else {
-			sh.stats.PendingDropped++
+			sh.ctr[cPendingDropped]++
 		}
 		return
 	}
 	fwd := len(fs.info.Children) > 0
 	if len(pkt.Slots) < 1 || !fwd && !fs.info.Receiver {
-		return // a last-stage bystander has no use for the slice: hold nothing
+		sh.ctr[cUnwantedSlices]++ // a last-stage bystander has no use for the slice: hold nothing
+		return
 	}
 	sl, err := wire.DecodeSlot(pkt.Slots[0], fs.d)
 	if err != nil {
-		sh.stats.BadSlots++
+		sh.ctr[cBadSlots]++
 		return
 	}
 	if hi >= 0 {
@@ -42,15 +43,18 @@ func (n *Node) handleData(sh *shard, fs *flowState, from wire.NodeID, hi int, pk
 		forward, decode = fs.needs(seq, s)
 	}
 	if !forward && !decode {
-		sh.stats.LateSlices++ // below the window, or a round already finished
+		sh.ctr[cLateSlices]++ // below the window, or a round already finished
 		return
 	}
 	if slices.Contains(s.from, from) {
-		return // duplicate
+		sh.ctr[cDuplicateSlices]++
+		return
 	}
 	if s.deadline.IsZero() {
 		s.deadline = fs.lastActive.Add(n.cfg.RoundWait) // lastActive is this packet's arrival
+		sh.ctr[cRoundsOpened]++
 	}
+	sh.ctr[cSlicesFiled]++
 	if s.got == nil {
 		k := len(fs.hops)
 		s.from, s.got, s.raw = make([]wire.NodeID, 0, k), make([]code.Slice, 0, k), make([][]byte, 0, k)
@@ -62,7 +66,7 @@ func (n *Node) handleData(sh *shard, fs *flowState, from wire.NodeID, hi int, pk
 	if forward && len(s.got) >= fs.nParents-fs.deadParents() {
 		n.stageRound(sh, fs, seq, s)
 	}
-	fs.advance()
+	fs.advance(sh.ctr)
 	if w := &fs.win; fwd && w.low != w.high && fs.due[dlRound] == 0 {
 		sh.setDeadline(fs, dlRound, n.stamp(fs.lastActive.Add(n.cfg.RoundWait)))
 	}
@@ -100,7 +104,7 @@ func (n *Node) stageRound(sh *shard, fs *flowState, seq uint32, r *roundSlot) {
 			}
 			sh.eg.regen = fresh
 			out = fresh[0]
-			sh.stats.Regenerated++
+			sh.ctr[cRegenerated]++
 		}
 		n.frameData(sh, pi.Children[e.Child], pi.ChildFlows[e.Child], seq, fs.d, slot, out)
 	}

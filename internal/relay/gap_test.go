@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"infoslicing/internal/code"
+	"infoslicing/internal/metrics"
 	"infoslicing/internal/simnet"
 	"infoslicing/internal/slcrypto"
 	"infoslicing/internal/wire"
@@ -47,8 +48,8 @@ func TestReceiverGapSkipUnblocksStream(t *testing.T) {
 	if got := h.waitMsg(t, 5*time.Second); !bytes.Equal(got, []byte("after")) {
 		t.Fatalf("post-gap message corrupted: %q", got)
 	}
-	if st := h.dest.Stats(); st.RoundsSkipped == 0 {
-		t.Fatalf("stream advanced without accounting a skip: %+v", st)
+	if st := h.dest.Counters(); st.Get("rounds_skipped") == 0 {
+		t.Fatalf("stream advanced without accounting a skip: %v", st)
 	}
 
 	// The flow keeps working normally afterwards.
@@ -58,6 +59,7 @@ func TestReceiverGapSkipUnblocksStream(t *testing.T) {
 	if got := h.waitMsg(t, 5*time.Second); !bytes.Equal(got, []byte("steady")) {
 		t.Fatalf("steady-state message corrupted: %q", got)
 	}
+	h.checkBooks(t)
 }
 
 // The resync filter re-aligns the stream on a message boundary: chunks that
@@ -85,7 +87,7 @@ func TestResyncFilterRealigns(t *testing.T) {
 	tail := bytes.Repeat([]byte{0xFF}, 32)
 
 	n := &Node{received: make(chan Message, 4), clk: simnet.Wall}
-	sh := &shard{flows: map[wire.FlowID]*flowState{}}
+	sh := &shard{flows: map[wire.FlowID]*flowState{}, ctr: make(metrics.Block, nShardCounters)}
 	fs := &flowState{
 		flow:    9,
 		info:    &wire.PerNodeInfo{Receiver: true, Key: key},
@@ -111,6 +113,31 @@ func TestResyncFilterRealigns(t *testing.T) {
 	}
 	if fs.nextSeq != 7 {
 		t.Fatalf("nextSeq = %d, want 7", fs.nextSeq)
+	}
+}
+
+// What the reassembly stream throws away is named: a message that fails
+// authentication (messages_corrupt), one the application is not reading
+// (app_dropped), and framing a resync guessed wrong — a length past
+// maxSealedLen on a tainted stream (stream_resyncs).
+func TestDrainStreamNamesItsDrops(t *testing.T) {
+	key := testKey(3)
+	sealed, err := key.Seal(rand.New(rand.NewSource(1)), []byte("nobody reads this"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := &Node{received: make(chan Message)} // no reader
+	sh := &shard{ctr: make(metrics.Block, nShardCounters)}
+	fs := &flowState{info: &wire.PerNodeInfo{Receiver: true, Key: key}}
+	fs.stream = append([]byte{0, 0, 0, 40}, make([]byte, 40)...) // well framed, not sealed by the key
+	fs.stream = binary.BigEndian.AppendUint32(fs.stream, uint32(len(sealed)))
+	fs.stream = append(fs.stream, sealed...)
+	n.drainStream(sh, fs)
+	fs.stream, fs.tainted = []byte{0xFF, 0xFF, 0xFF, 0xFF, 1}, true
+	n.drainStream(sh, fs)
+	c := sh.ctr.Snapshot(shardVocab)
+	if c.Get("messages_corrupt") != 1 || c.Get("messages_delivered") != 1 || c.Get("app_dropped") != 1 || c.Get("stream_resyncs") != 1 {
+		t.Fatalf("counters %v, want one corrupt, one delivered and dropped, one resync", c)
 	}
 }
 
@@ -303,10 +330,11 @@ func TestReceiverDeliversRoundSequences(t *testing.T) {
 					t.Fatalf("message %d: delivered %x, want %x", i, got[i], want[i])
 				}
 			}
-			if st := rf.n.Stats(); (st.RoundsSkipped > 0) != (tc.lost != nil) || st.StreamResyncs != tc.resyncs {
-				t.Fatalf("RoundsSkipped = %d with lost messages %v; StreamResyncs = %d, want %d",
-					st.RoundsSkipped, tc.lost, st.StreamResyncs, tc.resyncs)
+			if st := rf.n.Counters(); (st.Get("rounds_skipped") > 0) != (tc.lost != nil) || st.Get("stream_resyncs") != tc.resyncs {
+				t.Fatalf("rounds_skipped = %d with lost messages %v; stream_resyncs = %d, want %d",
+					st.Get("rounds_skipped"), tc.lost, st.Get("stream_resyncs"), tc.resyncs)
 			}
+			checkBooks(t, rf.n)
 		})
 	}
 }

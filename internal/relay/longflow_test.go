@@ -152,10 +152,10 @@ func TestLongFlowFlatCostBoundedHeap(t *testing.T) {
 	}
 
 	fwd, rcv, by := members[0], members[1], members[2]
-	if got := fwd.n.Stats().PacketsOut; got != 2*rounds {
+	if got := fwd.n.Counters().Get("packets_out"); got != 2*rounds {
 		t.Errorf("forwarder sent %d packets, want %d", got, 2*rounds)
 	}
-	if got := rcv.n.Stats().MessagesDelivered; got != rounds {
+	if got := rcv.n.Counters().Get("messages_delivered"); got != rounds {
 		t.Errorf("receiver delivered %d messages, want %d", got, rounds)
 	}
 	if by.fs.win.slots != nil {
@@ -183,4 +183,5 @@ func TestLongFlowFlatCostBoundedHeap(t *testing.T) {
 			t.Errorf("node %d: %d egress slabs outstanding after Close", m.n.id, got)
 		}
 	}
+	checkBooks(t, fwd.n, rcv.n, by.n)
 }

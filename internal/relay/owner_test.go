@@ -88,8 +88,8 @@ func TestMailboxSerializesWithBursts(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				sh.do(func() {
 					calls++
-					if in := sh.stats.DataPacketsIn; in < last {
-						t.Errorf("DataPacketsIn went from %d to %d", last, in)
+					if in := sh.ctr[cDataIn]; in < last {
+						t.Errorf("data_in went from %d to %d", last, in)
 					} else {
 						last = in
 					}
@@ -100,7 +100,7 @@ func TestMailboxSerializesWithBursts(t *testing.T) {
 			}
 		}()
 	}
-	simnet.Eventually(5*time.Second, time.Millisecond, func() bool { return n.Stats().DataPacketsIn > 0 })
+	simnet.Eventually(5*time.Second, time.Millisecond, func() bool { return n.Counters().Get("data_in") > 0 })
 	close(stop)
 	wg.Wait()
 	n.Close()
@@ -112,11 +112,12 @@ func TestMailboxSerializesWithBursts(t *testing.T) {
 
 // TestDropCountersNameTheDiscard feeds a node one packet of each kind it
 // throws away on arrival and holds it to naming the reason: exactly that
-// counter moves, by one.
+// counter moves, by one, and the books still balance.
 func TestDropCountersNameTheDiscard(t *testing.T) {
 	const (
 		flow   = wire.FlowID(0xd0)
 		parent = wire.NodeID(11)
+		child  = wire.NodeID(21)
 	)
 	rng := rand.New(rand.NewSource(3))
 	enc, err := code.NewEncoder(2, 2, rng)
@@ -128,11 +129,15 @@ func TestDropCountersNameTheDiscard(t *testing.T) {
 		t.Fatal(err)
 	}
 	established := &wire.PerNodeInfo{
-		Children: []wire.NodeID{21}, ChildFlows: []wire.FlowID{0xc1}, Key: testKey(1),
-		DataMap: []wire.DataForward{{Parent: parent, Child: 0}},
+		Children: []wire.NodeID{child}, ChildFlows: []wire.FlowID{0xc1}, Key: testKey(1),
+		DataMap: []wire.DataForward{{Parent: parent, Child: 0}, {Parent: 12, Child: 0}},
 	}
+	establish := func(n *Node, _ *shard) { injectFlow(n, flow, established) }
 	setupFrame := wire.AppendPacketHeader(nil, wire.MsgSetup, flow, 0, 2, 8, 1)
 	setupFrame = append(setupFrame, make([]byte, 8)...) // one slot of padding: retained, never decodable
+	typed := func(typ wire.MsgType, f wire.FlowID) []byte {
+		return wire.AppendPacketHeader(nil, typ, f, 0, 0, 0, 0)
+	}
 
 	cases := []struct {
 		name    string
@@ -141,29 +146,40 @@ func TestDropCountersNameTheDiscard(t *testing.T) {
 		from    wire.NodeID
 		packet  []byte
 	}{
-		{name: "shorter than a header", counter: "Garbage", from: parent, packet: []byte("runt")},
-		{name: "header claims more slots than came", counter: "Garbage", from: parent,
+		{name: "shorter than a header", counter: "runts", from: parent, packet: []byte("runt")},
+		{name: "header claims more slots than came", counter: "garbage", from: parent,
 			packet: wire.AppendPacketHeader(nil, wire.MsgData, flow, 0, 2, 100, 3)},
-		{name: "slice fails its checksum", counter: "BadSlots", from: parent,
-			prepare: func(n *Node, _ *shard) { injectFlow(n, flow, established) },
+		{name: "unknown type for a resident flow", counter: "garbage", from: parent,
+			prepare: establish, packet: typed(99, flow)},
+		{name: "slice fails its checksum", counter: "bad_slots", from: parent, prepare: establish,
 			packet: func() []byte {
 				b := dataFrame(flow, 0, 2, slices[0])
 				b[len(b)-1] ^= 1
 				return b
 			}()},
-		{name: "data past the pending bound", counter: "PendingDropped", from: parent,
+		{name: "a parent's second slice for a round", counter: "duplicate_slices", from: parent,
 			prepare: func(n *Node, sh *shard) {
-				n.process(sh, parent, junkDataFrame(flow))
-				sh.do(func() { sh.flows[flow].pendingData = make([]pendingPacket, maxPendingData) })
+				establish(n, sh)
+				n.process(sh, parent, dataFrame(flow, 0, 2, slices[0]))
+			},
+			packet: dataFrame(flow, 0, 2, slices[0])},
+		{name: "slice for a node that neither forwards nor decodes", counter: "unwanted_slices", from: parent,
+			prepare: func(n *Node, _ *shard) { injectFlow(n, flow, &wire.PerNodeInfo{Key: testKey(1)}) },
+			packet:  dataFrame(flow, 0, 2, slices[0])},
+		{name: "data past the pending bound", counter: "pending_dropped", from: parent,
+			prepare: func(n *Node, sh *shard) {
+				for range maxPendingData {
+					n.process(sh, parent, junkDataFrame(flow))
+				}
 			},
 			packet: junkDataFrame(flow)},
-		{name: "duplicate set-up packet", counter: "SetupIgnored", from: parent,
+		{name: "duplicate set-up packet", counter: "setup_ignored", from: parent,
 			prepare: func(n *Node, sh *shard) { n.process(sh, parent, setupFrame) },
 			packet:  setupFrame},
-		{name: "set-up after the wave left", counter: "SetupIgnored", from: parent,
-			prepare: func(n *Node, _ *shard) { injectFlow(n, flow, established) }, // installs with setupSent
+		{name: "set-up after the wave left", counter: "setup_ignored", from: parent,
+			prepare: establish, // installs with setupSent
 			packet:  setupFrame},
-		{name: "set-up from a sender past the hop cap", counter: "SetupIgnored", from: 5000,
+		{name: "set-up from a sender past the hop cap", counter: "setup_ignored", from: 5000,
 			prepare: func(n *Node, sh *shard) {
 				n.process(sh, parent, junkDataFrame(flow))
 				sh.do(func() {
@@ -174,8 +190,19 @@ func TestDropCountersNameTheDiscard(t *testing.T) {
 				})
 			},
 			packet: setupFrame},
+		{name: "ack from a child for no flow of its", counter: "unmatched", from: child,
+			prepare: establish, packet: typed(wire.MsgAck, 0xc2)},
+		{name: "splice that does not open", counter: "splices_refused", from: parent,
+			prepare: establish, packet: wire.AppendSplice(nil, flow, make([]byte, 64))},
+		{name: "heartbeat for an unknown flow", counter: "filter_misses", from: parent,
+			packet: wire.AppendHeartbeat(nil, flow)},
+		{name: "ack from a sender no flow lists as a child", counter: "filter_misses", from: 77,
+			prepare: establish, packet: typed(wire.MsgAck, 0xc1)},
+		{name: "heartbeat past a filter false positive", counter: "unmatched", from: parent,
+			prepare: func(n *Node, sh *shard) { sh.do(func() { sh.filter.insert(uint64(flow), sh.rng) }) },
+			packet:  wire.AppendHeartbeat(nil, flow)},
 	}
-	arrivals := map[string]bool{"SetupPacketsIn": true, "DataPacketsIn": true}
+	arrivals := map[string]bool{"setup_in": true, "data_in": true}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			n, err := New(1, &countingTransport{}, Config{Shards: 1, Rng: rand.New(rand.NewSource(1))})
@@ -187,16 +214,13 @@ func TestDropCountersNameTheDiscard(t *testing.T) {
 			if tc.prepare != nil {
 				tc.prepare(n, sh)
 			}
-			before := n.Stats()
+			before := n.Counters()
 			n.onPacket(tc.from, tc.packet)
 			// Once the worker has taken it off the queue, a mailbox call
 			// returns only after its burst.
 			simnet.Eventually(5*time.Second, time.Millisecond, func() bool { return len(sh.in) == 0 })
 			sh.do(func() {})
-			after := n.Stats()
-			bv, av := reflect.ValueOf(before), reflect.ValueOf(after)
-			for i := range bv.NumField() {
-				name, moved := bv.Type().Field(i).Name, av.Field(i).Int()-bv.Field(i).Int()
+			n.Counters().Sub(before).Each(func(name string, moved int64) {
 				want := int64(0)
 				if name == tc.counter {
 					want = 1
@@ -204,7 +228,8 @@ func TestDropCountersNameTheDiscard(t *testing.T) {
 				if moved != want && !arrivals[name] {
 					t.Errorf("%s moved by %d, want %d", name, moved, want)
 				}
-			}
+			})
+			checkBooks(t, n)
 		})
 	}
 }

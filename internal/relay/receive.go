@@ -38,6 +38,7 @@ func (n *Node) tryDeliver(sh *shard, fs *flowState, seq uint32, s *roundSlot) {
 		s.chunk = chunk
 		fs.win.buffered++
 	}
+	s.decoded = true
 	if forward, _ := fs.needs(seq, s); !forward {
 		s.release() // decoded and nothing to forward: the views are dead weight
 	}
@@ -105,19 +106,19 @@ func (n *Node) skipGap(sh *shard, fs *flowState) {
 	n.skipStream(sh, fs, next)
 	n.spliceChunks(sh, fs)
 	n.watchGap(sh, fs)
-	fs.advance()
+	fs.advance(sh.ctr)
 }
 
 // skipStream moves the reassembly stream forward to round next,
 // writing off the rounds in between and dropping the partial message they
 // clipped.
 func (n *Node) skipStream(sh *shard, fs *flowState, next uint32) {
-	sh.stats.RoundsSkipped += int64(next - fs.nextSeq)
+	sh.ctr[cRoundsSkipped] += int64(next - fs.nextSeq)
 	if len(fs.stream) > 0 || !fs.resync {
 		fs.stream = fs.stream[:0]
 		fs.resync = true
 		fs.tainted = true
-		sh.stats.StreamResyncs++
+		sh.ctr[cStreamResyncs]++
 	}
 	fs.nextSeq = next
 }
@@ -135,7 +136,7 @@ func (n *Node) drainStream(sh *shard, fs *flowState) {
 			// second-guessed: legitimate messages may exceed the cap.
 			fs.stream = fs.stream[:0]
 			fs.resync = true
-			sh.stats.StreamResyncs++
+			sh.ctr[cStreamResyncs]++
 			return
 		}
 		if len(fs.stream) < 4+total {
@@ -150,14 +151,15 @@ func (n *Node) drainStream(sh *shard, fs *flowState) {
 		// is reused by the next chunks.
 		fs.stream = fs.stream[:copy(fs.stream, fs.stream[4+total:])]
 		if err != nil {
-			continue // corrupted message; skip
+			sh.ctr[cMessagesCorrupt]++
+			continue
 		}
 		fs.tainted = false // authenticated: framing provably re-aligned
-		sh.stats.MessagesDelivered++
+		sh.ctr[cMessagesDelivered]++
 		select {
 		case n.received <- Message{Flow: fs.flow, Data: plain}:
 		default:
-			sh.stats.Dropped++
+			sh.ctr[cAppDropped]++
 		}
 	}
 }

@@ -47,9 +47,9 @@ package relay
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/bits"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -91,8 +91,8 @@ type Config struct {
 	// is allowed to see — may hold at once. Zero (the default) disables
 	// per-tenant metering and leaves only the global MaxFlows bound, the
 	// pre-multi-tenant behavior. With a quota set, one peer at its cap
-	// cannot starve admission for everyone else (Stats.FlowsRejected
-	// counts its rejected creations).
+	// cannot starve admission for everyone else (flows_rejected counts its
+	// rejected creations).
 	TenantQuota int
 	// Shards is the number of flow-table stripes, each with its own worker
 	// pipeline; it is rounded up to a power of two. Defaults to GOMAXPROCS
@@ -101,7 +101,7 @@ type Config struct {
 	Shards int
 	// QueueDepth bounds each shard's inbound packet queue; packets arriving
 	// at a full queue are dropped (datagram semantics) and counted in
-	// Stats.QueueDrops. Default 1024.
+	// queue_drops. Default 1024.
 	QueueDepth int
 	// Burst bounds how many queued packets a shard worker drains per wakeup.
 	// Headers for the whole burst are parsed before any flow state is
@@ -191,54 +191,80 @@ type Message struct {
 	Data []byte
 }
 
-// Stats counts node activity. Counters are maintained per shard (see
-// ShardStats) and summed by Stats, so the hot path never writes a shared
-// cache line.
+// A shard's worker counts what it does in the shard's plain block
+// (shardVocab) with ++, read through its mailbox; the transport goroutines
+// in front of the shards count their drops in the node's striped block
+// (nodeVocab). Counters reads both as one Snapshot.
+const (
+	cSetupIn           = iota // set-up packets dispatched
+	cDataIn                   // data packets dispatched: the slices in
+	cSlicesFiled              // slices filed into a round
+	cLateSlices               // for a round below the window or already finished
+	cDuplicateSlices          // a parent's second slice for one round
+	cUnwantedSlices           // no slot, or the node neither forwards nor decodes
+	cBadSlots                 // the slice failed its checksum
+	cPendingDropped           // data ahead of set-up, past the per-flow bound
+	cPendingEvicted           // data ahead of set-up, evicted with its flow
+	cPendingSwept             // data ahead of set-up, swept by Close
+	cRoundsOpened             // rounds whose first slice was filed
+	cRoundsDone               // opened rounds that were forwarded or decoded
+	cRoundsExpired            // opened rounds written off unfinished
+	cRoundsEvicted            // opened rounds evicted with their flow
+	cRoundsSwept              // opened rounds swept by Close
+	cRoundsSkipped            // receiver rounds written off after GapWait
+	cStreamResyncs            // reassembly re-alignments after a skip
+	cMessagesDelivered        // messages opened at the destination
+	cMessagesCorrupt          // sealed messages that failed authentication
+	cAppDropped               // undeliverable app messages (channel full)
+	cRegenerated              // slices recreated via network coding
+	cPacketsOut               // packets handed to the transport
+	cSendDrops                // packets shed at a full transport peer queue
+	cGarbage                  // a header that does not parse, or an unknown type
+	cSetupIgnored             // duplicate, past the hop cap, or after the wave left
+	cUnmatched                // acks, reports and control packets for no flow
+	cQueueAbandoned           // packets still queued when Close began
+	cFlowsEstablished         // routing blocks decoded
+	cFlowsEvicted             // flows reaped by TTL eviction
+	cFlowsRejected            // flow creations refused by MaxFlows or TenantQuota
+	cHeartbeatsIn
+	cHeartbeatsOut
+	cParentDownSent      // reports this node originated
+	cParentDownForwarded // reports re-stamped toward the source
+	cSplicesApplied      // info blocks swapped by an authenticated splice
+	cSplicesRefused      // splices that did not open, parse or supersede
+	nShardCounters
+)
+
+var shardVocab = metrics.NewVocab([]string{
+	cSetupIn: "setup_in", cDataIn: "data_in", cSlicesFiled: "slices_filed",
+	cLateSlices: "late_slices", cDuplicateSlices: "duplicate_slices",
+	cUnwantedSlices: "unwanted_slices", cBadSlots: "bad_slots",
+	cPendingDropped: "pending_dropped", cPendingEvicted: "pending_evicted",
+	cPendingSwept: "pending_swept", cRoundsOpened: "rounds_opened",
+	cRoundsDone: "rounds_done", cRoundsExpired: "rounds_expired",
+	cRoundsEvicted: "rounds_evicted", cRoundsSwept: "rounds_swept",
+	cRoundsSkipped: "rounds_skipped", cStreamResyncs: "stream_resyncs",
+	cMessagesDelivered: "messages_delivered", cMessagesCorrupt: "messages_corrupt",
+	cAppDropped: "app_dropped", cRegenerated: "regenerated",
+	cPacketsOut: "packets_out", cSendDrops: "send_drops", cGarbage: "garbage",
+	cSetupIgnored: "setup_ignored", cUnmatched: "unmatched",
+	cQueueAbandoned: "queue_abandoned", cFlowsEstablished: "flows_established",
+	cFlowsEvicted: "flows_evicted", cFlowsRejected: "flows_rejected",
+	cHeartbeatsIn: "heartbeats_in", cHeartbeatsOut: "heartbeats_out",
+	cParentDownSent: "parent_down_sent", cParentDownForwarded: "parent_down_forwarded",
+	cSplicesApplied: "splices_applied", cSplicesRefused: "splices_refused",
+}...)
+
+// Packets dropped at a full shard queue, rejected by a shard's filter or
+// the child directory, or too short to classify.
+const cQueueDrops, cFilterMisses, cRunts = 0, 1, 2
+
+var nodeVocab = metrics.NewVocab("queue_drops", "filter_misses", "runts")
+
+// Stats is the view of a node's counters that the benchmark ledger reads.
 type Stats struct {
-	SetupPacketsIn    int64
-	DataPacketsIn     int64
-	PacketsOut        int64
-	Regenerated       int64 // slices recreated via network coding
-	FlowsEstablished  int64
-	MessagesDelivered int64
-	RoundsSkipped     int64 // receiver rounds written off after GapWait
-	RoundsExpired     int64 // unfinished rounds written off by window overflow
-	LateSlices        int64 // slices for a round below the window or already finished
-	StreamResyncs     int64 // reassembly re-alignments after a skip
-	Dropped           int64 // undeliverable app messages (channel full)
-	QueueDrops        int64 // packets dropped at a full shard queue
-	SendDrops         int64 // packets shed at a full transport peer queue
-
-	// Packets thrown away on arrival, by reason.
-	Garbage        int64 // shorter than a header, or a header that does not parse
-	BadSlots       int64 // data packets whose slice failed its checksum
-	PendingDropped int64 // data ahead of set-up, past the per-flow buffer bound
-	SetupIgnored   int64 // set-up packets that were duplicates, past the hop cap, or after the wave left
-
-	// Flow-table admission and eviction (multi-tenant daemon counters).
-	FlowsEvicted  int64 // flows reaped by TTL eviction
-	FlowsRejected int64 // flow creations refused by MaxFlows or TenantQuota
-	// FilterMisses counts packets the front filter (or, for acks and
-	// reports, the child directory) rejected on a transport goroutine
-	// before any shard queue: unknown flows, garbage, post-eviction
-	// stragglers.
-	FilterMisses int64
-
-	// Control plane (zero unless Config.Heartbeat is set).
-	HeartbeatsIn        int64
-	HeartbeatsOut       int64
-	ParentDownSent      int64 // reports this node originated
-	ParentDownForwarded int64 // reports re-stamped toward the source
-	SplicesApplied      int64 // info blocks swapped by an authenticated splice
-}
-
-// add folds o into s: every field is an int64 counter, so a counter added
-// to Stats is in the fold by construction.
-func (s *Stats) add(o Stats) {
-	sv, ov := reflect.ValueOf(s).Elem(), reflect.ValueOf(o)
-	for i := range sv.NumField() {
-		sv.Field(i).SetInt(sv.Field(i).Int() + ov.Field(i).Int())
-	}
+	DataPacketsIn, PacketsOut, Regenerated, RoundsSkipped, Dropped   int64
+	QueueDrops, SendDrops, FlowsEvicted, FlowsRejected, FilterMisses int64
 }
 
 // Node is one overlay relay daemon.
@@ -262,13 +288,9 @@ type Node struct {
 	tenants  map[wire.NodeID]int64
 
 	// children routes acks and ParentDown reports, by sender, to just the
-	// shards holding a flow that lists it as a child; dirMisses counts the
-	// ones that matched nothing and runts the datagrams too short to
-	// classify, both dropped on the transport goroutine (folded into
-	// Stats.FilterMisses and Stats.Garbage).
-	children  childDir
-	dirMisses atomic.Int64
-	runts     atomic.Int64
+	// shards holding a flow that lists it as a child.
+	children childDir
+	ctr      *metrics.ShardedCounter // nodeVocab
 
 	received  chan Message
 	done      chan struct{}
@@ -292,14 +314,12 @@ type Node struct {
 // Each shard struct is allocated separately so neighboring shards' hot
 // fields never share a cache line.
 type shard struct {
-	idx        int
-	in         chan inPkt
-	queueDrops atomic.Int64 // written by transport goroutines, not the worker
+	idx int
+	in  chan inPkt
 	// filter fronts the flow map: transport goroutines consult it lock-free
 	// and drop flow-addressed traffic that cannot match (cuckoo.go); only
 	// the worker mutates it, with the map itself.
-	filter       *cuckooFilter
-	filterMisses atomic.Int64 // lookups the filter rejected on a transport goroutine
+	filter *cuckooFilter
 
 	// The mailbox (post, do): one closure handed to the worker, and the
 	// worker's word that it ran. done and closed are the node's: Close has
@@ -316,7 +336,7 @@ type shard struct {
 	// sweep is O(evicted) (table.go).
 	lruHead *flowState
 	lruTail *flowState
-	stats   Stats
+	ctr     metrics.Block // shardVocab
 	rng     *rand.Rand
 
 	// pktBuf is the control-plane framing buffer, reused for every flow on
@@ -445,6 +465,7 @@ func New(id wire.NodeID, tr overlay.Transport, cfg Config) (*Node, error) {
 		received:  make(chan Message, 256),
 		done:      make(chan struct{}),
 		closeDone: make(chan struct{}),
+		ctr:       metrics.NewShardedCounter(4*runtime.GOMAXPROCS(0), nodeVocab),
 	}
 	n.children.entries = make(map[wire.NodeID]*childEntry)
 	if cfg.TenantQuota > 0 {
@@ -463,6 +484,7 @@ func New(id wire.NodeID, tr overlay.Transport, cfg Config) (*Node, error) {
 			done:    n.done,
 			closed:  n.closeDone,
 			flows:   make(map[wire.FlowID]*flowState),
+			ctr:     make(metrics.Block, nShardCounters),
 			filter:  newCuckooFilter(perShard),
 			rng:     rand.New(rand.NewSource(cfg.Rng.Int63())),
 			eg:      egState{rng: rand.New(rand.NewSource(cfg.Rng.Int63()))},
@@ -502,29 +524,57 @@ func (n *Node) shardFor(f wire.FlowID) *shard {
 	return n.shards[metrics.Mix64(uint64(f))&n.mask]
 }
 
-// Stats returns a snapshot of activity counters summed across shards.
-func (n *Node) Stats() Stats {
-	var tot Stats
-	for _, s := range n.ShardStats() {
-		tot.add(s)
+// Counters reads the node's counters: every shard's block, read on its
+// worker and summed, joined with the node's own block.
+func (n *Node) Counters() metrics.Snapshot {
+	sum := make(metrics.Block, nShardCounters)
+	for _, sh := range n.shards {
+		sh.do(func() {
+			for i, v := range sh.ctr {
+				sum[i] += v
+			}
+		})
 	}
-	return tot
+	return sum.Snapshot(shardVocab).Add(n.ctr.Snapshot())
 }
 
-// ShardStats returns one counter snapshot per shard; Stats is their sum.
-func (n *Node) ShardStats() []Stats {
-	out := make([]Stats, len(n.shards))
-	for i, sh := range n.shards {
-		sh.do(func() { out[i] = sh.stats })
-		out[i].QueueDrops = sh.queueDrops.Load()
-		out[i].FilterMisses = sh.filterMisses.Load()
+// Stats returns the benchmark's view of Counters.
+func (n *Node) Stats() Stats {
+	c := n.Counters()
+	return Stats{
+		DataPacketsIn: c.Get("data_in"), PacketsOut: c.Get("packets_out"),
+		Regenerated: c.Get("regenerated"), RoundsSkipped: c.Get("rounds_skipped"),
+		Dropped: c.Get("app_dropped"), QueueDrops: c.Get("queue_drops"),
+		SendDrops: c.Get("send_drops"), FlowsEvicted: c.Get("flows_evicted"),
+		FlowsRejected: c.Get("flows_rejected"), FilterMisses: c.Get("filter_misses"),
 	}
-	// Directory misses (acks and reports from a sender no shard lists) and
-	// runts are node-level; fold them into the first shard's snapshot so
-	// Stats sums them exactly once.
-	out[0].FilterMisses += n.dirMisses.Load()
-	out[0].Garbage += n.runts.Load()
-	return out
+}
+
+// Books checks each shard's conservation laws in one mailbox call, so the
+// counters and the state they account for are read together; it returns an
+// error naming any residue:
+//
+//	slices in     = filed + late + duplicate + unwanted + bad
+//	                + pending dropped, evicted and swept + still held pending set-up
+//	rounds opened = done (forwarded or decoded) + expired + evicted + swept + still open
+func (n *Node) Books() error {
+	var err error
+	for _, sh := range n.shards {
+		sh.do(func() {
+			c := sh.ctr
+			slices := c[cDataIn] - c[cSlicesFiled] - c[cLateSlices] - c[cDuplicateSlices] -
+				c[cUnwantedSlices] - c[cBadSlots] - c[cPendingDropped] - c[cPendingEvicted] - c[cPendingSwept]
+			rounds := c[cRoundsOpened] - c[cRoundsDone] - c[cRoundsExpired] - c[cRoundsEvicted] - c[cRoundsSwept]
+			for _, fs := range sh.flows {
+				slices -= int64(len(fs.pendingData))
+				rounds -= fs.win.open()
+			}
+			if (slices != 0 || rounds != 0) && err == nil {
+				err = fmt.Errorf("relay %d shard %d: books off by %d slices and %d rounds", n.id, sh.idx, slices, rounds)
+			}
+		})
+	}
+	return err
 }
 
 // Established reports whether the node has decoded its routing info for the
@@ -536,21 +586,6 @@ func (n *Node) Established(f wire.FlowID) (ok bool) {
 		ok = fs != nil && fs.info != nil
 	})
 	return ok
-}
-
-// EstablishedCount returns how many flows this node has decoded info for.
-func (n *Node) EstablishedCount() int {
-	c := 0
-	for _, sh := range n.shards {
-		sh.do(func() {
-			for _, fs := range sh.flows {
-				if fs.info != nil {
-					c++
-				}
-			}
-		})
-	}
-	return c
 }
 
 // FlowTableSize reports current flow-table occupancy across shards.
@@ -581,6 +616,7 @@ func (n *Node) Close() {
 			// so a virtual clock is not wedged by packets nobody processes.
 			for len(sh.in) > 0 {
 				(<-sh.in).release()
+				sh.ctr[cQueueAbandoned]++
 			}
 			for _, fs := range sh.flows {
 				n.removeFlow(sh, fs, false)
@@ -652,10 +688,10 @@ func (n *Node) gcSweep() {
 // that can never create state (heartbeats, splices, garbage types) consult
 // the owning shard's cuckoo filter and are dropped without enqueueing when
 // the flow cannot be resident. Setup and data packets always pass — they
-// legitimately create flows. Either drop is counted in Stats.FilterMisses.
+// legitimately create flows. Either drop is counted in filter_misses.
 func (n *Node) onPacket(from wire.NodeID, data []byte) {
 	if len(data) < wire.HeaderLen {
-		n.runts.Add(1)
+		n.ctr.Add(uint64(from), cRunts, 1)
 		return
 	}
 	select {
@@ -669,29 +705,29 @@ func (n *Node) onPacket(from wire.NodeID, data []byte) {
 		// shard only parses it and copies what it forwards.
 		mask := n.childMask(from)
 		if mask == 0 {
-			n.dirMisses.Add(1)
+			n.ctr.Add(uint64(from), cFilterMisses, 1)
 		}
 		for ; mask != 0; mask &= mask - 1 {
-			n.shards[bits.TrailingZeros64(mask)].enqueue(from, data, n.clk.Hold())
+			n.enqueue(n.shards[bits.TrailingZeros64(mask)], from, data, n.clk.Hold())
 		}
 		return
 	}
 	f := wire.FlowID(binary.BigEndian.Uint64(data[1:]))
 	sh := n.shardFor(f)
 	if t != wire.MsgSetup && t != wire.MsgData && !sh.filter.mayContain(uint64(f)) {
-		sh.filterMisses.Add(1)
+		n.ctr.Add(uint64(from), cFilterMisses, 1)
 		return
 	}
-	sh.enqueue(from, data, n.clk.Hold())
+	n.enqueue(sh, from, data, n.clk.Hold())
 }
 
 // enqueue hands a packet (and its clock hold) to the shard queue; a full
 // queue drops the packet and releases the hold immediately.
-func (sh *shard) enqueue(from wire.NodeID, data []byte, release func()) {
+func (n *Node) enqueue(sh *shard, from wire.NodeID, data []byte, release func()) {
 	select {
 	case sh.in <- inPkt{from: from, data: data, release: release}:
 	default:
-		sh.queueDrops.Add(1)
+		n.ctr.Add(uint64(from), cQueueDrops, 1)
 		release()
 	}
 }
@@ -758,13 +794,14 @@ func (n *Node) endBurst(sh *shard) {
 func (n *Node) processBurst(sh *shard, burst []inPkt, parsed []wire.Packet) {
 	select {
 	case <-n.done:
-		return // queued when Close began: dropped, Close releases the holds
+		sh.ctr[cQueueAbandoned] += int64(len(burst)) // Close releases the holds
+		return
 	default:
 	}
 	for i := range burst {
-		if wire.ParsePacket(burst[i].data, &parsed[i]) != nil {
+		if wire.ParsePacket(burst[i].data, &parsed[i]) != nil || parsed[i].Type == 0 {
 			parsed[i].Type = 0
-			sh.stats.Garbage++
+			sh.ctr[cGarbage]++
 		}
 	}
 	for i := range burst {
@@ -781,6 +818,8 @@ func (n *Node) dispatch(sh *shard, from wire.NodeID, pkt *wire.Packet) {
 		// Matched on (sender, the sender's flow-id); never create flow state.
 		if fs := sh.byChild[childKey{uint64(from), uint64(pkt.Flow)}]; fs != nil {
 			n.handleUpstream(sh, fs, pkt)
+		} else {
+			sh.ctr[cUnmatched]++
 		}
 		return
 	}
@@ -790,6 +829,7 @@ func (n *Node) dispatch(sh *shard, from wire.NodeID, pkt *wire.Packet) {
 		// control traffic for an unknown flow is dropped, so an attacker
 		// cannot fill the flow table with heartbeats or splice probes.
 		if pkt.Type != wire.MsgSetup && pkt.Type != wire.MsgData {
+			sh.ctr[cUnmatched]++
 			return
 		}
 		if fs = n.createFlow(sh, pkt.Flow, from); fs == nil {
@@ -807,15 +847,21 @@ func (n *Node) dispatch(sh *shard, from wire.NodeID, pkt *wire.Packet) {
 	}
 	switch pkt.Type {
 	case wire.MsgSetup:
-		sh.stats.SetupPacketsIn++
+		sh.ctr[cSetupIn]++
 		n.handleSetup(sh, fs, hi, pkt)
 	case wire.MsgData:
-		sh.stats.DataPacketsIn++
+		sh.ctr[cDataIn]++
 		n.handleData(sh, fs, from, hi, pkt)
 	case wire.MsgHeartbeat:
-		sh.stats.HeartbeatsIn++
+		sh.ctr[cHeartbeatsIn]++
 	case wire.MsgSplice:
-		n.handleSplice(sh, fs, pkt)
+		if n.handleSplice(sh, fs, pkt) {
+			sh.ctr[cSplicesApplied]++
+		} else {
+			sh.ctr[cSplicesRefused]++
+		}
+	default:
+		sh.ctr[cGarbage]++
 	}
 }
 
@@ -828,8 +874,8 @@ func (n *Node) stamp(t time.Time) int64 { return int64(t.Sub(n.epoch)) }
 // advisory ErrSendQueueFull, which is counted here — a shard worker or the
 // control sweep must never stall on a slow peer's TCP backpressure.
 func (n *Node) send(sh *shard, to wire.NodeID, buf []byte) {
-	sh.stats.PacketsOut++
+	sh.ctr[cPacketsOut]++
 	if err := n.tr.Send(n.id, to, buf); err != nil && errors.Is(err, overlay.ErrSendQueueFull) {
-		sh.stats.SendDrops++
+		sh.ctr[cSendDrops]++
 	}
 }

@@ -74,6 +74,7 @@ func TestCorruptDataSlotIgnored(t *testing.T) {
 	if got := h.waitMsg(t, 5*time.Second); !bytes.Equal(got, []byte("after junk")) {
 		t.Fatal("mismatch")
 	}
+	h.checkBooks(t)
 }
 
 // A data round that already forwarded ignores late duplicates without
@@ -91,9 +92,10 @@ func TestNoDuplicateDeliveries(t *testing.T) {
 		t.Fatalf("duplicate delivery: %q", m.Data)
 	case <-time.After(150 * time.Millisecond):
 	}
-	if got := h.dest.Stats().MessagesDelivered; got != 1 {
+	if got := h.dest.Counters().Get("messages_delivered"); got != 1 {
 		t.Fatalf("delivered %d messages, want 1", got)
 	}
+	h.checkBooks(t)
 }
 
 // Dead parents stop stalling rounds: after one timed-out round, later
@@ -126,6 +128,7 @@ func TestDeadParentFastPath(t *testing.T) {
 	if el := time.Since(start); el > 400*time.Millisecond {
 		t.Fatalf("dead-parent fast path not taken: %v", el)
 	}
+	h.checkBooks(t)
 }
 
 // Setup packets with a slot length that disagrees with the flow's geometry

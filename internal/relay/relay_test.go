@@ -74,6 +74,14 @@ func (h *harness) close() {
 	h.net.Close()
 }
 
+// checkBooks holds every relay of the graph to its books.
+func (h *harness) checkBooks(t *testing.T) {
+	t.Helper()
+	for _, n := range h.nodes {
+		checkBooks(t, n)
+	}
+}
+
 func (h *harness) establish(t *testing.T) {
 	t.Helper()
 	if err := h.sender.Establish(); err != nil {
@@ -117,6 +125,7 @@ func TestEndToEndDelivery(t *testing.T) {
 		if !bytes.Equal(got, msg) {
 			t.Fatalf("%+v: got %q", cfg, got)
 		}
+		h.checkBooks(t)
 		h.close()
 	}
 }
@@ -142,6 +151,7 @@ func TestMultiRoundLargeMessage(t *testing.T) {
 	if !bytes.Equal(got, msg) {
 		t.Fatal("large message corrupted")
 	}
+	h.checkBooks(t)
 }
 
 func TestMultipleMessagesInOrder(t *testing.T) {
@@ -158,6 +168,7 @@ func TestMultipleMessagesInOrder(t *testing.T) {
 			t.Fatalf("message %d corrupted: %v", i, got)
 		}
 	}
+	h.checkBooks(t)
 }
 
 // Only the destination can read the data: every other relay's key fails to
@@ -174,10 +185,11 @@ func TestOnlyDestinationDelivers(t *testing.T) {
 		if id == h.graph.Dest {
 			continue
 		}
-		if n.Stats().MessagesDelivered != 0 {
+		if n.Counters().Get("messages_delivered") != 0 {
 			t.Fatalf("relay %d delivered a message", id)
 		}
 	}
+	h.checkBooks(t)
 }
 
 // With d' > d, killing d'-d relays in one stage before setup must not stop
@@ -214,6 +226,7 @@ func TestSetupSurvivesStageFailures(t *testing.T) {
 	if !bytes.Equal(got, []byte("survives churn")) {
 		t.Fatal("corrupted under failure")
 	}
+	h.checkBooks(t)
 }
 
 // Mid-transfer failures in *different* stages: network-coding regeneration
@@ -243,11 +256,12 @@ func TestDataSurvivesMidTransferFailuresWithRecoding(t *testing.T) {
 	// Regeneration must actually have happened somewhere.
 	var regen int64
 	for _, n := range h.nodes {
-		regen += n.Stats().Regenerated
+		regen += n.Counters().Get("regenerated")
 	}
 	if regen == 0 {
 		t.Fatal("no slices were regenerated")
 	}
+	h.checkBooks(t)
 }
 
 // Destination placed mid-graph still forwards: find a seed placing the dest
@@ -268,9 +282,10 @@ func TestDestinationMidGraphForwards(t *testing.T) {
 		if !bytes.Equal(got, []byte("mid graph")) {
 			t.Fatal("mid-graph delivery failed")
 		}
-		if h.dest.Stats().PacketsOut == 0 {
+		if h.dest.Counters().Get("packets_out") == 0 {
 			t.Fatal("destination did not forward cover traffic")
 		}
+		h.checkBooks(t)
 		h.close()
 		return
 	}
@@ -295,6 +310,7 @@ func TestGarbageTrafficIgnored(t *testing.T) {
 	if !bytes.Equal(got, []byte("still works")) {
 		t.Fatal("garbage disrupted the flow")
 	}
+	h.checkBooks(t)
 }
 
 func TestFlowGarbageCollection(t *testing.T) {
@@ -323,6 +339,7 @@ func TestFlowGarbageCollection(t *testing.T) {
 	if !ok {
 		t.Fatal("stale flow not collected")
 	}
+	checkBooks(t, n)
 }
 
 func TestMaxFlowsBound(t *testing.T) {
@@ -347,6 +364,7 @@ func TestMaxFlowsBound(t *testing.T) {
 	if got := n.FlowTableSize(); got > 5 {
 		t.Fatalf("flow table grew to %d", got)
 	}
+	checkBooks(t, n)
 }
 
 // The full stack over real TCP loopback sockets.

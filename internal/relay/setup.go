@@ -21,7 +21,7 @@ func (n *Node) sendAck(sh *shard, fs *flowState) {
 // packet is in or SetupWait after the decode, whichever comes first.
 func (n *Node) handleSetup(sh *shard, fs *flowState, hi int, pkt *wire.Packet) {
 	if fs.setupSent || hi < 0 || fs.hops[hi].setup != nil {
-		sh.stats.SetupIgnored++ // late (already forwarded), past the observation cap, or a duplicate
+		sh.ctr[cSetupIgnored]++ // late (already forwarded), past the observation cap, or a duplicate
 		return
 	}
 	h := &fs.hops[hi]
@@ -82,7 +82,7 @@ func (n *Node) establish(sh *shard, fs *flowState, d int) bool {
 	}
 	fs.info = pi
 	fs.d, fs.slotLen, fs.nSlots = d, int(geom.setupSlotLen), int(geom.setupSlots)
-	sh.stats.FlowsEstablished++
+	sh.ctr[cFlowsEstablished]++
 	fs.declareParents(pi, n.stamp(fs.lastActive), false)
 	n.dirAdd(sh, fs, pi) // its children's acks and reports now find it
 

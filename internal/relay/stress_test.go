@@ -49,7 +49,7 @@ func (t *recordTransport) snapshotTotal() int64 {
 // and network-coding regeneration) and comes back for the final rounds
 // (exercising the un-mark path). Every round of every flow must be
 // forwarded to every child exactly once — no lost rounds, no duplicates —
-// and the per-shard counters must sum to the node-global totals.
+// and the node's books must balance with its view agreeing with them.
 func TestConcurrentFlowsStress(t *testing.T) {
 	const (
 		flows    = 24
@@ -166,12 +166,12 @@ func TestConcurrentFlowsStress(t *testing.T) {
 	}
 
 	// One straggler per flow — round 0 again, long forwarded — so the
-	// late-slice counter is non-zero in the fold checked below.
+	// late-slice counter is non-zero in the books checked below.
 	for f := range setups {
 		n.onPacket(setups[f].parents[0], append([]byte(nil), setups[f].frames[0]...))
 	}
-	if !simnet.Eventually(10*time.Second, time.Millisecond, func() bool { return n.Stats().LateSlices >= flows }) {
-		t.Fatalf("LateSlices = %d after %d stragglers", n.Stats().LateSlices, flows)
+	if !simnet.Eventually(10*time.Second, time.Millisecond, func() bool { return n.Counters().Get("late_slices") >= flows }) {
+		t.Fatalf("late_slices = %d after %d stragglers", n.Counters().Get("late_slices"), flows)
 	}
 
 	tr.mu.Lock()
@@ -191,48 +191,46 @@ func TestConcurrentFlowsStress(t *testing.T) {
 		}
 	}
 
-	// Per-shard counters must sum to the global totals, and the global
-	// numbers must match the traffic we generated.
-	stats := n.Stats()
-	var sum Stats
-	shardStats := n.ShardStats()
+	// The books balance, the view is the counters, and the numbers match
+	// the traffic we generated.
+	checkBooks(t, n)
+	checkStatsView(t, n)
+	stats := n.Counters()
 	used := 0
-	for _, s := range shardStats {
-		sum.add(s)
-		if s.DataPacketsIn > 0 {
-			used++
-		}
+	for _, sh := range n.shards {
+		sh.do(func() {
+			if sh.ctr[cDataIn] > 0 {
+				used++
+			}
+		})
 	}
-	if sum != stats {
-		t.Fatalf("shard stats sum %+v != global stats %+v", sum, stats)
-	}
-	if stats.QueueDrops != 0 {
-		t.Fatalf("dropped %d packets at shard queues", stats.QueueDrops)
+	if got := stats.Get("queue_drops"); got != 0 {
+		t.Fatalf("dropped %d packets at shard queues", got)
 	}
 	silentPerChurned := int64(reviveAt - churnAt)
 	churnedFlows := int64((flows + 1) / 2)
 	wantIn := int64(flows*rounds*dp) - silentPerChurned*churnedFlows + flows // + the stragglers
-	if stats.DataPacketsIn != wantIn {
-		t.Fatalf("DataPacketsIn = %d, want %d", stats.DataPacketsIn, wantIn)
+	if got := stats.Get("data_in"); got != wantIn {
+		t.Fatalf("data_in = %d, want %d", got, wantIn)
 	}
-	if stats.PacketsOut != want {
-		t.Fatalf("PacketsOut = %d, want %d", stats.PacketsOut, want)
+	if got := stats.Get("packets_out"); got != want {
+		t.Fatalf("packets_out = %d, want %d", got, want)
 	}
 	// Every silent round regenerates one slice. Spurious RoundWait timeouts
 	// on a heavily preempted run can only add regenerations (the late real
 	// slice is absorbed without a duplicate forward), so this is a floor.
-	if stats.Regenerated < silentPerChurned*churnedFlows {
-		t.Fatalf("Regenerated = %d, want >= %d", stats.Regenerated, silentPerChurned*churnedFlows)
+	if got := stats.Get("regenerated"); got < silentPerChurned*churnedFlows {
+		t.Fatalf("regenerated = %d, want >= %d", got, silentPerChurned*churnedFlows)
 	}
 	if used < 2 {
 		t.Fatalf("flows landed on %d shard(s); striping is broken", used)
 	}
 }
 
-// TestShardStatsSumMatchesGlobal is the cheap always-on version of the
-// invariant (the stress test above is the heavyweight one): drive a real
-// flow end to end and check Stats() is exactly the fold of ShardStats().
-func TestShardStatsSumMatchesGlobal(t *testing.T) {
+// TestStatsViewMatchesCounters drives a real flow end to end and holds the
+// benchmark's Stats view to the counters it names, and every relay to its
+// books.
+func TestStatsViewMatchesCounters(t *testing.T) {
 	h := newHarness(t, 2, 2, 2, 201, true)
 	defer h.close()
 	h.establish(t)
@@ -240,13 +238,11 @@ func TestShardStatsSumMatchesGlobal(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.waitMsg(t, 5*time.Second)
+	h.checkBooks(t)
 	for _, n := range h.nodes {
-		var sum Stats
-		for _, s := range n.ShardStats() {
-			sum.add(s)
-		}
-		if got := n.Stats(); got != sum {
-			t.Fatalf("relay %v: global %+v != shard sum %+v", n, got, sum)
+		checkStatsView(t, n)
+		if c := n.Counters(); c.Get("setup_in") == 0 || c.Get("flows_established") != 1 {
+			t.Errorf("relay %d: counters %v, want set-up packets in and one flow established", n.ID(), c)
 		}
 	}
 }

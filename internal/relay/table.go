@@ -73,18 +73,6 @@ func (n *Node) releaseSlot(tenant wire.NodeID) {
 	}
 }
 
-// TenantFlows reports the current per-tenant occupancy (zero-valued map
-// when quotas are disabled); diagnostics for the daemon's stats dump.
-func (n *Node) TenantFlows() map[wire.NodeID]int64 {
-	out := make(map[wire.NodeID]int64)
-	n.tenantMu.Lock()
-	for t, c := range n.tenants {
-		out[t] = c
-	}
-	n.tenantMu.Unlock()
-	return out
-}
-
 // createFlow admits and installs a fresh flow created by `from`.
 // Returns nil (counting the rejection) when admission fails. Only the two
 // flow-creating packet types reach here. The flowState starts with only
@@ -94,7 +82,7 @@ func (n *Node) TenantFlows() map[wire.NodeID]int64 {
 // phase it might enter.
 func (n *Node) createFlow(sh *shard, f wire.FlowID, from wire.NodeID) *flowState {
 	if !n.admit(from) {
-		sh.stats.FlowsRejected++
+		sh.ctr[cFlowsRejected]++
 		return nil
 	}
 	fs := &flowState{
@@ -109,9 +97,16 @@ func (n *Node) createFlow(sh *shard, f wire.FlowID, from wire.NodeID) *flowState
 }
 
 // removeFlow tears one flow down in the canonical order (see the
-// file comment); evicted distinguishes TTL/pressure eviction (counted)
-// from shutdown teardown.
+// file comment); evicted distinguishes TTL eviction from shutdown
+// teardown, which count what the flow still held apart.
 func (n *Node) removeFlow(sh *shard, fs *flowState, evicted bool) {
+	rounds, pending := cRoundsSwept, cPendingSwept
+	if evicted {
+		rounds, pending = cRoundsEvicted, cPendingEvicted
+		sh.ctr[cFlowsEvicted]++
+	}
+	sh.ctr[rounds] += fs.win.open()
+	sh.ctr[pending] += int64(len(fs.pendingData))
 	sh.cancelDeadlines(fs)
 	delete(sh.flows, fs.flow)
 	sh.lruRemove(fs)
@@ -124,9 +119,6 @@ func (n *Node) removeFlow(sh *shard, fs *flowState, evicted bool) {
 		n.dirDel(sh, fs, fs.info)
 	}
 	n.releaseSlot(fs.tenant)
-	if evicted {
-		sh.stats.FlowsEvicted++
-	}
 }
 
 // Intrusive LRU list, embedded in flowState: O(1) touch on every packet,

@@ -2,6 +2,7 @@ package relay
 
 import (
 	"bytes"
+	"maps"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -21,6 +22,14 @@ func junkDataFrame(f wire.FlowID) []byte {
 	p := &wire.Packet{Type: wire.MsgData, Flow: f, CoeffLen: 2,
 		SlotLen: 8, Slots: [][]byte{make([]byte, 8)}}
 	return p.Marshal()
+}
+
+// tenantFlows reads the per-tenant occupancy (an empty map when quotas are
+// disabled).
+func (n *Node) tenantFlows() map[wire.NodeID]int64 {
+	n.tenantMu.Lock()
+	defer n.tenantMu.Unlock()
+	return maps.Clone(n.tenants)
 }
 
 // TestCloseInsertRaceFlowCount pins the Close-vs-insert accounting fix: the
@@ -46,10 +55,12 @@ func TestCloseInsertRaceFlowCount(t *testing.T) {
 			t.Fatal(err)
 		}
 		queries := func() {
-			n.Stats()
+			n.Counters()
+			if err := n.Books(); err != nil { // read per shard, so it balances mid-race too
+				t.Error(err)
+			}
 			n.Established(wire.FlowID(uint64(round) << 32))
-			n.EstablishedCount()
-			n.TenantFlows()
+			n.tenantFlows()
 			n.gcSweep()
 			n.controlSweep()
 			n.shards[round%4].onTick()
@@ -105,7 +116,8 @@ func TestCloseInsertRaceFlowCount(t *testing.T) {
 			}
 		}
 		queries()
-		if got := len(n.TenantFlows()); got != 0 {
+		checkBooks(t, n)
+		if got := len(n.tenantFlows()); got != 0 {
 			t.Fatalf("round %d: %d tenants still hold reservations after Close", round, got)
 		}
 		if got := n.egPool.Outstanding(); got != 0 {
@@ -154,14 +166,13 @@ func evictIdleFlows(t *testing.T) {
 	if got := n.FlowTableSize(); got != 0 {
 		t.Fatalf("%d flows survived the TTL sweep", got)
 	}
-	st := n.Stats()
-	if st.FlowsEvicted != flows {
-		t.Fatalf("FlowsEvicted = %d, want %d", st.FlowsEvicted, flows)
+	if got := n.Counters().Get("flows_evicted"); got != flows {
+		t.Fatalf("flows_evicted = %d, want %d", got, flows)
 	}
 
 	// Post-eviction, a heartbeat for a reaped flow must die at the filter:
 	// no state comes back, and the drop is counted.
-	preMisses := n.Stats().FilterMisses
+	preMisses := n.Counters().Get("filter_misses")
 	for i := 0; i < flows; i++ {
 		s.Net.Send(src, 1, wire.AppendHeartbeat(nil, fid(i)))
 	}
@@ -169,7 +180,7 @@ func evictIdleFlows(t *testing.T) {
 	if got := n.FlowTableSize(); got != 0 {
 		t.Fatalf("heartbeats resurrected %d evicted flows", got)
 	}
-	if got := n.Stats().FilterMisses - preMisses; got == 0 {
+	if got := n.Counters().Get("filter_misses") - preMisses; got == 0 {
 		t.Fatal("no FilterMisses counted for evicted-flow heartbeats")
 	}
 
@@ -182,9 +193,10 @@ func evictIdleFlows(t *testing.T) {
 	if got := n.FlowTableSize(); got != flows {
 		t.Fatalf("re-admitted %d flows, want %d", got, flows)
 	}
-	if got := n.Stats().FlowsRejected; got != 0 {
+	if got := n.Counters().Get("flows_rejected"); got != 0 {
 		t.Fatalf("FlowsRejected = %d on re-admission, want 0", got)
 	}
+	checkBooks(t, n)
 }
 
 // liveFlowsSurviveSweeps is the no-GC-cliff check: with the sweep firing
@@ -295,13 +307,14 @@ func liveFlowsSurviveSweeps(t *testing.T) {
 		}
 	}
 	for _, n := range nodes {
-		if st := n.Stats(); st.FlowsEvicted != 0 || st.FlowsRejected != 0 {
+		if st := n.Counters(); st.Get("flows_evicted") != 0 || st.Get("flows_rejected") != 0 {
 			t.Errorf("node %d churned live flows under sweep pressure: evicted=%d rejected=%d",
-				n.ID(), st.FlowsEvicted, st.FlowsRejected)
+				n.ID(), st.Get("flows_evicted"), st.Get("flows_rejected"))
 		}
 		if got := n.FlowTableSize(); got != flows {
 			t.Errorf("node %d holds %d flows, want %d", n.ID(), got, flows)
 		}
+		checkBooks(t, n)
 	}
 }
 
@@ -328,7 +341,7 @@ func TestTenantQuotaNoStarvation(t *testing.T) {
 	if got := n.FlowTableSize(); got != 3 {
 		t.Fatalf("greedy tenant holds %d flows, want 3 (quota)", got)
 	}
-	if got := n.Stats().FlowsRejected; got != 7 {
+	if got := n.Counters().Get("flows_rejected"); got != 7 {
 		t.Fatalf("FlowsRejected = %d, want 7", got)
 	}
 	// The modest tenant is unaffected by the greedy one's rejections.
@@ -338,9 +351,9 @@ func TestTenantQuotaNoStarvation(t *testing.T) {
 	if got := n.FlowTableSize(); got != 5 {
 		t.Fatalf("table = %d flows, want 5 (3 greedy + 2 modest)", got)
 	}
-	occ := n.TenantFlows()
+	occ := n.tenantFlows()
 	if occ[greedy] != 3 || occ[modest] != 2 {
-		t.Fatalf("TenantFlows = %v, want greedy:3 modest:2", occ)
+		t.Fatalf("tenantFlows = %v, want greedy:3 modest:2", occ)
 	}
 	// Eviction releases quota: age the greedy tenant's flows out and its
 	// next creation is admitted again.
@@ -363,7 +376,7 @@ func TestTenantQuotaNoStarvation(t *testing.T) {
 		t.Fatalf("table = %d flows after sweep, want 2", got)
 	}
 	n.process(sh, greedy, junkDataFrame(wire.FlowID(0x300)))
-	if got := n.TenantFlows()[greedy]; got != 1 {
+	if got := n.tenantFlows()[greedy]; got != 1 {
 		t.Fatalf("greedy tenant holds %d flows after re-admission, want 1", got)
 	}
 }

@@ -91,7 +91,7 @@ func TestLivenessBoundaryHeartbeat(t *testing.T) {
 		// Run past the boundary sweep but not so far that a *fresh* silence
 		// window after the boundary heartbeat expires (50ms + 40ms).
 		s.Run(85 * time.Millisecond)
-		return n.Stats().ParentDownSent
+		return n.Counters().Get("parent_down_sent")
 	}
 	if got := run(true); got != 0 {
 		t.Fatalf("boundary heartbeat lost the race: %d report(s)", got)
@@ -149,13 +149,14 @@ func TestRoundWaitExpiryRacesArrival(t *testing.T) {
 	s.At(40*time.Millisecond, func() { s.Net.Send(p2, 1, frame(slices[1])) })
 	s.Run(100 * time.Millisecond)
 
-	st := n.Stats()
-	if st.PacketsOut != 2 {
-		t.Fatalf("forwarded %d packets, want 2 (one per data-map entry, exactly once)", st.PacketsOut)
+	st := n.Counters()
+	if st.Get("packets_out") != 2 {
+		t.Fatalf("forwarded %d packets, want 2 (one per data-map entry, exactly once)", st.Get("packets_out"))
 	}
-	if st.Regenerated != 0 {
-		t.Fatalf("regenerated %d slices; the on-time arrival should have made regeneration unnecessary", st.Regenerated)
+	if st.Get("regenerated") != 0 {
+		t.Fatalf("regenerated %d slices; the on-time arrival should have made regeneration unnecessary", st.Get("regenerated"))
 	}
+	checkBooks(t, n)
 }
 
 // TestRoundWaitForwardsAtExactInstant: a round that stays short forwards
@@ -280,7 +281,7 @@ func TestGCSweepRacesSplice(t *testing.T) {
 	s, n := build()
 	s.At(75*time.Millisecond, func() { s.Net.Send(99, 1, mk(1, 32)) })
 	s.Run(80 * time.Millisecond)
-	if got := n.Stats().SplicesApplied; got != 1 {
+	if got := n.Counters().Get("splices_applied"); got != 1 {
 		t.Fatalf("mid-sweep splice applied %d times, want 1", got)
 	}
 	if got := n.FlowTableSize(); got != 1 {
@@ -292,7 +293,7 @@ func TestGCSweepRacesSplice(t *testing.T) {
 	s2, n2 := build()
 	s2.At(76*time.Millisecond, func() { s2.Net.Send(99, 1, mk(1, 32)) })
 	s2.Run(80 * time.Millisecond)
-	if got := n2.Stats().SplicesApplied; got != 0 {
+	if got := n2.Counters().Get("splices_applied"); got != 0 {
 		t.Fatalf("post-sweep splice applied %d times, want 0", got)
 	}
 	if got := n2.FlowTableSize(); got != 0 {

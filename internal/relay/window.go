@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"infoslicing/internal/code"
+	"infoslicing/internal/metrics"
 	"infoslicing/internal/wire"
 )
 
@@ -14,7 +15,8 @@ import (
 // one slot while rounds complete in order, more when they overlap, none once idle.
 // A round drops its slice views the instant nothing needs them (forwarded,
 // for a relay; decoded, for a receiver), low advances over finished rounds,
-// and a slice for anything below low is a counted late drop. The ring
+// and a slice for anything below low is a counted late drop. A round opened
+// by a filed slice counts as done or expired when its slot recycles. The ring
 // doubles only to keep a round still needed; past maxWindow the oldest
 // rounds are written off instead. Round deadlines share the flow's one
 // dlRound wait: it runs out at the earliest stamp still ahead, forwards what
@@ -38,8 +40,9 @@ type roundSlot struct {
 	got       []code.Slice
 	raw       [][]byte
 	chunk     []byte    // decoded, awaiting its turn in the stream
-	deadline  time.Time // first slice + RoundWait
+	deadline  time.Time // first slice + RoundWait; zero until the round is opened
 	forwarded bool      // staged for egress, or written off as lost
+	decoded   bool
 }
 
 // slot returns the slot bytes parent p sent for this round, if it has.
@@ -57,14 +60,32 @@ func (s *roundSlot) release() {
 	s.from, s.got, s.raw = s.from[:0], s.got[:0], s.raw[:0]
 }
 
-// recycle readies the slot for another round.
-func (s *roundSlot) recycle() {
+// recycle readies the slot for another round, counting how an opened one
+// ended.
+func (s *roundSlot) recycle(c metrics.Block) {
+	switch {
+	case s.deadline.IsZero(): // a hole: never opened
+	case s.forwarded || s.decoded:
+		c[cRoundsDone]++
+	default:
+		c[cRoundsExpired]++
+	}
 	s.release()
 	*s = roundSlot{from: s.from, got: s.got, raw: s.raw}
 }
 
 func (w *roundWindow) at(seq uint32) *roundSlot {
 	return &w.slots[seq&uint32(len(w.slots)-1)]
+}
+
+// open counts the rounds opened and not yet recycled.
+func (w *roundWindow) open() (n int64) {
+	for seq := w.low; seq != w.high; seq++ {
+		if !w.at(seq).deadline.IsZero() {
+			n++
+		}
+	}
+	return n
 }
 
 // needs reports what the flow still wants from round seq: to forward it,
@@ -111,13 +132,10 @@ func (n *Node) slide(sh *shard, fs *flowState, low uint32) {
 	w := &fs.win
 	for ; w.low != w.high && w.low != low; w.low++ {
 		s := w.at(w.low)
-		if fwd, dec := fs.needs(w.low, s); (fwd || dec) && len(s.got) > 0 || s.chunk != nil {
-			sh.stats.RoundsExpired++
-		}
 		if s.chunk != nil {
 			w.buffered--
 		}
-		s.recycle()
+		s.recycle(sh.ctr)
 	}
 	w.low = low
 	if int32(w.high-low) < 0 {
@@ -129,13 +147,13 @@ func (n *Node) slide(sh *shard, fs *flowState, low uint32) {
 }
 
 // advance recycles the rounds at low that nothing is waiting on.
-func (fs *flowState) advance() {
+func (fs *flowState) advance(c metrics.Block) {
 	for w := &fs.win; w.low != w.high; w.low++ {
 		s := w.at(w.low)
 		if fwd, dec := fs.needs(w.low, s); fwd || dec || s.chunk != nil {
 			return
 		}
-		s.recycle()
+		s.recycle(c)
 	}
 }
 
@@ -171,7 +189,7 @@ func (n *Node) roundDeadline(sh *shard, fs *flowState) {
 			next = at
 		}
 	}
-	fs.advance()
+	fs.advance(sh.ctr)
 	switch {
 	case w.low == w.high:
 		// Idle a whole RoundWait: the ring goes; the next slice to hold makes one.

@@ -331,9 +331,11 @@ func (h *windowHarness) check(op string) {
 	if w.low != w.high && (h.fs.due[dlRound] == 0 || h.sh.tickAt == 0) {
 		fail("rounds waiting and no round wait pending (%d) or no clock timer armed (%d)", h.fs.due[dlRound], h.sh.tickAt)
 	}
-	st := h.sh.stats
-	if st.LateSlices != m.late || st.RoundsExpired != m.expired {
-		fail("late %d expired %d, reference late %d expired %d", st.LateSlices, st.RoundsExpired, m.late, m.expired)
+	if c := h.sh.ctr; c[cLateSlices] != m.late || c[cRoundsExpired] != m.expired {
+		fail("late %d expired %d, reference late %d expired %d", c[cLateSlices], c[cRoundsExpired], m.late, m.expired)
+	}
+	if err := h.n.Books(); err != nil {
+		fail("%v", err)
 	}
 	miss := map[wire.NodeID]int{}
 	for _, hp := range h.fs.hops {

@@ -9,8 +9,15 @@ import (
 	"sync/atomic"
 	"time"
 
+	"infoslicing/internal/metrics"
 	"infoslicing/internal/wire"
 )
+
+// The network's counters: packets, bytes and lost back its TransportStats;
+// trace_dropped counts trace events the capped ring discarded.
+const cPackets, cBytes, cLost, cTraceDropped = 0, 1, 2, 3
+
+var simVocab = metrics.NewVocab("packets", "bytes", "lost", "trace_dropped")
 
 // SimNet is the virtual-time overlay transport: the deterministic
 // counterpart of overlay.ChanNetwork. It satisfies overlay.Transport (and
@@ -43,9 +50,7 @@ type SimNet struct {
 	chunks atomic.Pointer[[]*nodeChunk]
 	idIdx  atomic.Pointer[[]int32]
 	linksN atomic.Int32
-	pkts   atomic.Int64
-	bytes  atomic.Int64
-	lost   atomic.Int64
+	ctr    *metrics.ShardedCounter // simVocab, keyed by sender
 	closed atomic.Bool
 
 	traceOn atomic.Bool
@@ -59,7 +64,6 @@ type SimNet struct {
 	ring    []TraceEvent
 	ringCap int
 	ringAt  int // next overwrite position once the ring is full
-	dropped int64
 	sinkFn  func(TraceEvent)
 }
 
@@ -72,7 +76,7 @@ const (
 	maxDirectID = 1 << 21
 
 	// DefaultTraceCap bounds EnableTrace's ring: old events are discarded
-	// once the cap is reached (TraceDropped counts them). Large enough for
+	// once the cap is reached (trace_dropped counts them). Large enough for
 	// every scripted scenario, small enough that a million-node soak with
 	// tracing on cannot OOM.
 	DefaultTraceCap = 1 << 20
@@ -163,6 +167,7 @@ func NewSimNet(clk *VirtualClock, seed int64, def LinkProfile) *SimNet {
 		def:   def,
 		idMap: make(map[wire.NodeID]int32),
 		links: make(map[linkKey]*linkState),
+		ctr:   metrics.NewShardedCounter(8, simVocab),
 	}
 	empty := make([]int32, 0)
 	n.idIdx.Store(&empty)
@@ -174,7 +179,7 @@ func NewSimNet(clk *VirtualClock, seed int64, def LinkProfile) *SimNet {
 
 // EnableTrace starts recording a TraceEvent per delivery into a ring
 // capped at DefaultTraceCap (older events are discarded past the cap;
-// TraceDropped counts them).
+// trace_dropped counts them).
 func (n *SimNet) EnableTrace() { n.EnableTraceN(DefaultTraceCap) }
 
 // EnableTraceN is EnableTrace with an explicit ring capacity.
@@ -198,13 +203,6 @@ func (n *SimNet) SetTraceSink(fn func(TraceEvent)) {
 	n.sinkFn = fn
 	n.mu.Unlock()
 	n.traceOn.Store(true)
-}
-
-// TraceDropped reports how many trace events the capped ring discarded.
-func (n *SimNet) TraceDropped() int64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.dropped
 }
 
 // SetPooledPayloads turns on payload buffer pooling: delivered buffers are
@@ -479,11 +477,11 @@ func (n *SimNet) Send(from, to wire.NodeID, data []byte) error {
 		n.mu.Unlock()
 	}
 	if dst == nil || dstState&slotAttached == 0 || dstState&slotDown != 0 || cut {
-		n.lost.Add(1)
+		n.ctr.Add(uint64(from), cLost, 1)
 		return nil
 	}
-	n.pkts.Add(1)
-	n.bytes.Add(int64(len(data)))
+	n.ctr.Add(uint64(from), cPackets, 1)
+	n.ctr.Add(uint64(from), cBytes, int64(len(data)))
 
 	delay := prof.Delay
 	dup := false
@@ -498,7 +496,7 @@ func (n *SimNet) Send(from, to wire.NodeID, data []byte) error {
 		rng := n.rngLocked(ls, from, to)
 		if prof.Loss > 0 && rng.Float64() < prof.Loss {
 			n.mu.Unlock()
-			n.lost.Add(1)
+			n.ctr.Add(uint64(from), cLost, 1)
 			return nil
 		}
 		if prof.Jitter > 0 {
@@ -553,13 +551,13 @@ func (n *SimNet) netDeliver(from, to uint64, dstIdx int32, epoch uint64, payload
 	s := n.slotAt(dstIdx)
 	st := s.state.Load()
 	if n.closed.Load() || st&slotAttached == 0 || st&slotDown != 0 || st>>slotEpochLSB != epoch {
-		n.lost.Add(1)
+		n.ctr.Add(from, cLost, 1)
 		n.recycle(pbuf)
 		return
 	}
 	hp := s.h.Load()
 	if hp == nil {
-		n.lost.Add(1)
+		n.ctr.Add(from, cLost, 1)
 		n.recycle(pbuf)
 		return
 	}
@@ -587,13 +585,16 @@ func (n *SimNet) traceAppendLocked(ev TraceEvent) {
 	}
 	n.ring[n.ringAt] = ev
 	n.ringAt = (n.ringAt + 1) % n.ringCap
-	n.dropped++
+	n.ctr.Add(0, cTraceDropped, 1)
 }
 
-// Stats reports cumulative counters in the unified transport vocabulary
-// (wire.TransportStats, aliased as overlay.TransportStats).
+// Counters reads the network's counters.
+func (n *SimNet) Counters() metrics.Snapshot { return n.ctr.Snapshot() }
+
+// Stats is the Transport view of Counters.
 func (n *SimNet) Stats() wire.TransportStats {
-	return wire.TransportStats{Packets: n.pkts.Load(), Bytes: n.bytes.Load(), Lost: n.lost.Load()}
+	c := n.Counters()
+	return wire.TransportStats{Packets: c.Get("packets"), Bytes: c.Get("bytes"), Lost: c.Get("lost")}
 }
 
 // Close stops all future deliveries.

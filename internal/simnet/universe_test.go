@@ -32,8 +32,8 @@ func TestTraceRingCap(t *testing.T) {
 	if len(tr) != 16 {
 		t.Fatalf("ring retained %d events, want cap 16", len(tr))
 	}
-	if got := net.TraceDropped(); got != 34 {
-		t.Fatalf("TraceDropped = %d, want 34", got)
+	if got := net.Counters().Get("trace_dropped"); got != 34 {
+		t.Fatalf("trace_dropped = %d, want 34", got)
 	}
 	// The ring keeps the newest events, oldest first.
 	for i, ev := range tr {

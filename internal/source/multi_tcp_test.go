@@ -3,7 +3,6 @@ package source
 import (
 	"bytes"
 	"math/rand"
-	"net"
 	"testing"
 	"time"
 
@@ -14,28 +13,14 @@ import (
 	"infoslicing/internal/wire"
 )
 
-// reserveBook grabs a free loopback port per id — the pre-agreed address
-// book every StaticTCP process shares.
-func reserveBook(t *testing.T, ids ...wire.NodeID) map[wire.NodeID]string {
-	t.Helper()
-	book := make(map[wire.NodeID]string, len(ids))
-	for _, id := range ids {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		book[id] = ln.Addr().String()
-		ln.Close()
-	}
-	return book
-}
-
 // Many concurrent flows from one process over the real wire path, every
 // slice crossing loopback TCP through the peer layer. The flows share one
-// StaticTCP transport — and so one connection per remote relay — which is
+// TCP transport — and so one connection per remote relay — which is
 // exactly the production "heavy client" deployment; the test pins that
 // per-flow isolation and message integrity survive the move from in-memory
-// channels to shared sockets.
+// channels to shared sockets. It runs on the loopback network, the same
+// Static core, which binds each node's port once (a reserved book would
+// free each port and bind it again, racing other tests for it).
 func TestConcurrentFlowsOverStaticTCP(t *testing.T) {
 	simnet.ReportSeed(t)
 	const (
@@ -43,16 +28,7 @@ func TestConcurrentFlowsOverStaticTCP(t *testing.T) {
 		l, d  = 2, 2
 		msgs  = 4
 	)
-	var allIDs []wire.NodeID
-	for id := wire.NodeID(1); id <= wire.NodeID(flows*l*d); id++ {
-		allIDs = append(allIDs, id)
-	}
-	for f := 0; f < flows; f++ {
-		for i := 0; i < d; i++ {
-			allIDs = append(allIDs, wire.NodeID(9000+f*16+i))
-		}
-	}
-	tr := overlay.NewStaticTCP(reserveBook(t, allIDs...))
+	tr := overlay.NewTCPNetwork()
 	defer tr.Close()
 	seed := int64(7)
 

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"infoslicing/internal/code"
@@ -44,7 +43,7 @@ type RepairConfig struct {
 	// Pick chooses a replacement relay. The exclude predicate reports ids
 	// that must not be chosen (current graph members, source endpoints, and
 	// the dead node itself); returning false means no candidate is
-	// available, and the report is counted in RepairStats.Failed — relays
+	// available, and the report is counted in repair_failed — relays
 	// re-report while the parent stays dead, so repair retries naturally.
 	// A nil Pick runs the loop in detection-only mode: reports are consumed
 	// and counted but nothing is spliced (the repair-off arm of the churn
@@ -54,14 +53,6 @@ type RepairConfig struct {
 	// Rng drives nonce dedup-resistant sealing randomness; defaults to a
 	// derivation of the sender's rng.
 	Rng *rand.Rand
-}
-
-// RepairStats counts repair-loop activity.
-type RepairStats struct {
-	Reports int64 // authenticated ParentDown reports consumed
-	Stale   int64 // reports about nodes already replaced (patch re-sent)
-	Splices int64 // successful splices injected
-	Failed  int64 // reports that could not be repaired (no candidate, splice error)
 }
 
 // ErrRepairRunning is returned by StartRepair when a loop is already up.
@@ -74,11 +65,6 @@ type repairState struct {
 	// seen dedupes report nonces along the multipath flood; guarded by the
 	// sender's mu (reports are handled under it).
 	seen map[uint64]bool
-
-	reports atomic.Int64
-	stale   atomic.Int64
-	splices atomic.Int64
-	failed  atomic.Int64
 }
 
 // StartRepair launches the repair hooks for this flow over the given
@@ -112,7 +98,6 @@ func (s *Sender) StopRepair() {
 	st := s.repair
 	s.repair = nil
 	if st != nil {
-		s.lastRepair = st
 		st.eps.setReportHandler(nil)
 	}
 	s.mu.Unlock()
@@ -120,25 +105,6 @@ func (s *Sender) StopRepair() {
 		// Outside s.mu: stopping the wall task waits for an in-flight
 		// heartbeat callback, which itself takes s.mu.
 		st.hb.Stop()
-	}
-}
-
-// RepairStats snapshots the repair counters (zero if repair never ran).
-func (s *Sender) RepairStats() RepairStats {
-	s.mu.Lock()
-	st := s.repair
-	if st == nil {
-		st = s.lastRepair
-	}
-	s.mu.Unlock()
-	if st == nil {
-		return RepairStats{}
-	}
-	return RepairStats{
-		Reports: st.reports.Load(),
-		Stale:   st.stale.Load(),
-		Splices: st.splices.Load(),
-		Failed:  st.failed.Load(),
 	}
 }
 
@@ -209,7 +175,7 @@ func (s *Sender) handleReport(st *repairState, eps *Endpoints, cfg RepairConfig,
 			return // not sealed by any graph member: forged or stale, drop
 		}
 	}
-	st.reports.Add(1)
+	s.ctr.Add(0, cRepairReports, 1)
 
 	for _, src := range g.Sources {
 		if dead == src {
@@ -228,7 +194,7 @@ func (s *Sender) handleReport(st *repairState, eps *Endpoints, cfg RepairConfig,
 	if stage == 0 {
 		// Already replaced (or never ours). The reporter evidently missed
 		// its patch — retransmit its current routing block.
-		st.stale.Add(1)
+		s.ctr.Add(0, cRepairStale, 1)
 		if g.StageOf(reporter) != 0 {
 			s.sendSpliceLocked(eps, cfg, g.Flows[reporter], reporter,
 				g.Keys[reporter], g.SpliceSeq(), g.Infos[reporter])
@@ -238,7 +204,7 @@ func (s *Sender) handleReport(st *repairState, eps *Endpoints, cfg RepairConfig,
 	if dead == g.Dest || cfg.Pick == nil {
 		// The destination cannot be replaced, and detection-only mode never
 		// splices.
-		st.failed.Add(1)
+		s.ctr.Add(0, cRepairFailed, 1)
 		return
 	}
 	exclude := func(id wire.NodeID) bool {
@@ -254,26 +220,26 @@ func (s *Sender) handleReport(st *repairState, eps *Endpoints, cfg RepairConfig,
 	}
 	repl, ok := cfg.Pick(exclude)
 	if !ok || exclude(repl) {
-		st.failed.Add(1)
+		s.ctr.Add(0, cRepairFailed, 1)
 		return
 	}
 	plan, err := g.Splice(stage, dead, repl)
 	if err != nil {
-		st.failed.Add(1)
+		s.ctr.Add(0, cRepairFailed, 1)
 		return
 	}
 	// Deliver the replacement's routing block the way the original setup
 	// was delivered: sliced d'-of-d, one slice per source endpoint, so no
 	// single relay or observer ever holds a decodable set in one place.
 	if err := s.sendSpliceSetupLocked(eps, cfg, plan); err != nil {
-		st.failed.Add(1)
+		s.ctr.Add(0, cRepairFailed, 1)
 		return
 	}
 	// Patch the surviving neighbors, each under its own key.
 	for _, p := range plan.Patches {
 		s.sendSpliceLocked(eps, cfg, p.Flow, p.Node, p.Key, plan.Seq, p.Info)
 	}
-	st.splices.Add(1)
+	s.ctr.Add(0, cRepairSplices, 1)
 }
 
 // sendSpliceSetupLocked slices the replacement's info block and sends one

@@ -207,14 +207,14 @@ func TestLiveRepairSurvivesStageCollapse(t *testing.T) {
 
 	st.net.Fail(victims[0])
 	st.waitFor(t, 15*time.Second, "first splice", func() bool {
-		return st.snd.RepairStats().Splices >= 1
+		return st.snd.Counters().Get("repair_splices") >= 1
 	})
 	// The replacement must come up as a real spliced-in relay.
 	st.mu.Lock()
 	first := st.picked[0]
 	st.mu.Unlock()
 	st.waitFor(t, 10*time.Second, "replacement establishment", func() bool {
-		return st.nodes[first].EstablishedCount() >= 1
+		return st.nodes[first].Counters().Get("flows_established") >= 1
 	})
 
 	msg2 := bytes.Repeat([]byte("two"), 100)
@@ -225,7 +225,7 @@ func TestLiveRepairSurvivesStageCollapse(t *testing.T) {
 
 	st.net.Fail(victims[1])
 	st.waitFor(t, 15*time.Second, "second splice", func() bool {
-		return st.snd.RepairStats().Splices >= 2
+		return st.snd.Counters().Get("repair_splices") >= 2
 	})
 	// Give the freshest replacement a beat to establish, then stream: with
 	// both original victims dead this only decodes if the splices carried.
@@ -236,13 +236,12 @@ func TestLiveRepairSurvivesStageCollapse(t *testing.T) {
 	}
 	recvMsg(t, st, msg3, 10*time.Second)
 
-	stats := st.snd.RepairStats()
-	if stats.Reports < 2 || stats.Splices < 2 {
-		t.Fatalf("repair stats too low: %+v", stats)
+	if stats := st.snd.Counters(); stats.Get("repair_reports") < 2 || stats.Get("repair_splices") < 2 {
+		t.Fatalf("repair counters too low: %v", stats)
 	}
 	spliced := int64(0)
 	for _, n := range st.nodes {
-		spliced += n.Stats().SplicesApplied
+		spliced += n.Counters().Get("splices_applied")
 	}
 	if spliced == 0 {
 		t.Fatal("no relay ever applied a splice patch")
@@ -265,10 +264,10 @@ func TestRepairDetectionOnly(t *testing.T) {
 	}
 	st.net.Fail(victim)
 	st.waitFor(t, 15*time.Second, "report in detection-only mode", func() bool {
-		return st.snd.RepairStats().Reports >= 1
+		return st.snd.Counters().Get("repair_reports") >= 1
 	})
-	if s := st.snd.RepairStats(); s.Splices != 0 {
-		t.Fatalf("detection-only mode spliced: %+v", s)
+	if s := st.snd.Counters(); s.Get("repair_splices") != 0 {
+		t.Fatalf("detection-only mode spliced: %v", s)
 	}
 }
 
@@ -281,7 +280,7 @@ func TestStopRepairIdempotent(t *testing.T) {
 	}
 	st.snd.StopRepair()
 	st.snd.StopRepair()
-	_ = st.snd.RepairStats()
+	_ = st.snd.Counters()
 	if err := st.snd.StartRepair(st.eps, st.repairCfg()); err != nil {
 		t.Fatalf("restart after stop: %v", err)
 	}
@@ -436,7 +435,7 @@ func TestFlowsRepairIndependently(t *testing.T) {
 		}
 	}
 	if !clk.AwaitCond(15*time.Second, func() bool {
-		return flows[0].snd.RepairStats().Splices >= 1
+		return flows[0].snd.Counters().Get("repair_splices") >= 1
 	}) {
 		t.Fatal("flow 0 never spliced")
 	}
@@ -462,8 +461,8 @@ func TestFlowsRepairIndependently(t *testing.T) {
 	if !bytes.Equal(got, msg) {
 		t.Fatal("flow 0 corrupted after repair")
 	}
-	if s := flows[1].snd.RepairStats(); s.Splices != 0 {
-		t.Fatalf("flow 1 spliced against an intact graph: %+v", s)
+	if s := flows[1].snd.Counters(); s.Get("repair_splices") != 0 {
+		t.Fatalf("flow 1 spliced against an intact graph: %v", s)
 	}
 }
 

@@ -19,11 +19,11 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"infoslicing/internal/code"
 	"infoslicing/internal/core"
+	"infoslicing/internal/metrics"
 	"infoslicing/internal/overlay"
 	"infoslicing/internal/simnet"
 	"infoslicing/internal/slcrypto"
@@ -98,18 +98,20 @@ type Sender struct {
 	slices []code.Slice
 	pktBuf []byte
 
-	// Live-repair state (repair.go), guarded by mu: the running loop, the
-	// last finished loop's counters (so stats survive StopRepair), and the
-	// encoder that slices replacement info blocks.
-	repair     *repairState
-	lastRepair *repairState
-	repairEnc  *code.Encoder
+	// Live-repair state (repair.go), guarded by mu: the running loop and
+	// the encoder that slices replacement info blocks.
+	repair    *repairState
+	repairEnc *code.Encoder
 
-	// sendDrops counts frames the transport shed at a full peer queue
-	// (overlay.ErrSendQueueFull). Atomic: bumped on the send path, read by
-	// diagnostics without taking the flow lock.
-	sendDrops atomic.Int64
+	// ctr is the flow's counter block (one stripe: its writers mostly hold mu).
+	ctr *metrics.ShardedCounter
 }
+
+// The sender's counters: data rounds sent, frames shed at full peer queues,
+// and authenticated reports consumed: stale (patch re-sent), spliced, or failed.
+const cRoundsSent, cSendDrops, cRepairReports, cRepairStale, cRepairSplices, cRepairFailed = 0, 1, 2, 3, 4, 5
+
+var vocab = metrics.NewVocab("rounds_sent", "send_drops", "repair_reports", "repair_stale", "repair_splices", "repair_failed")
 
 // Errors.
 var (
@@ -130,7 +132,7 @@ func New(tr overlay.Transport, g *core.Graph, cfg Config, rng *rand.Rand) *Sende
 		rng = rand.New(rand.NewSource(1))
 	}
 	adv, _ := tr.(overlay.CongestionAdvisor)
-	return &Sender{tr: tr, graph: g, cfg: cfg, clk: cfg.Clock, rng: rng, adv: adv}
+	return &Sender{tr: tr, graph: g, cfg: cfg, clk: cfg.Clock, rng: rng, adv: adv, ctr: metrics.NewShardedCounter(1, vocab)}
 }
 
 // Graph exposes the underlying forwarding graph (the source knows it all).
@@ -146,7 +148,7 @@ func (s *Sender) Establish() error {
 			if errors.Is(err, overlay.ErrSendQueueFull) {
 				// A shed setup frame is not fatal: the wave is idempotent
 				// and EstablishAndWait retransmits it until acked.
-				s.sendDrops.Add(1)
+				s.ctr.Add(0, cSendDrops, 1)
 				continue
 			}
 			return fmt.Errorf("source: establish: %w", err)
@@ -264,6 +266,7 @@ func (s *Sender) sendRound(chunk []byte) error {
 	defer s.mu.Unlock()
 	seq := s.seq
 	s.seq++
+	s.ctr.Add(0, cRoundsSent, 1)
 	if s.enc == nil && s.encErr == nil {
 		s.enc, s.encErr = code.NewEncoder(s.graph.D, s.graph.DPrime, s.rng)
 	}
@@ -291,7 +294,7 @@ func (s *Sender) sendRound(chunk []byte) error {
 				// round (non-blocking send contract) — count the shed
 				// frames, let redundancy cover them.
 				if errors.Is(err, overlay.ErrSendQueueFull) {
-					s.sendDrops.Add(1)
+					s.ctr.Add(0, cSendDrops, 1)
 				}
 				continue
 			}
@@ -300,24 +303,20 @@ func (s *Sender) sendRound(chunk []byte) error {
 	return nil
 }
 
-// Rounds reports how many data rounds have been sent (diagnostics).
-func (s *Sender) Rounds() uint32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq
-}
+// Counters reads the flow's counters.
+func (s *Sender) Counters() metrics.Snapshot { return s.ctr.Snapshot() }
 
 // SendDrops reports how many frames the transport shed at full peer queues
 // for this flow (always zero on the in-memory transports, which have no
 // peer queues).
-func (s *Sender) SendDrops() int64 { return s.sendDrops.Load() }
+func (s *Sender) SendDrops() int64 { return s.Counters().Get("send_drops") }
 
 // send is the fire-and-forget variant of Transport.Send for control
 // traffic (repair heartbeats, splices, replacement setup): datagram
 // semantics, but queue-full sheds are counted so a slow peer is visible.
 func (s *Sender) send(from, to wire.NodeID, buf []byte) {
 	if err := s.tr.Send(from, to, buf); err != nil && errors.Is(err, overlay.ErrSendQueueFull) {
-		s.sendDrops.Add(1)
+		s.ctr.Add(0, cSendDrops, 1)
 	}
 }
 

@@ -173,7 +173,7 @@ func TestSenderDataDelivery(t *testing.T) {
 	if err := snd.Send(msg); err != nil {
 		t.Fatal(err)
 	}
-	if got := snd.Rounds(); got == 0 {
+	if got := snd.Counters().Get("rounds_sent"); got == 0 {
 		t.Fatal("no rounds sent")
 	}
 	select {

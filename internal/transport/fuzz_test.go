@@ -92,7 +92,7 @@ func FuzzStreamSplitter(f *testing.F) {
 		a := NewAcceptor(nil, fuzzMaxFrame, func(from wire.NodeID, payload []byte) bool {
 			got = append(got, refFrame{from, payload})
 			return true
-		})
+		}, NewCounters())
 		client, server := net.Pipe()
 		go func() {
 			// Write the stream in the chunk sizes cuts dictates (cycled; a
@@ -135,7 +135,7 @@ func deliverDatagram(dg []byte) (got []refFrame) {
 	a := NewUDPAcceptor(nil, fuzzMaxFrame, UDPConfig{}, func(from wire.NodeID, payload []byte) bool {
 		got = append(got, refFrame{from, payload})
 		return true
-	})
+	}, NewCounters())
 	srcs := make(map[netip.AddrPort]*rxSource)
 	var seen []netip.AddrPort
 	var slab []byte

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"infoslicing/internal/metrics"
 	"infoslicing/internal/simnet"
 	"infoslicing/internal/wire"
 )
@@ -18,6 +19,7 @@ import (
 type lifecyclePeer interface {
 	Link
 	QueueLen() int
+	counters() metrics.Snapshot
 }
 
 var peerFlavours = []struct {
@@ -27,18 +29,7 @@ var peerFlavours = []struct {
 }{
 	{"tcp",
 		func(t *testing.T, deliver Deliver) string {
-			acc, err := Listen("127.0.0.1:0", 0, deliver)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(acc.Close)
-			return acc.Addr()
-		},
-		func(resolve func() (string, bool), cfg Config) lifecyclePeer { return NewPeer(resolve, cfg) },
-	},
-	{"udp",
-		func(t *testing.T, deliver Deliver) string {
-			acc, err := ListenUDP("127.0.0.1:0", 0, UDPConfig{}, deliver)
+			acc, err := listen("127.0.0.1:0", 0, deliver, NewCounters())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -46,7 +37,20 @@ var peerFlavours = []struct {
 			return acc.Addr()
 		},
 		func(resolve func() (string, bool), cfg Config) lifecyclePeer {
-			return NewUDPPeer(resolve, cfg, UDPConfig{})
+			return NewPeer(resolve, cfg, NewCounters())
+		},
+	},
+	{"udp",
+		func(t *testing.T, deliver Deliver) string {
+			acc, err := listenUDP("127.0.0.1:0", 0, UDPConfig{}, deliver, NewCounters())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(acc.Close)
+			return acc.Addr()
+		},
+		func(resolve func() (string, bool), cfg Config) lifecyclePeer {
+			return NewUDPPeer(resolve, cfg, UDPConfig{}, NewCounters())
 		},
 	},
 }
@@ -107,8 +111,8 @@ func TestCloseDrainsQueue(t *testing.T) {
 			}
 			p.Close() // must drain all of it before hanging up
 			s.await(t, 3*n, 5*time.Second)
-			if st := p.Stats(); st.Enqueued != 3*n || st.FramesOut != 3*n {
-				t.Fatalf("stats = %+v, want all %d frames flushed by Close", st, 3*n)
+			if st := p.counters(); st.Get("enqueued") != 3*n || st.Get("frames_out") != 3*n {
+				t.Fatalf("counters %v, want all %d frames flushed by Close", st, 3*n)
 			}
 			awaitReleasedOnce(t, bursts)
 			s.mu.Lock()
@@ -161,13 +165,13 @@ func TestCloseNowReapsQueue(t *testing.T) {
 					t.Fatalf("accepted batch %d released while the address is unresolved", i)
 				}
 			}
-			if st := p.Stats(); st.Dropped != 2 {
-				t.Fatalf("Dropped = %d, want 2 (frame units, all-or-nothing)", st.Dropped)
+			if got := p.counters().Get("dropped"); got != 2 {
+				t.Fatalf("dropped = %d, want 2 (frame units, all-or-nothing)", got)
 			}
 			p.CloseNow()
 			awaitReleasedOnce(t, bursts)
-			if st := p.Stats(); st.FramesOut != 0 || st.Dropped != st.Enqueued+2 {
-				t.Fatalf("after CloseNow: %+v, want every accepted frame counted dropped", st)
+			if st := p.counters(); st.Get("frames_out") != 0 || st.Get("dropped") != st.Get("enqueued")+2 {
+				t.Fatalf("after CloseNow: %v, want every accepted frame counted dropped", st)
 			}
 			if p.Enqueue(1, []byte("late")) {
 				t.Fatal("Enqueue accepted a frame after CloseNow")
@@ -235,22 +239,22 @@ func TestCloseEnqueueRace(t *testing.T) {
 				wg.Wait()
 				p.Close() // idempotent after either
 				awaitReleasedOnce(t, bursts)
-				st := p.Stats()
-				// Enqueued counts every frame that entered the queue — at
+				st := p.counters()
+				enq, out, dropped := st.Get("enqueued"), st.Get("frames_out"), st.Get("dropped")
+				// enqueued counts every frame that entered the queue — at
 				// least the ones the caller saw accepted (the dead-race
 				// branch counts a frame enqueued AND dropped while reporting
 				// false to the caller).
-				if st.Enqueued < accepted {
-					t.Fatalf("iter %d: enqueued count skew: peer %d < caller %d", i, st.Enqueued, accepted)
+				if enq < accepted {
+					t.Fatalf("iter %d: enqueued count skew: peer %d < caller %d", i, enq, accepted)
 				}
-				if st.FramesOut > st.Enqueued {
-					t.Fatalf("iter %d: flushed more than enqueued: %d > %d", i, st.FramesOut, st.Enqueued)
+				if out > enq {
+					t.Fatalf("iter %d: flushed more than enqueued: %d > %d", i, out, enq)
 				}
 				// Conservation: every enqueued frame was either flushed or
-				// dropped (Dropped also counts rejected enqueues, hence ≥).
-				if st.FramesOut+st.Dropped < st.Enqueued {
-					t.Fatalf("iter %d: stranded frames: out %d + dropped %d < enqueued %d",
-						i, st.FramesOut, st.Dropped, st.Enqueued)
+				// dropped (dropped also counts rejected enqueues, hence ≥).
+				if out+dropped < enq {
+					t.Fatalf("iter %d: stranded frames: out %d + dropped %d < enqueued %d", i, out, dropped, enq)
 				}
 			}
 		})

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"infoslicing/internal/metrics"
 	"infoslicing/internal/simnet"
 	"infoslicing/internal/wire"
 )
@@ -76,26 +77,22 @@ type outbox struct {
 	// run loop, a dial-retry loop, or a backoff sleep — so frames in hand
 	// when Close lands keep flushing (and dialing) for the full grace.
 	drainBy time.Time
-	// backoff and jitter are writer-goroutine-only too. The jitter RNG is
-	// only materialized on the first backoff sleep: a peer whose dials
-	// succeed never pays for seeding one (it costs a 607-word table fill,
-	// visible in single-core profiles).
+	// backoff, jitter and dialed are writer-goroutine-only too. The jitter
+	// RNG is only materialized on the first backoff sleep: a peer whose
+	// dials succeed never pays for seeding one (it costs a 607-word table
+	// fill, visible in single-core profiles).
 	backoff time.Duration
 	jitter  lazyRand
+	dialed  bool
 
 	// The current connection, under its own lock: shared by the writer
 	// (dial, drop) and the shutdown paths (sever, deadline).
 	connMu sync.Mutex
 	cur    net.Conn
 
-	enqueued     atomic.Int64
-	dropped      atomic.Int64
-	sendFailures atomic.Int64
-	flushes      atomic.Int64
-	framesOut    atomic.Int64
-	bytesOut     atomic.Int64
-	dials        atomic.Int64
-	reconnects   atomic.Int64
+	// ctr is the transport's counter block; key selects this peer's stripe.
+	ctr *metrics.ShardedCounter
+	key uint64
 }
 
 // flavour is what a peer adds to the outbox: how to open a connection to a
@@ -108,10 +105,12 @@ type flavour interface {
 	flush(c net.Conn, batch []outFrame)
 }
 
-func newOutbox(cfg Config, resolve func() (string, bool)) outbox {
+func newOutbox(cfg Config, resolve func() (string, bool), ctr *metrics.ShardedCounter) outbox {
 	return outbox{
 		cfg:     cfg,
 		resolve: resolve,
+		ctr:     ctr,
+		key:     stripeKeys.Add(1),
 		backoff: cfg.BackoffMin,
 		jitter:  lazyRand{seed: simnet.NextSeed()},
 		out:     make(chan outFrame, cfg.QueueDepth),
@@ -129,7 +128,7 @@ func newOutbox(cfg Config, resolve func() (string, bool)) outbox {
 // return and may be reused by the caller immediately.
 func (o *outbox) Enqueue(from wire.NodeID, data []byte) bool {
 	if len(data) > o.cfg.MaxFrame || o.isClosed() {
-		o.dropped.Add(1)
+		o.count(cDropped, 1)
 		return false
 	}
 	var buf []byte
@@ -143,7 +142,7 @@ func (o *outbox) Enqueue(from wire.NodeID, data []byte) bool {
 	buf = append(buf, data...)
 	select {
 	case o.out <- outFrame{buf: buf}:
-		o.enqueued.Add(1)
+		o.count(cEnqueued, 1)
 		if o.dead.Load() {
 			// Lost the race with the writer's exit. The writer sets dead
 			// strictly before its final reap, so either that reap already
@@ -155,7 +154,7 @@ func (o *outbox) Enqueue(from wire.NodeID, data []byte) bool {
 		return true
 	default:
 		o.recycle(buf)
-		o.dropped.Add(1)
+		o.count(cDropped, 1)
 		return false
 	}
 }
@@ -175,13 +174,13 @@ func (o *outbox) EnqueueOwned(from wire.NodeID, bufs [][]byte, release func()) b
 	}
 	if o.isClosed() {
 		release()
-		o.dropped.Add(n)
+		o.count(cDropped, n)
 		return false
 	}
 	for _, b := range bufs {
 		if len(b) > o.cfg.MaxFrame {
 			release()
-			o.dropped.Add(n)
+			o.count(cDropped, n)
 			return false
 		}
 	}
@@ -202,7 +201,7 @@ func (o *outbox) EnqueueOwned(from wire.NodeID, bufs [][]byte, release func()) b
 	}
 	select {
 	case o.out <- outFrame{ob: ob}:
-		o.enqueued.Add(n)
+		o.count(cEnqueued, n)
 		if o.dead.Load() {
 			// Same exit race as Enqueue: one side's reap consumes the
 			// batch (and its release) — nothing strands, nothing double-
@@ -213,7 +212,7 @@ func (o *outbox) EnqueueOwned(from wire.NodeID, bufs [][]byte, release func()) b
 		return true
 	default:
 		o.finishOwned(ob)
-		o.dropped.Add(n)
+		o.count(cDropped, n)
 		return false
 	}
 }
@@ -247,19 +246,8 @@ func (o *outbox) finish(f outFrame) {
 // QueueLen reports how many frames are currently queued (diagnostics).
 func (o *outbox) QueueLen() int { return len(o.out) }
 
-// Stats snapshots the peer's counters.
-func (o *outbox) Stats() Stats {
-	return Stats{
-		Enqueued:     o.enqueued.Load(),
-		Dropped:      o.dropped.Load(),
-		SendFailures: o.sendFailures.Load(),
-		Flushes:      o.flushes.Load(),
-		FramesOut:    o.framesOut.Load(),
-		BytesOut:     o.bytesOut.Load(),
-		Dials:        o.dials.Load(),
-		Reconnects:   o.reconnects.Load(),
-	}
-}
+// count records delta on the peer's stripe of the transport's counters.
+func (o *outbox) count(i int, delta int64) { o.ctr.Add(o.key, i, delta) }
 
 func (o *outbox) isClosed() bool {
 	select {
@@ -341,7 +329,7 @@ func (o *outbox) discardQueue() {
 	for {
 		select {
 		case f := <-o.out:
-			o.dropped.Add(f.frames())
+			o.count(cDropped, f.frames())
 			o.finish(f)
 		default:
 			return
@@ -435,7 +423,7 @@ func (o *outbox) run(f flavour) {
 			continue
 		}
 		for _, fr := range batch {
-			o.dropped.Add(fr.frames())
+			o.count(cDropped, fr.frames())
 		}
 		o.recycleBatch(batch)
 	}
@@ -460,7 +448,7 @@ func (o *outbox) next() (outFrame, bool) {
 	select {
 	case f := <-o.out:
 		if time.Now().After(drainDeadline) {
-			o.dropped.Add(f.frames())
+			o.count(cDropped, f.frames())
 			o.finish(f)
 			return outFrame{}, false
 		}
@@ -480,7 +468,6 @@ func (o *outbox) ensureConn(f flavour) net.Conn {
 	if c := o.conn(); c != nil {
 		return c
 	}
-	hadConn := o.dials.Load() > 0
 	for {
 		if o.immediate.Load() {
 			return nil
@@ -494,10 +481,11 @@ func (o *outbox) ensureConn(f flavour) net.Conn {
 				o.connMu.Lock()
 				o.cur = c
 				o.connMu.Unlock()
-				o.dials.Add(1)
-				if hadConn {
-					o.reconnects.Add(1)
+				o.count(cDials, 1)
+				if o.dialed {
+					o.count(cReconnects, 1)
 				}
+				o.dialed = true
 				if o.immediate.Load() {
 					// Lost the race with CloseNow's dropConn: do not hand
 					// a conn back to a writer that is about to exit.

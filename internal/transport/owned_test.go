@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -79,13 +80,14 @@ func frameInSlab(s *Slab, payload []byte) []byte {
 // the slab allocates nothing per op once warm (bench_baseline.json pins it
 // at 0 allocs/op).
 func BenchmarkPeerWriteOwnedSteadyState(b *testing.B) {
-	acc, err := Listen("127.0.0.1:0", 0, func(wire.NodeID, []byte) bool { return true })
+	var got atomic.Int64
+	acc, err := listen("127.0.0.1:0", 0, func(wire.NodeID, []byte) bool { got.Add(1); return true }, NewCounters())
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer acc.Close()
 	cfg := Config{QueueDepth: 4096}
-	p := NewPeer(fixedResolver(acc.Addr()), cfg)
+	p := NewPeer(fixedResolver(acc.Addr()), cfg, NewCounters())
 	defer p.Close()
 	payload := bytes.Repeat([]byte{0xA5}, 1500)
 	pool := NewSlabPool(0, 32)
@@ -99,11 +101,8 @@ func BenchmarkPeerWriteOwnedSteadyState(b *testing.B) {
 		}
 	}
 	await := func(frames int64) {
-		if !simnet.Eventually(30*time.Second, time.Millisecond, func() bool {
-			got, _ := acc.FramesIn()
-			return got >= frames
-		}) {
-			b.Fatalf("receiver stalled; peer stats %+v", p.Stats())
+		if !simnet.Eventually(30*time.Second, time.Millisecond, func() bool { return got.Load() >= frames }) {
+			b.Fatalf("receiver stalled; peer counters %v", p.counters())
 		}
 	}
 	// Warmup: dial, populate the slab pool and batch-envelope freelist.
@@ -125,8 +124,8 @@ func BenchmarkPeerWriteOwnedSteadyState(b *testing.B) {
 	await(warm + int64(b.N))
 	b.StopTimer()
 	b.SetBytes(int64(len(payload)))
-	if st := p.Stats(); st.SendFailures > 0 || st.FramesOut != st.Enqueued {
-		b.Fatalf("steady state lost accepted frames: %+v", st)
+	if st := p.counters(); st.Get("send_failures") > 0 || st.Get("frames_out") != st.Get("enqueued") {
+		b.Fatalf("steady state lost accepted frames: %v", st)
 	}
 	if got := pool.Outstanding(); got > int64(cfg.QueueDepth) {
 		b.Fatalf("slab refs leaking: outstanding %d", got)

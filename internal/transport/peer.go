@@ -3,6 +3,8 @@ package transport
 import (
 	"net"
 	"time"
+
+	"infoslicing/internal/metrics"
 )
 
 // Peer is one remote overlay host: a single TCP connection carrying frames
@@ -31,10 +33,10 @@ type Peer struct {
 // NewPeer creates a peer and starts its writer. resolve is called on the
 // writer goroutine at dial time (never on the data path); returning false
 // means the remote address is currently unknown, which is treated like a
-// failed dial: backoff and retry.
-func NewPeer(resolve func() (string, bool), cfg Config) *Peer {
+// failed dial: backoff and retry. It counts into its transport's ctr.
+func NewPeer(resolve func() (string, bool), cfg Config, ctr *metrics.ShardedCounter) *Peer {
 	cfg.fillDefaults()
-	p := &Peer{outbox: newOutbox(cfg, resolve)}
+	p := &Peer{outbox: newOutbox(cfg, resolve, ctr)}
 	go p.run(p)
 	return p
 }
@@ -83,14 +85,14 @@ func (p *Peer) flush(c net.Conn, batch []outFrame) {
 		}
 	}
 	n, err := p.nb.WriteTo(c)
-	p.bytesOut.Add(n)
+	p.count(cBytesOut, n)
 	if err != nil {
-		p.sendFailures.Add(1)
-		p.dropped.Add(frames)
+		p.count(cSendFailures, 1)
+		p.count(cDropped, frames)
 		p.dropConn()
 	} else {
-		p.flushes.Add(1)
-		p.framesOut.Add(frames)
+		p.count(cFlushes, 1)
+		p.count(cFramesOut, frames)
 	}
 	p.recycleBatch(batch)
 }

@@ -2,18 +2,18 @@ package transport
 
 import (
 	"sync"
+	"time"
 
 	"infoslicing/internal/wire"
 )
 
 // Link is what a PeerSet needs from one outbound peer, satisfied by both
 // the stream Peer and the datagram UDPPeer: the non-blocking enqueues
-// (copying and owned-buffer), the counters, and the two shutdown
-// flavours. Both flavours inherit all of it from the shared outbox.
+// (copying and owned-buffer) and the two shutdown flavours. Both flavours
+// inherit all of it from the shared outbox.
 type Link interface {
 	Enqueue(from wire.NodeID, data []byte) bool
 	EnqueueOwned(from wire.NodeID, bufs [][]byte, release func()) bool
-	Stats() Stats
 	Close()
 	CloseNow()
 }
@@ -28,20 +28,14 @@ type Link interface {
 // control-plane. The make hook decides which peer flavour a miss creates
 // and how that peer resolves its node's address, so the TCP and UDP
 // transports share this set unchanged and the data path builds no
-// resolver closure per call.
+// resolver closure per call. The peers' counters are not the set's: they
+// live in the transport's block, which outlives every peer.
 type PeerSet struct {
 	make func(to wire.NodeID) Link
 
-	mu    sync.RWMutex
-	peers map[wire.NodeID]Link
-	// Counters are cumulative across peer lifetimes: a peer removed by Drop
-	// or Close sits in leaving while its writer exits, then its final
-	// counters are folded into gone/goneUDP. Stats reads all three under
-	// one lock hold, so a retiring peer's counts never leave the sum.
-	leaving []Link
-	gone    Stats
-	goneUDP UDPPeerStats
-	closed  bool
+	mu     sync.RWMutex
+	peers  map[wire.NodeID]Link
+	closed bool
 }
 
 // NewPeerSet creates an empty peer set over a peer constructor. The hook
@@ -88,73 +82,30 @@ func (ps *PeerSet) Get(to wire.NodeID) Link {
 func (ps *PeerSet) Drop(to wire.NodeID) {
 	ps.mu.Lock()
 	p := ps.peers[to]
-	if p != nil {
-		delete(ps.peers, to)
-		ps.leaving = append(ps.leaving, p)
-	}
+	delete(ps.peers, to)
 	ps.mu.Unlock()
 	if p != nil {
 		p.CloseNow()
-		ps.retire(p)
 	}
 }
 
-// retire folds an exited peer's final counters into the cumulative totals.
-// Window, SRTT and loss rate are states of a live path, not counts: a
-// retired peer contributes none.
-func (ps *PeerSet) retire(p Link) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	for i, q := range ps.leaving {
-		if q == p {
-			ps.leaving = append(ps.leaving[:i], ps.leaving[i+1:]...)
-			break
-		}
-	}
-	ps.gone.add(p.Stats())
-	if up, ok := p.(*UDPPeer); ok {
-		st := up.UDPStats()
-		st.Window, st.SRTT, st.LossRate = 0, 0, 0
-		ps.goneUDP.Add(st)
-	}
-}
-
-// Stats sums the counters of every peer the set has ever held.
-func (ps *PeerSet) Stats() Stats {
-	st, _ := ps.totals()
-	return st
-}
-
-// UDPStats sums the datagram-specific counters likewise (Window is summed
-// over live peers; SRTT and LossRate are their maxima). All zero when the
-// set holds stream peers.
-func (ps *PeerSet) UDPStats() UDPPeerStats {
-	_, st := ps.totals()
-	return st
-}
-
-func (ps *PeerSet) totals() (Stats, UDPPeerStats) {
+// UDPPaths reads the live datagram peers' paths, states rather than counts:
+// the largest smoothed RTT and the sum of the windows (zero on streams).
+func (ps *PeerSet) UDPPaths() (srtt time.Duration, window int) {
 	ps.mu.RLock()
 	defer ps.mu.RUnlock()
-	st, ust := ps.gone, ps.goneUDP
-	add := func(p Link) {
-		st.add(p.Stats())
+	for _, p := range ps.peers {
 		if up, ok := p.(*UDPPeer); ok {
-			ust.Add(up.UDPStats())
+			s, w := up.path()
+			srtt, window = max(srtt, s), window+w
 		}
 	}
-	for _, p := range ps.peers {
-		add(p)
-	}
-	for _, p := range ps.leaving {
-		add(p)
-	}
-	return st, ust
+	return srtt, window
 }
 
 // Close gracefully closes every peer concurrently (each drains its queue,
 // bounded by DrainTimeout) and blocks until all writers have exited. The
-// set refuses new peers afterwards; its counters stay readable.
+// set refuses new peers afterwards.
 func (ps *PeerSet) Close() {
 	ps.mu.Lock()
 	if ps.closed {
@@ -166,7 +117,6 @@ func (ps *PeerSet) Close() {
 	for _, p := range ps.peers {
 		peers = append(peers, p)
 	}
-	ps.leaving = append(ps.leaving, peers...)
 	ps.peers = map[wire.NodeID]Link{}
 	ps.mu.Unlock()
 	var wg sync.WaitGroup
@@ -175,7 +125,6 @@ func (ps *PeerSet) Close() {
 		go func(p Link) {
 			defer wg.Done()
 			p.Close()
-			ps.retire(p)
 		}(p)
 	}
 	wg.Wait()

@@ -5,8 +5,8 @@ import (
 	"math"
 	"net"
 	"sync"
-	"sync/atomic"
 
+	"infoslicing/internal/metrics"
 	"infoslicing/internal/wire"
 )
 
@@ -40,8 +40,8 @@ type Acceptor struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	framesIn atomic.Int64
-	bytesIn  atomic.Int64
+	ctr *metrics.ShardedCounter // the transport's block
+	key uint64
 }
 
 // maxSendersPerConn bounds per-connection (and per-datagram-source) sender
@@ -53,8 +53,8 @@ const maxSendersPerConn = 16
 // registration (publish the endpoint, set fields the deliver callback's
 // liveness check reads) and then Start. Separating the two closes the
 // attach race where a peer's first frames arrive — and get dropped, conn
-// and all — before the receiving node is registered.
-func NewAcceptor(ln net.Listener, maxFrame int, deliver Deliver) *Acceptor {
+// and all — before the receiving node is registered. It counts into ctr.
+func NewAcceptor(ln net.Listener, maxFrame int, deliver Deliver, ctr *metrics.ShardedCounter) *Acceptor {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
 	}
@@ -68,6 +68,8 @@ func NewAcceptor(ln net.Listener, maxFrame int, deliver Deliver) *Acceptor {
 		maxFrame: maxFrame,
 		deliver:  deliver,
 		conns:    make(map[net.Conn]struct{}),
+		ctr:      ctr,
+		key:      stripeKeys.Add(1),
 	}
 }
 
@@ -78,18 +80,6 @@ func (a *Acceptor) Start() {
 	go a.acceptLoop()
 }
 
-// Listen is NewAcceptor + Start over a fresh TCP listener on addr, for
-// callers with no registration window.
-func Listen(addr string, maxFrame int, deliver Deliver) (*Acceptor, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	a := NewAcceptor(ln, maxFrame, deliver)
-	a.Start()
-	return a, nil
-}
-
 // Addr returns the listen address.
 func (a *Acceptor) Addr() string { return a.ln.Addr().String() }
 
@@ -98,11 +88,6 @@ func (a *Acceptor) ConnCount() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return len(a.conns)
-}
-
-// FramesIn reports frames and bytes delivered so far.
-func (a *Acceptor) FramesIn() (frames, bytes int64) {
-	return a.framesIn.Load(), a.bytesIn.Load()
 }
 
 // DropConns severs every accepted connection but keeps listening — fault
@@ -195,8 +180,8 @@ func (a *Acceptor) readLoop(c net.Conn) {
 			// to grow into the next frame's bytes.
 			payload := slab[off : off+size : off+size]
 			start += total
-			a.framesIn.Add(1)
-			a.bytesIn.Add(int64(size))
+			a.ctr.Add(a.key, cFramesIn, 1)
+			a.ctr.Add(a.key, cBytesIn, int64(size))
 			if a.OnSender != nil && !seenSenders[from] && len(seenSenders) < maxSendersPerConn {
 				if seenSenders == nil {
 					seenSenders = make(map[wire.NodeID]bool, 1)

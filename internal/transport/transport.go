@@ -29,8 +29,10 @@ package transport
 import (
 	"encoding/binary"
 	"errors"
+	"sync/atomic"
 	"time"
 
+	"infoslicing/internal/metrics"
 	"infoslicing/internal/wire"
 )
 
@@ -44,7 +46,7 @@ const DefaultMaxFrame = 64 << 20
 // ErrQueueFull reports that a frame was dropped at a peer's full outbound
 // queue. It is advisory — the transports have datagram semantics and the
 // caller's round keeps going — but callers on the data path count it (the
-// relay's Stats.SendDrops) so operators can see a slow peer shedding load.
+// relay's send_drops) so operators can see a slow peer shedding load.
 var ErrQueueFull = errors.New("transport: peer queue full")
 
 // Config tunes peer behaviour. The zero value is usable; zero fields take
@@ -101,28 +103,49 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Stats is a snapshot of one peer's counters (or, via PeerSet.Stats, their
-// sum). Enqueued-Dropped-FramesOut is the number of frames still queued.
-type Stats struct {
-	Enqueued     int64 // frames accepted into the queue
-	Dropped      int64 // frames lost: full queue, failed flush, or drain cutoff
-	SendFailures int64 // write errors (each severs the connection)
-	Flushes      int64 // writev batches issued
-	FramesOut    int64 // frames written
-	BytesOut     int64 // bytes written
-	Dials        int64 // successful connects
-	Reconnects   int64 // successful connects after the first
-}
+// A transport's counters. Its peers and acceptors come and go, so they all
+// record, each on its own stripe key, into one block (NewCounters) that the
+// transport owns. enqueued − dropped − frames_out frames are still queued;
+// sources_added − sources_evicted source sockets hold ack state.
+const (
+	cEnqueued       = iota // frames accepted into a peer queue
+	cDropped               // frames lost: full queue, failed flush, or drain cutoff
+	cSendFailures          // write errors (each severs the connection)
+	cFlushes               // writev or sendmmsg calls that wrote
+	cFramesOut             // frames written
+	cBytesOut              // bytes written
+	cDials                 // successful connects
+	cReconnects            // successful connects after a peer's first
+	cDatagramsOut          // data datagrams written
+	cDatagramsLost         // datagrams the ack channel proved (or RTO presumed) lost
+	cAcksIn                // transport acks processed by datagram peers
+	cFramesIn              // frames delivered by acceptors
+	cBytesIn               // payload bytes behind frames_in
+	cDatagramsIn           // data datagrams accepted
+	cAcksOut               // transport acks echoed by datagram acceptors
+	cRxDropped             // inbound datagrams the RxDrop shim ate
+	cSourcesAdded          // datagram source sockets given ack state
+	cSourcesEvicted        // idle sources whose ack state was dropped
+)
 
-func (s *Stats) add(o Stats) {
-	s.Enqueued += o.Enqueued
-	s.Dropped += o.Dropped
-	s.SendFailures += o.SendFailures
-	s.Flushes += o.Flushes
-	s.FramesOut += o.FramesOut
-	s.BytesOut += o.BytesOut
-	s.Dials += o.Dials
-	s.Reconnects += o.Reconnects
+var vocab = metrics.NewVocab([]string{
+	cEnqueued: "enqueued", cDropped: "dropped", cSendFailures: "send_failures",
+	cFlushes: "flushes", cFramesOut: "frames_out", cBytesOut: "bytes_out",
+	cDials: "dials", cReconnects: "reconnects", cDatagramsOut: "datagrams_out",
+	cDatagramsLost: "datagrams_lost", cAcksIn: "acks_in", cFramesIn: "frames_in",
+	cBytesIn: "bytes_in", cDatagramsIn: "datagrams_in", cAcksOut: "acks_out",
+	cRxDropped: "rx_dropped", cSourcesAdded: "sources_added", cSourcesEvicted: "sources_evicted",
+}...)
+
+// NewCounters returns a transport's counter block. Its peers and acceptors
+// take stripes in turn (stripeKeys), so the first 64 share none.
+func NewCounters() *metrics.ShardedCounter { return metrics.NewShardedCounter(64, vocab) }
+
+var stripeKeys atomic.Uint64
+
+// Stats is the benchmark's view of a transport's counters (Static.PeerStats).
+type Stats struct {
+	Enqueued, Dropped, SendFailures, Flushes, FramesOut, Reconnects int64
 }
 
 // putHeader writes the frame header for a payload of n bytes from the given

@@ -7,9 +7,11 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"infoslicing/internal/metrics"
 	"infoslicing/internal/simnet"
 	"infoslicing/internal/wire"
 )
@@ -42,6 +44,36 @@ func (s *sink) await(t *testing.T, n int, timeout time.Duration) {
 	}
 }
 
+// counters reads a peer's transport block; in these tests each peer has a
+// block of its own unless it is one of a PeerSet's.
+func (o *outbox) counters() metrics.Snapshot { return o.ctr.Snapshot() }
+
+// listen is NewAcceptor + Start over a fresh TCP listener on addr.
+func listen(addr string, maxFrame int, deliver Deliver, ctr *metrics.ShardedCounter) (*Acceptor, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	a := NewAcceptor(ln, maxFrame, deliver, ctr)
+	a.Start()
+	return a, nil
+}
+
+// listenUDP binds addr and returns a started acceptor.
+func listenUDP(addr string, maxFrame int, ucfg UDPConfig, deliver Deliver, ctr *metrics.ShardedCounter) (*UDPAcceptor, error) {
+	la, err := net.ResolveUDPAddr("udp", addr)
+	if err != nil {
+		return nil, err
+	}
+	c, err := net.ListenUDP("udp", la)
+	if err != nil {
+		return nil, err
+	}
+	a := NewUDPAcceptor(c, maxFrame, ucfg, deliver, ctr)
+	a.Start()
+	return a, nil
+}
+
 func fixedResolver(addr string) func() (string, bool) {
 	return func() (string, bool) { return addr, true }
 }
@@ -59,12 +91,12 @@ func testConfig() Config {
 
 func TestPeerDeliversFramesInOrder(t *testing.T) {
 	s := &sink{}
-	acc, err := Listen("127.0.0.1:0", 0, s.deliver)
+	acc, err := listen("127.0.0.1:0", 0, s.deliver, NewCounters())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer acc.Close()
-	p := NewPeer(fixedResolver(acc.Addr()), testConfig())
+	p := NewPeer(fixedResolver(acc.Addr()), testConfig(), NewCounters())
 	defer p.Close()
 	const n = 200
 	for i := 0; i < n; i++ {
@@ -85,12 +117,12 @@ func TestPeerDeliversFramesInOrder(t *testing.T) {
 			t.Fatalf("frame %d = %x, want %x (ordering or framing broken)", i, f, want)
 		}
 	}
-	st := p.Stats()
-	if st.FramesOut != n {
-		t.Fatalf("stats = %+v, want %d frames out", st, n)
+	st := p.counters()
+	if st.Get("frames_out") != n {
+		t.Fatalf("counters %v, want %d frames out", st, n)
 	}
-	if st.Flushes >= n {
-		t.Fatalf("%d flushes for %d frames: no writev coalescing happened", st.Flushes, n)
+	if st.Get("flushes") >= n {
+		t.Fatalf("%d flushes for %d frames: no writev coalescing happened", st.Get("flushes"), n)
 	}
 }
 
@@ -98,12 +130,12 @@ func TestPeerDeliversFramesInOrder(t *testing.T) {
 // and the peer must re-dial with backoff and keep delivering.
 func TestPeerReconnectAfterRestart(t *testing.T) {
 	s := &sink{}
-	acc, err := Listen("127.0.0.1:0", 0, s.deliver)
+	acc, err := listen("127.0.0.1:0", 0, s.deliver, NewCounters())
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := acc.Addr()
-	p := NewPeer(fixedResolver(addr), testConfig())
+	p := NewPeer(fixedResolver(addr), testConfig(), NewCounters())
 	defer p.Close()
 
 	p.Enqueue(1, []byte("before"))
@@ -118,7 +150,7 @@ func TestPeerReconnectAfterRestart(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	acc2, err := Listen(addr, 0, s.deliver)
+	acc2, err := listen(addr, 0, s.deliver, NewCounters())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,14 +166,14 @@ func TestPeerReconnectAfterRestart(t *testing.T) {
 		}
 		return false
 	}) {
-		t.Fatalf("no delivery after restart; stats %+v", p.Stats())
+		t.Fatalf("no delivery after restart; counters %v", p.counters())
 	}
-	st := p.Stats()
-	if st.Reconnects < 1 {
-		t.Fatalf("stats = %+v, want ≥1 reconnect", st)
+	st := p.counters()
+	if st.Get("reconnects") < 1 {
+		t.Fatalf("counters %v, want ≥1 reconnect", st)
 	}
-	if st.SendFailures < 1 {
-		t.Fatalf("stats = %+v, want ≥1 counted send failure from the broken conn", st)
+	if st.Get("send_failures") < 1 {
+		t.Fatalf("counters %v, want ≥1 counted send failure from the broken conn", st)
 	}
 }
 
@@ -159,7 +191,7 @@ func TestPeerCloseDrainsThroughBackoff(t *testing.T) {
 
 	cfg := testConfig()
 	cfg.DrainTimeout = 3 * time.Second
-	p := NewPeer(fixedResolver(addr), cfg)
+	p := NewPeer(fixedResolver(addr), cfg, NewCounters())
 	const n = 10
 	for i := 0; i < n; i++ {
 		if !p.Enqueue(5, []byte{byte(i)}) {
@@ -171,7 +203,7 @@ func TestPeerCloseDrainsThroughBackoff(t *testing.T) {
 	// Revive the remote well inside the drain window.
 	time.Sleep(300 * time.Millisecond)
 	s := &sink{}
-	acc, err := Listen(addr, 0, s.deliver)
+	acc, err := listen(addr, 0, s.deliver, NewCounters())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,8 +213,8 @@ func TestPeerCloseDrainsThroughBackoff(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Close hung")
 	}
-	if st := p.Stats(); st.FramesOut != n {
-		t.Fatalf("stats = %+v, want all %d frames drained to the revived remote", st, n)
+	if st := p.counters(); st.Get("frames_out") != n {
+		t.Fatalf("counters %v, want all %d frames drained to the revived remote", st, n)
 	}
 }
 
@@ -212,12 +244,12 @@ func TestPeerStalledReaderBoundedDrops(t *testing.T) {
 	cfg := testConfig()
 	cfg.QueueDepth = 16
 	cfg.WriteTimeout = 100 * time.Millisecond
-	p := NewPeer(fixedResolver(ln.Addr().String()), cfg)
+	p := NewPeer(fixedResolver(ln.Addr().String()), cfg, NewCounters())
 	payload := bytes.Repeat([]byte{0x55}, 32<<10) // large: fills socket buffers fast
 	deadline := time.Now().Add(5 * time.Second)
-	for p.Stats().Dropped == 0 {
+	for p.counters().Get("dropped") == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("no drops recorded against a stalled reader; stats %+v", p.Stats())
+			t.Fatalf("no drops recorded against a stalled reader; counters %v", p.counters())
 		}
 		start := time.Now()
 		p.Enqueue(9, payload) // must never block
@@ -248,7 +280,7 @@ func TestPeerStalledReaderBoundedDrops(t *testing.T) {
 // The accepted-conn table must not accrete dead entries: a dropped inbound
 // connection removes itself when its read loop exits.
 func TestAcceptorRemovesDeadConns(t *testing.T) {
-	acc, err := Listen("127.0.0.1:0", 0, func(wire.NodeID, []byte) bool { return true })
+	acc, err := listen("127.0.0.1:0", 0, func(wire.NodeID, []byte) bool { return true }, NewCounters())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +306,7 @@ func TestAcceptorRemovesDeadConns(t *testing.T) {
 // come out byte-identical.
 func TestReaderSlabBoundaries(t *testing.T) {
 	s := &sink{}
-	acc, err := Listen("127.0.0.1:0", 0, s.deliver)
+	acc, err := listen("127.0.0.1:0", 0, s.deliver, NewCounters())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +353,7 @@ func TestReaderSlabBoundaries(t *testing.T) {
 // A frame claiming an absurd size drops the connection rather than
 // allocating.
 func TestReaderRejectsOversizeFrame(t *testing.T) {
-	acc, err := Listen("127.0.0.1:0", 1<<20, func(wire.NodeID, []byte) bool { return true })
+	acc, err := listen("127.0.0.1:0", 1<<20, func(wire.NodeID, []byte) bool { return true }, NewCounters())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +377,7 @@ func TestReaderRejectsOversizeFrame(t *testing.T) {
 // what was promised.
 func TestReaderCommitsMemoryAsBytesArrive(t *testing.T) {
 	const claim, body = 60 << 20, 64 << 10
-	acc, err := Listen("127.0.0.1:0", 0, func(wire.NodeID, []byte) bool { return true })
+	acc, err := listen("127.0.0.1:0", 0, func(wire.NodeID, []byte) bool { return true }, NewCounters())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,19 +420,20 @@ func TestReaderCommitsMemoryAsBytesArrive(t *testing.T) {
 
 func TestPeerSetSharedHostConnAndDrop(t *testing.T) {
 	s := &sink{}
-	acc, err := Listen("127.0.0.1:0", 0, s.deliver)
+	acc, err := listen("127.0.0.1:0", 0, s.deliver, NewCounters())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer acc.Close()
-	acc2, err := Listen("127.0.0.1:0", 0, s.deliver)
+	acc2, err := listen("127.0.0.1:0", 0, s.deliver, NewCounters())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer acc2.Close()
 	addrs := map[wire.NodeID]string{10: acc.Addr(), 20: acc2.Addr()}
+	ctr := NewCounters()
 	ps := NewPeerSet(func(to wire.NodeID) Link {
-		return NewPeer(fixedResolver(addrs[to]), testConfig())
+		return NewPeer(fixedResolver(addrs[to]), testConfig(), ctr)
 	})
 	defer ps.Close()
 	// Two local senders toward one host share a peer (and its connection).
@@ -415,22 +448,25 @@ func TestPeerSetSharedHostConnAndDrop(t *testing.T) {
 	if got := acc.ConnCount(); got != 1 {
 		t.Fatalf("%d connections for 2 senders to one host, want 1 shared", got)
 	}
-	before := ps.Stats()
+	before := ctr.Snapshot()
 	ps.Drop(10)
 	if ps.Lookup(20) != keep {
 		t.Fatal("unmatched peer was dropped")
 	}
 	// The dropped peer is recreated on demand — a fresh object — while the
-	// set's totals keep what the old one sent.
+	// transport's block keeps what the old one sent.
 	p1 := ps.Get(10)
-	if p1 == nil {
-		t.Fatal("Get after Drop returned nil")
+	if p1 == nil || p1 == keep {
+		t.Fatal("Get after Drop did not make a fresh peer")
 	}
-	if st := p1.Stats(); st.Enqueued != 0 {
-		t.Fatalf("recreated peer carries old stats: %+v", st)
-	}
-	if after := ps.Stats(); after.Enqueued < before.Enqueued || after.FramesOut < before.FramesOut {
-		t.Fatalf("set totals went backwards across Drop: %+v → %+v", before, after)
+	after := ctr.Snapshot()
+	after.Each(func(name string, v int64) {
+		if v < before.Get(name) {
+			t.Errorf("%s went backwards across Drop: %d → %d", name, before.Get(name), v)
+		}
+	})
+	if after.Get("enqueued") != 3 || after.Get("frames_out") != 3 {
+		t.Fatalf("counters %v, want the 3 frames of both peers", after)
 	}
 }
 
@@ -440,22 +476,20 @@ func TestPeerSetSharedHostConnAndDrop(t *testing.T) {
 // receiving side's slab amortizes to ~1 allocation per 40 frames, which
 // integer-truncates to 0 allocs/op.
 func BenchmarkPeerWriteSteadyState(b *testing.B) {
-	acc, err := Listen("127.0.0.1:0", 0, func(wire.NodeID, []byte) bool { return true })
+	var got atomic.Int64
+	acc, err := listen("127.0.0.1:0", 0, func(wire.NodeID, []byte) bool { got.Add(1); return true }, NewCounters())
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer acc.Close()
 	cfg := Config{QueueDepth: 4096}
-	p := NewPeer(fixedResolver(acc.Addr()), cfg)
+	p := NewPeer(fixedResolver(acc.Addr()), cfg, NewCounters())
 	defer p.Close()
 	payload := bytes.Repeat([]byte{0xA5}, 1500)
 
 	await := func(frames int64) {
-		if !simnet.Eventually(30*time.Second, time.Millisecond, func() bool {
-			got, _ := acc.FramesIn()
-			return got >= frames
-		}) {
-			b.Fatalf("receiver stalled; peer stats %+v", p.Stats())
+		if !simnet.Eventually(30*time.Second, time.Millisecond, func() bool { return got.Load() >= frames }) {
+			b.Fatalf("receiver stalled; peer counters %v", p.counters())
 		}
 	}
 	// Warmup: dial, grow the freelist buffers, fault in the reader slab.
@@ -484,29 +518,34 @@ func BenchmarkPeerWriteSteadyState(b *testing.B) {
 	await(warm + int64(b.N))
 	b.StopTimer()
 	b.SetBytes(int64(len(payload)))
-	// Queue-full rejections are retried above (and counted in Dropped);
-	// what must not happen is a frame accepted and then lost.
-	if st := p.Stats(); st.SendFailures > 0 || st.FramesOut != st.Enqueued {
-		b.Fatalf("steady state lost accepted frames: %+v", st)
+	// Queue-full rejections are retried above (and counted dropped); what
+	// must not happen is a frame accepted and then lost.
+	if st := p.counters(); st.Get("send_failures") > 0 || st.Get("frames_out") != st.Get("enqueued") {
+		b.Fatalf("steady state lost accepted frames: %v", st)
 	}
 }
 
+// Every peer of a set — and the acceptor at the other end — records into the
+// one block, which outlives them: a retired peer's counts stay in.
 func TestPeerSetStatsAggregate(t *testing.T) {
 	s := &sink{}
-	acc, err := Listen("127.0.0.1:0", 0, s.deliver)
+	ctr := NewCounters()
+	acc, err := listen("127.0.0.1:0", 0, s.deliver, ctr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer acc.Close()
 	ps := NewPeerSet(func(wire.NodeID) Link {
-		return NewPeer(fixedResolver(acc.Addr()), testConfig())
+		return NewPeer(fixedResolver(acc.Addr()), testConfig(), ctr)
 	})
 	defer ps.Close()
 	for i := 1; i <= 4; i++ {
-		ps.Get(99).Enqueue(wire.NodeID(i), []byte(fmt.Sprintf("p%d", i)))
+		ps.Get(wire.NodeID(90+i%2)).Enqueue(wire.NodeID(i), []byte(fmt.Sprintf("p%d", i)))
 	}
 	s.await(t, 4, 5*time.Second)
-	if st := ps.Stats(); st.Enqueued != 4 || st.FramesOut != 4 {
-		t.Fatalf("aggregate stats = %+v, want 4 enqueued and flushed", st)
+	ps.Drop(90)
+	st := ctr.Snapshot()
+	if st.Get("enqueued") != 4 || st.Get("frames_out") != 4 || st.Get("frames_in") != 4 || st.Get("dials") != 2 {
+		t.Fatalf("counters %v, want 4 frames enqueued, flushed and received over 2 dials", st)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"infoslicing/internal/metrics"
 	"infoslicing/internal/simnet"
 	"infoslicing/internal/wire"
 )
@@ -107,31 +108,12 @@ func (c *UDPConfig) fillDefaults() {
 	}
 }
 
-// UDPPeerStats snapshots the datagram-specific counters of one peer (or,
-// summed, of a transport).
+// UDPPeerStats is the benchmark's view of a datagram transport's counters
+// and live paths (PeerSet.UDPPaths).
 type UDPPeerStats struct {
-	DatagramsOut  int64         // data datagrams written
-	DatagramsLost int64         // datagrams the ack channel proved (or RTO presumed) lost
-	AcksIn        int64         // transport acks processed
-	Retransmitted int64         // always 0: the transport never retransmits
-	SRTT          time.Duration // smoothed RTT (zero before the first sample)
-	Window        int           // current congestion window, datagrams
-	LossRate      float64       // smoothed loss rate toward this peer
-}
-
-// Add folds another peer's snapshot into this one (counters sum; SRTT and
-// LossRate take the maximum — the weakest path dominates escalation).
-func (s *UDPPeerStats) Add(o UDPPeerStats) {
-	s.DatagramsOut += o.DatagramsOut
-	s.DatagramsLost += o.DatagramsLost
-	s.AcksIn += o.AcksIn
-	s.Window += o.Window
-	if o.SRTT > s.SRTT {
-		s.SRTT = o.SRTT
-	}
-	if o.LossRate > s.LossRate {
-		s.LossRate = o.LossRate
-	}
+	DatagramsOut, DatagramsLost int64
+	SRTT                        time.Duration
+	Window                      int
 }
 
 // UDPPeer is one remote overlay host over a connected UDP socket: the same
@@ -143,11 +125,13 @@ type UDPPeer struct {
 	outbox
 	ucfg UDPConfig
 
-	// Writer-goroutine-only flush scratch: the datagrams of the batch in
-	// hand, retired datagram buffers, and the sendmmsg vectors.
-	dgs    [][]byte
-	dgPool [][]byte
-	bs     batchSender
+	// Writer-goroutine-only: the flush scratch, and the frames and datagrams
+	// sent, whose ratio is published as packing for SendDelay.
+	dgs             [][]byte
+	dgPool          [][]byte
+	bs              batchSender
+	txFrames, txDgs int64
+	packing         atomic.Int64
 
 	// Congestion state, guarded by ackMu (shared by the writer stamping
 	// seqs and the ack-reader goroutine).
@@ -164,23 +148,19 @@ type UDPPeer struct {
 	lastLossReport time.Time
 
 	ackSignal chan struct{} // capacity 1: the writer's window-open wakeup
-
-	datagramsOut  atomic.Int64
-	datagramsLost atomic.Int64
-	acksIn        atomic.Int64
 }
 
 // NewUDPPeer creates a datagram peer and starts its writer. resolve is
-// called at (re)dial time on the writer goroutine, exactly as for the TCP
-// peer.
-func NewUDPPeer(resolve func() (string, bool), cfg Config, ucfg UDPConfig) *UDPPeer {
+// called at (re)dial time on the writer goroutine, and counters go to ctr,
+// exactly as for the TCP peer.
+func NewUDPPeer(resolve func() (string, bool), cfg Config, ucfg UDPConfig, ctr *metrics.ShardedCounter) *UDPPeer {
 	cfg.fillDefaults()
 	ucfg.fillDefaults()
 	if maxPayload := MaxUDPPayload - dgHdrLen - HeaderLen; cfg.MaxFrame > maxPayload {
 		cfg.MaxFrame = maxPayload
 	}
 	p := &UDPPeer{
-		outbox:    newOutbox(cfg, resolve),
+		outbox:    newOutbox(cfg, resolve, ctr),
 		ucfg:      ucfg,
 		est:       newRTTEstimator(ucfg.MinRTO, ucfg.MaxRTO),
 		win:       newCubicWindow(float64(ucfg.InitialWindow), float64(ucfg.MaxWindow)),
@@ -190,21 +170,12 @@ func NewUDPPeer(resolve func() (string, bool), cfg Config, ucfg UDPConfig) *UDPP
 	return p
 }
 
-// UDPStats snapshots the datagram-specific counters.
-func (p *UDPPeer) UDPStats() UDPPeerStats {
+// path reads the peer's smoothed RTT (zero before the first sample) and
+// congestion window.
+func (p *UDPPeer) path() (time.Duration, int) {
 	p.ackMu.Lock()
-	srtt := p.est.SRTT()
-	win := p.win.Window()
-	loss := p.lossEWMA
-	p.ackMu.Unlock()
-	return UDPPeerStats{
-		DatagramsOut:  p.datagramsOut.Load(),
-		DatagramsLost: p.datagramsLost.Load(),
-		AcksIn:        p.acksIn.Load(),
-		SRTT:          srtt,
-		Window:        win,
-		LossRate:      loss,
-	}
+	defer p.ackMu.Unlock()
+	return p.est.SRTT(), p.win.Window()
 }
 
 // SendDelay estimates how long a congestion-aware sender should hold its
@@ -222,11 +193,8 @@ func (p *UDPPeer) SendDelay(bytes int) time.Duration {
 	// writer packs several frames per datagram; scale the queue down by
 	// the measured packing factor so the overshoot stays in one unit.
 	queued := p.QueueLen()
-	if queued > 0 {
-		if fo, do := p.framesOut.Load(), p.datagramsOut.Load(); do > 0 && fo > do {
-			per := fo / do
-			queued = int((int64(queued) + per - 1) / per)
-		}
+	if per := p.packing.Load(); queued > 0 && per > 1 {
+		queued = int((int64(queued) + per - 1) / per)
 	}
 	over := inflight + queued - win
 	if over <= 0 {
@@ -314,7 +282,7 @@ func (p *UDPPeer) send(c *net.UDPConn, dgs [][]byte) {
 			room := p.windowRoom()
 			if room <= 0 {
 				if !p.awaitWindow() {
-					p.dropped.Add(p.countFrames(dgs[i:]))
+					p.count(cDropped, p.countFrames(dgs[i:]))
 					return
 				}
 				continue
@@ -332,25 +300,27 @@ func (p *UDPPeer) send(c *net.UDPConn, dgs [][]byte) {
 		// same datagrams as lost a second time for purely local backpressure.
 		sent, err := p.bs.send(c, dgs[i:stamped])
 		if sent > 0 {
-			p.flushes.Add(1)
-			p.datagramsOut.Add(int64(sent))
 			var frames, bytes int64
 			for _, dg := range dgs[i : i+sent] {
 				frames += framesIn(dg)
 				bytes += int64(len(dg) - dgHdrLen)
 			}
-			p.framesOut.Add(frames)
-			p.bytesOut.Add(bytes)
+			p.count(cFlushes, 1)
+			p.count(cDatagramsOut, int64(sent))
+			p.count(cFramesOut, frames)
+			p.count(cBytesOut, bytes)
+			p.txFrames, p.txDgs = p.txFrames+frames, p.txDgs+int64(sent)
+			p.packing.Store(p.txFrames / p.txDgs)
 		}
 		i += sent
 		if err != nil {
-			p.sendFailures.Add(1)
+			p.count(cSendFailures, 1)
 			if unsent := stamped - i; unsent > 0 {
 				// Stamped but never on the wire, and the redial will reset
 				// the ack state past them: account them here, once.
-				p.datagramsLost.Add(int64(unsent))
+				p.count(cDatagramsLost, int64(unsent))
 			}
-			p.dropped.Add(p.countFrames(dgs[i:]))
+			p.count(cDropped, p.countFrames(dgs[i:]))
 			p.dropConn()
 			// A connected UDP socket fails sends with ECONNREFUSED while
 			// the remote listener is down; back off like a failed dial so
@@ -459,7 +429,7 @@ func (p *UDPPeer) onRTO() {
 	now := time.Now()
 	p.ackMu.Lock()
 	if inflight := int32(p.nextSeq - p.ackSeq); inflight > 0 {
-		p.datagramsLost.Add(int64(inflight))
+		p.count(cDatagramsLost, int64(inflight))
 		p.ackSeq = p.nextSeq
 	}
 	p.est.Backoff()
@@ -480,7 +450,7 @@ func (p *UDPPeer) onRTO() {
 func (p *UDPPeer) resetAckState() {
 	p.ackMu.Lock()
 	if inflight := int32(p.nextSeq - p.ackSeq); inflight > 0 {
-		p.datagramsLost.Add(int64(inflight))
+		p.count(cDatagramsLost, int64(inflight))
 	}
 	p.ackSeq = p.nextSeq
 	p.ackCount = 0
@@ -536,7 +506,7 @@ func (p *UDPPeer) readAcks(c *net.UDPConn) {
 // timeout made it ambiguous).
 func (p *UDPPeer) handleAck(seq uint32, count uint64) {
 	now := time.Now()
-	p.acksIn.Add(1)
+	p.count(cAcksIn, 1)
 	p.ackMu.Lock()
 	newly := int64(int32(seq - p.ackSeq))
 	if newly <= 0 {
@@ -568,7 +538,7 @@ func (p *UDPPeer) handleAck(seq uint32, count uint64) {
 		guard = 20 * time.Millisecond
 	}
 	if lost > 0 {
-		p.datagramsLost.Add(lost)
+		p.count(cDatagramsLost, lost)
 		p.win.OnLoss(now, guard)
 	}
 	if acked := newly - lost; acked > 0 {
@@ -611,12 +581,8 @@ type UDPAcceptor struct {
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 
-	framesIn    atomic.Int64
-	bytesIn     atomic.Int64
-	datagramsIn atomic.Int64
-	acksOut     atomic.Int64
-	rxDropped   atomic.Int64 // injected by the RxDrop shim
-	srcCount    atomic.Int64 // live entries in the read loop's srcs map
+	ctr *metrics.ShardedCounter // the transport's block
+	key uint64
 }
 
 // rxSource is the acceptor's per-source-socket ack state.
@@ -657,8 +623,8 @@ const (
 
 // NewUDPAcceptor wraps an already-bound UDP socket without reading yet;
 // Start launches the read loop (the same two-phase shape as the TCP
-// Acceptor, closing the attach race).
-func NewUDPAcceptor(conn *net.UDPConn, maxFrame int, ucfg UDPConfig, deliver Deliver) *UDPAcceptor {
+// Acceptor, closing the attach race). It counts into its transport's ctr.
+func NewUDPAcceptor(conn *net.UDPConn, maxFrame int, ucfg UDPConfig, deliver Deliver, ctr *metrics.ShardedCounter) *UDPAcceptor {
 	ucfg.fillDefaults()
 	if maxFrame <= 0 || maxFrame > MaxUDPPayload {
 		maxFrame = MaxUDPPayload
@@ -668,22 +634,9 @@ func NewUDPAcceptor(conn *net.UDPConn, maxFrame int, ucfg UDPConfig, deliver Del
 		maxFrame: maxFrame,
 		ucfg:     ucfg,
 		deliver:  deliver,
+		ctr:      ctr,
+		key:      stripeKeys.Add(1),
 	}
-}
-
-// ListenUDP binds addr and returns a started acceptor.
-func ListenUDP(addr string, maxFrame int, ucfg UDPConfig, deliver Deliver) (*UDPAcceptor, error) {
-	la, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		return nil, err
-	}
-	c, err := net.ListenUDP("udp", la)
-	if err != nil {
-		return nil, err
-	}
-	a := NewUDPAcceptor(c, maxFrame, ucfg, deliver)
-	a.Start()
-	return a, nil
 }
 
 // Start launches the read loop. Call exactly once.
@@ -694,23 +647,6 @@ func (a *UDPAcceptor) Start() {
 
 // Addr returns the bound address.
 func (a *UDPAcceptor) Addr() string { return a.conn.LocalAddr().String() }
-
-// FramesIn reports frames and payload bytes delivered so far.
-func (a *UDPAcceptor) FramesIn() (frames, bytes int64) {
-	return a.framesIn.Load(), a.bytesIn.Load()
-}
-
-// DatagramsIn reports datagrams accepted and datagrams the RxDrop shim ate.
-func (a *UDPAcceptor) DatagramsIn() (accepted, shimDropped int64) {
-	return a.datagramsIn.Load(), a.rxDropped.Load()
-}
-
-// Sources reports how many source sockets currently hold ack state —
-// observability for the idle-source eviction (the map is private to the
-// read loop; only the count escapes).
-func (a *UDPAcceptor) Sources() int {
-	return int(a.srcCount.Load())
-}
 
 // Close stops the socket and waits for the read loop to exit.
 func (a *UDPAcceptor) Close() {
@@ -768,7 +704,7 @@ func (a *UDPAcceptor) readLoop() {
 			binary.BigEndian.PutUint32(ackBuf[5:9], src.high)
 			binary.BigEndian.PutUint64(ackBuf[9:17], src.count)
 			if _, err := a.conn.WriteToUDPAddrPort(ackBuf[:], ap); err == nil {
-				a.acksOut.Add(1)
+				a.ctr.Add(a.key, cAcksOut, 1)
 			}
 		}
 		if now.After(nextSweep) {
@@ -776,9 +712,9 @@ func (a *UDPAcceptor) readLoop() {
 			for ap, src := range srcs {
 				if now.Sub(src.lastSeen) > srcIdleTimeout {
 					delete(srcs, ap)
+					a.ctr.Add(a.key, cSourcesEvicted, 1)
 				}
 			}
-			a.srcCount.Store(int64(len(srcs)))
 		}
 		if err != nil {
 			return
@@ -794,14 +730,14 @@ func (a *UDPAcceptor) handleDatagram(b []byte, from netip.AddrPort,
 	if a.ucfg.RxDrop != nil && a.ucfg.RxDrop() {
 		// Emulated wire loss: the datagram never existed as far as the ack
 		// state is concerned, so the sender sees it as a seq/count gap.
-		a.rxDropped.Add(1)
+		a.ctr.Add(a.key, cRxDropped, 1)
 		return
 	}
 	src := srcs[from]
 	if src == nil {
 		src = &rxSource{}
 		srcs[from] = src
-		a.srcCount.Add(1)
+		a.ctr.Add(a.key, cSourcesAdded, 1)
 	}
 	fresh := true
 	for _, ap := range *seen {
@@ -819,7 +755,7 @@ func (a *UDPAcceptor) handleDatagram(b []byte, from netip.AddrPort,
 		src.high = seq
 		src.started = true
 	}
-	a.datagramsIn.Add(1)
+	a.ctr.Add(a.key, cDatagramsIn, 1)
 	rest := b[dgHdrLen:]
 	for len(rest) >= HeaderLen {
 		size, sender, ok := parseHeader(rest, a.maxFrame)
@@ -844,8 +780,8 @@ func (a *UDPAcceptor) handleDatagram(b []byte, from netip.AddrPort,
 		*slab = append(*slab, rest[HeaderLen:HeaderLen+size]...)
 		payload := (*slab)[off : off+size : off+size]
 		rest = rest[HeaderLen+size:]
-		a.framesIn.Add(1)
-		a.bytesIn.Add(int64(size))
+		a.ctr.Add(a.key, cFramesIn, 1)
+		a.ctr.Add(a.key, cBytesIn, int64(size))
 		if !a.deliver(sender, payload) {
 			return
 		}

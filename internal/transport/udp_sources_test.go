@@ -23,8 +23,8 @@ func rawDatagram(seq uint32, sender wire.NodeID, payload []byte) []byte {
 // sweep.
 func TestUDPSourceEvictionVirtualTime(t *testing.T) {
 	vc := simnet.NewVirtualClock()
-	acc, err := ListenUDP("127.0.0.1:0", 0, UDPConfig{Clock: vc},
-		func(wire.NodeID, []byte) bool { return true })
+	acc, err := listenUDP("127.0.0.1:0", 0, UDPConfig{Clock: vc},
+		func(wire.NodeID, []byte) bool { return true }, NewCounters())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,6 +32,10 @@ func TestUDPSourceEvictionVirtualTime(t *testing.T) {
 	dst, err := net.ResolveUDPAddr("udp", acc.Addr())
 	if err != nil {
 		t.Fatal(err)
+	}
+	sources := func() int64 {
+		c := acc.ctr.Snapshot()
+		return c.Get("sources_added") - c.Get("sources_evicted")
 	}
 
 	dial := func() *net.UDPConn {
@@ -47,9 +51,9 @@ func TestUDPSourceEvictionVirtualTime(t *testing.T) {
 	warm.Write(rawDatagram(1, 10, []byte("warm")))
 	idle.Write(rawDatagram(1, 11, []byte("idle")))
 	if !simnet.Eventually(5*time.Second, time.Millisecond, func() bool {
-		return acc.Sources() == 2
+		return sources() == 2
 	}) {
-		t.Fatalf("Sources() = %d, want 2 source sockets tracked", acc.Sources())
+		t.Fatalf("sources = %d, want 2 source sockets tracked", sources())
 	}
 
 	// Both sources now fall silent for srcIdleTimeout of VIRTUAL time. The
@@ -61,20 +65,20 @@ func TestUDPSourceEvictionVirtualTime(t *testing.T) {
 	// the sweep evicts exactly the idle source.
 	warm.Write(rawDatagram(2, 10, []byte("still here")))
 	if !simnet.Eventually(5*time.Second, time.Millisecond, func() bool {
-		return acc.Sources() == 1
+		return sources() == 1
 	}) {
-		t.Fatalf("Sources() = %d after virtual idle timeout, want 1", acc.Sources())
+		t.Fatalf("sources = %d after virtual idle timeout, want 1", sources())
 	}
 
 	// An evicted source that returns restarts cleanly as a fresh rxSource.
 	idle.Write(rawDatagram(7, 11, []byte("back")))
 	if !simnet.Eventually(5*time.Second, time.Millisecond, func() bool {
-		return acc.Sources() == 2
+		return sources() == 2
 	}) {
-		t.Fatalf("Sources() = %d after evicted source returned, want 2", acc.Sources())
+		t.Fatalf("sources = %d after evicted source returned, want 2", sources())
 	}
-	if frames, _ := acc.FramesIn(); frames != 4 {
-		t.Fatalf("FramesIn = %d, want 4", frames)
+	if frames := acc.ctr.Snapshot().Get("frames_in"); frames != 4 {
+		t.Fatalf("frames_in = %d, want 4", frames)
 	}
 }
 
@@ -87,9 +91,9 @@ func TestUDPAcceptorOnSender(t *testing.T) {
 		addr string
 	}
 	seen := make(chan obs, 16)
-	acc, err := ListenUDP("127.0.0.1:0", 0, UDPConfig{
+	acc, err := listenUDP("127.0.0.1:0", 0, UDPConfig{
 		OnSender: func(id wire.NodeID, addr string) { seen <- obs{id, addr} },
-	}, func(wire.NodeID, []byte) bool { return true })
+	}, func(wire.NodeID, []byte) bool { return true }, NewCounters())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,12 +39,19 @@ func (s *udpSink) deliver(from wire.NodeID, payload []byte) bool {
 func startUDPAcceptor(t *testing.T, ucfg UDPConfig) (*UDPAcceptor, *udpSink) {
 	t.Helper()
 	sink := &udpSink{}
-	a, err := ListenUDP("127.0.0.1:0", 0, ucfg, sink.deliver)
+	a, err := listenUDP("127.0.0.1:0", 0, ucfg, sink.deliver, NewCounters())
 	if err != nil {
-		t.Fatalf("ListenUDP: %v", err)
+		t.Fatalf("listenUDP: %v", err)
 	}
 	t.Cleanup(a.Close)
 	return a, sink
+}
+
+// lossRate reads the peer's smoothed loss rate toward its destination.
+func (p *UDPPeer) lossRate() float64 {
+	p.ackMu.Lock()
+	defer p.ackMu.Unlock()
+	return p.lossEWMA
 }
 
 func waitFor(t *testing.T, timeout time.Duration, cond func() bool) bool {
@@ -61,7 +68,7 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) bool {
 
 func TestUDPPeerRoundTrip(t *testing.T) {
 	a, sink := startUDPAcceptor(t, UDPConfig{})
-	p := NewUDPPeer(func() (string, bool) { return a.Addr(), true }, Config{}, UDPConfig{})
+	p := NewUDPPeer(func() (string, bool) { return a.Addr(), true }, Config{}, UDPConfig{}, NewCounters())
 	defer p.CloseNow()
 
 	const frames = 200
@@ -89,33 +96,25 @@ func TestUDPPeerRoundTrip(t *testing.T) {
 	// sample landed. Acks trail the data they acknowledge, so wait for them
 	// like the frames above rather than sampling the instant of delivery.
 	if !waitFor(t, 5*time.Second, func() bool {
-		us := p.UDPStats()
-		return us.AcksIn > 0 && us.SRTT > 0
+		srtt, _ := p.path()
+		return p.counters().Get("acks_in") > 0 && srtt > 0
 	}) {
-		us := p.UDPStats()
-		if us.AcksIn == 0 {
+		if p.counters().Get("acks_in") == 0 {
 			t.Fatal("no transport acks processed")
 		}
 		t.Fatal("no RTT sample taken")
 	}
-	us := p.UDPStats()
-	if us.DatagramsOut == 0 {
-		t.Fatal("no datagrams counted")
-	}
-	if us.Retransmitted != 0 {
-		t.Fatalf("transport retransmitted %d datagrams; it must never retransmit", us.Retransmitted)
-	}
 	// Packing must beat one-frame-per-datagram: 200 small frames fit in
 	// far fewer 9000-byte datagrams.
-	if us.DatagramsOut >= frames {
-		t.Fatalf("no packing: %d datagrams for %d frames", us.DatagramsOut, frames)
+	if out := p.counters().Get("datagrams_out"); out == 0 || out >= frames {
+		t.Fatalf("%d datagrams for %d frames: none counted, or no packing", out, frames)
 	}
 }
 
 func TestUDPOversizedFrameRidesAlone(t *testing.T) {
 	a, sink := startUDPAcceptor(t, UDPConfig{})
 	p := NewUDPPeer(func() (string, bool) { return a.Addr(), true },
-		Config{MaxFrame: MaxUDPPayload}, UDPConfig{MaxDatagram: 2000})
+		Config{MaxFrame: MaxUDPPayload}, UDPConfig{MaxDatagram: 2000}, NewCounters())
 	defer p.CloseNow()
 
 	big := bytes.Repeat([]byte{0xAB}, 30000) // far above the packing budget
@@ -134,8 +133,7 @@ func TestUDPOversizedFrameRidesAlone(t *testing.T) {
 
 func TestUDPLossAccounting(t *testing.T) {
 	// Drop every 4th inbound data datagram at the receiver: the ack
-	// channel must expose the gap as loss, and nothing may be
-	// retransmitted to paper over it.
+	// channel must expose the gap as loss.
 	var rxCount atomic.Int64
 	ucfg := UDPConfig{RxDrop: func() bool { return rxCount.Add(1)%4 == 0 }}
 	a, sink := startUDPAcceptor(t, ucfg)
@@ -146,7 +144,7 @@ func TestUDPLossAccounting(t *testing.T) {
 		UDPConfig{
 			MaxDatagram: 64, // one small frame per datagram
 			OnLoss:      func(rate float64) { reported.Add(1) },
-		})
+		}, NewCounters())
 	defer p.CloseNow()
 
 	payload := bytes.Repeat([]byte{1}, 40)
@@ -154,26 +152,22 @@ func TestUDPLossAccounting(t *testing.T) {
 	for time.Now().Before(deadline) {
 		p.Enqueue(wire.NodeID(1), payload)
 		time.Sleep(500 * time.Microsecond)
-		if p.UDPStats().DatagramsLost > 10 && sink.n.Load() > 30 {
+		if p.counters().Get("datagrams_lost") > 10 && sink.n.Load() > 30 {
 			break
 		}
 	}
-	us := p.UDPStats()
-	if us.DatagramsLost == 0 {
-		t.Fatal("injected loss never surfaced in DatagramsLost")
-	}
-	if us.Retransmitted != 0 {
-		t.Fatalf("loss triggered %d retransmissions; transport must never retransmit", us.Retransmitted)
+	if p.counters().Get("datagrams_lost") == 0 {
+		t.Fatal("injected loss never surfaced in datagrams_lost")
 	}
 	if sink.n.Load() == 0 {
 		t.Fatal("nothing delivered despite partial loss")
 	}
-	if _, dropped := a.DatagramsIn(); dropped == 0 {
+	if a.ctr.Snapshot().Get("rx_dropped") == 0 {
 		t.Fatal("RxDrop shim never fired")
 	}
 	// ~25% sustained loss is far above the 1% report threshold.
-	if reported.Load() == 0 && us.LossRate > 0.05 {
-		t.Fatalf("sustained loss (EWMA %.2f) never reported via OnLoss", us.LossRate)
+	if loss := p.lossRate(); reported.Load() == 0 && loss > 0.05 {
+		t.Fatalf("sustained loss (EWMA %.2f) never reported via OnLoss", loss)
 	}
 }
 
@@ -207,13 +201,13 @@ func TestUDPAcceptorRejectsGarbage(t *testing.T) {
 // benchguard).
 func BenchmarkUDPWriteSteadyState(b *testing.B) {
 	sink := func(wire.NodeID, []byte) bool { return true }
-	a, err := ListenUDP("127.0.0.1:0", 0, UDPConfig{}, sink)
+	a, err := listenUDP("127.0.0.1:0", 0, UDPConfig{}, sink, NewCounters())
 	if err != nil {
-		b.Fatalf("ListenUDP: %v", err)
+		b.Fatalf("listenUDP: %v", err)
 	}
 	defer a.Close()
 	p := NewUDPPeer(func() (string, bool) { return a.Addr(), true },
-		Config{QueueDepth: 256}, UDPConfig{MaxWindow: 1 << 16})
+		Config{QueueDepth: 256}, UDPConfig{MaxWindow: 1 << 16}, NewCounters())
 	defer p.CloseNow()
 	payload := bytes.Repeat([]byte{0x5A}, 1200)
 	// Warm until the pipeline is fully built: every queue slot's buffer
@@ -276,10 +270,12 @@ func BenchmarkUDPBatchRoundTrip(b *testing.B) {
 }
 
 func TestUDPStatsAggregation(t *testing.T) {
-	// PeerSet over UDP links: Stats and the per-flavour UDPStats both sum.
+	// PeerSet over UDP links: the peers share one block, and their paths'
+	// windows sum.
 	a, sink := startUDPAcceptor(t, UDPConfig{})
+	ctr := NewCounters()
 	ps := NewPeerSet(func(wire.NodeID) Link {
-		return NewUDPPeer(func() (string, bool) { return a.Addr(), true }, Config{}, UDPConfig{})
+		return NewUDPPeer(func() (string, bool) { return a.Addr(), true }, Config{}, UDPConfig{}, ctr)
 	})
 	defer ps.Close()
 	for i := 1; i <= 3; i++ {
@@ -294,17 +290,15 @@ func TestUDPStatsAggregation(t *testing.T) {
 	if !waitFor(t, 5*time.Second, func() bool { return sink.n.Load() == 3 }) {
 		t.Fatalf("delivered %d/3", sink.n.Load())
 	}
-	if st := ps.Stats(); st.FramesOut != 3 {
-		t.Fatalf("summed FramesOut = %d, want 3", st.FramesOut)
+	st := ctr.Snapshot()
+	if st.Get("frames_out") != 3 || st.Get("datagrams_out") < 3 {
+		t.Fatalf("counters %v, want 3 frames in ≥ 3 datagrams", st)
 	}
-	us := ps.UDPStats()
-	if us.DatagramsOut < 3 {
-		t.Fatalf("summed DatagramsOut = %d, want >= 3", us.DatagramsOut)
-	}
-	// Retiring a peer keeps its counts in the totals (its window goes).
+	_, win := ps.UDPPaths()
+	// Retiring a peer keeps its counts in the block; its window goes.
 	ps.Drop(1)
-	if after := ps.UDPStats(); after.DatagramsOut < us.DatagramsOut || after.Window >= us.Window {
-		t.Fatalf("totals across Drop: %+v → %+v", us, after)
+	if _, after := ps.UDPPaths(); ctr.Snapshot().Get("datagrams_out") < st.Get("datagrams_out") || after >= win {
+		t.Fatalf("across Drop: window %d → %d, counters %v → %v", win, after, st, ctr.Snapshot())
 	}
 }
 
@@ -315,6 +309,7 @@ func TestUDPStatsAggregation(t *testing.T) {
 // 0 and healthy acked traffic is charged as 100% loss.
 func TestUDPRedialResyncsAckState(t *testing.T) {
 	p := &UDPPeer{
+		outbox:    outbox{ctr: NewCounters()},
 		est:       newRTTEstimator(0, 0),
 		win:       newCubicWindow(16, 1024),
 		ackSignal: make(chan struct{}, 1),
@@ -327,7 +322,7 @@ func TestUDPRedialResyncsAckState(t *testing.T) {
 		t.Fatalf("after reset: ackSeq=%d ackCount=%d, want 100/0", p.ackSeq, p.ackCount)
 	}
 	// The 10 in-flight datagrams on the dead socket are written off, once.
-	if got := p.datagramsLost.Load(); got != 10 {
+	if got := p.counters().Get("datagrams_lost"); got != 10 {
 		t.Fatalf("reset wrote off %d datagrams, want 10", got)
 	}
 
@@ -340,8 +335,8 @@ func TestUDPRedialResyncsAckState(t *testing.T) {
 	winBefore := p.win.Window()
 	p.stampSeqs(dgs)
 	p.handleAck(110, 10)
-	if got := p.datagramsLost.Load(); got != 10 {
-		t.Fatalf("healthy post-redial ack charged loss: DatagramsLost=%d, want 10", got)
+	if got := p.counters().Get("datagrams_lost"); got != 10 {
+		t.Fatalf("healthy post-redial ack charged loss: datagrams_lost=%d, want 10", got)
 	}
 	if p.lossEWMA != 0 {
 		t.Fatalf("healthy post-redial ack moved lossEWMA to %f", p.lossEWMA)
@@ -363,7 +358,7 @@ func TestUDPRedialResyncsAckState(t *testing.T) {
 func TestUDPRedialAgainstLiveAcceptor(t *testing.T) {
 	a, sink := startUDPAcceptor(t, UDPConfig{})
 	p := NewUDPPeer(func() (string, bool) { return a.Addr(), true },
-		Config{BackoffMin: time.Millisecond}, UDPConfig{})
+		Config{BackoffMin: time.Millisecond}, UDPConfig{}, NewCounters())
 	defer p.CloseNow()
 
 	send := func(n int, tag byte) {
@@ -386,13 +381,13 @@ func TestUDPRedialAgainstLiveAcceptor(t *testing.T) {
 	if !waitFor(t, 5*time.Second, func() bool { return sink.n.Load() >= 140 }) {
 		t.Fatalf("post-redial: delivered %d/150", sink.n.Load())
 	}
-	if !waitFor(t, 2*time.Second, func() bool { return p.UDPStats().LossRate < 0.1 }) {
-		us := p.UDPStats()
-		t.Fatalf("post-redial acks charged as loss: LossRate=%.2f Lost=%d Window=%d",
-			us.LossRate, us.DatagramsLost, us.Window)
+	if !waitFor(t, 2*time.Second, func() bool { return p.lossRate() < 0.1 }) {
+		_, win := p.path()
+		t.Fatalf("post-redial acks charged as loss: loss rate %.2f, window %d, counters %v",
+			p.lossRate(), win, p.counters())
 	}
-	if st := p.Stats(); st.Reconnects == 0 && st.Dials < 2 {
-		t.Fatalf("redial never happened: dials=%d reconnects=%d", st.Dials, st.Reconnects)
+	if st := p.counters(); st.Get("reconnects") == 0 && st.Get("dials") < 2 {
+		t.Fatalf("redial never happened: %v", st)
 	}
 }
 
@@ -405,7 +400,7 @@ func TestUDPBatchReceiverMultiSource(t *testing.T) {
 	const per = 50
 	var ps []*UDPPeer
 	for i := 0; i < peers; i++ {
-		p := NewUDPPeer(func() (string, bool) { return a.Addr(), true }, Config{}, UDPConfig{})
+		p := NewUDPPeer(func() (string, bool) { return a.Addr(), true }, Config{}, UDPConfig{}, NewCounters())
 		ps = append(ps, p)
 		defer p.CloseNow()
 	}
@@ -424,11 +419,11 @@ func TestUDPBatchReceiverMultiSource(t *testing.T) {
 		t.Fatalf("delivered %d/%d", sink.n.Load(), peers*per)
 	}
 	for i, p := range ps {
-		us := p.UDPStats()
-		if us.DatagramsLost != 0 {
-			t.Fatalf("peer %d: phantom loss %d on a clean loopback", i, us.DatagramsLost)
+		st := p.counters()
+		if st.Get("datagrams_lost") != 0 {
+			t.Fatalf("peer %d: phantom loss %d on a clean loopback", i, st.Get("datagrams_lost"))
 		}
-		if us.AcksIn == 0 {
+		if st.Get("acks_in") == 0 {
 			t.Fatalf("peer %d: no acks", i)
 		}
 	}

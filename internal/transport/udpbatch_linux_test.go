@@ -45,7 +45,7 @@ func TestIdleUDPSocketsHoldNoStaging(t *testing.T) {
 	defer client.Close()
 	accs := make([]*UDPAcceptor, endpoints)
 	for i := range accs {
-		a, err := ListenUDP("127.0.0.1:0", 0, UDPConfig{}, func(wire.NodeID, []byte) bool { return true })
+		a, err := listenUDP("127.0.0.1:0", 0, UDPConfig{}, func(wire.NodeID, []byte) bool { return true }, NewCounters())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,11 +75,9 @@ func TestIdleUDPSocketsHoldNoStaging(t *testing.T) {
 	}
 	for i, a := range accs {
 		if !simnet.Eventually(5*time.Second, time.Millisecond, func() bool {
-			got, _ := a.DatagramsIn()
-			return got == rounds
+			return a.ctr.Snapshot().Get("datagrams_in") == rounds
 		}) {
-			got, _ := a.DatagramsIn()
-			t.Fatalf("endpoint %d accepted %d of %d datagrams", i, got, rounds)
+			t.Fatalf("endpoint %d accepted %d of %d datagrams", i, a.ctr.Snapshot().Get("datagrams_in"), rounds)
 		}
 	}
 

@@ -258,4 +258,5 @@ func TestDialRepairSingleFailure(t *testing.T) {
 	if s := conn.RepairStats(); s.Reports == 0 {
 		t.Fatalf("stats incomplete: %+v", s)
 	}
+	checkBooks(t, nw)
 }

@@ -51,6 +51,7 @@ func TestFacadeStaticTCPLoopback(t *testing.T) {
 	if st := nw.Stats(); st.Packets == 0 || st.Bytes == 0 {
 		t.Fatalf("transport counters did not move: pkts=%d bytes=%d", st.Packets, st.Bytes)
 	}
+	checkBooks(t, nw)
 }
 
 // The deployment acceptance test: a file crosses THREE OS processes — two

@@ -91,4 +91,5 @@ func TestVirtualTimeDialRepairSingleFailure(t *testing.T) {
 	if s := conn.RepairStats(); s.Reports == 0 {
 		t.Fatalf("stats incomplete: %+v", s)
 	}
+	checkBooks(t, nw)
 }
