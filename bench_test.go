@@ -15,8 +15,8 @@ import (
 	"infoslicing/internal/anonymity"
 	"infoslicing/internal/churn"
 	"infoslicing/internal/code"
-	"infoslicing/internal/overlay"
 	"infoslicing/internal/perf"
+	"infoslicing/internal/simnet"
 	"infoslicing/internal/wire"
 )
 
@@ -181,28 +181,20 @@ func BenchmarkFig11ThroughputLAN(b *testing.B) {
 	env := perf.LAN2007()
 	for _, l := range []int{2, 4} {
 		b.Run(fmt.Sprintf("slicing/L=%d", l), func(b *testing.B) {
-			benchSlicingFlow(b, env.Profile, l, 2, 2, 1<<20)
+			benchSlicingFlow(b, env.Link, l, 2, 2, 1<<20)
 		})
 		b.Run(fmt.Sprintf("onion/L=%d", l), func(b *testing.B) {
-			benchOnionFlow(b, env, l, 1<<20)
+			benchOnionFlow(b, env.Onion, l, 1<<20)
 		})
 	}
-	// Ablation: on modern unshaped hardware AES-NI flips the ordering — the
-	// paper's LAN result is an artifact of era crypto costs (EXPERIMENTS.md).
-	b.Run("modern-unshaped/slicing/L=3", func(b *testing.B) {
-		benchSlicingFlow(b, overlay.Unshaped(), 3, 2, 2, 1<<20)
-	})
-	b.Run("modern-unshaped/onion/L=3", func(b *testing.B) {
-		benchOnionFlow(b, perf.Env{Profile: overlay.Unshaped()}, 3, 1<<20)
-	})
 }
 
-func benchSlicingFlow(b *testing.B, profile overlay.Profile, l, d, dp, bytes int) {
+func benchSlicingFlow(b *testing.B, link simnet.LinkProfile, l, d, dp, bytes int) {
 	b.Helper()
 	var tput float64
 	for i := 0; i < b.N; i++ {
 		res, err := perf.SlicingFlow(perf.Params{
-			Profile: profile, L: l, D: d, DPrime: dp,
+			Profile: link, L: l, D: d, DPrime: dp,
 			TransferBytes: bytes, ChunkPayload: 1200 * d, Seed: int64(i),
 		})
 		if err != nil {
@@ -213,14 +205,13 @@ func benchSlicingFlow(b *testing.B, profile overlay.Profile, l, d, dp, bytes int
 	b.ReportMetric(tput/1e6, "Mbps")
 }
 
-func benchOnionFlow(b *testing.B, env perf.Env, l, bytes int) {
+func benchOnionFlow(b *testing.B, link simnet.LinkProfile, l, bytes int) {
 	b.Helper()
 	var tput float64
 	for i := 0; i < b.N; i++ {
 		res, err := perf.OnionFlow(perf.Params{
-			Profile: env.Profile, L: l, D: 1,
-			OnionCryptoPerKB: env.OnionCryptoPerKB,
-			TransferBytes:    bytes, ChunkPayload: 1200, Seed: int64(i),
+			Profile: link, L: l, D: 1,
+			TransferBytes: bytes, ChunkPayload: 1200, Seed: int64(i),
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -235,10 +226,10 @@ func benchOnionFlow(b *testing.B, env perf.Env, l, bytes int) {
 func BenchmarkFig12ThroughputWAN(b *testing.B) {
 	env := perf.PlanetLab2007()
 	b.Run("slicing/L=3", func(b *testing.B) {
-		benchSlicingFlow(b, env.Profile, 3, 2, 2, 96<<10)
+		benchSlicingFlow(b, env.Link, 3, 2, 2, 96<<10)
 	})
 	b.Run("onion/L=3", func(b *testing.B) {
-		benchOnionFlow(b, env, 3, 96<<10)
+		benchOnionFlow(b, env.Onion, 3, 96<<10)
 	})
 }
 
@@ -251,7 +242,7 @@ func BenchmarkFig13Scaling(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				tp, err := perf.SlicingScaling(perf.ScalingParams{
 					Params: perf.Params{
-						Profile: overlay.Unshaped(), L: 3, D: 2, DPrime: 2,
+						Profile: perf.LAN2007().Link, L: 3, D: 2, DPrime: 2,
 						TransferBytes: 128 << 10, ChunkPayload: 2400,
 						Seed: int64(i),
 					},
@@ -273,20 +264,20 @@ func BenchmarkFig14SetupLAN(b *testing.B) {
 	env := perf.LAN2007()
 	for _, d := range []int{2, 3, 4} {
 		b.Run(fmt.Sprintf("slicing/d=%d/L=4", d), func(b *testing.B) {
-			benchSlicingSetup(b, env.Profile, 4, d)
+			benchSlicingSetup(b, env.Link, 4, d)
 		})
 	}
 	b.Run("onion/L=4", func(b *testing.B) {
-		benchOnionSetup(b, env, 4)
+		benchOnionSetup(b, env.Onion, 4)
 	})
 }
 
-func benchSlicingSetup(b *testing.B, profile overlay.Profile, l, d int) {
+func benchSlicingSetup(b *testing.B, link simnet.LinkProfile, l, d int) {
 	b.Helper()
 	var setup time.Duration
 	for i := 0; i < b.N; i++ {
 		res, err := perf.SlicingFlow(perf.Params{
-			Profile: profile, L: l, D: d, DPrime: d,
+			Profile: link, L: l, D: d, DPrime: d,
 			TransferBytes: 1 << 10, ChunkPayload: 1200 * d, Seed: int64(i),
 		})
 		if err != nil {
@@ -297,14 +288,13 @@ func benchSlicingSetup(b *testing.B, profile overlay.Profile, l, d int) {
 	b.ReportMetric(float64(setup.Microseconds())/1000, "setup-ms")
 }
 
-func benchOnionSetup(b *testing.B, env perf.Env, l int) {
+func benchOnionSetup(b *testing.B, link simnet.LinkProfile, l int) {
 	b.Helper()
 	var setup time.Duration
 	for i := 0; i < b.N; i++ {
 		res, err := perf.OnionFlow(perf.Params{
-			Profile: env.Profile, L: l, D: 1,
-			OnionCryptoPerKB: env.OnionCryptoPerKB,
-			TransferBytes:    1 << 10, ChunkPayload: 1200, Seed: int64(i),
+			Profile: link, L: l, D: 1,
+			TransferBytes: 1 << 10, ChunkPayload: 1200, Seed: int64(i),
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -319,10 +309,10 @@ func benchOnionSetup(b *testing.B, env perf.Env, l int) {
 func BenchmarkFig15SetupWAN(b *testing.B) {
 	env := perf.PlanetLab2007()
 	b.Run("slicing/d=2/L=3", func(b *testing.B) {
-		benchSlicingSetup(b, env.Profile, 3, 2)
+		benchSlicingSetup(b, env.Link, 3, 2)
 	})
 	b.Run("onion/L=3", func(b *testing.B) {
-		benchOnionSetup(b, env, 3)
+		benchOnionSetup(b, env.Onion, 3)
 	})
 }
 

@@ -47,19 +47,6 @@ import (
 // NodeID identifies an overlay node.
 type NodeID = wire.NodeID
 
-// Profile re-exports the overlay shaping profile.
-type Profile = overlay.Profile
-
-// Shaping profile constructors.
-var (
-	// LAN emulates the paper's 1 Gb/s local testbed.
-	LAN = overlay.LAN
-	// PlanetLab emulates the paper's loaded wide-area testbed.
-	PlanetLab = overlay.PlanetLab
-	// Unshaped runs at raw in-memory speed.
-	Unshaped = overlay.Unshaped
-)
-
 // TransportStats re-exports the unified transport counter vocabulary.
 type TransportStats = overlay.TransportStats
 
@@ -108,7 +95,6 @@ const (
 )
 
 type config struct {
-	profile       Profile
 	seed          int64
 	relayCfg      relay.Config
 	hasRelayCfg   bool
@@ -132,9 +118,6 @@ func (c *config) clock() simnet.Clock {
 // Option configures a Network.
 type Option func(*config)
 
-// WithProfile selects the traffic-shaping profile (default Unshaped).
-func WithProfile(p Profile) Option { return func(c *config) { c.profile = p } }
-
 // WithSeed makes the network deterministic.
 func WithSeed(seed int64) Option { return func(c *config) { c.seed = seed } }
 
@@ -155,7 +138,7 @@ func WithControlPlane(heartbeat time.Duration) Option {
 // one substrate is active per Network; passing several WithTransport
 // options is not an error — the last one wins (there is no panic-based
 // exclusivity anymore). The zero default, with no WithTransport at all, is
-// the in-memory ChanNetwork shaped by WithProfile.
+// the unshaped in-memory ChanNetwork.
 type TransportSpec interface {
 	apply(*config)
 }
@@ -167,9 +150,8 @@ type TransportSpec interface {
 // be nil or partial: ids without an entry bind a fresh loopback port,
 // which in-process senders resolve transparently.
 //
-// Traffic shaping (WithProfile) is not emulated over real sockets. For
-// multi-process overlays use cmd/slicenode and cmd/slicesend with a shared
-// book file instead of the facade.
+// For multi-process overlays use cmd/slicenode and cmd/slicesend with a
+// shared book file instead of the facade.
 type TCPSpec struct {
 	Book map[NodeID]string
 }
@@ -201,8 +183,8 @@ func (s UDPSpec) apply(c *config) {
 // The caller drives the universe by stepping the clock (RunFor,
 // AwaitCond); combined with WithSeed the network becomes fully
 // deterministic. A nil Clock gets a fresh one, reachable via
-// Network.VirtualClock. Bandwidth shaping and CPU-delay emulation of the
-// profile are not modeled under virtual time (latency and loss are).
+// Network.VirtualClock. Links are unshaped: packets arrive the instant they
+// are sent.
 type VirtualSpec struct {
 	Clock *simnet.VirtualClock
 }
@@ -230,7 +212,7 @@ func WithTransport(spec TransportSpec) Option {
 // from the process base seed (simnet.BaseSeed), so a failing run can be
 // replayed by pinning INFOSLICING_SEED.
 func New(opts ...Option) *Network {
-	cfg := config{profile: overlay.Unshaped(), seed: simnet.NextSeed()}
+	cfg := config{seed: simnet.NextSeed()}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -245,11 +227,7 @@ func New(opts ...Option) *Network {
 	var tr overlay.Transport
 	switch cfg.kind {
 	case virtualKind:
-		tr = simnet.NewSimNet(cfg.vclk, cfg.seed+1, simnet.LinkProfile{
-			Delay:  cfg.profile.LatencyMin,
-			Jitter: cfg.profile.LatencyMax - cfg.profile.LatencyMin,
-			Loss:   cfg.profile.Loss,
-		})
+		tr = simnet.NewSimNet(cfg.vclk, cfg.seed+1, simnet.LinkProfile{})
 	case tcpKind:
 		tr = staticFacade{overlay.NewStaticTCP(cfg.book)}
 	case udpKind:
@@ -258,7 +236,7 @@ func New(opts ...Option) *Network {
 			Seed: cfg.seed + 3,
 		})}
 	default:
-		tr = overlay.NewChanNetwork(cfg.profile, rand.New(rand.NewSource(cfg.seed+1)))
+		tr = overlay.NewChanNetwork(overlay.Unshaped(), nil)
 	}
 	return &Network{
 		cfg:     cfg,

@@ -24,7 +24,6 @@ import (
 	"io"
 	mrand "math/rand"
 	"sync"
-	"time"
 
 	"infoslicing/internal/erasure"
 	"infoslicing/internal/metrics"
@@ -101,17 +100,6 @@ type Node struct {
 	received chan Message
 	ctr      metrics.Block // vocab, written under mu
 	closed   bool
-
-	// cryptoDelayPerKB emulates era-appropriate symmetric-crypto cost: the
-	// paper's 2007 testbed decrypted at tens of Mb/s per relay, which is
-	// what makes slicing's crypto-free relay path win Figs. 11-12. The
-	// delay occupies a per-node serial resource (a virtual-time pacer, so
-	// OS sleep granularity does not distort the average), capping the
-	// relay's decryption throughput at 1KB/delay. Zero (default) means
-	// modern hardware: no emulation.
-	cryptoDelayPerKB time.Duration
-	pacerMu          sync.Mutex
-	cryptoFree       time.Time
 }
 
 // The node's counters.
@@ -124,7 +112,6 @@ type circuit struct {
 	next     wire.NodeID // 0: we are the exit
 	nextCirc uint64
 	receiver bool
-	last     time.Time
 }
 
 type transfer struct {
@@ -159,32 +146,6 @@ func NewNode(id wire.NodeID, dir *Directory, tr overlay.Transport) (*Node, error
 
 // ID returns the node's overlay identity.
 func (n *Node) ID() wire.NodeID { return n.id }
-
-// SetCryptoDelay enables legacy-hardware emulation: each decrypted KB
-// occupies the node's (single) crypto unit for d. Call before traffic flows.
-func (n *Node) SetCryptoDelay(d time.Duration) { n.cryptoDelayPerKB = d }
-
-// emulateCrypto serializes and delays in proportion to the bytes processed.
-// The pacer accumulates virtual busy-time, so oversleeping on one cell is
-// repaid by later cells passing through without sleeping.
-func (n *Node) emulateCrypto(bytes int) {
-	if n.cryptoDelayPerKB <= 0 {
-		return
-	}
-	cost := time.Duration(float64(n.cryptoDelayPerKB) * float64(bytes) / 1024)
-	n.pacerMu.Lock()
-	now := time.Now()
-	start := n.cryptoFree
-	if start.Before(now) {
-		start = now
-	}
-	n.cryptoFree = start.Add(cost)
-	target := n.cryptoFree
-	n.pacerMu.Unlock()
-	if d := time.Until(target); d > 0 {
-		time.Sleep(d)
-	}
-}
 
 // Received yields messages for which this node was the destination.
 func (n *Node) Received() <-chan Message { return n.received }
@@ -257,10 +218,7 @@ func (n *Node) handleSetup(circ uint64, body []byte) {
 	inner := layer[17 : 17+innerLen]
 
 	n.mu.Lock()
-	n.circuits[circ] = &circuit{
-		key: key, next: next, nextCirc: nextCirc,
-		receiver: receiver, last: time.Now(),
-	}
+	n.circuits[circ] = &circuit{key: key, next: next, nextCirc: nextCirc, receiver: receiver}
 	replay := n.pending[circ]
 	delete(n.pending, circ)
 	n.mu.Unlock()
@@ -283,16 +241,13 @@ func (n *Node) handleData(circ uint64, body []byte) {
 	n.mu.Lock()
 	n.ctr[cDataIn]++
 	c, ok := n.circuits[circ]
-	if ok {
-		c.last = time.Now()
-	} else if len(n.pending[circ]) < 1024 {
+	if !ok && len(n.pending[circ]) < 1024 {
 		n.pending[circ] = append(n.pending[circ], append([]byte(nil), body...))
 	}
 	n.mu.Unlock()
 	if !ok {
 		return
 	}
-	n.emulateCrypto(len(body))
 	plain, err := c.key.Open(body)
 	if err != nil {
 		return

@@ -1,16 +1,16 @@
 // Package overlay provides the peer-to-peer substrate that information
-// slicing runs over: node identities, transports that deliver packets
-// between nodes, and network profiles that emulate LAN and PlanetLab
-// conditions (§7).
+// slicing runs over: node identities and the transports that deliver packets
+// between nodes.
 //
-// Two transports are provided. ChanNetwork is an in-process network with
-// configurable per-node bandwidth, link latency, and loss — the workhorse
-// for experiments, since one machine can host hundreds of relay goroutines.
-// Static runs the byte protocol over real sockets — TCP streams or
-// congestion-controlled UDP datagrams, over a pre-agreed address book
-// spanning processes and hosts or collapsed onto loopback — as a thin shim
-// over the production peer layer (internal/transport): per-host bounded
-// queues, batched writers, reconnect with backoff, slab-based readers.
+// Two transports are provided. ChanNetwork is an unshaped in-process network
+// — one machine hosts hundreds of relay goroutines — for tests, examples and
+// the facade's default; shaped links (latency, loss, egress rate) are
+// simnet's, on virtual time. Static runs the byte protocol over real sockets
+// — TCP streams or congestion-controlled UDP datagrams, over a pre-agreed
+// address book spanning processes and hosts or collapsed onto loopback — as
+// a thin shim over the production peer layer (internal/transport): per-host
+// bounded queues, batched writers, reconnect with backoff, slab-based
+// readers.
 package overlay
 
 import (
@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"infoslicing/internal/metrics"
-	"infoslicing/internal/simnet"
 	"infoslicing/internal/transport"
 	"infoslicing/internal/wire"
 )
@@ -171,97 +170,48 @@ var (
 	ErrSendQueueFull = transport.ErrQueueFull
 )
 
-// Profile shapes traffic to emulate a deployment environment.
-type Profile struct {
-	Name string
+// Profile is an empty placeholder kept, with Unshaped and NewChanNetwork's
+// two-argument signature, only because the frozen benchmark module calls
+// NewChanNetwork(Unshaped(), rng). ChanNetwork shapes nothing: every shaped
+// link (delay, jitter, loss, egress rate) is simnet.LinkProfile's.
+type Profile struct{}
 
-	// LatencyMin/Max bound the one-way link delay, drawn uniformly.
-	LatencyMin, LatencyMax time.Duration
+// Unshaped returns the empty Profile (see Profile).
+func Unshaped() Profile { return Profile{} }
 
-	// BandwidthBps caps each node's egress rate; 0 means unlimited.
-	BandwidthBps int64
-
-	// Loss is the independent per-packet drop probability.
-	Loss float64
-
-	// CPUDelayPerKB emulates busy relay hosts (the paper's overloaded
-	// PlanetLab nodes): extra sender-side delay per KB processed.
-	CPUDelayPerKB time.Duration
-}
-
-// LAN models the paper's 1 Gb/s switched local network of 2.8 GHz hosts
-// (§7): negligible latency, high per-node bandwidth, no loss.
-func LAN() Profile {
-	return Profile{
-		Name:         "lan",
-		LatencyMin:   200 * time.Microsecond,
-		LatencyMax:   500 * time.Microsecond,
-		BandwidthBps: 1_000_000_000,
-	}
-}
-
-// PlanetLab models the paper's wide-area testbed (§7): intercontinental
-// RTTs, heavily loaded hosts, modest per-node bandwidth, occasional loss.
-func PlanetLab() Profile {
-	return Profile{
-		Name:          "planetlab",
-		LatencyMin:    30 * time.Millisecond,
-		LatencyMax:    120 * time.Millisecond,
-		BandwidthBps:  8_000_000,
-		Loss:          0.005,
-		CPUDelayPerKB: 40 * time.Microsecond,
-	}
-}
-
-// Unshaped returns a profile with no artificial delays — raw in-memory
-// speed, useful for unit tests and CPU-bound benchmarks.
-func Unshaped() Profile { return Profile{Name: "unshaped"} }
-
-// ChanNetwork is the in-memory transport.
+// ChanNetwork is the in-memory transport: unshaped, wall-clock delivery
+// between nodes of one process.
 type ChanNetwork struct {
-	profile Profile
-
-	mu    sync.RWMutex
-	nodes map[wire.NodeID]*chanEndpoint
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	// mu guards nodes and orders Close against in-flight sends: a send
+	// checks closed and registers its delivery on wg under the read lock,
+	// and Close sets closed under the write lock before it waits.
+	mu     sync.RWMutex
+	nodes  map[wire.NodeID]*chanEndpoint
+	closed atomic.Bool
+	wg     sync.WaitGroup
 
 	// Every Send records from its caller's goroutine; the striped block,
 	// keyed by the sending node, keeps concurrent senders off each other's
 	// cache lines (plain adjacent atomics false-share badly here).
 	ctr *metrics.ShardedCounter // chanVocab
-
-	closed atomic.Bool
-	wg     sync.WaitGroup
 }
 
 type chanEndpoint struct {
 	handler Handler
 	down    atomic.Bool
-	// failEpoch counts Fail events. Every queued delivery captures the
-	// receiver's epoch at send time and is dropped if it differs at
-	// delivery time: a crash loses everything already in flight toward the
-	// host, even if the host comes back before the packets' arrival time.
+	// failEpoch counts Fail events. Every delivery captures the receiver's
+	// epoch at send time and stops if it differs at hand-off time: a crash
+	// loses everything already in flight toward the host, even if the host
+	// comes back before the packets are handed over.
 	failEpoch atomic.Uint64
-	// egressFree is the virtual time at which the node's uplink is free;
-	// token-bucket-style serialization of sends.
-	mu         sync.Mutex
-	egressFree time.Time
 }
 
-// NewChanNetwork creates an in-memory network with the given profile. The
-// rng drives latency jitter and loss; it is locked internally. A nil rng is
-// seeded from the process base seed (simnet.BaseSeed) so a failing run can
-// be replayed.
-func NewChanNetwork(p Profile, rng *rand.Rand) *ChanNetwork {
-	if rng == nil {
-		rng = simnet.NewRand()
-	}
+// NewChanNetwork creates an in-memory network. Both arguments are ignored
+// (see Profile).
+func NewChanNetwork(Profile, *rand.Rand) *ChanNetwork {
 	return &ChanNetwork{
-		profile: p,
-		nodes:   make(map[wire.NodeID]*chanEndpoint),
-		rng:     rng,
-		ctr:     metrics.NewShardedCounter(4*runtime.GOMAXPROCS(0), chanVocab),
+		nodes: make(map[wire.NodeID]*chanEndpoint),
+		ctr:   metrics.NewShardedCounter(4*runtime.GOMAXPROCS(0), chanVocab),
 	}
 }
 
@@ -285,10 +235,9 @@ func (n *ChanNetwork) Detach(id wire.NodeID) {
 
 // Fail marks a node as crashed: it stops receiving and sending but stays
 // attached (the churn model of §8 — hosts become unreachable, they do not
-// deregister). Packets already queued toward the node — sent before the
-// crash, still inside their emulated link delay — are dropped too, exactly
-// as a real crash loses whatever is in flight toward the host; a subsequent
-// Revive only restores packets sent after it.
+// deregister). Frames sent before the crash and not yet handed over are
+// dropped too, exactly as a real crash loses whatever is in flight toward
+// the host; a subsequent Revive only restores packets sent after it.
 func (n *ChanNetwork) Fail(id wire.NodeID) {
 	n.mu.RLock()
 	ep := n.nodes[id]
@@ -330,23 +279,19 @@ func (n *ChanNetwork) SendOwned(from, to wire.NodeID, bufs [][]byte, release fun
 	return n.send(from, to, bufs)
 }
 
-// send delivers a burst of frames toward one node, on a separate goroutine
-// after the shaped delay. On a shaped or lossy profile every frame gets its
-// own delay and loss draw (ordering between sends from the same node is
-// preserved by the egress serialization only when bandwidth shaping is on);
-// unshaped, the whole burst is copied into one backing buffer and delivered
-// in order on a single goroutine — one allocation and one scheduler
-// hand-off where per-frame delivery pays one of each per frame. Handlers
-// own their views outright (the backing buffer is never reused), exactly
-// the Handler contract.
+// send delivers a burst of frames toward one node on a separate goroutine:
+// the whole burst is copied into one backing buffer and handed over in
+// order — one allocation and one scheduler hand-off where per-frame
+// delivery pays one of each per frame. Handlers own their views outright
+// (the backing buffer is never reused), exactly the Handler contract.
 func (n *ChanNetwork) send(from, to wire.NodeID, bufs [][]byte) error {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
 	if n.closed.Load() {
 		return nil
 	}
-	n.mu.RLock()
 	src := n.nodes[from]
 	dst := n.nodes[to]
-	n.mu.RUnlock()
 	if src == nil {
 		return fmt.Errorf("%w: sender %d", ErrUnknownNode, from)
 	}
@@ -359,27 +304,15 @@ func (n *ChanNetwork) send(from, to wire.NodeID, bufs [][]byte) error {
 		n.ctr.Add(uint64(from), cLost, int64(len(bufs)))
 		return nil
 	}
+	if len(bufs) == 0 {
+		return nil
+	}
 	total := 0
 	for _, b := range bufs {
 		total += len(b)
 	}
 	n.ctr.Add(uint64(from), cPackets, int64(len(bufs)))
 	n.ctr.Add(uint64(from), cBytes, int64(total))
-	// Every queued delivery carries the receiver's epoch at send time: a
-	// crash loses everything already in flight toward the host.
-	epoch := dst.failEpoch.Load()
-	p := n.profile
-	if p.BandwidthBps > 0 || p.LatencyMax > 0 || p.CPUDelayPerKB > 0 || p.Loss > 0 {
-		for _, b := range bufs {
-			delay := n.sendDelay(src, len(b))
-			if n.dropPacket() {
-				n.ctr.Add(uint64(from), cLost, 1)
-				continue
-			}
-			n.deliver(dst, epoch, from, delay, append([]byte(nil), b...), nil)
-		}
-		return nil
-	}
 	back := make([]byte, 0, total)
 	var rest [][]byte
 	if len(bufs) > 1 {
@@ -392,80 +325,29 @@ func (n *ChanNetwork) send(from, to wire.NodeID, bufs [][]byte) error {
 			rest = append(rest, back[off:len(back):len(back)])
 		}
 	}
-	if len(bufs) > 0 {
-		n.deliver(dst, epoch, from, 0, back[:len(bufs[0]):len(bufs[0])], rest)
-	}
-	return nil
-}
-
-// deliver hands first, then rest, to the receiver's handler after delay,
-// stopping at the first frame that finds the receiver crashed since the
-// send or the network closed. A singleton (the common case on sparse
-// fan-outs) passes a nil rest: one payload copy and one hand-off, no batch
-// bookkeeping.
-func (n *ChanNetwork) deliver(dst *chanEndpoint, epoch uint64, from wire.NodeID, delay time.Duration, first []byte, rest [][]byte) {
-	run := func() {
+	first := back[:len(bufs[0]):len(bufs[0])]
+	// The delivery carries the receiver's epoch at send time: a crash loses
+	// everything still in flight toward the host. It joins wg under the
+	// read lock, so it is either refused above or waited for by Close.
+	epoch := dst.failEpoch.Load()
+	n.wg.Add(1)
+	go func() {
 		defer n.wg.Done()
 		for ok, i := n.hand(dst, epoch, from, first), 0; ok && i < len(rest); i++ {
 			ok = n.hand(dst, epoch, from, rest[i])
 		}
-	}
-	n.wg.Add(1)
-	if delay == 0 {
-		go run()
-	} else {
-		time.AfterFunc(delay, run)
-	}
+	}()
+	return nil
 }
 
+// hand passes one frame to the receiver's handler unless the receiver
+// crashed since the send or the network closed.
 func (n *ChanNetwork) hand(dst *chanEndpoint, epoch uint64, from wire.NodeID, v []byte) bool {
 	if dst.down.Load() || dst.failEpoch.Load() != epoch || n.closed.Load() {
 		return false
 	}
 	dst.handler(from, v)
 	return true
-}
-
-// sendDelay computes the shaped delay: serialization on the sender's uplink
-// plus propagation latency plus CPU cost.
-func (n *ChanNetwork) sendDelay(src *chanEndpoint, size int) time.Duration {
-	p := n.profile
-	var delay time.Duration
-	if p.BandwidthBps > 0 {
-		tx := time.Duration(float64(size) * 8 / float64(p.BandwidthBps) * float64(time.Second))
-		src.mu.Lock()
-		now := time.Now()
-		start := src.egressFree
-		if start.Before(now) {
-			start = now
-		}
-		src.egressFree = start.Add(tx)
-		delay += src.egressFree.Sub(now)
-		src.mu.Unlock()
-	}
-	if p.LatencyMax > 0 {
-		span := p.LatencyMax - p.LatencyMin
-		var jitter time.Duration
-		if span > 0 {
-			n.rngMu.Lock()
-			jitter = time.Duration(n.rng.Int63n(int64(span)))
-			n.rngMu.Unlock()
-		}
-		delay += p.LatencyMin + jitter
-	}
-	if p.CPUDelayPerKB > 0 {
-		delay += time.Duration(float64(p.CPUDelayPerKB) * float64(size) / 1024)
-	}
-	return delay
-}
-
-func (n *ChanNetwork) dropPacket() bool {
-	if n.profile.Loss <= 0 {
-		return false
-	}
-	n.rngMu.Lock()
-	defer n.rngMu.Unlock()
-	return n.rng.Float64() < n.profile.Loss
 }
 
 // Stats reports cumulative network counters.
@@ -476,6 +358,8 @@ func (n *ChanNetwork) Stats() TransportStats {
 
 // Close stops delivering packets and waits for in-flight deliveries.
 func (n *ChanNetwork) Close() {
+	n.mu.Lock()
 	n.closed.Store(true)
+	n.mu.Unlock()
 	n.wg.Wait()
 }

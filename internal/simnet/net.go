@@ -95,6 +95,9 @@ type nodeSlot struct {
 	state atomic.Uint64
 	h     atomic.Pointer[handlerFunc]
 	seq   atomic.Uint64 // canonical per-sender sequence
+	// busyUntil is the virtual time (ns) at which the node's uplink frees:
+	// packets on rate-limited links leave one at a time behind it.
+	busyUntil atomic.Int64
 }
 
 const (
@@ -121,6 +124,11 @@ type LinkProfile struct {
 	// letting later traffic on the link overtake it.
 	Reorder      float64
 	ReorderDelay time.Duration
+	// Rate is the sender's egress rate on this link in bits per second;
+	// zero means unlimited. A node transmits one packet at a time, so a
+	// packet first waits behind the sender's earlier packets (on any link),
+	// then takes size·8/Rate to leave, and only then starts its Delay.
+	Rate int64
 }
 
 func (p LinkProfile) needsRand() bool {
@@ -484,6 +492,9 @@ func (n *SimNet) Send(from, to wire.NodeID, data []byte) error {
 	n.ctr.Add(uint64(from), cBytes, int64(len(data)))
 
 	delay := prof.Delay
+	if prof.Rate > 0 {
+		delay += n.egress(src, len(data), prof.Rate)
+	}
 	dup := false
 	if prof.needsRand() {
 		// Shaped link: randomness draws run under n.mu in the exact order
@@ -522,6 +533,20 @@ func (n *SimNet) Send(from, to wire.NodeID, data []byte) error {
 		n.clk.scheduleNet(n.sinkID, delay+prof.Delay, uint64(from), uint64(to), dupSeq, ti, epoch, dupPayload, dupBuf)
 	}
 	return nil
+}
+
+// egress queues size bytes on src's uplink at rate bits/s and returns how
+// long the packet takes to leave, counting the wait behind earlier packets.
+func (n *SimNet) egress(src *nodeSlot, size int, rate int64) time.Duration {
+	now := n.clk.nowA.Load()
+	tx := int64(size) * 8 * int64(time.Second) / rate
+	for {
+		busy := src.busyUntil.Load()
+		done := max(busy, now) + tx
+		if src.busyUntil.CompareAndSwap(busy, done) {
+			return time.Duration(done - now)
+		}
+	}
 }
 
 func (n *SimNet) copyPayload(data []byte) ([]byte, *payloadBuf) {

@@ -177,6 +177,61 @@ func TestSimNetLossDuplicateReorderDeterministic(t *testing.T) {
 	}
 }
 
+// arrivalTimes attaches receivers 3 and 4 and senders 1 and 2, runs send,
+// and returns every delivery's virtual arrival time in delivery order.
+func arrivalTimes(t *testing.T, def LinkProfile, send func(n *SimNet)) []time.Duration {
+	t.Helper()
+	s := NewScript(1, def)
+	var at []time.Duration
+	for id := wire.NodeID(1); id <= 4; id++ {
+		if err := s.Net.Attach(id, func(wire.NodeID, []byte) { at = append(at, s.Elapsed()) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(s.Net)
+	s.Clk.RunUntilIdle()
+	return at
+}
+
+// 1250 bytes at 10 Mb/s leave in exactly 1 ms.
+var rated = LinkProfile{Delay: 2 * time.Millisecond, Rate: 10_000_000}
+
+func TestSimNetEgressRateSerializesSender(t *testing.T) {
+	// Back-to-back packets from one node leave one at a time, whichever link
+	// each takes: they arrive exactly one transmission time apart.
+	at := arrivalTimes(t, rated, func(n *SimNet) {
+		for i := 0; i < 5; i++ {
+			n.Send(1, wire.NodeID(3+i%2), make([]byte, 1250))
+		}
+	})
+	want := "[3ms 4ms 5ms 6ms 7ms]"
+	if fmt.Sprint(at) != want {
+		t.Fatalf("arrivals %v, want %s", at, want)
+	}
+}
+
+func TestSimNetEgressRatePerSender(t *testing.T) {
+	at := arrivalTimes(t, rated, func(n *SimNet) {
+		n.Send(1, 3, make([]byte, 1250))
+		n.Send(2, 3, make([]byte, 1250))
+	})
+	if want := "[3ms 3ms]"; fmt.Sprint(at) != want {
+		t.Fatalf("two senders queued behind each other: arrivals %v, want %s", at, want)
+	}
+}
+
+func TestSimNetEgressRateLinkOverride(t *testing.T) {
+	at := arrivalTimes(t, rated, func(n *SimNet) {
+		n.SetLink(1, 3, LinkProfile{Delay: 2 * time.Millisecond, Rate: 5_000_000})
+		for i := 0; i < 3; i++ {
+			n.Send(1, 3, make([]byte, 1250))
+		}
+	})
+	if want := "[4ms 6ms 8ms]"; fmt.Sprint(at) != want {
+		t.Fatalf("override rate ignored: arrivals %v, want %s", at, want)
+	}
+}
+
 func TestAwaitCondStopsEarly(t *testing.T) {
 	c := NewVirtualClock()
 	n := 0
