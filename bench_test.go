@@ -13,9 +13,8 @@ import (
 	"time"
 
 	"infoslicing/internal/anonymity"
-	"infoslicing/internal/churn"
 	"infoslicing/internal/code"
-	"infoslicing/internal/perf"
+	"infoslicing/internal/eval"
 	"infoslicing/internal/simnet"
 	"infoslicing/internal/wire"
 )
@@ -178,7 +177,7 @@ func BenchmarkCodingPerPacket(b *testing.B) {
 // --- Fig. 11: LAN per-flow throughput vs path length ------------------------
 
 func BenchmarkFig11ThroughputLAN(b *testing.B) {
-	env := perf.LAN2007()
+	env := eval.LAN2007()
 	for _, l := range []int{2, 4} {
 		b.Run(fmt.Sprintf("slicing/L=%d", l), func(b *testing.B) {
 			benchSlicingFlow(b, env.Link, l, 2, 2, 1<<20)
@@ -193,7 +192,7 @@ func benchSlicingFlow(b *testing.B, link simnet.LinkProfile, l, d, dp, bytes int
 	b.Helper()
 	var tput float64
 	for i := 0; i < b.N; i++ {
-		res, err := perf.SlicingFlow(perf.Params{
+		res, err := eval.SlicingFlow(eval.Params{
 			Profile: link, L: l, D: d, DPrime: dp,
 			TransferBytes: bytes, ChunkPayload: 1200 * d, Seed: int64(i),
 		})
@@ -209,7 +208,7 @@ func benchOnionFlow(b *testing.B, link simnet.LinkProfile, l, bytes int) {
 	b.Helper()
 	var tput float64
 	for i := 0; i < b.N; i++ {
-		res, err := perf.OnionFlow(perf.Params{
+		res, err := eval.OnionFlow(eval.Params{
 			Profile: link, L: l, D: 1,
 			TransferBytes: bytes, ChunkPayload: 1200, Seed: int64(i),
 		})
@@ -224,7 +223,7 @@ func benchOnionFlow(b *testing.B, link simnet.LinkProfile, l, bytes int) {
 // --- Fig. 12: WAN (PlanetLab) per-flow throughput ----------------------------
 
 func BenchmarkFig12ThroughputWAN(b *testing.B) {
-	env := perf.PlanetLab2007()
+	env := eval.PlanetLab2007()
 	b.Run("slicing/L=3", func(b *testing.B) {
 		benchSlicingFlow(b, env.Link, 3, 2, 2, 96<<10)
 	})
@@ -240,9 +239,9 @@ func BenchmarkFig13Scaling(b *testing.B) {
 		b.Run(fmt.Sprintf("flows=%d", flows), func(b *testing.B) {
 			var total float64
 			for i := 0; i < b.N; i++ {
-				tp, err := perf.SlicingScaling(perf.ScalingParams{
-					Params: perf.Params{
-						Profile: perf.LAN2007().Link, L: 3, D: 2, DPrime: 2,
+				tp, err := eval.SlicingScaling(eval.ScalingParams{
+					Params: eval.Params{
+						Profile: eval.LAN2007().Link, L: 3, D: 2, DPrime: 2,
 						TransferBytes: 128 << 10, ChunkPayload: 2400,
 						Seed: int64(i),
 					},
@@ -261,7 +260,7 @@ func BenchmarkFig13Scaling(b *testing.B) {
 // --- Fig. 14: LAN setup time vs path length and split factor -----------------
 
 func BenchmarkFig14SetupLAN(b *testing.B) {
-	env := perf.LAN2007()
+	env := eval.LAN2007()
 	for _, d := range []int{2, 3, 4} {
 		b.Run(fmt.Sprintf("slicing/d=%d/L=4", d), func(b *testing.B) {
 			benchSlicingSetup(b, env.Link, 4, d)
@@ -276,7 +275,7 @@ func benchSlicingSetup(b *testing.B, link simnet.LinkProfile, l, d int) {
 	b.Helper()
 	var setup time.Duration
 	for i := 0; i < b.N; i++ {
-		res, err := perf.SlicingFlow(perf.Params{
+		res, err := eval.SlicingFlow(eval.Params{
 			Profile: link, L: l, D: d, DPrime: d,
 			TransferBytes: 1 << 10, ChunkPayload: 1200 * d, Seed: int64(i),
 		})
@@ -292,7 +291,7 @@ func benchOnionSetup(b *testing.B, link simnet.LinkProfile, l int) {
 	b.Helper()
 	var setup time.Duration
 	for i := 0; i < b.N; i++ {
-		res, err := perf.OnionFlow(perf.Params{
+		res, err := eval.OnionFlow(eval.Params{
 			Profile: link, L: l, D: 1,
 			TransferBytes: 1 << 10, ChunkPayload: 1200, Seed: int64(i),
 		})
@@ -307,7 +306,7 @@ func benchOnionSetup(b *testing.B, link simnet.LinkProfile, l int) {
 // --- Fig. 15: WAN setup time --------------------------------------------------
 
 func BenchmarkFig15SetupWAN(b *testing.B) {
-	env := perf.PlanetLab2007()
+	env := eval.PlanetLab2007()
 	b.Run("slicing/d=2/L=3", func(b *testing.B) {
 		benchSlicingSetup(b, env.Link, 3, 2)
 	})
@@ -323,14 +322,14 @@ func BenchmarkFig16AnalyticChurn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, p := range []float64{0.1, 0.3} {
 			for dp := 2; dp <= 12; dp++ {
-				sl = churn.SlicingSuccess(5, 2, dp, p)
-				ec = churn.OnionECSuccess(5, 2, dp, p)
+				sl = eval.SlicingSuccess(5, 2, dp, p)
+				ec = eval.OnionECSuccess(5, 2, dp, p)
 			}
 		}
 	}
 	// Headline point: p=0.3, R=1 (d'=4).
-	b.ReportMetric(churn.SlicingSuccess(5, 2, 4, 0.3), "slicing-p.3-R1")
-	b.ReportMetric(churn.OnionECSuccess(5, 2, 4, 0.3), "onionEC-p.3-R1")
+	b.ReportMetric(eval.SlicingSuccess(5, 2, 4, 0.3), "slicing-p.3-R1")
+	b.ReportMetric(eval.OnionECSuccess(5, 2, 4, 0.3), "onionEC-p.3-R1")
 	_ = sl
 	_ = ec
 }
@@ -338,9 +337,9 @@ func BenchmarkFig16AnalyticChurn(b *testing.B) {
 // --- Fig. 17: experimental churn resilience ----------------------------------
 
 func BenchmarkFig17ChurnPlanetLab(b *testing.B) {
-	var res churn.ExperimentResult
+	var res eval.ExperimentResult
 	for i := 0; i < b.N; i++ {
-		r, err := churn.RunExperiment(churn.ExperimentParams{
+		r, err := eval.RunExperiment(eval.ExperimentParams{
 			L: 3, D: 2, DPrime: 4, NodeFailProb: 0.25,
 			Messages: 2, MessageBytes: 256, Trials: 3, Seed: int64(i),
 		})
@@ -363,9 +362,9 @@ func BenchmarkFig17ChurnPlanetLab(b *testing.B) {
 // contribution beyond redundancy.
 func BenchmarkLiveRepair(b *testing.B) {
 	run := func(b *testing.B, repair bool) {
-		var res churn.LiveRepairResult
+		var res eval.LiveRepairResult
 		for i := 0; i < b.N; i++ {
-			r, err := churn.RunLiveRepair(churn.LiveRepairParams{
+			r, err := eval.RunLiveRepair(eval.LiveRepairParams{
 				L: 3, D: 2, DPrime: 3,
 				Flows: 2, Messages: 6, MessageBytes: 256,
 				KillPerFlow: 2, Trials: 1,

@@ -26,13 +26,13 @@ import (
 	"runtime"
 	"time"
 
-	"infoslicing/internal/churn"
+	"infoslicing/internal/eval"
 	"infoslicing/internal/metrics"
 	"infoslicing/internal/simnet"
 )
 
 func main() {
-	fig := flag.Int("fig", 0, "figure to regenerate (16, 17; 0 = both)")
+	fig := flag.Int("fig", 0, "figure to regenerate (16, 17, 19; 0 = all)")
 	trials := flag.Int("trials", 25, "sessions per point (fig 17)")
 	failProb := flag.Float64("p", 0.2, "per-session node failure probability (fig 17)")
 	seed := flag.Int64("seed", 1, "rng seed")
@@ -104,82 +104,26 @@ func runScale(nodes int, seed int64, window time.Duration) {
 }
 
 func fig16() {
-	const l, d = 5, 2
 	for _, p := range []float64{0.1, 0.3} {
-		t := metrics.NewTable(
-			fmt.Sprintf("Fig. 16 — analytic transfer success vs redundancy (L=%d, d=%d, p=%g)", l, d, p),
-			"R")
-		sl := t.AddSeries("slicing")
-		ec := t.AddSeries("onion+EC")
-		for dp := d; dp <= d*6; dp++ {
-			r := float64(dp-d) / float64(d)
-			sl.Add(r, churn.SlicingSuccess(l, d, dp, p))
-			ec.Add(r, churn.OnionECSuccess(l, d, dp, p))
-		}
-		t.Fprint(os.Stdout)
+		metrics.NewTable(fmt.Sprintf("Fig. 16 — analytic transfer success vs redundancy (L=5, d=2, p=%g)", p), "R", eval.AnalyticSweep(p)...).Fprint(os.Stdout)
 		fmt.Println()
 	}
 }
 
 func fig17(trials int, p float64, seed int64) {
-	const l, d = 5, 2
-	t := metrics.NewTable(
-		fmt.Sprintf("Fig. 17 — experimental session success vs redundancy (L=%d, d=%d, p=%g, %d trials)",
-			l, d, p, trials),
-		"R")
-	sl := t.AddSeries("slicing")
-	ec := t.AddSeries("onion+EC")
-	so := t.AddSeries("std-onion")
-	for dp := d; dp <= d*3; dp++ {
-		res, err := churn.RunExperiment(churn.ExperimentParams{
-			L: l, D: d, DPrime: dp,
-			NodeFailProb: p, Trials: trials, Seed: seed,
-			Messages: 4, MessageBytes: 512,
-		})
-		if err != nil {
-			log.Fatalf("churnsim: %v", err)
-		}
-		r := float64(dp-d) / float64(d)
-		sl.Add(r, res.Slicing)
-		ec.Add(r, res.OnionEC)
-		so.Add(r, res.StandardOnion)
-		fmt.Fprintf(os.Stderr, "churnsim: R=%.1f done (slicing %.2f, onion+EC %.2f, std %.2f)\n",
-			r, res.Slicing, res.OnionEC, res.StandardOnion)
+	ss, err := eval.ChurnSweep(trials, p, seed)
+	if err != nil {
+		log.Fatalf("churnsim: %v", err)
 	}
-	t.Fprint(os.Stdout)
+	metrics.NewTable(fmt.Sprintf("Fig. 17 — experimental session success vs redundancy (L=5, d=2, p=%g, %d trials)", p, trials), "R", ss...).Fprint(os.Stdout)
 }
 
 // fig19 sweeps the number of same-stage kills per flow: at kills <= d'-d
 // redundancy alone survives; past that only the repair path does.
 func fig19(seed int64) {
-	const l, d, dp = 3, 2, 3
-	t := metrics.NewTable(
-		fmt.Sprintf("Fig. 19 (extension) — delivery under stage-collapse churn (L=%d, d=%d, d'=%d)", l, d, dp),
-		"kills")
-	rep := t.AddSeries("repair")
-	det := t.AddSeries("detection-only")
-	spl := t.AddSeries("splices")
-	for kills := 1; kills < dp; kills++ {
-		p := churn.LiveRepairParams{
-			L: l, D: d, DPrime: dp,
-			Flows: 2, Messages: 6, MessageBytes: 512,
-			KillPerFlow: kills, Trials: 2, Seed: seed,
-		}
-		p.Repair = true
-		on, err := churn.RunLiveRepair(p)
-		if err != nil {
-			log.Fatalf("churnsim: %v", err)
-		}
-		p.Repair = false
-		off, err := churn.RunLiveRepair(p)
-		if err != nil {
-			log.Fatalf("churnsim: %v", err)
-		}
-		rep.Add(float64(kills), on.Delivered)
-		det.Add(float64(kills), off.Delivered)
-		spl.Add(float64(kills), float64(on.Splices))
-		fmt.Fprintf(os.Stderr, "churnsim: kills=%d done (repair %.2f, detection-only %.2f, %d splices)\n",
-			kills, on.Delivered, off.Delivered, on.Splices)
+	ss, err := eval.RepairSweep(seed)
+	if err != nil {
+		log.Fatalf("churnsim: %v", err)
 	}
-	t.Fprint(os.Stdout)
+	metrics.NewTable("Fig. 19 (extension) — delivery under stage-collapse churn (L=3, d=2, d'=3)", "kills", ss...).Fprint(os.Stdout)
 }

@@ -1,5 +1,5 @@
 // Command perfeval regenerates the performance figures of §7 using the
-// calibrated 2007 environments (see internal/perf and EXPERIMENTS.md). The
+// calibrated 2007 environments (see internal/eval and EXPERIMENTS.md). The
 // runs are on virtual time, so the printed series are a function of -seed:
 //
 //	perfeval -fig 11   LAN per-flow throughput vs path length,
@@ -22,8 +22,8 @@ import (
 	"runtime"
 	"runtime/pprof"
 
+	"infoslicing/internal/eval"
 	"infoslicing/internal/metrics"
-	"infoslicing/internal/perf"
 )
 
 func main() {
@@ -62,7 +62,7 @@ func main() {
 		}()
 	}
 
-	lan, pl := perf.LAN2007(), perf.PlanetLab2007()
+	lan, pl := eval.LAN2007(), eval.PlanetLab2007()
 	ran := false
 	for _, f := range []struct {
 		fig           int
@@ -70,17 +70,17 @@ func main() {
 		run           func() ([]*metrics.Series, error)
 	}{
 		{11, "Fig. 11 — LAN per-flow throughput (Mb/s)", "L",
-			func() ([]*metrics.Series, error) { return perf.ThroughputSweep(lan, *transfer, *seed) }},
+			func() ([]*metrics.Series, error) { return eval.ThroughputSweep(lan, *transfer, *seed) }},
 		{12, "Fig. 12 — PlanetLab per-flow throughput (Mb/s)", "L",
-			func() ([]*metrics.Series, error) { return perf.ThroughputSweep(pl, *transfer/8, *seed) }},
+			func() ([]*metrics.Series, error) { return eval.ThroughputSweep(pl, *transfer/8, *seed) }},
 		{13, "Fig. 13 — LAN network throughput vs concurrent flows (100-node pool, d=3, L=5)", "flows",
 			func() ([]*metrics.Series, error) {
-				return perf.ScalingSweep([]int{1, 2, 4, 8, 16, 24}, *transfer/4, *seed)
+				return eval.ScalingSweep([]int{1, 2, 4, 8, 16, 24}, *transfer/4, *seed)
 			}},
 		{14, "Fig. 14 — LAN graph setup time (ms)", "L",
-			func() ([]*metrics.Series, error) { return perf.SetupSweep(lan, *reps, *seed) }},
+			func() ([]*metrics.Series, error) { return eval.SetupSweep(lan, *reps, *seed) }},
 		{15, "Fig. 15 — PlanetLab graph setup time (ms)", "L",
-			func() ([]*metrics.Series, error) { return perf.SetupSweep(pl, *reps, *seed) }},
+			func() ([]*metrics.Series, error) { return eval.SetupSweep(pl, *reps, *seed) }},
 	} {
 		if *fig != 0 && *fig != f.fig {
 			continue
@@ -90,11 +90,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("perfeval: fig %d: %v", f.fig, err)
 		}
-		t := metrics.NewTable(f.title, f.xlabel)
-		for _, s := range ss {
-			*t.AddSeries(s.Name) = *s
-		}
-		t.Fprint(os.Stdout)
+		metrics.NewTable(f.title, f.xlabel, ss...).Fprint(os.Stdout)
 		fmt.Println()
 	}
 	if !ran {

@@ -15,7 +15,7 @@ import (
 	"os"
 
 	"infoslicing/internal/anonymity"
-	"infoslicing/internal/churn"
+	"infoslicing/internal/eval"
 	"infoslicing/internal/metrics"
 )
 
@@ -46,7 +46,7 @@ func main() {
 		red := float64(dp-*d) / float64(*d)
 		src.Add(red, r.Source)
 		dst.Add(red, r.Destination)
-		surv.Add(red, churn.SlicingSuccess(*l, *d, dp, *p))
+		surv.Add(red, eval.SlicingSuccess(*l, *d, dp, *p))
 	}
 	t.Fprint(os.Stdout)
 

@@ -418,8 +418,7 @@ type Conn struct {
 	nw      *Network
 	sender  *source.Sender
 	graph   *core.Graph
-	srcs    []NodeID          // transient source-endpoint attachments
-	eps     *source.Endpoints // non-nil when Repair is on
+	eps     *source.Endpoints // the transient source endpoints
 	unwatch func()            // removes the transport loss watcher, if any
 
 	recv     chan []byte
@@ -500,9 +499,8 @@ func (nw *Network) Dial(spec DialSpec) (*Conn, error) {
 		relays = ids[:need]
 		spec.Dest = relays[nw.rng.Intn(need)]
 	}
-	// Source endpoints: the sender plus pseudo-sources (§3c). Without
-	// repair they are transmit-only attachments; with repair they are real
-	// listeners (source.Endpoints) that hear acks and failure reports.
+	// Source endpoints: the sender plus pseudo-sources (§3c), listening
+	// for acks and, with repair on, failure reports.
 	srcs := make([]NodeID, spec.DPrime)
 	for i := range srcs {
 		srcs[i] = nw.nextSrc
@@ -512,31 +510,9 @@ func (nw *Network) Dial(spec DialSpec) (*Conn, error) {
 	destNode := nw.nodes[spec.Dest]
 	nw.mu.Unlock()
 
-	var eps *source.Endpoints
-	if spec.Repair {
-		e, err := source.AttachEndpoints(nw.chn, srcs)
-		if err != nil {
-			return nil, err
-		}
-		eps = e
-	} else {
-		for i, s := range srcs {
-			if err := nw.chn.Attach(s, func(NodeID, []byte) {}); err != nil {
-				for _, prev := range srcs[:i] {
-					nw.chn.Detach(prev)
-				}
-				return nil, err
-			}
-		}
-	}
-	detachSrcs := func() {
-		if eps != nil {
-			eps.Close()
-			return
-		}
-		for _, s := range srcs {
-			nw.chn.Detach(s)
-		}
+	eps, err := source.AttachEndpoints(nw.chn, srcs)
+	if err != nil {
+		return nil, err
 	}
 
 	g, err := core.Build(core.Spec{
@@ -547,18 +523,18 @@ func (nw *Network) Dial(spec DialSpec) (*Conn, error) {
 		Rng:      rand.New(rand.NewSource(seed)),
 	})
 	if err != nil {
-		detachSrcs()
+		eps.Close()
 		return nil, err
 	}
 	clk := nw.cfg.clock()
 	snd := source.New(nw.chn, g, source.Config{Clock: clk}, rand.New(rand.NewSource(seed+1)))
 	start := clk.Now()
 	if err := snd.Establish(); err != nil {
-		detachSrcs()
+		eps.Close()
 		return nil, err
 	}
 	c := &Conn{
-		nw: nw, sender: snd, graph: g, srcs: srcs, eps: eps,
+		nw: nw, sender: snd, graph: g, eps: eps,
 		recv: make(chan []byte, 64),
 		done: make(chan struct{}),
 	}
@@ -568,7 +544,7 @@ func (nw *Network) Dial(spec DialSpec) (*Conn, error) {
 	established := func() bool { return destNode.Established(g.Flows[spec.Dest]) }
 	if nw.cfg.vclk != nil {
 		if !nw.cfg.vclk.AwaitCond(spec.EstablishTimeout, established) {
-			detachSrcs()
+			eps.Close()
 			return nil, errors.New("infoslicing: establish timeout")
 		}
 	} else {
@@ -577,7 +553,7 @@ func (nw *Network) Dial(spec DialSpec) (*Conn, error) {
 		const maxWait = 20 * time.Millisecond
 		for !established() {
 			if time.Now().After(deadline) {
-				detachSrcs()
+				eps.Close()
 				return nil, errors.New("infoslicing: establish timeout")
 			}
 			time.Sleep(wait)
@@ -603,7 +579,7 @@ func (nw *Network) Dial(spec DialSpec) (*Conn, error) {
 			Heartbeat: hb,
 			Pick:      nw.pickReplacement,
 		}); err != nil {
-			detachSrcs()
+			eps.Close()
 			return nil, err
 		}
 		// Loss-measuring transports (UDP) feed the repair loop a second
@@ -704,12 +680,6 @@ func (c *Conn) stop() {
 			c.unwatch()
 		}
 		c.sender.StopRepair()
-		if c.eps != nil {
-			c.eps.Close()
-			return
-		}
-		for _, s := range c.srcs {
-			c.nw.chn.Detach(s)
-		}
+		c.eps.Close()
 	})
 }

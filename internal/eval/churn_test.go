@@ -1,4 +1,4 @@
-package churn
+package eval
 
 import (
 	"math"
@@ -99,6 +99,10 @@ func TestExperimentParamValidation(t *testing.T) {
 	if _, err := RunExperiment(ExperimentParams{L: 2, D: 2, DPrime: 2, Trials: 1,
 		NodeFailProb: 1.5}); err == nil {
 		t.Fatal("p > 1 accepted")
+	}
+	// A session that cannot be set up is an error, not a failed session.
+	if res, err := RunExperiment(ExperimentParams{L: 1, D: 1, DPrime: 256, Trials: 1}); err == nil {
+		t.Fatalf("a graph past the wire's limits scored as %+v", res)
 	}
 }
 

@@ -1,27 +1,21 @@
-// Package perf drives the throughput and setup-latency experiments of §7:
-// per-flow throughput on LAN and PlanetLab links (Figs. 11-12), network
+package eval
+
+// §7: per-flow throughput on LAN and PlanetLab links (Figs. 11-12), network
 // throughput scaling with concurrent flows (Fig. 13), and graph/circuit
-// setup times (Figs. 14-15). Information slicing and the onion-routing
-// baseline run their full protocol stacks over simnet's virtual links, and
-// every time is read from the virtual clock, so a figure is a function of
-// its seed. The comparison captures the asymmetry the paper measures:
-// slicing relays only shuffle slices during the data phase, while onion
-// relays decrypt every byte at every hop.
-package perf
+// set-up times (Figs. 14-15). The comparison captures the asymmetry the
+// paper measures: slicing relays only shuffle slices during the data phase,
+// while onion relays decrypt every byte at every hop.
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"infoslicing/internal/core"
 	"infoslicing/internal/metrics"
 	"infoslicing/internal/onion"
-	"infoslicing/internal/relay"
 	"infoslicing/internal/simnet"
-	"infoslicing/internal/source"
 	"infoslicing/internal/wire"
 )
 
@@ -81,7 +75,7 @@ func (p *Params) normalize() error {
 		p.DPrime = p.D
 	}
 	if p.L < 1 || p.D < 1 || p.DPrime < p.D {
-		return fmt.Errorf("perf: invalid params %+v", *p)
+		return fmt.Errorf("eval: invalid params %+v", *p)
 	}
 	if p.TransferBytes == 0 {
 		p.TransferBytes = 1 << 20
@@ -96,21 +90,10 @@ type FlowResult struct {
 }
 
 // ErrTimeout reports an experiment that did not complete.
-var ErrTimeout = errors.New("perf: experiment timed out")
+var ErrTimeout = errors.New("eval: experiment timed out")
 
 // experimentTimeout bounds each phase of a run, in virtual time.
 const experimentTimeout = 5 * time.Minute
-
-func relayCfg(seed int64, clk simnet.Clock) relay.Config {
-	return relay.Config{
-		SetupWait:  300 * time.Millisecond,
-		RoundWait:  300 * time.Millisecond,
-		FlowTTL:    5 * time.Minute,
-		GCInterval: 30 * time.Second,
-		Rng:        rand.New(rand.NewSource(seed)),
-		Clock:      clk,
-	}
-}
 
 // SlicingFlow sets up one forwarding graph and measures setup latency and
 // the goodput of a TransferBytes transfer.
@@ -131,49 +114,28 @@ func OnionFlow(p Params) (FlowResult, error) {
 	if err := p.normalize(); err != nil {
 		return FlowResult{}, err
 	}
-	clk := simnet.NewVirtualClock()
-	net := simnet.NewSimNet(clk, p.Seed, p.Profile)
-	defer net.Close()
-
-	kr := seededReader{rand.New(rand.NewSource(p.Seed + 1))}
-	ids := make([]wire.NodeID, p.L)
-	for i := range ids {
-		ids[i] = wire.NodeID(i + 1)
-	}
-	dir, err := directory(ids)
+	tb := newTestbed(p.Seed, p.Profile)
+	defer tb.close()
+	path := nodeIDs(1, p.L)
+	nodes, err := tb.addOnions(path)
 	if err != nil {
 		return FlowResult{}, err
 	}
-	nodes := make([]*onion.Node, 0, p.L)
-	defer func() {
-		for _, n := range nodes {
-			n.Close()
-		}
-	}()
-	for _, id := range ids {
-		n, err := onion.NewNode(id, dir, net)
-		if err != nil {
-			return FlowResult{}, err
-		}
-		nodes = append(nodes, n)
-	}
-	const senderID = 10_000
-	if err := net.Attach(senderID, func(wire.NodeID, []byte) {}); err != nil {
+	rng := rand.New(rand.NewSource(p.Seed + 2))
+	snd, err := tb.onionSender(10_000, rng, p.Seed+1)
+	if err != nil {
 		return FlowResult{}, err
 	}
-	rng := rand.New(rand.NewSource(p.Seed + 2))
-	snd := onion.NewSender(senderID, net, dir, rng, kr)
 	if p.ChunkPayload > 0 {
 		snd.CellPayload = p.ChunkPayload
 	}
 
-	dest := nodes[p.L-1]
-	start := clk.Elapsed()
-	c, err := snd.BuildCircuit(ids)
+	start := tb.Elapsed()
+	c, err := snd.BuildCircuit(path)
 	if err != nil {
 		return FlowResult{}, err
 	}
-	if !clk.AwaitCond(experimentTimeout, func() bool {
+	if !tb.Await(experimentTimeout, func() bool {
 		for _, n := range nodes {
 			if n.Counters().Get("setup_in") == 0 {
 				return false
@@ -183,22 +145,23 @@ func OnionFlow(p Params) (FlowResult, error) {
 	}) {
 		return FlowResult{}, fmt.Errorf("%w: onion setup", ErrTimeout)
 	}
-	res := FlowResult{SetupTime: clk.Elapsed() - start}
+	res := FlowResult{SetupTime: tb.Elapsed() - start}
 
 	msg := make([]byte, p.TransferBytes)
 	rng.Read(msg)
-	start = clk.Elapsed()
+	start = tb.Elapsed()
 	if err := snd.Send(c, 1, msg); err != nil {
 		return FlowResult{}, err
 	}
+	dest := nodes[p.L-1]
 	var got onion.Message
-	if !clk.AwaitCond(experimentTimeout, func() bool { return recv(dest.Received(), &got) }) {
+	if !tb.Await(experimentTimeout, func() bool { return recv(dest.Received(), &got) }) {
 		return FlowResult{}, fmt.Errorf("%w: onion transfer", ErrTimeout)
 	}
 	if len(got.Data) != p.TransferBytes {
-		return FlowResult{}, fmt.Errorf("perf: corrupted transfer")
+		return FlowResult{}, fmt.Errorf("eval: corrupted transfer")
 	}
-	res.Throughput = goodput(p.TransferBytes, clk.Elapsed()-start)
+	res.Throughput = goodput(p.TransferBytes, tb.Elapsed()-start)
 	return res, nil
 }
 
@@ -233,141 +196,59 @@ func SlicingScaling(sp ScalingParams) (float64, error) {
 func slicing(sp ScalingParams) (time.Duration, []float64, error) {
 	need := sp.L * sp.DPrime
 	if sp.PoolSize < need {
-		return 0, nil, fmt.Errorf("perf: pool %d too small for graph %d", sp.PoolSize, need)
+		return 0, nil, fmt.Errorf("eval: pool %d too small for graph %d", sp.PoolSize, need)
 	}
-	clk := simnet.NewVirtualClock()
-	net := simnet.NewSimNet(clk, sp.Seed, sp.Profile)
-	defer net.Close()
-	nodes := make([]*relay.Node, 0, sp.PoolSize)
-	defer func() {
-		for _, n := range nodes {
-			n.Close()
-		}
-	}()
-	for i := 0; i < sp.PoolSize; i++ {
-		n, err := relay.New(wire.NodeID(i+1), net, relayCfg(sp.Seed+int64(i), clk))
-		if err != nil {
-			return 0, nil, err
-		}
-		nodes = append(nodes, n)
+	tb := newTestbed(sp.Seed, sp.Profile)
+	defer tb.close()
+	if err := tb.addRelays(nodeIDs(1, sp.PoolSize), perfRelay, sp.Seed-1); err != nil {
+		return 0, nil, err
 	}
-
-	type flow struct {
-		snd  *source.Sender
-		g    *core.Graph
-		msg  []byte
-		took time.Duration
-	}
-	flows := make([]flow, sp.Flows)
-	// Several flows may end at one pool node: deliveries are told apart by
-	// the destination's flow id.
-	byID := make(map[wire.FlowID]*flow, sp.Flows)
-	for f := range flows {
+	msgs := make([][]byte, sp.Flows)
+	for f := range msgs {
 		rng := rand.New(rand.NewSource(sp.Seed + int64(f)*101))
 		relays := make([]wire.NodeID, need)
 		for i, pi := range rng.Perm(sp.PoolSize)[:need] {
 			relays[i] = wire.NodeID(pi + 1)
 		}
-		srcs := make([]wire.NodeID, sp.DPrime)
-		for i := range srcs {
-			srcs[i] = wire.NodeID(100_000 + f*100 + i)
-			if err := net.Attach(srcs[i], func(wire.NodeID, []byte) {}); err != nil {
-				return 0, nil, err
-			}
-		}
-		g, err := core.Build(core.Spec{
+		if _, err := tb.dial(core.Spec{
 			L: sp.L, D: sp.D, DPrime: sp.DPrime,
-			Relays: relays, Dest: relays[need-1], Sources: srcs,
+			Relays: relays, Dest: relays[need-1], Sources: nodeIDs(wire.NodeID(100_000+f*100), sp.DPrime),
 			Recode: true, Scramble: true, Rng: rng,
-		})
-		if err != nil {
+		}, sp.ChunkPayload); err != nil {
 			return 0, nil, err
 		}
-		msg := make([]byte, sp.TransferBytes)
-		rng.Read(msg)
-		flows[f] = flow{snd: source.New(net, g, source.Config{ChunkPayload: sp.ChunkPayload, Clock: clk}, rng), g: g, msg: msg}
-		byID[g.Flows[g.Dest]] = &flows[f]
+		msgs[f] = make([]byte, sp.TransferBytes)
+		rng.Read(msgs[f])
 	}
 
-	start := clk.Elapsed()
-	for _, fl := range flows {
+	start := tb.Elapsed()
+	for _, fl := range tb.flows {
 		if err := fl.snd.Establish(); err != nil {
 			return 0, nil, err
 		}
 	}
-	if !clk.AwaitCond(experimentTimeout, func() bool {
-		for _, fl := range flows {
-			for _, stage := range fl.g.Stages {
-				for _, id := range stage {
-					if !nodes[id-1].Established(fl.g.Flows[id]) {
-						return false
-					}
-				}
-			}
-		}
-		return true
-	}) {
+	if !tb.established(experimentTimeout) {
 		return 0, nil, fmt.Errorf("%w: setup", ErrTimeout)
 	}
-	setup := clk.Elapsed() - start
+	setup := tb.Elapsed() - start
 
-	start = clk.Elapsed()
-	for _, fl := range flows {
-		if err := fl.snd.Send(fl.msg); err != nil {
+	start = tb.Elapsed()
+	for f, fl := range tb.flows {
+		if err := fl.send(msgs[f]); err != nil {
 			return 0, nil, err
 		}
 	}
-	left := len(flows)
-	var bad error
-	if !clk.AwaitCond(experimentTimeout, func() bool {
-		for _, fl := range flows {
-			var m relay.Message
-			for recv(nodes[fl.g.Dest-1].Received(), &m) {
-				if got := byID[m.Flow]; got != nil {
-					if len(m.Data) != sp.TransferBytes {
-						bad = fmt.Errorf("perf: flow %d: corrupted transfer (%d bytes)", m.Flow, len(m.Data))
-					}
-					got.took = clk.Elapsed() - start
-					left--
-				}
-			}
+	if !tb.Await(experimentTimeout, tb.caughtUp) {
+		return 0, nil, fmt.Errorf("%w: transfers", ErrTimeout)
+	}
+	bps := make([]float64, len(tb.flows))
+	for i, fl := range tb.flows {
+		if fl.bytes != sp.TransferBytes {
+			return 0, nil, fmt.Errorf("eval: flow %d: corrupted transfer (%d bytes)", i, fl.bytes)
 		}
-		return left == 0 || bad != nil
-	}) {
-		return 0, nil, fmt.Errorf("%w: %d of %d transfers", ErrTimeout, left, len(flows))
-	}
-	if bad != nil {
-		return 0, nil, bad
-	}
-	bps := make([]float64, len(flows))
-	for i, fl := range flows {
-		bps[i] = goodput(sp.TransferBytes, fl.took)
+		bps[i] = goodput(sp.TransferBytes, fl.last-start)
 	}
 	return setup, bps, nil
-}
-
-// Onion identities shared by every run in the process: a virtual-time run
-// depends on the sizes of keys, never on their bits, and RSA key generation
-// would otherwise dominate a figure's running time.
-var (
-	dirMu sync.Mutex
-	dir   = onion.NewDirectory()
-)
-
-// directory returns the shared directory, holding identities for ids.
-func directory(ids []wire.NodeID) (*onion.Directory, error) {
-	dirMu.Lock()
-	defer dirMu.Unlock()
-	for _, id := range ids {
-		if _, ok := dir.Identity(id); ok {
-			continue
-		}
-		// 1024-bit keys: the smallest size that fits an OAEP-SHA256 key wrap.
-		if err := dir.Generate(seededReader{rand.New(rand.NewSource(int64(id)))}, 1024, id); err != nil {
-			return nil, err
-		}
-	}
-	return dir, nil
 }
 
 // ThroughputSweep is Figs. 11-12 on env: the per-flow goodput (Mb/s) of
@@ -445,27 +326,7 @@ func SetupSweep(env Env, reps int, seed int64) ([]*metrics.Series, error) {
 	return all, nil
 }
 
-// recv moves one buffered message from ch into *dst, reporting whether
-// there was one.
-func recv[T any](ch <-chan T, dst *T) bool {
-	select {
-	case *dst = <-ch:
-		return true
-	default:
-		return false
-	}
-}
-
 // goodput is bytes over d, in bits per second.
 func goodput(bytes int, d time.Duration) float64 {
 	return float64(bytes) * 8 / d.Seconds()
-}
-
-type seededReader struct{ r *rand.Rand }
-
-func (s seededReader) Read(b []byte) (int, error) {
-	for i := range b {
-		b[i] = byte(s.r.Intn(256))
-	}
-	return len(b), nil
 }

@@ -1,4 +1,4 @@
-package churn
+package eval
 
 import "testing"
 
@@ -54,5 +54,13 @@ func TestLiveRepairParamValidation(t *testing.T) {
 		L: 2, D: 2, DPrime: 2, Flows: 1, Trials: 1, KillPerFlow: 2,
 	}); err == nil {
 		t.Fatal("KillPerFlow == DPrime accepted (stage would vanish)")
+	}
+	// A trial that cannot be set up is an error, not a session that
+	// delivered nothing.
+	if res, err := RunLiveRepair(LiveRepairParams{L: 2, D: 2, DPrime: 256, Flows: 1, Trials: 1}); err == nil {
+		t.Fatalf("relay ids colliding with spares scored as %+v", res)
+	}
+	if res, err := RunLiveRepair(LiveRepairParams{L: 2, D: 2, DPrime: 3, Flows: 501, Trials: 1}); err == nil {
+		t.Fatalf("flow 500's relays colliding with flow 0's sources scored as %+v", res)
 	}
 }

@@ -1,4 +1,4 @@
-package churn
+package eval
 
 import (
 	"math/rand"
@@ -8,15 +8,59 @@ import (
 	"infoslicing/internal/simnet"
 )
 
-// checkBooks holds every relay of the scenario to its conservation laws
+// checkBooks holds every relay of the testbed to its conservation laws
 // (relay.Node.Books).
-func checkBooks(t *testing.T, sc *SimScenario) {
+func checkBooks(t *testing.T, tb *testbed) {
 	t.Helper()
-	for _, n := range sc.Nodes {
+	for _, n := range tb.relays {
 		if err := n.Books(); err != nil {
 			t.Error(err)
 		}
 	}
+}
+
+// startScenario hosts the scripted-scenario stack on a fresh testbed,
+// lets shape act on it, starts the flow and waits for it to establish.
+func startScenario(t *testing.T, seed int64, dPrime int, repair bool, shape func(*testbed, *flow)) (*testbed, *flow) {
+	t.Helper()
+	tb := newTestbed(seed, simLink)
+	t.Cleanup(tb.close)
+	fl, err := tb.scenario(seed, dPrime, repair)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shape != nil {
+		shape(tb, fl)
+	}
+	if err := fl.start(); err != nil {
+		t.Fatal(err)
+	}
+	if !tb.established(10 * time.Second) {
+		t.Fatal("never established")
+	}
+	return tb, fl
+}
+
+// sendOne streams one 256-byte message drawn from rng and waits for every
+// message sent so far to be delivered.
+func sendOne(t *testing.T, tb *testbed, fl *flow, rng *rand.Rand) {
+	t.Helper()
+	msg := make([]byte, 256)
+	rng.Read(msg)
+	if err := fl.send(msg); err != nil {
+		t.Fatal(err)
+	}
+	if !tb.Await(10*time.Second, tb.caughtUp) {
+		t.Fatalf("stream dead: %d/%d delivered", fl.delivered, fl.sent)
+	}
+}
+
+// closeAndCheckBooks checks every relay's books, then again after closing.
+func closeAndCheckBooks(t *testing.T, tb *testbed) {
+	t.Helper()
+	checkBooks(t, tb)
+	tb.close()
+	checkBooks(t, tb)
 }
 
 // The scenario matrix the wall clock could not host: exact-instant fault
@@ -62,52 +106,29 @@ func TestCanonicalScenarioRepairCarriesSession(t *testing.T) {
 // splices, stream decodable afterward.
 func TestSpliceRacesSecondKill(t *testing.T) {
 	simnet.ReportSeed(t)
-	sc, err := NewSimScenario(SimScenarioSpec{Seed: 11, L: 3, D: 2, DPrime: 3, Repair: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	if err := sc.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if !sc.AwaitEstablished(5 * time.Second) {
-		t.Fatal("never established")
-	}
-	victims := sc.Victims(2)
+	tb, fl := startScenario(t, 11, 3, true, nil)
+	victims := fl.victims(2)
 	if victims == nil {
 		t.Fatal("no same-stage victims")
 	}
 	rng := rand.New(rand.NewSource(11))
-	if err := sc.Send(rng, 256); err != nil {
-		t.Fatal(err)
-	}
-	if !sc.S.Await(5*time.Second, func() bool { d, s := sc.Counts(); return d >= s }) {
-		t.Fatal("pre-kill message lost")
-	}
+	sendOne(t, tb, fl, rng)
 
-	sc.S.Net.Fail(victims[0])
+	tb.Net.Fail(victims[0])
 	// Step to the exact instant the source has consumed the first report —
 	// the splice wave toward the replacement is in flight *now* — and kill
 	// the second victim at that same virtual time.
-	if !sc.S.Await(5*time.Second, func() bool { return sc.Snd.Counters().Get("repair_reports") >= 1 }) {
+	if !tb.Await(5*time.Second, func() bool { return fl.snd.Counters().Get("repair_reports") >= 1 }) {
 		t.Fatal("first failure never reported")
 	}
-	sc.S.Net.Fail(victims[1])
+	tb.Net.Fail(victims[1])
 
-	if !sc.S.Await(10*time.Second, func() bool { return sc.Snd.Counters().Get("repair_splices") >= 2 }) {
-		t.Fatalf("splice racing a second kill did not converge: %v", sc.Snd.Counters())
+	if !tb.Await(10*time.Second, func() bool { return fl.snd.Counters().Get("repair_splices") >= 2 }) {
+		t.Fatalf("splice racing a second kill did not converge: %v", fl.snd.Counters())
 	}
-	sc.S.Run(sc.S.Elapsed() + 200*time.Millisecond) // replacements establish
-	if err := sc.Send(rng, 256); err != nil {
-		t.Fatal(err)
-	}
-	if !sc.S.Await(10*time.Second, func() bool { d, s := sc.Counts(); return d >= s }) {
-		d, s := sc.Counts()
-		t.Fatalf("stream dead after racing kills: %d/%d", d, s)
-	}
-	checkBooks(t, sc)
-	sc.Close()
-	checkBooks(t, sc)
+	tb.Run(tb.Elapsed() + 200*time.Millisecond) // replacements establish
+	sendOne(t, tb, fl, rng)
+	closeAndCheckBooks(t, tb)
 }
 
 // TestPartitionHealsMidRepair: the source endpoints are partitioned from
@@ -117,47 +138,28 @@ func TestSpliceRacesSecondKill(t *testing.T) {
 // carry the repair to completion without any caller-side retry.
 func TestPartitionHealsMidRepair(t *testing.T) {
 	simnet.ReportSeed(t)
-	sc, err := NewSimScenario(SimScenarioSpec{Seed: 13, L: 3, D: 2, DPrime: 3, Repair: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	if err := sc.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if !sc.AwaitEstablished(5 * time.Second) {
-		t.Fatal("never established")
-	}
-	victims := sc.Victims(1)
+	tb, fl := startScenario(t, 13, 3, true, nil)
+	victims := fl.victims(1)
 	if victims == nil {
 		t.Fatal("no victim")
 	}
 
 	// Partition first, then kill inside the partition window.
-	all := sc.G.Relays
-	sc.S.Net.Partition(sc.SrcIDs, all)
-	sc.S.Net.Fail(victims[0])
-	sc.S.Run(sc.S.Elapsed() + 500*time.Millisecond)
-	if got := sc.Snd.Counters().Get("repair_splices"); got != 0 {
+	srcs, all := fl.g.Sources, fl.g.Relays
+	tb.Net.Partition(srcs, all)
+	tb.Net.Fail(victims[0])
+	tb.Run(tb.Elapsed() + 500*time.Millisecond)
+	if got := fl.snd.Counters().Get("repair_splices"); got != 0 {
 		t.Fatalf("spliced %d times across a partition", got)
 	}
 
-	sc.S.Net.HealPartition(sc.SrcIDs, all)
-	if !sc.S.Await(10*time.Second, func() bool { return sc.Snd.Counters().Get("repair_splices") >= 1 }) {
-		t.Fatalf("repair never completed after heal: %v", sc.Snd.Counters())
+	tb.Net.HealPartition(srcs, all)
+	if !tb.Await(10*time.Second, func() bool { return fl.snd.Counters().Get("repair_splices") >= 1 }) {
+		t.Fatalf("repair never completed after heal: %v", fl.snd.Counters())
 	}
-	sc.S.Run(sc.S.Elapsed() + 200*time.Millisecond)
-	rng := rand.New(rand.NewSource(13))
-	if err := sc.Send(rng, 256); err != nil {
-		t.Fatal(err)
-	}
-	if !sc.S.Await(10*time.Second, func() bool { d, s := sc.Counts(); return d >= s }) {
-		d, s := sc.Counts()
-		t.Fatalf("stream dead after healed repair: %d/%d", d, s)
-	}
-	checkBooks(t, sc)
-	sc.Close()
-	checkBooks(t, sc)
+	tb.Run(tb.Elapsed() + 200*time.Millisecond)
+	sendOne(t, tb, fl, rand.New(rand.NewSource(13)))
+	closeAndCheckBooks(t, tb)
 }
 
 // TestLossyLinksStillEstablish: per-link loss and duplication on every
@@ -166,36 +168,19 @@ func TestPartitionHealsMidRepair(t *testing.T) {
 // with d'>d the wave tolerates the faults outright.
 func TestLossyLinksStillEstablish(t *testing.T) {
 	simnet.ReportSeed(t)
-	sc, err := NewSimScenario(SimScenarioSpec{Seed: 17, L: 3, D: 2, DPrime: 4, Repair: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
 	// Degrade every endpoint→stage-1 link: 20% loss, 10% duplication,
 	// occasional 5ms reorder stalls.
 	lossy := simnet.LinkProfile{
 		Delay: 500 * time.Microsecond, Loss: 0.2, Duplicate: 0.1,
 		Reorder: 0.2, ReorderDelay: 5 * time.Millisecond,
 	}
-	for _, src := range sc.SrcIDs {
-		for _, v := range sc.G.Stage1() {
-			sc.S.Net.SetLink(src, v, lossy)
+	tb, fl := startScenario(t, 17, 4, false, func(tb *testbed, fl *flow) {
+		for _, src := range fl.g.Sources {
+			for _, v := range fl.g.Stage1() {
+				tb.Net.SetLink(src, v, lossy)
+			}
 		}
-	}
-	if err := sc.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if !sc.AwaitEstablished(10 * time.Second) {
-		t.Fatal("lossy links defeated establishment despite redundancy")
-	}
-	rng := rand.New(rand.NewSource(17))
-	if err := sc.Send(rng, 256); err != nil {
-		t.Fatal(err)
-	}
-	if !sc.S.Await(10*time.Second, func() bool { d, s := sc.Counts(); return d >= s }) {
-		t.Fatal("message lost")
-	}
-	checkBooks(t, sc)
-	sc.Close()
-	checkBooks(t, sc)
+	})
+	sendOne(t, tb, fl, rand.New(rand.NewSource(17)))
+	closeAndCheckBooks(t, tb)
 }

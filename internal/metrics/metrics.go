@@ -69,9 +69,9 @@ type Table struct {
 	series []*Series
 }
 
-// NewTable creates a table.
-func NewTable(title, xlabel string) *Table {
-	return &Table{Title: title, XLabel: xlabel}
+// NewTable creates a table holding series.
+func NewTable(title, xlabel string, series ...*Series) *Table {
+	return &Table{Title: title, XLabel: xlabel, series: series}
 }
 
 // AddSeries registers a named series; call Series.Add to fill it.

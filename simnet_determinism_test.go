@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"infoslicing/internal/churn"
+	"infoslicing/internal/eval"
 )
 
 // The determinism gate: the canonical scripted churn scenario — relays with
@@ -18,11 +18,11 @@ func TestDeterminismGateSameSeedSameTrace(t *testing.T) {
 	repaired := map[int64]string{}
 	for _, seed := range []int64{31, 32, 7} {
 		for _, repair := range []bool{true, false} {
-			a, err := churn.RunCanonicalScenario(seed, repair)
+			a, err := eval.RunCanonicalScenario(seed, repair)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := churn.RunCanonicalScenario(seed, repair)
+			b, err := eval.RunCanonicalScenario(seed, repair)
 			if err != nil {
 				t.Fatal(err)
 			}
