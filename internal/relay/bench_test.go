@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"infoslicing/internal/code"
-	"infoslicing/internal/core"
 	"infoslicing/internal/overlay"
 	"infoslicing/internal/wire"
 )
@@ -238,7 +237,7 @@ func BenchmarkFlowLookup(b *testing.B) {
 		var target wire.FlowID
 		for i := 0; i < lookupResident; i++ {
 			flow := wire.FlowID(0xf10c_0000 + uint64(i)*2654435761)
-			fs := &flowState{flow: flow, lastActive: time.Now()}
+			fs := &flowState{flow: flow, lastActive: n.stamp(time.Now())}
 			sh := n.shardFor(flow)
 			sh.do(func() {
 				sh.flows[flow] = fs
@@ -303,42 +302,10 @@ func BenchmarkFlowLookup(b *testing.B) {
 // authenticate flow creation (§9.2), so this is its admission capacity, and
 // every allocation in it is one a stranger can make the node perform.
 func BenchmarkFlowSetup(b *testing.B) {
-	relays := make([]wire.NodeID, 9)
-	for i := range relays {
-		relays[i] = wire.NodeID(i + 1)
-	}
-	g, err := core.Build(core.Spec{
-		L: 3, D: 2, DPrime: 3, Relays: relays, Dest: relays[0], Sources: []wire.NodeID{1000, 1001, 1002},
-		Recode: true, Scramble: true, Rng: rand.New(rand.NewSource(1)),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	g := stagingGraph(b)
 	// Real stage-1 relays turn the source's wave into the target's input.
 	target := g.Stages[1][0]
-	type arrival struct {
-		from  wire.NodeID
-		frame []byte
-	}
-	var wave []arrival
-	for _, v := range g.Stages[0] {
-		tr := &rawTransport{}
-		n, err := New(v, tr, Config{Shards: 1, Rng: rand.New(rand.NewSource(int64(v)))})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, s := range g.Setup {
-			if s.To == v {
-				n.process(n.shards[0], s.From, s.Pkt.Marshal())
-			}
-		}
-		n.Close()
-		for _, s := range tr.packetsOfType(wire.MsgSetup) {
-			if s.to == target {
-				wave = append(wave, arrival{v, s.data})
-			}
-		}
-	}
+	wave := waveInto(b, g, target)
 	if len(wave) != 3 {
 		b.Fatalf("stage 1 sent the target %d set-up packets, want 3", len(wave))
 	}

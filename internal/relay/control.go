@@ -135,9 +135,11 @@ func (n *Node) handleSplice(sh *shard, fs *flowState, pkt *wire.Packet) bool {
 	// (table.go).
 	n.dirDel(sh, fs, fs.info)
 	fs.info = pi
-	fs.opener = nil // keyed to the old block
+	if fs.rx != nil {
+		fs.rx.opener = nil // keyed to the old block
+	}
 	n.dirAdd(sh, fs, pi)
-	fs.declareParents(pi, n.stamp(fs.lastActive), true)
+	fs.declareParents(pi, fs.lastActive, true)
 	return true
 }
 

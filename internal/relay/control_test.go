@@ -68,8 +68,8 @@ func injectFlow(n *Node, flow wire.FlowID, pi *wire.PerNodeInfo) *flowState {
 // injectFlowAt is injectFlow with an explicit "now" — virtual-clock tests
 // pass their clock's time so liveness and GC stamps live on that timeline.
 func injectFlowAt(n *Node, flow wire.FlowID, pi *wire.PerNodeInfo, now time.Time) *flowState {
-	fs := &flowState{flow: flow, info: pi, d: 2, setupSent: true, lastActive: now}
-	fs.declareParents(pi, n.stamp(now), false)
+	fs := &flowState{flow: flow, info: pi, d: 2, lastActive: n.stamp(now)}
+	fs.declareParents(pi, fs.lastActive, false)
 	for i := range fs.hops {
 		fs.hops[i].flags |= hopObserved // every parent has been seen sending
 	}

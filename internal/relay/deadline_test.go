@@ -187,7 +187,7 @@ func newDQHarness(tb testing.TB) *dqHarness {
 func (h *dqHarness) flow(id wire.FlowID) *flowState {
 	fs := h.flows[id]
 	if fs == nil {
-		fs = &flowState{flow: id, lastActive: h.clk.Now()}
+		fs = &flowState{flow: id, lastActive: h.n.stamp(h.clk.Now())}
 		h.sh.do(func() {
 			h.sh.flows[id] = fs
 			h.sh.lruPush(fs)

@@ -143,7 +143,7 @@ func fanoutFlow(tb testing.TB, n *Node) (*shard, *flowState, *roundSlot, []wire.
 	info := &wire.PerNodeInfo{
 		Children: children, ChildFlows: childFlows, DataMap: dataMap,
 	}
-	fs := &flowState{flow: flow, info: info, d: d, lastActive: time.Now()}
+	fs := &flowState{flow: flow, info: info, d: d, lastActive: n.stamp(time.Now())}
 	fs.declareParents(info, 0, false)
 	rng := rand.New(rand.NewSource(2))
 	enc, err := code.NewEncoder(d, d, rng)
@@ -311,7 +311,7 @@ func TestEgressForwardsSlotsVerbatim(t *testing.T) {
 	for i, p := range wmParents {
 		info.DataMap = append(info.DataMap, wire.DataForward{Parent: p, Child: uint8(i)})
 	}
-	fs := &flowState{flow: flow, info: info, d: d, lastActive: time.Now()}
+	fs := &flowState{flow: flow, info: info, d: d, lastActive: n.stamp(time.Now())}
 	fs.declareParents(info, 0, false)
 	rng := rand.New(rand.NewSource(3))
 	enc, err := code.NewEncoder(d, len(wmParents), rng)

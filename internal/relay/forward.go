@@ -23,8 +23,7 @@ func (n *Node) handleData(sh *shard, fs *flowState, from wire.NodeID, hi int, pk
 		}
 		return
 	}
-	fwd := len(fs.info.Children) > 0
-	if len(pkt.Slots) < 1 || !fwd && !fs.info.Receiver {
+	if len(pkt.Slots) < 1 || len(fs.info.Children) == 0 && !fs.info.Receiver {
 		sh.ctr[cUnwantedSlices]++ // a last-stage bystander has no use for the slice: hold nothing
 		return
 	}
@@ -50,8 +49,8 @@ func (n *Node) handleData(sh *shard, fs *flowState, from wire.NodeID, hi int, pk
 		sh.ctr[cDuplicateSlices]++
 		return
 	}
-	if s.deadline.IsZero() {
-		s.deadline = fs.lastActive.Add(n.cfg.RoundWait) // lastActive is this packet's arrival
+	if s.deadline == 0 {
+		s.deadline = fs.lastActive + int64(n.cfg.RoundWait) // lastActive is this packet's arrival
 		sh.ctr[cRoundsOpened]++
 	}
 	sh.ctr[cSlicesFiled]++
@@ -67,8 +66,8 @@ func (n *Node) handleData(sh *shard, fs *flowState, from wire.NodeID, hi int, pk
 		n.stageRound(sh, fs, seq, s)
 	}
 	fs.advance(sh.ctr)
-	if w := &fs.win; fwd && w.low != w.high && fs.due[dlRound] == 0 {
-		sh.setDeadline(fs, dlRound, n.stamp(fs.lastActive.Add(n.cfg.RoundWait)))
+	if w := &fs.win; w.low != w.high && fs.due[dlRound] == 0 {
+		sh.setDeadline(fs, dlRound, fs.lastActive+int64(n.cfg.RoundWait))
 	}
 }
 

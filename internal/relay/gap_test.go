@@ -92,7 +92,7 @@ func TestResyncFilterRealigns(t *testing.T) {
 		flow:    9,
 		info:    &wire.PerNodeInfo{Receiver: true, Key: key},
 		nextSeq: 5,
-		resync:  true,
+		rx:      &rxTail{resync: true},
 		win:     roundWindow{slots: make([]roundSlot, 4), low: 5, high: 7, buffered: 2},
 	}
 	fs.win.at(5).chunk, fs.win.at(6).chunk = tail, head
@@ -108,7 +108,7 @@ func TestResyncFilterRealigns(t *testing.T) {
 	default:
 		t.Fatal("resync did not re-align on the message head")
 	}
-	if fs.resync {
+	if fs.rx.resync {
 		t.Fatal("resync flag still set after a plausible head")
 	}
 	if fs.nextSeq != 7 {
@@ -129,12 +129,13 @@ func TestDrainStreamNamesItsDrops(t *testing.T) {
 	n := &Node{received: make(chan Message)} // no reader
 	sh := &shard{ctr: make(metrics.Block, nShardCounters)}
 	fs := &flowState{info: &wire.PerNodeInfo{Receiver: true, Key: key}}
-	fs.stream = append([]byte{0, 0, 0, 40}, make([]byte, 40)...) // well framed, not sealed by the key
-	fs.stream = binary.BigEndian.AppendUint32(fs.stream, uint32(len(sealed)))
-	fs.stream = append(fs.stream, sealed...)
-	n.drainStream(sh, fs)
-	fs.stream, fs.tainted = []byte{0xFF, 0xFF, 0xFF, 0xFF, 1}, true
-	n.drainStream(sh, fs)
+	rx := sh.rxFor(fs)
+	rx.stream = append([]byte{0, 0, 0, 40}, make([]byte, 40)...) // well framed, not sealed by the key
+	rx.stream = binary.BigEndian.AppendUint32(rx.stream, uint32(len(sealed)))
+	rx.stream = append(rx.stream, sealed...)
+	n.drainStream(sh, fs, rx)
+	rx.stream, rx.tainted = []byte{0xFF, 0xFF, 0xFF, 0xFF, 1}, true
+	n.drainStream(sh, fs, rx)
 	c := sh.ctr.Snapshot(shardVocab)
 	if c.Get("messages_corrupt") != 1 || c.Get("messages_delivered") != 1 || c.Get("app_dropped") != 1 || c.Get("stream_resyncs") != 1 {
 		t.Fatalf("counters %v, want one corrupt, one delivered and dropped, one resync", c)
@@ -150,6 +151,8 @@ type receiverFlow struct {
 	n      *Node
 	sh     *shard
 	fs     *flowState
+	chunk  int
+	rng    *rand.Rand
 	frames [][3][]byte // frames[seq][parent]
 	first  []uint32    // first[i] is message i's first round
 }
@@ -166,22 +169,28 @@ func newReceiverFlow(tb testing.TB, chunk int, msgs ...[]byte) *receiverFlow {
 	}
 	tb.Cleanup(n.Close)
 	key := testKey(0x71)
-	rf := &receiverFlow{clk: clk, n: n, sh: n.shardFor(wmFlow)}
+	rf := &receiverFlow{clk: clk, n: n, sh: n.shardFor(wmFlow), chunk: chunk, rng: rand.New(rand.NewSource(72))}
 	rf.fs = injectFlowAt(n, wmFlow, &wire.PerNodeInfo{Receiver: true, Key: key}, clk.Now())
-	rng := rand.New(rand.NewSource(72))
-	enc, err := code.NewEncoder(wmD, len(wmParents), rng)
+	rf.seal(tb, key, msgs...)
+	return rf
+}
+
+// seal appends the rounds of msgs, sealed under key, after the last round.
+func (rf *receiverFlow) seal(tb testing.TB, key slcrypto.SymmetricKey, msgs ...[]byte) {
+	tb.Helper()
+	enc, err := code.NewEncoder(wmD, len(wmParents), rf.rng)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	sealer := slcrypto.NewSealer(key)
 	for _, m := range msgs {
 		framed := binary.BigEndian.AppendUint32(nil, uint32(slcrypto.SealedLen(len(m))))
-		if framed, err = sealer.SealTo(framed, rng, m); err != nil {
+		if framed, err = sealer.SealTo(framed, rf.rng, m); err != nil {
 			tb.Fatal(err)
 		}
 		rf.first = append(rf.first, uint32(len(rf.frames)))
-		for off := 0; off < len(framed); off += chunk {
-			slices, err := enc.Encode(framed[off:min(off+chunk, len(framed))])
+		for off := 0; off < len(framed); off += rf.chunk {
+			slices, err := enc.Encode(framed[off:min(off+rf.chunk, len(framed))])
 			if err != nil {
 				tb.Fatal(err)
 			}
@@ -193,7 +202,6 @@ func newReceiverFlow(tb testing.TB, chunk int, msgs ...[]byte) *receiverFlow {
 			rf.frames = append(rf.frames, f)
 		}
 	}
-	return rf
 }
 
 // arrive hands the node parent p's slice of round seq.
@@ -376,4 +384,96 @@ func TestInOrderRoundAllocatesNothing(t *testing.T) {
 	if got := rf.delivered(); len(got) != 1 || !bytes.Equal(got[0], msg) {
 		t.Fatalf("measured message not delivered (%d messages)", len(got))
 	}
+}
+
+// A destination at rest sheds its receiving phase: a RoundWait after a
+// message it holds no round ring and no receiver tail, and the next message
+// still arrives intact. One parked on a hole keeps its tail until GapWait
+// writes the hole off and a later message re-aligns the stream; a splice
+// re-keys what the held tail and the next fresh one open; and nothing
+// opened is left unaccounted for.
+func TestDestinationShedsTailAtRest(t *testing.T) {
+	msgs := make([][]byte, 6)
+	rng := rand.New(rand.NewSource(76))
+	for i := range msgs {
+		msgs[i] = make([]byte, 150) // three rounds of 64 bytes each
+		rng.Read(msgs[i])
+	}
+	rf := newReceiverFlow(t, 64, msgs[:4]...)
+	newKey := testKey(0x72)
+	rf.seal(t, newKey, msgs[4:]...)
+	rounds := func(from, to uint32) {
+		for seq := from; seq < to; seq++ {
+			rf.arrive(seq, 0)
+			rf.arrive(seq, 1)
+		}
+	}
+	expect := func(step string, want ...[]byte) {
+		t.Helper()
+		got := rf.delivered()
+		if len(got) != len(want) {
+			t.Fatalf("%s: delivered %d messages, want %d", step, len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("%s: message %d corrupted", step, i)
+			}
+		}
+	}
+	holds := func(step string, ring, tail bool) {
+		t.Helper()
+		var hasRing, hasTail bool
+		rf.sh.do(func() { hasRing, hasTail = rf.fs.win.slots != nil, rf.fs.rx != nil })
+		if hasRing != ring || hasTail != tail {
+			t.Fatalf("%s: ring %v and tail %v, want %v and %v", step, hasRing, hasTail, ring, tail)
+		}
+	}
+
+	rounds(rf.first[0], rf.first[1])
+	expect("message 1", msgs[0])
+	holds("message 1 decoded", true, true)
+	rf.clk.RunFor(wmRoundWait)
+	holds("a RoundWait after message 1", false, false)
+	rounds(rf.first[1], rf.first[2])
+	expect("message 2", msgs[1])
+	rf.clk.RunFor(wmRoundWait)
+	holds("a RoundWait after message 2", false, false)
+
+	// Message 3 loses its first round: the two behind it decode and park.
+	rounds(rf.first[2]+1, rf.first[3])
+	rf.clk.RunFor(wmRoundWait)
+	holds("parked on the hole", true, true)
+	rf.clk.RunFor(wmRoundWait) // GapWait since the rounds parked
+	expect("hole written off")
+	if got := rf.n.Counters().Get("rounds_skipped"); got != 1 {
+		t.Fatalf("rounds_skipped = %d, want the hole", got)
+	}
+	// Nothing is in flight, but the stream still looks for a message head:
+	// a round deadline gives the ring back and keeps the tail.
+	rf.sh.do(func() { rf.n.roundDeadline(rf.sh, rf.fs) })
+	holds("resyncing", false, true)
+	rounds(rf.first[3], rf.first[4])
+	expect("message 4 re-aligns", msgs[3])
+
+	// The source re-keys the flow while the tail still holds an opener.
+	var opener bool
+	rf.sh.do(func() { opener = rf.fs.rx.opener != nil })
+	if !opener {
+		t.Fatal("no opener held across the splice")
+	}
+	patch := &wire.PerNodeInfo{Receiver: true, Key: newKey}
+	sealed, err := testKey(0x71).Seal(rng, spliceBody(1, patch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rf.n.process(rf.sh, wmParents[0], wire.AppendSplice(nil, wmFlow, sealed))
+	rounds(rf.first[4], rf.first[5])
+	expect("message 5 under the new key", msgs[4])
+	rf.clk.RunFor(wmRoundWait)
+	holds("a RoundWait after message 5", false, false)
+	rounds(rf.first[5], uint32(len(rf.frames)))
+	expect("message 6 under the new key", msgs[5])
+	rf.clk.RunFor(wmRoundWait)
+	holds("at rest", false, false)
+	checkBooks(t, rf.n)
 }

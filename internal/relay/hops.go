@@ -10,22 +10,17 @@ import (
 // previous hop. A record exists for every parent the routing block names
 // and every sender observed (capped, parents exempt), and is found by a
 // linear scan once per packet — a flow has d' parents. Stamps are
-// nanoseconds on the node's clock since Node.epoch, so a record holds no
-// pointer but the retained set-up packet.
+// nanoseconds on the node's clock since Node.epoch, so a record is 32 bytes
+// and holds no pointer.
 type hop struct {
 	id    wire.NodeID
 	flags uint8
 	// downCount is how often an observation-only hop has been reported.
 	downCount uint8
-	// The set-up packet this hop sent, retained until the wave is forwarded:
-	// the geometry its header claimed and its slot area (nil if none came).
-	setupD, setupSlots uint8
-	setupSlotLen       uint16
 	// miss counts the consecutive rounds a parent has missed; at
 	// deadParentStreak it is presumed down and rounds stop waiting for it,
 	// until it speaks again.
-	miss  uint32
-	setup []byte
+	miss uint32
 	// heardAt is the last packet's arrival (valid under hopHeard); downAt the
 	// last report of this hop's silence (valid under hopReported).
 	heardAt, downAt int64
@@ -195,17 +190,4 @@ func (fs *flowState) sweepHops(now, timeout int64, report func(dead wire.NodeID)
 			}
 		}
 	}
-}
-
-// setupStaged: every declared parent's set-up packet is in. dropSetup frees what
-// only the wave needed: the packets (and receive buffers they pin) and the slice-map.
-func (fs *flowState) setupStaged() bool {
-	return !slices.ContainsFunc(fs.hops, func(h hop) bool { return h.flags&hopParent != 0 && h.setup == nil })
-}
-
-func (fs *flowState) dropSetup() {
-	for i := range fs.hops {
-		fs.hops[i].setup = nil
-	}
-	fs.info.SliceMap = nil
 }

@@ -177,7 +177,7 @@ func TestDropCountersNameTheDiscard(t *testing.T) {
 			prepare: func(n *Node, sh *shard) { n.process(sh, parent, setupFrame) },
 			packet:  setupFrame},
 		{name: "set-up after the wave left", counter: "setup_ignored", from: parent,
-			prepare: establish, // installs with setupSent
+			prepare: establish, // installs an established flow
 			packet:  setupFrame},
 		{name: "set-up from a sender past the hop cap", counter: "setup_ignored", from: 5000,
 			prepare: func(n *Node, sh *shard) {

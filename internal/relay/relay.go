@@ -59,7 +59,6 @@ import (
 	"infoslicing/internal/metrics"
 	"infoslicing/internal/overlay"
 	"infoslicing/internal/simnet"
-	"infoslicing/internal/slcrypto"
 	"infoslicing/internal/transport"
 	"infoslicing/internal/wire"
 )
@@ -343,6 +342,10 @@ type shard struct {
 	// this shard. (Forwarding's regeneration scratch is egress-side: eg.regen.)
 	pktBuf []byte
 
+	// A phase tail given back by the last flow to leave it (setup.go, receive.go).
+	spareStage *setupStage
+	spareRx    *rxTail
+
 	// byChild is the exact-match fan-in index: an ack or ParentDown report
 	// carries its sender and the sender's own flow-id, which is what the one
 	// flow it concerns stamps on packets to that child (table.go).
@@ -375,23 +378,25 @@ type inPkt struct {
 	release func()
 }
 
+// flowState is a flow's resident core. The set-up and receiving phases keep
+// their state in tails that exist only while the phase does (stage, rx), so a
+// flow at rest is this record and its hop table.
 type flowState struct {
 	// Table identity and admission accounting: the flow's own key (so the
-	// LRU sweep can unmap without a reverse lookup), the tenant whose
-	// quota the flow holds, and whether its fingerprint made it into the
-	// shard filter (false ⇒ it is carried by the filter's overflow count
-	// instead; see removeFlow).
-	flow     wire.FlowID
-	tenant   wire.NodeID
-	inFilter bool
-	// Intrusive LRU links (table.go).
-	lruPrev, lruNext *flowState
+	// LRU sweep can unmap without a reverse lookup) and the tenant whose
+	// quota the flow holds.
+	flow   wire.FlowID
+	tenant wire.NodeID
 	// Pending waits, the earliest of them, and the flow's place in the
 	// shard's deadline queue (deadline.go).
+	heapPos int32
 	due     [nDeadlines]int64
 	dueAt   int64
 	armSeq  uint64
-	heapPos int32
+	// Intrusive LRU links (table.go), ordered by lastActive: the last
+	// non-heartbeat packet's arrival, a stamp (Node.stamp).
+	lruPrev, lruNext *flowState
+	lastActive       int64
 
 	// hops is the flow's one table of previous hops — declared parents
 	// (nParents of them) and observed senders (hops.go). A last-stage node
@@ -400,13 +405,11 @@ type flowState struct {
 	hops     []hop
 	nParents int
 
-	// Setup phase. Each hop's set-up packet waits in its record for the wave
-	// to be forwarded. What a packet claims only labels it: a forged one
-	// cannot poison the flow because (d, geometry) are adopted from packets
-	// whose own slices actually decode into a checksummed routing block.
-	info               *wire.PerNodeInfo
-	setupSent          bool
-	d, slotLen, nSlots int
+	// The routing block, once decoded, and its split factor; stage holds the
+	// set-up phase until the wave is forwarded (or, at a leaf, the decode).
+	info  *wire.PerNodeInfo
+	d     int
+	stage *setupStage
 
 	// Data phase: the round window, its ring allocated by the first slice
 	// to hold.
@@ -420,29 +423,20 @@ type flowState struct {
 	// are dropped so the newest routing state always wins.
 	spliceSeq uint64
 
-	// Receiver-side reassembly. nextSeq is the round the stream is waiting
-	// on; decoded rounds ahead of it park in their window slots, and opener
-	// opens messages under the flow's key. The gap deadline is armed while a
-	// hole blocks buffered rounds (gapSeq records which hole, so its expiry
-	// can tell progress from a stall); resync marks that the byte stream lost framing
-	// to a skipped round and must re-align on a message boundary.
-	// tainted marks that the stream's framing derives from a resync guess
-	// rather than an unbroken chunk sequence; it gates the length sanity
-	// check in drainStream and clears once a message authenticates.
+	// Receiver-side reassembly: nextSeq is the round the stream waits on;
+	// decoded rounds ahead of it park in their window slots, the stream in
+	// the receiver tail (receive.go).
+	rx      *rxTail
 	nextSeq uint32
-	opener  *slcrypto.Sealer
-	stream  []byte
-	gapSeq  uint32
-	resync  bool
-	tainted bool
 
+	// inFilter: the flow's fingerprint made it into the shard filter (false
+	// ⇒ it is carried by the filter's overflow count instead; see removeFlow).
+	inFilter bool
 	// ackSent dedupes the establishment acknowledgment that travels hop by
 	// hop back to the source endpoints (§7.4 measures setup latency with
 	// it). Relays recognise reverse traffic by the sender's address and the
 	// flow-id they stamp on packets to it — identities they already hold.
 	ackSent bool
-
-	lastActive time.Time
 }
 
 type pendingPacket struct {
@@ -659,12 +653,12 @@ func (sh *shard) do(fn func()) {
 // counts the old scan was itself the p99 cliff. At most gcBatch flows go
 // per shard per tick; a mass expiry drains over successive ticks.
 func (n *Node) gcSweep() {
-	now := n.clk.Now()
+	now := n.stamp(n.clk.Now())
 	for _, sh := range n.shards {
 		sh.post(func() {
 			for i := 0; i < gcBatch; i++ {
 				fs := sh.lruHead
-				if fs == nil || now.Sub(fs.lastActive) <= n.cfg.FlowTTL {
+				if fs == nil || now-fs.lastActive <= int64(n.cfg.FlowTTL) {
 					break
 				}
 				n.removeFlow(sh, fs, true)
@@ -789,8 +783,9 @@ func (n *Node) endBurst(sh *shard) {
 
 // processBurst parses every packet header in the burst into the worker's
 // reused parse scratch (parsed[i] for burst[i]; handlers that keep a packet
-// clone it), performs one shutdown check, and dispatches each packet. It
-// does not release clock holds — that is the caller's job.
+// clone it), performs one shutdown check, reads the clock once, and
+// dispatches each packet as arriving at that instant. It does not release
+// clock holds — that is the caller's job.
 func (n *Node) processBurst(sh *shard, burst []inPkt, parsed []wire.Packet) {
 	select {
 	case <-n.done:
@@ -804,15 +799,16 @@ func (n *Node) processBurst(sh *shard, burst []inPkt, parsed []wire.Packet) {
 			sh.ctr[cGarbage]++
 		}
 	}
+	now := n.stamp(n.clk.Now())
 	for i := range burst {
 		if parsed[i].Type != 0 {
-			n.dispatch(sh, burst[i].from, &parsed[i])
+			n.dispatch(sh, burst[i].from, &parsed[i], now)
 		}
 	}
 }
 
-// dispatch routes one parsed packet to its handler.
-func (n *Node) dispatch(sh *shard, from wire.NodeID, pkt *wire.Packet) {
+// dispatch routes one parsed packet, arrived at stamp now, to its handler.
+func (n *Node) dispatch(sh *shard, from wire.NodeID, pkt *wire.Packet, now int64) {
 	switch pkt.Type {
 	case wire.MsgAck, wire.MsgParentDown:
 		// Matched on (sender, the sender's flow-id); never create flow state.
@@ -836,8 +832,7 @@ func (n *Node) dispatch(sh *shard, from wire.NodeID, pkt *wire.Packet) {
 			return // admission refused (MaxFlows or tenant quota)
 		}
 	}
-	now := n.clk.Now()
-	hi := fs.observe(from, n.stamp(now))
+	hi := fs.observe(from, now)
 	if pkt.Type != wire.MsgHeartbeat {
 		// Heartbeats prove the *parent* is alive; they deliberately do not
 		// refresh the flow itself, so an idle session still ages out of the
@@ -865,7 +860,7 @@ func (n *Node) dispatch(sh *shard, from wire.NodeID, pkt *wire.Packet) {
 	}
 }
 
-// stamp puts a clock reading on the scale hop records keep (hops.go).
+// stamp puts a clock reading on the scale flow state keeps (ns since epoch).
 func (n *Node) stamp(t time.Time) int64 { return int64(t.Sub(n.epoch)) }
 
 // send hands one framed packet to the transport, counting it out.

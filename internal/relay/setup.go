@@ -16,17 +16,45 @@ func (n *Node) sendAck(sh *shard, fs *flowState) {
 	n.floodUpstream(sh, fs, sh.pktBuf)
 }
 
-// handleSetup retains one hop's set-up packet, decodes the routing block as
+// setupStage is a flow's set-up phase: each recorded hop's set-up packet, held
+// until the wave is forwarded, and the wave's geometry, adopted (like d) from
+// the packets whose own slices decode into a checksummed routing block — a
+// forged claim only labels its packet. Senders without a hop record stage nothing.
+type setupStage struct {
+	pkts            []staged
+	slotLen, nSlots int
+}
+
+// staged is one hop's set-up packet: the geometry its header claimed and its
+// slot area, a view that pins the receive buffer.
+type staged struct {
+	from      wire.NodeID
+	d, nSlots uint8
+	slotLen   uint16
+	slots     []byte
+}
+
+func (st *setupStage) find(from wire.NodeID) *staged {
+	if i := slices.IndexFunc(st.pkts, func(p staged) bool { return p.from == from }); i >= 0 {
+		return &st.pkts[i]
+	}
+	return nil
+}
+
+// handleSetup stages one hop's set-up packet, decodes the routing block as
 // soon as the packets in hand allow, and forwards the wave when every parent's
 // packet is in or SetupWait after the decode, whichever comes first.
 func (n *Node) handleSetup(sh *shard, fs *flowState, hi int, pkt *wire.Packet) {
-	if fs.setupSent || hi < 0 || fs.hops[hi].setup != nil {
-		sh.ctr[cSetupIgnored]++ // late (already forwarded), past the observation cap, or a duplicate
+	if hi < 0 || fs.stage == nil && fs.info != nil || fs.stage != nil && fs.stage.find(fs.hops[hi].id) != nil {
+		sh.ctr[cSetupIgnored]++ // past the observation cap, late (the set-up phase is over), or a duplicate
 		return
 	}
-	h := &fs.hops[hi]
-	// Kept until the wave is forwarded (the view pins the receive buffer).
-	h.setup, h.setupD, h.setupSlotLen, h.setupSlots = pkt.SlotArea(), pkt.CoeffLen, pkt.SlotLen, uint8(len(pkt.Slots))
+	if fs.stage == nil {
+		if fs.stage, sh.spareStage = sh.spareStage, nil; fs.stage == nil {
+			fs.stage = &setupStage{pkts: make([]staged, 0, 4)}
+		}
+	}
+	fs.stage.pkts = append(fs.stage.pkts, staged{fs.hops[hi].id, pkt.CoeffLen, uint8(len(pkt.Slots)), pkt.SlotLen, pkt.SlotArea()})
 	if fs.info == nil && !n.establish(sh, fs, int(pkt.CoeffLen)) {
 		return // not yet decodable; if it never is, GC reaps the flow
 	}
@@ -35,12 +63,26 @@ func (n *Node) handleSetup(sh *shard, fs *flowState, hi int, pkt *wire.Packet) {
 		// A spliced-in replacement (its block came straight from the source
 		// endpoints, its children were patched directly) or a leaf: no wave
 		// to forward, so the setup state, and the buffers it pins, is done.
-		fs.setupSent = true
-		fs.dropSetup()
-	case fs.setupStaged():
-		n.forwardSetup(sh, fs)
+		sh.dropSetup(fs)
+	case !slices.ContainsFunc(fs.hops, func(h hop) bool {
+		return h.flags&hopParent != 0 && fs.stage.find(h.id) == nil
+	}):
+		n.forwardSetup(sh, fs) // every declared parent's packet is in
 	case fs.due[dlSetup] == 0:
-		sh.setDeadline(fs, dlSetup, n.stamp(fs.lastActive)+int64(n.cfg.SetupWait)) // lastActive is this packet's arrival
+		sh.setDeadline(fs, dlSetup, fs.lastActive+int64(n.cfg.SetupWait)) // lastActive is this packet's arrival
+	}
+}
+
+// dropSetup frees what only the wave needed: the staged packets (and the
+// receive buffers they pin), their area going to the shard's spare, and the slice-map.
+func (sh *shard) dropSetup(fs *flowState) {
+	st := fs.stage
+	fs.stage = nil
+	fs.info.SliceMap = nil
+	if sh.spareStage == nil {
+		clear(st.pkts)
+		st.pkts = st.pkts[:0]
+		sh.spareStage = st
 	}
 }
 
@@ -55,15 +97,15 @@ func (n *Node) establish(sh *shard, fs *flowState, d int) bool {
 		return false
 	}
 	own := sh.ownScratch[:0]
-	var geom *hop // the group's first packet with a valid own slice
-	for i := range fs.hops {
-		h := &fs.hops[i]
-		if h.setup == nil || int(h.setupD) != d || h.setupSlots == 0 {
+	var geom *staged // the group's first packet with a valid own slice
+	for i := range fs.stage.pkts {
+		p := &fs.stage.pkts[i]
+		if int(p.d) != d || p.nSlots == 0 {
 			continue
 		}
-		if s, err := wire.DecodeSlot(h.setup[:h.setupSlotLen], d); err == nil {
+		if s, err := wire.DecodeSlot(p.slots[:p.slotLen], d); err == nil {
 			if own = append(own, s); geom == nil {
-				geom = h
+				geom = p
 			}
 		}
 	}
@@ -81,9 +123,9 @@ func (n *Node) establish(sh *shard, fs *flowState, d int) bool {
 		return false
 	}
 	fs.info = pi
-	fs.d, fs.slotLen, fs.nSlots = d, int(geom.setupSlotLen), int(geom.setupSlots)
+	fs.d, fs.stage.slotLen, fs.stage.nSlots = d, int(geom.slotLen), int(geom.nSlots)
 	sh.ctr[cFlowsEstablished]++
-	fs.declareParents(pi, n.stamp(fs.lastActive), false)
+	fs.declareParents(pi, fs.lastActive, false)
 	n.dirAdd(sh, fs, pi) // its children's acks and reports now find it
 
 	if pi.Receiver {
@@ -103,32 +145,28 @@ func (n *Node) establish(sh *shard, fs *flowState, d int) bool {
 // scrambling layer where it lies. Everything else — including slots whose
 // source packet never arrived — stays padding: packet size is constant (§9.4c).
 func (n *Node) forwardSetup(sh *shard, fs *flowState) {
-	fs.setupSent = true
 	sh.setDeadline(fs, dlSetup, 0)
-	pi := fs.info
-	frame := wire.HeaderLen + fs.nSlots*fs.slotLen
+	pi, st := fs.info, fs.stage
+	frame := wire.HeaderLen + st.nSlots*st.slotLen
 	buf := slices.Grow(sh.pktBuf[:0], len(pi.Children)*frame)[:len(pi.Children)*frame]
 	sh.pktBuf = buf
 	wire.FillRandom(buf, sh.rng)
 	for c := range pi.Children {
 		wire.AppendPacketHeader(buf[c*frame:c*frame], wire.MsgSetup, pi.ChildFlows[c], 0,
-			uint8(fs.d), uint16(fs.slotLen), fs.nSlots)
+			uint8(fs.d), uint16(st.slotLen), st.nSlots)
 	}
 	for _, e := range pi.SliceMap {
-		hi := fs.hopIndex(e.Src.Parent)
-		if hi < 0 || int(e.Child) >= len(pi.Children) || int(e.DstSlot) >= fs.nSlots {
-			continue
-		}
-		src := &fs.hops[hi]
-		if src.setup == nil || e.Src.Slot >= src.setupSlots || int(src.setupSlotLen) != fs.slotLen {
+		src := st.find(e.Src.Parent)
+		if src == nil || int(e.Child) >= len(pi.Children) || int(e.DstSlot) >= st.nSlots ||
+			e.Src.Slot >= src.nSlots || int(src.slotLen) != st.slotLen {
 			continue // lost upstream, or a malformed or cross-phase packet: the padding stays
 		}
-		dst := buf[int(e.Child)*frame+wire.HeaderLen+int(e.DstSlot)*fs.slotLen:][:fs.slotLen]
-		copy(dst, src.setup[int(e.Src.Slot)*fs.slotLen:])
+		dst := buf[int(e.Child)*frame+wire.HeaderLen+int(e.DstSlot)*st.slotLen:][:st.slotLen]
+		copy(dst, src.slots[int(e.Src.Slot)*st.slotLen:])
 		e.Unscramble.Invert(dst)
 	}
 	for c, ch := range pi.Children {
 		n.send(sh, ch, buf[c*frame:][:frame])
 	}
-	fs.dropSetup()
+	sh.dropSetup(fs)
 }

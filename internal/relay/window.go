@@ -2,7 +2,6 @@ package relay
 
 import (
 	"slices"
-	"time"
 
 	"infoslicing/internal/code"
 	"infoslicing/internal/metrics"
@@ -39,9 +38,9 @@ type roundSlot struct {
 	from      []wire.NodeID
 	got       []code.Slice
 	raw       [][]byte
-	chunk     []byte    // decoded, awaiting its turn in the stream
-	deadline  time.Time // first slice + RoundWait; zero until the round is opened
-	forwarded bool      // staged for egress, or written off as lost
+	chunk     []byte // decoded, awaiting its turn in the stream
+	deadline  int64  // first slice + RoundWait, a stamp; zero until the round is opened
+	forwarded bool   // staged for egress, or written off as lost
 	decoded   bool
 }
 
@@ -64,7 +63,7 @@ func (s *roundSlot) release() {
 // ended.
 func (s *roundSlot) recycle(c metrics.Block) {
 	switch {
-	case s.deadline.IsZero(): // a hole: never opened
+	case s.deadline == 0: // a hole: never opened
 	case s.forwarded || s.decoded:
 		c[cRoundsDone]++
 	default:
@@ -81,7 +80,7 @@ func (w *roundWindow) at(seq uint32) *roundSlot {
 // open counts the rounds opened and not yet recycled.
 func (w *roundWindow) open() (n int64) {
 	for seq := w.low; seq != w.high; seq++ {
-		if !w.at(seq).deadline.IsZero() {
+		if w.at(seq).deadline != 0 {
 			n++
 		}
 	}
@@ -163,38 +162,40 @@ func (fs *flowState) advance(c metrics.Block) {
 // upstream relay has had its own RoundWait to forward it short. The wait
 // re-arms for the earliest instant still ahead.
 func (n *Node) roundDeadline(sh *shard, fs *flowState) {
-	w, now := &fs.win, n.clk.Now()
-	grace := max(n.cfg.GapWait-n.cfg.RoundWait, 0) // a hole's write-off lags the deadline above it
-	lastDue := w.low                               // holes in [low, lastDue) are written off
+	w, now := &fs.win, n.stamp(n.clk.Now())
+	grace := int64(max(n.cfg.GapWait-n.cfg.RoundWait, 0)) // a hole's write-off lags the deadline above it
+	lastDue := w.low                                      // holes in [low, lastDue) are written off
 	for seq := w.low; seq != w.high; seq++ {
-		if s := w.at(seq); !s.deadline.IsZero() && !s.deadline.Add(grace).After(now) {
+		if s := w.at(seq); s.deadline != 0 && s.deadline+grace <= now {
 			lastDue = seq
 		}
 	}
-	var next time.Time
+	var next int64
 	for seq := w.low; seq != w.high; seq++ {
 		s := w.at(seq)
 		at := s.deadline // the round's next instant of interest: its deadline,
-		if at.IsZero() {
+		if at == 0 {
 			s.forwarded = s.forwarded || int32(lastDue-seq) > 0
 			continue
 		}
-		if !at.After(now) {
+		if at <= now {
 			if fwd, _ := fs.needs(seq, s); fwd {
 				n.stageRound(sh, fs, seq, s)
 			}
-			at = at.Add(grace) // then the write-off of any hole below it
+			at += grace // then the write-off of any hole below it
 		}
-		if at.After(now) && (next.IsZero() || at.Before(next)) {
+		if at > now && (next == 0 || at < next) {
 			next = at
 		}
 	}
 	fs.advance(sh.ctr)
 	switch {
 	case w.low == w.high:
-		// Idle a whole RoundWait: the ring goes; the next slice to hold makes one.
+		// Idle a whole RoundWait: the ring goes, and a destination's tail with
+		// it once its stream is at rest; the next slice to hold makes new ones.
 		w.slots = nil
-	case !next.IsZero():
-		sh.setDeadline(fs, dlRound, n.stamp(next))
+		sh.shedRx(fs)
+	case next != 0:
+		sh.setDeadline(fs, dlRound, next)
 	}
 }
