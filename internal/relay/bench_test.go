@@ -91,7 +91,7 @@ func BenchmarkForwardDataPacket(b *testing.B) {
 				// One parent is dead: its child's slice is regenerated every
 				// round from the survivors' degrees of freedom (d of them
 				// remain, so the round is decodable).
-				fs.hops[fs.hopIndex(parents[2])].miss = deadParentStreak
+				fs.hops()[fs.hopIndex(parents[2])].miss = deadParentStreak
 			}
 			sh := n.shardFor(flow)
 

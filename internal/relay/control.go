@@ -30,7 +30,7 @@ func (n *Node) controlSweep() {
 	for _, sh := range n.shards {
 		sh.post(func() {
 			for _, fs := range sh.flows {
-				if fs.info == nil {
+				if !fs.has(routeUp) {
 					continue
 				}
 				n.sendHeartbeats(sh, fs)
@@ -47,11 +47,11 @@ func (n *Node) controlSweep() {
 // sendHeartbeats emits one keepalive per child, stamped with the
 // child's flow-id (the only identity this node holds for it).
 func (n *Node) sendHeartbeats(sh *shard, fs *flowState) {
-	pi := fs.info
-	for c, ch := range pi.Children {
-		sh.pktBuf = wire.AppendHeartbeat(sh.pktBuf[:0], pi.ChildFlows[c])
+	kids, flows := fs.kids()
+	for c, child := range kids {
+		sh.pktBuf = wire.AppendHeartbeat(sh.pktBuf[:0], flows[c])
 		sh.ctr[cHeartbeatsOut]++
-		n.send(sh, ch, sh.pktBuf)
+		n.send(sh, child, sh.pktBuf)
 	}
 }
 
@@ -65,12 +65,12 @@ const obsReportLimit = 3
 // this node (or the source) could have produced it; the clear nonce exists
 // solely for dedup along the multipath flood toward the source.
 func (n *Node) sendParentDown(sh *shard, fs *flowState, dead wire.NodeID) {
-	sealed, err := fs.info.Key.Seal(sh.rng, wire.MarshalDownReport(dead))
+	sealed, err := fs.route.key.Seal(sh.rng, wire.MarshalDownReport(dead))
 	if err != nil {
 		return
 	}
 	nonce := sh.rng.Uint64()
-	fs.rememberReport(nonce)
+	sh.rememberReport(fs, nonce)
 	sh.pktBuf = wire.AppendParentDown(sh.pktBuf[:0], fs.flow, nonce, sealed)
 	n.floodUpstream(sh, fs, sh.pktBuf)
 	sh.ctr[cParentDownSent]++
@@ -83,16 +83,17 @@ func (n *Node) sendParentDown(sh *shard, fs *flowState, dead wire.NodeID) {
 // surviving parents is what carries the packet. buf must be fully framed
 // (it is sh.pktBuf in every caller).
 func (n *Node) floodUpstream(sh *shard, fs *flowState, buf []byte) {
-	for i := range fs.hops {
-		n.send(sh, fs.hops[i].id, buf)
+	for _, h := range fs.hops() {
+		n.send(sh, h.id, buf)
 	}
 }
 
-func (fs *flowState) rememberReport(nonce uint64) {
-	if fs.seenReports == nil || len(fs.seenReports) >= seenReportsCap {
-		fs.seenReports = make(map[uint64]bool)
+func (sh *shard) rememberReport(fs *flowState, nonce uint64) {
+	t := sh.tailFor(fs)
+	if t.seenReports == nil || len(t.seenReports) >= seenReportsCap {
+		t.seenReports = make(map[uint64]bool)
 	}
-	fs.seenReports[nonce] = true
+	t.seenReports[nonce] = true
 }
 
 // handleSplice applies a repair patch to an established flow and reports
@@ -109,14 +110,14 @@ func (fs *flowState) rememberReport(nonce uint64) {
 // rounds are untouched — slices already queued from surviving parents keep
 // flowing, which is the point of splicing instead of rebuilding.
 func (n *Node) handleSplice(sh *shard, fs *flowState, pkt *wire.Packet) bool {
-	if fs.info == nil {
+	if !fs.has(routeUp) {
 		return false // splices only patch established flows
 	}
 	sealed, err := wire.ParseSplice(pkt)
 	if err != nil {
 		return false
 	}
-	plain, err := fs.info.Key.Open(sealed)
+	plain, err := fs.route.key.Open(sealed)
 	if err != nil || len(plain) < 8 {
 		return false // forged or corrupted
 	}
@@ -124,21 +125,23 @@ func (n *Node) handleSplice(sh *shard, fs *flowState, pkt *wire.Packet) bool {
 	if seq <= fs.spliceSeq {
 		return false // stale or duplicate repair: the newer routing state stands
 	}
-	pi, err := wire.UnmarshalPerNodeInfo(plain[8:])
-	if err != nil {
+	pi := &sh.info
+	if wire.UnmarshalPerNodeInfoInto(pi, plain[8:]) != nil {
 		return false
 	}
 	fs.spliceSeq = seq
 	// The patch may add, remove or re-key children: swap the flow's index
-	// keys and directory refs with the info block, so the replacement's
-	// acks and reports find this flow and the old child's no longer do
-	// (table.go).
-	n.dirDel(sh, fs, fs.info)
-	fs.info = pi
-	if fs.rx != nil {
-		fs.rx.opener = nil // keyed to the old block
+	// keys and directory refs with the route, so the replacement's acks and
+	// reports find this flow and the old child's no longer do (table.go).
+	n.dirDel(sh, fs)
+	fs.setRoute(pi)
+	if t := fs.tail; t != nil {
+		t.rx.opener = nil // keyed to the old block
+		if fs.staging() {
+			t.stage.sliceMap = append(t.stage.sliceMap[:0], pi.SliceMap...) // a wave not yet sent goes the new way
+		}
 	}
-	n.dirAdd(sh, fs, pi)
+	n.dirAdd(sh, fs)
 	fs.declareParents(pi, fs.lastActive, true)
 	return true
 }
@@ -155,10 +158,10 @@ func (n *Node) handleUpstream(sh *shard, fs *flowState, pkt *wire.Packet) {
 		return
 	}
 	nonce, sealed, err := wire.ParseParentDown(pkt)
-	if err != nil || fs.seenReports[nonce] {
+	if err != nil || fs.tail != nil && fs.tail.seenReports[nonce] {
 		return
 	}
-	fs.rememberReport(nonce)
+	sh.rememberReport(fs, nonce)
 	sh.pktBuf = wire.AppendParentDown(sh.pktBuf[:0], fs.flow, nonce, sealed)
 	n.floodUpstream(sh, fs, sh.pktBuf)
 	sh.ctr[cParentDownForwarded]++

@@ -68,10 +68,12 @@ func injectFlow(n *Node, flow wire.FlowID, pi *wire.PerNodeInfo) *flowState {
 // injectFlowAt is injectFlow with an explicit "now" — virtual-clock tests
 // pass their clock's time so liveness and GC stamps live on that timeline.
 func injectFlowAt(n *Node, flow wire.FlowID, pi *wire.PerNodeInfo, now time.Time) *flowState {
-	fs := &flowState{flow: flow, info: pi, d: 2, lastActive: n.stamp(now)}
+	fs := &flowState{flow: flow, lastActive: n.stamp(now)}
+	fs.setRoute(pi)
+	fs.route.d = 2
 	fs.declareParents(pi, fs.lastActive, false)
-	for i := range fs.hops {
-		fs.hops[i].flags |= hopObserved // every parent has been seen sending
+	for i := range fs.hops() {
+		fs.hops()[i].flags |= hopObserved // every parent has been seen sending
 	}
 	// Full install: map, LRU link, filter fingerprint, child index and
 	// directory — exactly what creation + establishment on the packet path
@@ -81,7 +83,7 @@ func injectFlowAt(n *Node, flow wire.FlowID, pi *wire.PerNodeInfo, now time.Time
 		sh.flows[flow] = fs
 		sh.lruPush(fs)
 		fs.inFilter = sh.filter.insert(uint64(flow), sh.rng)
-		n.dirAdd(sh, fs, pi)
+		n.dirAdd(sh, fs)
 	})
 	n.flowCount.Add(1)
 	return fs
@@ -276,7 +278,7 @@ func TestSpliceSwapsParentAtomically(t *testing.T) {
 	})
 	sh := n.shardFor(flow)
 	sh.do(func() {
-		old := &fs.hops[fs.hopIndex(oldPar)]
+		old := &fs.hops()[fs.hopIndex(oldPar)]
 		old.miss, old.downAt = deadParentStreak, n.stamp(time.Now())
 		old.flags |= hopReported
 	})
@@ -310,12 +312,12 @@ func TestSpliceSwapsParentAtomically(t *testing.T) {
 		t.Fatalf("SplicesApplied = %d, want 1 (forged splice must not count)", got)
 	}
 	n.Close() // joins the worker: the flow is the test's to read
-	if fs.info.DataMap[0].Parent != newPar {
+	if routeOf(fs).DataMap[0].Parent != newPar {
 		t.Fatal("data-map not swapped")
 	}
-	nw, gone := fs.hops[fs.hopIndex(newPar)], fs.hops[fs.hopIndex(oldPar)]
-	if nw.flags&hopParent == 0 || gone.flags&hopParent != 0 || fs.nParents != 1 {
-		t.Fatalf("parents not swapped: %+v", fs.hops)
+	nw, gone := fs.hops()[fs.hopIndex(newPar)], fs.hops()[fs.hopIndex(oldPar)]
+	if nw.flags&hopParent == 0 || gone.flags&hopParent != 0 || fs.route.nParents != 1 {
+		t.Fatalf("parents not swapped: %+v", fs.hops())
 	}
 	if nw.flags&hopHeard == 0 {
 		t.Fatal("new parent has no liveness grace")
@@ -370,8 +372,8 @@ func TestSpliceOrderingNewestWins(t *testing.T) {
 		t.Fatalf("SplicesApplied = %d, want 1", got)
 	}
 	n.Close() // joins the worker: the flow is the test's to read
-	if fs.info.DataMap[0].Parent != 97 {
-		t.Fatalf("stale patch won: parent = %d, want 97", fs.info.DataMap[0].Parent)
+	if routeOf(fs).DataMap[0].Parent != 97 {
+		t.Fatalf("stale patch won: parent = %d, want 97", routeOf(fs).DataMap[0].Parent)
 	}
 }
 
@@ -503,7 +505,7 @@ func BenchmarkSpliceApply(b *testing.B) {
 		}
 	})
 	b.StopTimer()
-	if fs.info.DataMap[0].Parent != 82 {
+	if routeOf(fs).DataMap[0].Parent != 82 {
 		b.Fatal("splice not applied")
 	}
 }

@@ -113,7 +113,7 @@ func (n *Node) runDeadlines(sh *shard) {
 	for fs, kind := sh.popDue(now); fs != nil; fs, kind = sh.popDue(now) {
 		switch kind {
 		case dlSetup:
-			if fs.stage != nil {
+			if fs.staging() {
 				n.forwardSetup(sh, fs)
 			}
 		case dlRound:

@@ -143,7 +143,9 @@ func fanoutFlow(tb testing.TB, n *Node) (*shard, *flowState, *roundSlot, []wire.
 	info := &wire.PerNodeInfo{
 		Children: children, ChildFlows: childFlows, DataMap: dataMap,
 	}
-	fs := &flowState{flow: flow, info: info, d: d, lastActive: n.stamp(time.Now())}
+	fs := &flowState{flow: flow, lastActive: n.stamp(time.Now())}
+	fs.setRoute(info)
+	fs.route.d = d
 	fs.declareParents(info, 0, false)
 	rng := rand.New(rand.NewSource(2))
 	enc, err := code.NewEncoder(d, d, rng)
@@ -256,10 +258,10 @@ func TestEgressSlabSpansBursts(t *testing.T) {
 	if got := n.egPool.Outstanding(); got != 1 {
 		t.Fatalf("%d bursts claimed %d slabs, want 1", bursts, got)
 	}
-	slotLen := uint16(len(raw[0]))
+	slotLen, info := uint16(len(raw[0])), routeOf(fs)
 	for i, v := range tr.views {
-		seq, e := uint32(i/8), fs.info.DataMap[i%8]
-		want := wire.AppendPacketHeader(nil, wire.MsgData, fs.info.ChildFlows[e.Child], seq, uint8(fs.d), slotLen, 1)
+		seq, e := uint32(i/8), info.DataMap[i%8]
+		want := wire.AppendPacketHeader(nil, wire.MsgData, info.ChildFlows[e.Child], seq, fs.route.d, slotLen, 1)
 		want = append(want, raw[i%2]...)
 		if !bytes.Equal(tr.copies[i], want) {
 			t.Fatalf("frame %d (round %d) differs from framing its round alone", i, seq)
@@ -311,7 +313,9 @@ func TestEgressForwardsSlotsVerbatim(t *testing.T) {
 	for i, p := range wmParents {
 		info.DataMap = append(info.DataMap, wire.DataForward{Parent: p, Child: uint8(i)})
 	}
-	fs := &flowState{flow: flow, info: info, d: d, lastActive: n.stamp(time.Now())}
+	fs := &flowState{flow: flow, lastActive: n.stamp(time.Now())}
+	fs.setRoute(info)
+	fs.route.d = d
 	fs.declareParents(info, 0, false)
 	rng := rand.New(rand.NewSource(3))
 	enc, err := code.NewEncoder(d, len(wmParents), rng)

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-	"unsafe"
 
 	"infoslicing/internal/core"
 	"infoslicing/internal/overlay"
@@ -19,11 +18,9 @@ import (
 // ChanNetwork, each established, proven with one message and abandoned by
 // its source. What the nine relays of a graph still hold between them once
 // every timer has run out is the flow's footprint; it bounds how many
-// strangers' flows a relay can afford to admit (§9.2). At rest a flow is
-// its resident core and hop table at every relay: 5.6 KB and 45 heap objects
-// per graph, where a destination that kept its round ring, stream buffer
-// and opener, and hop records that kept their set-up views, cost 9.3 KB and
-// 49.
+// strangers' flows a relay can afford to admit (§9.2). At rest a flow is one
+// record at every relay, its hop table and routing block inline: 3.7 KB in 9
+// heap objects per graph, one object per relay.
 func TestIdleFlowFootprint(t *testing.T) {
 	const (
 		flows    = 2000
@@ -112,17 +109,8 @@ func TestIdleFlowFootprint(t *testing.T) {
 	b1, o1 := heap()
 	perFlowKB := float64(b1-b0) / flows / 1024
 	perFlowObj := float64(o1-o0) / flows
-	t.Logf("%d idle flows over %d relays: %.1f KB and %.0f heap objects per flow", flows, relays, perFlowKB, perFlowObj)
-	if perFlowKB > 7 || perFlowObj > 50 {
-		t.Errorf("an idle flow costs %.1f KB in %.0f objects across its relays, want at most 7 KB in 50", perFlowKB, perFlowObj)
-	}
-}
-
-// A flow at rest is its core and its hop table, so their sizes set how many
-// flows a relay can hold: the core must stay in the 256-byte size class and
-// a hop record at 32 bytes.
-func TestFlowCoreSize(t *testing.T) {
-	if core, rec := unsafe.Sizeof(flowState{}), unsafe.Sizeof(hop{}); core > 256 || rec > 32 {
-		t.Errorf("flowState is %d bytes and a hop record %d, want at most 256 and 32", core, rec)
+	t.Logf("%d idle flows over %d relays: %.2f KB and %.1f heap objects per flow", flows, relays, perFlowKB, perFlowObj)
+	if perFlowKB > 4 || perFlowObj > 10 {
+		t.Errorf("an idle flow costs %.2f KB in %.1f objects across its relays, want at most 4 KB in 10", perFlowKB, perFlowObj)
 	}
 }

@@ -11,31 +11,30 @@ import (
 // block is still undecoded.
 const maxPendingData = 1024
 
-// handleData files one slice under its round and forwards or decodes the
-// round when it is complete.
-func (n *Node) handleData(sh *shard, fs *flowState, from wire.NodeID, hi int, pkt *wire.Packet) {
-	if fs.info == nil {
+// handleData files the slice of a data packet (its sequence number and slots)
+// under its round and forwards or decodes the round when it is complete.
+func (n *Node) handleData(sh *shard, fs *flowState, from wire.NodeID, hi int, seq uint32, slots [][]byte) {
+	if !fs.has(routeUp) {
 		// Data raced ahead of setup; buffer a bounded amount.
-		if len(fs.pendingData) < maxPendingData {
-			fs.pendingData = append(fs.pendingData, pendingPacket{from, pkt.Clone()})
+		if st := &sh.tailFor(fs).stage; len(st.pending) < maxPendingData {
+			st.pending = append(st.pending, pendingPacket{from, seq, slices.Clone(slots)})
 		} else {
 			sh.ctr[cPendingDropped]++
 		}
 		return
 	}
-	if len(pkt.Slots) < 1 || len(fs.info.Children) == 0 && !fs.info.Receiver {
+	if len(slots) < 1 || fs.route.nKids == 0 && !fs.has(routeReceiver) {
 		sh.ctr[cUnwantedSlices]++ // a last-stage bystander has no use for the slice: hold nothing
 		return
 	}
-	sl, err := wire.DecodeSlot(pkt.Slots[0], fs.d)
+	sl, err := wire.DecodeSlot(slots[0], int(fs.route.d))
 	if err != nil {
 		sh.ctr[cBadSlots]++
 		return
 	}
 	if hi >= 0 {
-		fs.hops[hi].miss = 0 // a parent that speaks is alive, however late its slice
+		fs.hops()[hi].miss = 0 // a parent that speaks is alive, however late its slice
 	}
-	seq := pkt.Seq
 	var forward, decode bool
 	s := n.slotFor(sh, fs, seq)
 	if s != nil {
@@ -55,14 +54,14 @@ func (n *Node) handleData(sh *shard, fs *flowState, from wire.NodeID, hi int, pk
 	}
 	sh.ctr[cSlicesFiled]++
 	if s.got == nil {
-		k := len(fs.hops)
+		k := len(fs.hops())
 		s.from, s.got, s.raw = make([]wire.NodeID, 0, k), make([]code.Slice, 0, k), make([][]byte, 0, k)
 	}
-	s.from, s.got, s.raw = append(s.from, from), append(s.got, sl), append(s.raw, pkt.Slots[0])
+	s.from, s.got, s.raw = append(s.from, from), append(s.got, sl), append(s.raw, slots[0])
 	if decode {
 		n.tryDeliver(sh, fs, seq, s)
 	}
-	if forward && len(s.got) >= fs.nParents-fs.deadParents() {
+	if forward && len(s.got) >= int(fs.route.nParents)-fs.deadParents() {
 		n.stageRound(sh, fs, seq, s)
 	}
 	fs.advance(sh.ctr)
@@ -77,14 +76,12 @@ func (n *Node) handleData(sh *shard, fs *flowState, from wire.NodeID, hi int, pk
 func (n *Node) stageRound(sh *shard, fs *flowState, seq uint32, r *roundSlot) {
 	r.forwarded = true
 	fs.noteRound(r.from)
-	pi := fs.info
+	kids, flows := fs.kids()
 	// Decodability is checked once per round, lazily: a round with every
 	// slice in never pays for it.
 	regenOK, regenChecked := false, false
-	for _, e := range pi.DataMap {
-		if int(e.Child) >= len(pi.Children) {
-			continue
-		}
+	sh.feeds = fs.dataMap(sh.feeds[:0])
+	for _, e := range sh.feeds {
 		var out code.Slice
 		slot, ok := r.slot(e.Parent)
 		if !ok {
@@ -92,7 +89,7 @@ func (n *Node) stageRound(sh *shard, fs *flowState, seq uint32, r *roundSlot) {
 			// degrees of freedom to serve this child from (§4.4.1).
 			if !regenChecked {
 				regenChecked = true
-				regenOK = pi.Recode && code.Decodable(fs.d, r.got)
+				regenOK = fs.has(routeRecode) && code.Decodable(int(fs.route.d), r.got)
 			}
 			if !regenOK {
 				continue
@@ -105,7 +102,7 @@ func (n *Node) stageRound(sh *shard, fs *flowState, seq uint32, r *roundSlot) {
 			out = fresh[0]
 			sh.ctr[cRegenerated]++
 		}
-		n.frameData(sh, pi.Children[e.Child], pi.ChildFlows[e.Child], seq, fs.d, slot, out)
+		n.frameData(sh, kids[e.Child], flows[e.Child], seq, int(fs.route.d), slot, out)
 	}
 	// The frames hold copies; the slot's views go the moment no decode is
 	// waiting on them.

@@ -90,12 +90,12 @@ func TestResyncFilterRealigns(t *testing.T) {
 	sh := &shard{flows: map[wire.FlowID]*flowState{}, ctr: make(metrics.Block, nShardCounters)}
 	fs := &flowState{
 		flow:    9,
-		info:    &wire.PerNodeInfo{Receiver: true, Key: key},
 		nextSeq: 5,
-		rx:      &rxTail{resync: true},
-		win:     roundWindow{slots: make([]roundSlot, 4), low: 5, high: 7, buffered: 2},
+		tail:    &flowTail{ring: make([]roundSlot, 4), rx: rxTail{resync: true, buffered: 2}},
+		win:     roundWindow{low: 5, high: 7},
 	}
-	fs.win.at(5).chunk, fs.win.at(6).chunk = tail, head
+	fs.setRoute(&wire.PerNodeInfo{Receiver: true, Key: key})
+	fs.at(5).chunk, fs.at(6).chunk = tail, head
 	sh.flows[9] = fs
 
 	n.spliceChunks(sh, fs)
@@ -108,7 +108,7 @@ func TestResyncFilterRealigns(t *testing.T) {
 	default:
 		t.Fatal("resync did not re-align on the message head")
 	}
-	if fs.rx.resync {
+	if fs.tail.rx.resync {
 		t.Fatal("resync flag still set after a plausible head")
 	}
 	if fs.nextSeq != 7 {
@@ -128,8 +128,9 @@ func TestDrainStreamNamesItsDrops(t *testing.T) {
 	}
 	n := &Node{received: make(chan Message)} // no reader
 	sh := &shard{ctr: make(metrics.Block, nShardCounters)}
-	fs := &flowState{info: &wire.PerNodeInfo{Receiver: true, Key: key}}
-	rx := sh.rxFor(fs)
+	fs := &flowState{}
+	fs.setRoute(&wire.PerNodeInfo{Receiver: true, Key: key})
+	rx := &sh.tailFor(fs).rx
 	rx.stream = append([]byte{0, 0, 0, 40}, make([]byte, 40)...) // well framed, not sealed by the key
 	rx.stream = binary.BigEndian.AppendUint32(rx.stream, uint32(len(sealed)))
 	rx.stream = append(rx.stream, sealed...)
@@ -423,7 +424,7 @@ func TestDestinationShedsTailAtRest(t *testing.T) {
 	holds := func(step string, ring, tail bool) {
 		t.Helper()
 		var hasRing, hasTail bool
-		rf.sh.do(func() { hasRing, hasTail = rf.fs.win.slots != nil, rf.fs.rx != nil })
+		rf.sh.do(func() { hasTail = rf.fs.tail != nil; hasRing = hasTail && rf.fs.tail.ring != nil })
 		if hasRing != ring || hasTail != tail {
 			t.Fatalf("%s: ring %v and tail %v, want %v and %v", step, hasRing, hasTail, ring, tail)
 		}
@@ -457,7 +458,7 @@ func TestDestinationShedsTailAtRest(t *testing.T) {
 
 	// The source re-keys the flow while the tail still holds an opener.
 	var opener bool
-	rf.sh.do(func() { opener = rf.fs.rx.opener != nil })
+	rf.sh.do(func() { opener = rf.fs.tail.rx.opener != nil })
 	if !opener {
 		t.Fatal("no opener held across the splice")
 	}

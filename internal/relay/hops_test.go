@@ -160,7 +160,7 @@ func (h *hopHarness) check(op string) {
 	}
 	m := h.ref
 	got := map[wire.NodeID]hop{}
-	for _, hp := range h.fs.hops {
+	for _, hp := range h.fs.hops() {
 		if _, dup := got[hp.id]; dup {
 			fail("two records for hop %d", hp.id)
 		}
@@ -192,8 +192,8 @@ func (h *hopHarness) check(op string) {
 			fail("hop %d miss %d down-count %d, reference %d and %d", id, hp.miss, hp.downCount, m.missStreak[id], m.downCount[id])
 		}
 	}
-	if h.fs.nParents != len(m.parents) || h.fs.deadParents() != m.dead() {
-		fail("%d parents, %d dead; reference %d, %d", h.fs.nParents, h.fs.deadParents(), len(m.parents), m.dead())
+	if int(h.fs.route.nParents) != len(m.parents) || h.fs.deadParents() != m.dead() {
+		fail("%d parents, %d dead; reference %d, %d", h.fs.route.nParents, h.fs.deadParents(), len(m.parents), m.dead())
 	}
 }
 
@@ -205,7 +205,7 @@ func (h *hopHarness) observe(from wire.NodeID, data bool) {
 	if data {
 		// handleData: a parent that speaks is alive, however late its slice.
 		if hi >= 0 {
-			h.fs.hops[hi].miss = 0
+			h.fs.hops()[hi].miss = 0
 		}
 		delete(h.ref.missStreak, from)
 	}
@@ -302,7 +302,7 @@ func TestHopTableAgainstModel(t *testing.T) {
 		h.observe(2, false)
 		h.now = 5
 		h.declare(0b0111)
-		if h.fs.hops[h.fs.hopIndex(3)].heardAt != 5 || h.fs.hops[h.fs.hopIndex(1)].heardAt != 0 {
+		if h.fs.hops()[h.fs.hopIndex(3)].heardAt != 5 || h.fs.hops()[h.fs.hopIndex(1)].heardAt != 0 {
 			t.Fatal("establishment reset a heard parent's clock, or did not start a silent one's")
 		}
 		// Parent 3 misses rounds until presumed dead; a late slice revives it.
@@ -327,7 +327,7 @@ func TestHopTableAgainstModel(t *testing.T) {
 		// A splice swaps parent 2 for 4: fresh grace, stale state gone, and 2,
 		// seen sending, stays an upstream target.
 		h.declare(0b1101)
-		if i := h.fs.hopIndex(2); i < 0 || h.fs.hops[i].flags != hopObserved {
+		if i := h.fs.hopIndex(2); i < 0 || h.fs.hops()[i].flags != hopObserved {
 			t.Fatal("replaced parent should remain as an observed hop with no liveness state")
 		}
 		// The observation cap binds strangers, never a declared parent.
@@ -352,8 +352,8 @@ func TestHopTableAgainstModel(t *testing.T) {
 			h.observe(2, false)
 			h.sweep()
 		}
-		if h.fs.hopIndex(1) >= 0 || len(h.fs.hops) != 1 {
-			t.Fatalf("silent observed hop not forgotten after %d reports: %+v", obsReportLimit, h.fs.hops)
+		if h.fs.hopIndex(1) >= 0 || len(h.fs.hops()) != 1 {
+			t.Fatalf("silent observed hop not forgotten after %d reports: %+v", obsReportLimit, h.fs.hops())
 		}
 		h.observe(1, true)
 	})

@@ -158,17 +158,17 @@ func TestLongFlowFlatCostBoundedHeap(t *testing.T) {
 	if got := rcv.n.Counters().Get("messages_delivered"); got != rounds {
 		t.Errorf("receiver delivered %d messages, want %d", got, rounds)
 	}
-	if by.fs.win.slots != nil {
+	if by.fs.tail != nil {
 		t.Errorf("bystander allocated a round window")
 	}
 	for _, m := range []member{fwd, rcv} {
-		w := &m.fs.win
-		if len(w.slots) > minWindow || w.low != rounds || w.high != rounds {
+		w, ring := &m.fs.win, ringOf(m.fs)
+		if len(ring) > minWindow || w.low != rounds || w.high != rounds {
 			t.Errorf("%v: window [%d,%d) in %d slots after an in-order flow, want [%d,%d) in %d",
-				m.n, w.low, w.high, len(w.slots), rounds, rounds, minWindow)
+				m.n, w.low, w.high, len(ring), rounds, rounds, minWindow)
 		}
-		for i := range w.slots {
-			if len(w.slots[i].got) != 0 || w.slots[i].chunk != nil {
+		for i := range ring {
+			if len(ring[i].got) != 0 || ring[i].chunk != nil {
 				t.Errorf("%v: slot %d still holds a view or a chunk", m.n, i)
 			}
 		}

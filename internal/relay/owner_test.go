@@ -93,8 +93,8 @@ func TestMailboxSerializesWithBursts(t *testing.T) {
 					} else {
 						last = in
 					}
-					if fs := sh.flows[flow]; fs != nil && len(fs.pendingData) > maxPendingData {
-						t.Errorf("flow holds %d pending packets", len(fs.pendingData))
+					if fs := sh.flows[flow]; fs != nil && fs.tail != nil && len(fs.tail.stage.pending) > maxPendingData {
+						t.Errorf("flow holds %d pending packets", len(fs.tail.stage.pending))
 					}
 				})
 			}
@@ -184,8 +184,8 @@ func TestDropCountersNameTheDiscard(t *testing.T) {
 				n.process(sh, parent, junkDataFrame(flow))
 				sh.do(func() {
 					fs := sh.flows[flow]
-					for id := wire.NodeID(1000); len(fs.hops) < maxObservedHops; id++ {
-						fs.hops = append(fs.hops, hop{id: id, flags: hopObserved})
+					for id := wire.NodeID(1000); len(fs.hops()) < maxObservedHops; id++ {
+						fs.setHops(append(fs.hops(), hop{id: id, flags: hopObserved}))
 					}
 				})
 			},

@@ -14,46 +14,21 @@ import (
 // above the bound rejects a mid-message chunk with probability 1−2^-12.
 const maxSealedLen = 1 << 20
 
-// rxTail is a destination's receiving phase, from its first decodable round
-// until it rests (shedRx): opener opens the messages reassembled on stream
-// under the flow's key. The gap deadline is armed while a hole blocks
-// buffered rounds (gapSeq records which hole, so its expiry can tell progress
-// from a stall); resync marks that the stream lost framing to a skipped round
-// and must re-align on a message boundary. tainted marks that the stream's
-// framing derives from a resync guess rather than an unbroken chunk sequence;
-// it gates the length sanity check in drainStream and clears once a message
-// authenticates.
+// rxTail is a destination's receiving phase, in the flow's tail: opener opens
+// the messages reassembled on stream under the flow's key. The gap deadline is
+// armed while a hole blocks buffered rounds (gapSeq records which hole, so its
+// expiry can tell progress from a stall); resync marks that the stream lost
+// framing to a skipped round and must re-align on a message boundary. tainted
+// marks that the stream's framing derives from a resync guess rather than an
+// unbroken chunk sequence; it gates the length sanity check in drainStream and
+// clears once a message authenticates.
 type rxTail struct {
-	stream  []byte
-	opener  *slcrypto.Sealer
-	gapSeq  uint32
-	resync  bool
-	tainted bool
-}
-
-// rxFor returns the flow's receiver tail, taking the shard's spare if it has none.
-func (sh *shard) rxFor(fs *flowState) *rxTail {
-	if fs.rx == nil {
-		if fs.rx, sh.spareRx = sh.spareRx, nil; fs.rx == nil {
-			fs.rx = new(rxTail)
-		}
-	}
-	return fs.rx
-}
-
-// shedRx drops the tail of a flow at rest — stream empty and aligned (not
-// tainted: a resyncing stream is), no gap wait armed — and gives its stream
-// buffer to the shard's spare.
-func (sh *shard) shedRx(fs *flowState) {
-	rx := fs.rx
-	if rx == nil || len(rx.stream) > 0 || rx.tainted || fs.due[dlGap] != 0 {
-		return
-	}
-	fs.rx = nil
-	if sh.spareRx == nil {
-		*rx = rxTail{stream: rx.stream}
-		sh.spareRx = rx
-	}
+	stream   []byte
+	opener   *slcrypto.Sealer
+	gapSeq   uint32
+	buffered int32 // decoded chunks parked in the ring behind a missing round
+	resync   bool
+	tainted  bool
 }
 
 // tryDeliver decodes a round and advances the receiver's reassembly
@@ -62,23 +37,23 @@ func (sh *shard) shedRx(fs *flowState) {
 // stream waits on decodes straight onto it; one ahead of a hole, or any
 // while the stream resyncs, parks as a chunk in its slot.
 func (n *Node) tryDeliver(sh *shard, fs *flowState, seq uint32, s *roundSlot) {
-	if len(s.got) < fs.d {
+	if len(s.got) < int(fs.route.d) {
 		return // cannot span the round yet
 	}
-	if rx := sh.rxFor(fs); seq == fs.nextSeq && !rx.resync {
-		stream, err := code.DecodeTo(fs.d, rx.stream, s.got)
+	if rx := &sh.tailFor(fs).rx; seq == fs.nextSeq && !rx.resync {
+		stream, err := code.DecodeTo(int(fs.route.d), rx.stream, s.got)
 		if err != nil {
 			return
 		}
 		rx.stream = stream
 		fs.nextSeq++
 	} else {
-		chunk, err := code.Decode(fs.d, s.got)
+		chunk, err := code.Decode(int(fs.route.d), s.got)
 		if err != nil {
 			return
 		}
 		s.chunk = chunk
-		fs.win.buffered++
+		rx.buffered++
 	}
 	s.decoded = true
 	if forward, _ := fs.needs(seq, s); !forward {
@@ -92,12 +67,12 @@ func (n *Node) tryDeliver(sh *shard, fs *flowState, seq uint32, s *roundSlot) {
 // stream and parses out completed messages. While resyncing after a skip it
 // discards chunks until one passes the message-head plausibility test.
 func (n *Node) spliceChunks(sh *shard, fs *flowState) {
-	rx := fs.rx
-	for w := &fs.win; fs.nextSeq != w.high && w.at(fs.nextSeq).chunk != nil; {
-		s := w.at(fs.nextSeq)
+	rx := &fs.tail.rx
+	for w := &fs.win; fs.nextSeq != w.high && fs.at(fs.nextSeq).chunk != nil; {
+		s := fs.at(fs.nextSeq)
 		c := s.chunk
 		s.chunk = nil
-		w.buffered--
+		rx.buffered--
 		fs.nextSeq++
 		if rx.resync {
 			if len(c) < 4 {
@@ -118,12 +93,13 @@ func (n *Node) spliceChunks(sh *shard, fs *flowState) {
 // round arrival, drives the write-off: the hole round may never reach this
 // node at all.
 func (n *Node) watchGap(sh *shard, fs *flowState) {
-	if fs.due[dlGap] != 0 && fs.win.buffered > 0 && fs.rx.gapSeq == fs.nextSeq {
+	rx := &fs.tail.rx
+	if fs.due[dlGap] != 0 && rx.buffered > 0 && rx.gapSeq == fs.nextSeq {
 		return // already watching this hole
 	}
 	var at int64
-	if fs.win.buffered > 0 { // buffered chunks were decoded: the flow has its tail
-		fs.rx.gapSeq = fs.nextSeq
+	if rx.buffered > 0 {
+		rx.gapSeq = fs.nextSeq
 		at = n.stamp(n.clk.Now().Add(n.cfg.GapWait))
 	}
 	sh.setDeadline(fs, dlGap, at)
@@ -138,12 +114,12 @@ func (n *Node) watchGap(sh *shard, fs *flowState) {
 // with the hole, so the buffered bytes are dropped and the resync filter
 // re-aligns delivery on the next plausible message boundary.
 func (n *Node) skipGap(sh *shard, fs *flowState) {
-	if fs.win.buffered == 0 || fs.nextSeq != fs.rx.gapSeq {
+	if fs.tail.rx.buffered == 0 || fs.nextSeq != fs.tail.rx.gapSeq {
 		n.watchGap(sh, fs) // progress since arming: watch the new hole, if any
 		return
 	}
 	next := fs.nextSeq
-	for next != fs.win.high && fs.win.at(next).chunk == nil {
+	for next != fs.win.high && fs.at(next).chunk == nil {
 		next++
 	}
 	n.skipStream(sh, fs, next)
@@ -157,7 +133,7 @@ func (n *Node) skipGap(sh *shard, fs *flowState) {
 // clipped.
 func (n *Node) skipStream(sh *shard, fs *flowState, next uint32) {
 	sh.ctr[cRoundsSkipped] += int64(next - fs.nextSeq)
-	if rx := sh.rxFor(fs); len(rx.stream) > 0 || !rx.resync {
+	if rx := &sh.tailFor(fs).rx; len(rx.stream) > 0 || !rx.resync {
 		rx.stream = rx.stream[:0]
 		rx.resync = true
 		rx.tainted = true
@@ -187,7 +163,7 @@ func (n *Node) drainStream(sh *shard, fs *flowState, rx *rxTail) {
 		}
 		sealed := rx.stream[4 : 4+total]
 		if rx.opener == nil {
-			rx.opener = slcrypto.NewSealer(fs.info.Key)
+			rx.opener = slcrypto.NewSealer(fs.route.key)
 		}
 		plain, err := rx.opener.OpenTo(nil, sealed)
 		// Compact in place instead of reallocating per message; the buffer

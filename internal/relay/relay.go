@@ -36,7 +36,8 @@
 // reach a shard queue; and a child→shard directory (table.go) routes acks
 // and ParentDown reports — stamped with the child's flow-id, not ours — to
 // just the shards holding a flow that lists the sender as a child, where an
-// exact-match (child, child-flow) index finds the one flow they concern.
+// exact-match index from (child, child-flow) to a flow-id — no pointers, so
+// the collector never scans it — finds the one flow they concern.
 // Admission is metered globally (MaxFlows) and, optionally, per tenant —
 // the previous-hop node that created the flow (TenantQuota) — and idle
 // flows age out via an intrusive LRU list walked incrementally by the GC
@@ -342,14 +343,18 @@ type shard struct {
 	// this shard. (Forwarding's regeneration scratch is egress-side: eg.regen.)
 	pktBuf []byte
 
-	// A phase tail given back by the last flow to leave it (setup.go, receive.go).
-	spareStage *setupStage
-	spareRx    *rxTail
+	// The tail of the last flow to come to rest, the scratch a routing block
+	// decodes into before its flow copies it out, and a round's data map.
+	spareTail *flowTail
+	info      wire.PerNodeInfo
+	blob      []byte
+	feeds     []wire.DataForward
 
 	// byChild is the exact-match fan-in index: an ack or ParentDown report
 	// carries its sender and the sender's own flow-id, which is what the one
-	// flow it concerns stamps on packets to that child (table.go).
-	byChild map[childKey]*flowState
+	// flow it concerns stamps on packets to that child (table.go); to that
+	// flow's id, so the collector has no pointer to chase in it.
+	byChild map[childKey]wire.FlowID
 	// ownScratch gathers a flow's own set-up slices for a decode attempt.
 	ownScratch []code.Slice
 
@@ -378,10 +383,19 @@ type inPkt struct {
 	release func()
 }
 
-// flowState is a flow's resident core. The set-up and receiving phases keep
-// their state in tails that exist only while the phase does (stage, rx), so a
-// flow at rest is this record and its hop table.
+// flowState is a flow's resident record, and a flow at rest is this one heap
+// object. Its hop table and routing block are inline and pointer-free; its
+// only pointer words lead it, so the collector scans 4 words of it: the LRU
+// links, the tail — the live phases, nil at rest; it and its buffers are the
+// only other objects a builder's flow ever has — and the spill, nil unless
+// the block or the hop table outgrows its inline room (table.go).
 type flowState struct {
+	// Intrusive LRU links (table.go), ordered by lastActive: the last
+	// non-heartbeat packet's arrival, a stamp (Node.stamp).
+	lruPrev, lruNext *flowState
+	tail             *flowTail
+	spill            *flowSpill
+	lastActive       int64
 	// Table identity and admission accounting: the flow's own key (so the
 	// LRU sweep can unmap without a reverse lookup) and the tenant whose
 	// quota the flow holds.
@@ -393,41 +407,23 @@ type flowState struct {
 	due     [nDeadlines]int64
 	dueAt   int64
 	armSeq  uint64
-	// Intrusive LRU links (table.go), ordered by lastActive: the last
-	// non-heartbeat packet's arrival, a stamp (Node.stamp).
-	lruPrev, lruNext *flowState
-	lastActive       int64
 
-	// hops is the flow's one table of previous hops — declared parents
-	// (nParents of them) and observed senders (hops.go). A last-stage node
+	// hopBuf[:nHops] is the flow's one table of previous hops — declared
+	// parents, observed senders — while it fits (hops.go). A last-stage node
 	// has an empty slice-map/data-map, so observation is its only parent
 	// knowledge (and all the threat model grants it).
-	hops     []hop
-	nParents int
-
-	// The routing block, once decoded, and its split factor; stage holds the
-	// set-up phase until the wave is forwarded (or, at a leaf, the decode).
-	info  *wire.PerNodeInfo
-	d     int
-	stage *setupStage
-
-	// Data phase: the round window, its ring allocated by the first slice
-	// to hold.
-	win         roundWindow
-	pendingData []pendingPacket
-
-	// seenReports dedupes the ParentDown flood by its clear nonce.
-	seenReports map[uint64]bool
+	hopBuf [inlineHops]hop
+	route  route
 	// spliceSeq is the sequence number of the last repair patch applied;
 	// older or duplicate patches (multipath, retransmission, reordering)
 	// are dropped so the newest routing state always wins.
 	spliceSeq uint64
 
-	// Receiver-side reassembly: nextSeq is the round the stream waits on;
-	// decoded rounds ahead of it park in their window slots, the stream in
-	// the receiver tail (receive.go).
-	rx      *rxTail
+	// The round window's header (its ring is the tail's), and the round a
+	// destination's reassembly stream waits on (receive.go).
+	win     roundWindow
 	nextSeq uint32
+	nHops   uint8
 
 	// inFilter: the flow's fingerprint made it into the shard filter (false
 	// ⇒ it is carried by the filter's overflow count instead; see removeFlow).
@@ -439,9 +435,36 @@ type flowState struct {
 	ackSent bool
 }
 
-type pendingPacket struct {
-	from wire.NodeID
-	pkt  *wire.Packet
+// flowTail is what a flow holds only while a phase is live: set-up staging
+// (setup.go), the round ring (window.go), a destination's receiver
+// (receive.go) and the ParentDown flood's nonces (control.go).
+type flowTail struct {
+	stage       setupStage
+	ring        []roundSlot
+	rx          rxTail
+	seenReports map[uint64]bool
+}
+
+// tailFor returns the flow's tail, taking the shard's spare if it has none.
+func (sh *shard) tailFor(fs *flowState) *flowTail {
+	if fs.tail == nil {
+		if fs.tail, sh.spareTail = sh.spareTail, nil; fs.tail == nil {
+			fs.tail = new(flowTail)
+		}
+	}
+	return fs.tail
+}
+
+// shedTail gives a flow's tail, with its buffers, to the shard's spare once no
+// phase is live: a resyncing stream is tainted, a parked one has a gap wait.
+func (sh *shard) shedTail(fs *flowState) {
+	t := fs.tail
+	if t == nil || fs.staging() || t.stage.pending != nil || t.ring != nil ||
+		len(t.rx.stream) > 0 || t.rx.tainted || fs.due[dlGap] != 0 || t.seenReports != nil {
+		return
+	}
+	*t = flowTail{stage: setupStage{pkts: t.stage.pkts, sliceMap: t.stage.sliceMap[:0]}, rx: rxTail{stream: t.rx.stream}}
+	fs.tail, sh.spareTail = nil, t
 }
 
 // New attaches a relay daemon to the transport and starts its shard
@@ -482,7 +505,7 @@ func New(id wire.NodeID, tr overlay.Transport, cfg Config) (*Node, error) {
 			filter:  newCuckooFilter(perShard),
 			rng:     rand.New(rand.NewSource(cfg.Rng.Int63())),
 			eg:      egState{rng: rand.New(rand.NewSource(cfg.Rng.Int63()))},
-			byChild: make(map[childKey]*flowState),
+			byChild: make(map[childKey]wire.FlowID),
 		}
 		runDue := func() { n.runDeadlines(sh) }
 		sh.onTick = func() { sh.post(runDue) }
@@ -551,24 +574,42 @@ func (n *Node) Stats() Stats {
 //	slices in     = filed + late + duplicate + unwanted + bad
 //	                + pending dropped, evicted and swept + still held pending set-up
 //	rounds opened = done (forwarded or decoded) + expired + evicted + swept + still open
+//	child index   = keys naming a resident flow whose route lists them; directory refs = routes' fan-out
 func (n *Node) Books() error {
-	var err error
+	var errs []error
 	for _, sh := range n.shards {
 		sh.do(func() {
 			c := sh.ctr
 			slices := c[cDataIn] - c[cSlicesFiled] - c[cLateSlices] - c[cDuplicateSlices] -
 				c[cUnwantedSlices] - c[cBadSlots] - c[cPendingDropped] - c[cPendingEvicted] - c[cPendingSwept]
 			rounds := c[cRoundsOpened] - c[cRoundsDone] - c[cRoundsExpired] - c[cRoundsEvicted] - c[cRoundsSwept]
+			fanOut, listed := int32(0), map[childKey]bool{}
 			for _, fs := range sh.flows {
-				slices -= int64(len(fs.pendingData))
-				rounds -= fs.win.open()
+				if fs.tail != nil {
+					slices -= int64(len(fs.tail.stage.pending))
+				}
+				rounds -= fs.openRounds()
+				kids, flows := fs.kids()
+				for i, child := range kids {
+					k := childKey{uint64(child), uint64(flows[i])}
+					if f, ok := sh.byChild[k]; ok && f == fs.flow {
+						listed[k] = true
+					}
+				}
+				fanOut += int32(len(kids))
 			}
-			if (slices != 0 || rounds != 0) && err == nil {
-				err = fmt.Errorf("relay %d shard %d: books off by %d slices and %d rounds", n.id, sh.idx, slices, rounds)
+			n.children.mu.RLock()
+			for _, e := range n.children.entries {
+				fanOut -= e.refs[sh.idx]
+			}
+			n.children.mu.RUnlock()
+			if slices != 0 || rounds != 0 || fanOut != 0 || len(listed) != len(sh.byChild) {
+				errs = append(errs, fmt.Errorf("relay %d shard %d: books off by %d slices, %d rounds and %d directory refs; %d of %d child index keys name a flow listing them",
+					n.id, sh.idx, slices, rounds, fanOut, len(listed), len(sh.byChild)))
 			}
 		})
 	}
-	return err
+	return errors.Join(errs...)
 }
 
 // Established reports whether the node has decoded its routing info for the
@@ -577,7 +618,7 @@ func (n *Node) Established(f wire.FlowID) (ok bool) {
 	sh := n.shardFor(f)
 	sh.do(func() {
 		fs := sh.flows[f]
-		ok = fs != nil && fs.info != nil
+		ok = fs != nil && fs.has(routeUp)
 	})
 	return ok
 }
@@ -812,8 +853,8 @@ func (n *Node) dispatch(sh *shard, from wire.NodeID, pkt *wire.Packet, now int64
 	switch pkt.Type {
 	case wire.MsgAck, wire.MsgParentDown:
 		// Matched on (sender, the sender's flow-id); never create flow state.
-		if fs := sh.byChild[childKey{uint64(from), uint64(pkt.Flow)}]; fs != nil {
-			n.handleUpstream(sh, fs, pkt)
+		if f, ok := sh.byChild[childKey{uint64(from), uint64(pkt.Flow)}]; ok && sh.flows[f] != nil {
+			n.handleUpstream(sh, sh.flows[f], pkt)
 		} else {
 			sh.ctr[cUnmatched]++
 		}
@@ -846,7 +887,7 @@ func (n *Node) dispatch(sh *shard, from wire.NodeID, pkt *wire.Packet, now int64
 		n.handleSetup(sh, fs, hi, pkt)
 	case wire.MsgData:
 		sh.ctr[cDataIn]++
-		n.handleData(sh, fs, from, hi, pkt)
+		n.handleData(sh, fs, from, hi, pkt.Seq, pkt.Slots)
 	case wire.MsgHeartbeat:
 		sh.ctr[cHeartbeatsIn]++
 	case wire.MsgSplice:

@@ -19,10 +19,20 @@ func (n *Node) sendAck(sh *shard, fs *flowState) {
 // setupStage is a flow's set-up phase: each recorded hop's set-up packet, held
 // until the wave is forwarded, and the wave's geometry, adopted (like d) from
 // the packets whose own slices decode into a checksummed routing block — a
-// forged claim only labels its packet. Senders without a hop record stage nothing.
+// forged claim only labels its packet — with the block's slice map and any
+// data that raced ahead of the decode. Senders without a hop record stage nothing.
 type setupStage struct {
-	pkts            []staged
-	slotLen, nSlots int
+	pkts     []staged
+	sliceMap []wire.SliceForward
+	pending  []pendingPacket
+	slotLen  uint16
+	nSlots   uint8
+}
+
+type pendingPacket struct {
+	from  wire.NodeID
+	seq   uint32
+	slots [][]byte // views that pin the receive buffer
 }
 
 // staged is one hop's set-up packet: the geometry its header claimed and its
@@ -33,6 +43,9 @@ type staged struct {
 	slotLen   uint16
 	slots     []byte
 }
+
+// staging: from the first set-up packet staged until the wave leaves.
+func (fs *flowState) staging() bool { return fs.tail != nil && len(fs.tail.stage.pkts) > 0 }
 
 func (st *setupStage) find(from wire.NodeID) *staged {
 	if i := slices.IndexFunc(st.pkts, func(p staged) bool { return p.from == from }); i >= 0 {
@@ -45,27 +58,23 @@ func (st *setupStage) find(from wire.NodeID) *staged {
 // soon as the packets in hand allow, and forwards the wave when every parent's
 // packet is in or SetupWait after the decode, whichever comes first.
 func (n *Node) handleSetup(sh *shard, fs *flowState, hi int, pkt *wire.Packet) {
-	if hi < 0 || fs.stage == nil && fs.info != nil || fs.stage != nil && fs.stage.find(fs.hops[hi].id) != nil {
+	if hi < 0 || fs.has(routeUp) && !fs.staging() || fs.staging() && fs.tail.stage.find(fs.hops()[hi].id) != nil {
 		sh.ctr[cSetupIgnored]++ // past the observation cap, late (the set-up phase is over), or a duplicate
 		return
 	}
-	if fs.stage == nil {
-		if fs.stage, sh.spareStage = sh.spareStage, nil; fs.stage == nil {
-			fs.stage = &setupStage{pkts: make([]staged, 0, 4)}
-		}
-	}
-	fs.stage.pkts = append(fs.stage.pkts, staged{fs.hops[hi].id, pkt.CoeffLen, uint8(len(pkt.Slots)), pkt.SlotLen, pkt.SlotArea()})
-	if fs.info == nil && !n.establish(sh, fs, int(pkt.CoeffLen)) {
+	st := &sh.tailFor(fs).stage
+	st.pkts = append(st.pkts, staged{fs.hops()[hi].id, pkt.CoeffLen, uint8(len(pkt.Slots)), pkt.SlotLen, pkt.SlotArea()})
+	if !fs.has(routeUp) && !n.establish(sh, fs, int(pkt.CoeffLen)) {
 		return // not yet decodable; if it never is, GC reaps the flow
 	}
 	switch {
-	case fs.info.Spliced || len(fs.info.Children) == 0:
+	case fs.has(routeSpliced) || fs.route.nKids == 0:
 		// A spliced-in replacement (its block came straight from the source
 		// endpoints, its children were patched directly) or a leaf: no wave
 		// to forward, so the setup state, and the buffers it pins, is done.
 		sh.dropSetup(fs)
-	case !slices.ContainsFunc(fs.hops, func(h hop) bool {
-		return h.flags&hopParent != 0 && fs.stage.find(h.id) == nil
+	case !slices.ContainsFunc(fs.hops(), func(h hop) bool {
+		return h.flags&hopParent != 0 && st.find(h.id) == nil
 	}):
 		n.forwardSetup(sh, fs) // every declared parent's packet is in
 	case fs.due[dlSetup] == 0:
@@ -73,17 +82,13 @@ func (n *Node) handleSetup(sh *shard, fs *flowState, hi int, pkt *wire.Packet) {
 	}
 }
 
-// dropSetup frees what only the wave needed: the staged packets (and the
-// receive buffers they pin), their area going to the shard's spare, and the slice-map.
+// dropSetup ends the set-up phase: the staged packets, the receive buffers
+// they pin and the slice map go, and the tail if no other phase is live.
 func (sh *shard) dropSetup(fs *flowState) {
-	st := fs.stage
-	fs.stage = nil
-	fs.info.SliceMap = nil
-	if sh.spareStage == nil {
-		clear(st.pkts)
-		st.pkts = st.pkts[:0]
-		sh.spareStage = st
-	}
+	st := &fs.tail.stage
+	clear(st.pkts)
+	st.pkts, st.sliceMap = st.pkts[:0], st.sliceMap[:0]
+	sh.shedTail(fs)
 }
 
 // establish tries to decode the flow's routing block from the set-up
@@ -98,8 +103,9 @@ func (n *Node) establish(sh *shard, fs *flowState, d int) bool {
 	}
 	own := sh.ownScratch[:0]
 	var geom *staged // the group's first packet with a valid own slice
-	for i := range fs.stage.pkts {
-		p := &fs.stage.pkts[i]
+	st := &fs.tail.stage
+	for i := range st.pkts {
+		p := &st.pkts[i]
 		if int(p.d) != d || p.nSlots == 0 {
 			continue
 		}
@@ -114,28 +120,30 @@ func (n *Node) establish(sh *shard, fs *flowState, d int) bool {
 	if len(own) < d {
 		return false
 	}
-	blob, err := code.Decode(d, own)
+	blob, err := code.DecodeTo(d, sh.blob[:0], own)
 	if err != nil {
 		return false
 	}
-	pi, err := wire.UnmarshalPerNodeInfo(blob)
-	if err != nil {
+	sh.blob = blob
+	pi := &sh.info
+	if wire.UnmarshalPerNodeInfoInto(pi, blob) != nil {
 		return false
 	}
-	fs.info = pi
-	fs.d, fs.stage.slotLen, fs.stage.nSlots = d, int(geom.slotLen), int(geom.nSlots)
+	fs.setRoute(pi)
+	fs.route.d, st.slotLen, st.nSlots = uint8(d), geom.slotLen, geom.nSlots
+	st.sliceMap = append(st.sliceMap[:0], pi.SliceMap...)
 	sh.ctr[cFlowsEstablished]++
 	fs.declareParents(pi, fs.lastActive, false)
-	n.dirAdd(sh, fs, pi) // its children's acks and reports now find it
+	n.dirAdd(sh, fs) // its children's acks and reports now find it
 
 	if pi.Receiver {
 		n.sendAck(sh, fs)
 	}
 	// Process any data that raced ahead of the decode.
-	for _, pd := range fs.pendingData {
-		n.handleData(sh, fs, pd.from, fs.hopIndex(pd.from), pd.pkt)
+	for _, pd := range st.pending {
+		n.handleData(sh, fs, pd.from, fs.hopIndex(pd.from), pd.seq, pd.slots)
 	}
-	fs.pendingData = nil
+	st.pending = nil
 	return true
 }
 
@@ -146,27 +154,28 @@ func (n *Node) establish(sh *shard, fs *flowState, d int) bool {
 // source packet never arrived — stays padding: packet size is constant (§9.4c).
 func (n *Node) forwardSetup(sh *shard, fs *flowState) {
 	sh.setDeadline(fs, dlSetup, 0)
-	pi, st := fs.info, fs.stage
-	frame := wire.HeaderLen + st.nSlots*st.slotLen
-	buf := slices.Grow(sh.pktBuf[:0], len(pi.Children)*frame)[:len(pi.Children)*frame]
+	kids, flows := fs.kids()
+	st := &fs.tail.stage
+	slotLen, nSlots := int(st.slotLen), int(st.nSlots)
+	frame := wire.HeaderLen + nSlots*slotLen
+	buf := slices.Grow(sh.pktBuf[:0], len(kids)*frame)[:len(kids)*frame]
 	sh.pktBuf = buf
 	wire.FillRandom(buf, sh.rng)
-	for c := range pi.Children {
-		wire.AppendPacketHeader(buf[c*frame:c*frame], wire.MsgSetup, pi.ChildFlows[c], 0,
-			uint8(fs.d), uint16(st.slotLen), st.nSlots)
+	for c, flow := range flows {
+		wire.AppendPacketHeader(buf[c*frame:c*frame], wire.MsgSetup, flow, 0, fs.route.d, st.slotLen, nSlots)
 	}
-	for _, e := range pi.SliceMap {
+	for _, e := range st.sliceMap {
 		src := st.find(e.Src.Parent)
-		if src == nil || int(e.Child) >= len(pi.Children) || int(e.DstSlot) >= st.nSlots ||
-			e.Src.Slot >= src.nSlots || int(src.slotLen) != st.slotLen {
+		if src == nil || int(e.Child) >= len(kids) || int(e.DstSlot) >= nSlots ||
+			e.Src.Slot >= src.nSlots || src.slotLen != st.slotLen {
 			continue // lost upstream, or a malformed or cross-phase packet: the padding stays
 		}
-		dst := buf[int(e.Child)*frame+wire.HeaderLen+int(e.DstSlot)*st.slotLen:][:st.slotLen]
-		copy(dst, src.slots[int(e.Src.Slot)*st.slotLen:])
+		dst := buf[int(e.Child)*frame+wire.HeaderLen+int(e.DstSlot)*slotLen:][:slotLen]
+		copy(dst, src.slots[int(e.Src.Slot)*slotLen:])
 		e.Unscramble.Invert(dst)
 	}
-	for c, ch := range pi.Children {
-		n.send(sh, ch, buf[c*frame:][:frame])
+	for c, child := range kids {
+		n.send(sh, child, buf[c*frame:][:frame])
 	}
 	sh.dropSetup(fs)
 }

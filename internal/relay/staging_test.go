@@ -119,10 +119,11 @@ func FuzzSetupStaging(f *testing.F) {
 				if fs == nil {
 					return
 				}
-				hops, established, stage = len(fs.hops), fs.info != nil, fs.stage != nil
-				if fs.stage != nil {
-					staged = len(fs.stage.pkts)
-					for _, p := range fs.stage.pkts {
+				// Set-up is this flow's only phase: its tail is the staging.
+				hops, established, stage = len(fs.hops()), fs.has(routeUp), fs.tail != nil
+				if fs.tail != nil {
+					staged = len(fs.tail.stage.pkts)
+					for _, p := range fs.tail.stage.pkts {
 						if fs.hopIndex(p.from) < 0 {
 							strangers++
 						}

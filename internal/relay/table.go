@@ -1,8 +1,10 @@
 package relay
 
 import (
+	"slices"
 	"sync"
 
+	"infoslicing/internal/slcrypto"
 	"infoslicing/internal/wire"
 )
 
@@ -75,21 +77,15 @@ func (n *Node) releaseSlot(tenant wire.NodeID) {
 
 // createFlow admits and installs a fresh flow created by `from`.
 // Returns nil (counting the rejection) when admission fails. Only the two
-// flow-creating packet types reach here. The flowState starts with only
-// its hop table; everything else — round ring, receiver reassembly — is
-// allocated lazily by the phase that needs it, so a table holding a million
-// mostly-idle flows pays for what each flow actually did, not for every
-// phase it might enter.
+// flow-creating packet types reach here. The flow is one record; what a phase
+// needs beyond it is the tail's, made by that phase, so a table holding a
+// million mostly-idle flows pays for what each flow actually did.
 func (n *Node) createFlow(sh *shard, f wire.FlowID, from wire.NodeID) *flowState {
 	if !n.admit(from) {
 		sh.ctr[cFlowsRejected]++
 		return nil
 	}
-	fs := &flowState{
-		flow:   f,
-		tenant: from,
-		hops:   make([]hop, 0, 4), // d' parents: one allocation for the usual flow
-	}
+	fs := &flowState{flow: f, tenant: from}
 	sh.flows[f] = fs
 	sh.lruPush(fs)
 	fs.inFilter = sh.filter.insert(uint64(f), sh.rng)
@@ -105,8 +101,10 @@ func (n *Node) removeFlow(sh *shard, fs *flowState, evicted bool) {
 		rounds, pending = cRoundsEvicted, cPendingEvicted
 		sh.ctr[cFlowsEvicted]++
 	}
-	sh.ctr[rounds] += fs.win.open()
-	sh.ctr[pending] += int64(len(fs.pendingData))
+	sh.ctr[rounds] += fs.openRounds()
+	if fs.tail != nil {
+		sh.ctr[pending] += int64(len(fs.tail.stage.pending))
+	}
 	sh.cancelDeadlines(fs)
 	delete(sh.flows, fs.flow)
 	sh.lruRemove(fs)
@@ -115,8 +113,8 @@ func (n *Node) removeFlow(sh *shard, fs *flowState, evicted bool) {
 	} else {
 		sh.filter.overflow.Add(-1)
 	}
-	if fs.info != nil {
-		n.dirDel(sh, fs, fs.info)
+	if fs.has(routeUp) {
+		n.dirDel(sh, fs)
 	}
 	n.releaseSlot(fs.tenant)
 }
@@ -159,10 +157,77 @@ func (sh *shard) lruTouch(fs *flowState) {
 	sh.lruPush(fs)
 }
 
+// route is the flow's routing block decoded in place, with no pointer: key,
+// children and the flow-id stamped on packets to each (a block's past
+// inlineKids are spilled), declared parents, flags and split factor. The data
+// map folds into the hop records (hops.go), the slice map into the set-up stage.
+type route struct {
+	key      slcrypto.SymmetricKey
+	kidFlows [inlineKids]wire.FlowID
+	kids     [inlineKids]wire.NodeID
+	nParents int32
+	nKids    uint8
+	flags    uint8
+	d        uint8
+}
+
+const inlineKids, inlineHops = 4, 4
+
+const (
+	routeUp       uint8 = 1 << iota // decoded: the flow is established
+	routeReceiver                   // the block's destination flag
+	routeRecode                     // regenerate redundancy via network coding (§4.4.1)
+	routeSpliced                    // delivered by a live repair, not the set-up wave
+)
+
+// flowSpill holds what outgrows the flow record: the children of a block past
+// inlineKids, a hop table past inlineHops, a data map that does not fold.
+type flowSpill struct {
+	kids     []wire.NodeID
+	kidFlows []wire.FlowID
+	hops     []hop
+	dataMap  []wire.DataForward
+}
+
+func (fs *flowState) spillOver() *flowSpill {
+	if fs.spill == nil {
+		fs.spill = new(flowSpill)
+	}
+	return fs.spill
+}
+
+func (fs *flowState) has(flag uint8) bool { return fs.route.flags&flag != 0 }
+
+// kids returns the route's children and the flow-id stamped on packets to each.
+func (fs *flowState) kids() ([]wire.NodeID, []wire.FlowID) {
+	if r := &fs.route; r.nKids <= inlineKids {
+		return r.kids[:r.nKids], r.kidFlows[:r.nKids]
+	}
+	return fs.spill.kids, fs.spill.kidFlows
+}
+
+// setRoute makes pi the flow's route, keeping the split factor; the maps are
+// the caller's to place.
+func (fs *flowState) setRoute(pi *wire.PerNodeInfo) {
+	r := &fs.route
+	r.key, r.flags, r.nKids = pi.Key, routeUp, uint8(len(pi.Children))
+	for i, on := range [...]bool{pi.Receiver, pi.Recode, pi.Spliced} {
+		if on {
+			r.flags |= routeReceiver << i
+		}
+	}
+	copy(r.kids[:], pi.Children)
+	copy(r.kidFlows[:], pi.ChildFlows)
+	if len(pi.Children) > inlineKids {
+		sp := fs.spillOver()
+		sp.kids, sp.kidFlows = slices.Clone(pi.Children), slices.Clone(pi.ChildFlows)
+	}
+}
+
 // childKey names a flow as its child knows it: the child's address and the
-// flow-id this node stamps on packets to it (pi.Children[i], ChildFlows[i]),
-// which the child's acks and ParentDown reports come back under. Both halves
-// are 64 bits wide so the key hashes as plain memory.
+// flow-id this node stamps on packets to it, which the child's acks and
+// ParentDown reports come back under. Both halves are 64 bits wide so the key
+// hashes as plain memory.
 type childKey struct{ child, flow uint64 }
 
 // childDir maps a known child node to the set of shards holding flows that
@@ -197,22 +262,23 @@ func (n *Node) childMask(from wire.NodeID) uint64 {
 	return m
 }
 
-// dirAdd indexes a flow under its children: one byChild key per
+// dirAdd indexes a flow under its route's children: one byChild key per
 // (child, child-flow) pair — a key already held stays with its holder — and
 // a ref on the child→shard mask consulted by transport goroutines. Called
 // at establishment and splice, never per data packet.
-func (n *Node) dirAdd(sh *shard, fs *flowState, pi *wire.PerNodeInfo) {
-	if len(pi.Children) == 0 {
+func (n *Node) dirAdd(sh *shard, fs *flowState) {
+	kids, flows := fs.kids()
+	if len(kids) == 0 {
 		return
 	}
-	for i, c := range pi.Children {
-		k := childKey{uint64(c), uint64(pi.ChildFlows[i])}
+	for i, c := range kids {
+		k := childKey{uint64(c), uint64(flows[i])}
 		if _, held := sh.byChild[k]; !held {
-			sh.byChild[k] = fs
+			sh.byChild[k] = fs.flow
 		}
 	}
 	n.children.mu.Lock()
-	for _, c := range pi.Children {
+	for _, c := range kids {
 		e := n.children.entries[c]
 		if e == nil {
 			e = &childEntry{refs: make([]int32, len(n.shards))}
@@ -224,21 +290,22 @@ func (n *Node) dirAdd(sh *shard, fs *flowState, pi *wire.PerNodeInfo) {
 	n.children.mu.Unlock()
 }
 
-// dirDel withdraws a flow's index keys and directory refs (eviction,
-// splice, close). A key is released only by the flow that holds it, so a
-// flow whose block claims someone else's (child, child-flow) pair cannot
-// unroute that flow by leaving.
-func (n *Node) dirDel(sh *shard, fs *flowState, pi *wire.PerNodeInfo) {
-	if len(pi.Children) == 0 {
+// dirDel withdraws the index keys and directory refs of a flow's route
+// (eviction, splice, close). A key is released only by the flow that holds
+// it, so a flow whose block claims someone else's (child, child-flow) pair
+// cannot unroute that flow by leaving.
+func (n *Node) dirDel(sh *shard, fs *flowState) {
+	kids, flows := fs.kids()
+	if len(kids) == 0 {
 		return
 	}
-	for i, c := range pi.Children {
-		if k := (childKey{uint64(c), uint64(pi.ChildFlows[i])}); sh.byChild[k] == fs {
+	for i, c := range kids {
+		if k := (childKey{uint64(c), uint64(flows[i])}); sh.byChild[k] == fs.flow {
 			delete(sh.byChild, k)
 		}
 	}
 	n.children.mu.Lock()
-	for _, c := range pi.Children {
+	for _, c := range kids {
 		e := n.children.entries[c]
 		if e == nil {
 			continue

@@ -428,12 +428,12 @@ func TestMillionFlowBoundedMemory(t *testing.T) {
 	perFlow := float64(after.HeapAlloc-before.HeapAlloc) / float64(flows)
 	t.Logf("%d flows: %.0f bytes/flow (heap %0.1f MiB)", flows, perFlow,
 		float64(after.HeapAlloc-before.HeapAlloc)/(1<<20))
-	// Ceiling calibrated against today's layout (~0.5KB/flow: the flow's
-	// core, a four-record hop table, one buffered pre-setup packet and the
-	// map entry). A core past its 256-byte size class costs 32 bytes more
-	// per flow, and hop records that carried their set-up views cost 96, so
-	// 640 bytes separates regression from allocator noise without being
-	// hostage to the exact runtime version.
+	// Ceiling calibrated against today's layout (~0.57 KB/flow: the flow
+	// record with its inline hop table, a tail holding one buffered pre-setup
+	// packet's slot views, and the map entry). A record past its 320-byte
+	// size class costs 32 bytes more per flow, and a pending packet kept as a
+	// parsed clone 96, so 640 bytes separates regression from allocator noise
+	// without being hostage to the exact runtime version.
 	if perFlow > 640 {
 		t.Fatalf("%.0f bytes/flow exceeds the 640-byte bound", perFlow)
 	}

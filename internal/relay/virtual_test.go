@@ -193,8 +193,8 @@ func TestRoundWaitForwardsAtExactInstant(t *testing.T) {
 	// The data-map names one parent; make the flow wait on two so a round
 	// with p1's slice alone is short.
 	fs := n.shards[0].flows[flow]
-	fs.hops = append(fs.hops, hop{id: p2, flags: hopParent})
-	fs.nParents++
+	fs.setHops(append(fs.hops(), hop{id: p2, flags: hopParent}))
+	fs.route.nParents++
 
 	rng := rand.New(rand.NewSource(7))
 	enc, err := code.NewEncoder(2, 2, rng)

@@ -9,8 +9,8 @@ import (
 )
 
 // A flow's data rounds live in one sliding window: a power-of-two ring of
-// reusable slots covering [low, low+len(slots)), allocated by the first
-// slice the flow has to hold and sized by work in flight, never by history:
+// reusable slots covering [low, low+len(ring)), in the flow's tail, allocated by
+// the first slice the flow has to hold and sized by work in flight, never by history:
 // one slot while rounds complete in order, more when they overlap, none once idle.
 // A round drops its slice views the instant nothing needs them (forwarded,
 // for a relay; decoded, for a receiver), low advances over finished rounds,
@@ -22,9 +22,7 @@ import (
 // is due and re-arms — at most one queue operation per RoundWait in steady
 // traffic.
 type roundWindow struct {
-	slots     []roundSlot
-	low, high uint32 // rounds tracked: low ≤ high ≤ low+len(slots)
-	buffered  int    // decoded chunks parked behind a missing round
+	low, high uint32 // rounds tracked: low ≤ high ≤ low+len(ring); low ≠ high ⇒ a ring
 }
 
 const minWindow, maxWindow = 1, 4096
@@ -73,14 +71,14 @@ func (s *roundSlot) recycle(c metrics.Block) {
 	*s = roundSlot{from: s.from, got: s.got, raw: s.raw}
 }
 
-func (w *roundWindow) at(seq uint32) *roundSlot {
-	return &w.slots[seq&uint32(len(w.slots)-1)]
+func (fs *flowState) at(seq uint32) *roundSlot {
+	return &fs.tail.ring[seq&uint32(len(fs.tail.ring)-1)]
 }
 
-// open counts the rounds opened and not yet recycled.
-func (w *roundWindow) open() (n int64) {
-	for seq := w.low; seq != w.high; seq++ {
-		if w.at(seq).deadline != 0 {
+// openRounds counts the rounds opened and not yet recycled.
+func (fs *flowState) openRounds() (n int64) {
+	for seq := fs.win.low; seq != fs.win.high; seq++ {
+		if fs.at(seq).deadline != 0 {
 			n++
 		}
 	}
@@ -90,20 +88,20 @@ func (w *roundWindow) open() (n int64) {
 // needs reports what the flow still wants from round seq: to forward it,
 // and to decode it. A round that needs neither holds no slice views.
 func (fs *flowState) needs(seq uint32, s *roundSlot) (forward, decode bool) {
-	forward = len(fs.info.Children) > 0 && !s.forwarded
-	decode = fs.info.Receiver && s.chunk == nil && int32(seq-fs.nextSeq) >= 0
+	forward = fs.route.nKids > 0 && !s.forwarded
+	decode = fs.has(routeReceiver) && s.chunk == nil && int32(seq-fs.nextSeq) >= 0
 	return
 }
 
 // slotFor returns the slot tracking round seq, making room for it (which
 // may re-seat the ring: older slot pointers die), or nil below the window.
 func (n *Node) slotFor(sh *shard, fs *flowState, seq uint32) *roundSlot {
-	w := &fs.win
-	if w.slots == nil {
-		w.slots = make([]roundSlot, minWindow)
+	w, t := &fs.win, sh.tailFor(fs)
+	if t.ring == nil {
+		t.ring = make([]roundSlot, minWindow)
 	}
 	off := seq - w.low
-	switch size := len(w.slots); {
+	switch size := len(t.ring); {
 	case int32(off) < 0:
 		return nil
 	case off >= maxWindow:
@@ -115,14 +113,14 @@ func (n *Node) slotFor(sh *shard, fs *flowState, seq uint32) *roundSlot {
 		}
 		ns := make([]roundSlot, size)
 		for q := w.low; q != w.high; q++ {
-			ns[q&uint32(size-1)] = *w.at(q)
+			ns[q&uint32(size-1)] = *fs.at(q)
 		}
-		w.slots = ns
+		t.ring = ns
 	}
 	if int32(seq-w.high) >= 0 {
 		w.high = seq + 1
 	}
-	return w.at(seq)
+	return fs.at(seq)
 }
 
 // slide moves the window base up to low, writing off every round it
@@ -130,9 +128,9 @@ func (n *Node) slotFor(sh *shard, fs *flowState, seq uint32) *roundSlot {
 func (n *Node) slide(sh *shard, fs *flowState, low uint32) {
 	w := &fs.win
 	for ; w.low != w.high && w.low != low; w.low++ {
-		s := w.at(w.low)
+		s := fs.at(w.low)
 		if s.chunk != nil {
-			w.buffered--
+			fs.tail.rx.buffered--
 		}
 		s.recycle(sh.ctr)
 	}
@@ -140,7 +138,7 @@ func (n *Node) slide(sh *shard, fs *flowState, low uint32) {
 	if int32(w.high-low) < 0 {
 		w.high = low
 	}
-	if fs.info.Receiver && int32(low-fs.nextSeq) > 0 {
+	if fs.has(routeReceiver) && int32(low-fs.nextSeq) > 0 {
 		n.skipStream(sh, fs, low)
 	}
 }
@@ -148,7 +146,7 @@ func (n *Node) slide(sh *shard, fs *flowState, low uint32) {
 // advance recycles the rounds at low that nothing is waiting on.
 func (fs *flowState) advance(c metrics.Block) {
 	for w := &fs.win; w.low != w.high; w.low++ {
-		s := w.at(w.low)
+		s := fs.at(w.low)
 		if fwd, dec := fs.needs(w.low, s); fwd || dec || s.chunk != nil {
 			return
 		}
@@ -166,13 +164,13 @@ func (n *Node) roundDeadline(sh *shard, fs *flowState) {
 	grace := int64(max(n.cfg.GapWait-n.cfg.RoundWait, 0)) // a hole's write-off lags the deadline above it
 	lastDue := w.low                                      // holes in [low, lastDue) are written off
 	for seq := w.low; seq != w.high; seq++ {
-		if s := w.at(seq); s.deadline != 0 && s.deadline+grace <= now {
+		if s := fs.at(seq); s.deadline != 0 && s.deadline+grace <= now {
 			lastDue = seq
 		}
 	}
 	var next int64
 	for seq := w.low; seq != w.high; seq++ {
-		s := w.at(seq)
+		s := fs.at(seq)
 		at := s.deadline // the round's next instant of interest: its deadline,
 		if at == 0 {
 			s.forwarded = s.forwarded || int32(lastDue-seq) > 0
@@ -191,10 +189,10 @@ func (n *Node) roundDeadline(sh *shard, fs *flowState) {
 	fs.advance(sh.ctr)
 	switch {
 	case w.low == w.high:
-		// Idle a whole RoundWait: the ring goes, and a destination's tail with
-		// it once its stream is at rest; the next slice to hold makes new ones.
-		w.slots = nil
-		sh.shedRx(fs)
+		// Idle a whole RoundWait: the ring goes, and the tail with it once
+		// no other phase is live; the next slice to hold makes new ones.
+		fs.tail.ring = nil
+		sh.shedTail(fs)
 	case next != 0:
 		sh.setDeadline(fs, dlRound, next)
 	}

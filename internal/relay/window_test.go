@@ -275,10 +275,18 @@ func newWindowHarness(tb testing.TB) *windowHarness {
 	return h
 }
 
+// ringOf returns the flow's round ring, nil while it has none.
+func ringOf(fs *flowState) []roundSlot {
+	if fs.tail == nil {
+		return nil
+	}
+	return fs.tail.ring
+}
+
 func (h *windowHarness) arrive(parent int, seq uint32) {
 	ring, lowBefore := minWindow, uint32(0)
-	if w := &h.fs.win; w.slots != nil {
-		ring, lowBefore = len(w.slots), w.low
+	if r := ringOf(h.fs); r != nil {
+		ring, lowBefore = len(r), h.fs.win.low
 	}
 	sentBefore := len(h.tr.sent)
 	pkt := append([]byte(nil), h.frames[parent]...)
@@ -321,11 +329,11 @@ func (h *windowHarness) check(op string) {
 	}
 	// Nothing runs on the shard between the harness's own calls: the worker
 	// is idle, and the virtual clock ticks only inside advance.
-	w, m := &h.fs.win, h.ref
+	w, m, ring := &h.fs.win, h.ref, ringOf(h.fs)
 	if w.low != m.low || w.high != m.high {
 		fail("window [%d,%d), reference [%d,%d)", w.low, w.high, m.low, m.high)
 	}
-	if n := len(w.slots); n&(n-1) != 0 || n > maxWindow || int(w.high-w.low) > n {
+	if n := len(ring); n&(n-1) != 0 || n > maxWindow || int(w.high-w.low) > n {
 		fail("ring of %d slots tracking [%d,%d)", n, w.low, w.high)
 	}
 	if w.low != w.high && (h.fs.due[dlRound] == 0 || h.sh.tickAt == 0) {
@@ -338,7 +346,7 @@ func (h *windowHarness) check(op string) {
 		fail("%v", err)
 	}
 	miss := map[wire.NodeID]int{}
-	for _, hp := range h.fs.hops {
+	for _, hp := range h.fs.hops() {
 		if hp.miss > 0 {
 			miss[hp.id] = int(hp.miss)
 		}
@@ -361,12 +369,12 @@ func (h *windowHarness) check(op string) {
 		}
 	}
 	// A slot outside [low, high) is recycled: it holds no views.
-	tracked := make([]bool, len(w.slots))
+	tracked := make([]bool, len(ring))
 	for seq := w.low; seq != w.high; seq++ {
-		tracked[seq&uint32(len(w.slots)-1)] = true
+		tracked[seq&uint32(len(ring)-1)] = true
 	}
-	for i := range w.slots {
-		if s := &w.slots[i]; !tracked[i] && (len(s.got) > 0 || s.chunk != nil || s.forwarded) {
+	for i := range ring {
+		if s := &ring[i]; !tracked[i] && (len(s.got) > 0 || s.chunk != nil || s.forwarded) {
 			fail("recycled slot %d is not clean: %d views, forwarded %v", i, len(s.got), s.forwarded)
 		}
 	}
@@ -416,12 +424,12 @@ func TestRoundWindowAgainstModel(t *testing.T) {
 			h.arrive(1, seq)
 			h.advance(wmRoundWait)
 		}
-		if h.fs.deadParents() != 1 || h.fs.hops[h.fs.hopIndex(wmParents[2])].miss < deadParentStreak {
+		if h.fs.deadParents() != 1 || h.fs.hops()[h.fs.hopIndex(wmParents[2])].miss < deadParentStreak {
 			t.Fatal("silent parent not marked dead")
 		}
 		// Its late slice for a round long forwarded still proves it alive.
 		h.arrive(2, 12)
-		if h.fs.deadParents() != 0 || h.fs.hops[h.fs.hopIndex(wmParents[2])].miss != 0 {
+		if h.fs.deadParents() != 0 || h.fs.hops()[h.fs.hopIndex(wmParents[2])].miss != 0 {
 			t.Fatal("late slice did not clear the dead mark")
 		}
 		// Ring growth while a deadline is pending: one parent runs ahead by
@@ -430,7 +438,7 @@ func TestRoundWindowAgainstModel(t *testing.T) {
 			h.arrive(0, seq)
 			h.advance(time.Millisecond / 2)
 		}
-		if n := len(h.fs.win.slots); n < 64 {
+		if n := len(ringOf(h.fs)); n < 64 {
 			t.Fatalf("ring did not grow under 50 pending rounds: %d slots", n)
 		}
 		h.advance(2 * wmRoundWait)

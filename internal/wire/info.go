@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"infoslicing/internal/slcrypto"
 )
@@ -120,14 +121,21 @@ func (pi *PerNodeInfo) Marshal() []byte {
 
 // UnmarshalPerNodeInfo parses an info block, tolerating trailing padding.
 func UnmarshalPerNodeInfo(b []byte) (*PerNodeInfo, error) {
+	pi := new(PerNodeInfo)
+	if err := UnmarshalPerNodeInfoInto(pi, b); err != nil {
+		return nil, err
+	}
+	return pi, nil
+}
+
+// UnmarshalPerNodeInfoInto is UnmarshalPerNodeInfo into pi, reusing its
+// slices: a caller that copies the block out parses every block into one
+// scratch. On error pi is left partly written.
+func UnmarshalPerNodeInfoInto(pi *PerNodeInfo, b []byte) error {
 	if len(b) < 6 || string(b[:4]) != infoMagic {
-		return nil, ErrBadInfo
+		return ErrBadInfo
 	}
-	pi := &PerNodeInfo{
-		Receiver: b[4]&1 != 0,
-		Recode:   b[4]&2 != 0,
-		Spliced:  b[4]&4 != 0,
-	}
+	pi.Receiver, pi.Recode, pi.Spliced = b[4]&1 != 0, b[4]&2 != 0, b[4]&4 != 0
 	n := int(b[5])
 	off := 6
 	need := func(k int) error {
@@ -137,14 +145,14 @@ func UnmarshalPerNodeInfo(b []byte) (*PerNodeInfo, error) {
 		return nil
 	}
 	if err := need(4*n + 8*n + slcrypto.KeySize + 2); err != nil {
-		return nil, err
+		return err
 	}
-	pi.Children = make([]NodeID, n)
+	pi.Children = slices.Grow(pi.Children[:0], n)[:n]
 	for i := range pi.Children {
 		pi.Children[i] = NodeID(binary.BigEndian.Uint32(b[off:]))
 		off += 4
 	}
-	pi.ChildFlows = make([]FlowID, n)
+	pi.ChildFlows = slices.Grow(pi.ChildFlows[:0], n)[:n]
 	for i := range pi.ChildFlows {
 		pi.ChildFlows[i] = FlowID(binary.BigEndian.Uint64(b[off:]))
 		off += 8
@@ -154,9 +162,9 @@ func UnmarshalPerNodeInfo(b []byte) (*PerNodeInfo, error) {
 	smCount := int(binary.BigEndian.Uint16(b[off:]))
 	off += 2
 	if err := need(17 * smCount); err != nil {
-		return nil, err
+		return err
 	}
-	pi.SliceMap = make([]SliceForward, smCount)
+	pi.SliceMap = slices.Grow(pi.SliceMap[:0], smCount)[:smCount]
 	for i := range pi.SliceMap {
 		pi.SliceMap[i] = SliceForward{
 			Child:   b[off],
@@ -170,14 +178,14 @@ func UnmarshalPerNodeInfo(b []byte) (*PerNodeInfo, error) {
 		off += 17
 	}
 	if err := need(2); err != nil {
-		return nil, err
+		return err
 	}
 	dmCount := int(binary.BigEndian.Uint16(b[off:]))
 	off += 2
 	if err := need(5*dmCount + 4); err != nil {
-		return nil, err
+		return err
 	}
-	pi.DataMap = make([]DataForward, dmCount)
+	pi.DataMap = slices.Grow(pi.DataMap[:0], dmCount)[:dmCount]
 	for i := range pi.DataMap {
 		pi.DataMap[i] = DataForward{
 			Parent: NodeID(binary.BigEndian.Uint32(b[off:])),
@@ -187,7 +195,7 @@ func UnmarshalPerNodeInfo(b []byte) (*PerNodeInfo, error) {
 	}
 	want := binary.BigEndian.Uint32(b[off:])
 	if crc32.ChecksumIEEE(b[:off]) != want {
-		return nil, fmt.Errorf("%w: checksum", ErrBadInfo)
+		return fmt.Errorf("%w: checksum", ErrBadInfo)
 	}
-	return pi, nil
+	return nil
 }
