@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
@@ -40,18 +39,14 @@ func (n *Node) process(sh *shard, from wire.NodeID, data []byte) {
 	sh.do(func() { n.processHere(sh, from, data) })
 }
 
-// processHere is process for a caller already on the shard's worker: a
-// benchmark runs its whole loop inside one sh.do, so it measures the forward
-// path and not a goroutine hand-off per packet.
+// processHere is process for a caller already on the shard's worker, doing
+// what the driver does for a burst: read the clock, step, flush. A benchmark
+// runs its whole loop inside one sh.do, so it measures the forward path and
+// not a goroutine hand-off per packet.
 func (n *Node) processHere(sh *shard, from wire.NodeID, data []byte) {
-	p := processScratch.Get().(*[1]wire.Packet)
-	n.processBurst(sh, []inPkt{{from: from, data: data}}, p[:])
-	n.endBurst(sh)
-	p[0] = wire.Packet{}
-	processScratch.Put(p)
+	n.step(sh, n.stamp(n.clk.Now()), []inPkt{{from: from, data: data}})
+	n.flush(sh)
 }
-
-var processScratch = sync.Pool{New: func() any { return new([1]wire.Packet) }}
 
 // BenchmarkForwardDataPacket measures the steady-state relay forward path —
 // unmarshal, slot verify, round bookkeeping, re-frame, send — for one data
@@ -145,15 +140,15 @@ func BenchmarkForwardDataPacket(b *testing.B) {
 
 // BenchmarkForwardBurst measures what burst draining amortizes: the same
 // single-parent forward path driven one packet at a time (the pre-burst shard
-// loop) versus through processBurst at the default burst bound — per-burst
-// parse batch, one done-check, one egress drain. Each
+// loop) versus a step of up to the burst bound — per-burst parse batch, one
+// clock reading, one egress drain. Each
 // packet is its own round, so every packet pays the full forward cost and
 // the delta is pure per-packet overhead.
 func BenchmarkForwardBurst(b *testing.B) {
 	for _, k := range []int{1, 16, 64} {
 		b.Run(fmt.Sprintf("burst=%d", k), func(b *testing.B) {
 			tr := &countingTransport{}
-			n, err := New(1, tr, Config{Rng: rand.New(rand.NewSource(1)), Burst: k})
+			n, err := New(1, tr, Config{Rng: rand.New(rand.NewSource(1))})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -190,7 +185,6 @@ func BenchmarkForwardBurst(b *testing.B) {
 				buf := wire.AppendPacketHeader(nil, wire.MsgData, flow, 0, d, uint16(slotLen), 1)
 				burst[j] = inPkt{from: parent, data: wire.AppendSlot(buf, s)}
 			}
-			parsed := make([]wire.Packet, k)
 			b.SetBytes(int64(k * len(burst[0].data)))
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -201,8 +195,8 @@ func BenchmarkForwardBurst(b *testing.B) {
 					for j := range burst {
 						binary.BigEndian.PutUint32(burst[j].data[9:], uint32(i*k+j))
 					}
-					n.processBurst(sh, burst, parsed)
-					n.endBurst(sh)
+					n.step(sh, n.stamp(n.clk.Now()), burst)
+					n.flush(sh)
 				}
 			})
 			b.StopTimer()

@@ -172,7 +172,7 @@ func TestBooksCloseAbandonsQueued(t *testing.T) {
 }
 
 // testSlices codes one chunk into dp slices of a d-split.
-func testSlices(t *testing.T, d, dp int) []code.Slice {
+func testSlices(t testing.TB, d, dp int) []code.Slice {
 	t.Helper()
 	enc, err := code.NewEncoder(d, dp, rand.New(rand.NewSource(5)))
 	if err != nil {

@@ -1,6 +1,7 @@
 package relay
 
 import (
+	"bytes"
 	"math/rand"
 	"slices"
 	"testing"
@@ -69,7 +70,10 @@ func TestBurstExactlyOnceForwarding(t *testing.T) {
 		{from: p1, data: dataFrame(flow, 0, 2, slices[0]), release: rel}, // duplicate
 		{from: p2, data: dataFrame(flow, 0, 2, slices[1]), release: rel},
 	}
-	sh.do(func() { n.processBurst(sh, burst, make([]wire.Packet, len(burst))) }) // egress drains at the call's tail
+	sh.do(func() {
+		n.step(sh, n.stamp(s.Clk.Now()), burst)
+		n.flush(sh)
+	})
 	for i := range burst {
 		burst[i].release()
 	}
@@ -117,7 +121,7 @@ func TestBurstQueueDropAccounting(t *testing.T) {
 // packets may be processed after the done-check.
 func TestBurstShutdownReleasesHolds(t *testing.T) {
 	const flow = wire.FlowID(0xdead)
-	s, n := virtualNode(t, 1, Config{Burst: 4, QueueDepth: 64})
+	s, n := virtualNode(t, 1, Config{})
 	sh := n.shards[0]
 
 	rng := rand.New(rand.NewSource(5))
@@ -132,11 +136,12 @@ func TestBurstShutdownReleasesHolds(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Stall the worker while the backlog queues up, and let it go only once
-	// Close has signalled shutdown, so no packet can slip through.
+	// Stall the worker while a backlog of more than one burst queues up, and
+	// let it go only once Close has signalled shutdown, so no packet can slip
+	// through.
 	closed := make(chan struct{})
 	sh.do(func() {
-		for i := 0; i < 12; i++ {
+		for i := 0; i < maxBurst+12; i++ {
 			n.enqueue(sh, wire.NodeID(11), dataFrame(flow, uint32(i), 2, slices[0]), s.Clk.Hold())
 		}
 		go func() {
@@ -167,24 +172,43 @@ func TestBurstShutdownReleasesHolds(t *testing.T) {
 	}
 }
 
-// TestBurstSizeInvariance runs the same 40-round virtual-time scenario at
-// burst sizes 1, 4, and 64 (and the same size twice): every run must produce
-// identical stats — burst draining amortizes overhead but must never change
-// what is processed, forwarded, or regenerated.
+// TestBurstSizeInvariance feeds one 40-round arrival schedule straight to a
+// shard's step in bursts of 1, 4 and 64 (and 4 twice), ticking every
+// millisecond: burst draining amortizes overhead but must never change what is
+// processed, forwarded, or regenerated — the counters and every frame sent,
+// byte for byte, are the same.
 func TestBurstSizeInvariance(t *testing.T) {
-	run := func(burst int) metrics.Snapshot {
-		const (
-			flow       = wire.FlowID(0xabc)
-			p1, p2, p3 = wire.NodeID(11), wire.NodeID(12), wire.NodeID(13)
-			chld       = wire.NodeID(21)
-		)
-		s, n := virtualNode(t, 1, Config{Burst: burst, RoundWait: 5 * time.Millisecond})
-		for _, id := range []wire.NodeID{p1, p2, p3, chld} {
-			if err := s.Net.Attach(id, func(wire.NodeID, []byte) {}); err != nil {
-				t.Fatal(err)
+	const (
+		flow       = wire.FlowID(0xabc)
+		p1, p2, p3 = wire.NodeID(11), wire.NodeID(12), wire.NodeID(13)
+		chld       = wire.NodeID(21)
+	)
+	// d=2 split carried by three parents: losing one still leaves a
+	// decodable pair, so the lost redundancy is regenerated (§4.4.1). Four
+	// rounds arrive per millisecond, and every fifth loses p3's slice.
+	rng := rand.New(rand.NewSource(17))
+	enc, err := code.NewEncoder(2, 3, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk := make([]byte, 600)
+	arrivals := make([][]inPkt, 10) // by millisecond
+	for i := 0; i < 40; i++ {
+		rng.Read(chunk)
+		sl, err := enc.Encode(chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := &arrivals[i/4]
+		for p, from := range []wire.NodeID{p1, p2, p3} {
+			if from != p3 || i%5 != 4 {
+				*at = append(*at, inPkt{from: from, data: dataFrame(flow, uint32(i), 2, sl[p])})
 			}
 		}
-		injectFlowAt(n, flow, &wire.PerNodeInfo{
+	}
+	run := func(burst int) (metrics.Snapshot, [][]byte) {
+		r := newSeamRig(t, 1, Config{RoundWait: 5 * time.Millisecond})
+		injectFlowAt(r.n, flow, &wire.PerNodeInfo{
 			Children:   []wire.NodeID{chld},
 			ChildFlows: []wire.FlowID{0xc1},
 			Key:        testKey(0x42),
@@ -192,54 +216,37 @@ func TestBurstSizeInvariance(t *testing.T) {
 			DataMap: []wire.DataForward{
 				{Parent: p1, Child: 0}, {Parent: p2, Child: 0}, {Parent: p3, Child: 0},
 			},
-		}, s.Clk.Now())
-
-		// d=2 split carried by three parents: losing one still leaves a
-		// decodable pair, so the lost redundancy is regenerated (§4.4.1).
-		rng := rand.New(rand.NewSource(17))
-		enc, err := code.NewEncoder(2, 3, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		chunk := make([]byte, 600)
-		for i := 0; i < 40; i++ {
-			rng.Read(chunk)
-			slices, err := enc.Encode(chunk)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seq := uint32(i)
-			f1 := dataFrame(flow, seq, 2, slices[0])
-			f2 := dataFrame(flow, seq, 2, slices[1])
-			f3 := dataFrame(flow, seq, 2, slices[2])
-			at := time.Duration(i) * time.Millisecond
-			s.At(at, func() {
-				s.Net.Send(p1, 1, f1)
-				s.Net.Send(p2, 1, f2)
-				if seq%5 != 4 { // every fifth round loses p3's slice
-					s.Net.Send(p3, 1, f3)
+		}, r.n.epoch)
+		var sent [][]byte
+		for ms := 0; ms <= 200; ms++ {
+			now := time.Duration(ms) * time.Millisecond
+			if ms < len(arrivals) {
+				for pkts := arrivals[ms]; len(pkts) > 0; pkts = pkts[min(burst, len(pkts)):] {
+					r.step(now, pkts[:min(burst, len(pkts))]...)
+					sent = append(sent, r.frames[chld]...)
 				}
-			})
+			}
+			r.tick(now)
+			sent = append(sent, r.frames[chld]...)
 		}
-		s.Run(200 * time.Millisecond)
-		st := n.Counters()
-		n.Close()
-		checkBooks(t, n)
-		return st
+		st := r.n.Counters()
+		r.n.Close()
+		checkBooks(t, r.n)
+		return st, sent
 	}
 
-	base := run(4)
-	if base.Get("data_in") == 0 || base.Get("packets_out") == 0 {
+	base, baseSent := run(4)
+	if base.Get("data_in") != 112 || base.Get("packets_out") == 0 {
 		t.Fatalf("scenario processed nothing: %v", base)
 	}
 	if base.Get("regenerated") == 0 {
 		t.Fatalf("scenario never regenerated despite lost slices: %v", base)
 	}
-	if again := run(4); !slices.Equal(again.Values, base.Values) {
+	if again, sent := run(4); !slices.Equal(again.Values, base.Values) || !slices.EqualFunc(sent, baseSent, bytes.Equal) {
 		t.Fatalf("same seed, same burst, different outcomes:\n%v\n%v", again, base)
 	}
 	for _, b := range []int{1, 64} {
-		if got := run(b); !slices.Equal(got.Values, base.Values) {
+		if got, sent := run(b); !slices.Equal(got.Values, base.Values) || !slices.EqualFunc(sent, baseSent, bytes.Equal) {
 			t.Fatalf("burst=%d changed outcomes:\nburst=4: %v\nburst=%d: %v", b, base, b, got)
 		}
 	}

@@ -7,9 +7,9 @@ import (
 )
 
 // Control plane: failure detection, ParentDown reporting, and splice
-// acceptance (see DESIGN.md, "The live churn control plane"). Everything
-// here runs on a shard's worker — the sweep through its mailbox — so the
-// one-owner-per-shard discipline (buffer-ownership rule 6) holds.
+// acceptance (see DESIGN.md, "The live churn control plane"). It all runs
+// inside a shard's step or tick, the sweep at the shard's heartbeat instants,
+// so one owner per shard holds (rule 6) and every frame leaves by egress.
 
 // seenReportsCap bounds the per-flow nonce dedup set; when it fills, the
 // set is reset wholesale. A re-forwarded duplicate after a reset is
@@ -17,41 +17,27 @@ import (
 // not (§9.2).
 const seenReportsCap = 512
 
-// controlSweep is the node's heartbeat/liveness driver, scheduled as a
-// periodic clock task (every Config.Heartbeat) only when the control plane
-// is on. Each sweep walks the shards in order, each on its own worker:
-// established flows with children get one keepalive per child, and — when LivenessTimeout is
-// set — parents that have been silent too long are reported toward the
-// source. Detection never alters round forwarding (deadParents stays
-// round-driven), so enabling the control plane does not change what the
-// data path delivers; it only adds the repair signal.
-func (n *Node) controlSweep() {
-	now := n.stamp(n.clk.Now())
-	for _, sh := range n.shards {
-		sh.post(func() {
-			for _, fs := range sh.flows {
-				if !fs.has(routeUp) {
-					continue
-				}
-				n.sendHeartbeats(sh, fs)
-				if n.cfg.LivenessTimeout > 0 {
-					fs.sweepHops(now, int64(n.cfg.LivenessTimeout), func(dead wire.NodeID) {
-						n.sendParentDown(sh, fs, dead)
-					})
-				}
-			}
-		})
-	}
-}
-
-// sendHeartbeats emits one keepalive per child, stamped with the
-// child's flow-id (the only identity this node holds for it).
-func (n *Node) sendHeartbeats(sh *shard, fs *flowState) {
-	kids, flows := fs.kids()
-	for c, child := range kids {
-		sh.pktBuf = wire.AppendHeartbeat(sh.pktBuf[:0], flows[c])
-		sh.ctr[cHeartbeatsOut]++
-		n.send(sh, child, sh.pktBuf)
+// controlSweep is the heartbeat/liveness sweep a shard's tick runs every
+// Config.Heartbeat: an established flow frames one keepalive per child and,
+// with LivenessTimeout set, reports parents silent too long toward the
+// source. Detection never alters round forwarding
+// (deadParents stays round-driven), so enabling the control plane does not
+// change what the data path delivers; it only adds the repair signal.
+func (n *Node) controlSweep(sh *shard, now int64) {
+	for _, fs := range sh.flows {
+		if !fs.has(routeUp) {
+			continue
+		}
+		kids, flows := fs.kids()
+		for c, child := range kids {
+			sh.batchFrame(child, wire.AppendHeartbeat(n.claim(sh, wire.HeaderLen)[:0], flows[c]), ctlFrames)
+			sh.ctr[cHeartbeatsOut]++
+		}
+		if n.cfg.LivenessTimeout > 0 {
+			fs.sweepHops(now, int64(n.cfg.LivenessTimeout), func(dead wire.NodeID) {
+				n.sendParentDown(sh, fs, dead)
+			})
+		}
 	}
 }
 
@@ -71,21 +57,27 @@ func (n *Node) sendParentDown(sh *shard, fs *flowState, dead wire.NodeID) {
 	}
 	nonce := sh.rng.Uint64()
 	sh.rememberReport(fs, nonce)
-	sh.pktBuf = wire.AppendParentDown(sh.pktBuf[:0], fs.flow, nonce, sealed)
-	n.floodUpstream(sh, fs, sh.pktBuf)
+	n.floodReport(sh, fs, nonce, sealed)
 	sh.ctr[cParentDownSent]++
 }
 
-// floodUpstream sends buf to every previous hop the flow knows —
+// floodUpstream files one frame under every previous hop the flow knows —
 // parents named in the maps plus every observed sender (a last-stage
 // receiver has no maps) — the target set of acks and reports alike. Sends to
 // currently-dead nodes are dropped by the transport; redundancy across the
-// surviving parents is what carries the packet. buf must be fully framed
-// (it is sh.pktBuf in every caller).
-func (n *Node) floodUpstream(sh *shard, fs *flowState, buf []byte) {
+// surviving parents is what carries the packet. The hops share the frame's
+// bytes: the transport only reads them.
+func (sh *shard) floodUpstream(fs *flowState, frame []byte) {
 	for _, h := range fs.hops() {
-		n.send(sh, h.id, buf)
+		sh.batchFrame(h.id, frame, ctlFrames)
 	}
+}
+
+// floodReport frames a ParentDown report stamped with this node's flow-id and
+// floods it upstream.
+func (n *Node) floodReport(sh *shard, fs *flowState, nonce uint64, sealed []byte) {
+	frame := n.claim(sh, wire.HeaderLen+8+len(sealed)) // header, nonce, sealed body
+	sh.floodUpstream(fs, wire.AppendParentDown(frame[:0], fs.flow, nonce, sealed))
 }
 
 func (sh *shard) rememberReport(fs *flowState, nonce uint64) {
@@ -162,7 +154,6 @@ func (n *Node) handleUpstream(sh *shard, fs *flowState, pkt *wire.Packet) {
 		return
 	}
 	sh.rememberReport(fs, nonce)
-	sh.pktBuf = wire.AppendParentDown(sh.pktBuf[:0], fs.flow, nonce, sealed)
-	n.floodUpstream(sh, fs, sh.pktBuf)
+	n.floodReport(sh, fs, nonce, sealed)
 	sh.ctr[cParentDownForwarded]++
 }

@@ -7,12 +7,15 @@ import (
 
 // A flow waits on the clock for at most three things, and a shard keeps the
 // flows that are waiting in a min-heap on each one's earliest instant. The
-// worker owns the heap; the clock's part is one timer per shard whose callback
-// only hands runDeadlines to the mailbox and waits — so under a virtual clock,
-// which fires one event and waits for quiescence, what a deadline causes
-// still lands in the instant that fired it. Flows due at one instant run in
-// the order they were armed (the order the clock would have fired a timer
-// apiece), a flow's own waits in the order of the constants.
+// shard waits for two more itself, its GC batch and its heartbeat sweep, each
+// at the previous instant plus its interval. tick(now) runs all that is due by
+// now and touches no clock: the driver's one timer per shard is armed for the
+// earliest instant (arm), and its callback only hands the worker a wake token
+// holding the clock — so under a virtual clock, which fires one event and
+// waits for quiescence, what a deadline causes still lands in the instant that
+// fired it. Flows due at one instant run in the order they were armed (the
+// order the clock would have fired a timer apiece), a flow's own waits in the
+// order of the constants.
 
 // The waits, as indices into flowState.due: stamps (Node.stamp), zero when
 // not pending.
@@ -88,58 +91,63 @@ func (sh *shard) cancelDeadlines(fs *flowState) {
 	fs.due, fs.dueAt = [nDeadlines]int64{}, 0
 }
 
-// popDue takes the next wait whose instant has come off the queue, earliest
-// first; nil when none has.
-func (sh *shard) popDue(now int64) (fs *flowState, kind int) {
-	if now >= sh.tickAt {
-		sh.tickAt = 0 // the timer has fired; endBurst re-arms for the new head
-	}
-	if len(sh.deadlines) == 0 {
-		return nil, 0
-	}
-	if fs = sh.deadlines[0]; fs.dueAt > now {
-		return nil, 0
-	}
-	kind, _ = fs.earliest()
-	sh.setDeadline(fs, kind, 0)
-	return fs, kind
-}
-
-// runDeadlines is the tick: every wait that is due runs. A tick that finds
-// none — its head was cancelled, or it is a stopped timer's that had already
-// fired — is harmless.
-func (n *Node) runDeadlines(sh *shard) {
-	now := n.stamp(n.clk.Now())
-	for fs, kind := sh.popDue(now); fs != nil; fs, kind = sh.popDue(now) {
+// tick runs what is due on the shard by now: every flow wait, earliest
+// first, then the GC batch and the heartbeat sweep if their instants have
+// come. A tick that finds nothing due — its head was cancelled, or it is a
+// stopped timer's that had already fired — is harmless.
+func (n *Node) tick(sh *shard, now int64) {
+	for len(sh.deadlines) > 0 && sh.deadlines[0].dueAt <= now {
+		fs := sh.deadlines[0]
+		kind, _ := fs.earliest()
+		sh.setDeadline(fs, kind, 0)
 		switch kind {
 		case dlSetup:
 			if fs.staging() {
 				n.forwardSetup(sh, fs)
 			}
 		case dlRound:
-			n.roundDeadline(sh, fs)
+			n.roundDeadline(sh, fs, now)
 		case dlGap:
-			n.skipGap(sh, fs)
+			n.skipGap(sh, fs, now)
 		}
+	}
+	// The GC batch evicts up to gcBatch flows idle past FlowTTL, coldest
+	// first. The next periodic instants are the last plus whole intervals.
+	if now >= sh.gcAt {
+		for i := 0; i < gcBatch && sh.lruHead != nil && now-sh.lruHead.lastActive > int64(n.cfg.FlowTTL); i++ {
+			n.removeFlow(sh, sh.lruHead, true)
+		}
+		sh.gcAt += ((now-sh.gcAt)/int64(n.cfg.GCInterval) + 1) * int64(n.cfg.GCInterval)
+	}
+	if sh.hbAt != 0 && now >= sh.hbAt {
+		n.controlSweep(sh, now)
+		sh.hbAt += ((now-sh.hbAt)/int64(n.cfg.Heartbeat) + 1) * int64(n.cfg.Heartbeat)
 	}
 }
 
-// armTick keeps the clock timer on the queue: armed iff a wait is pending,
-// never for later than the head. A head that moves later leaves the timer be
-// (that tick finds nothing due, and this re-arms), so a shard admitting flows
-// faster than their set-up waits run out arms a timer per tick, not per flow.
-func (n *Node) armTick(sh *shard) {
-	var head int64
-	if len(sh.deadlines) > 0 {
-		head = sh.deadlines[0].dueAt
+// next is the shard's next instant of interest: its deadline queue's head,
+// its GC batch or its heartbeat sweep, whichever is earliest.
+func (sh *shard) next() int64 {
+	at := sh.gcAt
+	if sh.hbAt != 0 && sh.hbAt < at {
+		at = sh.hbAt
 	}
-	if head == sh.tickAt || sh.tickAt != 0 && head > sh.tickAt {
-		return
+	if len(sh.deadlines) > 0 && sh.deadlines[0].dueAt < at {
+		at = sh.deadlines[0].dueAt
 	}
-	if sh.tickAt != 0 {
-		sh.tick.Stop()
-	}
-	if sh.tickAt = head; head != 0 {
-		sh.tick = n.clk.AfterFunc(time.Duration(head-n.stamp(n.clk.Now())), sh.onTick)
+	return at
+}
+
+// arm keeps the driver's clock timer on the shard's next instant: never later
+// than it. An instant that moves later leaves the timer be (that tick finds
+// nothing due, and this re-arms), so a shard admitting flows faster than their
+// set-up waits run out arms a timer per tick, not per flow.
+func (n *Node) arm(sh *shard) {
+	if at := sh.next(); sh.tickAt == 0 || at < sh.tickAt {
+		if sh.tickAt != 0 {
+			sh.timer.Stop()
+		}
+		sh.tickAt = at
+		sh.timer = n.clk.AfterFunc(time.Duration(at-n.stamp(n.clk.Now())), sh.onTimer)
 	}
 }

@@ -18,8 +18,8 @@ import (
 // next to a reference that keeps every pending wait in one plain list and
 // sorts it. After every step the two must agree on exactly which
 // (instant, flow, kind) fired, in which order, and on what is still pending;
-// and the shard must hold exactly one clock timer while anything is pending,
-// none otherwise.
+// and the shard must hold exactly one clock timer, armed no later than its
+// next instant — the queue's head, or its GC instant when nothing is pending.
 
 const (
 	dqStep  = 2 * time.Millisecond // every instant is a multiple: ties are common
@@ -152,7 +152,7 @@ func newDQHarness(tb testing.TB) *dqHarness {
 	tb.Helper()
 	clk := &liveClock{VirtualClock: simnet.NewVirtualClock()}
 	n, err := New(1, dqTransport{}, Config{
-		Shards: 1, Clock: clk, FlowTTL: time.Hour, Rng: rand.New(rand.NewSource(1)),
+		Shards: 1, Clock: clk, FlowTTL: time.Hour, GCInterval: 1000 * time.Hour, Rng: rand.New(rand.NewSource(1)),
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -166,18 +166,27 @@ func newDQHarness(tb testing.TB) *dqHarness {
 			again: map[wire.FlowID]int{},
 		},
 	}
-	// The tick records what comes off the queue instead of running it: the
-	// waits' own bodies have their tests (window, gap, set-up instants).
-	h.sh.onTick = func() {
-		h.sh.post(func() {
+	// The timer's wake takes what is due off the queue as tick does, but
+	// records it instead of running it: the waits' own bodies have their
+	// tests (window, gap, set-up instants). Otherwise it is the driver's
+	// wake: the spent timer is forgotten and the next one armed.
+	h.sh.onTimer = func() {
+		h.sh.do(func() {
 			now := n.stamp(clk.Now())
-			for fs, kind := h.sh.popDue(now); fs != nil; fs, kind = h.sh.popDue(now) {
+			if now >= h.sh.tickAt {
+				h.sh.tickAt = 0
+			}
+			for len(h.sh.deadlines) > 0 && h.sh.deadlines[0].dueAt <= now {
+				fs := h.sh.deadlines[0]
+				kind, _ := fs.earliest()
+				h.sh.setDeadline(fs, kind, 0)
 				h.fired = append(h.fired, dqFiring{time.Duration(now), fs.flow, kind})
 				if kind == dlRound && h.again[fs.flow] > 0 {
 					h.again[fs.flow]--
 					h.sh.setDeadline(fs, dlRound, now+int64(dqAgain))
 				}
 			}
+			n.arm(h.sh)
 		})
 	}
 	return h
@@ -206,7 +215,10 @@ func (h *dqHarness) arm(id wire.FlowID, kind int, d time.Duration, again bool) {
 	if d != 0 {
 		at = h.clk.Elapsed() + d
 	}
-	h.sh.do(func() { h.sh.setDeadline(fs, kind, int64(at)) })
+	h.sh.do(func() {
+		h.sh.setDeadline(fs, kind, int64(at))
+		h.n.arm(h.sh)
+	})
 	h.ref.set(id, kind, at)
 	if again && kind == dlRound && d != 0 {
 		h.again[id]++
@@ -220,7 +232,10 @@ func (h *dqHarness) evict(id wire.FlowID) {
 	if fs == nil {
 		return
 	}
-	h.sh.do(func() { h.n.removeFlow(h.sh, fs, true) })
+	h.sh.do(func() {
+		h.n.removeFlow(h.sh, fs, true)
+		h.n.arm(h.sh)
+	})
 	delete(h.flows, id)
 	h.gone = append(h.gone, fs)
 	delete(h.ref.due, id)
@@ -283,18 +298,21 @@ func (h *dqHarness) check(op string) {
 			fail("evicted flow %d still queued (%d) or waiting (%v)", fs.flow, fs.heapPos, fs.due)
 		}
 	}
-	// One clock timer iff something is pending, and never later than it.
-	armed := 0
+	// One clock timer, never later than the head or, with nothing pending,
+	// the GC instant.
+	next := h.sh.gcAt
 	if len(q) > 0 {
-		armed = 1
-		if _, head := q[0].earliest(); head != q[0].dueAt || h.sh.tickAt == 0 || h.sh.tickAt > head {
-			fail("head waits for %v, clock timer armed for %v", time.Duration(head), time.Duration(h.sh.tickAt))
+		_, head := q[0].earliest()
+		if head != q[0].dueAt {
+			fail("head waits for %v, queued for %v", time.Duration(head), time.Duration(q[0].dueAt))
 		}
-	} else if h.sh.tickAt != 0 {
-		fail("nothing pending, clock timer armed for %v", time.Duration(h.sh.tickAt))
+		next = head
 	}
-	if h.clk.live != armed {
-		fail("%d clock timers live, want %d", h.clk.live, armed)
+	if h.sh.tickAt == 0 || h.sh.tickAt > next {
+		fail("next instant %v, clock timer armed for %v", time.Duration(next), time.Duration(h.sh.tickAt))
+	}
+	if h.clk.live != 1 {
+		fail("%d clock timers live, want 1", h.clk.live)
 	}
 }
 

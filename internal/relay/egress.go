@@ -12,73 +12,88 @@ import (
 
 // Egress (DESIGN.md rule 9).
 //
-// A round forwarded while a burst is dispatched is framed at once — header,
-// then each slot as it arrived or, where a slice is missing, a recoded one
-// under a fresh CRC — into the shard's open slab, and the frame filed under
-// its destination; nothing is sent until runEgress at the tail of the
-// burst, so N frames to the same child are one queue transaction and one
-// writer wakeup instead of N.
+// Every frame a step or tick makes — a forwarded round's, a set-up wave's, an
+// ack, heartbeat or ParentDown report — is framed into the shard's open slab
+// and filed under its destination; nothing is sent until the driver's
+// runEgress, so N frames to one child are one queue transaction instead of N.
+// Control frames drain ahead of data frames, each kind in framing order: the
+// wire's order when control left at once and data at the burst's tail, so a
+// child hears a flow's set-up packet before data replayed behind its decode.
+// Slabs are refcounted (transport.SlabPool) and handed over by reference to
+// an overlay.OwnedSender; other transports get the copying per-frame Send.
 //
-// Slabs are refcounted (transport.SlabPool) and handed to the transport by
-// reference when it implements overlay.OwnedSender. Transports without the
-// owned path get the per-frame Send fallback (which copies), preserving
-// behavior exactly.
-//
-// The open slab outlives the burst: the next burst appends behind the frames
-// already handed out, and the slab rolls only when it is full. A shard
-// therefore holds at most one open slab while the node runs (Close releases
-// it), and many small bursts share one slab instead of each claiming a
-// whole one and parking it in the pool.
+// The open slab outlives the step, so many small bursts share one. A slab
+// that fills with frames still filed stays referenced, by its batches and the
+// rolled list, until the drain: a step never sends. So that a step of
+// ordinary size never holds two, a drained slab with less than minRoom left
+// rolls at the drain. Between steps a shard holds at most one slab while the
+// node runs (Close releases it).
+
+// slabSize is the relay's egress slab. The first frame a shard sends, often a
+// set-up wave, allocates one, so it is kept small enough not to slow set-up;
+// minRoom is the room a drained slab must keep to stay open, more than a step
+// framing a few rounds or a set-up wave claims.
+const slabSize, minRoom = 32 << 10, 8 << 10
 
 // egState is a shard's egress: the open slab and the append cursor into it,
-// the batches that view it, and the recombination scratch.
+// the slabs rolled since the last drain, the batches that view them —
+// control's, then data's — and the recombination scratch.
 type egState struct {
 	slab *transport.Slab
 	// buf is the open slab's bytes, appended here rather than to slab.Buf:
 	// the slice header the worker rewrites per frame stays on the shard's own
 	// cache lines, away from the refcount transport writers hit on Release.
 	buf     []byte
-	batches []destBatch
+	rolled  []*transport.Slab
+	batches [2][]destBatch // by frame kind
 	regen   []code.Slice
 	rng     *rand.Rand
 }
 
-// destBatch accumulates the frames bound for one destination within the
-// current slab, so they leave as a single owned hand-off.
+const ctlFrames, dataFrames = 0, 1 // the frame kinds, in drain order
+
+// destBatch accumulates the frames of one kind bound for one destination
+// within one slab, so they leave as a single owned hand-off.
 type destBatch struct {
 	to   wire.NodeID
+	slab *transport.Slab
 	bufs [][]byte
 }
 
-// frameData frames one slice of round seq for a child into the open slab.
-// A slice forwarded as it arrived is copied verbatim — its slot, CRC
-// included, was verified on arrival; only a regenerated slice (slot nil)
-// is encoded from out under a fresh CRC. The frame bytes are the same
-// either way.
-func (n *Node) frameData(sh *shard, to wire.NodeID, flow wire.FlowID, seq uint32, d int, slot []byte, out code.Slice) {
+// claim reserves size bytes at the open slab's tail, for the caller to frame
+// packets into and file with batchFrame; a slab without room rolls first.
+func (n *Node) claim(sh *shard, size int) []byte {
 	eg := &sh.eg
+	if cap(eg.buf)-len(eg.buf) < size { // full, or no slab open yet
+		if len(eg.batches[ctlFrames])+len(eg.batches[dataFrames]) > 0 {
+			eg.rolled = append(eg.rolled, eg.slab) // frames filed from it wait for the drain
+			eg.slab = nil
+		}
+		eg.close()
+		eg.slab = n.egPool.Get(size)
+		eg.buf = eg.slab.Buf
+	}
+	off := len(eg.buf)
+	eg.buf = eg.buf[:off+size]
+	return eg.buf[off : off+size : off+size]
+}
+
+// frameData frames one slice of round seq for a child: a slot as it arrived,
+// CRC included, verified on arrival, or a regenerated slice (slot nil)
+// encoded from out under a fresh CRC; the frame bytes are the same either way.
+func (n *Node) frameData(sh *shard, to wire.NodeID, flow wire.FlowID, seq uint32, d int, slot []byte, out code.Slice) {
 	slotLen := len(slot)
 	if slot == nil {
 		slotLen = wire.SlotLenFor(len(out.Coeff), len(out.Payload))
 	}
-	need := wire.HeaderLen + slotLen
-	if cap(eg.buf)-len(eg.buf) < need { // full, or no slab open yet
-		// Single-slab invariant: every open batch views the current slab, so
-		// all of them flush before it rolls. Growing the slab instead would
-		// detach the views already handed out.
-		n.runEgress(sh)
-		eg.close()
-		eg.slab = n.egPool.Get(need)
-		eg.buf = eg.slab.Buf
-	}
-	off := len(eg.buf)
-	eg.buf = wire.AppendPacketHeader(eg.buf, wire.MsgData, flow, seq, uint8(d), uint16(slotLen), 1)
+	frame := n.claim(sh, wire.HeaderLen+slotLen)
+	b := wire.AppendPacketHeader(frame[:0], wire.MsgData, flow, seq, uint8(d), uint16(slotLen), 1)
 	if slot != nil {
-		eg.buf = append(eg.buf, slot...)
+		_ = append(b, slot...)
 	} else {
-		eg.buf = wire.AppendSlot(eg.buf, out)
+		_ = wire.AppendSlot(b, out)
 	}
-	sh.batchFrame(to, eg.buf[off:len(eg.buf):len(eg.buf)])
+	sh.batchFrame(to, frame, dataFrames)
 }
 
 // close drops the shard's own reference to the open slab; the slab returns
@@ -90,14 +105,14 @@ func (eg *egState) close() {
 	}
 }
 
-// batchFrame files one framed packet under its destination. Destinations
-// per drain are few (the children of the rounds in one burst), so a linear
-// scan beats a map — and the batch structs and their bufs arenas are
-// reused forever.
-func (sh *shard) batchFrame(to wire.NodeID, frame []byte) {
-	b := sh.eg.batches
+// batchFrame files one framed packet of a kind, in the open slab, under its
+// destination. Destinations per drain are few (the children of the rounds in
+// one burst, a flow's parents), so a linear scan beats a map — and the batch
+// structs and their bufs arenas are reused forever.
+func (sh *shard) batchFrame(to wire.NodeID, frame []byte, kind int) {
+	b := sh.eg.batches[kind]
 	for i := range b {
-		if b[i].to == to {
+		if b[i].to == to && b[i].slab == sh.eg.slab {
 			b[i].bufs = append(b[i].bufs, frame)
 			return
 		}
@@ -108,37 +123,49 @@ func (sh *shard) batchFrame(to wire.NodeID, frame []byte) {
 		b = append(b, destBatch{})
 	}
 	nb := &b[len(b)-1]
-	nb.to = to
+	nb.to, nb.slab = to, sh.eg.slab
 	nb.bufs = append(nb.bufs[:0], frame)
-	sh.eg.batches = b
+	sh.eg.batches[kind] = b
 }
 
-// runEgress hands every open batch to the transport and retires them; the
-// slab stays open for the next burst. All batches view the slab: the owned
-// path Retains once per batch (the transport releases when flushed or
-// dropped), the fallback path copies via send so no extra reference is
-// needed. Frames shed to full queues count as send_drops. Safe to call with
-// nothing framed (cheap no-op).
+// runEgress hands every batch to the transport, control's first, retires
+// them and drops the references to the slabs rolled since the last drain.
+// The owned path Retains a batch's slab once per batch (the transport
+// releases when flushed or dropped); the fallback copies through Send, the
+// relay's only call of it. Transports never block the caller (the
+// non-blocking send contract): a peer whose queue is full sheds what it was
+// handed and reports the advisory ErrSendQueueFull, counted as send_drops.
 func (n *Node) runEgress(sh *shard) {
 	eg := &sh.eg
-	for i := range eg.batches {
-		b := &eg.batches[i]
-		if n.owned != nil {
-			sh.ctr[cPacketsOut] += int64(len(b.bufs))
-			eg.slab.Retain()
-			err := n.owned.SendOwned(n.id, b.to, b.bufs, eg.slab.ReleaseFn)
-			if err != nil && errors.Is(err, overlay.ErrSendQueueFull) {
-				// Owned batching is all-or-nothing: a full queue shed the
-				// whole batch.
-				sh.ctr[cSendDrops] += int64(len(b.bufs))
+	for kind, batches := range eg.batches {
+		for i := range batches {
+			b := &batches[i]
+			if n.owned != nil {
+				sh.ctr[cPacketsOut] += int64(len(b.bufs))
+				b.slab.Retain()
+				err := n.owned.SendOwned(n.id, b.to, b.bufs, b.slab.ReleaseFn)
+				if err != nil && errors.Is(err, overlay.ErrSendQueueFull) {
+					sh.ctr[cSendDrops] += int64(len(b.bufs)) // owned batching is all-or-nothing
+				}
+			} else {
+				for _, fr := range b.bufs {
+					sh.ctr[cPacketsOut]++
+					if err := n.tr.Send(n.id, b.to, fr); err != nil && errors.Is(err, overlay.ErrSendQueueFull) {
+						sh.ctr[cSendDrops]++
+					}
+				}
 			}
-		} else {
-			for _, fr := range b.bufs {
-				n.send(sh, b.to, fr)
-			}
+			clear(b.bufs)
+			b.bufs, b.slab = b.bufs[:0], nil
 		}
-		clear(b.bufs)
-		b.bufs = b.bufs[:0]
+		eg.batches[kind] = batches[:0]
 	}
-	eg.batches = eg.batches[:0]
+	for i, s := range eg.rolled {
+		s.Release()
+		eg.rolled[i] = nil
+	}
+	eg.rolled = eg.rolled[:0]
+	if cap(eg.buf)-len(eg.buf) < minRoom {
+		eg.close()
+	}
 }

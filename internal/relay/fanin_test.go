@@ -190,6 +190,15 @@ func (w *wavePartition) Send(from, to wire.NodeID, data []byte) error {
 	return w.ChanNetwork.Send(from, to, data)
 }
 
+// SendOwned loses the same packets from a relay's egress batches.
+func (w *wavePartition) SendOwned(from, to wire.NodeID, bufs [][]byte, release func()) error {
+	defer release()
+	for _, b := range bufs {
+		w.Send(from, to, b)
+	}
+	return nil
+}
+
 // TestAckDoesNotEstablishNeighbourFlow is the end-to-end shape of the bug:
 // two graphs over the same relays share a stage-1 relay and its children.
 // B's wave is lost between stage 1 and stage 2, so B's destination never

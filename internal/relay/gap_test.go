@@ -86,7 +86,7 @@ func TestResyncFilterRealigns(t *testing.T) {
 	// beyond maxSealedLen, so the filter must drop it.
 	tail := bytes.Repeat([]byte{0xFF}, 32)
 
-	n := &Node{received: make(chan Message, 4), clk: simnet.Wall}
+	n := &Node{}
 	sh := &shard{flows: map[wire.FlowID]*flowState{}, ctr: make(metrics.Block, nShardCounters)}
 	fs := &flowState{
 		flow:    9,
@@ -100,13 +100,11 @@ func TestResyncFilterRealigns(t *testing.T) {
 
 	n.spliceChunks(sh, fs)
 
-	select {
-	case m := <-n.received:
-		if !bytes.Equal(m.Data, []byte("recovered")) {
-			t.Fatalf("delivered %q, want %q", m.Data, "recovered")
-		}
-	default:
+	if len(sh.delivered) != 1 {
 		t.Fatal("resync did not re-align on the message head")
+	}
+	if m := sh.delivered[0]; !bytes.Equal(m.Data, []byte("recovered")) {
+		t.Fatalf("delivered %q, want %q", m.Data, "recovered")
 	}
 	if fs.tail.rx.resync {
 		t.Fatal("resync flag still set after a plausible head")
@@ -137,6 +135,7 @@ func TestDrainStreamNamesItsDrops(t *testing.T) {
 	n.drainStream(sh, fs, rx)
 	rx.stream, rx.tainted = []byte{0xFF, 0xFF, 0xFF, 0xFF, 1}, true
 	n.drainStream(sh, fs, rx)
+	n.deliver(sh)
 	c := sh.ctr.Snapshot(shardVocab)
 	if c.Get("messages_corrupt") != 1 || c.Get("messages_delivered") != 1 || c.Get("app_dropped") != 1 || c.Get("stream_resyncs") != 1 {
 		t.Fatalf("counters %v, want one corrupt, one delivered and dropped, one resync", c)
@@ -451,7 +450,7 @@ func TestDestinationShedsTailAtRest(t *testing.T) {
 	}
 	// Nothing is in flight, but the stream still looks for a message head:
 	// a round deadline gives the ring back and keeps the tail.
-	rf.sh.do(func() { rf.n.roundDeadline(rf.sh, rf.fs) })
+	rf.sh.do(func() { rf.n.roundDeadline(rf.sh, rf.fs, rf.n.stamp(rf.clk.Now())) })
 	holds("resyncing", false, true)
 	rounds(rf.first[3], rf.first[4])
 	expect("message 4 re-aligns", msgs[3])

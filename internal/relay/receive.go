@@ -60,7 +60,7 @@ func (n *Node) tryDeliver(sh *shard, fs *flowState, seq uint32, s *roundSlot) {
 		s.release() // decoded and nothing to forward: the views are dead weight
 	}
 	n.spliceChunks(sh, fs)
-	n.watchGap(sh, fs)
+	n.watchGap(sh, fs, fs.lastActive) // lastActive is this packet's arrival
 }
 
 // spliceChunks appends the parked chunks now next in line to the byte
@@ -92,7 +92,7 @@ func (n *Node) spliceChunks(sh *shard, fs *flowState) {
 // missing one, and disarms it once the stream is contiguous. The wait, not
 // round arrival, drives the write-off: the hole round may never reach this
 // node at all.
-func (n *Node) watchGap(sh *shard, fs *flowState) {
+func (n *Node) watchGap(sh *shard, fs *flowState, now int64) {
 	rx := &fs.tail.rx
 	if fs.due[dlGap] != 0 && rx.buffered > 0 && rx.gapSeq == fs.nextSeq {
 		return // already watching this hole
@@ -100,7 +100,7 @@ func (n *Node) watchGap(sh *shard, fs *flowState) {
 	var at int64
 	if rx.buffered > 0 {
 		rx.gapSeq = fs.nextSeq
-		at = n.stamp(n.clk.Now().Add(n.cfg.GapWait))
+		at = now + int64(n.cfg.GapWait)
 	}
 	sh.setDeadline(fs, dlGap, at)
 }
@@ -113,9 +113,9 @@ func (n *Node) watchGap(sh *shard, fs *flowState) {
 // block forever. Any partial message in the stream lost its continuation
 // with the hole, so the buffered bytes are dropped and the resync filter
 // re-aligns delivery on the next plausible message boundary.
-func (n *Node) skipGap(sh *shard, fs *flowState) {
+func (n *Node) skipGap(sh *shard, fs *flowState, now int64) {
 	if fs.tail.rx.buffered == 0 || fs.nextSeq != fs.tail.rx.gapSeq {
-		n.watchGap(sh, fs) // progress since arming: watch the new hole, if any
+		n.watchGap(sh, fs, now) // progress since arming: watch the new hole, if any
 		return
 	}
 	next := fs.nextSeq
@@ -124,7 +124,7 @@ func (n *Node) skipGap(sh *shard, fs *flowState) {
 	}
 	n.skipStream(sh, fs, next)
 	n.spliceChunks(sh, fs)
-	n.watchGap(sh, fs)
+	n.watchGap(sh, fs, now)
 	fs.advance(sh.ctr)
 }
 
@@ -175,10 +175,6 @@ func (n *Node) drainStream(sh *shard, fs *flowState, rx *rxTail) {
 		}
 		rx.tainted = false // authenticated: framing provably re-aligned
 		sh.ctr[cMessagesDelivered]++
-		select {
-		case n.received <- Message{Flow: fs.flow, Data: plain}:
-		default:
-			sh.ctr[cAppDropped]++
-		}
+		sh.delivered = append(sh.delivered, Message{Flow: fs.flow, Data: plain}) // the driver hands it to Received
 	}
 }

@@ -15,17 +15,18 @@
 // A node carrying many flows must not funnel them through one lock. The
 // flow table is striped into 2^k shards by a hash of the clear-text
 // flow-id; every flow lives its whole life on one shard. Each shard owns a
-// bounded inbound queue drained in bursts by a dedicated worker goroutine
-// (one shutdown check per burst), its own flow map, its own reused framing
-// and regeneration scratch, its own deterministic RNG, and its own activity
+// bounded inbound queue, its own flow map, its own egress slab and
+// regeneration scratch, its own deterministic RNG, and its own activity
 // counters, so packets of unrelated flows touch no shared mutable state. The
-// transport handler only classifies the datagram and enqueues it; all
-// parsing and forwarding happens on the shard worker, which is the shard's
-// one owner: nothing else reads or writes its flows. The set-up, round and
-// gap waits are entries in the worker's deadline queue (deadline.go), and
-// whatever else needs a look — the GC and heartbeat sweeps, stats, Close —
-// hands the worker a closure through the shard's mailbox (shard.do) instead
-// of taking a lock.
+// transport handler only classifies the datagram and enqueues it.
+//
+// A shard is a state machine driven by two calls: step(now, burst) parses
+// and dispatches one burst; tick(now) runs the flow waits due by now, then the
+// GC batch and the heartbeat sweep when their instants have come. Neither
+// touches a channel, timer, clock or transport: they leave frames in egress,
+// opened messages and the next instant on the shard. runShard, the shard's
+// one worker goroutine, is the driver that reads the clock, calls them and
+// acts on what they left; its mailbox (shard.do) carries only snapshot reads.
 //
 // # Multi-tenant flow table
 //
@@ -41,7 +42,7 @@
 // Admission is metered globally (MaxFlows) and, optionally, per tenant —
 // the previous-hop node that created the flow (TenantQuota) — and idle
 // flows age out via an intrusive LRU list walked incrementally by the GC
-// tick, so eviction work is proportional to what expired, not to the
+// sweep, so eviction work is proportional to what expired, not to the
 // table size. See DESIGN.md, "Multi-tenant flow table".
 package relay
 
@@ -94,24 +95,14 @@ type Config struct {
 	// cannot starve admission for everyone else (flows_rejected counts its
 	// rejected creations).
 	TenantQuota int
-	// Shards is the number of flow-table stripes, each with its own worker
-	// pipeline; it is rounded up to a power of two. Defaults to GOMAXPROCS
+	// Shards is the number of flow-table stripes, each with its own queue
+	// and worker; it is rounded up to a power of two. Defaults to GOMAXPROCS
 	// (rounded up, capped at 64). A node on any Clock but simnet.Wall runs
 	// one shard, whatever is set here.
 	Shards int
-	// QueueDepth bounds each shard's inbound packet queue; packets arriving
-	// at a full queue are dropped (datagram semantics) and counted in
-	// queue_drops. Default 1024.
-	QueueDepth int
-	// Burst bounds how many queued packets a shard worker drains per wakeup.
-	// Headers for the whole burst are parsed before any flow state is
-	// touched; then the shutdown check runs once, egress drains once, and
-	// the packets' clock holds are released together — amortizing per-packet
-	// overhead the way writev batching does for the peer writer. Default 64.
-	Burst int
 	// Heartbeat enables the live-churn control plane: every established
 	// flow sends a per-flow keepalive to each child at this interval, and
-	// the same ticker drives parent-liveness checks. Zero (the default)
+	// the same sweep drives parent-liveness checks. Zero (the default)
 	// disables the control plane entirely — the node behaves exactly like
 	// the passive, redundancy-only relay.
 	Heartbeat time.Duration
@@ -132,6 +123,12 @@ type Config struct {
 	// simnet.VirtualClock to run the node in deterministic virtual time.
 	Clock simnet.Clock
 }
+
+// A shard's queue holds queueDepth packets; one arriving at a full queue is
+// dropped and counted in queue_drops. Its worker steps up to maxBurst at once,
+// reading the clock, draining egress and releasing clock holds once per burst,
+// as writev batching amortizes the peer writer's per-frame cost.
+const queueDepth, maxBurst = 1024, 64
 
 func (c *Config) fillDefaults() {
 	if c.SetupWait == 0 {
@@ -159,15 +156,6 @@ func (c *Config) fillDefaults() {
 		c.Shards = 64
 	}
 	c.Shards = metrics.CeilPow2(c.Shards)
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 1024
-	}
-	if c.Burst <= 0 {
-		c.Burst = 64
-	}
-	if c.Burst > c.QueueDepth {
-		c.Burst = c.QueueDepth
-	}
 	if c.Heartbeat > 0 && c.LivenessTimeout == 0 {
 		c.LivenessTimeout = 4 * c.Heartbeat
 	}
@@ -298,11 +286,6 @@ type Node struct {
 	closeDone chan struct{}
 	wg        sync.WaitGroup
 
-	// Periodic work runs as clock tasks so a virtual clock can fire the GC
-	// and heartbeat sweeps deterministically.
-	gcTask   simnet.Task
-	ctrlTask simnet.Task
-
 	// egPool backs the refcounted egress slabs; owned is the transport's
 	// zero-copy batch entry point when it offers one (nil ⇒ every egress
 	// frame falls back to the copying per-frame Send).
@@ -321,12 +304,12 @@ type shard struct {
 	// the worker mutates it, with the map itself.
 	filter *cuckooFilter
 
-	// The mailbox (post, do): one closure handed to the worker, and the
-	// worker's word that it ran. done and closed are the node's: Close has
-	// begun, Close has joined the workers and swept.
+	// The mailbox (do) and the worker's word that a call ran; the node's
+	// Close has begun, and has swept; the clock timer's wake token, a hold.
 	mail         chan func()
 	ran          chan struct{}
 	done, closed <-chan struct{}
+	wake         chan func()
 
 	// Everything below belongs to the worker goroutine alone (DESIGN.md,
 	// "One owner per shard").
@@ -338,10 +321,7 @@ type shard struct {
 	lruTail *flowState
 	ctr     metrics.Block // shardVocab
 	rng     *rand.Rand
-
-	// pktBuf is the control-plane framing buffer, reused for every flow on
-	// this shard. (Forwarding's regeneration scratch is egress-side: eg.regen.)
-	pktBuf []byte
+	parsed  [maxBurst]wire.Packet // step's header scratch; handlers that keep a packet clone it
 
 	// The tail of the last flow to come to rest, the scratch a routing block
 	// decodes into before its flow copies it out, and a round's data map.
@@ -358,28 +338,29 @@ type shard struct {
 	// ownScratch gathers a flow's own set-up slices for a decode attempt.
 	ownScratch []code.Slice
 
-	// The deadline queue (deadline.go): the flows with a wait pending, and
-	// the one clock timer that wakes the worker for its head. tickAt is the
-	// instant the timer is armed for, zero when it is not.
-	deadlines deadlineQueue
-	armSeq    uint64
-	tick      simnet.Timer
-	tickAt    int64
-	onTick    func() // tick's callback, built once: posts runDeadlines
+	// The deadline queue (deadline.go), and the instants of the next GC batch
+	// and heartbeat sweep (hbAt zero: the control plane is off).
+	deadlines  deadlineQueue
+	armSeq     uint64
+	gcAt, hbAt int64
 
-	// Egress (egress.go): rounds forwarded during a burst are framed into
-	// eg's open slab and leave at its tail; the slab stays open across
-	// bursts until it is full or the node closes.
-	eg egState
+	// What a step or tick leaves for the driver: every frame, filed by
+	// destination (egress.go), and the messages opened at a destination.
+	eg        egState
+	delivered []Message
+
+	// The driver's clock timer, armed for tickAt (zero: not armed); its
+	// callback, built once, hands the worker a wake token.
+	timer   simnet.Timer
+	tickAt  int64
+	onTimer func()
 }
 
 type inPkt struct {
 	from wire.NodeID
 	data []byte
-	// release returns the packet's busy token to the clock once the shard
-	// worker has fully processed it — the hook that lets a virtual clock
-	// know the universe has not quiesced while packets sit in shard queues.
-	// A no-op on the wall clock.
+	// release returns the packet's clock hold once the worker has processed
+	// it, so a virtual clock does not quiesce while packets sit in queues.
 	release func()
 }
 
@@ -495,34 +476,33 @@ func New(id wire.NodeID, tr overlay.Transport, cfg Config) (*Node, error) {
 	for i := range n.shards {
 		sh := &shard{
 			idx:     i,
-			in:      make(chan inPkt, cfg.QueueDepth),
+			in:      make(chan inPkt, queueDepth),
 			mail:    make(chan func()),
 			ran:     make(chan struct{}),
 			done:    n.done,
 			closed:  n.closeDone,
+			wake:    make(chan func(), 1),
 			flows:   make(map[wire.FlowID]*flowState),
 			ctr:     make(metrics.Block, nShardCounters),
 			filter:  newCuckooFilter(perShard),
 			rng:     rand.New(rand.NewSource(cfg.Rng.Int63())),
 			eg:      egState{rng: rand.New(rand.NewSource(cfg.Rng.Int63()))},
 			byChild: make(map[childKey]wire.FlowID),
+			gcAt:    int64(cfg.GCInterval),
+			hbAt:    int64(cfg.Heartbeat),
 		}
-		runDue := func() { n.runDeadlines(sh) }
-		sh.onTick = func() { sh.post(runDue) }
+		sh.onTimer = func() { n.wakeShard(sh) }
 		n.shards[i] = sh
 	}
-	n.egPool = transport.NewSlabPool(0, 0)
+	n.egPool = transport.NewSlabPool(slabSize, 0)
 	n.owned, _ = tr.(overlay.OwnedSender)
 	if err := tr.Attach(id, n.onPacket); err != nil {
 		return nil, err
 	}
 	for _, sh := range n.shards {
+		n.arm(sh)
 		n.wg.Add(1)
 		go n.runShard(sh)
-	}
-	n.gcTask = n.clk.Every(cfg.GCInterval, n.gcSweep)
-	if cfg.Heartbeat > 0 {
-		n.ctrlTask = n.clk.Every(cfg.Heartbeat, n.controlSweep)
 	}
 	return n, nil
 }
@@ -637,12 +617,8 @@ func (n *Node) Close() {
 		defer close(n.closeDone)
 		close(n.done)
 		n.tr.Detach(n.id)
-		n.gcTask.Stop()
-		if n.ctrlTask != nil {
-			n.ctrlTask.Stop()
-		}
 		for _, sh := range n.shards {
-			sh.mail <- nil // the worker's cue to exit: its wait watches two channels, not three
+			sh.mail <- nil // the worker's cue to exit
 		}
 		n.wg.Wait()
 		for _, sh := range n.shards {
@@ -656,55 +632,27 @@ func (n *Node) Close() {
 			for _, fs := range sh.flows {
 				n.removeFlow(sh, fs, false)
 			}
-			n.armTick(sh) // nothing is pending any more: stops the timer
-			sh.eg.close() // every burst's egress left at its tail
+			if sh.tickAt != 0 {
+				sh.timer.Stop()
+				sh.tickAt = 0
+			}
+			sh.dropWake()
+			sh.eg.close() // every step's egress left at its tail
 		}
 	})
 	<-n.closeDone
 }
 
-// post runs fn on the shard's worker, between bursts, and returns when it
-// has run. Once Close has begun it reports false without running fn: the
-// worker may be gone, and Close itself does what a sweep or tick would.
-func (sh *shard) post(fn func()) bool {
+// do runs fn on the shard's worker, between steps. Once Close has begun the
+// worker may be gone: fn then runs on the caller once Close has swept,
+// against a shard nothing writes any more.
+func (sh *shard) do(fn func()) {
 	select {
 	case sh.mail <- fn:
 		<-sh.ran
-		return true
 	case <-sh.done:
-		return false
-	}
-}
-
-// do is post for callers that want an answer whatever the node's state
-// (queries, tests): once Close has joined the workers and swept, fn runs on
-// the caller, against a shard nothing writes any more.
-func (sh *shard) do(fn func()) {
-	if !sh.post(fn) {
 		<-sh.closed
 		fn()
-	}
-}
-
-// gcSweep evicts idle flows; it runs as a periodic clock task. The sweep
-// is incremental: each shard walks its LRU list from the cold end and
-// stops at the first flow inside the TTL (the list is ordered by
-// lastActive, so everything behind it is live too), keeping the worker
-// for O(evicted+1) work instead of a full-map scan — at large flow
-// counts the old scan was itself the p99 cliff. At most gcBatch flows go
-// per shard per tick; a mass expiry drains over successive ticks.
-func (n *Node) gcSweep() {
-	now := n.stamp(n.clk.Now())
-	for _, sh := range n.shards {
-		sh.post(func() {
-			for i := 0; i < gcBatch; i++ {
-				fs := sh.lruHead
-				if fs == nil || now-fs.lastActive <= int64(n.cfg.FlowTTL) {
-					break
-				}
-				n.removeFlow(sh, fs, true)
-			}
-		})
 	}
 }
 
@@ -729,10 +677,8 @@ func (n *Node) onPacket(from wire.NodeID, data []byte) {
 		n.ctr.Add(uint64(from), cRunts, 1)
 		return
 	}
-	select {
-	case <-n.done:
+	if n.closing() {
 		return
-	default:
 	}
 	t := wire.MsgType(data[0])
 	if t == wire.MsgAck || t == wire.MsgParentDown {
@@ -767,15 +713,14 @@ func (n *Node) enqueue(sh *shard, from wire.NodeID, data []byte, release func())
 	}
 }
 
-// runShard is a shard's worker, the one goroutine that touches its flows:
-// it drains the queue in bursts of up to Config.Burst packets, and between
-// bursts runs what the mailbox hands it. The burst and parse scratch are
-// reused forever; entries are zeroed after release so the worker never pins
-// receive buffers between bursts.
+// runShard is a shard's worker, the one goroutine that touches its flows,
+// and the driver of its two calls: a queued packet is stepped with what else
+// is queued, up to maxBurst; a wake token ticks; after either, flush acts on
+// what they left. Between them it runs what the mailbox hands it. Burst
+// entries are zeroed after release, so no receive buffer stays pinned.
 func (n *Node) runShard(sh *shard) {
 	defer n.wg.Done()
-	burst := make([]inPkt, 0, n.cfg.Burst)
-	parsed := make([]wire.Packet, n.cfg.Burst)
+	burst := make([]inPkt, 0, maxBurst)
 	for {
 		select {
 		case fn := <-sh.mail:
@@ -783,30 +728,31 @@ func (n *Node) runShard(sh *shard) {
 				return // Close; it releases whatever is still queued
 			}
 			fn()
-			n.endBurst(sh)
 			sh.ran <- struct{}{}
-		case p := <-sh.in:
-			// One packet is in hand; opportunistically take whatever else
-			// is already queued, up to the burst bound.
-			burst = append(burst[:0], p)
-		fill:
-			for len(burst) < n.cfg.Burst {
-				select {
-				case q := <-sh.in:
-					burst = append(burst, q)
-				default:
-					break fill
+		case release := <-sh.wake:
+			if now := n.stamp(n.clk.Now()); !n.closing() {
+				if now >= sh.tickAt {
+					sh.tickAt = 0 // the timer has fired; flush re-arms for the next instant
 				}
+				n.tick(sh, now)
+				n.flush(sh)
 			}
-			n.processBurst(sh, burst, parsed)
-			// Egress drains before the burst's clock holds are released:
-			// under a virtual clock the sends must land in the same instant
-			// that admitted the packets, or quiescence would race the recode.
-			n.endBurst(sh)
-			// Releasing them together is safe for determinism: every packet
-			// in the burst acquired its hold at enqueue time, so the virtual
-			// clock could not have advanced past any of them; the batch only
-			// delays quiescence, never reorders it.
+			release()
+		case p := <-sh.in:
+			// The worker is the queue's only reader: what it holds is there.
+			for burst = append(burst[:0], p); len(burst) < maxBurst && len(sh.in) > 0; {
+				burst = append(burst, <-sh.in)
+			}
+			if n.closing() {
+				sh.ctr[cQueueAbandoned] += int64(len(burst))
+			} else {
+				n.step(sh, n.stamp(n.clk.Now()), burst)
+				n.flush(sh)
+			}
+			// Egress has drained, so under a virtual clock the sends land in
+			// the instant that admitted the packets. Releasing the holds
+			// together only delays quiescence: each was taken at enqueue,
+			// so the clock could not have passed any of them.
 			for i := range burst {
 				burst[i].release()
 				burst[i] = inPkt{}
@@ -815,32 +761,74 @@ func (n *Node) runShard(sh *shard) {
 	}
 }
 
-// endBurst is the tail of everything the worker runs, burst or mailbox call:
-// what was framed leaves, and the clock timer follows the deadline queue.
-func (n *Node) endBurst(sh *shard) {
-	n.runEgress(sh)
-	n.armTick(sh)
-}
-
-// processBurst parses every packet header in the burst into the worker's
-// reused parse scratch (parsed[i] for burst[i]; handlers that keep a packet
-// clone it), performs one shutdown check, reads the clock once, and
-// dispatches each packet as arriving at that instant. It does not release
-// clock holds — that is the caller's job.
-func (n *Node) processBurst(sh *shard, burst []inPkt, parsed []wire.Packet) {
+// closing reports whether Close has begun.
+func (n *Node) closing() bool {
 	select {
 	case <-n.done:
-		sh.ctr[cQueueAbandoned] += int64(len(burst)) // Close releases the holds
-		return
+		return true
+	default:
+		return false
+	}
+}
+
+// wakeShard is the clock timer's callback: it hands the worker a wake token
+// holding the clock, so that what the tick causes lands in the instant that
+// fired it. One queued token is enough, so a second is dropped; one queued as
+// Close drains is taken back. Whoever takes a token releases its hold.
+func (n *Node) wakeShard(sh *shard) {
+	release := n.clk.Hold()
+	select {
+	case sh.wake <- release:
+	default:
+		release()
+	}
+	if n.closing() {
+		sh.dropWake()
+	}
+}
+
+// dropWake releases a queued wake token's hold without ticking.
+func (sh *shard) dropWake() {
+	select {
+	case release := <-sh.wake:
+		release()
 	default:
 	}
+}
+
+// flush acts on what a step or tick left on the shard: the messages opened
+// here go to Received, every frame leaves through egress, and the clock timer
+// follows the shard's next instant.
+func (n *Node) flush(sh *shard) {
+	n.deliver(sh)
+	n.runEgress(sh)
+	n.arm(sh)
+}
+
+// deliver hands the messages opened on the shard to Received; one that finds
+// the channel full is dropped and counted in app_dropped.
+func (n *Node) deliver(sh *shard) {
+	for i, m := range sh.delivered {
+		select {
+		case n.received <- m:
+		default:
+			sh.ctr[cAppDropped]++
+		}
+		sh.delivered[i] = Message{}
+	}
+	sh.delivered = sh.delivered[:0]
+}
+
+// step parses every header of the burst (at most maxBurst) into the shard's
+// scratch, then dispatches each packet as arriving at stamp now.
+func (n *Node) step(sh *shard, now int64, burst []inPkt) {
+	parsed := sh.parsed[:len(burst)]
 	for i := range burst {
 		if wire.ParsePacket(burst[i].data, &parsed[i]) != nil || parsed[i].Type == 0 {
 			parsed[i].Type = 0
 			sh.ctr[cGarbage]++
 		}
 	}
-	now := n.stamp(n.clk.Now())
 	for i := range burst {
 		if parsed[i].Type != 0 {
 			n.dispatch(sh, burst[i].from, &parsed[i], now)
@@ -903,15 +891,3 @@ func (n *Node) dispatch(sh *shard, from wire.NodeID, pkt *wire.Packet, now int64
 
 // stamp puts a clock reading on the scale flow state keeps (ns since epoch).
 func (n *Node) stamp(t time.Time) int64 { return int64(t.Sub(n.epoch)) }
-
-// send hands one framed packet to the transport, counting it out.
-// Transports never block the caller (the non-blocking send contract): a
-// peer whose outbound queue is full sheds the packet and reports the
-// advisory ErrSendQueueFull, which is counted here — a shard worker or the
-// control sweep must never stall on a slow peer's TCP backpressure.
-func (n *Node) send(sh *shard, to wire.NodeID, buf []byte) {
-	sh.ctr[cPacketsOut]++
-	if err := n.tr.Send(n.id, to, buf); err != nil && errors.Is(err, overlay.ErrSendQueueFull) {
-		sh.ctr[cSendDrops]++
-	}
-}

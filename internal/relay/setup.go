@@ -12,8 +12,7 @@ import (
 // hop.
 func (n *Node) sendAck(sh *shard, fs *flowState) {
 	fs.ackSent = true
-	sh.pktBuf = wire.AppendPacketHeader(sh.pktBuf[:0], wire.MsgAck, fs.flow, 0, 0, 0, 0)
-	n.floodUpstream(sh, fs, sh.pktBuf)
+	sh.floodUpstream(fs, wire.AppendPacketHeader(n.claim(sh, wire.HeaderLen)[:0], wire.MsgAck, fs.flow, 0, 0, 0, 0))
 }
 
 // setupStage is a flow's set-up phase: each recorded hop's set-up packet, held
@@ -139,7 +138,8 @@ func (n *Node) establish(sh *shard, fs *flowState, d int) bool {
 	if pi.Receiver {
 		n.sendAck(sh, fs)
 	}
-	// Process any data that raced ahead of the decode.
+	// Process any data that raced ahead of the decode. Its frames leave behind
+	// the wave's, which egress drains ahead of data.
 	for _, pd := range st.pending {
 		n.handleData(sh, fs, pd.from, fs.hopIndex(pd.from), pd.seq, pd.slots)
 	}
@@ -148,7 +148,7 @@ func (n *Node) establish(sh *shard, fs *flowState, d int) bool {
 }
 
 // forwardSetup frames one packet per child straight into the shard's
-// framing buffer: all of it is padded in one go, then each slice-map slot is
+// egress slab: all of them are padded in one go, then each slice-map slot is
 // copied from the retained packet to its place and stripped of one
 // scrambling layer where it lies. Everything else — including slots whose
 // source packet never arrived — stays padding: packet size is constant (§9.4c).
@@ -158,8 +158,7 @@ func (n *Node) forwardSetup(sh *shard, fs *flowState) {
 	st := &fs.tail.stage
 	slotLen, nSlots := int(st.slotLen), int(st.nSlots)
 	frame := wire.HeaderLen + nSlots*slotLen
-	buf := slices.Grow(sh.pktBuf[:0], len(kids)*frame)[:len(kids)*frame]
-	sh.pktBuf = buf
+	buf := n.claim(sh, len(kids)*frame)
 	wire.FillRandom(buf, sh.rng)
 	for c, flow := range flows {
 		wire.AppendPacketHeader(buf[c*frame:c*frame], wire.MsgSetup, flow, 0, fs.route.d, st.slotLen, nSlots)
@@ -175,7 +174,7 @@ func (n *Node) forwardSetup(sh *shard, fs *flowState) {
 		e.Unscramble.Invert(dst)
 	}
 	for c, child := range kids {
-		n.send(sh, child, buf[c*frame:][:frame])
+		sh.batchFrame(child, buf[c*frame:][:frame:frame], ctlFrames)
 	}
 	sh.dropSetup(fs)
 }

@@ -63,10 +63,9 @@ func TestConcurrentFlowsStress(t *testing.T) {
 	n, err := New(1, tr, Config{
 		// Generous RoundWait: only churned rounds should time out, not
 		// healthy rounds briefly delayed by race-detector scheduling.
-		RoundWait:  400 * time.Millisecond,
-		Shards:     8,
-		QueueDepth: 4096,
-		Rng:        rand.New(rand.NewSource(1)),
+		RoundWait: 400 * time.Millisecond,
+		Shards:    8,
+		Rng:       rand.New(rand.NewSource(1)),
 	})
 	if err != nil {
 		t.Fatal(err)

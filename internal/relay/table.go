@@ -29,12 +29,11 @@ import (
 // fits, and map-derived parents bypass the cap entirely.
 const maxObservedHops = 64
 
-// gcBatch bounds evictions per shard per gcSweep tick. The sweep walks the
-// LRU list from the cold end and stops at the first live flow, so its cost
-// is O(evicted+1) rather than a full-map scan on the worker — at 1M flows
-// the old full scan was itself the latency cliff the sweep existed to
-// prevent. The batch cap keeps even a mass-expiry tick bounded; the
-// remainder ages out on following ticks.
+// gcBatch bounds the evictions of the GC batch a shard's tick runs every
+// GCInterval. The batch walks the LRU list from the cold end and stops at the
+// first live flow, so its cost is O(evicted+1) rather than a full-map scan —
+// at 1M flows such a scan was itself the latency cliff the sweep exists to
+// prevent. The cap bounds even a mass-expiry tick; the rest ages out later.
 const gcBatch = 1024
 
 // admit claims one flow-table slot against the global bound and, when

@@ -38,9 +38,9 @@ func (n *Node) tenantFlows() map[wire.NodeID]int64 {
 // refused by the worker's done-check — never a leaked flowCount. Queries ride
 // the workers' mailboxes, so they race Close too: one in flight when the
 // workers exit, or made on the closed node, must return (against the swept
-// table) rather than wait on a mailbox nobody reads, and so must a sweep or
-// a deadline tick that fires late. Run under -race this also exercises the
-// teardown ordering for data races.
+// table) rather than wait on a mailbox nobody reads, and a clock timer that
+// fires late must neither wedge nor outlive Close. Run under -race this also
+// exercises the teardown ordering for data races.
 func TestCloseInsertRaceFlowCount(t *testing.T) {
 	for round := 0; round < 8; round++ {
 		goroutines := runtime.NumGoroutine()
@@ -61,9 +61,9 @@ func TestCloseInsertRaceFlowCount(t *testing.T) {
 			}
 			n.Established(wire.FlowID(uint64(round) << 32))
 			n.tenantFlows()
-			n.gcSweep()
-			n.controlSweep()
-			n.shards[round%4].onTick()
+			for _, sh := range n.shards {
+				sh.onTimer()
+			}
 		}
 		var wg sync.WaitGroup
 		start := make(chan struct{})
@@ -371,7 +371,7 @@ func TestTenantQuotaNoStarvation(t *testing.T) {
 			}
 		}
 	})
-	n.gcSweep()
+	sh.do(func() { n.tick(sh, sh.gcAt) })
 	if got := n.FlowTableSize(); got != 2 {
 		t.Fatalf("table = %d flows after sweep, want 2", got)
 	}

@@ -159,8 +159,8 @@ func (fs *flowState) advance(c metrics.Block) {
 // round is GapWait old — when the receiver would skip it anyway, and after an
 // upstream relay has had its own RoundWait to forward it short. The wait
 // re-arms for the earliest instant still ahead.
-func (n *Node) roundDeadline(sh *shard, fs *flowState) {
-	w, now := &fs.win, n.stamp(n.clk.Now())
+func (n *Node) roundDeadline(sh *shard, fs *flowState, now int64) {
+	w := &fs.win
 	grace := int64(max(n.cfg.GapWait-n.cfg.RoundWait, 0)) // a hole's write-off lags the deadline above it
 	lastDue := w.low                                      // holes in [low, lastDue) are written off
 	for seq := w.low; seq != w.high; seq++ {
