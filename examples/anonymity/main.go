@@ -31,10 +31,8 @@ func main() {
 	fmt.Printf("deployment: N=%d nodes, adversary controls f=%.0f%%, graph L=%d d=%d\n\n",
 		*n, *f*100, *l, *d)
 
-	t := metrics.NewTable("anonymity and churn resilience vs added redundancy", "R")
-	src := t.AddSeries("srcAnon")
-	dst := t.AddSeries("dstAnon")
-	surv := t.AddSeries(fmt.Sprintf("P(success,p=%.2g)", *p))
+	src, dst := &metrics.Series{Name: "srcAnon"}, &metrics.Series{Name: "dstAnon"}
+	surv := &metrics.Series{Name: fmt.Sprintf("P(success,p=%.2g)", *p)}
 	for dp := *d; dp <= *d*3; dp++ {
 		r, err := anonymity.Simulate(anonymity.Params{
 			N: *n, L: *l, D: *d, DPrime: dp, F: *f, Trials: *trials,
@@ -48,7 +46,7 @@ func main() {
 		dst.Add(red, r.Destination)
 		surv.Add(red, eval.SlicingSuccess(*l, *d, dp, *p))
 	}
-	t.Fprint(os.Stdout)
+	metrics.NewTable("anonymity and churn resilience vs added redundancy", "R", src, dst, surv).Fprint(os.Stdout)
 
 	fmt.Println("\nreading the table: adding redundancy (R > 0) buys survival under churn")
 	fmt.Println("at a small cost in destination anonymity — the trade-off of Fig. 10 vs Fig. 16.")

@@ -92,14 +92,6 @@ func Simulate(p Params) (Result, error) {
 	return res, nil
 }
 
-// SimulateChaum evaluates a Chaum-mix / onion path of the same length: a
-// degenerate graph with one node per stage (d = d' = 1), the comparison
-// curve of Fig. 7.
-func SimulateChaum(p Params) (Result, error) {
-	p.D, p.DPrime = 1, 1
-	return Simulate(p)
-}
-
 // trial samples one graph + attacker and evaluates both anonymities.
 func trial(p *Params) (srcAnon, dstAnon float64, srcCase1, dstCase1 bool) {
 	w := p.DPrime

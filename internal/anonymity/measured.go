@@ -37,10 +37,12 @@ type MeasuredParams struct {
 	ChurnDown float64
 }
 
-// MeasuredResult extends Result with delivery accounting.
+// MeasuredResult extends Result with delivery accounting across all
+// trials: Sent = Deliveries + Lost.
 type MeasuredResult struct {
 	Result
-	Deliveries int64 // slices delivered across all trials
+	Sent       int64 // slices sent
+	Deliveries int64 // slices received
 	Lost       int64 // slices dropped (loss, dead relays)
 }
 
@@ -57,6 +59,8 @@ type measuredEval struct {
 
 	// recvTrial[id-1] = latest trial in which node id received a slice.
 	recvTrial []uint32
+
+	sent, received int64 // slices, across trials
 }
 
 func (e *measuredEval) compromised(id wire.NodeID) bool {
@@ -78,6 +82,7 @@ func splitmix64(x uint64) uint64 {
 func (e *measuredEval) handler(self wire.NodeID) func(wire.NodeID, []byte) {
 	idx := int(self) - 1
 	return func(_ wire.NodeID, data []byte) {
+		e.received++
 		if e.recvTrial[idx] == e.trial {
 			return // duplicate slice this trial; already forwarded
 		}
@@ -86,10 +91,16 @@ func (e *measuredEval) handler(self wire.NodeID) func(wire.NodeID, []byte) {
 		if l >= len(e.stages) {
 			return
 		}
-		fwd := []byte{byte(l + 1)}
-		for _, nb := range e.stages[l] {
-			_ = e.net.Send(self, nb, fwd)
-		}
+		e.send(self, e.stages[l], byte(l+1))
+	}
+}
+
+// send sends one slice bound for stage from self to each relay of to.
+func (e *measuredEval) send(self wire.NodeID, to []wire.NodeID, stage byte) {
+	slice := []byte{stage}
+	for _, nb := range to {
+		_ = e.net.Send(self, nb, slice)
+		e.sent++
 	}
 }
 
@@ -154,9 +165,7 @@ func SimulateMeasured(mp MeasuredParams) (MeasuredResult, error) {
 
 		// Inject stage-1 slices from the source and run the exchange to
 		// quiescence.
-		for _, nb := range stages[0] {
-			_ = e.net.Send(src, nb, []byte{1})
-		}
+		e.send(src, stages[0], 1)
 		clk.RunUntilIdle()
 
 		for _, id := range down {
@@ -189,8 +198,9 @@ func SimulateMeasured(mp MeasuredParams) (MeasuredResult, error) {
 			res.DestCase1++
 		}
 	}
-	st := e.net.Counters()
-	res.Deliveries, res.Lost = st.Get("packets")-st.Get("lost"), st.Get("lost")
+	// A send to a down relay is lost without counting as a packet, so
+	// receipts are counted where they land.
+	res.Sent, res.Deliveries, res.Lost = e.sent, e.received, e.net.Counters().Get("lost")
 	n := float64(p.Trials)
 	res.Source /= n
 	res.Destination /= n

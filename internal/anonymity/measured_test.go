@@ -98,3 +98,20 @@ func TestMeasuredDeterministic(t *testing.T) {
 		t.Fatalf("same seed, different results:\n%+v\n%+v", a, b)
 	}
 }
+
+// Heavy churn: a slice sent to a relay that is down is lost before the
+// network counts it as a packet, so deliveries are counted where slices
+// land. Every slice sent is received or lost.
+func TestMeasuredCountsEverySlice(t *testing.T) {
+	r, err := SimulateMeasured(MeasuredParams{
+		Params:    Params{N: 3_000, L: 8, D: 3, F: 0.1, Trials: 20},
+		Seed:      1,
+		ChurnDown: 0.9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Lost == 0 || r.Deliveries < 0 || r.Deliveries+r.Lost != r.Sent {
+		t.Fatalf("%d slices sent, %d delivered, %d lost", r.Sent, r.Deliveries, r.Lost)
+	}
+}

@@ -1,11 +1,13 @@
-// Package eval reproduces the evaluation of §7 and §8 of the paper: the
-// throughput and set-up figures (Figs. 11-15, perf.go), the analytic and
-// experimental churn figures (Figs. 16-17, churn.go) and this repository's
-// live-repair extension (Fig. 19, repair.go).
+// Package eval reproduces the evaluation of the paper. figures.go declares
+// every printed figure once, with its parameters: the anonymity figures of
+// §6 (Figs. 7-10, from package anonymity's sweeps), the throughput and
+// set-up figures of §7 (Figs. 11-15, perf.go), the analytic and
+// experimental churn figures of §8 (Figs. 16-17, churn.go) and this
+// repository's live-repair extension (Fig. 19, repair.go).
 //
-// Every run is one virtual universe, a testbed: a simnet.Script hosting the
-// full protocol stacks — relays with their real timers, slicing sources,
-// onion relays and senders. Every time is read from the virtual clock, so
+// Every run of §7 and §8 is one virtual universe, a testbed: a
+// simnet.Script hosting the full protocol stacks — relays with their real
+// timers, slicing sources, onion relays and senders. Every time is read from the virtual clock, so
 // each figure is a function of its seed.
 package eval
 

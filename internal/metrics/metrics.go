@@ -74,13 +74,6 @@ func NewTable(title, xlabel string, series ...*Series) *Table {
 	return &Table{Title: title, XLabel: xlabel, series: series}
 }
 
-// AddSeries registers a named series; call Series.Add to fill it.
-func (t *Table) AddSeries(name string) *Series {
-	s := &Series{Name: name}
-	t.series = append(t.series, s)
-	return s
-}
-
 // Fprint renders the table.
 func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "# %s\n", t.Title)

@@ -157,9 +157,8 @@ func TestCountersSnapshotsNeverDecrease(t *testing.T) {
 }
 
 func TestTableRendering(t *testing.T) {
-	tab := NewTable("Fig. X: demo", "x")
-	a := tab.AddSeries("alpha")
-	b := tab.AddSeries("beta")
+	a, b := &Series{Name: "alpha"}, &Series{Name: "beta"}
+	tab := NewTable("Fig. X: demo", "x", a, b)
 	a.Add(1, 0.5)
 	a.Add(2, 0.25)
 	b.Add(1, 0.9)
