@@ -13,7 +13,7 @@
 //
 // Every table is a function of -seed: Figs. 7-10 draw from seeded
 // generators, and Figs. 11-19 run the real protocol stacks on virtual
-// time.
+// time. FIGURES.txt holds the output at -seed 1.
 //
 // With -measured the tool instead re-runs Fig. 7 on a -nodes simnet
 // overlay, -trials per point: the attacker observes only the slices the

@@ -94,7 +94,7 @@ func (t *Table) Fprint(w io.Writer) {
 		}
 	}
 	for _, x := range xs {
-		row := []string{fmt.Sprintf("%g", x)}
+		row := []string{fmt.Sprintf("%.4g", x)}
 		for _, s := range t.series {
 			v, ok := lookup(s, x)
 			if ok {

@@ -179,4 +179,10 @@ func TestTableRendering(t *testing.T) {
 	if !strings.Contains(lines[3], "-") {
 		t.Fatalf("missing gap marker: %q", lines[3])
 	}
+	// x prints like y, to four significant digits, inside its column.
+	sb.Reset()
+	NewTable("", "x", &Series{Name: "y", X: []float64{1.0 / 3}, Y: []float64{2.0 / 3}}).Fprint(&sb)
+	if row := strings.Split(sb.String(), "\n")[2]; row != "0.3333          0.6667        " {
+		t.Fatalf("row %q", row)
+	}
 }
