@@ -12,8 +12,8 @@
 //	figures -fig 0    all of them
 //
 // Every table is a function of -seed: Figs. 7-10 draw from seeded
-// generators, and Figs. 11-19 run the real protocol stacks on virtual
-// time. FIGURES.txt holds the output at -seed 1.
+// generators, Fig. 16 is closed-form, and the rest run the real protocol
+// stacks on virtual time. FIGURES.txt holds the output at -seed 1.
 //
 // With -measured the tool instead re-runs Fig. 7 on a -nodes simnet
 // overlay, -trials per point: the attacker observes only the slices the
