@@ -123,9 +123,11 @@ func FuzzStreamSplitter(f *testing.F) {
 	})
 }
 
+// datagramOf builds a data datagram that requests an ack, as a sender's
+// RTT probe does.
 func datagramOf(seq uint32, body []byte) []byte {
 	b := append([]byte(nil), dgMagic[:]...)
-	b = append(b, dgKindData, 0, 0, 0, 0)
+	b = append(b, dgKindData|dgAckReq, 0, 0, 0, 0)
 	binary.BigEndian.PutUint32(b[5:], seq)
 	return append(b, body...)
 }
@@ -148,7 +150,7 @@ func FuzzDatagram(f *testing.F) {
 	f.Add([]byte("not-a-datagram-at-all!"))
 	f.Fuzz(func(t *testing.T, dg []byte) {
 		var want []refFrame
-		if len(dg) >= dgHdrLen && [4]byte(dg[:4]) == dgMagic && dg[4] == dgKindData {
+		if len(dg) >= dgHdrLen && [4]byte(dg[:4]) == dgMagic && dg[4]&^dgAckReq == dgKindData {
 			want, _ = refSplit(dg[dgHdrLen:], fuzzMaxFrame)
 		}
 		staging := append([]byte(nil), dg...)
@@ -176,4 +178,90 @@ func TestDatagramHostileLengthDropsTail(t *testing.T) {
 			t.Fatalf("claim %#x: delivered %d frames, want only the one before the hostile header", claim, len(got))
 		}
 	}
+}
+
+// FuzzUDPAck drives one sender's congestion state with a script of sends
+// (as many as the window lets out, as the writer does), acks — raw bytes
+// through the ack parser, or lies built around the live seq space — RTOs
+// and redials. Whatever a receiver claims, nothing panics, the flight
+// nextSeq − ackSeq never goes negative, the window stays within
+// [1, MaxWindow], and an ack claiming datagrams never sent is refused and
+// counted under acks_future. The committed corpus (testdata/fuzz) holds the
+// liars by name: an ack of the future, counts that run ahead of the seqs,
+// stale and wrapped seqs, late acks after an RTO or a redial.
+func FuzzUDPAck(f *testing.F) {
+	ackOf := func(seq uint32, count uint64) []byte {
+		b := append([]byte(nil), dgMagic[:]...)
+		b = append(b, dgKindAck)
+		b = binary.BigEndian.AppendUint32(b, seq)
+		return binary.BigEndian.AppendUint64(b, count)
+	}
+	const maxWindow = 64
+	f.Fuzz(func(t *testing.T, script []byte) {
+		ucfg := UDPConfig{InitialWindow: 8, MaxWindow: maxWindow}
+		ucfg.fillDefaults()
+		p := &UDPPeer{
+			outbox:    outbox{ctr: NewCounters()},
+			ucfg:      ucfg,
+			est:       newRTTEstimator(0, 0),
+			win:       newCubicWindow(float64(ucfg.InitialWindow), float64(ucfg.MaxWindow)),
+			ackSignal: make(chan struct{}, 1),
+		}
+		dgs := make([][]byte, 32)
+		for i := range dgs {
+			dgs[i] = make([]byte, dgHdrLen)
+		}
+		var futures int64
+		for step := 0; len(script) > 0; step++ {
+			op := script[0]
+			script = script[1:]
+			future := int64(0)
+			switch op % 4 {
+			case 0: // the writer sends what the window lets out
+				if n := min(1+int(op>>2)%len(dgs), p.windowRoom()); n > 0 {
+					p.stampSeqs(dgs[:n])
+				}
+			case 1: // raw bytes off the socket
+				n := min(udpAckLen, len(script))
+				if seq, count, ok := parseAck(script[:n]); ok {
+					if int32(seq-p.nextSeq) > 0 {
+						future = 1
+					}
+					p.handleAck(seq, count)
+				}
+				script = script[n:]
+			case 2: // an ack around the live seq space
+				if len(script) < 2 {
+					script = nil
+					continue
+				}
+				dseq, dcount := int8(script[0]), int8(script[1])
+				script = script[2:]
+				seq, count, ok := parseAck(ackOf(p.nextSeq+uint32(int32(dseq)), p.ackCount+uint64(int64(dcount))))
+				if !ok {
+					t.Fatal("parseAck refused a well-formed ack")
+				}
+				if dseq > 0 {
+					future = 1
+				}
+				p.handleAck(seq, count)
+			case 3:
+				if op&4 != 0 {
+					p.onRTO()
+				} else {
+					p.resetAckState()
+				}
+			}
+			futures += future
+			if flight := int32(p.nextSeq - p.ackSeq); flight < 0 {
+				t.Fatalf("step %d: flight %d (nextSeq %d, ackSeq %d)", step, flight, p.nextSeq, p.ackSeq)
+			}
+			if w := p.win.Window(); w < 1 || w > maxWindow {
+				t.Fatalf("step %d: window %d outside [1, %d]", step, w, maxWindow)
+			}
+		}
+		if got := p.counters().Get("acks_future"); got != futures {
+			t.Fatalf("acks_future = %d, want %d", got, futures)
+		}
+	})
 }

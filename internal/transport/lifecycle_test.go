@@ -260,3 +260,32 @@ func TestCloseEnqueueRace(t *testing.T) {
 		})
 	}
 }
+
+// QueueLen counts frames, not queue entries: an owned batch of 8 is one
+// entry carrying 8 frames, and SendDelay reads the queue in frames. No
+// writer runs, so nothing leaves the queue until it is discarded.
+func TestQueueLenCountsFrames(t *testing.T) {
+	cfg := testConfig()
+	cfg.fillDefaults()
+	o := newOutbox(cfg, func() (string, bool) { return "", false }, NewCounters())
+	b := newBurst("1", "2", "3", "4", "5", "6", "7", "8")
+	if !o.EnqueueOwned(1, b.bufs, b.release) {
+		t.Fatal("owned batch rejected")
+	}
+	if got := o.QueueLen(); got != 8 {
+		t.Fatalf("QueueLen = %d after one owned batch of 8 frames, want 8", got)
+	}
+	if !o.Enqueue(1, []byte("copied")) {
+		t.Fatal("copied frame rejected")
+	}
+	if got := o.QueueLen(); got != 9 {
+		t.Fatalf("QueueLen = %d after one more copied frame, want 9", got)
+	}
+	o.discardQueue()
+	if got, dropped := o.QueueLen(), o.counters().Get("dropped"); got != 0 || dropped != 9 {
+		t.Fatalf("after discard: QueueLen = %d, dropped = %d; want 0 and 9", got, dropped)
+	}
+	if got := b.released.Load(); got != 1 {
+		t.Fatalf("owned batch released %d times, want once", got)
+	}
+}

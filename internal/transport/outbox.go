@@ -34,7 +34,7 @@ func (f outFrame) frames() int64 {
 // payload views stay in the caller's refcounted buffer, release gives the
 // reference back, and hdrs is a pre-built arena of 8-byte wire headers
 // (one per frame) so the TCP writer can writev header‖payload pairs
-// without copying either. Pooled via outbox.freeOB.
+// without copying either. Pooled on the outbox's envelope freelist.
 type ownedBatch struct {
 	from    wire.NodeID
 	bufs    [][]byte
@@ -43,20 +43,35 @@ type ownedBatch struct {
 }
 
 // outbox is the transport-agnostic half of a peer: the bounded outbound
-// frame queue, the freelist of frame buffers, and the whole writer
-// lifecycle — next-batch selection, graceful drain vs immediate kill,
-// dead-then-reap exit, the connection holder, resolve→dial→backoff. The TCP
-// Peer and the UDPPeer embed it and add only their flavour (dial and flush:
-// stream writev on one side, congestion-controlled sendmmsg on the other),
-// so Enqueue semantics, drop accounting, and Close behaviour are identical
-// across transports by construction.
+// frame queue, the freelists of frame buffers and batch envelopes, and the
+// whole writer lifecycle — next-batch selection, graceful drain vs
+// immediate kill, dead-then-reap exit, the connection holder,
+// resolve→dial→backoff. The TCP Peer and the UDPPeer embed it and add only
+// their flavour (dial and flush: stream writev on one side,
+// congestion-controlled sendmmsg on the other), so Enqueue semantics, drop
+// accounting, and Close behaviour are identical across transports by
+// construction.
 type outbox struct {
 	cfg     Config
 	resolve func() (string, bool)
 
-	out    chan outFrame    // framed buffers / owned batches awaiting the writer
-	free   chan []byte      // recycled copied-frame buffers
-	freeOB chan *ownedBatch // recycled owned-batch envelopes
+	// The queue and both freelists live under one lock, so a frame costs
+	// producers one lock round trip and the writer takes, and later
+	// recycles, a whole batch per lock. Nothing allocates while holding
+	// it. ring is a circular buffer of QueueDepth entries, head..head+n;
+	// queued counts the frames they carry (an owned batch is one entry of
+	// many frames).
+	mu     sync.Mutex
+	ring   []outFrame
+	head   int
+	n      int
+	queued int
+	free   [][]byte      // recycled copied-frame buffers
+	freeOB []*ownedBatch // recycled owned-batch envelopes
+	// wake holds one token, put there by the producer that takes the queue
+	// from empty to non-empty; the writer parks on it only when it found
+	// the queue empty.
+	wake chan struct{}
 
 	// closed signals shutdown (writer drains then exits); killed is the
 	// immediate variant (CloseNow) that also interrupts backoff sleeps.
@@ -66,9 +81,9 @@ type outbox struct {
 	killOnce  sync.Once
 	immediate atomic.Bool
 	// dead is set by the writer just before its final queue reap, and
-	// checked by Enqueue after a successful send: a frame that slips into
-	// the queue while the writer is exiting is reaped by whichever side
-	// observes it last, so no frame is ever stranded (see Enqueue).
+	// checked after every successful push: a frame that slips into the
+	// queue while the writer is exiting is reaped by whichever side
+	// observes it last, so no frame is ever stranded (see pushed).
 	dead atomic.Bool
 	done chan struct{}
 
@@ -113,13 +128,31 @@ func newOutbox(cfg Config, resolve func() (string, bool), ctr *metrics.ShardedCo
 		key:     stripeKeys.Add(1),
 		backoff: cfg.BackoffMin,
 		jitter:  lazyRand{seed: simnet.NextSeed()},
-		out:     make(chan outFrame, cfg.QueueDepth),
-		free:    make(chan []byte, cfg.QueueDepth+cfg.MaxBatch),
-		freeOB:  make(chan *ownedBatch, cfg.QueueDepth),
+		ring:    make([]outFrame, cfg.QueueDepth),
+		free:    make([][]byte, 0, cfg.QueueDepth+cfg.MaxBatch),
+		freeOB:  make([]*ownedBatch, 0, cfg.QueueDepth),
+		wake:    make(chan struct{}, 1),
 		closed:  make(chan struct{}),
 		killed:  make(chan struct{}),
 		done:    make(chan struct{}),
 	}
+}
+
+// take moves up to MaxBatch queued entries onto batch under one lock.
+func (o *outbox) take(batch []outFrame) []outFrame {
+	o.mu.Lock()
+	for o.n > 0 && len(batch) < o.cfg.MaxBatch {
+		f := o.ring[o.head]
+		o.ring[o.head] = outFrame{}
+		if o.head++; o.head == len(o.ring) {
+			o.head = 0
+		}
+		o.n--
+		o.queued -= int(f.frames())
+		batch = append(batch, f)
+	}
+	o.mu.Unlock()
+	return batch
 }
 
 // Enqueue frames data (header ‖ payload, stamped with the sending node)
@@ -131,32 +164,26 @@ func (o *outbox) Enqueue(from wire.NodeID, data []byte) bool {
 		o.count(cDropped, 1)
 		return false
 	}
-	var buf []byte
-	select {
-	case buf = <-o.free:
-	default:
+	need := HeaderLen + len(data)
+	o.mu.Lock()
+	if o.n == len(o.ring) {
+		return o.shed(1, nil)
+	}
+	buf := o.popFree()
+	if cap(buf) < need {
+		// Nothing allocates under the lock: a GC assist there would stall
+		// every other producer, and the writer, behind this one.
+		o.mu.Unlock()
+		buf = make([]byte, 0, need)
+		o.mu.Lock()
+		if o.n == len(o.ring) {
+			return o.shed(1, nil)
+		}
 	}
 	var hdr [HeaderLen]byte
 	putHeader(hdr[:], from, len(data))
-	buf = append(buf[:0], hdr[:]...)
-	buf = append(buf, data...)
-	select {
-	case o.out <- outFrame{buf: buf}:
-		o.count(cEnqueued, 1)
-		if o.dead.Load() {
-			// Lost the race with the writer's exit. The writer sets dead
-			// strictly before its final reap, so either that reap already
-			// drained this frame or this discard will: nothing strands,
-			// and the frame is counted dropped instead of claimed sent.
-			o.discardQueue()
-			return false
-		}
-		return true
-	default:
-		o.recycle(buf)
-		o.count(cDropped, 1)
-		return false
-	}
+	buf = append(append(buf[:0], hdr[:]...), data...)
+	return o.pushed(outFrame{buf: buf})
 }
 
 // EnqueueOwned hands a burst of frames toward this peer by reference: the
@@ -184,11 +211,18 @@ func (o *outbox) EnqueueOwned(from wire.NodeID, bufs [][]byte, release func()) b
 			return false
 		}
 	}
-	var ob *ownedBatch
-	select {
-	case ob = <-o.freeOB:
-	default:
-		ob = &ownedBatch{}
+	o.mu.Lock()
+	if o.n == len(o.ring) {
+		return o.shed(n, release)
+	}
+	ob := o.popOwned()
+	if ob == nil || cap(ob.bufs) < len(bufs) || cap(ob.hdrs) < len(bufs)*HeaderLen {
+		o.mu.Unlock() // as in Enqueue: no allocation under the lock
+		ob = &ownedBatch{bufs: make([][]byte, 0, len(bufs)), hdrs: make([]byte, 0, len(bufs)*HeaderLen)}
+		o.mu.Lock()
+		if o.n == len(o.ring) {
+			return o.shed(n, release)
+		}
 	}
 	ob.from = from
 	ob.bufs = append(ob.bufs[:0], bufs...)
@@ -199,52 +233,85 @@ func (o *outbox) EnqueueOwned(from wire.NodeID, bufs [][]byte, release func()) b
 		putHeader(hdr[:], from, len(b))
 		ob.hdrs = append(ob.hdrs, hdr[:]...)
 	}
-	select {
-	case o.out <- outFrame{ob: ob}:
-		o.count(cEnqueued, n)
-		if o.dead.Load() {
-			// Same exit race as Enqueue: one side's reap consumes the
-			// batch (and its release) — nothing strands, nothing double-
-			// releases.
-			o.discardQueue()
-			return false
+	return o.pushed(outFrame{ob: ob})
+}
+
+// popFree and popOwned take a recycled frame buffer or batch envelope, nil
+// if there is none. Callers hold mu.
+func (o *outbox) popFree() []byte {
+	k := len(o.free)
+	if k == 0 {
+		return nil
+	}
+	buf := o.free[k-1]
+	o.free[k-1] = nil
+	o.free = o.free[:k-1]
+	return buf
+}
+
+func (o *outbox) popOwned() *ownedBatch {
+	k := len(o.freeOB)
+	if k == 0 {
+		return nil
+	}
+	ob := o.freeOB[k-1]
+	o.freeOB[k-1] = nil
+	o.freeOB = o.freeOB[:k-1]
+	return ob
+}
+
+// shed lets go of mu and drops an entry of n frames that found the queue
+// full, consuming its release if it has one.
+func (o *outbox) shed(n int64, release func()) bool {
+	o.mu.Unlock()
+	if release != nil {
+		release()
+	}
+	o.count(cDropped, n)
+	return false
+}
+
+// pushed queues f and lets go of mu; the caller holds mu and has checked
+// there is room. The producer that takes the queue from empty hands the
+// writer its wake token (one is enough: the writer empties the queue
+// before it parks again).
+func (o *outbox) pushed(f outFrame) bool {
+	n := f.frames() // once f is queued the writer may recycle it
+	i := o.head + o.n
+	if i >= len(o.ring) {
+		i -= len(o.ring)
+	}
+	o.ring[i] = f
+	o.n++
+	o.queued += int(n)
+	wasEmpty := o.n == 1
+	o.mu.Unlock()
+	if wasEmpty {
+		select {
+		case o.wake <- struct{}{}:
+		default:
 		}
-		return true
-	default:
-		o.finishOwned(ob)
-		o.count(cDropped, n)
+	}
+	o.count(cEnqueued, n)
+	if o.dead.Load() {
+		// Lost the race with the writer's exit. The writer sets dead
+		// strictly before its final reap, so either that reap already
+		// drained this entry or this discard will: nothing strands, an
+		// owned batch is released once, and the frames are counted
+		// dropped instead of claimed sent.
+		o.discardQueue()
 		return false
 	}
+	return true
 }
 
-// finishOwned consumes an owned batch: fires its release exactly once,
-// unpins the payload views, and recycles the envelope.
-func (o *outbox) finishOwned(ob *ownedBatch) {
-	ob.release()
-	ob.release = nil
-	for i := range ob.bufs {
-		ob.bufs[i] = nil
-	}
-	ob.bufs = ob.bufs[:0]
-	ob.from = 0
-	select {
-	case o.freeOB <- ob:
-	default:
-	}
+// QueueLen reports how many frames are currently queued, an owned batch
+// counting each of its frames (diagnostics and SendDelay).
+func (o *outbox) QueueLen() int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.queued
 }
-
-// finish returns a dequeued entry's resources: freelist for copied
-// frames, release+envelope recycle for owned batches.
-func (o *outbox) finish(f outFrame) {
-	if f.ob != nil {
-		o.finishOwned(f.ob)
-		return
-	}
-	o.recycle(f.buf)
-}
-
-// QueueLen reports how many frames are currently queued (diagnostics).
-func (o *outbox) QueueLen() int { return len(o.out) }
 
 // count records delta on the peer's stripe of the transport's counters.
 func (o *outbox) count(i int, delta int64) { o.ctr.Add(o.key, i, delta) }
@@ -267,18 +334,34 @@ func (o *outbox) armDrain() time.Time {
 	return o.drainBy
 }
 
-func (o *outbox) recycle(buf []byte) {
-	select {
-	case o.free <- buf:
-	default:
-	}
-}
-
+// recycleBatch consumes dequeued entries: each owned batch's release fires
+// (outside the lock: it is the caller's code), then every frame buffer and
+// envelope goes back on its freelist under one lock. The freelists are
+// sized for all the queue and a writer's batch can hold, so a return
+// never allocates under the lock; what does not fit is left to the
+// collector.
 func (o *outbox) recycleBatch(batch []outFrame) {
+	for _, f := range batch {
+		if ob := f.ob; ob != nil {
+			ob.release()
+			ob.release = nil
+			clear(ob.bufs)
+			ob.bufs = ob.bufs[:0]
+			ob.from = 0
+		}
+	}
+	o.mu.Lock()
 	for i, f := range batch {
-		o.finish(f)
+		if f.ob != nil {
+			if len(o.freeOB) < cap(o.freeOB) {
+				o.freeOB = append(o.freeOB, f.ob)
+			}
+		} else if len(o.free) < cap(o.free) {
+			o.free = append(o.free, f.buf)
+		}
 		batch[i] = outFrame{}
 	}
+	o.mu.Unlock()
 }
 
 // sleepBackoff sleeps the current backoff (±50% jitter, so a fleet of
@@ -326,15 +409,21 @@ func (o *outbox) sleepBackoff() bool {
 // discardQueue empties the outbound queue, counting everything as dropped
 // (in frame units) and releasing owned batches.
 func (o *outbox) discardQueue() {
+	batch := make([]outFrame, 0, o.cfg.MaxBatch)
 	for {
-		select {
-		case f := <-o.out:
-			o.count(cDropped, f.frames())
-			o.finish(f)
-		default:
+		if batch = o.take(batch[:0]); len(batch) == 0 {
 			return
 		}
+		o.dropBatch(batch)
 	}
+}
+
+// dropBatch counts a dequeued batch dropped and consumes it.
+func (o *outbox) dropBatch(batch []outFrame) {
+	for _, f := range batch {
+		o.count(cDropped, f.frames())
+	}
+	o.recycleBatch(batch)
 }
 
 // Close shuts the peer down gracefully: queued frames keep flushing (and
@@ -387,12 +476,12 @@ func (o *outbox) dropConn() {
 }
 
 // run is the writer: the only goroutine that dials, writes, or closes the
-// peer's connection. Everything it pulls off the queue in one wakeup (up to
+// peer's connection. Everything it takes off the queue in one wakeup (up to
 // MaxBatch) goes to the flavour as one batch, so a burst of n frames costs
 // ~n/MaxBatch syscalls instead of n.
 func (o *outbox) run(f flavour) {
 	defer func() {
-		// dead-then-reap, strictly in this order: Enqueue's post-send
+		// dead-then-reap, strictly in this order: pushed's post-push
 		// check on dead guarantees a frame that slips in during exit is
 		// discarded by one side or the other, never stranded (a done-based
 		// check would leave an instruction-wide strand window between the
@@ -404,58 +493,44 @@ func (o *outbox) run(f flavour) {
 	}()
 	batch := make([]outFrame, 0, o.cfg.MaxBatch)
 	for {
-		first, ok := o.next()
-		if !ok {
+		var ok bool
+		if batch, ok = o.next(batch[:0]); !ok {
 			return
-		}
-		batch = append(batch[:0], first)
-	fill:
-		for len(batch) < o.cfg.MaxBatch {
-			select {
-			case fr := <-o.out:
-				batch = append(batch, fr)
-			default:
-				break fill
-			}
 		}
 		if c := o.ensureConn(f); c != nil {
 			f.flush(c, batch)
 			continue
 		}
-		for _, fr := range batch {
-			o.count(cDropped, fr.frames())
-		}
-		o.recycleBatch(batch)
+		o.dropBatch(batch)
 	}
 }
 
-// next blocks for the batch's first entry. It is the shutdown ladder: a
-// kill reaps the queue and stops; a graceful close keeps handing out
-// entries (flushing, dialing included, continues) until the queue empties
-// or the drain deadline passes. false means the writer must exit.
-func (o *outbox) next() (outFrame, bool) {
+// next blocks for the next batch. It is the shutdown ladder: a kill reaps
+// the queue and stops; a graceful close keeps handing out batches
+// (flushing, dialing included, continues) until the queue empties or the
+// drain deadline passes. false means the writer must exit.
+func (o *outbox) next(batch []outFrame) ([]outFrame, bool) {
 	for !o.isClosed() {
+		if batch = o.take(batch); len(batch) > 0 {
+			return batch, true
+		}
 		select {
-		case f := <-o.out:
-			return f, true
+		case <-o.wake:
 		case <-o.closed:
 		}
 	}
 	if o.immediate.Load() {
-		return outFrame{}, false // the exit path reaps the queue
+		return batch, false // the exit path reaps the queue
 	}
 	drainDeadline := o.armDrain()
-	select {
-	case f := <-o.out:
-		if time.Now().After(drainDeadline) {
-			o.count(cDropped, f.frames())
-			o.finish(f)
-			return outFrame{}, false
-		}
-		return f, true
-	default:
-		return outFrame{}, false // queue drained; graceful exit
+	if batch = o.take(batch); len(batch) == 0 {
+		return batch, false // queue drained; graceful exit
 	}
+	if time.Now().After(drainDeadline) {
+		o.dropBatch(batch)
+		return batch[:0], false
+	}
+	return batch, true
 }
 
 // ensureConn returns the live connection, resolving and dialing (with

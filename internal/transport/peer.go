@@ -23,9 +23,11 @@ import (
 type Peer struct {
 	outbox
 
-	// Writer-goroutine-only: the reusable iovec list, and when the write
-	// deadline was last pushed out, so steady flushes skip the per-flush
-	// timer update.
+	// Writer-goroutine-only: the iovec list's backing array, and nb, the
+	// view each writev consumes (WriteTo advances its receiver to the end,
+	// leaving nothing to append into); and when the write deadline was
+	// last pushed out, so steady flushes skip the per-flush timer update.
+	iov          [][]byte
 	nb           net.Buffers
 	lastDeadline time.Time
 }
@@ -48,8 +50,8 @@ func (p *Peer) dial(addr string) (net.Conn, error) {
 
 // flush writes one batch with a single writev. Copied frames contribute
 // one iovec each; owned batches contribute header‖payload pairs pointing
-// straight into the caller's refcounted buffer — released (recycleBatch →
-// finish) only after the writev returns, success or not. A write error
+// straight into the caller's refcounted buffer — released (recycleBatch)
+// only after the writev returns, success or not. A write error
 // severs the connection and drops the whole batch: a partial writev may
 // have split a frame, so resuming on a fresh connection would corrupt the
 // framing — every connection starts at a frame boundary.
@@ -73,18 +75,21 @@ func (p *Peer) flush(c net.Conn, batch []outFrame) {
 		p.lastDeadline = now
 	}
 	var frames int64
-	p.nb = p.nb[:0]
+	iov := p.iov[:0]
 	for _, f := range batch {
 		frames += f.frames()
 		if f.ob != nil {
 			for i, b := range f.ob.bufs {
-				p.nb = append(p.nb, f.ob.hdrs[i*HeaderLen:(i+1)*HeaderLen], b)
+				iov = append(iov, f.ob.hdrs[i*HeaderLen:(i+1)*HeaderLen], b)
 			}
 		} else {
-			p.nb = append(p.nb, f.buf)
+			iov = append(iov, f.buf)
 		}
 	}
+	p.nb = iov
 	n, err := p.nb.WriteTo(c)
+	clear(iov) // a short write leaves views behind: pin no payload
+	p.iov = iov[:0]
 	p.count(cBytesOut, n)
 	if err != nil {
 		p.count(cSendFailures, 1)

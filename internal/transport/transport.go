@@ -126,6 +126,7 @@ const (
 	cRxDropped             // inbound datagrams the RxDrop shim ate
 	cSourcesAdded          // datagram source sockets given ack state
 	cSourcesEvicted        // idle sources whose ack state was dropped
+	cAcksFuture            // acks ignored for covering seqs never sent
 )
 
 var vocab = metrics.NewVocab([]string{
@@ -135,6 +136,7 @@ var vocab = metrics.NewVocab([]string{
 	cDatagramsLost: "datagrams_lost", cAcksIn: "acks_in", cFramesIn: "frames_in",
 	cBytesIn: "bytes_in", cDatagramsIn: "datagrams_in", cAcksOut: "acks_out",
 	cRxDropped: "rx_dropped", cSourcesAdded: "sources_added", cSourcesEvicted: "sources_evicted",
+	cAcksFuture: "acks_future",
 }...)
 
 // NewCounters returns a transport's counter block. Its peers and acceptors

@@ -525,6 +525,46 @@ func BenchmarkPeerWriteSteadyState(b *testing.B) {
 	}
 }
 
+// BenchmarkPeerWriteOneFramePerFlush gates the writev path at one frame
+// per flush, the shape of a lightly loaded peer: each op enqueues a frame
+// and waits for it to arrive before the next, so every flush carries
+// exactly one. PeerWriteSteadyState's ~64-frame flushes would amortize a
+// per-flush allocation (the iovec list regrown after each writev) to
+// 0 allocs/op; here it would read 1 (bench_baseline.json pins 0).
+func BenchmarkPeerWriteOneFramePerFlush(b *testing.B) {
+	var got atomic.Int64
+	acc, err := listen("127.0.0.1:0", 0, func(wire.NodeID, []byte) bool { got.Add(1); return true }, NewCounters())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer acc.Close()
+	p := NewPeer(fixedResolver(acc.Addr()), Config{}, NewCounters())
+	defer p.Close()
+	payload := bytes.Repeat([]byte{0xA5}, 64)
+	var sent int64
+	send := func() {
+		for !p.Enqueue(1, payload) {
+			runtime.Gosched()
+		}
+		sent++
+		for got.Load() < sent {
+			runtime.Gosched()
+		}
+	}
+	for i := 0; i < 64; i++ { // dial, and fill the freelist and the reader's slab
+		send()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		send()
+	}
+	b.StopTimer()
+	if st := p.counters(); st.Get("flushes") != st.Get("frames_out") || st.Get("frames_out") != sent {
+		b.Fatalf("not one frame per flush: %v", st)
+	}
+}
+
 // Every peer of a set — and the acceptor at the other end — records into the
 // one block, which outlives them: a retired peer's counts stay in.
 func TestPeerSetStatsAggregate(t *testing.T) {

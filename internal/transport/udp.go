@@ -19,24 +19,36 @@ import (
 // across datagrams, so a lost datagram costs exactly the frames packed into
 // it and nothing has to be reassembled:
 //
-//	datagram  = magic(4) ‖ kind(1) ‖ seq(4) ‖ frame*     (kind = data)
+//	datagram  = magic(4) ‖ kind(1) ‖ seq(4) ‖ frame*     (kind = data, maybe | ack-request)
 //	frame     = length(4) ‖ sender(4) ‖ payload           (same as TCP)
 //	ack       = magic(4) ‖ kind(1) ‖ seq(4) ‖ count(8)    (kind = ack)
 //
 // The ack is the transport's only feedback and it carries no payload
-// semantics: after each receive batch the acceptor echoes, per source
-// socket, the highest data seq it has seen and its cumulative datagram
-// count. The sender derives everything from that pair — RTT samples (seq
-// echo vs. the outstanding probe's send time, Karn-filtered), loss (seq
-// advance minus count advance), and window occupancy (seq advance). Lost
-// datagrams are NEVER retransmitted; the coding layer's redundancy and
-// splice repair own reliability, and the transport's job is only to pace
-// itself (CUBIC window, RTO backoff) and to report persistent loss upward.
+// semantics: after each receive batch the acceptor echoes, to each source
+// socket whose batch held a datagram with the ack-request bit set, one past
+// the highest data seq it has seen and its cumulative datagram count. The
+// sender derives everything from that pair — RTT samples (seq echo vs. the
+// outstanding probe's send time, Karn-filtered), loss (seq advance minus
+// count advance), and window occupancy (seq advance) — and requests an
+// echo only as often as pacing needs one: every k unrequested datagrams in
+// flight (k = window/4, clamped to [1, 8]), the RTT probe riding on one of
+// those requests. A shut window thus always has a requested datagram in
+// flight, and an RTO means real silence. Lost datagrams are NEVER retransmitted; the coding layer's
+// redundancy and splice repair own reliability, and the transport's job is
+// only to pace itself (CUBIC window, RTO backoff) and to report persistent
+// loss upward.
 const (
 	dgHdrLen   = 9  // magic(4) + kind(1) + seq(4)
 	udpAckLen  = 17 // magic(4) + kind(1) + seq(4) + count(8)
 	dgKindData = 0x01
 	dgKindAck  = 0x02
+	// dgAckReq, or-ed into a data datagram's kind, asks the acceptor to
+	// echo an ack after the receive batch that holds it.
+	dgAckReq = 0x80
+
+	// maxAckSpacing caps k, the unrequested datagrams a sender lets into
+	// flight between two ack requests.
+	maxAckSpacing = 8
 
 	// MaxUDPPayload is the largest UDP payload the sockets API accepts
 	// (65535 minus IP and UDP headers); frames above it cannot ride this
@@ -139,7 +151,8 @@ type UDPPeer struct {
 	est            rttEstimator
 	win            cubicWindow
 	nextSeq        uint32 // next datagram seq to stamp
-	ackSeq         uint32 // highest acked seq
+	ackSeq         uint32 // first seq not yet acked: [ackSeq, nextSeq) is in flight
+	reqEnd         uint32 // one past the last datagram that requested an ack
 	ackCount       uint64 // receiver's cumulative datagram count at last ack
 	probeSeq       uint32
 	probeAt        time.Time
@@ -361,10 +374,14 @@ func (p *UDPPeer) windowRoom() int {
 	return room
 }
 
-// stampSeqs assigns contiguous seqs to the datagrams about to be sent and
-// arms the RTT probe: one unacked probe at a time, re-armed (with a Karn
-// backoff, since the old probe is now ambiguous) if the outstanding one
-// has been quiet past the RTO.
+// stampSeqs assigns contiguous seqs to the datagrams about to be sent,
+// sets the ack-request bit on every k-th unrequested datagram in flight
+// (k = window/4, clamped to [1, 8]), and makes a requesting datagram the
+// RTT probe when none is out — one unacked probe at a time, re-armed (with
+// a Karn backoff, since the old probe is now ambiguous) if the outstanding
+// one has been quiet past the RTO. A shut window always holds a requested
+// datagram: fewer than k ≤ window/4 of its flight go unrequested, and a
+// loss shrinks it only to 0.7 of itself.
 func (p *UDPPeer) stampSeqs(dgs [][]byte) {
 	now := time.Now()
 	p.ackMu.Lock()
@@ -372,14 +389,28 @@ func (p *UDPPeer) stampSeqs(dgs [][]byte) {
 		p.est.Backoff()
 		p.probeOut = false
 	}
+	k := min(max(p.win.Window()/4, 1), maxAckSpacing)
 	for _, dg := range dgs {
-		binary.BigEndian.PutUint32(dg[5:9], p.nextSeq)
-		if !p.probeOut {
-			p.probeOut = true
-			p.probeSeq = p.nextSeq
-			p.probeAt = now
-		}
+		seq := p.nextSeq
 		p.nextSeq++
+		// Unrequested datagrams in flight: those after the last request,
+		// or after the last ack if it covered that request.
+		from := p.reqEnd
+		if int32(p.ackSeq-from) > 0 {
+			from = p.ackSeq
+		}
+		kind := byte(dgKindData)
+		if int(int32(p.nextSeq-from)) >= k {
+			kind |= dgAckReq
+			p.reqEnd = p.nextSeq
+			if !p.probeOut {
+				p.probeOut = true
+				p.probeSeq = seq
+				p.probeAt = now
+			}
+		}
+		dg[4] = kind
+		binary.BigEndian.PutUint32(dg[5:9], seq)
 	}
 	p.ackMu.Unlock()
 }
@@ -479,8 +510,9 @@ func (p *UDPPeer) dial(addr string) (net.Conn, error) {
 }
 
 // readAcks consumes transport acks on one socket until it is closed or
-// replaced. Acks are tiny and rare (one per receive batch per source), so
-// a plain read loop is enough here — the batching lives on the data path.
+// replaced. Acks are tiny and rare (one per receive batch that held a
+// request, per source), so a plain read loop is enough here — the batching
+// lives on the data path.
 func (p *UDPPeer) readAcks(c *net.UDPConn) {
 	buf := make([]byte, 64)
 	for {
@@ -491,11 +523,18 @@ func (p *UDPPeer) readAcks(c *net.UDPConn) {
 		if p.ucfg.RxDrop != nil && p.ucfg.RxDrop() {
 			continue
 		}
-		if n < udpAckLen || [4]byte(buf[:4]) != dgMagic || buf[4] != dgKindAck {
-			continue
+		if seq, count, ok := parseAck(buf[:n]); ok {
+			p.handleAck(seq, count)
 		}
-		p.handleAck(binary.BigEndian.Uint32(buf[5:9]), binary.BigEndian.Uint64(buf[9:17]))
 	}
+}
+
+// parseAck reads an ack datagram: ok=false for anything else.
+func parseAck(b []byte) (seq uint32, count uint64, ok bool) {
+	if len(b) < udpAckLen || [4]byte(b[:4]) != dgMagic || b[4] != dgKindAck {
+		return 0, 0, false
+	}
+	return binary.BigEndian.Uint32(b[5:9]), binary.BigEndian.Uint64(b[9:17]), true
 }
 
 // handleAck folds one ack into the congestion state. seq advance tells how
@@ -503,11 +542,19 @@ func (p *UDPPeer) readAcks(c *net.UDPConn) {
 // how many actually arrived; the difference is wire loss, charged to the
 // CUBIC window at most once per RTT. The seq echo against the outstanding
 // probe yields the RTT sample (Karn: the probe was invalidated if any
-// timeout made it ambiguous).
+// timeout made it ambiguous). seq is the first seq the receiver has not
+// seen, so an ack past nextSeq claims datagrams never sent: taken, it would
+// open the window on them and drive the flight negative, so it is ignored
+// and counted (acks_future).
 func (p *UDPPeer) handleAck(seq uint32, count uint64) {
 	now := time.Now()
-	p.count(cAcksIn, 1)
 	p.ackMu.Lock()
+	if int32(seq-p.nextSeq) > 0 {
+		p.ackMu.Unlock()
+		p.count(cAcksFuture, 1)
+		return
+	}
+	p.count(cAcksIn, 1)
 	newly := int64(int32(seq - p.ackSeq))
 	if newly <= 0 {
 		if d := int64(count - p.ackCount); d > 0 {
@@ -529,7 +576,7 @@ func (p *UDPPeer) handleAck(seq uint32, count uint64) {
 	if int64(count-p.ackCount) > 0 {
 		p.ackCount = count
 	}
-	if p.probeOut && int32(seq-p.probeSeq) >= 0 {
+	if p.probeOut && int32(seq-p.probeSeq) > 0 {
 		p.est.Observe(now.Sub(p.probeAt))
 		p.probeOut = false
 	}
@@ -590,6 +637,7 @@ type rxSource struct {
 	count    uint64 // datagrams received (post-shim) from this source
 	high     uint32 // highest data seq seen
 	started  bool
+	ackDue   bool          // this batch held a datagram requesting an ack
 	lastSeen time.Time     // last batch this source appeared in (eviction clock)
 	senders  []wire.NodeID // sender ids already reported to OnSender (≤ maxSendersPerConn)
 }
@@ -693,15 +741,20 @@ func (a *UDPAcceptor) readLoop() {
 			a.handleDatagram(br.bufs[i][:br.lens[i]], br.addrs[i], srcs, &seen, &slab)
 		}
 		br.release() // every frame is copied out: the staging goes back now
-		// Echo one ack per source socket per batch: highest seq seen plus
-		// cumulative count, from which the sender reconstructs delivery,
-		// loss, and RTT. Coalescing to the batch keeps the ack rate at
-		// most one per recvmmsg per source.
+		// Echo one ack per batch to each source socket that asked for one:
+		// highest seq seen plus cumulative count, from which the sender
+		// reconstructs delivery, loss, and RTT. Coalescing to the batch
+		// keeps the ack rate at most one per recvmmsg per source, and the
+		// sender asks only every few datagrams.
 		now := clk.Now()
 		for _, ap := range seen {
 			src := srcs[ap]
 			src.lastSeen = now
-			binary.BigEndian.PutUint32(ackBuf[5:9], src.high)
+			if !src.ackDue {
+				continue
+			}
+			src.ackDue = false
+			binary.BigEndian.PutUint32(ackBuf[5:9], src.high+1) // one past the highest seen
 			binary.BigEndian.PutUint64(ackBuf[9:17], src.count)
 			if _, err := a.conn.WriteToUDPAddrPort(ackBuf[:], ap); err == nil {
 				a.ctr.Add(a.key, cAcksOut, 1)
@@ -724,7 +777,7 @@ func (a *UDPAcceptor) readLoop() {
 
 func (a *UDPAcceptor) handleDatagram(b []byte, from netip.AddrPort,
 	srcs map[netip.AddrPort]*rxSource, seen *[]netip.AddrPort, slab *[]byte) {
-	if len(b) < dgHdrLen || [4]byte(b[:4]) != dgMagic || b[4] != dgKindData {
+	if len(b) < dgHdrLen || [4]byte(b[:4]) != dgMagic || b[4]&^dgAckReq != dgKindData {
 		return
 	}
 	if a.ucfg.RxDrop != nil && a.ucfg.RxDrop() {
@@ -750,6 +803,7 @@ func (a *UDPAcceptor) handleDatagram(b []byte, from netip.AddrPort,
 		*seen = append(*seen, from)
 	}
 	src.count++
+	src.ackDue = src.ackDue || b[4]&dgAckReq != 0
 	seq := binary.BigEndian.Uint32(b[5:9])
 	if !src.started || int32(seq-src.high) > 0 {
 		src.high = seq

@@ -428,3 +428,89 @@ func TestUDPBatchReceiverMultiSource(t *testing.T) {
 		}
 	}
 }
+
+// On a clean loopback path at steady state the sender asks for an echo
+// every few datagrams, not on each one: the acceptor's acks stay under a
+// quarter of the datagrams it takes, and the sparser echo still accounts
+// every datagram delivered (no loss charged). The acceptor reads one
+// datagram per recvmmsg, so batching cannot coalesce acks the sender did
+// not ask to skip; one frame per datagram, and a window the receive buffer
+// holds, so the only loss there could be is the ack math's.
+func TestUDPAcksOnRequest(t *testing.T) {
+	a, sink := startUDPAcceptor(t, UDPConfig{RecvBatch: 1})
+	p := NewUDPPeer(func() (string, bool) { return a.Addr(), true },
+		Config{QueueDepth: 4096}, UDPConfig{MaxDatagram: 64, MaxWindow: 64}, NewCounters())
+	defer p.CloseNow()
+
+	const frames = 4000
+	payload := bytes.Repeat([]byte{7}, 40)
+	for i := 0; i < frames; i++ {
+		for !p.Enqueue(wire.NodeID(1), payload) {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	if !waitFor(t, 10*time.Second, func() bool { return sink.n.Load() == frames }) {
+		t.Fatalf("delivered %d/%d frames", sink.n.Load(), frames)
+	}
+	rx := a.ctr.Snapshot()
+	in, acks := rx.Get("datagrams_in"), rx.Get("acks_out")
+	if in < frames {
+		t.Fatalf("datagrams_in = %d for %d one-frame datagrams", in, frames)
+	}
+	if acks == 0 || acks*4 > in {
+		t.Fatalf("acks_out = %d for %d datagrams, want at most a quarter", acks, in)
+	}
+	if lost := p.counters().Get("datagrams_lost"); lost != 0 {
+		t.Fatalf("datagrams_lost = %d on a clean loopback: %v", lost, p.counters())
+	}
+	t.Logf("%d datagrams, %d acks (%.3f per datagram)", in, acks, float64(acks)/float64(in))
+}
+
+// A sender that goes quiet with fewer than k datagrams out — not enough to
+// earn a request, so nothing will answer them — and stays quiet past the
+// RTO must not be timed out when it speaks again: the burst that fills the
+// window brings its own requests, and their echoes cover the quiet ones.
+// No RTO (the window never collapses), no loss, and the whole burst
+// arrives.
+func TestUDPIdleThenBurst(t *testing.T) {
+	a, sink := startUDPAcceptor(t, UDPConfig{})
+	p := NewUDPPeer(func() (string, bool) { return a.Addr(), true },
+		Config{}, UDPConfig{MaxDatagram: 64}, NewCounters()) // one frame per datagram
+	defer p.CloseNow()
+
+	payload := bytes.Repeat([]byte{9}, 40)
+	var sent int64
+	send := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			for !p.Enqueue(wire.NodeID(1), payload) {
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+		sent += int64(n)
+		if !waitFor(t, 5*time.Second, func() bool { return sink.n.Load() == sent }) {
+			t.Fatalf("delivered %d/%d", sink.n.Load(), sent)
+		}
+	}
+	send(64) // an RTT sample, and an RTO near MinRTO
+	if !waitFor(t, 5*time.Second, func() bool { srtt, _ := p.path(); return srtt > 0 }) {
+		t.Fatal("no RTT sample after 64 datagrams")
+	}
+	_, win := p.path()
+	for i := 0; i < 2; i++ { // fewer than k = clamp(win/4, 1, 8)
+		send(1)
+	}
+	p.ackMu.Lock()
+	rto := p.est.RTO()
+	p.ackMu.Unlock()
+	time.Sleep(2*rto + 10*time.Millisecond)
+	t.Logf("quiet for %v past an RTO of %v, window %d", rto+10*time.Millisecond, rto, win)
+
+	send(4 * win)
+	if lost := p.counters().Get("datagrams_lost"); lost != 0 {
+		t.Fatalf("datagrams_lost = %d: an RTO wrote off delivered datagrams", lost)
+	}
+	if _, after := p.path(); after < win {
+		t.Fatalf("window %d → %d across the burst: it collapsed on a timeout", win, after)
+	}
+}
