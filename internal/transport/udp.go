@@ -742,10 +742,10 @@ func (a *UDPAcceptor) readLoop() {
 		}
 		br.release() // every frame is copied out: the staging goes back now
 		// Echo one ack per batch to each source socket that asked for one:
-		// highest seq seen plus cumulative count, from which the sender
-		// reconstructs delivery, loss, and RTT. Coalescing to the batch
-		// keeps the ack rate at most one per recvmmsg per source, and the
-		// sender asks only every few datagrams.
+		// one past the highest seq seen plus cumulative count, from which
+		// the sender reconstructs delivery, loss, and RTT. Coalescing to
+		// the batch keeps the ack rate at most one per recvmmsg per source,
+		// and the sender asks only every few datagrams.
 		now := clk.Now()
 		for _, ap := range seen {
 			src := srcs[ap]
@@ -754,7 +754,7 @@ func (a *UDPAcceptor) readLoop() {
 				continue
 			}
 			src.ackDue = false
-			binary.BigEndian.PutUint32(ackBuf[5:9], src.high+1) // one past the highest seen
+			binary.BigEndian.PutUint32(ackBuf[5:9], src.high+1)
 			binary.BigEndian.PutUint64(ackBuf[9:17], src.count)
 			if _, err := a.conn.WriteToUDPAddrPort(ackBuf[:], ap); err == nil {
 				a.ctr.Add(a.key, cAcksOut, 1)
