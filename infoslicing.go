@@ -538,29 +538,12 @@ func (nw *Network) Dial(spec DialSpec) (*Conn, error) {
 		recv: make(chan []byte, 64),
 		done: make(chan struct{}),
 	}
-	// Wait for the destination to decode its routing block. Under virtual
-	// time the wait *drives* the clock; on the wall clock it polls with a
-	// bounded backoff instead of busy-spinning.
-	established := func() bool { return destNode.Established(g.Flows[spec.Dest]) }
-	if nw.cfg.vclk != nil {
-		if !nw.cfg.vclk.AwaitCond(spec.EstablishTimeout, established) {
-			eps.Close()
-			return nil, errors.New("infoslicing: establish timeout")
-		}
-	} else {
-		deadline := time.Now().Add(spec.EstablishTimeout)
-		wait := 200 * time.Microsecond
-		const maxWait = 20 * time.Millisecond
-		for !established() {
-			if time.Now().After(deadline) {
-				eps.Close()
-				return nil, errors.New("infoslicing: establish timeout")
-			}
-			time.Sleep(wait)
-			if wait < maxWait {
-				wait *= 2
-			}
-		}
+	// Wait for the destination to decode its routing block: on its establish
+	// signal, driving the clock under virtual time.
+	destFlow := g.Flows[spec.Dest]
+	if !relay.AwaitEstablished(clk, spec.EstablishTimeout, []*relay.Node{destNode}, []wire.FlowID{destFlow}) {
+		eps.Close()
+		return nil, fmt.Errorf("infoslicing: establish timeout; destination %d recorded %v", spec.Dest, destNode.FlowEvents(destFlow))
 	}
 	c.setupTime = clk.Now().Sub(start)
 

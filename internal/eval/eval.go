@@ -173,16 +173,14 @@ func (fl *flow) victims(k int) []wire.NodeID {
 // established steps virtual time, at most max ahead, until every relay of
 // every flow has decoded its routing block; it reports whether they did.
 func (tb *testbed) established(max time.Duration) bool {
-	return tb.Await(max, func() bool {
-		for _, fl := range tb.flows {
-			for _, id := range fl.g.Relays {
-				if !tb.relays[id].Established(fl.g.Flows[id]) {
-					return false
-				}
-			}
+	var nodes []*relay.Node
+	var flows []wire.FlowID
+	for _, fl := range tb.flows {
+		for _, id := range fl.g.Relays {
+			nodes, flows = append(nodes, tb.relays[id]), append(flows, fl.g.Flows[id])
 		}
-		return true
-	})
+	}
+	return relay.AwaitEstablished(tb.Clk, max, nodes, flows)
 }
 
 // drain credits every message waiting at a destination to its flow. Flows

@@ -254,11 +254,6 @@ type CanonicalScenarioResult struct {
 // from the seed, so two runs with the same seed produce byte-identical
 // delivery traces. The root-level determinism gate pins exactly that.
 func RunCanonicalScenario(seed int64, repair bool) (CanonicalScenarioResult, error) {
-	const (
-		messages = 8
-		cadence  = 100 * time.Millisecond
-		start    = 200 * time.Millisecond
-	)
 	tb := newTestbed(seed, simLink)
 	defer tb.close()
 	tb.Net.EnableTrace()
@@ -266,6 +261,16 @@ func RunCanonicalScenario(seed int64, repair bool) (CanonicalScenarioResult, err
 	if err != nil {
 		return CanonicalScenarioResult{}, err
 	}
+	return tb.canonical(seed, fl)
+}
+
+// canonical runs the canonical scenario on tb's scenario flow fl.
+func (tb *testbed) canonical(seed int64, fl *flow) (CanonicalScenarioResult, error) {
+	const (
+		messages = 8
+		cadence  = 100 * time.Millisecond
+		start    = 200 * time.Millisecond
+	)
 	if err := fl.start(); err != nil {
 		return CanonicalScenarioResult{}, err
 	}

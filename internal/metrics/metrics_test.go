@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -184,5 +185,23 @@ func TestTableRendering(t *testing.T) {
 	NewTable("", "x", &Series{Name: "y", X: []float64{1.0 / 3}, Y: []float64{2.0 / 3}}).Fprint(&sb)
 	if row := strings.Split(sb.String(), "\n")[2]; row != "0.3333          0.6667        " {
 		t.Fatalf("row %q", row)
+	}
+}
+
+// A full ring keeps the newest entries, oldest first, counts what it
+// overwrote, and pushes without allocating.
+func TestRingKeepsNewest(t *testing.T) {
+	r := NewRing[int](16)
+	if got := slices.Collect(r.All()); len(got) != 0 {
+		t.Fatalf("empty ring holds %v", got)
+	}
+	for i := 0; i < 50; i++ {
+		r.Push(i)
+	}
+	if got, want := slices.Collect(r.All()), []int{34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49}; !slices.Equal(got, want) || r.Dropped() != 34 {
+		t.Fatalf("ring holds %v after dropping %d, want %v after 34", got, r.Dropped(), want)
+	}
+	if a := testing.AllocsPerRun(100, func() { r.Push(1) }); a != 0 {
+		t.Fatalf("a push into a full ring allocates %v times", a)
 	}
 }

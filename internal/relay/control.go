@@ -59,6 +59,7 @@ func (n *Node) sendParentDown(sh *shard, fs *flowState, dead wire.NodeID) {
 	sh.rememberReport(fs, nonce)
 	n.floodReport(sh, fs, nonce, sealed)
 	sh.ctr[cParentDownSent]++
+	sh.note(EvParentDown, fs.flow, uint64(dead))
 }
 
 // floodUpstream files one frame under every previous hop the flow knows —

@@ -96,6 +96,7 @@ func (sh *shard) cancelDeadlines(fs *flowState) {
 // come. A tick that finds nothing due — its head was cancelled, or it is a
 // stopped timer's that had already fired — is harmless.
 func (n *Node) tick(sh *shard, now int64) {
+	sh.now = now
 	for len(sh.deadlines) > 0 && sh.deadlines[0].dueAt <= now {
 		fs := sh.deadlines[0]
 		kind, _ := fs.earliest()

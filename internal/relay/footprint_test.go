@@ -77,14 +77,11 @@ func TestIdleFlowFootprint(t *testing.T) {
 		if err := snd.Establish(); err != nil {
 			t.Fatal(err)
 		}
-		if !simnet.Eventually(5*time.Second, 50*time.Microsecond, func() bool {
-			for _, id := range g.Relays {
-				if !nodes[id].Established(g.Flows[id]) {
-					return false
-				}
-			}
-			return true
-		}) {
+		graph := make([]*Node, len(g.Relays))
+		for i, id := range g.Relays {
+			graph[i] = nodes[id]
+		}
+		if !awaitFlows(simnet.Wall, 5*time.Second, g, graph...) {
 			t.Fatal("flow not established")
 		}
 		if err := snd.Send(make([]byte, 1200)); err != nil {

@@ -64,7 +64,7 @@ func (n *Node) handleData(sh *shard, fs *flowState, from wire.NodeID, hi int, se
 	if forward && len(s.got) >= int(fs.route.nParents)-fs.deadParents() {
 		n.stageRound(sh, fs, seq, s)
 	}
-	fs.advance(sh.ctr)
+	sh.advance(fs)
 	if w := &fs.win; w.low != w.high && fs.due[dlRound] == 0 {
 		sh.setDeadline(fs, dlRound, fs.lastActive+int64(n.cfg.RoundWait))
 	}

@@ -125,7 +125,7 @@ func (n *Node) skipGap(sh *shard, fs *flowState, now int64) {
 	n.skipStream(sh, fs, next)
 	n.spliceChunks(sh, fs)
 	n.watchGap(sh, fs, now)
-	fs.advance(sh.ctr)
+	sh.advance(fs)
 }
 
 // skipStream moves the reassembly stream forward to round next,
@@ -133,6 +133,7 @@ func (n *Node) skipGap(sh *shard, fs *flowState, now int64) {
 // clipped.
 func (n *Node) skipStream(sh *shard, fs *flowState, next uint32) {
 	sh.ctr[cRoundsSkipped] += int64(next - fs.nextSeq)
+	sh.note(EvGapSkip, fs.flow, uint64(next-fs.nextSeq))
 	if rx := &sh.tailFor(fs).rx; len(rx.stream) > 0 || !rx.resync {
 		rx.stream = rx.stream[:0]
 		rx.resync = true

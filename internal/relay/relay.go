@@ -279,6 +279,9 @@ type Node struct {
 	// shards holding a flow that lists it as a child.
 	children childDir
 	ctr      *metrics.ShardedCounter // nodeVocab
+	// estSig is the channel the next establishment closes, made by the
+	// first waiter (events.go); nil while nobody waits.
+	estSig atomic.Pointer[chan struct{}]
 
 	received  chan Message
 	done      chan struct{}
@@ -322,6 +325,11 @@ type shard struct {
 	ctr     metrics.Block // shardVocab
 	rng     *rand.Rand
 	parsed  [maxBurst]wire.Packet // step's header scratch; handlers that keep a packet clone it
+
+	// The flight recorder (events.go), and the stamp its events carry: the
+	// current step's or tick's.
+	events metrics.Ring[FlowEvent]
+	now    int64
 
 	// The tail of the last flow to come to rest, the scratch a routing block
 	// decodes into before its flow copies it out, and a round's data map.
@@ -446,6 +454,7 @@ func (sh *shard) shedTail(fs *flowState) {
 	}
 	*t = flowTail{stage: setupStage{pkts: t.stage.pkts, sliceMap: t.stage.sliceMap[:0]}, rx: rxTail{stream: t.rx.stream}}
 	fs.tail, sh.spareTail = nil, t
+	sh.note(EvTailShed, fs.flow, 0)
 }
 
 // New attaches a relay daemon to the transport and starts its shard
@@ -484,6 +493,7 @@ func New(id wire.NodeID, tr overlay.Transport, cfg Config) (*Node, error) {
 			wake:    make(chan func(), 1),
 			flows:   make(map[wire.FlowID]*flowState),
 			ctr:     make(metrics.Block, nShardCounters),
+			events:  metrics.NewRing[FlowEvent](flowEventCap),
 			filter:  newCuckooFilter(perShard),
 			rng:     rand.New(rand.NewSource(cfg.Rng.Int63())),
 			eg:      egState{rng: rand.New(rand.NewSource(cfg.Rng.Int63()))},
@@ -822,6 +832,7 @@ func (n *Node) deliver(sh *shard) {
 // step parses every header of the burst (at most maxBurst) into the shard's
 // scratch, then dispatches each packet as arriving at stamp now.
 func (n *Node) step(sh *shard, now int64, burst []inPkt) {
+	sh.now = now
 	parsed := sh.parsed[:len(burst)]
 	for i := range burst {
 		if wire.ParsePacket(burst[i].data, &parsed[i]) != nil || parsed[i].Type == 0 {
@@ -881,6 +892,7 @@ func (n *Node) dispatch(sh *shard, from wire.NodeID, pkt *wire.Packet, now int64
 	case wire.MsgSplice:
 		if n.handleSplice(sh, fs, pkt) {
 			sh.ctr[cSplicesApplied]++
+			sh.note(EvSplice, fs.flow, fs.spliceSeq)
 		} else {
 			sh.ctr[cSplicesRefused]++
 		}

@@ -2,7 +2,9 @@ package relay
 
 import (
 	"bytes"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -87,17 +89,19 @@ func (h *harness) establish(t *testing.T) {
 	if err := h.sender.Establish(); err != nil {
 		t.Fatal(err)
 	}
-	ok := simnet.Eventually(5*time.Second, 2*time.Millisecond, func() bool {
-		for _, n := range h.nodes {
-			if !n.Established(h.graph.Flows[n.ID()]) {
-				return false
-			}
-		}
-		return true
-	})
-	if !ok {
+	if !awaitFlows(simnet.Wall, 5*time.Second, h.graph, slices.Collect(maps.Values(h.nodes))...) {
 		t.Fatal("graph did not establish")
 	}
+}
+
+// awaitFlows waits, at most max on clk, until each of nodes has established
+// its flow of g.
+func awaitFlows(clk simnet.Clock, max time.Duration, g *core.Graph, nodes ...*Node) bool {
+	flows := make([]wire.FlowID, len(nodes))
+	for i, n := range nodes {
+		flows[i] = g.Flows[n.ID()]
+	}
+	return AwaitEstablished(clk, max, nodes, flows)
 }
 
 func (h *harness) waitMsg(t *testing.T, timeout time.Duration) []byte {
@@ -208,17 +212,13 @@ func TestSetupSurvivesStageFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	// All surviving nodes downstream must establish (give timers room).
-	simnet.Eventually(10*time.Second, 5*time.Millisecond, func() bool {
-		for id, n := range h.nodes {
-			if h.net.Down(id) {
-				continue
-			}
-			if !n.Established(h.graph.Flows[id]) {
-				return false
-			}
+	var alive []*Node
+	for id, n := range h.nodes {
+		if !h.net.Down(id) {
+			alive = append(alive, n)
 		}
-		return true
-	})
+	}
+	awaitFlows(simnet.Wall, 10*time.Second, h.graph, alive...)
 	if err := h.sender.Send([]byte("survives churn")); err != nil {
 		t.Fatal(err)
 	}
@@ -412,9 +412,7 @@ func TestEndToEndOverTCP(t *testing.T) {
 	msg := []byte("over real sockets")
 	// Data is buffered by relays even if setup is still in flight; waiting
 	// for the destination just keeps the assertion deadline honest.
-	simnet.Eventually(5*time.Second, 2*time.Millisecond, func() bool {
-		return dest.Established(g.Flows[g.Dest])
-	})
+	awaitFlows(simnet.Wall, 5*time.Second, g, dest)
 	if err := snd.Send(msg); err != nil {
 		t.Fatal(err)
 	}

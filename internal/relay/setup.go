@@ -132,6 +132,7 @@ func (n *Node) establish(sh *shard, fs *flowState, d int) bool {
 	fs.route.d, st.slotLen, st.nSlots = uint8(d), geom.slotLen, geom.nSlots
 	st.sliceMap = append(st.sliceMap[:0], pi.SliceMap...)
 	sh.ctr[cFlowsEstablished]++
+	n.flowEstablished(sh, fs)
 	fs.declareParents(pi, fs.lastActive, false)
 	n.dirAdd(sh, fs) // its children's acks and reports now find it
 

@@ -37,27 +37,28 @@ const maxObservedHops = 64
 const gcBatch = 1024
 
 // admit claims one flow-table slot against the global bound and, when
-// per-tenant quotas are enabled, against the creating tenant's quota.
-// Callers that get false must drop the packet (counted FlowsRejected). The
+// per-tenant quotas are enabled, against the creating tenant's quota; it
+// returns 0, or why it refused (RejectMaxFlows, RejectTenantQuota).
+// Callers that are refused must drop the packet (counted FlowsRejected). The
 // tenant is the previous-hop node that created the flow: a relay cannot see
 // deeper identity than that (the anonymity invariant), and the previous hop
 // is exactly the party whose traffic admission should meter.
-func (n *Node) admit(tenant wire.NodeID) bool {
+func (n *Node) admit(tenant wire.NodeID) (reject uint64) {
 	if n.flowCount.Add(1) > int64(n.cfg.MaxFlows) {
 		n.flowCount.Add(-1)
-		return false
+		return RejectMaxFlows
 	}
 	if q := int64(n.cfg.TenantQuota); q > 0 {
 		n.tenantMu.Lock()
 		if n.tenants[tenant] >= q {
 			n.tenantMu.Unlock()
 			n.flowCount.Add(-1)
-			return false
+			return RejectTenantQuota
 		}
 		n.tenants[tenant]++
 		n.tenantMu.Unlock()
 	}
-	return true
+	return 0
 }
 
 // releaseSlot returns a flow's admission reservation.
@@ -80,10 +81,12 @@ func (n *Node) releaseSlot(tenant wire.NodeID) {
 // needs beyond it is the tail's, made by that phase, so a table holding a
 // million mostly-idle flows pays for what each flow actually did.
 func (n *Node) createFlow(sh *shard, f wire.FlowID, from wire.NodeID) *flowState {
-	if !n.admit(from) {
+	if reject := n.admit(from); reject != 0 {
 		sh.ctr[cFlowsRejected]++
+		sh.note(EvReject, f, reject)
 		return nil
 	}
+	sh.note(EvAdmit, f, uint64(from))
 	fs := &flowState{flow: f, tenant: from}
 	sh.flows[f] = fs
 	sh.lruPush(fs)
@@ -99,6 +102,7 @@ func (n *Node) removeFlow(sh *shard, fs *flowState, evicted bool) {
 	if evicted {
 		rounds, pending = cRoundsEvicted, cPendingEvicted
 		sh.ctr[cFlowsEvicted]++
+		sh.note(EvEvict, fs.flow, uint64(fs.lastActive))
 	}
 	sh.ctr[rounds] += fs.openRounds()
 	if fs.tail != nil {

@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -260,14 +261,7 @@ func liveFlowsSurviveSweeps(t *testing.T) {
 		if err := snds[f].Establish(); err != nil {
 			t.Fatal(err)
 		}
-		if !s.Await(time.Second, func() bool {
-			for _, n := range nodes {
-				if !n.Established(g.Flows[n.ID()]) {
-					return false
-				}
-			}
-			return true
-		}) {
+		if !awaitFlows(s.Clk, time.Second, g, nodes...) {
 			t.Fatalf("flow %d never established", f)
 		}
 		flowOf[g.Flows[g.Dest]] = f
@@ -344,6 +338,9 @@ func TestTenantQuotaNoStarvation(t *testing.T) {
 	if got := n.Counters().Get("flows_rejected"); got != 7 {
 		t.Fatalf("FlowsRejected = %d, want 7", got)
 	}
+	if ev := n.FlowEvents(0x109); len(ev) != 1 || !strings.HasSuffix(ev[0].String(), " reject reason=tenant_quota") {
+		t.Fatalf("a refused flow recorded %v, want one tenant_quota reject", ev)
+	}
 	// The modest tenant is unaffected by the greedy one's rejections.
 	for i := 0; i < 2; i++ {
 		n.process(sh, modest, junkDataFrame(wire.FlowID(0x200+uint64(i))))
@@ -374,6 +371,9 @@ func TestTenantQuotaNoStarvation(t *testing.T) {
 	sh.do(func() { n.tick(sh, sh.gcAt) })
 	if got := n.FlowTableSize(); got != 2 {
 		t.Fatalf("table = %d flows after sweep, want 2", got)
+	}
+	if ev := n.FlowEvents(0x100); len(ev) < 2 || ev[0].Kind != EvAdmit || ev[0].Arg != uint64(greedy) || ev[len(ev)-1].Kind != EvEvict {
+		t.Fatalf("an evicted flow recorded %v, want admit from=%d first and evict last", ev, greedy)
 	}
 	n.process(sh, greedy, junkDataFrame(wire.FlowID(0x300)))
 	if got := n.tenantFlows()[greedy]; got != 1 {

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"infoslicing/internal/code"
-	"infoslicing/internal/metrics"
 	"infoslicing/internal/wire"
 )
 
@@ -57,15 +56,17 @@ func (s *roundSlot) release() {
 	s.from, s.got, s.raw = s.from[:0], s.got[:0], s.raw[:0]
 }
 
-// recycle readies the slot for another round, counting how an opened one
-// ended.
-func (s *roundSlot) recycle(c metrics.Block) {
+// recycle readies round seq's slot for another round, counting how an
+// opened one ended.
+func (sh *shard) recycle(fs *flowState, seq uint32) {
+	s := fs.at(seq)
 	switch {
 	case s.deadline == 0: // a hole: never opened
 	case s.forwarded || s.decoded:
-		c[cRoundsDone]++
+		sh.ctr[cRoundsDone]++
 	default:
-		c[cRoundsExpired]++
+		sh.ctr[cRoundsExpired]++
+		sh.note(EvRoundExpired, fs.flow, uint64(seq))
 	}
 	s.release()
 	*s = roundSlot{from: s.from, got: s.got, raw: s.raw}
@@ -128,11 +129,10 @@ func (n *Node) slotFor(sh *shard, fs *flowState, seq uint32) *roundSlot {
 func (n *Node) slide(sh *shard, fs *flowState, low uint32) {
 	w := &fs.win
 	for ; w.low != w.high && w.low != low; w.low++ {
-		s := fs.at(w.low)
-		if s.chunk != nil {
+		if fs.at(w.low).chunk != nil {
 			fs.tail.rx.buffered--
 		}
-		s.recycle(sh.ctr)
+		sh.recycle(fs, w.low)
 	}
 	w.low = low
 	if int32(w.high-low) < 0 {
@@ -143,14 +143,14 @@ func (n *Node) slide(sh *shard, fs *flowState, low uint32) {
 	}
 }
 
-// advance recycles the rounds at low that nothing is waiting on.
-func (fs *flowState) advance(c metrics.Block) {
+// advance recycles the flow's rounds at low that nothing is waiting on.
+func (sh *shard) advance(fs *flowState) {
 	for w := &fs.win; w.low != w.high; w.low++ {
 		s := fs.at(w.low)
 		if fwd, dec := fs.needs(w.low, s); fwd || dec || s.chunk != nil {
 			return
 		}
-		s.recycle(c)
+		sh.recycle(fs, w.low)
 	}
 }
 
@@ -186,7 +186,7 @@ func (n *Node) roundDeadline(sh *shard, fs *flowState, now int64) {
 			next = at
 		}
 	}
-	fs.advance(sh.ctr)
+	sh.advance(fs)
 	switch {
 	case w.low == w.high:
 		// Idle a whole RoundWait: the ring goes, and the tail with it once

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,7 +15,7 @@ import (
 )
 
 // The network's counters: packets, bytes and lost back its TransportStats;
-// trace_dropped counts trace events the capped ring discarded.
+// trace_dropped reads the trace ring's count of discarded events.
 const cPackets, cBytes, cLost, cTraceDropped = 0, 1, 2, 3
 
 var simVocab = metrics.NewVocab("packets", "bytes", "lost", "trace_dropped")
@@ -55,16 +56,16 @@ type SimNet struct {
 
 	traceOn atomic.Bool
 	pooled  atomic.Bool
-	bufPool sync.Pool // *payloadBuf
+	// bufPool holds *payloadBuf. It is a pointer because the runtime's list
+	// of pools, which drops a pool only at the next collection, would
+	// otherwise keep the whole network (arena, trace ring) alive past its use.
+	bufPool *sync.Pool
 
-	mu      sync.Mutex
-	nNodes  int32
-	idMap   map[wire.NodeID]int32 // ids too large for the flat index
-	links   map[linkKey]*linkState
-	ring    []TraceEvent
-	ringCap int
-	ringAt  int // next overwrite position once the ring is full
-	sinkFn  func(TraceEvent)
+	mu     sync.Mutex
+	nNodes int32
+	idMap  map[wire.NodeID]int32 // ids too large for the flat index
+	links  map[linkKey]*linkState
+	trace  metrics.Ring[TraceEvent]
 }
 
 const (
@@ -77,8 +78,8 @@ const (
 
 	// DefaultTraceCap bounds EnableTrace's ring: old events are discarded
 	// once the cap is reached (trace_dropped counts them). Large enough for
-	// every scripted scenario, small enough that a million-node soak with
-	// tracing on cannot OOM.
+	// every scripted scenario and a 10k-node universe, small enough that a
+	// million-node soak with tracing on cannot OOM.
 	DefaultTraceCap = 1 << 20
 )
 
@@ -164,18 +165,20 @@ var (
 // default profile def; per-link overrides come later via SetLink. The seed
 // fixes every loss/jitter/duplicate draw of the run.
 //
-// Delivery tracing starts disabled — an unbounded per-packet log is wrong
-// for long-lived networks (the facade's VirtualSpec mode, soak
-// experiments). Scenario tooling that wants the replayable trace turns it
-// on with EnableTrace; NewScript does so for every scripted scenario.
+// Delivery tracing starts disabled: its ring costs DefaultTraceCap events
+// of memory, and a long-lived network (the facade's VirtualSpec mode, soak
+// experiments) would only keep the last of them. Scenario tooling that
+// wants the replayable trace turns it on with EnableTrace; NewScript does
+// so for every scripted scenario.
 func NewSimNet(clk *VirtualClock, seed int64, def LinkProfile) *SimNet {
 	n := &SimNet{
-		clk:   clk,
-		seed:  seed,
-		def:   def,
-		idMap: make(map[wire.NodeID]int32),
-		links: make(map[linkKey]*linkState),
-		ctr:   metrics.NewShardedCounter(8, simVocab),
+		clk:     clk,
+		seed:    seed,
+		def:     def,
+		idMap:   make(map[wire.NodeID]int32),
+		links:   make(map[linkKey]*linkState),
+		ctr:     metrics.NewShardedCounter(8, simVocab),
+		bufPool: new(sync.Pool),
 	}
 	empty := make([]int32, 0)
 	n.idIdx.Store(&empty)
@@ -185,32 +188,17 @@ func NewSimNet(clk *VirtualClock, seed int64, def LinkProfile) *SimNet {
 	return n
 }
 
-// EnableTrace starts recording a TraceEvent per delivery into a ring
-// capped at DefaultTraceCap (older events are discarded past the cap;
-// trace_dropped counts them).
-func (n *SimNet) EnableTrace() { n.EnableTraceN(DefaultTraceCap) }
-
-// EnableTraceN is EnableTrace with an explicit ring capacity.
-func (n *SimNet) EnableTraceN(cap int) {
-	if cap < 1 {
-		cap = 1
+// EnableTrace starts recording a TraceEvent per delivery, in canonical
+// delivery order, into a metrics.Ring of DefaultTraceCap events: past the
+// cap the oldest are discarded, and trace_dropped counts them. A second
+// call keeps what the ring holds.
+func (n *SimNet) EnableTrace() {
+	n.mu.Lock()
+	if !n.traceOn.Load() {
+		n.trace = metrics.NewRing[TraceEvent](DefaultTraceCap)
+		n.traceOn.Store(true)
 	}
-	n.mu.Lock()
-	n.ringCap = cap
 	n.mu.Unlock()
-	n.traceOn.Store(true)
-}
-
-// SetTraceSink streams every delivery to fn instead of retaining it
-// (bounded memory regardless of run length). Events arrive in canonical
-// delivery order; fn runs on the driver goroutine, just before the
-// delivery's handler, and must not block. A nil fn reverts to ring
-// buffering.
-func (n *SimNet) SetTraceSink(fn func(TraceEvent)) {
-	n.mu.Lock()
-	n.sinkFn = fn
-	n.mu.Unlock()
-	n.traceOn.Store(true)
 }
 
 // SetPooledPayloads turns on payload buffer pooling: delivered buffers are
@@ -592,29 +580,21 @@ func (n *SimNet) netDeliver(from, to uint64, dstIdx int32, epoch uint64, payload
 			typ = wire.MsgType(payload[0])
 		}
 		n.mu.Lock()
-		n.traceAppendLocked(TraceEvent{At: n.clk.Elapsed(), From: wire.NodeID(from), To: wire.NodeID(to), Type: typ})
+		n.trace.Push(TraceEvent{At: n.clk.Elapsed(), From: wire.NodeID(from), To: wire.NodeID(to), Type: typ})
 		n.mu.Unlock()
 	}
 	(*hp)(wire.NodeID(from), payload)
 	n.recycle(pbuf)
 }
 
-func (n *SimNet) traceAppendLocked(ev TraceEvent) {
-	if n.sinkFn != nil {
-		n.sinkFn(ev)
-		return
-	}
-	if len(n.ring) < n.ringCap {
-		n.ring = append(n.ring, ev)
-		return
-	}
-	n.ring[n.ringAt] = ev
-	n.ringAt = (n.ringAt + 1) % n.ringCap
-	n.ctr.Add(0, cTraceDropped, 1)
-}
-
 // Counters reads the network's counters.
-func (n *SimNet) Counters() metrics.Snapshot { return n.ctr.Snapshot() }
+func (n *SimNet) Counters() metrics.Snapshot {
+	s := n.ctr.Snapshot()
+	n.mu.Lock()
+	s.Values[cTraceDropped] = n.trace.Dropped()
+	n.mu.Unlock()
+	return s
+}
 
 // Stats is the Transport view of Counters.
 func (n *SimNet) Stats() wire.TransportStats {
@@ -627,14 +607,12 @@ func (n *SimNet) Close() {
 	n.closed.Store(true)
 }
 
-// Trace snapshots the delivery trace so far (oldest retained event first).
+// Trace snapshots the delivery trace so far (oldest retained event first);
+// it is empty unless EnableTrace was called.
 func (n *SimNet) Trace() []TraceEvent {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make([]TraceEvent, 0, len(n.ring))
-	out = append(out, n.ring[n.ringAt:]...)
-	out = append(out, n.ring[:n.ringAt]...)
-	return out
+	return slices.Collect(n.trace.All())
 }
 
 // TraceString renders the delivery trace one event per line —

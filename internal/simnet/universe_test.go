@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"runtime"
@@ -9,62 +10,6 @@ import (
 
 	"infoslicing/internal/wire"
 )
-
-// --- capped trace ring / streaming sink (satellite: trace growth) ---
-
-func TestTraceRingCap(t *testing.T) {
-	clk := NewVirtualClock()
-	net := NewSimNet(clk, 1, LinkProfile{Delay: time.Millisecond})
-	net.EnableTraceN(16)
-	if err := net.Attach(1, func(wire.NodeID, []byte) {}); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.Attach(2, func(wire.NodeID, []byte) {}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		if err := net.Send(1, 2, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-		clk.RunFor(2 * time.Millisecond)
-	}
-	tr := net.Trace()
-	if len(tr) != 16 {
-		t.Fatalf("ring retained %d events, want cap 16", len(tr))
-	}
-	if got := net.Counters().Get("trace_dropped"); got != 34 {
-		t.Fatalf("trace_dropped = %d, want 34", got)
-	}
-	// The ring keeps the newest events, oldest first.
-	for i, ev := range tr {
-		if want := wire.MsgType(34 + i); ev.Type != want {
-			t.Fatalf("trace[%d].Type = %d, want %d", i, ev.Type, want)
-		}
-	}
-}
-
-func TestTraceSinkStreams(t *testing.T) {
-	clk := NewVirtualClock()
-	net := NewSimNet(clk, 1, LinkProfile{Delay: time.Millisecond})
-	var got []TraceEvent
-	net.SetTraceSink(func(ev TraceEvent) { got = append(got, ev) })
-	if err := net.Attach(1, func(wire.NodeID, []byte) {}); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.Attach(2, func(wire.NodeID, []byte) {}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		_ = net.Send(1, 2, []byte{byte(i)})
-	}
-	clk.RunFor(2 * time.Millisecond)
-	if len(got) != 5 {
-		t.Fatalf("sink saw %d events, want 5", len(got))
-	}
-	if len(net.Trace()) != 0 {
-		t.Fatal("sink mode must not retain events in the ring")
-	}
-}
 
 // --- session-distribution churn (satellite: trace-driven churn) ---
 
@@ -129,18 +74,8 @@ func universeTraceHash(t *testing.T, seed int64, nodes int) (uint64, int64) {
 	t.Helper()
 	clk := NewVirtualClock()
 	net := NewSimNet(clk, seed, LinkProfile{Delay: time.Millisecond})
+	net.EnableTrace()
 	s := &Script{Clk: clk, Net: net}
-	h := fnv.New64a()
-	var buf [16]byte
-	net.SetTraceSink(func(ev TraceEvent) {
-		at := ev.At.Nanoseconds()
-		buf[0], buf[1], buf[2], buf[3] = byte(at), byte(at>>8), byte(at>>16), byte(at>>24)
-		buf[4], buf[5], buf[6], buf[7] = byte(at>>32), byte(at>>40), byte(at>>48), byte(at>>56)
-		buf[8], buf[9], buf[10], buf[11] = byte(ev.From), byte(ev.From>>8), byte(ev.From>>16), byte(ev.From>>24)
-		buf[12], buf[13], buf[14] = byte(ev.To), byte(ev.To>>8), byte(ev.To>>16)
-		buf[15] = byte(ev.Type)
-		h.Write(buf[:])
-	})
 	u, err := NewUniverse(s, UniverseConfig{
 		Nodes: nodes, Degree: 4, Walkers: nodes / 10, HopDelay: time.Millisecond, Seed: seed,
 	})
@@ -157,10 +92,22 @@ func universeTraceHash(t *testing.T, seed int64, nodes int) (uint64, int64) {
 	})
 	u.Seed()
 	u.Run(30 * time.Millisecond)
+	if dropped := net.Counters().Get("trace_dropped"); dropped != 0 {
+		t.Fatalf("the trace ring dropped %d events", dropped)
+	}
+	h := fnv.New64a()
+	var buf [16]byte
+	for _, ev := range net.Trace() {
+		binary.LittleEndian.PutUint64(buf[:8], uint64(ev.At.Nanoseconds()))
+		binary.LittleEndian.PutUint32(buf[8:12], uint32(ev.From))
+		buf[12], buf[13], buf[14] = byte(ev.To), byte(ev.To>>8), byte(ev.To>>16)
+		buf[15] = byte(ev.Type)
+		h.Write(buf[:])
+	}
 	return h.Sum64(), u.Deliveries()
 }
 
-// A churned 10^4-node universe replays to the same streamed trace hash and
+// A churned 10^4-node universe replays to the same trace hash and
 // delivery count from its seed, and a different seed changes the trace.
 func TestUniverseDeterminism10k(t *testing.T) {
 	const nodes = 10_000

@@ -10,6 +10,7 @@ import (
 	"infoslicing/internal/core"
 	"infoslicing/internal/overlay"
 	"infoslicing/internal/relay"
+	"infoslicing/internal/simnet"
 	"infoslicing/internal/wire"
 )
 
@@ -91,12 +92,8 @@ func (st *multiStack) establish(t *testing.T, snd *Sender, g *core.Graph, dest *
 	if err := snd.Establish(); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for !dest.Established(g.Flows[g.Dest]) {
-		if time.Now().After(deadline) {
-			t.Fatal("flow did not establish")
-		}
-		time.Sleep(time.Millisecond)
+	if !relay.AwaitEstablished(simnet.Wall, 5*time.Second, []*relay.Node{dest}, []wire.FlowID{g.Flows[g.Dest]}) {
+		t.Fatal("flow did not establish")
 	}
 }
 

@@ -97,15 +97,7 @@ func (st *repairStack) establish(t *testing.T) {
 	if err := st.snd.Establish(); err != nil {
 		t.Fatal(err)
 	}
-	ok := st.clk.AwaitCond(10*time.Second, func() bool {
-		for _, id := range st.g.Relays {
-			if !st.nodes[id].Established(st.g.Flows[id]) {
-				return false
-			}
-		}
-		return true
-	})
-	if !ok {
+	if !awaitGraph(st.clk, 10*time.Second, st.g, func(id wire.NodeID) *relay.Node { return st.nodes[id] }) {
 		t.Fatal("graph never established in virtual time")
 	}
 }
@@ -376,15 +368,7 @@ func TestFlowsRepairIndependently(t *testing.T) {
 		if err := fl.snd.Establish(); err != nil {
 			t.Fatal(err)
 		}
-		ok := clk.AwaitCond(10*time.Second, func() bool {
-			for _, id := range fl.g.Relays {
-				if !nodeByID(nodes, id).Established(fl.g.Flows[id]) {
-					return false
-				}
-			}
-			return true
-		})
-		if !ok {
+		if !awaitGraph(clk, 10*time.Second, fl.g, func(id wire.NodeID) *relay.Node { return nodeByID(nodes, id) }) {
 			t.Fatal("flow never established")
 		}
 		pick := func(exclude func(wire.NodeID) bool) (wire.NodeID, bool) {
@@ -464,6 +448,16 @@ func TestFlowsRepairIndependently(t *testing.T) {
 	if s := flows[1].snd.Counters(); s.Get("repair_splices") != 0 {
 		t.Fatalf("flow 1 spliced against an intact graph: %v", s)
 	}
+}
+
+// awaitGraph waits, at most max on clk, until every relay of g has
+// established its flow; node finds a relay by id.
+func awaitGraph(clk simnet.Clock, max time.Duration, g *core.Graph, node func(wire.NodeID) *relay.Node) bool {
+	nodes, flows := make([]*relay.Node, len(g.Relays)), make([]wire.FlowID, len(g.Relays))
+	for i, id := range g.Relays {
+		nodes[i], flows[i] = node(id), g.Flows[id]
+	}
+	return relay.AwaitEstablished(clk, max, nodes, flows)
 }
 
 func nodeByID(nodes []*relay.Node, id wire.NodeID) *relay.Node {

@@ -211,9 +211,7 @@ func TestRatePacing(t *testing.T) {
 	if err := snd.Establish(); err != nil {
 		t.Fatal(err)
 	}
-	simnet.Eventually(5*time.Second, 2*time.Millisecond, func() bool {
-		return nodes[g.Dest].Established(g.Flows[g.Dest])
-	})
+	relay.AwaitEstablished(simnet.Wall, 5*time.Second, []*relay.Node{nodes[g.Dest]}, []wire.FlowID{g.Flows[g.Dest]})
 	msg := make([]byte, 32<<10)
 	start := time.Now()
 	if err := snd.Send(msg); err != nil {

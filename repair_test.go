@@ -30,20 +30,14 @@ type repairScenarioResult struct {
 // d'=d — the experiments fail relays mid-transfer, so the tests do too.
 func waitAllEstablished(t *testing.T, nw *Network, c *Conn, timeout time.Duration) {
 	t.Helper()
+	nodes, flows := make([]*relay.Node, len(c.graph.Relays)), make([]wire.FlowID, len(c.graph.Relays))
 	nw.mu.Lock()
-	nodes := make(map[NodeID]*relay.Node, len(nw.nodes))
-	for id, n := range nw.nodes {
-		nodes[id] = n
+	for i, id := range c.graph.Relays {
+		nodes[i], flows[i] = nw.nodes[id], c.graph.Flows[id]
 	}
 	nw.mu.Unlock()
-	deadline := time.Now().Add(timeout)
-	for _, id := range c.graph.Relays {
-		for !nodes[id].Established(c.graph.Flows[id]) {
-			if time.Now().After(deadline) {
-				t.Fatalf("relay %d never established", id)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
+	if !relay.AwaitEstablished(nw.cfg.clock(), timeout, nodes, flows) {
+		t.Fatal("the graph never established")
 	}
 }
 

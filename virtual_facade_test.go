@@ -38,20 +38,7 @@ func TestVirtualTimeDialRepairSingleFailure(t *testing.T) {
 	defer conn.Close()
 	// The rest of the graph past the destination: wait until every relay
 	// decoded (failures during setup are out of scope, §8).
-	ok := vc.AwaitCond(10*time.Second, func() bool {
-		for _, id := range conn.graph.Relays {
-			nw.mu.Lock()
-			n := nw.nodes[id]
-			nw.mu.Unlock()
-			if !n.Established(conn.graph.Flows[id]) {
-				return false
-			}
-		}
-		return true
-	})
-	if !ok {
-		t.Fatal("graph never established in virtual time")
-	}
+	waitAllEstablished(t, nw, conn, 10*time.Second)
 
 	// d'=d: zero redundancy — only repair can save the flow.
 	var victim NodeID
@@ -73,7 +60,7 @@ func TestVirtualTimeDialRepairSingleFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []byte
-	ok = vc.AwaitCond(10*time.Second, func() bool {
+	ok := vc.AwaitCond(10*time.Second, func() bool {
 		select {
 		case m := <-conn.Received():
 			got = m
