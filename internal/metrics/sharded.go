@@ -111,7 +111,7 @@ const cacheLine = 64
 // Mix64 is a murmur3-style finalizer: it spreads clustered keys
 // (sequential node ids, relay-chosen flow-ids) uniformly over the word so
 // masking off low bits yields balanced stripes (the relay's flow-table
-// shards and cuckoo buckets).
+// shards).
 func Mix64(key uint64) uint64 {
 	key ^= key >> 33
 	key *= 0xff51afd7ed558ccd

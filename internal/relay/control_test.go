@@ -75,14 +75,12 @@ func injectFlowAt(n *Node, flow wire.FlowID, pi *wire.PerNodeInfo, now time.Time
 	for i := range fs.hops() {
 		fs.hops()[i].flags |= hopObserved // every parent has been seen sending
 	}
-	// Full install: map, LRU link, filter fingerprint, child index and
-	// directory — exactly what creation + establishment on the packet path
+	// Full install: map, LRU link, child index and directory — exactly what creation + establishment on the packet path
 	// produce.
 	sh := n.shardFor(flow)
 	sh.do(func() {
 		sh.flows[flow] = fs
 		sh.lruPush(fs)
-		fs.inFilter = sh.filter.insert(uint64(flow), sh.rng)
 		n.dirAdd(sh, fs)
 	})
 	n.flowCount.Add(1)

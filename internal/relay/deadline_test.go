@@ -200,7 +200,6 @@ func (h *dqHarness) flow(id wire.FlowID) *flowState {
 		h.sh.do(func() {
 			h.sh.flows[id] = fs
 			h.sh.lruPush(fs)
-			fs.inFilter = h.sh.filter.insert(uint64(id), h.sh.rng)
 		})
 		h.n.flowCount.Add(1)
 		h.flows[id] = fs

@@ -194,13 +194,10 @@ func TestDropCountersNameTheDiscard(t *testing.T) {
 			prepare: establish, packet: typed(wire.MsgAck, 0xc2)},
 		{name: "splice that does not open", counter: "splices_refused", from: parent,
 			prepare: establish, packet: wire.AppendSplice(nil, flow, make([]byte, 64))},
-		{name: "heartbeat for an unknown flow", counter: "filter_misses", from: parent,
+		{name: "heartbeat for an unknown flow", counter: "unmatched", from: parent,
 			packet: wire.AppendHeartbeat(nil, flow)},
 		{name: "ack from a sender no flow lists as a child", counter: "filter_misses", from: 77,
 			prepare: establish, packet: typed(wire.MsgAck, 0xc1)},
-		{name: "heartbeat past a filter false positive", counter: "unmatched", from: parent,
-			prepare: func(n *Node, sh *shard) { sh.do(func() { sh.filter.insert(uint64(flow), sh.rng) }) },
-			packet:  wire.AppendHeartbeat(nil, flow)},
 	}
 	arrivals := map[string]bool{"setup_in": true, "data_in": true}
 	for _, tc := range cases {

@@ -30,15 +30,16 @@
 //
 // # Multi-tenant flow table
 //
-// Two lock-free structures front the table for a long-running daemon on an
-// open overlay. A per-shard cuckoo filter (cuckoo.go) rejects
-// flow-addressed traffic for non-resident flows on the transport
-// goroutine, so unknown flows, garbage, and post-eviction stragglers never
-// reach a shard queue; and a child→shard directory (table.go) routes acks
-// and ParentDown reports — stamped with the child's flow-id, not ours — to
-// just the shards holding a flow that lists the sender as a child, where an
-// exact-match index from (child, child-flow) to a flow-id — no pointers, so
-// the collector never scans it — finds the one flow they concern.
+// A flow-addressed packet goes to the shard its flow-id hashes to, resident
+// or not: a relay cannot authenticate flow creation (§9.2), so a stranger's
+// set-up or data packet under a fresh flow-id must reach the worker anyway,
+// and a heartbeat, splice or unknown type for an absent flow costs the worker
+// no more than that — one map miss, counted in unmatched. Acks and ParentDown
+// reports, stamped with the child's flow-id, not ours, are the exception: a
+// lock-free child→shard directory (table.go) routes them to just the shards
+// holding a flow that lists the sender as a child, where an exact-match index
+// from (child, child-flow) to a flow-id — no pointers, so the collector never
+// scans it — finds the one flow they concern.
 // Admission is metered globally (MaxFlows) and, optionally, per tenant —
 // the previous-hop node that created the flow (TenantQuota) — and idle
 // flows age out via an intrusive LRU list walked incrementally by the GC
@@ -243,13 +244,16 @@ var shardVocab = metrics.NewVocab([]string{
 	cSplicesApplied: "splices_applied", cSplicesRefused: "splices_refused",
 }...)
 
-// Packets dropped at a full shard queue, rejected by a shard's filter or
-// the child directory, or too short to classify.
+// Packets dropped at a full shard queue, acks and ParentDown reports from a
+// sender the child directory lists under no flow, and packets too short to
+// classify.
 const cQueueDrops, cFilterMisses, cRunts = 0, 1, 2
 
 var nodeVocab = metrics.NewVocab("queue_drops", "filter_misses", "runts")
 
 // Stats is the view of a node's counters that the benchmark ledger reads.
+// FilterMisses is filter_misses: acks and ParentDown reports the child
+// directory drops because no flow lists their sender.
 type Stats struct {
 	DataPacketsIn, PacketsOut, Regenerated, RoundsSkipped, Dropped   int64
 	QueueDrops, SendDrops, FlowsEvicted, FlowsRejected, FilterMisses int64
@@ -302,10 +306,6 @@ type Node struct {
 type shard struct {
 	idx int
 	in  chan inPkt
-	// filter fronts the flow map: transport goroutines consult it lock-free
-	// and drop flow-addressed traffic that cannot match (cuckoo.go); only
-	// the worker mutates it, with the map itself.
-	filter *cuckooFilter
 
 	// The mailbox (do) and the worker's word that a call ran; the node's
 	// Close has begun, and has swept; the clock timer's wake token, a hold.
@@ -414,9 +414,6 @@ type flowState struct {
 	nextSeq uint32
 	nHops   uint8
 
-	// inFilter: the flow's fingerprint made it into the shard filter (false
-	// ⇒ it is carried by the filter's overflow count instead; see removeFlow).
-	inFilter bool
 	// ackSent dedupes the establishment acknowledgment that travels hop by
 	// hop back to the source endpoints (§7.4 measures setup latency with
 	// it). Relays recognise reverse traffic by the sender's address and the
@@ -478,10 +475,6 @@ func New(id wire.NodeID, tr overlay.Transport, cfg Config) (*Node, error) {
 	if cfg.TenantQuota > 0 {
 		n.tenants = make(map[wire.NodeID]int64)
 	}
-	// Each shard's filter is sized for its fair share of MaxFlows; an
-	// adversarially skewed shard degrades its filter to pass-through
-	// (overflow mode) rather than ever reporting a resident flow absent.
-	perShard := cfg.MaxFlows / cfg.Shards
 	for i := range n.shards {
 		sh := &shard{
 			idx:     i,
@@ -494,7 +487,6 @@ func New(id wire.NodeID, tr overlay.Transport, cfg Config) (*Node, error) {
 			flows:   make(map[wire.FlowID]*flowState),
 			ctr:     make(metrics.Block, nShardCounters),
 			events:  metrics.NewRing[FlowEvent](flowEventCap),
-			filter:  newCuckooFilter(perShard),
 			rng:     rand.New(rand.NewSource(cfg.Rng.Int63())),
 			eg:      egState{rng: rand.New(rand.NewSource(cfg.Rng.Int63()))},
 			byChild: make(map[childKey]wire.FlowID),
@@ -672,16 +664,13 @@ func (sh *shard) do(fn func()) {
 // data transfers to the shard worker, which is the single goroutine that
 // parses and processes it.
 //
-// Two lock-free front filters keep non-flow traffic off the shard queues
-// entirely. Acks and ParentDown reports carry the *child's* flow-id, which
-// does not hash to the shard of the flow they concern: the child directory
-// routes them by sender to just the shards holding a flow that lists it as a
-// child (each looks the (sender, flow-id) pair up exactly) instead of to all
-// of them, and drops a sender matching nothing here. Flow-addressed packets
-// that can never create state (heartbeats, splices, garbage types) consult
-// the owning shard's cuckoo filter and are dropped without enqueueing when
-// the flow cannot be resident. Setup and data packets always pass — they
-// legitimately create flows. Either drop is counted in filter_misses.
+// Acks and ParentDown reports carry the *child's* flow-id, which does not
+// hash to the shard of the flow they concern: the child directory routes them
+// by sender to just the shards holding a flow that lists it as a child (each
+// looks the (sender, flow-id) pair up exactly) instead of to all of them, and
+// drops a sender matching nothing here, counted in filter_misses. Every other
+// packet goes to its flow's shard, whose worker drops one for an absent flow
+// that cannot create it (dispatch, counted in unmatched).
 func (n *Node) onPacket(from wire.NodeID, data []byte) {
 	if len(data) < wire.HeaderLen {
 		n.ctr.Add(uint64(from), cRunts, 1)
@@ -704,12 +693,7 @@ func (n *Node) onPacket(from wire.NodeID, data []byte) {
 		return
 	}
 	f := wire.FlowID(binary.BigEndian.Uint64(data[1:]))
-	sh := n.shardFor(f)
-	if t != wire.MsgSetup && t != wire.MsgData && !sh.filter.mayContain(uint64(f)) {
-		n.ctr.Add(uint64(from), cFilterMisses, 1)
-		return
-	}
-	n.enqueue(sh, from, data, n.clk.Hold())
+	n.enqueue(n.shardFor(f), from, data, n.clk.Hold())
 }
 
 // enqueue hands a packet (and its clock hold) to the shard queue; a full

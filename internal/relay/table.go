@@ -15,11 +15,10 @@ import (
 // Eviction ordering rules (see DESIGN.md, "Multi-tenant flow table"):
 // removal is always removeFlow, always on the shard's worker, and always in
 // this order — cancel deadlines, unmap, unlink from the LRU list, withdraw
-// the cuckoo fingerprint (or rebalance the overflow count), withdraw the
-// child index keys and directory refs, release the admission reservation.
-// The filter and the directory are what transport goroutines read, so they
-// go after the map entry: a packet that passed either just before eviction
-// is queued behind it and finds a clean miss, never a half-removed flow.
+// the child index keys and directory refs, release the admission
+// reservation. The directory is what transport goroutines read, so it goes
+// after the map entry: a packet that passed it just before eviction is
+// queued behind it and finds a clean miss, never a half-removed flow.
 
 // maxObservedHops caps the observed senders in a flow's hop table
 // (hops.go). Sender ids inside a frame are claimed, not proven, so a
@@ -90,7 +89,6 @@ func (n *Node) createFlow(sh *shard, f wire.FlowID, from wire.NodeID) *flowState
 	fs := &flowState{flow: f, tenant: from}
 	sh.flows[f] = fs
 	sh.lruPush(fs)
-	fs.inFilter = sh.filter.insert(uint64(f), sh.rng)
 	return fs
 }
 
@@ -111,11 +109,6 @@ func (n *Node) removeFlow(sh *shard, fs *flowState, evicted bool) {
 	sh.cancelDeadlines(fs)
 	delete(sh.flows, fs.flow)
 	sh.lruRemove(fs)
-	if fs.inFilter {
-		sh.filter.remove(uint64(fs.flow))
-	} else {
-		sh.filter.overflow.Add(-1)
-	}
 	if fs.has(routeUp) {
 		n.dirDel(sh, fs)
 	}

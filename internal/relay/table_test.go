@@ -138,10 +138,10 @@ func TestEvictionUnderLoad(t *testing.T) {
 }
 
 // evictIdleFlows is the full eviction lifecycle: idle flows age out of the
-// LRU sweep (counted FlowsEvicted, all reservations released), traffic for
-// evicted flows is rejected by the cuckoo filter without recreating state,
-// and the same flow ids re-admit cleanly afterwards — filter, map, and
-// flowCount all consistent.
+// LRU sweep (counted FlowsEvicted, all reservations released), control
+// traffic for evicted flows is dropped on the shard without recreating state,
+// and the same flow ids re-admit cleanly afterwards — map, LRU and flowCount
+// all consistent.
 func evictIdleFlows(t *testing.T) {
 	const flows = 32
 	const src = wire.NodeID(99)
@@ -171,9 +171,9 @@ func evictIdleFlows(t *testing.T) {
 		t.Fatalf("flows_evicted = %d, want %d", got, flows)
 	}
 
-	// Post-eviction, a heartbeat for a reaped flow must die at the filter:
-	// no state comes back, and the drop is counted.
-	preMisses := n.Counters().Get("filter_misses")
+	// Post-eviction, a heartbeat for a reaped flow reaches its shard and dies
+	// at the map miss: no state comes back, and every drop is counted.
+	preUnmatched := n.Counters().Get("unmatched")
 	for i := 0; i < flows; i++ {
 		s.Net.Send(src, 1, wire.AppendHeartbeat(nil, fid(i)))
 	}
@@ -181,8 +181,8 @@ func evictIdleFlows(t *testing.T) {
 	if got := n.FlowTableSize(); got != 0 {
 		t.Fatalf("heartbeats resurrected %d evicted flows", got)
 	}
-	if got := n.Counters().Get("filter_misses") - preMisses; got == 0 {
-		t.Fatal("no FilterMisses counted for evicted-flow heartbeats")
+	if got := n.Counters().Get("unmatched") - preUnmatched; got != flows {
+		t.Fatalf("unmatched moved by %d for %d evicted-flow heartbeats", got, flows)
 	}
 
 	// The same ids re-admit cleanly: fresh fingerprints, fresh LRU links,
@@ -438,14 +438,17 @@ func TestMillionFlowBoundedMemory(t *testing.T) {
 		t.Fatalf("%.0f bytes/flow exceeds the 640-byte bound", perFlow)
 	}
 
-	// The filter stayed coherent at scale: a resident flow is never a
-	// filter miss, and lookups for absent flows still short-circuit.
-	if !sh.filter.mayContain(0x5eed_0000_0000) {
-		t.Fatal("resident flow reads as filter miss at full table")
+	// At a full table a heartbeat for an absent flow reaches the worker and
+	// is dropped there, counted, without creating state; one for a resident
+	// flow finds it.
+	pre := n.Counters()
+	n.process(sh, 1, wire.AppendHeartbeat(nil, wire.FlowID(0xffff_ffff_0000_0001)))
+	n.process(sh, 1, wire.AppendHeartbeat(nil, wire.FlowID(0x5eed_0000_0000)))
+	moved := n.Counters().Sub(pre)
+	if moved.Get("unmatched") != 1 || moved.Get("heartbeats_in") != 1 {
+		t.Fatalf("unmatched moved by %d, heartbeats_in by %d; want 1 and 1",
+			moved.Get("unmatched"), moved.Get("heartbeats_in"))
 	}
-	// A heartbeat for an absent flow may or may not be a filter false
-	// positive at this occupancy, but it must never create state.
-	n.onPacket(1, wire.AppendHeartbeat(nil, wire.FlowID(0xffff_ffff_0000_0001)))
 	if got := n.FlowTableSize(); got != flows {
 		t.Fatal("heartbeat for an absent flow created state")
 	}
