@@ -12,7 +12,8 @@
 // not judged here: that is `bench -compare` on alternating pairs (bench/).
 //
 // Run with -update to rewrite the ceilings from the measured values after
-// an intentional change.
+// an intentional change: every benchmark in the run gets an entry, a new one
+// included, and the file is written sorted by name.
 package main
 
 import (
@@ -21,9 +22,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"regexp"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -74,7 +76,7 @@ func main() {
 	}
 
 	if *update {
-		updateBaseline(&base, results, *prune)
+		updateBaseline(os.Stdout, &base, results, *prune)
 		out, err := json.MarshalIndent(&base, "", "  ")
 		if err != nil {
 			fatalf("marshal baseline: %v", err)
@@ -87,14 +89,13 @@ func main() {
 		return
 	}
 
-	failed, missing := gateAllocs(&base, results)
+	failed, missing := gateAllocs(os.Stdout, &base, results)
 	if len(missing) > 0 {
 		// A benchmark that disappears from the run is a gate silently
 		// switching off — usually a rename, a deleted sub-benchmark, or the
 		// bench invocation no longer matching it. Spell out exactly what is
 		// gone so the fix (update the -bench pattern, or rename/remove the
 		// entry in the baseline) is obvious from the CI log alone.
-		sort.Strings(missing)
 		fmt.Fprintf(os.Stderr,
 			"benchguard: %d baseline benchmark(s) missing from this run:\n", len(missing))
 		for _, name := range missing {
@@ -110,47 +111,47 @@ func main() {
 	fmt.Printf("benchguard: all %d gated benchmarks within baseline\n", len(base.AllocsPerOp))
 }
 
-func updateBaseline(base *Baseline, results map[string]int64, prune bool) {
-	var stale []string
-	for name := range base.AllocsPerOp {
-		got, ok := results[name]
-		if !ok {
-			stale = append(stale, name)
-			continue
-		}
-		base.AllocsPerOp[name] = got
+// updateBaseline sets every benchmark in results to its measured value,
+// adding the ones the baseline lacks, and keeps an entry the run did not
+// measure unless prune drops it.
+func updateBaseline(w io.Writer, base *Baseline, results map[string]int64, prune bool) {
+	if base.AllocsPerOp == nil {
+		base.AllocsPerOp = make(map[string]int64)
 	}
-	sort.Strings(stale)
-	for _, name := range stale {
-		if prune {
+	for _, name := range slices.Sorted(maps.Keys(results)) {
+		if _, ok := base.AllocsPerOp[name]; !ok {
+			fmt.Fprintf(w, "benchguard: added %q (%d allocs/op)\n", name, results[name])
+		}
+		base.AllocsPerOp[name] = results[name]
+	}
+	for _, name := range slices.Sorted(maps.Keys(base.AllocsPerOp)) {
+		switch _, ok := results[name]; {
+		case ok:
+		case prune:
 			delete(base.AllocsPerOp, name)
-			fmt.Printf("benchguard: pruned stale entry %q (matches no benchmark in this run)\n", name)
-		} else {
-			fmt.Fprintf(os.Stderr,
-				"benchguard: warning: baseline entry %q matches no benchmark in this run; kept as-is (use -update -prune to drop it)\n", name)
+			fmt.Fprintf(w, "benchguard: pruned stale entry %q (matches no benchmark in this run)\n", name)
+		default:
+			fmt.Fprintf(w, "benchguard: warning: baseline entry %q matches no benchmark in this run; kept as-is (use -update -prune to drop it)\n", name)
 		}
 	}
 }
 
-func gateAllocs(base *Baseline, results map[string]int64) (failed int, missing []string) {
-	names := make([]string, 0, len(base.AllocsPerOp))
-	for name := range base.AllocsPerOp {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+// gateAllocs prints one verdict line per baseline entry and returns how many
+// regressed or went missing, and the missing names.
+func gateAllocs(w io.Writer, base *Baseline, results map[string]int64) (failed int, missing []string) {
+	for _, name := range slices.Sorted(maps.Keys(base.AllocsPerOp)) {
 		allowed := base.AllocsPerOp[name]
 		got, ok := results[name]
 		switch {
 		case !ok:
-			fmt.Printf("MISSING  %-55s baseline %4d allocs/op, not measured\n", name, allowed)
+			fmt.Fprintf(w, "MISSING  %-55s baseline %4d allocs/op, not measured\n", name, allowed)
 			missing = append(missing, name)
 			failed++
 		case got > allowed:
-			fmt.Printf("FAIL     %-55s baseline %4d, got %4d allocs/op\n", name, allowed, got)
+			fmt.Fprintf(w, "FAIL     %-55s baseline %4d, got %4d allocs/op\n", name, allowed, got)
 			failed++
 		default:
-			fmt.Printf("ok       %-55s baseline %4d, got %4d allocs/op\n", name, allowed, got)
+			fmt.Fprintf(w, "ok       %-55s baseline %4d, got %4d allocs/op\n", name, allowed, got)
 		}
 	}
 	return failed, missing

@@ -42,7 +42,6 @@ func main() {
 	outPath := flag.String("out", "", "append received message payloads to this file (default: print them)")
 	transportKind := flag.String("transport", "tcp", "wire transport: tcp (stream, reconnecting) or udp (congestion-controlled datagrams; loss absorbed by slicing redundancy, never retransmitted)")
 	maxFlows := flag.Int("maxflows", 0, "flow-table bound per relay: resident flows before admission refuses creations (0: relay default)")
-	tenantQuota := flag.Int("tenantquota", 0, "per-tenant flow quota: max flows any one previous-hop may hold at a relay (0: no per-tenant bound below -maxflows)")
 	flag.Parse()
 	if *ids == "" {
 		log.Fatal("slicenode: -id is required")
@@ -73,10 +72,7 @@ func main() {
 	delivered := make(chan relay.Message, 256)
 	nodes := make([]*relay.Node, 0, len(nodeIDs))
 	for _, id := range nodeIDs {
-		node, err := relay.New(id, tr, relay.Config{
-			MaxFlows:    *maxFlows,
-			TenantQuota: *tenantQuota,
-		})
+		node, err := relay.New(id, tr, relay.Config{MaxFlows: *maxFlows})
 		if err != nil {
 			log.Fatalf("slicenode: relay %d: %v", id, err)
 		}

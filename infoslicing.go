@@ -95,10 +95,9 @@ const (
 )
 
 type config struct {
-	seed          int64
-	relayCfg      relay.Config
-	hasRelayCfg   bool
-	ctrlHeartbeat time.Duration
+	seed        int64
+	relayCfg    relay.Config
+	hasRelayCfg bool
 
 	kind    transportKind
 	vclk    *simnet.VirtualClock
@@ -124,14 +123,6 @@ func WithSeed(seed int64) Option { return func(c *config) { c.seed = seed } }
 // WithRelayConfig overrides relay daemon timers.
 func WithRelayConfig(rc relay.Config) Option {
 	return func(c *config) { c.relayCfg = rc; c.hasRelayCfg = true }
-}
-
-// WithControlPlane enables the relays' live-churn control plane: every
-// established flow heartbeats its children at the given interval, and a
-// parent quiet for 4× that interval is reported toward the source.
-// DialSpec.Repair needs this on to hear about failures.
-func WithControlPlane(heartbeat time.Duration) Option {
-	return func(c *config) { c.ctrlHeartbeat = heartbeat }
 }
 
 // TransportSpec selects the overlay substrate a Network runs on. Exactly
@@ -277,9 +268,6 @@ func (nw *Network) Grow(k int) ([]NodeID, error) {
 				RoundWait: 200 * time.Millisecond,
 			}
 		}
-		if rc.Heartbeat == 0 && nw.cfg.ctrlHeartbeat > 0 {
-			rc.Heartbeat = nw.cfg.ctrlHeartbeat
-		}
 		rc.Clock = nw.cfg.clock()
 		rc.Rng = rand.New(rand.NewSource(nw.cfg.seed + int64(id)*31))
 		n, err := relay.New(id, nw.chn, rc)
@@ -402,9 +390,9 @@ type DialSpec struct {
 	// endpoints stay attached as listeners, consume the ParentDown reports
 	// relays flood toward them, and answer each with a splice that swaps a
 	// spare relay in for the dead one mid-stream. Requires the network's
-	// relays to run with WithControlPlane (or a heartbeat-enabled
-	// WithRelayConfig); without it failures are never detected and Repair
-	// only adds the listener.
+	// relays to run the control plane (a WithRelayConfig with Heartbeat
+	// set); without it failures are never detected and Repair only adds the
+	// listener.
 	Repair bool
 
 	// EstablishTimeout bounds the wait for the graph to come up
@@ -548,18 +536,10 @@ func (nw *Network) Dial(spec DialSpec) (*Conn, error) {
 	c.setupTime = clk.Now().Sub(start)
 
 	if spec.Repair {
-		// The source must heartbeat at least as often as the relays expect
-		// their parents to: match whichever option enabled the control
-		// plane before falling back to the loop's own default.
-		hb := nw.cfg.ctrlHeartbeat
-		if hb <= 0 && nw.cfg.hasRelayCfg {
-			hb = nw.cfg.relayCfg.Heartbeat
-		}
-		if hb <= 0 {
-			hb = 100 * time.Millisecond
-		}
+		// The source heartbeats as often as the relays expect their parents
+		// to, or at the loop's own default with the control plane off.
 		if err := snd.StartRepair(eps, source.RepairConfig{
-			Heartbeat: hb,
+			Heartbeat: nw.cfg.relayCfg.Heartbeat,
 			Pick:      nw.pickReplacement,
 		}); err != nil {
 			eps.Close()

@@ -76,7 +76,6 @@ var (
 	controlRelay = func() relay.Config {
 		c := churnRelay
 		c.Heartbeat = 10 * time.Millisecond
-		c.LivenessTimeout = 40 * time.Millisecond
 		return c
 	}()
 )

@@ -2,8 +2,10 @@ package relay
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,7 +23,10 @@ import (
 // socket like honest traffic. Whatever the flood, the honest L=2, d=2, d'=3
 // flow delivers every message in order, the counter that names the flood's
 // drop moves, every relay's books balance, and after Close no goroutine and
-// no egress slab is left behind.
+// no egress slab is left behind. A flood whose every packet claims a sender
+// of its own, as a per-sender quota would let pass, meets the same node-wide
+// MaxFlows bound, and the victim records each refusal under its claimed
+// sender.
 func TestAdversaryFlood(t *testing.T) {
 	simnet.ReportSeed(t)
 	const (
@@ -30,10 +35,12 @@ func TestAdversaryFlood(t *testing.T) {
 		msgs     = 16
 	)
 	forged := func(i int) wire.FlowID { return wire.FlowID(0xbad0_0000_0000 + uint64(i)) }
+	spoofed := func(i int) wire.NodeID { return wire.NodeID(10_000 + i) }
 	cases := []struct {
 		name, counter string
 		maxFlows      int
 		packet        func(i int) []byte
+		spoof         bool // packet i claims sender spoofed(i), not the attacker
 	}{
 		{name: "heartbeats for absent flows", counter: "unmatched",
 			packet: func(i int) []byte { return wire.AppendHeartbeat(nil, forged(i)) }},
@@ -42,6 +49,8 @@ func TestAdversaryFlood(t *testing.T) {
 		// The honest flow holds one of the four slots on every relay.
 		{name: "data under fresh flow-ids", counter: "flows_rejected", maxFlows: 4,
 			packet: func(i int) []byte { return junkDataFrame(forged(i)) }},
+		{name: "data under fresh flow-ids from spoofed senders", counter: "flows_rejected", maxFlows: 4,
+			packet: func(i int) []byte { return junkDataFrame(forged(i)) }, spoof: true},
 		{name: "acks from a sender no flow lists", counter: "filter_misses",
 			packet: func(i int) []byte {
 				return wire.AppendPacketHeader(nil, wire.MsgAck, forged(i), 0, 0, 0, 0)
@@ -109,7 +118,11 @@ func TestAdversaryFlood(t *testing.T) {
 				go func() {
 					defer close(flooded)
 					for i := range flood {
-						tr.Send(attacker, victim.ID(), tc.packet(i)) // a full peer queue drops: still a flood
+						from := attacker
+						if tc.spoof {
+							from = spoofed(i)
+						}
+						tr.Send(from, victim.ID(), tc.packet(i)) // a full peer queue drops: still a flood
 					}
 				}()
 				for m := range msgs {
@@ -134,6 +147,25 @@ func TestAdversaryFlood(t *testing.T) {
 					t.Fatalf("%s did not move under the flood", tc.counter)
 				}
 				t.Logf("%s = %d of %d forged packets", tc.counter, victim.Counters().Get(tc.counter), flood)
+				if tc.spoof {
+					// The latest refusal still in the recorder names the
+					// sender its packet claimed.
+					refused := false
+					for i := flood - 1; i >= 0 && !refused; i-- {
+						for _, e := range victim.FlowEvents(forged(i)) {
+							if e.Kind != EvReject {
+								continue
+							}
+							if want := fmt.Sprintf(" reject from=%d", spoofed(i)); !strings.HasSuffix(e.String(), want) {
+								t.Fatalf("refused flow %#x recorded %q, want%s", forged(i), e, want)
+							}
+							refused = true
+						}
+					}
+					if !refused {
+						t.Fatal("no refused flow in the victim's recorder")
+					}
+				}
 				checkBooks(t, nodes...)
 				if got := victim.FlowTableSize(); tc.maxFlows > 0 && got > tc.maxFlows {
 					t.Fatalf("victim holds %d flows past MaxFlows %d", got, tc.maxFlows)

@@ -66,7 +66,7 @@ func TestBooksEvictionAndSweep(t *testing.T) {
 		p1, p2  = wire.NodeID(11), wire.NodeID(12)
 	)
 	s, n := virtualNode(t, 1, Config{FlowTTL: 50 * time.Millisecond, GCInterval: 10 * time.Millisecond,
-		RoundWait: time.Hour, GapWait: time.Hour})
+		RoundWait: time.Hour})
 	for _, id := range []wire.NodeID{p1, p2} {
 		if err := s.Net.Attach(id, func(wire.NodeID, []byte) {}); err != nil {
 			t.Fatal(err)

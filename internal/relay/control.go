@@ -18,9 +18,9 @@ import (
 const seenReportsCap = 512
 
 // controlSweep is the heartbeat/liveness sweep a shard's tick runs every
-// Config.Heartbeat: an established flow frames one keepalive per child and,
-// with LivenessTimeout set, reports parents silent too long toward the
-// source. Detection never alters round forwarding
+// Config.Heartbeat: an established flow frames one keepalive per child and
+// reports parents silent for livenessBeats heartbeats toward the source.
+// Detection never alters round forwarding
 // (deadParents stays round-driven), so enabling the control plane does not
 // change what the data path delivers; it only adds the repair signal.
 func (n *Node) controlSweep(sh *shard, now int64) {
@@ -30,14 +30,12 @@ func (n *Node) controlSweep(sh *shard, now int64) {
 		}
 		kids, flows := fs.kids()
 		for c, child := range kids {
-			sh.batchFrame(child, wire.AppendHeartbeat(n.claim(sh, wire.HeaderLen)[:0], flows[c]), ctlFrames)
+			sh.batchFrame(child, wire.AppendHeartbeat(n.claim(sh, wire.HeaderLen)[:0], flows[c]))
 			sh.ctr[cHeartbeatsOut]++
 		}
-		if n.cfg.LivenessTimeout > 0 {
-			fs.sweepHops(now, int64(n.cfg.LivenessTimeout), func(dead wire.NodeID) {
-				n.sendParentDown(sh, fs, dead)
-			})
-		}
+		fs.sweepHops(now, livenessBeats*int64(n.cfg.Heartbeat), func(dead wire.NodeID) {
+			n.sendParentDown(sh, fs, dead)
+		})
 	}
 }
 
@@ -70,7 +68,7 @@ func (n *Node) sendParentDown(sh *shard, fs *flowState, dead wire.NodeID) {
 // bytes: the transport only reads them.
 func (sh *shard) floodUpstream(fs *flowState, frame []byte) {
 	for _, h := range fs.hops() {
-		sh.batchFrame(h.id, frame, ctlFrames)
+		sh.batchFrame(h.id, frame)
 	}
 }
 

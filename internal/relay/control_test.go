@@ -94,9 +94,8 @@ func injectFlowAt(n *Node, flow wire.FlowID, pi *wire.PerNodeInfo, now time.Time
 func TestLivenessDetectionReportsQuietParent(t *testing.T) {
 	tr := &rawTransport{}
 	n, err := New(1, tr, Config{
-		Heartbeat:       10 * time.Millisecond,
-		LivenessTimeout: 40 * time.Millisecond,
-		Rng:             rand.New(rand.NewSource(1)),
+		Heartbeat: 10 * time.Millisecond,
+		Rng:       rand.New(rand.NewSource(1)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -403,9 +402,8 @@ func TestSpliceIgnoredForUnknownOrUnestablishedFlow(t *testing.T) {
 func TestRelayMalformedControlTraffic(t *testing.T) {
 	tr := &rawTransport{}
 	n, err := New(5, tr, Config{
-		Heartbeat:       5 * time.Millisecond,
-		LivenessTimeout: 20 * time.Millisecond,
-		Rng:             rand.New(rand.NewSource(7)),
+		Heartbeat: 5 * time.Millisecond,
+		Rng:       rand.New(rand.NewSource(7)),
 	})
 	if err != nil {
 		t.Fatal(err)

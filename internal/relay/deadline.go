@@ -22,7 +22,7 @@ import (
 const (
 	dlSetup = iota // SetupWait after the routing block decoded: forward the wave short
 	dlRound        // the round window's next instant of interest (window.go)
-	dlGap          // GapWait parked on a hole: write it off (receive.go)
+	dlGap          // the gap wait parked on a hole: write it off (receive.go)
 	nDeadlines
 )
 

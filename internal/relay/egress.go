@@ -16,11 +16,10 @@ import (
 // ack, heartbeat or ParentDown report — is framed into the shard's open slab
 // and filed under its destination; nothing is sent until the driver's
 // runEgress, so N frames to one child are one queue transaction instead of N.
-// Control frames drain ahead of data frames, each kind in framing order: the
-// wire's order when control left at once and data at the burst's tail, so a
-// child hears a flow's set-up packet before data replayed behind its decode.
-// Slabs are refcounted (transport.SlabPool) and handed over by reference to
-// an overlay.OwnedSender; other transports get the copying per-frame Send.
+// Frames drain in framing order; a child that hears a round before its flow's
+// set-up packet holds it pending and replays it at decode (setup.go). Slabs
+// are refcounted (transport.SlabPool) and handed over by reference to an
+// overlay.OwnedSender; other transports get the copying per-frame Send.
 //
 // The open slab outlives the step, so many small bursts share one. A slab
 // that fills with frames still filed stays referenced, by its batches and the
@@ -36,8 +35,8 @@ import (
 const slabSize, minRoom = 32 << 10, 8 << 10
 
 // egState is a shard's egress: the open slab and the append cursor into it,
-// the slabs rolled since the last drain, the batches that view them —
-// control's, then data's — and the recombination scratch.
+// the slabs rolled since the last drain, the batches that view them, and the
+// recombination scratch.
 type egState struct {
 	slab *transport.Slab
 	// buf is the open slab's bytes, appended here rather than to slab.Buf:
@@ -45,15 +44,13 @@ type egState struct {
 	// cache lines, away from the refcount transport writers hit on Release.
 	buf     []byte
 	rolled  []*transport.Slab
-	batches [2][]destBatch // by frame kind
+	batches []destBatch
 	regen   []code.Slice
 	rng     *rand.Rand
 }
 
-const ctlFrames, dataFrames = 0, 1 // the frame kinds, in drain order
-
-// destBatch accumulates the frames of one kind bound for one destination
-// within one slab, so they leave as a single owned hand-off.
+// destBatch accumulates the frames bound for one destination within one
+// slab, so they leave as a single owned hand-off.
 type destBatch struct {
 	to   wire.NodeID
 	slab *transport.Slab
@@ -65,7 +62,7 @@ type destBatch struct {
 func (n *Node) claim(sh *shard, size int) []byte {
 	eg := &sh.eg
 	if cap(eg.buf)-len(eg.buf) < size { // full, or no slab open yet
-		if len(eg.batches[ctlFrames])+len(eg.batches[dataFrames]) > 0 {
+		if len(eg.batches) > 0 {
 			eg.rolled = append(eg.rolled, eg.slab) // frames filed from it wait for the drain
 			eg.slab = nil
 		}
@@ -93,7 +90,7 @@ func (n *Node) frameData(sh *shard, to wire.NodeID, flow wire.FlowID, seq uint32
 	} else {
 		_ = wire.AppendSlot(b, out)
 	}
-	sh.batchFrame(to, frame, dataFrames)
+	sh.batchFrame(to, frame)
 }
 
 // close drops the shard's own reference to the open slab; the slab returns
@@ -105,12 +102,12 @@ func (eg *egState) close() {
 	}
 }
 
-// batchFrame files one framed packet of a kind, in the open slab, under its
+// batchFrame files one framed packet, in the open slab, under its
 // destination. Destinations per drain are few (the children of the rounds in
 // one burst, a flow's parents), so a linear scan beats a map — and the batch
 // structs and their bufs arenas are reused forever.
-func (sh *shard) batchFrame(to wire.NodeID, frame []byte, kind int) {
-	b := sh.eg.batches[kind]
+func (sh *shard) batchFrame(to wire.NodeID, frame []byte) {
+	b := sh.eg.batches
 	for i := range b {
 		if b[i].to == to && b[i].slab == sh.eg.slab {
 			b[i].bufs = append(b[i].bufs, frame)
@@ -125,41 +122,39 @@ func (sh *shard) batchFrame(to wire.NodeID, frame []byte, kind int) {
 	nb := &b[len(b)-1]
 	nb.to, nb.slab = to, sh.eg.slab
 	nb.bufs = append(nb.bufs[:0], frame)
-	sh.eg.batches[kind] = b
+	sh.eg.batches = b
 }
 
-// runEgress hands every batch to the transport, control's first, retires
-// them and drops the references to the slabs rolled since the last drain.
-// The owned path Retains a batch's slab once per batch (the transport
-// releases when flushed or dropped); the fallback copies through Send, the
-// relay's only call of it. Transports never block the caller (the
-// non-blocking send contract): a peer whose queue is full sheds what it was
-// handed and reports the advisory ErrSendQueueFull, counted as send_drops.
+// runEgress hands every batch to the transport, retires them and drops the
+// references to the slabs rolled since the last drain. The owned path Retains
+// a batch's slab once per batch (the transport releases when flushed or
+// dropped); the fallback copies through Send, the relay's only call of it.
+// Transports never block the caller (the non-blocking send contract): a peer
+// whose queue is full sheds what it was handed and reports the advisory
+// ErrSendQueueFull, counted as send_drops.
 func (n *Node) runEgress(sh *shard) {
 	eg := &sh.eg
-	for kind, batches := range eg.batches {
-		for i := range batches {
-			b := &batches[i]
-			if n.owned != nil {
-				sh.ctr[cPacketsOut] += int64(len(b.bufs))
-				b.slab.Retain()
-				err := n.owned.SendOwned(n.id, b.to, b.bufs, b.slab.ReleaseFn)
-				if err != nil && errors.Is(err, overlay.ErrSendQueueFull) {
-					sh.ctr[cSendDrops] += int64(len(b.bufs)) // owned batching is all-or-nothing
-				}
-			} else {
-				for _, fr := range b.bufs {
-					sh.ctr[cPacketsOut]++
-					if err := n.tr.Send(n.id, b.to, fr); err != nil && errors.Is(err, overlay.ErrSendQueueFull) {
-						sh.ctr[cSendDrops]++
-					}
+	for i := range eg.batches {
+		b := &eg.batches[i]
+		if n.owned != nil {
+			sh.ctr[cPacketsOut] += int64(len(b.bufs))
+			b.slab.Retain()
+			err := n.owned.SendOwned(n.id, b.to, b.bufs, b.slab.ReleaseFn)
+			if err != nil && errors.Is(err, overlay.ErrSendQueueFull) {
+				sh.ctr[cSendDrops] += int64(len(b.bufs)) // owned batching is all-or-nothing
+			}
+		} else {
+			for _, fr := range b.bufs {
+				sh.ctr[cPacketsOut]++
+				if err := n.tr.Send(n.id, b.to, fr); err != nil && errors.Is(err, overlay.ErrSendQueueFull) {
+					sh.ctr[cSendDrops]++
 				}
 			}
-			clear(b.bufs)
-			b.bufs, b.slab = b.bufs[:0], nil
 		}
-		eg.batches[kind] = batches[:0]
+		clear(b.bufs)
+		b.bufs, b.slab = b.bufs[:0], nil
 	}
+	eg.batches = eg.batches[:0]
 	for i, s := range eg.rolled {
 		s.Release()
 		eg.rolled[i] = nil

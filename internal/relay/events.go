@@ -18,8 +18,8 @@ const flowEventCap = 1024
 type EventKind uint8
 
 const (
-	EvAdmit        EventKind = iota + 1 // Arg: the tenant (previous hop) that created the flow
-	EvReject                            // Arg: RejectMaxFlows or RejectTenantQuota
+	EvAdmit        EventKind = iota + 1 // Arg: the sender (previous hop) that created the flow
+	EvReject                            // Arg: the sender refused at MaxFlows
 	EvEstablish                         // Arg: the children the routing block names
 	EvSplice                            // Arg: the applied splice's sequence number
 	EvParentDown                        // Arg: the parent reported dead
@@ -29,11 +29,8 @@ const (
 	EvTailShed                          // the flow came to rest
 )
 
-// Why admission refused a flow (EvReject's Arg).
-const RejectMaxFlows, RejectTenantQuota = 1, 2
-
 var eventNames = [...]string{
-	EvAdmit: "admit from", EvReject: "reject reason", EvEstablish: "establish kids",
+	EvAdmit: "admit from", EvReject: "reject from", EvEstablish: "establish kids",
 	EvSplice: "splice seq", EvParentDown: "parent_down parent", EvRoundExpired: "round_expired round",
 	EvEvict: "evict last", EvGapSkip: "gap_skip rounds", EvTailShed: "tail_shed",
 }
@@ -48,11 +45,8 @@ type FlowEvent struct {
 
 // String renders the event as "t=stamp kind arg=value".
 func (e FlowEvent) String() string {
-	switch e.Kind {
-	case EvTailShed:
+	if e.Kind == EvTailShed {
 		return fmt.Sprintf("t=%d %s", e.At, eventNames[e.Kind])
-	case EvReject:
-		return fmt.Sprintf("t=%d %s=%s", e.At, eventNames[e.Kind], [...]string{"", "max_flows", "tenant_quota"}[e.Arg])
 	}
 	return fmt.Sprintf("t=%d %s=%d", e.At, eventNames[e.Kind], e.Arg)
 }

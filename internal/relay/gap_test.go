@@ -16,7 +16,7 @@ import (
 )
 
 // A round lost beyond the d'−d budget must not head-of-line block the
-// receiver forever: after GapWait the reassembly stream skips the hole and
+// receiver forever: after the gap wait the reassembly stream skips the hole and
 // later messages keep delivering (the transport never retransmits, so the
 // skipped messages are the only casualties).
 func TestReceiverGapSkipUnblocksStream(t *testing.T) {
@@ -43,7 +43,7 @@ func TestReceiverGapSkipUnblocksStream(t *testing.T) {
 	if err := h.sender.Send([]byte("after")); err != nil {
 		t.Fatal(err)
 	}
-	// fastCfg RoundWait is 50ms, so GapWait defaults to 100ms; well before
+	// fastCfg RoundWait is 50ms, so the gap wait is 100ms; well before
 	// the 5s deadline the receiver must write the hole off and deliver.
 	if got := h.waitMsg(t, 5*time.Second); !bytes.Equal(got, []byte("after")) {
 		t.Fatalf("post-gap message corrupted: %q", got)
@@ -224,7 +224,7 @@ func (rf *receiverFlow) delivered() (out [][]byte) {
 // A receiver must deliver the same messages however its rounds arrive: in
 // order (each decoded straight onto the stream), reordered (rounds ahead of
 // a hole park as chunks), with duplicate slices and replayed rounds, and
-// across lost rounds — one mid-message, one a message's head — which GapWait
+// across lost rounds — one mid-message, one a message's head — which the gap wait
 // writes off, losing exactly the messages they cut, while the resync filter
 // drops the orphaned continuation rounds.
 func TestReceiverDeliversRoundSequences(t *testing.T) {
@@ -318,7 +318,7 @@ func TestReceiverDeliversRoundSequences(t *testing.T) {
 				rf.arrive(x.seq, x.p)
 			}
 			for range 4 {
-				rf.clk.RunFor(2 * wmRoundWait) // GapWait, default 2×RoundWait
+				rf.clk.RunFor(gapRounds * wmRoundWait) // the gap wait
 			}
 			for _, x := range held {
 				rf.arrive(x.seq, x.p)
@@ -388,7 +388,7 @@ func TestInOrderRoundAllocatesNothing(t *testing.T) {
 
 // A destination at rest sheds its receiving phase: a RoundWait after a
 // message it holds no round ring and no receiver tail, and the next message
-// still arrives intact. One parked on a hole keeps its tail until GapWait
+// still arrives intact. One parked on a hole keeps its tail until the gap wait
 // writes the hole off and a later message re-aligns the stream; a splice
 // re-keys what the held tail and the next fresh one open; and nothing
 // opened is left unaccounted for.
@@ -443,7 +443,7 @@ func TestDestinationShedsTailAtRest(t *testing.T) {
 	rounds(rf.first[2]+1, rf.first[3])
 	rf.clk.RunFor(wmRoundWait)
 	holds("parked on the hole", true, true)
-	rf.clk.RunFor(wmRoundWait) // GapWait since the rounds parked
+	rf.clk.RunFor(wmRoundWait) // the gap wait since the rounds parked
 	expect("hole written off")
 	if got := rf.n.Counters().Get("rounds_skipped"); got != 1 {
 		t.Fatalf("rounds_skipped = %d, want the hole", got)

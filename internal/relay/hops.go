@@ -94,7 +94,7 @@ func (fs *flowState) observe(from wire.NodeID, now int64) int {
 // declareParents makes the parents named by pi's maps the flow's declared
 // parents and folds the data map into their records. At establishment one
 // not yet heard starts its liveness clock at now, so a parent that never
-// speaks is detected a LivenessTimeout later, not reported blind. A splice
+// speaks is detected livenessBeats heartbeats later, not reported blind. A splice
 // also gives every parent it swaps in a fresh grace and drops the liveness
 // state of the ones it removes; a removed parent that was seen sending stays
 // as an observed hop. The data map folds when each parent feeds one child and

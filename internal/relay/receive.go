@@ -100,13 +100,13 @@ func (n *Node) watchGap(sh *shard, fs *flowState, now int64) {
 	var at int64
 	if rx.buffered > 0 {
 		rx.gapSeq = fs.nextSeq
-		at = now + int64(n.cfg.GapWait)
+		at = now + gapRounds*int64(n.cfg.RoundWait)
 	}
 	sh.setDeadline(fs, dlGap, at)
 }
 
 // skipGap writes off the missing rounds the reassembly stream has
-// been parked on for a full GapWait. The transport never retransmits, so a
+// been parked on for a full gap wait. The transport never retransmits, so a
 // round still absent after that long lost more than d'−d slices at some
 // stage and is gone for good; skipping it trades those messages — already
 // lost — for the rest of the flow, which would otherwise head-of-line

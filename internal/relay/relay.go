@@ -40,11 +40,10 @@
 // holding a flow that lists the sender as a child, where an exact-match index
 // from (child, child-flow) to a flow-id — no pointers, so the collector never
 // scans it — finds the one flow they concern.
-// Admission is metered globally (MaxFlows) and, optionally, per tenant —
-// the previous-hop node that created the flow (TenantQuota) — and idle
-// flows age out via an intrusive LRU list walked incrementally by the GC
-// sweep, so eviction work is proportional to what expired, not to the
-// table size. See DESIGN.md, "Multi-tenant flow table".
+// Admission is one node-wide bound (MaxFlows), and idle flows age out via an
+// intrusive LRU list walked incrementally by the GC sweep, so eviction work
+// is proportional to what expired, not to the table size. See DESIGN.md,
+// "Multi-tenant flow table".
 package relay
 
 import (
@@ -73,14 +72,10 @@ type Config struct {
 	// after it first hears of a flow before forwarding with what it has.
 	SetupWait time.Duration
 	// RoundWait bounds how long a relay waits for a data round to complete
-	// before forwarding (and, if possible, regenerating) what it has.
+	// before forwarding (and, if possible, regenerating) what it has. A
+	// receiver's stream stalled on a missing round writes it off after two
+	// of them, the gap wait (receive.go).
 	RoundWait time.Duration
-	// GapWait bounds how long a receiver's reassembly stream stalls on a
-	// missing round while later rounds are already decoded. When it expires
-	// the hole is written off — the transport never retransmits, so a round
-	// that lost more than d'−d slices at some stage is gone for good — and
-	// delivery resumes at the next decoded round. Defaults to 2×RoundWait.
-	GapWait time.Duration
 	// FlowTTL evicts flows with no traffic for this long.
 	FlowTTL time.Duration
 	// GCInterval is how often the flow table is swept.
@@ -88,14 +83,6 @@ type Config struct {
 	// MaxFlows bounds the flow table across all shards (denial-of-service
 	// guard, §9.2).
 	MaxFlows int
-	// TenantQuota bounds how many flows any single tenant — the
-	// previous-hop node that creates a flow, the deepest identity a relay
-	// is allowed to see — may hold at once. Zero (the default) disables
-	// per-tenant metering and leaves only the global MaxFlows bound, the
-	// pre-multi-tenant behavior. With a quota set, one peer at its cap
-	// cannot starve admission for everyone else (flows_rejected counts its
-	// rejected creations).
-	TenantQuota int
 	// Shards is the number of flow-table stripes, each with its own queue
 	// and worker; it is rounded up to a power of two. Defaults to GOMAXPROCS
 	// (rounded up, capped at 64). A node on any Clock but simnet.Wall runs
@@ -103,17 +90,12 @@ type Config struct {
 	Shards int
 	// Heartbeat enables the live-churn control plane: every established
 	// flow sends a per-flow keepalive to each child at this interval, and
-	// the same sweep drives parent-liveness checks. Zero (the default)
-	// disables the control plane entirely — the node behaves exactly like
-	// the passive, redundancy-only relay.
+	// the same sweep reports a parent silent (no data, no heartbeat) for
+	// four of them toward the source. Detection only *reports*; it
+	// never changes how rounds are forwarded. Zero (the default) disables
+	// the control plane entirely — the node behaves exactly like the
+	// passive, redundancy-only relay.
 	Heartbeat time.Duration
-	// LivenessTimeout is how long a parent may stay silent (no data, no
-	// heartbeat) before the relay presumes it dead and emits a ParentDown
-	// report toward the source. Defaults to 4×Heartbeat when heartbeats are
-	// enabled. Detection only *reports*; it never changes how rounds are
-	// forwarded, so the data path is identical with the control plane on
-	// or off.
-	LivenessTimeout time.Duration
 	// Rng seeds the per-shard RNGs that drive padding and recombination;
 	// defaults to one derived from the process base seed (simnet.BaseSeed),
 	// so a failing run can be replayed. It is only drawn from during New.
@@ -131,15 +113,19 @@ type Config struct {
 // as writev batching amortizes the peer writer's per-frame cost.
 const queueDepth, maxBurst = 1024, 64
 
+// A receiver's reassembly stream stalled on a missing round, later rounds
+// already decoded, writes the hole off after gapRounds round waits: the
+// transport never retransmits, so a round that lost more than d'−d slices at
+// some stage is gone for good (receive.go). A parent silent for
+// livenessBeats heartbeats is presumed dead and reported (control.go).
+const gapRounds, livenessBeats = 2, 4
+
 func (c *Config) fillDefaults() {
 	if c.SetupWait == 0 {
 		c.SetupWait = 500 * time.Millisecond
 	}
 	if c.RoundWait == 0 {
 		c.RoundWait = 300 * time.Millisecond
-	}
-	if c.GapWait == 0 {
-		c.GapWait = 2 * c.RoundWait
 	}
 	if c.FlowTTL == 0 {
 		c.FlowTTL = 2 * time.Minute
@@ -157,9 +143,6 @@ func (c *Config) fillDefaults() {
 		c.Shards = 64
 	}
 	c.Shards = metrics.CeilPow2(c.Shards)
-	if c.Heartbeat > 0 && c.LivenessTimeout == 0 {
-		c.LivenessTimeout = 4 * c.Heartbeat
-	}
 	if c.Rng == nil {
 		c.Rng = simnet.NewRand()
 	}
@@ -200,7 +183,7 @@ const (
 	cRoundsExpired            // opened rounds written off unfinished
 	cRoundsEvicted            // opened rounds evicted with their flow
 	cRoundsSwept              // opened rounds swept by Close
-	cRoundsSkipped            // receiver rounds written off after GapWait
+	cRoundsSkipped            // receiver rounds written off after the gap wait
 	cStreamResyncs            // reassembly re-alignments after a skip
 	cMessagesDelivered        // messages opened at the destination
 	cMessagesCorrupt          // sealed messages that failed authentication
@@ -214,7 +197,7 @@ const (
 	cQueueAbandoned           // packets still queued when Close began
 	cFlowsEstablished         // routing blocks decoded
 	cFlowsEvicted             // flows reaped by TTL eviction
-	cFlowsRejected            // flow creations refused by MaxFlows or TenantQuota
+	cFlowsRejected            // flow creations refused by MaxFlows
 	cHeartbeatsIn
 	cHeartbeatsOut
 	cParentDownSent      // reports this node originated
@@ -270,14 +253,9 @@ type Node struct {
 
 	shards []*shard
 	mask   uint64
-	// flowCount is the table occupancy across all shards; admit (table.go)
-	// keeps it at or under MaxFlows without a global lock.
+	// flowCount is the table occupancy across all shards; createFlow
+	// (table.go) keeps it at or under MaxFlows without a global lock.
 	flowCount atomic.Int64
-
-	// Per-tenant admission accounting (table.go); tenants is nil unless
-	// Config.TenantQuota is set.
-	tenantMu sync.Mutex
-	tenants  map[wire.NodeID]int64
 
 	// children routes acks and ParentDown reports, by sender, to just the
 	// shards holding a flow that lists it as a child.
@@ -385,11 +363,9 @@ type flowState struct {
 	tail             *flowTail
 	spill            *flowSpill
 	lastActive       int64
-	// Table identity and admission accounting: the flow's own key (so the
-	// LRU sweep can unmap without a reverse lookup) and the tenant whose
-	// quota the flow holds.
-	flow   wire.FlowID
-	tenant wire.NodeID
+	// The flow's own key, so the LRU sweep can unmap without a reverse
+	// lookup.
+	flow wire.FlowID
 	// Pending waits, the earliest of them, and the flow's place in the
 	// shard's deadline queue (deadline.go).
 	heapPos int32
@@ -472,9 +448,6 @@ func New(id wire.NodeID, tr overlay.Transport, cfg Config) (*Node, error) {
 		ctr:       metrics.NewShardedCounter(4*runtime.GOMAXPROCS(0), nodeVocab),
 	}
 	n.children.entries = make(map[wire.NodeID]*childEntry)
-	if cfg.TenantQuota > 0 {
-		n.tenants = make(map[wire.NodeID]int64)
-	}
 	for i := range n.shards {
 		sh := &shard{
 			idx:     i,
@@ -853,7 +826,7 @@ func (n *Node) dispatch(sh *shard, from wire.NodeID, pkt *wire.Packet, now int64
 			return
 		}
 		if fs = n.createFlow(sh, pkt.Flow, from); fs == nil {
-			return // admission refused (MaxFlows or tenant quota)
+			return // admission refused (MaxFlows)
 		}
 	}
 	hi := fs.observe(from, now)

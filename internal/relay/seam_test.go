@@ -193,19 +193,21 @@ func sealedRounds(tb testing.TB, key slcrypto.SymmetricKey, rng *rand.Rand, pare
 // deliveries and gap write-off, a heartbeat sweep with a ParentDown report
 // and a GC eviction, by step and tick alone, with a clock and transport that
 // fail the test if either call touches them. Each call's effects are its
-// frames per destination — set-up ahead of data to every child —, its
-// deliveries and its next instant; and the books balance throughout.
+// frames per destination, in framing order, its deliveries and its next
+// instant; and the books balance throughout.
 func TestShardStepTouchesNoIO(t *testing.T) {
 	const (
 		ms        = time.Millisecond
 		roundWait = 50 * ms
-		gapWait   = 100 * ms
+		gapWait   = gapRounds * roundWait
+		heartbeat = 200 * ms
+		liveness  = livenessBeats * heartbeat
 	)
 	g := stagingGraph(t)
 	target := g.Stages[1][0]
 	r := newSeamRig(t, target, Config{
-		RoundWait: roundWait, GapWait: gapWait, FlowTTL: 2 * time.Second,
-		GCInterval: 500 * ms, Heartbeat: time.Second, LivenessTimeout: 500 * ms,
+		RoundWait: roundWait, FlowTTL: 2 * time.Second,
+		GCInterval: 500 * ms, Heartbeat: heartbeat,
 	})
 	info, flow := g.Infos[target], g.Flows[target]
 	kids, kidFlows := info.Children, info.ChildFlows
@@ -253,20 +255,21 @@ func TestShardStepTouchesNoIO(t *testing.T) {
 	// Round 0 races ahead of the set-up wave: held, nothing leaves.
 	r.step(1*ms, data(0, 0), data(1, 0), data(2, 0))
 	expect("data ahead of set-up", nil)
-	if r.next != 500*ms {
-		t.Errorf("next instant %v with nothing waiting, want the GC instant", r.next)
+	if r.next != heartbeat {
+		t.Errorf("next instant %v with nothing waiting, want the heartbeat instant", r.next)
 	}
 	// The wave decodes at its second packet, which replays round 0; the third
-	// completes the wave. Every child hears its set-up packet before its data.
+	// completes the wave. Frames leave in framing order, so every child hears
+	// round 0 and then its set-up packet.
 	var wave []inPkt
 	for _, p := range waveInto(t, g, target) {
 		wave = append(wave, inPkt{from: p.from, data: p.frame})
 	}
 	r.step(2*ms, wave...)
-	expect("set-up", each(kids, wire.MsgSetup, wire.MsgData))
+	expect("set-up", each(kids, wire.MsgData, wire.MsgSetup))
 	for c, k := range kids {
 		var p wire.Packet
-		if err := wire.ParsePacket(r.frames[k][1], &p); err != nil || p.Flow != kidFlows[c] || p.Seq != 0 {
+		if err := wire.ParsePacket(r.frames[k][0], &p); err != nil || p.Flow != kidFlows[c] || p.Seq != 0 {
 			t.Errorf("child %d's data frame: %+v, %v; want round 0 of flow %d", k, p, err, kidFlows[c])
 		}
 	}
@@ -324,31 +327,37 @@ func TestShardStepTouchesNoIO(t *testing.T) {
 	expect("gap write-off", nil)
 
 	// Heartbeats keep two parents of each flow fresh; the relay's third has
-	// been silent since the wave. The sweep at the heartbeat instant sends
-	// each child a keepalive and reports the third parent to every hop.
+	// been silent since the wave. Every sweep sends each child a keepalive;
+	// the first at which the third parent has been silent longer than the
+	// liveness timeout also reports it to every hop.
 	hb := func(from wire.NodeID, f wire.FlowID) inPkt {
 		return inPkt{from: from, data: wire.AppendHeartbeat(nil, f)}
 	}
-	r.tickTo(900 * ms) // a GC instant passes, with nothing idle long enough
-	expect("GC, nothing to evict", nil)
-	r.step(900*ms, hb(parents[0], flow), hb(parents[1], flow), hb(rxParents[0], rxFlow), hb(rxParents[1], rxFlow))
-	expect("heartbeats in", nil)
-	if r.next != time.Second {
-		t.Errorf("next instant %v, want the heartbeat and GC instant", r.next)
+	const reportAt = liveness + heartbeat // the first sweep past 2ms + liveness
+	r.tickTo(reportAt - 100*ms)           // a GC instant passes, with nothing idle long enough
+	beats := make([]wire.MsgType, liveness/heartbeat)
+	for i := range beats {
+		beats[i] = wire.MsgHeartbeat
 	}
-	r.tick(time.Second)
+	expect("sweeps within the liveness timeout, GC with nothing to evict", each(kids, beats...))
+	r.step(reportAt-100*ms, hb(parents[0], flow), hb(parents[1], flow), hb(rxParents[0], rxFlow), hb(rxParents[1], rxFlow))
+	expect("heartbeats in", nil)
+	if r.next != reportAt {
+		t.Errorf("next instant %v, want the heartbeat and GC instant %v", r.next, reportAt)
+	}
+	r.tick(reportAt)
 	want := each(kids, wire.MsgHeartbeat)
 	for id, ts := range each(parents, wire.MsgParentDown) {
 		want[id] = ts
 	}
 	expect("heartbeat sweep", want)
-	if r.next != 1500*ms {
-		t.Errorf("next instant %v after the sweep, want the next GC instant", r.next)
+	if r.next != reportAt+heartbeat {
+		t.Errorf("next instant %v after the sweep, want the next heartbeat instant %v", r.next, reportAt+heartbeat)
 	}
 
 	// Both flows go idle past FlowTTL at the GC instant after 2s: the batch
-	// evicts them.
-	r.tickTo(2 * time.Second)
+	// evicts them. The sweeps up to it keep framing keepalives and reports.
+	r.tickTo(2500*ms - heartbeat/2)
 	if got := r.n.FlowTableSize(); got != 2 {
 		t.Errorf("%d flows resident before they idle out, want 2", got)
 	}
@@ -357,24 +366,27 @@ func TestShardStepTouchesNoIO(t *testing.T) {
 	if got := r.n.Counters().Get("flows_evicted"); got != 2 || r.n.FlowTableSize() != 0 {
 		t.Errorf("flows_evicted = %d with %d flows left, want 2 and none", got, r.n.FlowTableSize())
 	}
-	if r.next != 3*time.Second {
-		t.Errorf("next instant %v, want the next GC and heartbeat instant", r.next)
+	if want := 2500*ms + heartbeat/2; r.next != want {
+		t.Errorf("next instant %v, want the next heartbeat instant %v", r.next, want)
 	}
 }
 
 // TestGapWaitCountsFromStepNow: a step's waits count from the instant it is
 // given, whatever the clock reads.
 func TestGapWaitCountsFromStepNow(t *testing.T) {
-	const now = 37 * time.Millisecond // the rig's clock reads zero
-	r := newSeamRig(t, 1, Config{GapWait: 100 * time.Millisecond, FlowTTL: time.Hour})
+	const (
+		now       = 37 * time.Millisecond // the rig's clock reads zero
+		roundWait = 50 * time.Millisecond
+	)
+	r := newSeamRig(t, 1, Config{RoundWait: roundWait, FlowTTL: time.Hour})
 	key := testKey(0x6a)
 	fs := injectFlowAt(r.n, 0x6a, &wire.PerNodeInfo{Receiver: true, Key: key}, r.n.epoch)
 	rounds := sealedRounds(t, key, rand.New(rand.NewSource(6)), 2, []byte("a"), []byte("b"))
 	r.step(now, inPkt{from: 11, data: dataFrame(0x6a, 1, 2, rounds[1][0])}, inPkt{from: 12, data: dataFrame(0x6a, 1, 2, rounds[1][1])})
 	var due int64
 	r.sh.do(func() { due = fs.due[dlGap] })
-	if want := int64(now + 100*time.Millisecond); due != want {
-		t.Fatalf("gap wait armed for %v, want step's now + GapWait = %v", time.Duration(due), time.Duration(want))
+	if want := int64(now + gapRounds*roundWait); due != want {
+		t.Fatalf("gap wait armed for %v, want step's now + gap wait = %v", time.Duration(due), time.Duration(want))
 	}
 }
 
@@ -443,9 +455,9 @@ func FuzzShardStep(f *testing.F) {
 			script = script[:512]
 		}
 		r := newSeamRig(t, target, Config{
-			SetupWait: 7 * time.Millisecond, RoundWait: 5 * time.Millisecond, GapWait: 9 * time.Millisecond,
+			SetupWait: 7 * time.Millisecond, RoundWait: 5 * time.Millisecond,
 			FlowTTL: 60 * time.Millisecond, GCInterval: 20 * time.Millisecond,
-			Heartbeat: 8 * time.Millisecond, LivenessTimeout: 16 * time.Millisecond,
+			Heartbeat: 4 * time.Millisecond,
 		})
 		// A flow evicted and admitted again is a new flow: gen counts the
 		// target's admissions, and a frame is its round's to a child for one.

@@ -139,8 +139,8 @@ func (n *Node) establish(sh *shard, fs *flowState, d int) bool {
 	if pi.Receiver {
 		n.sendAck(sh, fs)
 	}
-	// Process any data that raced ahead of the decode. Its frames leave behind
-	// the wave's, which egress drains ahead of data.
+	// Process any data that raced ahead of the decode. A child that hears its
+	// rounds before this node's set-up packet holds them pending in turn.
 	for _, pd := range st.pending {
 		n.handleData(sh, fs, pd.from, fs.hopIndex(pd.from), pd.seq, pd.slots)
 	}
@@ -175,7 +175,7 @@ func (n *Node) forwardSetup(sh *shard, fs *flowState) {
 		e.Unscramble.Invert(dst)
 	}
 	for c, child := range kids {
-		sh.batchFrame(child, buf[c*frame:][:frame:frame], ctlFrames)
+		sh.batchFrame(child, buf[c*frame:][:frame:frame])
 	}
 	sh.dropSetup(fs)
 }

@@ -35,58 +35,30 @@ const maxObservedHops = 64
 // prevent. The cap bounds even a mass-expiry tick; the rest ages out later.
 const gcBatch = 1024
 
-// admit claims one flow-table slot against the global bound and, when
-// per-tenant quotas are enabled, against the creating tenant's quota; it
-// returns 0, or why it refused (RejectMaxFlows, RejectTenantQuota).
-// Callers that are refused must drop the packet (counted FlowsRejected). The
-// tenant is the previous-hop node that created the flow: a relay cannot see
-// deeper identity than that (the anonymity invariant), and the previous hop
-// is exactly the party whose traffic admission should meter.
-func (n *Node) admit(tenant wire.NodeID) (reject uint64) {
-	if n.flowCount.Add(1) > int64(n.cfg.MaxFlows) {
-		n.flowCount.Add(-1)
-		return RejectMaxFlows
-	}
-	if q := int64(n.cfg.TenantQuota); q > 0 {
-		n.tenantMu.Lock()
-		if n.tenants[tenant] >= q {
-			n.tenantMu.Unlock()
-			n.flowCount.Add(-1)
-			return RejectTenantQuota
-		}
-		n.tenants[tenant]++
-		n.tenantMu.Unlock()
-	}
-	return 0
-}
-
-// releaseSlot returns a flow's admission reservation.
-func (n *Node) releaseSlot(tenant wire.NodeID) {
-	n.flowCount.Add(-1)
-	if n.cfg.TenantQuota > 0 {
-		n.tenantMu.Lock()
-		if c := n.tenants[tenant]; c > 1 {
-			n.tenants[tenant] = c - 1
-		} else {
-			delete(n.tenants, tenant)
-		}
-		n.tenantMu.Unlock()
-	}
-}
-
-// createFlow admits and installs a fresh flow created by `from`.
-// Returns nil (counting the rejection) when admission fails. Only the two
+// createFlow admits and installs a fresh flow created by `from`, or returns
+// nil, counting the rejection, when the table is at MaxFlows. Admission is that
+// one node-wide reservation (flowCount, no global lock): a per-sender bound
+// would meter the claimed id a frame names, which past stage 1 is a relay
+// forwarding strangers' flows. The reservation is a compare-and-swap, not an
+// add undone on refusal, so flowCount never reads past MaxFlows, not even
+// while shards refuse concurrently (FlowTableSize). Only the two
 // flow-creating packet types reach here. The flow is one record; what a phase
 // needs beyond it is the tail's, made by that phase, so a table holding a
 // million mostly-idle flows pays for what each flow actually did.
 func (n *Node) createFlow(sh *shard, f wire.FlowID, from wire.NodeID) *flowState {
-	if reject := n.admit(from); reject != 0 {
-		sh.ctr[cFlowsRejected]++
-		sh.note(EvReject, f, reject)
-		return nil
+	for {
+		c := n.flowCount.Load()
+		if c >= int64(n.cfg.MaxFlows) {
+			sh.ctr[cFlowsRejected]++
+			sh.note(EvReject, f, uint64(from))
+			return nil
+		}
+		if n.flowCount.CompareAndSwap(c, c+1) {
+			break
+		}
 	}
 	sh.note(EvAdmit, f, uint64(from))
-	fs := &flowState{flow: f, tenant: from}
+	fs := &flowState{flow: f}
 	sh.flows[f] = fs
 	sh.lruPush(fs)
 	return fs
@@ -112,7 +84,7 @@ func (n *Node) removeFlow(sh *shard, fs *flowState, evicted bool) {
 	if fs.has(routeUp) {
 		n.dirDel(sh, fs)
 	}
-	n.releaseSlot(fs.tenant)
+	n.flowCount.Add(-1) // the admission reservation
 }
 
 // Intrusive LRU list, embedded in flowState: O(1) touch on every packet,

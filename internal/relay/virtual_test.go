@@ -53,7 +53,7 @@ func TestVirtualClockRunsOneShard(t *testing.T) {
 }
 
 // TestLivenessBoundaryHeartbeat: a heartbeat arriving at exactly the virtual
-// instant the liveness sweep runs — silence == LivenessTimeout on the nose —
+// instant the liveness sweep runs — silence == livenessBeats heartbeats on the nose —
 // deterministically wins the race (deliveries order before timers), so the
 // parent is not reported; losing that same heartbeat gets the parent
 // reported at that very sweep.
@@ -64,10 +64,7 @@ func TestLivenessBoundaryHeartbeat(t *testing.T) {
 		chld = wire.NodeID(201)
 	)
 	run := func(sendBoundaryHeartbeat bool) int64 {
-		s, n := virtualNode(t, 1, Config{
-			Heartbeat:       10 * time.Millisecond,
-			LivenessTimeout: 40 * time.Millisecond,
-		})
+		s, n := virtualNode(t, 1, Config{Heartbeat: 10 * time.Millisecond})
 		if err := s.Net.Attach(par, func(wire.NodeID, []byte) {}); err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +79,8 @@ func TestLivenessBoundaryHeartbeat(t *testing.T) {
 		}, s.Clk.Now())
 		if sendBoundaryHeartbeat {
 			// lastHeard starts at t=0; the sweep at t=50ms is the first
-			// where silence (50ms) exceeds the 40ms timeout. Land the
+			// where silence (50ms) exceeds the 40ms timeout (four 10ms
+			// heartbeats). Land the
 			// heartbeat at exactly t=50ms.
 			s.At(50*time.Millisecond, func() {
 				s.Net.Send(par, 1, wire.AppendHeartbeat(nil, flow))

@@ -156,13 +156,13 @@ func (sh *shard) advance(fs *flowState) {
 
 // roundDeadline is what the dlRound wait runs: a round whose RoundWait has
 // run out forwards with what it has, and a hole is written off once a later
-// round is GapWait old — when the receiver would skip it anyway, and after an
-// upstream relay has had its own RoundWait to forward it short. The wait
+// round is a gap wait old — when the receiver would skip it anyway, and after
+// an upstream relay has had its own RoundWait to forward it short. The wait
 // re-arms for the earliest instant still ahead.
 func (n *Node) roundDeadline(sh *shard, fs *flowState, now int64) {
 	w := &fs.win
-	grace := int64(max(n.cfg.GapWait-n.cfg.RoundWait, 0)) // a hole's write-off lags the deadline above it
-	lastDue := w.low                                      // holes in [low, lastDue) are written off
+	grace := (gapRounds - 1) * int64(n.cfg.RoundWait) // a hole's write-off lags the deadline above it
+	lastDue := w.low                                  // holes in [low, lastDue) are written off
 	for seq := w.low; seq != w.high; seq++ {
 		if s := fs.at(seq); s.deadline != 0 && s.deadline+grace <= now {
 			lastDue = seq

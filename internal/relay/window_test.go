@@ -26,7 +26,7 @@ import (
 
 const (
 	wmRoundWait = 40 * time.Millisecond
-	wmHoleGrace = wmRoundWait // GapWait (default 2×RoundWait) − RoundWait
+	wmHoleGrace = (gapRounds - 1) * wmRoundWait // the gap wait less the round wait
 	wmFlow      = wire.FlowID(0x51de)
 	wmD         = 2
 )
@@ -170,7 +170,7 @@ func (m *refWindow) arrive(p wire.NodeID, seq uint32, now time.Duration, ring in
 // runTo processes, in time order, every instant in (from, to] at which
 // something can happen: a round's deadline (still short, it forwards with
 // what it has) and that deadline plus the hole grace (a round of which
-// nothing has arrived GapWait after a later round was first seen is written
+// nothing has arrived a gap wait after a later round was first seen is written
 // off).
 func (m *refWindow) runTo(from, to time.Duration) {
 	for {

@@ -36,8 +36,8 @@ import (
 // RepairConfig tunes a sender's repair loop.
 type RepairConfig struct {
 	// Heartbeat is the interval of source→stage-1 keepalives; it should be
-	// at most the relays' LivenessTimeout or idle flows will be
-	// false-reported. Default 100ms.
+	// at most the relays' liveness timeout (four relay heartbeats) or idle
+	// flows will be false-reported. Default 100ms.
 	Heartbeat time.Duration
 
 	// Pick chooses a replacement relay. The exclude predicate reports ids

@@ -55,13 +55,12 @@ func buildRepairStack(t *testing.T, l, d, dp, spares int, seed int64) *repairSta
 	nodes := make(map[wire.NodeID]*relay.Node)
 	for _, id := range append(append([]wire.NodeID(nil), relays...), spareIDs...) {
 		n, err := relay.New(id, net, relay.Config{
-			SetupWait:       50 * time.Millisecond,
-			RoundWait:       50 * time.Millisecond,
-			Heartbeat:       15 * time.Millisecond,
-			LivenessTimeout: 60 * time.Millisecond,
-			Shards:          1,
-			Rng:             rand.New(rand.NewSource(seed + int64(id))),
-			Clock:           clk,
+			SetupWait: 50 * time.Millisecond,
+			RoundWait: 50 * time.Millisecond,
+			Heartbeat: 15 * time.Millisecond,
+			Shards:    1,
+			Rng:       rand.New(rand.NewSource(seed + int64(id))),
+			Clock:     clk,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -302,13 +301,12 @@ func TestFlowsRepairIndependently(t *testing.T) {
 	var nodes []*relay.Node
 	mkRelay := func(id wire.NodeID) *relay.Node {
 		n, err := relay.New(id, net, relay.Config{
-			SetupWait:       50 * time.Millisecond,
-			RoundWait:       50 * time.Millisecond,
-			Heartbeat:       15 * time.Millisecond,
-			LivenessTimeout: 60 * time.Millisecond,
-			Shards:          1,
-			Rng:             rand.New(rand.NewSource(seed + int64(id))),
-			Clock:           clk,
+			SetupWait: 50 * time.Millisecond,
+			RoundWait: 50 * time.Millisecond,
+			Heartbeat: 15 * time.Millisecond,
+			Shards:    1,
+			Rng:       rand.New(rand.NewSource(seed + int64(id))),
+			Clock:     clk,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -198,13 +198,13 @@ func FuzzUDPAck(f *testing.F) {
 	}
 	const maxWindow = 64
 	f.Fuzz(func(t *testing.T, script []byte) {
-		ucfg := UDPConfig{InitialWindow: 8, MaxWindow: maxWindow}
+		ucfg := UDPConfig{MaxWindow: maxWindow}
 		ucfg.fillDefaults()
 		p := &UDPPeer{
 			outbox:    outbox{ctr: NewCounters()},
 			ucfg:      ucfg,
-			est:       newRTTEstimator(0, 0),
-			win:       newCubicWindow(float64(ucfg.InitialWindow), float64(ucfg.MaxWindow)),
+			est:       newRTTEstimator(0),
+			win:       newCubicWindow(8, maxWindow),
 			ackSignal: make(chan struct{}, 1),
 		}
 		dgs := make([][]byte, 32)

@@ -45,7 +45,7 @@ func NewPeer(resolve func() (string, bool), cfg Config, ctr *metrics.ShardedCoun
 
 func (p *Peer) dial(addr string) (net.Conn, error) {
 	p.lastDeadline = time.Time{} // fresh conn: no deadline yet
-	return net.DialTimeout("tcp", addr, p.cfg.DialTimeout)
+	return net.DialTimeout("tcp", addr, dialTimeout)
 }
 
 // flush writes one batch with a single writev. Copied frames contribute

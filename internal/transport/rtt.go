@@ -17,26 +17,22 @@ type rttEstimator struct {
 	srtt   time.Duration
 	rttvar time.Duration
 	rto    time.Duration
-	minRTO time.Duration
 	maxRTO time.Duration
 }
 
 const (
-	defaultMinRTO = 20 * time.Millisecond
+	minRTO        = 20 * time.Millisecond // the RTO's floor
 	defaultMaxRTO = 10 * time.Second
 	// initialRTO applies before the first sample (RFC 6298 §2.1 says 1s;
 	// halved here — overlay hops are one edge, not an end-to-end path).
 	initialRTO = 500 * time.Millisecond
 )
 
-func newRTTEstimator(minRTO, maxRTO time.Duration) rttEstimator {
-	if minRTO <= 0 {
-		minRTO = defaultMinRTO
-	}
+func newRTTEstimator(maxRTO time.Duration) rttEstimator {
 	if maxRTO <= 0 {
 		maxRTO = defaultMaxRTO
 	}
-	e := rttEstimator{minRTO: minRTO, maxRTO: maxRTO}
+	e := rttEstimator{maxRTO: maxRTO}
 	e.rto = e.clamp(initialRTO)
 	return e
 }
@@ -78,8 +74,8 @@ func (e *rttEstimator) SRTT() time.Duration { return e.srtt }
 func (e *rttEstimator) RTTVar() time.Duration { return e.rttvar }
 
 func (e *rttEstimator) clamp(d time.Duration) time.Duration {
-	if d < e.minRTO {
-		return e.minRTO
+	if d < minRTO {
+		return minRTO
 	}
 	if d > e.maxRTO {
 		return e.maxRTO

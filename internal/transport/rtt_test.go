@@ -6,7 +6,7 @@ import (
 )
 
 func TestRTTEstimatorFirstSample(t *testing.T) {
-	e := newRTTEstimator(0, 0)
+	e := newRTTEstimator(0)
 	if got := e.RTO(); got != initialRTO {
 		t.Fatalf("pre-sample RTO = %v, want %v", got, initialRTO)
 	}
@@ -24,7 +24,7 @@ func TestRTTEstimatorFirstSample(t *testing.T) {
 }
 
 func TestRTTEstimatorConvergence(t *testing.T) {
-	e := newRTTEstimator(0, 0)
+	e := newRTTEstimator(0)
 	for i := 0; i < 100; i++ {
 		e.Observe(40 * time.Millisecond)
 	}
@@ -39,7 +39,7 @@ func TestRTTEstimatorConvergence(t *testing.T) {
 }
 
 func TestRTTEstimatorKarnBackoff(t *testing.T) {
-	e := newRTTEstimator(0, 0)
+	e := newRTTEstimator(0)
 	e.Observe(50 * time.Millisecond)
 	base := e.RTO()
 	e.Backoff()
@@ -66,12 +66,12 @@ func TestRTTEstimatorKarnBackoff(t *testing.T) {
 }
 
 func TestRTTEstimatorClampFloor(t *testing.T) {
-	e := newRTTEstimator(0, 0)
+	e := newRTTEstimator(0)
 	for i := 0; i < 50; i++ {
 		e.Observe(time.Millisecond) // loopback-fast path
 	}
-	if got := e.RTO(); got != defaultMinRTO {
-		t.Fatalf("RTO below floor: %v, want %v", got, defaultMinRTO)
+	if got := e.RTO(); got != minRTO {
+		t.Fatalf("RTO below floor: %v, want %v", got, minRTO)
 	}
 	e.Observe(-time.Second) // negative samples are ignored
 	if got := e.SRTT(); got <= 0 {

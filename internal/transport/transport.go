@@ -49,6 +49,9 @@ const DefaultMaxFrame = 64 << 20
 // relay's send_drops) so operators can see a slow peer shedding load.
 var ErrQueueFull = errors.New("transport: peer queue full")
 
+// dialTimeout bounds one connection attempt.
+const dialTimeout = 2 * time.Second
+
 // Config tunes peer behaviour. The zero value is usable; zero fields take
 // the defaults noted per field.
 type Config struct {
@@ -59,8 +62,6 @@ type Config struct {
 	// MaxBatch caps how many queued frames one writev coalesces
 	// (default 64).
 	MaxBatch int
-	// DialTimeout bounds one connection attempt (default 2s).
-	DialTimeout time.Duration
 	// BackoffMin/BackoffMax bound the jittered exponential backoff between
 	// failed dials (defaults 20ms / 2s).
 	BackoffMin time.Duration
@@ -82,9 +83,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
 	}
 	if c.BackoffMin <= 0 {
 		c.BackoffMin = 20 * time.Millisecond

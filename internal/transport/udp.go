@@ -50,6 +50,10 @@ const (
 	// flight between two ack requests.
 	maxAckSpacing = 8
 
+	// initialWindow is the congestion window a peer opens with, in
+	// datagrams in flight.
+	initialWindow = 16
+
 	// MaxUDPPayload is the largest UDP payload the sockets API accepts
 	// (65535 minus IP and UDP headers); frames above it cannot ride this
 	// transport at all and are dropped at Enqueue.
@@ -70,12 +74,10 @@ type UDPConfig struct {
 	// (default 8). Each vector holds a MaxUDPPayload-sized staging buffer,
 	// borrowed for the batch and returned before the socket sleeps.
 	RecvBatch int
-	// InitialWindow / MaxWindow bound the CUBIC congestion window, in
-	// datagrams in flight (defaults 16 / 1024).
-	InitialWindow int
-	MaxWindow     int
-	// MinRTO / MaxRTO clamp the RTO (defaults 20ms / 10s).
-	MinRTO time.Duration
+	// MaxWindow caps the CUBIC congestion window, in datagrams in flight
+	// (default 1024); a peer opens it at 16.
+	MaxWindow int
+	// MaxRTO caps the RTO (default 10s); its floor is 20ms.
 	MaxRTO time.Duration
 	// RxDrop, when set, is consulted once per inbound datagram (data and
 	// ack alike) and drops it when true: a socket-level netem-style loss
@@ -108,9 +110,6 @@ func (c *UDPConfig) fillDefaults() {
 	}
 	if c.RecvBatch <= 0 {
 		c.RecvBatch = 8
-	}
-	if c.InitialWindow <= 0 {
-		c.InitialWindow = 16
 	}
 	if c.MaxWindow <= 0 {
 		c.MaxWindow = 1024
@@ -175,8 +174,8 @@ func NewUDPPeer(resolve func() (string, bool), cfg Config, ucfg UDPConfig, ctr *
 	p := &UDPPeer{
 		outbox:    newOutbox(cfg, resolve, ctr),
 		ucfg:      ucfg,
-		est:       newRTTEstimator(ucfg.MinRTO, ucfg.MaxRTO),
-		win:       newCubicWindow(float64(ucfg.InitialWindow), float64(ucfg.MaxWindow)),
+		est:       newRTTEstimator(ucfg.MaxRTO),
+		win:       newCubicWindow(initialWindow, float64(ucfg.MaxWindow)),
 		ackSignal: make(chan struct{}, 1),
 	}
 	go p.run(p)

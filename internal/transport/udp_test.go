@@ -310,7 +310,7 @@ func TestUDPStatsAggregation(t *testing.T) {
 func TestUDPRedialResyncsAckState(t *testing.T) {
 	p := &UDPPeer{
 		outbox:    outbox{ctr: NewCounters()},
-		est:       newRTTEstimator(0, 0),
+		est:       newRTTEstimator(0),
 		win:       newCubicWindow(16, 1024),
 		ackSignal: make(chan struct{}, 1),
 	}
@@ -492,7 +492,7 @@ func TestUDPIdleThenBurst(t *testing.T) {
 			t.Fatalf("delivered %d/%d", sink.n.Load(), sent)
 		}
 	}
-	send(64) // an RTT sample, and an RTO near MinRTO
+	send(64) // an RTT sample, and an RTO near minRTO
 	if !waitFor(t, 5*time.Second, func() bool { srtt, _ := p.path(); return srtt > 0 }) {
 		t.Fatal("no RTT sample after 64 datagrams")
 	}

@@ -52,12 +52,10 @@ func runRepairScenario(t *testing.T, repair bool) repairScenarioResult {
 	)
 	nw := New(
 		WithSeed(424242),
-		WithControlPlane(20*time.Millisecond),
 		WithRelayConfig(relay.Config{
-			SetupWait:       100 * time.Millisecond,
-			RoundWait:       80 * time.Millisecond,
-			Heartbeat:       20 * time.Millisecond,
-			LivenessTimeout: 80 * time.Millisecond,
+			SetupWait: 100 * time.Millisecond,
+			RoundWait: 80 * time.Millisecond,
+			Heartbeat: 20 * time.Millisecond,
 		}),
 	)
 	defer nw.Close()
@@ -199,12 +197,10 @@ func TestRepairStressEveryFlowLosesRelays(t *testing.T) {
 func TestDialRepairSingleFailure(t *testing.T) {
 	nw := New(
 		WithSeed(7),
-		WithControlPlane(20*time.Millisecond),
 		WithRelayConfig(relay.Config{
-			SetupWait:       100 * time.Millisecond,
-			RoundWait:       80 * time.Millisecond,
-			Heartbeat:       20 * time.Millisecond,
-			LivenessTimeout: 80 * time.Millisecond,
+			SetupWait: 100 * time.Millisecond,
+			RoundWait: 80 * time.Millisecond,
+			Heartbeat: 20 * time.Millisecond,
 		}),
 	)
 	defer nw.Close()

@@ -19,12 +19,10 @@ func TestVirtualTimeDialRepairSingleFailure(t *testing.T) {
 	nw := New(
 		WithSeed(7),
 		WithTransport(VirtualSpec{Clock: vc}),
-		WithControlPlane(20*time.Millisecond),
 		WithRelayConfig(relay.Config{
-			SetupWait:       100 * time.Millisecond,
-			RoundWait:       80 * time.Millisecond,
-			Heartbeat:       20 * time.Millisecond,
-			LivenessTimeout: 80 * time.Millisecond,
+			SetupWait: 100 * time.Millisecond,
+			RoundWait: 80 * time.Millisecond,
+			Heartbeat: 20 * time.Millisecond,
 		}),
 	)
 	defer nw.Close()
