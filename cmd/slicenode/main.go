@@ -108,7 +108,7 @@ func main() {
 			for _, n := range nodes {
 				log.Printf("slicenode %d: flows=%d %v", n.ID(), n.FlowTableSize(), n.Counters())
 			}
-			log.Printf("slicenode transport: learned_endpoints=%d %v", tr.LearnedEndpoints(), tr.Counters())
+			log.Printf("slicenode transport: %v", tr.Counters())
 			return
 		}
 	}

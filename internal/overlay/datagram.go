@@ -72,7 +72,7 @@ func NewStaticUDP(book map[wire.NodeID]string, opts UDPOptions) *Static {
 			return drop
 		}
 	}
-	return newStatic(book, d, newEndpointRegistry(d.ucfg.Clock))
+	return newStatic(book, d)
 }
 
 // NewUDPNetwork runs the overlay over real loopback UDP sockets: an empty
@@ -84,7 +84,7 @@ func NewUDPNetwork(opts UDPOptions) *Static {
 	return s
 }
 
-func (d *datagram) listen(addr string, deliver transport.Deliver, onSender func(wire.NodeID, string), ctr *metrics.ShardedCounter) (endpoint, error) {
+func (d *datagram) listen(addr string, deliver transport.Deliver, ctr *metrics.ShardedCounter) (endpoint, error) {
 	la, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, err
@@ -93,9 +93,7 @@ func (d *datagram) listen(addr string, deliver transport.Deliver, onSender func(
 	if err != nil {
 		return nil, err
 	}
-	ucfg := d.ucfg
-	ucfg.OnSender = onSender
-	return transport.NewUDPAcceptor(conn, transport.DefaultMaxFrame, ucfg, deliver, ctr), nil
+	return transport.NewUDPAcceptor(conn, transport.DefaultMaxFrame, d.ucfg, deliver, ctr), nil
 }
 
 func (d *datagram) newPeer(to wire.NodeID, resolve func() (string, bool), ctr *metrics.ShardedCounter) transport.Link {

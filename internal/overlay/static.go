@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 
 	"infoslicing/internal/metrics"
 	"infoslicing/internal/transport"
@@ -15,17 +16,19 @@ import (
 // daemon per process, as in the paper's PlanetLab deployment (§7.1) — can
 // form one overlay. Whether the bytes between daemons ride TCP streams or
 // congestion-controlled UDP datagrams is a link flavour fixed at
-// construction; everything else — book, liveness, learned endpoints, the
-// send path, counters — exists once. Framing is the same either way:
-// 4-byte length, 4-byte sender id, payload.
+// construction; everything else — book, liveness, the send path, counters —
+// exists once. Framing is the same either way: 4-byte length, 4-byte sender
+// id, payload.
 //
 // Only the nodes attached in this process listen; Send can reach any node
-// in the book, local or remote. It is an address-resolution shim over
-// internal/transport: each remote host gets ONE peer — a bounded queue, a
-// batching writer, reconnect-with-backoff — shared by every local sender
-// (frames carry their sender in the header), which is what batches writes
-// across flows and lets a transfer ride out a peer process being killed
-// and restarted (the e2e deployment test does exactly that).
+// in the book, local or remote, and no other: the book is the whole routing
+// table, and a send to an id outside it is dropped and counted (unroutable).
+// It is an address-resolution shim over internal/transport: each remote
+// host gets ONE peer — a bounded queue, a batching writer,
+// reconnect-with-backoff — shared by every local sender (frames carry their
+// sender in the header), which is what batches writes across flows and lets
+// a transfer ride out a peer process being killed and restarted (the e2e
+// deployment test does exactly that).
 type Static struct {
 	link link
 	// loopback is set by the loopback-network constructors (NewTCPNetwork,
@@ -38,15 +41,17 @@ type Static struct {
 	local  map[wire.NodeID]*staticEndpoint
 	down   map[wire.NodeID]bool
 	peers  *transport.PeerSet
-	reg    *endpointRegistry
 	closed bool
 	ctr    *metrics.ShardedCounter // outlives every peer and listener that counts into it
+	// unroutable counts frames sent to ids the book lacks: dropped before
+	// any peer exists for them.
+	unroutable atomic.Int64
 }
 
 // link is the flavour of a Static: how a node listens and how a host's
 // outbound peer is made. stream and *datagram implement it.
 type link interface {
-	listen(addr string, deliver transport.Deliver, onSender func(wire.NodeID, string), ctr *metrics.ShardedCounter) (endpoint, error)
+	listen(addr string, deliver transport.Deliver, ctr *metrics.ShardedCounter) (endpoint, error)
 	newPeer(to wire.NodeID, resolve func() (string, bool), ctr *metrics.ShardedCounter) transport.Link
 }
 
@@ -69,14 +74,12 @@ type staticEndpoint struct {
 // stream is the TCP flavour: reconnecting writev peers, slab readers.
 type stream struct{}
 
-func (stream) listen(addr string, deliver transport.Deliver, onSender func(wire.NodeID, string), ctr *metrics.ShardedCounter) (endpoint, error) {
+func (stream) listen(addr string, deliver transport.Deliver, ctr *metrics.ShardedCounter) (endpoint, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	acc := transport.NewAcceptor(ln, transport.DefaultMaxFrame, deliver, ctr)
-	acc.OnSender = onSender
-	return acc, nil
+	return transport.NewAcceptor(ln, transport.DefaultMaxFrame, deliver, ctr), nil
 }
 
 func (stream) newPeer(_ wire.NodeID, resolve func() (string, bool), ctr *metrics.ShardedCounter) transport.Link {
@@ -85,7 +88,7 @@ func (stream) newPeer(_ wire.NodeID, resolve func() (string, bool), ctr *metrics
 
 // NewStaticTCP creates a TCP transport over the given id→address book.
 func NewStaticTCP(book map[wire.NodeID]string) *Static {
-	return newStatic(book, stream{}, newEndpointRegistry(nil))
+	return newStatic(book, stream{})
 }
 
 // NewTCPNetwork runs the overlay over real loopback TCP sockets: an empty
@@ -99,13 +102,12 @@ func NewTCPNetwork() *Static {
 	return s
 }
 
-func newStatic(book map[wire.NodeID]string, l link, reg *endpointRegistry) *Static {
+func newStatic(book map[wire.NodeID]string, l link) *Static {
 	s := &Static{
 		link:  l,
 		book:  make(map[wire.NodeID]string, len(book)),
 		local: make(map[wire.NodeID]*staticEndpoint),
 		down:  make(map[wire.NodeID]bool),
-		reg:   reg,
 		ctr:   transport.NewCounters(),
 	}
 	for id, addr := range book {
@@ -119,38 +121,13 @@ func newStatic(book map[wire.NodeID]string, l link, reg *endpointRegistry) *Stat
 	return s
 }
 
-// resolve maps a node to its address: the book, else a learned endpoint
-// (the registry only ever holds ids the book lacks, so there is no
-// precedence question).
+// resolve maps a node to its book address.
 func (s *Static) resolve(to wire.NodeID) (string, bool) {
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	addr, ok := s.book[to]
-	s.mu.RUnlock()
-	if ok {
-		return addr, true
-	}
-	return s.reg.learned(to)
+	return addr, ok
 }
-
-// observeSender feeds the learned endpoint registry from an acceptor's
-// first-frame observations. Book entries are never shadowed (static wins);
-// a learned address that moved invalidates the cached peer so the next
-// Send re-resolves.
-func (s *Static) observeSender(id wire.NodeID, addr string) {
-	s.mu.RLock()
-	_, inBook := s.book[id]
-	s.mu.RUnlock()
-	if inBook {
-		return
-	}
-	if s.reg.observe(id, addr) {
-		s.peers.Drop(id)
-	}
-}
-
-// LearnedEndpoints reports how many sender endpoints the registry currently
-// holds (ids absent from the book, learned from inbound traffic).
-func (s *Static) LearnedEndpoints() int { return s.reg.size() }
 
 // Attach implements Transport: it binds the node's listener at its book
 // address (a loopback network binds a fresh loopback port instead).
@@ -193,7 +170,7 @@ func (s *Static) attach(id wire.NodeID, addr string, dynamic bool, h Handler) er
 		}
 		h(from, data)
 		return true
-	}, s.observeSender, s.ctr)
+	}, s.ctr)
 	if err != nil {
 		return fmt.Errorf("overlay: %w", err)
 	}
@@ -276,9 +253,9 @@ func (s *Static) Down(id wire.NodeID) bool {
 }
 
 // route is the front half of Send and SendOwned: the liveness checks and
-// the receiver's host peer. A nil peer means the frames go nowhere, with
-// the error (if any) the caller reports. Never blocks, never dials.
-func (s *Static) route(from, to wire.NodeID) (transport.Link, error) {
+// the receiver's host peer. A nil peer means the send's frames go nowhere,
+// with the error (if any) the caller reports. Never blocks, never dials.
+func (s *Static) route(from, to wire.NodeID, frames int) (transport.Link, error) {
 	s.mu.RLock()
 	_, known := s.book[to]
 	isDown := s.down[from]
@@ -295,10 +272,8 @@ func (s *Static) route(from, to wire.NodeID) (transport.Link, error) {
 		return nil, fmt.Errorf("%w: %d", ErrNodeDown, from)
 	}
 	if !known {
-		// Not in the book: a learned endpoint may still resolve it.
-		if _, ok := s.reg.learned(to); !ok {
-			return nil, nil // unknown receiver: datagram semantics
-		}
+		s.unroutable.Add(int64(frames)) // datagram semantics: no peer, no error
+		return nil, nil
 	}
 	return s.peers.Get(to), nil // nil once the set is closed: the void again
 }
@@ -320,7 +295,7 @@ func (s *Static) shed() error {
 // this path; a full peer queue drops and returns ErrSendQueueFull
 // (advisory).
 func (s *Static) Send(from, to wire.NodeID, data []byte) error {
-	p, err := s.route(from, to)
+	p, err := s.route(from, to, 1)
 	if p == nil {
 		return err
 	}
@@ -338,7 +313,7 @@ func (s *Static) Send(from, to wire.NodeID, data []byte) error {
 // consume release here; EnqueueOwned consumes it on every path of its own,
 // so it fires exactly once regardless.
 func (s *Static) SendOwned(from, to wire.NodeID, bufs [][]byte, release func()) error {
-	p, err := s.route(from, to)
+	p, err := s.route(from, to, len(bufs))
 	if p == nil {
 		release()
 		return err
@@ -350,8 +325,13 @@ func (s *Static) SendOwned(from, to wire.NodeID, bufs [][]byte, release func()) 
 }
 
 // Counters reads the transport's counters: every peer's and listener's,
-// over the transport's whole life (see transport.NewCounters).
-func (s *Static) Counters() metrics.Snapshot { return s.ctr.Snapshot() }
+// over the transport's whole life (see transport.NewCounters), and the
+// frames dropped for an id outside the book.
+func (s *Static) Counters() metrics.Snapshot {
+	return s.ctr.Snapshot().Add(metrics.Snapshot{Names: unroutableVocab, Values: []int64{s.unroutable.Load()}})
+}
+
+var unroutableVocab = metrics.NewVocab("unroutable")
 
 // PeerStats returns the benchmark's view of the outbound peers' counters.
 func (s *Static) PeerStats() transport.Stats {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -206,6 +208,65 @@ func TestStaticUnknownAndDuplicateNodes(t *testing.T) {
 				if err := s.Send(1, 99, []byte("x")); err != nil {
 					t.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// The book is the whole routing table. B is not in A's book; once B has
+// spoken to A, a send from A to B (Send or SendOwned) is still dropped and
+// its frames counted unroutable: none is queued, no peer is made for the id
+// B's frames claimed, SendOwned's release fires exactly once, and nothing is
+// left running after Close.
+func TestStaticUnroutableMakesNoPeer(t *testing.T) {
+	for _, fl := range flavours {
+		t.Run(fl.name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			const a, b = wire.NodeID(1), wire.NodeID(2)
+			sA := fl.static(nil)
+			sink := &tcpSink{}
+			if err := sA.AttachDynamic(a, sink.handler); err != nil {
+				t.Fatal(err)
+			}
+			addrA, _ := sA.Addr(a)
+			// B's process knows A; A's process does not know B.
+			sB := fl.static(map[wire.NodeID]string{a: addrA})
+			if err := sB.AttachDynamic(b, nop); err != nil {
+				t.Fatal(err)
+			}
+			sendUntil(t, sB, b, a, sink, 0, "from B to A")
+
+			before, running := sA.Counters(), runtime.NumGoroutine()
+			dropped := func(want int64) {
+				t.Helper()
+				d := sA.Counters().Sub(before)
+				if got := d.Get("enqueued"); got != 0 {
+					t.Fatalf("%d frames queued toward an id outside the book, want 0", got)
+				}
+				if got := d.Get("unroutable"); got != want {
+					t.Fatalf("unroutable moved by %d, want %d", got, want)
+				}
+			}
+			if err := sA.Send(a, b, []byte("to an id the book lacks")); err != nil {
+				t.Fatal(err)
+			}
+			dropped(1)
+			var released atomic.Int32
+			if err := sA.SendOwned(a, b, [][]byte{[]byte("owned"), []byte("burst")}, func() { released.Add(1) }); err != nil {
+				t.Fatal(err)
+			}
+			if got := released.Load(); got != 1 {
+				t.Fatalf("SendOwned released %d times, want 1", got)
+			}
+			dropped(3)
+			if !simnet.Eventually(time.Second, time.Millisecond, func() bool { return runtime.NumGoroutine() <= running }) {
+				t.Fatalf("%d goroutines after the sends, %d before: a peer was made", runtime.NumGoroutine(), running)
+			}
+
+			sB.Close()
+			sA.Close()
+			if !simnet.Eventually(5*time.Second, time.Millisecond, func() bool { return runtime.NumGoroutine() <= baseline }) {
+				t.Fatalf("%d goroutines after Close, %d before", runtime.NumGoroutine(), baseline)
 			}
 		})
 	}

@@ -77,8 +77,8 @@ func (ps *PeerSet) Get(to wire.NodeID) Link {
 
 // Drop immediately closes (CloseNow) the node's peer, if any, removing it
 // from the set. Used by Detach, where draining toward a gone listener would
-// only stall, and when a learned address moves; a later Get re-creates the
-// peer and resolves the node's fresh address.
+// only stall; a later Get re-creates the peer and resolves the node's fresh
+// address.
 func (ps *PeerSet) Drop(to wire.NodeID) {
 	ps.mu.Lock()
 	p := ps.peers[to]

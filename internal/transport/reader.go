@@ -26,15 +26,6 @@ type Acceptor struct {
 	maxFrame int
 	deliver  Deliver
 
-	// OnSender, when set, observes the first frame each sender id delivers
-	// on each connection: (claimed id, connection remote address). Set it
-	// between NewAcceptor and Start — read loops read it unsynchronized.
-	// The id is claimed by the frame, not proven; consumers (the overlay's
-	// learned-endpoint registry) must treat it accordingly. At most
-	// maxSendersPerConn distinct ids are observed per connection so a
-	// spoofing peer cannot drive unbounded callback work.
-	OnSender func(id wire.NodeID, addr string)
-
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
 	closed bool
@@ -43,11 +34,6 @@ type Acceptor struct {
 	ctr *metrics.ShardedCounter // the transport's block
 	key uint64
 }
-
-// maxSendersPerConn bounds per-connection (and per-datagram-source) sender
-// observation state: ids inside frames are claimed, so one transport peer
-// must not inflate observer state by cycling spoofed ids.
-const maxSendersPerConn = 16
 
 // NewAcceptor wraps ln without accepting yet: the owner can finish its own
 // registration (publish the endpoint, set fields the deliver callback's
@@ -164,7 +150,6 @@ func (a *Acceptor) readLoop(c net.Conn) {
 	slab := make([]byte, slabMin)
 	start, end := 0, 0
 	var readErr error
-	var seenSenders map[wire.NodeID]bool
 	for {
 		for end-start >= HeaderLen {
 			size, from, ok := parseHeader(slab[start:end], a.maxFrame)
@@ -182,13 +167,6 @@ func (a *Acceptor) readLoop(c net.Conn) {
 			start += total
 			a.ctr.Add(a.key, cFramesIn, 1)
 			a.ctr.Add(a.key, cBytesIn, int64(size))
-			if a.OnSender != nil && !seenSenders[from] && len(seenSenders) < maxSendersPerConn {
-				if seenSenders == nil {
-					seenSenders = make(map[wire.NodeID]bool, 1)
-				}
-				seenSenders[from] = true
-				a.OnSender(from, c.RemoteAddr().String())
-			}
 			if !a.deliver(from, payload) {
 				return
 			}

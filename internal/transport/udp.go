@@ -10,7 +10,6 @@ import (
 
 	"infoslicing/internal/metrics"
 	"infoslicing/internal/simnet"
-	"infoslicing/internal/wire"
 )
 
 // This file is the datagram half of the peer layer: UDPPeer (sender) and
@@ -89,12 +88,6 @@ type UDPConfig struct {
 	// non-zero; the overlay layer fans it into per-destination loss
 	// watchers that escalate persistent loss to splice repair.
 	OnLoss func(rate float64)
-	// OnSender, when set on an acceptor's config, observes the first frame
-	// each sender id delivers from each source socket: (claimed id, source
-	// address). The id is claimed by the frame, not proven; consumers (the
-	// overlay's learned-endpoint registry) must treat it accordingly. At
-	// most maxSendersPerConn ids are observed per source.
-	OnSender func(id wire.NodeID, addr string)
 	// Clock drives the acceptor's idle-source eviction timeline (default
 	// the wall clock). Virtual-time harnesses inject their simnet clock so
 	// source eviction follows the simulated timeline instead of wall time.
@@ -636,24 +629,8 @@ type rxSource struct {
 	count    uint64 // datagrams received (post-shim) from this source
 	high     uint32 // highest data seq seen
 	started  bool
-	ackDue   bool          // this batch held a datagram requesting an ack
-	lastSeen time.Time     // last batch this source appeared in (eviction clock)
-	senders  []wire.NodeID // sender ids already reported to OnSender (≤ maxSendersPerConn)
-}
-
-// noteSender records a claimed sender id the first time it appears from this
-// source; true means the caller should fire the OnSender observation.
-func (src *rxSource) noteSender(id wire.NodeID) bool {
-	for _, s := range src.senders {
-		if s == id {
-			return false
-		}
-	}
-	if len(src.senders) >= maxSendersPerConn {
-		return false
-	}
-	src.senders = append(src.senders, id)
-	return true
+	ackDue   bool      // this batch held a datagram requesting an ack
+	lastSeen time.Time // last batch this source appeared in (eviction clock)
 }
 
 // Idle sources are evicted so the srcs map stays bounded: every sender
@@ -814,9 +791,6 @@ func (a *UDPAcceptor) handleDatagram(b []byte, from netip.AddrPort,
 		size, sender, ok := parseHeader(rest, a.maxFrame)
 		if !ok || HeaderLen+size > len(rest) {
 			return // malformed tail: drop the rest of the datagram
-		}
-		if a.ucfg.OnSender != nil && src.noteSender(sender) {
-			a.ucfg.OnSender(sender, from.String())
 		}
 		// Copy the payload out of the staging buffer into the delivery
 		// slab (staging is reused next batch; delivered views must live

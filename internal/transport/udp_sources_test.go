@@ -81,57 +81,3 @@ func TestUDPSourceEvictionVirtualTime(t *testing.T) {
 		t.Fatalf("frames_in = %d, want 4", frames)
 	}
 }
-
-// TestUDPAcceptorOnSender: the observation hook fires once per new claimed
-// sender id per source socket — not per frame — and reports the source's
-// address.
-func TestUDPAcceptorOnSender(t *testing.T) {
-	type obs struct {
-		id   wire.NodeID
-		addr string
-	}
-	seen := make(chan obs, 16)
-	acc, err := listenUDP("127.0.0.1:0", 0, UDPConfig{
-		OnSender: func(id wire.NodeID, addr string) { seen <- obs{id, addr} },
-	}, func(wire.NodeID, []byte) bool { return true }, NewCounters())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer acc.Close()
-	dst, err := net.ResolveUDPAddr("udp", acc.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := net.DialUDP("udp", nil, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	// Three datagrams, two distinct claimed sender ids.
-	c.Write(rawDatagram(1, 42, []byte("a")))
-	c.Write(rawDatagram(2, 42, []byte("b")))
-	c.Write(rawDatagram(3, 43, []byte("c")))
-
-	want := map[wire.NodeID]bool{42: true, 43: true}
-	for len(want) > 0 {
-		select {
-		case o := <-seen:
-			if !want[o.id] {
-				t.Fatalf("unexpected or duplicate observation %+v", o)
-			}
-			delete(want, o.id)
-			if o.addr != c.LocalAddr().String() {
-				t.Fatalf("observed addr %q, want sender socket %q", o.addr, c.LocalAddr())
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("missing observations for %v", want)
-		}
-	}
-	// No third observation arrives for the repeated sender id.
-	select {
-	case o := <-seen:
-		t.Fatalf("extra observation %+v", o)
-	case <-time.After(50 * time.Millisecond):
-	}
-}
