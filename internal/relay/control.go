@@ -122,7 +122,7 @@ func (n *Node) handleSplice(sh *shard, fs *flowState, pkt *wire.Packet) bool {
 	}
 	fs.spliceSeq = seq
 	// The patch may add, remove or re-key children: swap the flow's index
-	// keys and directory refs with the route, so the replacement's acks and
+	// keys and directory counts with the route, so the replacement's acks and
 	// reports find this flow and the old child's no longer do (table.go).
 	n.dirDel(sh, fs)
 	fs.setRoute(pi)

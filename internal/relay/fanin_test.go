@@ -11,6 +11,7 @@ import (
 
 	"infoslicing/internal/core"
 	"infoslicing/internal/overlay"
+	"infoslicing/internal/simnet"
 	"infoslicing/internal/source"
 	"infoslicing/internal/wire"
 )
@@ -169,6 +170,102 @@ func TestChildIndexKeyReleasedOnlyByHolder(t *testing.T) {
 	if !victim.ackSent || squatter.ackSent {
 		t.Fatalf("ackSent holder=%v squatter=%v after the squatter came and went", victim.ackSent, squatter.ackSent)
 	}
+}
+
+// TestChildDirectoryUnderChurn races the directory's one protocol: each shard
+// worker sets and clears only its own bit in bucket masks it shares with the
+// others, while transport goroutines read them without a lock. Churners on all
+// eight shards establish and evict flows whose routes share three children, so
+// the same buckets' bits flip on every shard at once; a transport goroutine acks
+// each flow while it is resident, and the ack must reach it (a bit lost to a
+// neighbour's update drops it at the directory). Once the churn stops, no bit
+// outlives its shard's count and the books balance.
+func TestChildDirectoryUnderChurn(t *testing.T) {
+	const churners, rounds = 4, 150
+	children := [...]wire.NodeID{41, 42, 43}
+	n, err := New(1, &rawTransport{}, Config{Shards: 8, Rng: rand.New(rand.NewSource(1))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	type childAck struct {
+		child wire.NodeID
+		flow  wire.FlowID
+	}
+	acks := make(chan childAck)
+	var transports, churn sync.WaitGroup
+	for range 2 {
+		transports.Add(1)
+		go func() {
+			defer transports.Done()
+			for a := range acks {
+				n.onPacket(a.child, ackFrame(a.flow))
+			}
+		}()
+	}
+	var mu sync.Mutex
+	used := map[int]bool{}
+	for c := range churners {
+		churn.Add(1)
+		go func() {
+			defer churn.Done()
+			for r := range rounds {
+				i := c*rounds + r
+				f := wire.FlowID(0x10000 + i)
+				kids := []wire.NodeID{children[i%3], children[(i+1)%3]}
+				fs := injectFlow(n, f, &wire.PerNodeInfo{
+					Children: kids, ChildFlows: []wire.FlowID{faninChildFlow(2 * i), faninChildFlow(2*i + 1)},
+					Key: testKey(byte(i)), DataMap: []wire.DataForward{{Parent: faninParent(i), Child: 0}},
+				})
+				sh := n.shardFor(f)
+				acks <- childAck{kids[i%2], faninChildFlow(2*i + i%2)}
+				if !simnet.Eventually(5*time.Second, 100*time.Microsecond, func() (acked bool) {
+					sh.do(func() { acked = fs.ackSent })
+					return acked
+				}) {
+					t.Errorf("flow %#x, resident on shard %d, never got its child's ack", f, sh.idx)
+					return
+				}
+				if r < rounds-1 { // each churner's last flow stays resident
+					sh.do(func() { n.removeFlow(sh, fs, true) })
+				}
+				mu.Lock()
+				used[sh.idx] = true
+				mu.Unlock()
+			}
+		}()
+	}
+	churn.Wait()
+	close(acks)
+	transports.Wait()
+
+	if len(used) != len(n.shards) {
+		t.Errorf("the churn reached %d of %d shards", len(used), len(n.shards))
+	}
+	for _, sh := range n.shards {
+		stale, counted := 0, 0
+		sh.do(func() {
+			for b, c := range sh.dirCount {
+				if n.dir[b].Load()>>sh.idx&1 == 1 && c == 0 {
+					stale++
+				}
+				counted += int(c)
+			}
+		})
+		if stale != 0 {
+			t.Errorf("shard %d: %d buckets keep its mask bit at a zero count", sh.idx, stale)
+		}
+		if fan := 2 * len(sh.flows); counted != fan {
+			t.Errorf("shard %d counts %d children for %d resident flows", sh.idx, counted, len(sh.flows))
+		}
+	}
+	// The other shards a shared child's ack fans out to miss it in byChild,
+	// counted in unmatched; the directory and the queues dropped none.
+	if c := n.Counters(); c.Get("filter_misses") != 0 || c.Get("queue_drops") != 0 {
+		t.Errorf("acks for resident flows were dropped: filter_misses=%d queue_drops=%d",
+			c.Get("filter_misses"), c.Get("queue_drops"))
+	}
+	checkBooks(t, n)
 }
 
 // wavePartition is a ChanNetwork that can lose chosen flows' set-up packets.

@@ -13,8 +13,9 @@ import (
 )
 
 // TestShardIsSingleWriter holds the ownership rule where the compiler cannot:
-// a shard and what it owns carry no lock, and a flow carries neither a clock
-// timer nor a closure — its waits are numbers in the shard's deadline queue.
+// the node, a shard and what they own carry no lock, and a flow carries neither
+// a clock timer nor a closure — its waits are numbers in the shard's deadline
+// queue.
 func TestShardIsSingleWriter(t *testing.T) {
 	var (
 		mutex   = reflect.TypeOf(sync.Mutex{})
@@ -51,6 +52,7 @@ func TestShardIsSingleWriter(t *testing.T) {
 		t.Fatal("the walk over flowState missed its round window or hop table")
 	}
 	walk(reflect.TypeOf(shard{}), "shard", false)
+	walk(reflect.TypeOf(Node{}), "Node", false)
 }
 
 // TestMailboxSerializesWithBursts hammers one shard's mailbox from several
@@ -139,6 +141,10 @@ func TestDropCountersNameTheDiscard(t *testing.T) {
 		return wire.AppendPacketHeader(nil, typ, f, 0, 0, 0, 0)
 	}
 
+	bucketMate := child + 1
+	for dirBucket(bucketMate) != dirBucket(child) {
+		bucketMate++
+	}
 	cases := []struct {
 		name    string
 		counter string
@@ -197,6 +203,10 @@ func TestDropCountersNameTheDiscard(t *testing.T) {
 		{name: "heartbeat for an unknown flow", counter: "unmatched", from: parent,
 			packet: wire.AppendHeartbeat(nil, flow)},
 		{name: "ack from a sender no flow lists as a child", counter: "filter_misses", from: 77,
+			prepare: establish, packet: typed(wire.MsgAck, 0xc1)},
+		// The directory counts buckets of children, not children: a sender
+		// sharing the listed child's bucket passes it and misses the index.
+		{name: "ack from a sender sharing a listed child's directory bucket", counter: "unmatched", from: bucketMate,
 			prepare: establish, packet: typed(wire.MsgAck, 0xc1)},
 	}
 	arrivals := map[string]bool{"setup_in": true, "data_in": true}

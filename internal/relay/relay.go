@@ -228,15 +228,15 @@ var shardVocab = metrics.NewVocab([]string{
 }...)
 
 // Packets dropped at a full shard queue, acks and ParentDown reports from a
-// sender the child directory lists under no flow, and packets too short to
-// classify.
+// sender whose bucket no shard counts in the child directory, and packets too
+// short to classify.
 const cQueueDrops, cFilterMisses, cRunts = 0, 1, 2
 
 var nodeVocab = metrics.NewVocab("queue_drops", "filter_misses", "runts")
 
 // Stats is the view of a node's counters that the benchmark ledger reads.
 // FilterMisses is filter_misses: acks and ParentDown reports the child
-// directory drops because no flow lists their sender.
+// directory drops from a sender whose bucket no shard counts.
 type Stats struct {
 	DataPacketsIn, PacketsOut, Regenerated, RoundsSkipped, Dropped   int64
 	QueueDrops, SendDrops, FlowsEvicted, FlowsRejected, FilterMisses int64
@@ -257,10 +257,7 @@ type Node struct {
 	// (table.go) keeps it at or under MaxFlows without a global lock.
 	flowCount atomic.Int64
 
-	// children routes acks and ParentDown reports, by sender, to just the
-	// shards holding a flow that lists it as a child.
-	children childDir
-	ctr      *metrics.ShardedCounter // nodeVocab
+	ctr *metrics.ShardedCounter // nodeVocab
 	// estSig is the channel the next establishment closes, made by the
 	// first waiter (events.go); nil while nobody waits.
 	estSig atomic.Pointer[chan struct{}]
@@ -276,6 +273,11 @@ type Node struct {
 	// frame falls back to the copying per-frame Send).
 	egPool *transport.SlabPool
 	owned  overlay.OwnedSender
+
+	// dir routes acks and ParentDown reports, by the sender's bucket, to just
+	// the shards counting a flow that lists a child in it (table.go): bit i
+	// is shard i's, set and cleared only by its worker.
+	dir [dirBuckets]atomic.Uint64
 }
 
 // shard is one stripe of the flow table plus everything its worker needs.
@@ -340,6 +342,11 @@ type shard struct {
 	timer   simnet.Timer
 	tickAt  int64
 	onTimer func()
+
+	// dirCount is this shard's half of the child directory: per bucket, the
+	// flows' fan-out into children in it (table.go). Last, so the fields a
+	// step touches stay together.
+	dirCount [dirBuckets]int32
 }
 
 type inPkt struct {
@@ -447,7 +454,6 @@ func New(id wire.NodeID, tr overlay.Transport, cfg Config) (*Node, error) {
 		closeDone: make(chan struct{}),
 		ctr:       metrics.NewShardedCounter(4*runtime.GOMAXPROCS(0), nodeVocab),
 	}
-	n.children.entries = make(map[wire.NodeID]*childEntry)
 	for i := range n.shards {
 		sh := &shard{
 			idx:     i,
@@ -529,7 +535,8 @@ func (n *Node) Stats() Stats {
 //	slices in     = filed + late + duplicate + unwanted + bad
 //	                + pending dropped, evicted and swept + still held pending set-up
 //	rounds opened = done (forwarded or decoded) + expired + evicted + swept + still open
-//	child index   = keys naming a resident flow whose route lists them; directory refs = routes' fan-out
+//	child index   = keys naming a resident flow whose route lists them
+//	per bucket    : count = routes' fan-out, and the shard's bit is set ⇔ the count > 0
 func (n *Node) Books() error {
 	var errs []error
 	for _, sh := range n.shards {
@@ -538,7 +545,8 @@ func (n *Node) Books() error {
 			slices := c[cDataIn] - c[cSlicesFiled] - c[cLateSlices] - c[cDuplicateSlices] -
 				c[cUnwantedSlices] - c[cBadSlots] - c[cPendingDropped] - c[cPendingEvicted] - c[cPendingSwept]
 			rounds := c[cRoundsOpened] - c[cRoundsDone] - c[cRoundsExpired] - c[cRoundsEvicted] - c[cRoundsSwept]
-			fanOut, listed := int32(0), map[childKey]bool{}
+			var fanOut [dirBuckets]int32
+			listed := map[childKey]bool{}
 			for _, fs := range sh.flows {
 				if fs.tail != nil {
 					slices -= int64(len(fs.tail.stage.pending))
@@ -550,17 +558,21 @@ func (n *Node) Books() error {
 					if f, ok := sh.byChild[k]; ok && f == fs.flow {
 						listed[k] = true
 					}
+					fanOut[dirBucket(child)]++
 				}
-				fanOut += int32(len(kids))
 			}
-			n.children.mu.RLock()
-			for _, e := range n.children.entries {
-				fanOut -= e.refs[sh.idx]
+			counts, bits := 0, 0
+			for b, c := range sh.dirCount {
+				if c != fanOut[b] {
+					counts++
+				}
+				if (n.dir[b].Load()>>sh.idx&1 == 1) != (c > 0) {
+					bits++
+				}
 			}
-			n.children.mu.RUnlock()
-			if slices != 0 || rounds != 0 || fanOut != 0 || len(listed) != len(sh.byChild) {
-				errs = append(errs, fmt.Errorf("relay %d shard %d: books off by %d slices, %d rounds and %d directory refs; %d of %d child index keys name a flow listing them",
-					n.id, sh.idx, slices, rounds, fanOut, len(listed), len(sh.byChild)))
+			if slices != 0 || rounds != 0 || counts != 0 || bits != 0 || len(listed) != len(sh.byChild) {
+				errs = append(errs, fmt.Errorf("relay %d shard %d: books off by %d slices and %d rounds; %d directory buckets miscount the fan-out and %d disagree with their mask bit; %d of %d child index keys name a flow listing them",
+					n.id, sh.idx, slices, rounds, counts, bits, len(listed), len(sh.byChild)))
 			}
 		})
 	}
@@ -639,11 +651,12 @@ func (sh *shard) do(fn func()) {
 //
 // Acks and ParentDown reports carry the *child's* flow-id, which does not
 // hash to the shard of the flow they concern: the child directory routes them
-// by sender to just the shards holding a flow that lists it as a child (each
-// looks the (sender, flow-id) pair up exactly) instead of to all of them, and
-// drops a sender matching nothing here, counted in filter_misses. Every other
-// packet goes to its flow's shard, whose worker drops one for an absent flow
-// that cannot create it (dispatch, counted in unmatched).
+// by the sender's bucket to just the shards counting a flow that lists a child
+// in it (each looks the (sender, flow-id) pair up exactly) instead of to all of
+// them, and drops a sender whose bucket no shard counts here, counted in
+// filter_misses. Every other packet goes to its flow's shard, whose worker
+// drops one for an absent flow that cannot create it (dispatch, counted in
+// unmatched).
 func (n *Node) onPacket(from wire.NodeID, data []byte) {
 	if len(data) < wire.HeaderLen {
 		n.ctr.Add(uint64(from), cRunts, 1)

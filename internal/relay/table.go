@@ -2,8 +2,8 @@ package relay
 
 import (
 	"slices"
-	"sync"
 
+	"infoslicing/internal/metrics"
 	"infoslicing/internal/slcrypto"
 	"infoslicing/internal/wire"
 )
@@ -15,10 +15,11 @@ import (
 // Eviction ordering rules (see DESIGN.md, "Multi-tenant flow table"):
 // removal is always removeFlow, always on the shard's worker, and always in
 // this order — cancel deadlines, unmap, unlink from the LRU list, withdraw
-// the child index keys and directory refs, release the admission
-// reservation. The directory is what transport goroutines read, so it goes
-// after the map entry: a packet that passed it just before eviction is
-// queued behind it and finds a clean miss, never a half-removed flow.
+// the child index keys and directory counts, release the admission
+// reservation. The directory is what transport goroutines read, dropping an
+// ack or report from a sender whose bucket no shard counts, so it goes after
+// the map entry: a packet that passed it just before eviction is queued
+// behind it and finds a clean miss, never a half-removed flow.
 
 // maxObservedHops caps the observed senders in a flow's hop table
 // (hops.go). Sender ids inside a frame are claimed, not proven, so a
@@ -198,93 +199,59 @@ func (fs *flowState) setRoute(pi *wire.PerNodeInfo) {
 // hashes as plain memory.
 type childKey struct{ child, flow uint64 }
 
-// childDir maps a known child node to the set of shards holding flows that
-// list it among their children. An ack or ParentDown report names the
-// child's flow, which says nothing about the shard of the flow it concerns,
-// and used to fan out to EVERY shard per packet. The directory narrows that
-// to the shards with a flow listing the sender, each of which finds the one
-// flow concerned (or none) in its byChild index; a sender that matches
-// nothing (garbage, long-evicted flows) is dropped by the transport
-// goroutine without touching any shard at all.
-type childDir struct {
-	mu      sync.RWMutex
-	entries map[wire.NodeID]*childEntry
-}
+// The child directory: an ack or ParentDown report names the child's flow,
+// which says nothing about the shard of the flow it concerns, so the directory
+// routes it to just the shards with a flow listing a child in the sender's
+// bucket (Mix64(child) masked), each of which finds the one flow concerned, or
+// none, in its exact byChild index. It is two fixed arrays: a shard's
+// dirCount, its routes' fan-out per bucket, written by its worker alone; and
+// the node's dir, a shard mask per bucket, in which each worker sets or clears
+// only its own bit as its count leaves zero or returns to it. Transport
+// goroutines read a mask with one atomic load. A sender whose bucket no shard
+// counts is dropped there (filter_misses); one sharing a bucket with a listed
+// child misses byChild (unmatched). 8 KB a node and 4 KB a shard, nothing per
+// child.
+const dirBuckets = 1024
 
-type childEntry struct {
-	refs []int32 // per-shard refcount of flows listing this child
-	mask uint64  // bit i set ⇔ refs[i] > 0 (Shards ≤ 64)
-}
+func dirBucket(child wire.NodeID) uint64 { return metrics.Mix64(uint64(child)) & (dirBuckets - 1) }
 
-// childMask returns the shard bitmask for a sender, zero when no flow
-// anywhere lists it as a child. Read-locked only: safe from transport
-// goroutines.
-func (n *Node) childMask(from wire.NodeID) uint64 {
-	n.children.mu.RLock()
-	e := n.children.entries[from]
-	var m uint64
-	if e != nil {
-		m = e.mask
-	}
-	n.children.mu.RUnlock()
-	return m
-}
+// childMask returns the shard bitmask for a sender's bucket, zero when no flow
+// anywhere lists a child in it. Safe from transport goroutines.
+func (n *Node) childMask(from wire.NodeID) uint64 { return n.dir[dirBucket(from)].Load() }
 
 // dirAdd indexes a flow under its route's children: one byChild key per
-// (child, child-flow) pair — a key already held stays with its holder — and
-// a ref on the child→shard mask consulted by transport goroutines. Called
-// at establishment and splice, never per data packet.
+// (child, child-flow) pair — a key already held stays with its holder — and a
+// count in each child's bucket, whose first sets the shard's bit in the mask
+// transport goroutines read. Called at establishment and splice, never per
+// data packet.
 func (n *Node) dirAdd(sh *shard, fs *flowState) {
 	kids, flows := fs.kids()
-	if len(kids) == 0 {
-		return
-	}
 	for i, c := range kids {
 		k := childKey{uint64(c), uint64(flows[i])}
 		if _, held := sh.byChild[k]; !held {
 			sh.byChild[k] = fs.flow
 		}
-	}
-	n.children.mu.Lock()
-	for _, c := range kids {
-		e := n.children.entries[c]
-		if e == nil {
-			e = &childEntry{refs: make([]int32, len(n.shards))}
-			n.children.entries[c] = e
+		b := dirBucket(c)
+		if sh.dirCount[b]++; sh.dirCount[b] == 1 {
+			n.dir[b].Or(1 << uint(sh.idx))
 		}
-		e.refs[sh.idx]++
-		e.mask |= 1 << uint(sh.idx)
 	}
-	n.children.mu.Unlock()
 }
 
-// dirDel withdraws the index keys and directory refs of a flow's route
-// (eviction, splice, close). A key is released only by the flow that holds
-// it, so a flow whose block claims someone else's (child, child-flow) pair
-// cannot unroute that flow by leaving.
+// dirDel withdraws the index keys and bucket counts of a flow's route
+// (eviction, splice, close); a count returning to zero clears the shard's bit.
+// A key is released only by the flow that holds it, so a flow whose block
+// claims someone else's (child, child-flow) pair cannot unroute that flow by
+// leaving.
 func (n *Node) dirDel(sh *shard, fs *flowState) {
 	kids, flows := fs.kids()
-	if len(kids) == 0 {
-		return
-	}
 	for i, c := range kids {
 		if k := (childKey{uint64(c), uint64(flows[i])}); sh.byChild[k] == fs.flow {
 			delete(sh.byChild, k)
 		}
-	}
-	n.children.mu.Lock()
-	for _, c := range kids {
-		e := n.children.entries[c]
-		if e == nil {
-			continue
-		}
-		if e.refs[sh.idx]--; e.refs[sh.idx] <= 0 {
-			e.refs[sh.idx] = 0
-			e.mask &^= 1 << uint(sh.idx)
-			if e.mask == 0 {
-				delete(n.children.entries, c)
-			}
+		b := dirBucket(c)
+		if sh.dirCount[b]--; sh.dirCount[b] == 0 {
+			n.dir[b].And(^uint64(1 << uint(sh.idx)))
 		}
 	}
-	n.children.mu.Unlock()
 }
