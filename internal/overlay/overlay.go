@@ -141,9 +141,9 @@ type OwnedSender interface {
 // SendOwnedOrCopy sends a one-destination burst through the transport's
 // owned path when it has one, else falls back to per-frame copying Sends
 // and fires release itself — either way release is consumed exactly once.
-// The fallback returns the first error it sees (data-path callers that
-// must count shed frames exactly, like the relay's egress stage, inline
-// the same split so they can attribute drops per frame).
+// The fallback returns the first error it sees; the relay's egress, which
+// sends every batch through here, counts a queue-full burst as shed whole,
+// and no copying transport in this module sheds part of one.
 func SendOwnedOrCopy(tr Transport, from, to wire.NodeID, bufs [][]byte, release func()) error {
 	if os, ok := tr.(OwnedSender); ok {
 		return os.SendOwned(from, to, bufs, release)

@@ -2,6 +2,7 @@ package relay
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"infoslicing/internal/wire"
 )
@@ -11,11 +12,15 @@ import (
 // inside a shard's step or tick, the sweep at the shard's heartbeat instants,
 // so one owner per shard holds (rule 6) and every frame leaves by egress.
 
-// seenReportsCap bounds the per-flow nonce dedup set; when it fills, the
-// set is reset wholesale. A re-forwarded duplicate after a reset is
-// harmless (the source dedupes by nonce too) — unbounded relay state is
-// not (§9.2).
-const seenReportsCap = 512
+// reportWindow is how many recent ParentDown nonces a flow remembers, the
+// oldest forgotten first, to dedup the multipath flood toward the source.
+// Each flow keeps its own, so a child flooding fresh nonces pushes out only
+// its flow's. A report's copies arrive once per forwarding child; between a
+// first and a last copy one flow remembered at most 6 reports
+// (TestRepairStressEveryFlowLosesRelays). A duplicate re-forwarded once
+// forgotten is harmless (the source dedupes by nonce too) — unbounded relay
+// state is not (§9.2).
+const reportWindow = 8
 
 // controlSweep is the heartbeat/liveness sweep a shard's tick runs every
 // Config.Heartbeat: an established flow frames one keepalive per child and
@@ -54,7 +59,7 @@ func (n *Node) sendParentDown(sh *shard, fs *flowState, dead wire.NodeID) {
 		return
 	}
 	nonce := sh.rng.Uint64()
-	sh.rememberReport(fs, nonce)
+	fs.rememberReport(nonce)
 	n.floodReport(sh, fs, nonce, sealed)
 	sh.ctr[cParentDownSent]++
 	sh.note(EvParentDown, fs.flow, uint64(dead))
@@ -79,12 +84,13 @@ func (n *Node) floodReport(sh *shard, fs *flowState, nonce uint64, sealed []byte
 	sh.floodUpstream(fs, wire.AppendParentDown(frame[:0], fs.flow, nonce, sealed))
 }
 
-func (sh *shard) rememberReport(fs *flowState, nonce uint64) {
-	t := sh.tailFor(fs)
-	if t.seenReports == nil || len(t.seenReports) >= seenReportsCap {
-		t.seenReports = make(map[uint64]bool)
-	}
-	t.seenReports[nonce] = true
+// rememberReport puts nonce's low 32 bits in the flow's report window over
+// its oldest. A random nonce matches a window by chance with probability
+// reportWindow·2⁻³² (an unwritten slot holds 0), and a report dropped so
+// still travels the flood's other paths; forging a match takes the nonce.
+func (fs *flowState) rememberReport(nonce uint64) {
+	fs.reports[fs.reportAt] = uint32(nonce)
+	fs.reportAt = (fs.reportAt + 1) % reportWindow
 }
 
 // handleSplice applies a repair patch to an established flow and reports
@@ -149,10 +155,10 @@ func (n *Node) handleUpstream(sh *shard, fs *flowState, pkt *wire.Packet) {
 		return
 	}
 	nonce, sealed, err := wire.ParseParentDown(pkt)
-	if err != nil || fs.tail != nil && fs.tail.seenReports[nonce] {
+	if err != nil || slices.Contains(fs.reports[:], uint32(nonce)) {
 		return
 	}
-	sh.rememberReport(fs, nonce)
+	fs.rememberReport(nonce)
 	n.floodReport(sh, fs, nonce, sealed)
 	sh.ctr[cParentDownForwarded]++
 }

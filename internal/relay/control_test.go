@@ -249,6 +249,98 @@ func TestParentDownForwardedUpstream(t *testing.T) {
 	}
 }
 
+// TestForwardedReportLeavesFlowAtRest: the nonces that dedup the ParentDown
+// flood live in the flow's resident record, so forwarding a report through a
+// resting flow gives it no tail and it stays one record.
+func TestForwardedReportLeavesFlowAtRest(t *testing.T) {
+	tr := &rawTransport{}
+	n, err := New(2, tr, Config{Rng: rand.New(rand.NewSource(2))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	const flow, child = wire.FlowID(0xaa55), wire.NodeID(21)
+	fs := injectFlow(n, flow, &wire.PerNodeInfo{
+		Children:   []wire.NodeID{child},
+		ChildFlows: []wire.FlowID{0xbb66},
+		Key:        testKey(1),
+		DataMap:    []wire.DataForward{{Parent: 11, Child: 0}},
+	})
+	n.onPacket(child, wire.AppendParentDown(nil, 0xbb66, 777, []byte("sealed")))
+	if !simnet.Eventually(5*time.Second, 2*time.Millisecond, func() bool {
+		return n.Counters().Get("parent_down_forwarded") == 1
+	}) {
+		t.Fatal("report not forwarded")
+	}
+	var atRest bool
+	n.shardFor(flow).do(func() { atRest = fs.tail == nil })
+	if !atRest {
+		t.Fatal("forwarding a report gave the resting flow a tail")
+	}
+}
+
+// TestReportDedupIsPerFlow: each flow dedups the ParentDown flood in its own
+// window. A child flooding one shard with fresh nonces pushes out none of
+// another flow's, so that flow's duplicate is still dropped, and its own
+// flow still drops copies of its last six reports: the most one flow
+// remembered between a report's first and last copy in
+// TestRepairStressEveryFlowLosesRelays, whose flows each lose several relays.
+func TestReportDedupIsPerFlow(t *testing.T) {
+	tr := &rawTransport{}
+	n, err := New(2, tr, Config{Shards: 1, Rng: rand.New(rand.NewSource(2))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	const (
+		flooder, honest        = wire.NodeID(21), wire.NodeID(22)
+		floodFlow, honestFlow  = wire.FlowID(0xbb66), wire.FlowID(0xcc77)
+		flood                  = 600 // more fresh nonces than any one shard-wide window of 512
+		honestNonce, lastNonce = uint64(900), uint64(901)
+		spread                 = 6
+	)
+	for i, kid := range []struct {
+		id   wire.NodeID
+		flow wire.FlowID
+	}{{flooder, floodFlow}, {honest, honestFlow}} {
+		injectFlow(n, wire.FlowID(0xaa50+i), &wire.PerNodeInfo{
+			Children:   []wire.NodeID{kid.id},
+			ChildFlows: []wire.FlowID{kid.flow},
+			Key:        testKey(byte(1 + i)),
+			DataMap:    []wire.DataForward{{Parent: 11, Child: 0}},
+		})
+	}
+	forwarded := func(want int64) {
+		t.Helper()
+		if !simnet.Eventually(5*time.Second, 2*time.Millisecond, func() bool {
+			return n.Counters().Get("parent_down_forwarded") >= want
+		}) {
+			t.Fatalf("parent_down_forwarded never reached %d: %v", want, n.Counters())
+		}
+	}
+	sealed := []byte("sealed")
+	n.onPacket(honest, wire.AppendParentDown(nil, honestFlow, honestNonce, sealed))
+	forwarded(1)
+	for i := range uint64(flood) {
+		n.onPacket(flooder, wire.AppendParentDown(nil, floodFlow, 1000+i, sealed))
+	}
+	forwarded(1 + flood)
+	n.onPacket(honest, wire.AppendParentDown(nil, honestFlow, honestNonce, sealed))
+	for i := range uint64(spread) {
+		n.onPacket(flooder, wire.AppendParentDown(nil, floodFlow, 1000+flood-1-i, sealed))
+	}
+	// One shard takes its packets in order, so once this fresh report is
+	// forwarded every duplicate before it has been judged.
+	n.onPacket(honest, wire.AppendParentDown(nil, honestFlow, lastNonce, sealed))
+	forwarded(2 + flood)
+	if got := n.Counters().Get("parent_down_forwarded"); got != 2+flood {
+		t.Fatalf("parent_down_forwarded = %d, want %d: a duplicate was re-flooded", got, 2+flood)
+	}
+	if drops := n.Counters().Get("queue_drops"); drops != 0 {
+		t.Fatalf("queue_drops = %d, want 0", drops)
+	}
+}
+
 // TestSpliceSwapsParentAtomically: an authenticated splice replaces the
 // info block, grants the new parent a liveness grace, and drops state for
 // the removed one; a splice sealed under the wrong key is rejected.

@@ -18,8 +18,9 @@ import (
 // runEgress, so N frames to one child are one queue transaction instead of N.
 // Frames drain in framing order; a child that hears a round before its flow's
 // set-up packet holds it pending and replays it at decode (setup.go). Slabs
-// are refcounted (transport.SlabPool) and handed over by reference to an
-// overlay.OwnedSender; other transports get the copying per-frame Send.
+// are refcounted (transport.SlabPool) and each batch is handed over in one
+// overlay.SendOwnedOrCopy: by reference to an overlay.OwnedSender, copied
+// otherwise.
 //
 // The open slab outlives the step, so many small bursts share one. A slab
 // that fills with frames still filed stays referenced, by its batches and the
@@ -126,30 +127,19 @@ func (sh *shard) batchFrame(to wire.NodeID, frame []byte) {
 }
 
 // runEgress hands every batch to the transport, retires them and drops the
-// references to the slabs rolled since the last drain. The owned path Retains
-// a batch's slab once per batch (the transport releases when flushed or
-// dropped); the fallback copies through Send, the relay's only call of it.
+// references to the slabs rolled since the last drain. Each batch Retains its
+// slab once, and the transport releases it when flushed, copied or dropped.
 // Transports never block the caller (the non-blocking send contract): a peer
-// whose queue is full sheds what it was handed and reports the advisory
-// ErrSendQueueFull, counted as send_drops.
+// whose queue is full sheds the batch it was handed and reports the advisory
+// ErrSendQueueFull, which counts all its frames as send_drops.
 func (n *Node) runEgress(sh *shard) {
 	eg := &sh.eg
 	for i := range eg.batches {
 		b := &eg.batches[i]
-		if n.owned != nil {
-			sh.ctr[cPacketsOut] += int64(len(b.bufs))
-			b.slab.Retain()
-			err := n.owned.SendOwned(n.id, b.to, b.bufs, b.slab.ReleaseFn)
-			if err != nil && errors.Is(err, overlay.ErrSendQueueFull) {
-				sh.ctr[cSendDrops] += int64(len(b.bufs)) // owned batching is all-or-nothing
-			}
-		} else {
-			for _, fr := range b.bufs {
-				sh.ctr[cPacketsOut]++
-				if err := n.tr.Send(n.id, b.to, fr); err != nil && errors.Is(err, overlay.ErrSendQueueFull) {
-					sh.ctr[cSendDrops]++
-				}
-			}
+		sh.ctr[cPacketsOut] += int64(len(b.bufs))
+		b.slab.Retain()
+		if err := overlay.SendOwnedOrCopy(n.tr, n.id, b.to, b.bufs, b.slab.ReleaseFn); errors.Is(err, overlay.ErrSendQueueFull) {
+			sh.ctr[cSendDrops] += int64(len(b.bufs))
 		}
 		clear(b.bufs)
 		b.bufs, b.slab = b.bufs[:0], nil

@@ -192,8 +192,8 @@ func TestEgressQueueFullShedReleasesAndCounts(t *testing.T) {
 		t.Fatalf("slab leaked on shed: outstanding %d after Close", got)
 	}
 
-	// A transport without the owned path sheds frame by frame, and each shed
-	// frame lands in send_drops the same.
+	// A copying transport sheds each frame; the batch's queue-full error
+	// counts all its frames in send_drops the same.
 	cp, err := New(1, &sheddingTransport{}, Config{Rng: rand.New(rand.NewSource(1))})
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,7 @@ import (
 // its source. What the nine relays of a graph still hold between them once
 // every timer has run out is the flow's footprint; it bounds how many
 // strangers' flows a relay can afford to admit (§9.2). At rest a flow is one
-// record at every relay, its hop table and routing block inline: 3.7 KB in 9
+// record at every relay, its hop table and routing block inline: 4.0 KB in 9
 // heap objects per graph, one object per relay.
 func TestIdleFlowFootprint(t *testing.T) {
 	const (

@@ -268,11 +268,8 @@ type Node struct {
 	closeDone chan struct{}
 	wg        sync.WaitGroup
 
-	// egPool backs the refcounted egress slabs; owned is the transport's
-	// zero-copy batch entry point when it offers one (nil ⇒ every egress
-	// frame falls back to the copying per-frame Send).
+	// egPool backs the refcounted egress slabs.
 	egPool *transport.SlabPool
-	owned  overlay.OwnedSender
 
 	// dir routes acks and ParentDown reports, by the sender's bucket, to just
 	// the shards counting a flow that lists a child in it (table.go): bit i
@@ -402,16 +399,20 @@ type flowState struct {
 	// it). Relays recognise reverse traffic by the sender's address and the
 	// flow-id they stamp on packets to it — identities they already hold.
 	ackSent bool
+
+	// reports dedupes the ParentDown flood: the last reportWindow nonces
+	// the flow originated or forwarded, the oldest at reportAt (control.go).
+	reportAt uint8
+	reports  [reportWindow]uint32
 }
 
 // flowTail is what a flow holds only while a phase is live: set-up staging
-// (setup.go), the round ring (window.go), a destination's receiver
-// (receive.go) and the ParentDown flood's nonces (control.go).
+// (setup.go), the round ring (window.go) and a destination's receiver
+// (receive.go).
 type flowTail struct {
-	stage       setupStage
-	ring        []roundSlot
-	rx          rxTail
-	seenReports map[uint64]bool
+	stage setupStage
+	ring  []roundSlot
+	rx    rxTail
 }
 
 // tailFor returns the flow's tail, taking the shard's spare if it has none.
@@ -429,7 +430,7 @@ func (sh *shard) tailFor(fs *flowState) *flowTail {
 func (sh *shard) shedTail(fs *flowState) {
 	t := fs.tail
 	if t == nil || fs.staging() || t.stage.pending != nil || t.ring != nil ||
-		len(t.rx.stream) > 0 || t.rx.tainted || fs.due[dlGap] != 0 || t.seenReports != nil {
+		len(t.rx.stream) > 0 || t.rx.tainted || fs.due[dlGap] != 0 {
 		return
 	}
 	*t = flowTail{stage: setupStage{pkts: t.stage.pkts, sliceMap: t.stage.sliceMap[:0]}, rx: rxTail{stream: t.rx.stream}}
@@ -476,7 +477,6 @@ func New(id wire.NodeID, tr overlay.Transport, cfg Config) (*Node, error) {
 		n.shards[i] = sh
 	}
 	n.egPool = transport.NewSlabPool(slabSize, 0)
-	n.owned, _ = tr.(overlay.OwnedSender)
 	if err := tr.Attach(id, n.onPacket); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,8 @@ package transport
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -287,5 +289,104 @@ func TestQueueLenCountsFrames(t *testing.T) {
 	}
 	if got := b.released.Load(); got != 1 {
 		t.Fatalf("owned batch released %d times, want once", got)
+	}
+}
+
+// Every queue entry is one envelope, whether Enqueue copied its frame or
+// EnqueueOwned holds a burst by reference. Two senders interleave both on
+// one peer, overwriting each copied frame's buffer as soon as Enqueue
+// returns; the writer is parked in resolve meanwhile, holding only a primer
+// frame, so QueueLen must read every queued frame. Then the acceptor gets
+// each sender's frames byte-exact and in its queue order, each release
+// fires once, and no slab stays out after Close.
+func TestPeerMixedEntries(t *testing.T) {
+	const rounds, burst = 20, 3
+	for _, fl := range peerFlavours {
+		t.Run(fl.name, func(t *testing.T) {
+			s := &sink{}
+			addr := fl.listen(t, s.deliver)
+			parked, gate := make(chan struct{}), make(chan struct{})
+			var once sync.Once
+			cfg := testConfig()
+			cfg.QueueDepth = 2 * rounds * 2
+			p := fl.newPeer(func() (string, bool) {
+				once.Do(func() { close(parked) })
+				<-gate
+				return addr, true
+			}, cfg)
+			if !p.Enqueue(9, []byte("primer")) {
+				t.Fatal("primer rejected")
+			}
+			<-parked
+
+			pool := NewSlabPool(0, 0)
+			want := map[wire.NodeID][]string{}
+			releases := make([][]atomic.Int32, 2)
+			var wg sync.WaitGroup
+			for k := range releases {
+				from := wire.NodeID(k + 1)
+				releases[k] = make([]atomic.Int32, rounds)
+				for r := 0; r < rounds; r++ {
+					want[from] = append(want[from], fmt.Sprintf("copied %d/%d", from, r))
+					for i := 0; i < burst; i++ {
+						want[from] = append(want[from], fmt.Sprintf("owned %d/%d/%d", from, r, i))
+					}
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					buf := make([]byte, 0, 32)
+					for r := 0; r < rounds; r++ {
+						buf = fmt.Appendf(buf[:0], "copied %d/%d", from, r)
+						if !p.Enqueue(from, buf) {
+							t.Errorf("sender %d: copied frame %d rejected", from, r)
+						}
+						for i := range buf {
+							buf[i] = 'X' // the queue holds its own copy
+						}
+						slab := pool.Get(0)
+						bufs := make([][]byte, burst)
+						for i := range bufs {
+							bufs[i] = frameInSlab(slab, fmt.Appendf(nil, "owned %d/%d/%d", from, r, i))
+						}
+						rel := &releases[k][r]
+						if !p.EnqueueOwned(from, bufs, func() { rel.Add(1); slab.Release() }) {
+							t.Errorf("sender %d: burst %d rejected", from, r)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if got, frames := p.QueueLen(), 2*rounds*(1+burst); got != frames {
+				t.Fatalf("QueueLen = %d with the writer parked, want %d frames", got, frames)
+			}
+			close(gate)
+			p.Close()
+			s.await(t, 1+2*rounds*(1+burst), 5*time.Second)
+			if st := p.counters(); st.Get("dropped") != 0 || st.Get("frames_out") != st.Get("enqueued") {
+				t.Fatalf("counters %v, want every frame flushed", st)
+			}
+			got := map[wire.NodeID][]string{}
+			s.mu.Lock()
+			for i, f := range s.frames {
+				got[s.froms[i]] = append(got[s.froms[i]], string(f))
+			}
+			s.mu.Unlock()
+			for from, w := range want {
+				if !slices.Equal(got[from], w) {
+					t.Fatalf("sender %d received %q, want %q", from, got[from], w)
+				}
+			}
+			for k := range releases {
+				for r := range releases[k] {
+					if n := releases[k][r].Load(); n != 1 {
+						t.Fatalf("sender %d burst %d released %d times, want once", k+1, r, n)
+					}
+				}
+			}
+			if n := pool.Outstanding(); n != 0 {
+				t.Fatalf("%d slabs outstanding after Close", n)
+			}
+		})
 	}
 }

@@ -12,62 +12,47 @@ import (
 	"infoslicing/internal/wire"
 )
 
-// outFrame is one outbound queue entry: either a copied frame (buf, from
-// the freelist, header already prepended) or an owned batch of frames
-// sharing one refcounted backing buffer (ob). Exactly one of the two is
-// set.
-type outFrame struct {
-	buf []byte
-	ob  *ownedBatch
-}
-
-// frames reports how many wire frames the entry carries (an owned batch
-// counts each of its frames; stats stay in frame units either way).
-func (f outFrame) frames() int64 {
-	if f.ob != nil {
-		return int64(len(f.ob.bufs))
-	}
-	return 1
-}
-
-// ownedBatch carries a burst of frames toward one peer by reference: the
-// payload views stay in the caller's refcounted buffer, release gives the
-// reference back, and hdrs is a pre-built arena of 8-byte wire headers
-// (one per frame) so the TCP writer can writev header‖payload pairs
-// without copying either. Pooled on the outbox's envelope freelist.
-type ownedBatch struct {
-	from    wire.NodeID
+// envelope is the one kind of outbound queue entry: a burst of frames toward
+// one peer. arena holds the frames' 8-byte wire headers, one per frame, so
+// the TCP writer can writev header‖payload pairs and the datagram packer
+// lay each header down in front of its payload. An owned burst's payload
+// views (bufs) stay in the caller's refcounted buffer until release gives
+// it back; a copied frame (Enqueue) is a one-frame envelope whose payload
+// is copied into the arena behind its header, with a no-op release. Pooled
+// on the outbox's freelist.
+type envelope struct {
 	bufs    [][]byte
 	release func()
-	hdrs    []byte
+	arena   []byte
 }
 
+// noRelease is a copied frame's release: its bytes are the envelope's own.
+func noRelease() {}
+
 // outbox is the transport-agnostic half of a peer: the bounded outbound
-// frame queue, the freelists of frame buffers and batch envelopes, and the
-// whole writer lifecycle — next-batch selection, graceful drain vs
-// immediate kill, dead-then-reap exit, the connection holder,
-// resolve→dial→backoff. The TCP Peer and the UDPPeer embed it and add only
-// their flavour (dial and flush: stream writev on one side,
-// congestion-controlled sendmmsg on the other), so Enqueue semantics, drop
-// accounting, and Close behaviour are identical across transports by
-// construction.
+// frame queue, the freelist of envelopes, and the whole writer lifecycle —
+// next-batch selection, graceful drain vs immediate kill, dead-then-reap
+// exit, the connection holder, resolve→dial→backoff. The TCP Peer and the
+// UDPPeer embed it and add only their flavour (dial and flush: stream
+// writev on one side, congestion-controlled sendmmsg on the other), so
+// Enqueue semantics, drop accounting, and Close behaviour are identical
+// across transports by construction.
 type outbox struct {
 	cfg     Config
 	resolve func() (string, bool)
 
-	// The queue and both freelists live under one lock, so a frame costs
+	// The queue and the freelist live under one lock, so a frame costs
 	// producers one lock round trip and the writer takes, and later
 	// recycles, a whole batch per lock. Nothing allocates while holding
 	// it. ring is a circular buffer of QueueDepth entries, head..head+n;
-	// queued counts the frames they carry (an owned batch is one entry of
+	// queued counts the frames they carry (an owned burst is one entry of
 	// many frames).
 	mu     sync.Mutex
-	ring   []outFrame
+	ring   []*envelope
 	head   int
 	n      int
 	queued int
-	free   [][]byte      // recycled copied-frame buffers
-	freeOB []*ownedBatch // recycled owned-batch envelopes
+	free   []*envelope // recycled envelopes
 	// wake holds one token, put there by the producer that takes the queue
 	// from empty to non-empty; the writer parks on it only when it found
 	// the queue empty.
@@ -117,7 +102,7 @@ type outbox struct {
 // re-dials.
 type flavour interface {
 	dial(addr string) (net.Conn, error)
-	flush(c net.Conn, batch []outFrame)
+	flush(c net.Conn, batch []*envelope)
 }
 
 func newOutbox(cfg Config, resolve func() (string, bool), ctr *metrics.ShardedCounter) outbox {
@@ -128,9 +113,8 @@ func newOutbox(cfg Config, resolve func() (string, bool), ctr *metrics.ShardedCo
 		key:     stripeKeys.Add(1),
 		backoff: cfg.BackoffMin,
 		jitter:  lazyRand{seed: simnet.NextSeed()},
-		ring:    make([]outFrame, cfg.QueueDepth),
-		free:    make([][]byte, 0, cfg.QueueDepth+cfg.MaxBatch),
-		freeOB:  make([]*ownedBatch, 0, cfg.QueueDepth),
+		ring:    make([]*envelope, cfg.QueueDepth),
+		free:    make([]*envelope, 0, cfg.QueueDepth+cfg.MaxBatch),
 		wake:    make(chan struct{}, 1),
 		closed:  make(chan struct{}),
 		killed:  make(chan struct{}),
@@ -139,51 +123,40 @@ func newOutbox(cfg Config, resolve func() (string, bool), ctr *metrics.ShardedCo
 }
 
 // take moves up to MaxBatch queued entries onto batch under one lock.
-func (o *outbox) take(batch []outFrame) []outFrame {
+func (o *outbox) take(batch []*envelope) []*envelope {
 	o.mu.Lock()
 	for o.n > 0 && len(batch) < o.cfg.MaxBatch {
-		f := o.ring[o.head]
-		o.ring[o.head] = outFrame{}
+		e := o.ring[o.head]
+		o.ring[o.head] = nil
 		if o.head++; o.head == len(o.ring) {
 			o.head = 0
 		}
 		o.n--
-		o.queued -= int(f.frames())
-		batch = append(batch, f)
+		o.queued -= len(e.bufs)
+		batch = append(batch, e)
 	}
 	o.mu.Unlock()
 	return batch
 }
 
 // Enqueue frames data (header ‖ payload, stamped with the sending node)
-// into the outbound queue. It never blocks: a full queue — or a closed peer
-// — drops the frame, counts it, and returns false. data is copied before
-// return and may be reused by the caller immediately.
+// into the outbound queue as a one-frame envelope. It never blocks: a full
+// queue — or a closed peer — drops the frame, counts it, and returns false.
+// data is copied before return and may be reused by the caller immediately.
 func (o *outbox) Enqueue(from wire.NodeID, data []byte) bool {
 	if len(data) > o.cfg.MaxFrame || o.isClosed() {
 		o.count(cDropped, 1)
 		return false
 	}
-	need := HeaderLen + len(data)
-	o.mu.Lock()
-	if o.n == len(o.ring) {
-		return o.shed(1, nil)
+	e := o.reserve(1, len(data), noRelease)
+	if e == nil {
+		return false
 	}
-	buf := o.popFree()
-	if cap(buf) < need {
-		// Nothing allocates under the lock: a GC assist there would stall
-		// every other producer, and the writer, behind this one.
-		o.mu.Unlock()
-		buf = make([]byte, 0, need)
-		o.mu.Lock()
-		if o.n == len(o.ring) {
-			return o.shed(1, nil)
-		}
-	}
-	var hdr [HeaderLen]byte
-	putHeader(hdr[:], from, len(data))
-	buf = append(append(buf[:0], hdr[:]...), data...)
-	return o.pushed(outFrame{buf: buf})
+	e.arena = e.arena[:HeaderLen+len(data)]
+	putHeader(e.arena, from, len(data))
+	copy(e.arena[HeaderLen:], data)
+	e.bufs = append(e.bufs[:0], e.arena[HeaderLen:])
+	return o.pushed(e)
 }
 
 // EnqueueOwned hands a burst of frames toward this peer by reference: the
@@ -211,79 +184,80 @@ func (o *outbox) EnqueueOwned(from wire.NodeID, bufs [][]byte, release func()) b
 			return false
 		}
 	}
+	e := o.reserve(len(bufs), 0, release)
+	if e == nil {
+		return false
+	}
+	e.arena = e.arena[:len(bufs)*HeaderLen]
+	for i, b := range bufs {
+		putHeader(e.arena[i*HeaderLen:], from, len(b))
+	}
+	e.bufs = append(e.bufs[:0], bufs...)
+	return o.pushed(e)
+}
+
+// reserve takes mu and an envelope with room for n frames and copied bytes
+// of payload, carrying release, for the caller to fill and hand to pushed.
+// Nothing allocates under the lock: a GC assist there would stall every
+// other producer, and the writer, behind this one, so an envelope that is
+// missing or too small grows with mu let go. A queue found full sheds the
+// entry (release consumed, n frames counted dropped) and returns nil with
+// mu let go.
+func (o *outbox) reserve(n, copied int, release func()) *envelope {
 	o.mu.Lock()
 	if o.n == len(o.ring) {
-		return o.shed(n, release)
+		o.shed(int64(n), release)
+		return nil
 	}
-	ob := o.popOwned()
-	if ob == nil || cap(ob.bufs) < len(bufs) || cap(ob.hdrs) < len(bufs)*HeaderLen {
-		o.mu.Unlock() // as in Enqueue: no allocation under the lock
-		ob = &ownedBatch{bufs: make([][]byte, 0, len(bufs)), hdrs: make([]byte, 0, len(bufs)*HeaderLen)}
+	var e *envelope
+	if k := len(o.free); k > 0 {
+		e = o.free[k-1]
+		o.free[k-1] = nil
+		o.free = o.free[:k-1]
+	}
+	arena := n*HeaderLen + copied
+	if e == nil || cap(e.bufs) < n || cap(e.arena) < arena {
+		o.mu.Unlock()
+		if e == nil {
+			e = new(envelope)
+		}
+		if cap(e.bufs) < n {
+			e.bufs = make([][]byte, 0, n)
+		}
+		if cap(e.arena) < arena {
+			e.arena = make([]byte, 0, arena)
+		}
 		o.mu.Lock()
 		if o.n == len(o.ring) {
-			return o.shed(n, release)
+			o.shed(int64(n), release)
+			return nil
 		}
 	}
-	ob.from = from
-	ob.bufs = append(ob.bufs[:0], bufs...)
-	ob.release = release
-	ob.hdrs = ob.hdrs[:0]
-	for _, b := range bufs {
-		var hdr [HeaderLen]byte
-		putHeader(hdr[:], from, len(b))
-		ob.hdrs = append(ob.hdrs, hdr[:]...)
-	}
-	return o.pushed(outFrame{ob: ob})
-}
-
-// popFree and popOwned take a recycled frame buffer or batch envelope, nil
-// if there is none. Callers hold mu.
-func (o *outbox) popFree() []byte {
-	k := len(o.free)
-	if k == 0 {
-		return nil
-	}
-	buf := o.free[k-1]
-	o.free[k-1] = nil
-	o.free = o.free[:k-1]
-	return buf
-}
-
-func (o *outbox) popOwned() *ownedBatch {
-	k := len(o.freeOB)
-	if k == 0 {
-		return nil
-	}
-	ob := o.freeOB[k-1]
-	o.freeOB[k-1] = nil
-	o.freeOB = o.freeOB[:k-1]
-	return ob
+	e.release = release
+	return e
 }
 
 // shed lets go of mu and drops an entry of n frames that found the queue
-// full, consuming its release if it has one.
-func (o *outbox) shed(n int64, release func()) bool {
+// full, consuming its release.
+func (o *outbox) shed(n int64, release func()) {
 	o.mu.Unlock()
-	if release != nil {
-		release()
-	}
+	release()
 	o.count(cDropped, n)
-	return false
 }
 
-// pushed queues f and lets go of mu; the caller holds mu and has checked
+// pushed queues e and lets go of mu; the caller holds mu and has checked
 // there is room. The producer that takes the queue from empty hands the
 // writer its wake token (one is enough: the writer empties the queue
 // before it parks again).
-func (o *outbox) pushed(f outFrame) bool {
-	n := f.frames() // once f is queued the writer may recycle it
+func (o *outbox) pushed(e *envelope) bool {
+	n := len(e.bufs) // once e is queued the writer may recycle it
 	i := o.head + o.n
 	if i >= len(o.ring) {
 		i -= len(o.ring)
 	}
-	o.ring[i] = f
+	o.ring[i] = e
 	o.n++
-	o.queued += int(n)
+	o.queued += n
 	wasEmpty := o.n == 1
 	o.mu.Unlock()
 	if wasEmpty {
@@ -292,12 +266,12 @@ func (o *outbox) pushed(f outFrame) bool {
 		default:
 		}
 	}
-	o.count(cEnqueued, n)
+	o.count(cEnqueued, int64(n))
 	if o.dead.Load() {
 		// Lost the race with the writer's exit. The writer sets dead
 		// strictly before its final reap, so either that reap already
 		// drained this entry or this discard will: nothing strands, an
-		// owned batch is released once, and the frames are counted
+		// owned burst is released once, and the frames are counted
 		// dropped instead of claimed sent.
 		o.discardQueue()
 		return false
@@ -305,7 +279,7 @@ func (o *outbox) pushed(f outFrame) bool {
 	return true
 }
 
-// QueueLen reports how many frames are currently queued, an owned batch
+// QueueLen reports how many frames are currently queued, an owned burst
 // counting each of its frames (diagnostics and SendDelay).
 func (o *outbox) QueueLen() int {
 	o.mu.Lock()
@@ -334,32 +308,24 @@ func (o *outbox) armDrain() time.Time {
 	return o.drainBy
 }
 
-// recycleBatch consumes dequeued entries: each owned batch's release fires
-// (outside the lock: it is the caller's code), then every frame buffer and
-// envelope goes back on its freelist under one lock. The freelists are
-// sized for all the queue and a writer's batch can hold, so a return
-// never allocates under the lock; what does not fit is left to the
-// collector.
-func (o *outbox) recycleBatch(batch []outFrame) {
-	for _, f := range batch {
-		if ob := f.ob; ob != nil {
-			ob.release()
-			ob.release = nil
-			clear(ob.bufs)
-			ob.bufs = ob.bufs[:0]
-			ob.from = 0
-		}
+// recycleBatch consumes dequeued envelopes: each release fires (outside
+// the lock: it is the caller's code), then every envelope goes back on the
+// freelist under one lock. The freelist is sized for all the queue and a
+// writer's batch can hold, so a return never allocates under the lock;
+// what does not fit is left to the collector.
+func (o *outbox) recycleBatch(batch []*envelope) {
+	for _, e := range batch {
+		e.release()
+		e.release = nil
+		clear(e.bufs)
+		e.bufs = e.bufs[:0]
 	}
 	o.mu.Lock()
-	for i, f := range batch {
-		if f.ob != nil {
-			if len(o.freeOB) < cap(o.freeOB) {
-				o.freeOB = append(o.freeOB, f.ob)
-			}
-		} else if len(o.free) < cap(o.free) {
-			o.free = append(o.free, f.buf)
+	for i, e := range batch {
+		if len(o.free) < cap(o.free) {
+			o.free = append(o.free, e)
 		}
-		batch[i] = outFrame{}
+		batch[i] = nil
 	}
 	o.mu.Unlock()
 }
@@ -407,9 +373,9 @@ func (o *outbox) sleepBackoff() bool {
 }
 
 // discardQueue empties the outbound queue, counting everything as dropped
-// (in frame units) and releasing owned batches.
+// (in frame units) and releasing owned bursts.
 func (o *outbox) discardQueue() {
-	batch := make([]outFrame, 0, o.cfg.MaxBatch)
+	batch := make([]*envelope, 0, o.cfg.MaxBatch)
 	for {
 		if batch = o.take(batch[:0]); len(batch) == 0 {
 			return
@@ -419,9 +385,9 @@ func (o *outbox) discardQueue() {
 }
 
 // dropBatch counts a dequeued batch dropped and consumes it.
-func (o *outbox) dropBatch(batch []outFrame) {
-	for _, f := range batch {
-		o.count(cDropped, f.frames())
+func (o *outbox) dropBatch(batch []*envelope) {
+	for _, e := range batch {
+		o.count(cDropped, int64(len(e.bufs)))
 	}
 	o.recycleBatch(batch)
 }
@@ -491,7 +457,7 @@ func (o *outbox) run(f flavour) {
 		o.discardQueue()
 		close(o.done)
 	}()
-	batch := make([]outFrame, 0, o.cfg.MaxBatch)
+	batch := make([]*envelope, 0, o.cfg.MaxBatch)
 	for {
 		var ok bool
 		if batch, ok = o.next(batch[:0]); !ok {
@@ -509,7 +475,7 @@ func (o *outbox) run(f flavour) {
 // the queue and stops; a graceful close keeps handing out batches
 // (flushing, dialing included, continues) until the queue empties or the
 // drain deadline passes. false means the writer must exit.
-func (o *outbox) next(batch []outFrame) ([]outFrame, bool) {
+func (o *outbox) next(batch []*envelope) ([]*envelope, bool) {
 	for !o.isClosed() {
 		if batch = o.take(batch); len(batch) > 0 {
 			return batch, true

@@ -10,7 +10,7 @@ import (
 // Peer is one remote overlay host: a single TCP connection carrying frames
 // from every local node toward it, exactly the paper's one-daemon-per-host
 // deployment shape (each frame names its sender in the header). It owns a
-// bounded outbound queue, a freelist of frame buffers, and a writer
+// bounded outbound queue, a freelist of envelopes, and a writer
 // goroutine that does all connection work — so Enqueue never blocks, never
 // dials, and in the steady state never allocates. Funneling all local
 // senders through one queue is also what makes frames coalesce: the writer
@@ -48,14 +48,13 @@ func (p *Peer) dial(addr string) (net.Conn, error) {
 	return net.DialTimeout("tcp", addr, dialTimeout)
 }
 
-// flush writes one batch with a single writev. Copied frames contribute
-// one iovec each; owned batches contribute header‖payload pairs pointing
-// straight into the caller's refcounted buffer — released (recycleBatch)
-// only after the writev returns, success or not. A write error
-// severs the connection and drops the whole batch: a partial writev may
-// have split a frame, so resuming on a fresh connection would corrupt the
-// framing — every connection starts at a frame boundary.
-func (p *Peer) flush(c net.Conn, batch []outFrame) {
+// flush writes one batch with a single writev of header‖payload pairs, an
+// owned burst's payloads pointing straight into the caller's refcounted
+// buffer — released (recycleBatch) only after the writev returns, success
+// or not. A write error severs the connection and drops the whole batch: a
+// partial writev may have split a frame, so resuming on a fresh connection
+// would corrupt the framing — every connection starts at a frame boundary.
+func (p *Peer) flush(c net.Conn, batch []*envelope) {
 	// Stall protection: a wedged receiver must fail the flush instead of
 	// blocking the writer forever. Refreshing the deadline costs runtime
 	// timer locks, so it is pushed out in WriteTimeout/4 steps rather than
@@ -76,14 +75,10 @@ func (p *Peer) flush(c net.Conn, batch []outFrame) {
 	}
 	var frames int64
 	iov := p.iov[:0]
-	for _, f := range batch {
-		frames += f.frames()
-		if f.ob != nil {
-			for i, b := range f.ob.bufs {
-				iov = append(iov, f.ob.hdrs[i*HeaderLen:(i+1)*HeaderLen], b)
-			}
-		} else {
-			iov = append(iov, f.buf)
+	for _, e := range batch {
+		frames += int64(len(e.bufs))
+		for i, b := range e.bufs {
+			iov = append(iov, e.arena[i*HeaderLen:(i+1)*HeaderLen], b)
 		}
 	}
 	p.nb = iov

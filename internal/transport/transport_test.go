@@ -471,7 +471,7 @@ func TestPeerSetSharedHostConnAndDrop(t *testing.T) {
 }
 
 // BenchmarkPeerWriteSteadyState gates the tentpole's allocation contract:
-// after warmup (freelist populated, connection dialed), enqueuing a frame
+// after warmup (envelopes pooled, connection dialed), enqueuing a frame
 // and flushing it through the writev writer allocates nothing. The
 // receiving side's slab amortizes to ~1 allocation per 40 frames, which
 // integer-truncates to 0 allocs/op.
@@ -492,7 +492,7 @@ func BenchmarkPeerWriteSteadyState(b *testing.B) {
 			b.Fatalf("receiver stalled; peer counters %v", p.counters())
 		}
 	}
-	// Warmup: dial, grow the freelist buffers, fault in the reader slab.
+	// Warmup: dial, grow the pooled envelopes' arenas, fault in the reader slab.
 	warm := int64(256)
 	for i := int64(0); i < warm; i++ {
 		for !p.Enqueue(1, payload) {

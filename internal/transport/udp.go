@@ -218,29 +218,18 @@ func (p *UDPPeer) SendDelay(bytes int) time.Duration {
 // pack copies the batch's frames into datagram buffers: whole frames only,
 // greedily filling each datagram up to the MaxDatagram budget. A frame
 // that alone exceeds the budget gets its own oversized datagram (Enqueue
-// already guarantees it fits MaxUDPPayload). Copied frames arrive with
-// their 8-byte wire header in place; owned batches carry their headers in
-// a side arena, laid down here in front of each payload — packing is the
-// owned path's single copy, after which recycleBatch releases the backing
-// buffer. The 9-byte datagram header is laid down with a zero seq;
-// stamping happens at send time, after the window gate, so seqs stay
-// contiguous with what actually hits the wire.
-func (p *UDPPeer) pack(batch []outFrame, dgs [][]byte) [][]byte {
+// already guarantees it fits MaxUDPPayload). Each frame's 8-byte wire
+// header, from the envelope's arena, is laid down here in front of its
+// payload — packing is an owned burst's single copy, after which
+// recycleBatch releases the backing buffer. The 9-byte datagram header is
+// laid down with a zero seq; stamping happens at send time, after the
+// window gate, so seqs stay contiguous with what actually hits the wire.
+func (p *UDPPeer) pack(batch []*envelope, dgs [][]byte) [][]byte {
 	budget := p.ucfg.MaxDatagram
 	var cur []byte
-	for _, f := range batch {
-		nf := 1
-		if f.ob != nil {
-			nf = len(f.ob.bufs)
-		}
-		for i := 0; i < nf; i++ {
-			var hdr, payload []byte
-			if f.ob != nil {
-				hdr = f.ob.hdrs[i*HeaderLen : (i+1)*HeaderLen]
-				payload = f.ob.bufs[i]
-			} else {
-				payload = f.buf
-			}
+	for _, e := range batch {
+		for i, payload := range e.bufs {
+			hdr := e.arena[i*HeaderLen : (i+1)*HeaderLen]
 			if cur != nil && len(cur)+len(hdr)+len(payload) > budget {
 				dgs = append(dgs, cur)
 				cur = nil
@@ -267,7 +256,7 @@ func (p *UDPPeer) pack(batch []outFrame, dgs [][]byte) [][]byte {
 
 // flush packs the batch into datagrams — after which the batch is done
 // with: owned buffers are released before any window wait — and sends them.
-func (p *UDPPeer) flush(c net.Conn, batch []outFrame) {
+func (p *UDPPeer) flush(c net.Conn, batch []*envelope) {
 	p.dgs = p.pack(batch, p.dgs[:0])
 	p.recycleBatch(batch)
 	p.send(c.(*net.UDPConn), p.dgs)
