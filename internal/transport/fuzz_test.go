@@ -140,8 +140,7 @@ func deliverDatagram(dg []byte) (got []refFrame) {
 	}, NewCounters())
 	srcs := make(map[netip.AddrPort]*rxSource)
 	var seen []netip.AddrPort
-	var slab []byte
-	a.handleDatagram(dg, netip.MustParseAddrPort("127.0.0.1:9"), srcs, &seen, &slab)
+	a.handleDatagram(dg, netip.MustParseAddrPort("127.0.0.1:9"), srcs, &seen)
 	return got
 }
 

@@ -292,6 +292,42 @@ func TestQueueLenCountsFrames(t *testing.T) {
 	}
 }
 
+// The writer hands envelopes back to the freelist as they are; reserve
+// resets what it reuses. An envelope that carried an owned burst of 8 and
+// is reused for one copied frame must keep none of the burst's views, and
+// its release must be the copied frame's: the burst is released once,
+// when the writer recycled it, and never again.
+func TestRecycledEnvelopeKeepsNoStaleViews(t *testing.T) {
+	cfg := testConfig()
+	cfg.fillDefaults()
+	o := newOutbox(cfg, func() (string, bool) { return "", false }, NewCounters())
+	b := newBurst("1", "2", "3", "4", "5", "6", "7", "8")
+	if !o.EnqueueOwned(1, b.bufs, b.release) {
+		t.Fatal("owned batch rejected")
+	}
+	burst := o.ring[o.head]
+	o.discardQueue()
+	if !o.Enqueue(1, []byte("copied")) {
+		t.Fatal("copied frame rejected")
+	}
+	e := o.ring[o.head]
+	if e != burst {
+		t.Fatal("the copied frame did not reuse the recycled envelope")
+	}
+	if len(e.bufs) != 1 || string(e.bufs[0]) != "copied" {
+		t.Fatalf("reused envelope carries %d frames, want the one copied frame", len(e.bufs))
+	}
+	for i, v := range e.bufs[1:cap(e.bufs)] {
+		if v != nil {
+			t.Fatalf("reused envelope still holds the burst's view %d (%q)", i+1, v)
+		}
+	}
+	o.discardQueue()
+	if got := b.released.Load(); got != 1 {
+		t.Fatalf("owned batch released %d times, want once", got)
+	}
+}
+
 // Every queue entry is one envelope, whether Enqueue copied its frame or
 // EnqueueOwned holds a burst by reference. Two senders interleave both on
 // one peer, overwriting each copied frame's buffer as soon as Enqueue

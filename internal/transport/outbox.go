@@ -198,6 +198,8 @@ func (o *outbox) EnqueueOwned(from wire.NodeID, bufs [][]byte, release func()) b
 
 // reserve takes mu and an envelope with room for n frames and copied bytes
 // of payload, carrying release, for the caller to fill and hand to pushed.
+// A recycled envelope keeps its last burst's views until here: the caller
+// overwrites bufs[:n], and those past n are cleared.
 // Nothing allocates under the lock: a GC assist there would stall every
 // other producer, and the writer, behind this one, so an envelope that is
 // missing or too small grows with mu let go. A queue found full sheds the
@@ -233,6 +235,10 @@ func (o *outbox) reserve(n, copied int, release func()) *envelope {
 			return nil
 		}
 	}
+	if len(e.bufs) > n {
+		clear(e.bufs[n:])
+	}
+	e.bufs = e.bufs[:0]
 	e.release = release
 	return e
 }
@@ -308,17 +314,15 @@ func (o *outbox) armDrain() time.Time {
 	return o.drainBy
 }
 
-// recycleBatch consumes dequeued envelopes: each release fires (outside
-// the lock: it is the caller's code), then every envelope goes back on the
-// freelist under one lock. The freelist is sized for all the queue and a
-// writer's batch can hold, so a return never allocates under the lock;
-// what does not fit is left to the collector.
+// recycleBatch consumes dequeued envelopes: each release fires once
+// (outside the lock: it is the caller's code), then every envelope goes
+// back on the freelist as it is, under one lock; reserve resets it on the
+// producer's core. The freelist is sized for all the queue and a writer's
+// batch can hold, so a return never allocates under the lock; what does
+// not fit is left to the collector.
 func (o *outbox) recycleBatch(batch []*envelope) {
 	for _, e := range batch {
 		e.release()
-		e.release = nil
-		clear(e.bufs)
-		e.bufs = e.bufs[:0]
 	}
 	o.mu.Lock()
 	for i, e := range batch {

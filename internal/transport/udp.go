@@ -596,10 +596,10 @@ func (p *UDPPeer) signalWindow() {
 // UDPAcceptor owns one listening UDP socket: the batched read loop, frame
 // parsing, and the ack/echo bookkeeping per source socket. The recvmmsg
 // staging buffers are borrowed per batch and given back once it is parsed
-// (or the socket runs dry) — they are STAGING ONLY, never handed out — and
-// each frame's payload is copied into a rolling delivery slab whose regions
-// the handlers own outright (buffer-ownership rule 2), exactly the contract
-// the TCP reader's slabs give.
+// (or the socket runs dry) — they are STAGING ONLY, never handed out. Each
+// datagram's body is copied once into a buffer of its size, and its frames
+// are views into that copy the handlers own outright (buffer-ownership
+// rule 2): a kept view pins its datagram, no more.
 type UDPAcceptor struct {
 	conn     *net.UDPConn
 	maxFrame int
@@ -691,7 +691,6 @@ func (a *UDPAcceptor) readLoop() {
 	br := newBatchReceiver(a.conn, a.ucfg.RecvBatch)
 	srcs := make(map[netip.AddrPort]*rxSource)
 	seen := make([]netip.AddrPort, 0, a.ucfg.RecvBatch)
-	var slab []byte
 	var ackBuf [udpAckLen]byte
 	copy(ackBuf[:4], dgMagic[:])
 	ackBuf[4] = dgKindAck
@@ -703,7 +702,7 @@ func (a *UDPAcceptor) readLoop() {
 		n, err := br.recv()
 		seen = seen[:0]
 		for i := 0; i < n; i++ {
-			a.handleDatagram(br.bufs[i][:br.lens[i]], br.addrs[i], srcs, &seen, &slab)
+			a.handleDatagram(br.bufs[i][:br.lens[i]], br.addrs[i], srcs, &seen)
 		}
 		br.release() // every frame is copied out: the staging goes back now
 		// Echo one ack per batch to each source socket that asked for one:
@@ -741,7 +740,7 @@ func (a *UDPAcceptor) readLoop() {
 }
 
 func (a *UDPAcceptor) handleDatagram(b []byte, from netip.AddrPort,
-	srcs map[netip.AddrPort]*rxSource, seen *[]netip.AddrPort, slab *[]byte) {
+	srcs map[netip.AddrPort]*rxSource, seen *[]netip.AddrPort) {
 	if len(b) < dgHdrLen || [4]byte(b[:4]) != dgMagic || b[4]&^dgAckReq != dgKindData {
 		return
 	}
@@ -775,26 +774,16 @@ func (a *UDPAcceptor) handleDatagram(b []byte, from netip.AddrPort,
 		src.started = true
 	}
 	a.ctr.Add(a.key, cDatagramsIn, 1)
-	rest := b[dgHdrLen:]
+	// Copy the body out of the staging (reused next batch; delivered views
+	// live forever), once per datagram.
+	rest := make([]byte, len(b)-dgHdrLen)
+	copy(rest, b[dgHdrLen:])
 	for len(rest) >= HeaderLen {
 		size, sender, ok := parseHeader(rest, a.maxFrame)
 		if !ok || HeaderLen+size > len(rest) {
 			return // malformed tail: drop the rest of the datagram
 		}
-		// Copy the payload out of the staging buffer into the delivery
-		// slab (staging is reused next batch; delivered views must live
-		// forever). The slab amortizes the allocation across ~64KB of
-		// frames, like the TCP reader's slabs.
-		if len(*slab)+size > cap(*slab) {
-			c := 64 << 10
-			if size > c {
-				c = size
-			}
-			*slab = make([]byte, 0, c)
-		}
-		off := len(*slab)
-		*slab = append(*slab, rest[HeaderLen:HeaderLen+size]...)
-		payload := (*slab)[off : off+size : off+size]
+		payload := rest[HeaderLen : HeaderLen+size : HeaderLen+size]
 		rest = rest[HeaderLen+size:]
 		a.ctr.Add(a.key, cFramesIn, 1)
 		a.ctr.Add(a.key, cBytesIn, int64(size))

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,8 +15,8 @@ import (
 )
 
 // startUDPAcceptor binds a loopback UDP socket and collects delivered
-// frames (copying is unnecessary: the delivery slab contract says the
-// payload view is ours forever).
+// frames (copying is unnecessary: a payload view into the acceptor's copy
+// of its datagram is ours forever).
 type udpSink struct {
 	mu     sync.Mutex
 	frames []struct {
@@ -266,6 +267,29 @@ func BenchmarkUDPBatchRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		roundTrip()
+	}
+}
+
+// BenchmarkUDPDeliverDatagram gates the receive path: one datagram of seven
+// frames goes through handleDatagram into a no-op handler. Its one
+// allocation per op is the datagram's own copy, which the seven delivered
+// views share (bench_baseline.json pins 1 allocs/op).
+func BenchmarkUDPDeliverDatagram(b *testing.B) {
+	a := NewUDPAcceptor(nil, 0, UDPConfig{}, func(wire.NodeID, []byte) bool { return true }, NewCounters())
+	var body []byte
+	for i := 1; i <= 7; i++ {
+		body = append(body, frame(wire.NodeID(i), bytes.Repeat([]byte{0x5A}, 160))...)
+	}
+	dg := datagramOf(1, body)
+	from := netip.MustParseAddrPort("127.0.0.1:9")
+	srcs := make(map[netip.AddrPort]*rxSource)
+	seen := make([]netip.AddrPort, 0, 1)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(dg)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seen = seen[:0]
+		a.handleDatagram(dg, from, srcs, &seen)
 	}
 }
 
