@@ -272,23 +272,23 @@ func (g *Graph) buildInfos() error {
 				for c, ch := range g.Stages[l] {
 					pi.ChildFlows[c] = g.Flows[ch]
 				}
-				// Data-map (§4.3.7): stage 1 serves child c from source
-				// endpoint (j+c) mod d'; later stages serve child c from the
-				// parent at position c. Either way each child ends the round
-				// holding d' distinct coded slices (see package comment).
-				pi.DataMap = make([]wire.DataForward, dp)
-				for c := 0; c < dp; c++ {
-					var parentPos int
-					if l == 1 {
-						parentPos = (j + c) % dp
-					} else {
-						parentPos = c
-					}
-					pi.DataMap[c] = wire.DataForward{
-						Parent: g.nodeAt(l-1, parentPos),
-						Child:  uint8(c),
-					}
+			}
+			// Data-map (§4.3.7): stage 1 serves child c from source endpoint
+			// (j+c) mod d'; later stages serve child c from the parent at
+			// position c. Either way each child ends the round holding d'
+			// distinct coded slices (see package comment), and every block
+			// names all d' parents: a last-stage block, which has no child,
+			// lists them in entries that feed none.
+			pi.DataMap = make([]wire.DataForward, dp)
+			for c := range pi.DataMap {
+				parentPos, child := c, uint8(c)
+				if l == 1 {
+					parentPos = (j + c) % dp
 				}
+				if l == g.L {
+					child = wire.NoChild
+				}
+				pi.DataMap[c] = wire.DataForward{Parent: g.nodeAt(l-1, parentPos), Child: child}
 			}
 			g.Infos[x] = pi
 		}

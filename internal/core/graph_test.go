@@ -374,13 +374,16 @@ func TestDataMapDeliversDistinctSlices(t *testing.T) {
 				if len(seen) != dp {
 					t.Fatalf("node %d holds %d distinct slices, want %d", u, len(seen), dp)
 				}
-				// Forward per data-map.
+				// Forward per data-map; a last-stage entry only names a parent.
 				for _, df := range pi.DataMap {
-					child := pi.Children[df.Child]
 					idx, ok := held[u][df.Parent]
 					if !ok {
 						t.Fatalf("node %d: data-map references unknown parent %d", u, df.Parent)
 					}
+					if df.Child == wire.NoChild && l == g.L {
+						continue
+					}
+					child := pi.Children[df.Child]
 					if held[child] == nil {
 						held[child] = map[wire.NodeID]int{}
 					}

@@ -84,7 +84,7 @@ func (g *Graph) SlicePathsDOT(owner wire.NodeID) (string, error) {
 // flow. Fields are limited by construction to the §3a threat model.
 type Knowledge struct {
 	Node      wire.NodeID
-	Parents   []wire.NodeID // previous hops (observed addresses)
+	Parents   []wire.NodeID // previous hops (named by the Ix maps)
 	Children  []wire.NodeID // next hops (from the decoded Ix)
 	IsDest    bool          // receiver flag (meaningful only at the dest)
 	KnowsRole bool          // true only for the destination
@@ -117,20 +117,6 @@ func (g *Graph) KnowledgeOf(id wire.NodeID) (Knowledge, error) {
 	}
 	for _, e := range pi.SliceMap {
 		seen[e.Src.Parent] = true
-	}
-	// A last-stage relay has no maps; it observes its parents' addresses at
-	// runtime instead. The stage is known to the source, so the report uses
-	// the stage layout — matching what packets would reveal.
-	if len(seen) == 0 {
-		if st := g.StageOf(id); st == 1 {
-			for _, s := range g.Sources {
-				seen[s] = true
-			}
-		} else if st > 1 {
-			for _, p := range g.Stages[st-2] {
-				seen[p] = true
-			}
-		}
 	}
 	for p := range seen {
 		k.Parents = append(k.Parents, p)

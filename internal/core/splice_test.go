@@ -170,6 +170,58 @@ func TestSpliceStage1AndLastStage(t *testing.T) {
 	}
 }
 
+// TestSpliceSwapsLeafParent: a last-stage block names its parents, so
+// splicing a stage-(L-1) relay patches every leaf, and each patch names the
+// replacement where the dead relay stood and nothing else new.
+func TestSpliceSwapsLeafParent(t *testing.T) {
+	g := buildTestGraph(t, 3, 2, 3, 29)
+	var victim wire.NodeID
+	for _, x := range g.Stages[g.L-2] {
+		if x != g.Dest {
+			victim = x
+		}
+	}
+	const repl = wire.NodeID(8003)
+	before := map[wire.NodeID][]wire.DataForward{}
+	for _, w := range g.Stages[g.L-1] {
+		before[w] = g.Infos[w].DataMap
+	}
+	plan, err := g.Splice(g.L-1, victim, repl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves := 0
+	for _, p := range plan.Patches {
+		old, ok := before[p.Node]
+		if !ok {
+			continue
+		}
+		leaves++
+		if len(p.Info.DataMap) != len(old) {
+			t.Fatalf("leaf %d: patch has %d data-map entries, the block had %d", p.Node, len(p.Info.DataMap), len(old))
+		}
+		named := 0
+		for i, e := range p.Info.DataMap {
+			want := old[i]
+			if want.Parent == victim {
+				want.Parent = repl
+			}
+			if e != want {
+				t.Fatalf("leaf %d entry %d: patch has %+v, want %+v", p.Node, i, e, want)
+			}
+			if e.Parent == repl {
+				named++
+			}
+		}
+		if named != 1 {
+			t.Fatalf("leaf %d: patch names the replacement %d times, want once", p.Node, named)
+		}
+	}
+	if leaves != g.DPrime {
+		t.Fatalf("%d leaves patched, want %d", leaves, g.DPrime)
+	}
+}
+
 func TestSpliceRejections(t *testing.T) {
 	g := buildTestGraph(t, 3, 2, 2, 17)
 	stage, victim := pickVictim(g)

@@ -23,7 +23,9 @@ var ErrInvariant = errors.New("core: graph invariant violated")
 //     collide on a (child, slot) cell, and slot 0 of every packet carries
 //     the receiving child's own slice.
 //  4. Data-maps deliver d' distinct coded slices to every node when the
-//     source multicasts d' slices to stage 1.
+//     source multicasts d' slices to stage 1, and each names all d' of
+//     its node's parents; an entry that feeds no child (NoChild) is
+//     allowed only in a block that has none.
 //  5. Exactly one relay carries the receiver flag, and it is the
 //     destination.
 //  6. Exposure: every address a node's info references lies in an adjacent
@@ -215,20 +217,29 @@ func (g *Graph) validateDataMaps() error {
 					ErrInvariant, u, len(distinct), g.DPrime)
 			}
 			pi := g.Infos[u]
+			named := make(map[wire.NodeID]bool, g.DPrime)
 			for _, df := range pi.DataMap {
-				if int(df.Child) >= len(pi.Children) {
-					return fmt.Errorf("%w: node %d data-map child out of range", ErrInvariant, u)
-				}
 				idx, ok := held[u][df.Parent]
 				if !ok {
 					return fmt.Errorf("%w: node %d data-map references unknown parent %d",
 						ErrInvariant, u, df.Parent)
+				}
+				named[df.Parent] = true
+				if df.Child == wire.NoChild && len(pi.Children) == 0 {
+					continue // a last-stage entry: it names the parent, nothing more
+				}
+				if int(df.Child) >= len(pi.Children) {
+					return fmt.Errorf("%w: node %d data-map child out of range", ErrInvariant, u)
 				}
 				child := pi.Children[df.Child]
 				if held[child] == nil {
 					held[child] = make(map[wire.NodeID]int, g.DPrime)
 				}
 				held[child][u] = idx
+			}
+			if len(named) != len(held[u]) {
+				return fmt.Errorf("%w: node %d data-map names %d of its %d parents",
+					ErrInvariant, u, len(named), len(held[u]))
 			}
 		}
 	}

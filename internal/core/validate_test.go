@@ -56,6 +56,7 @@ func TestValidateDetectsCorruption(t *testing.T) {
 			pi := g.Infos[g.Stages[0][0]]
 			pi.DataMap[0].Parent = 424242
 		}},
+		{"leaf names no parent", func(g *Graph) { g.Infos[g.Stages[3][0]].DataMap = nil }},
 		{"extra receiver", func(g *Graph) {
 			for id, pi := range g.Infos {
 				if id != g.Dest {
@@ -75,5 +76,25 @@ func TestValidateDetectsCorruption(t *testing.T) {
 		if err := g.Validate(); err == nil {
 			t.Fatalf("%s: corruption not detected", c.name)
 		}
+	}
+}
+
+// TestValidateLeafParentTwoStagesUp: a last-stage block that names a parent
+// two stages up — an address its position never shows it — fails Validate,
+// in the exposure check as in the data-map replay.
+func TestValidateLeafParentTwoStagesUp(t *testing.T) {
+	g, err := Build(makeSpec(3, 2, 3, 31, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf := g.Stages[g.L-1][0]
+	pi := g.Infos[leaf].Clone()
+	pi.DataMap[0].Parent = g.Stages[g.L-3][0]
+	g.Infos[leaf] = pi
+	if err := g.Validate(); err == nil {
+		t.Fatal("a leaf naming a parent two stages up validates")
+	}
+	if err := g.validateExposure(); err == nil {
+		t.Fatal("exposure check passes a leaf naming a parent two stages up")
 	}
 }

@@ -26,10 +26,13 @@ import (
 // no egress slab is left behind. A flood whose every packet claims a sender
 // of its own, as a per-sender quota would let pass, meets the same node-wide
 // MaxFlows bound, and the victim records each refusal under its claimed
-// sender. Senders that claim ids outside the book and speak into a
-// last-stage relay's live flow become its observed hops, so its ParentDown
-// reports name them; those sends are dropped and counted unroutable, and no
-// peer is made for the claimed ids.
+// sender. Senders that claim ids outside the book and speak into a live
+// flow — a last-stage relay's or a stage-1 relay's, with the control plane
+// on — get no record in it: their heartbeats count as unmatched, the victim
+// reports no parent on their account and names no id outside the graph, and
+// its acks and reports, its own and those it forwards for a child, go to
+// its parents alone, so nothing is sent toward a claimed id (unroutable
+// stays 0) and no peer is made for one.
 func TestAdversaryFlood(t *testing.T) {
 	simnet.ReportSeed(t)
 	const (
@@ -39,7 +42,7 @@ func TestAdversaryFlood(t *testing.T) {
 	)
 	forged := func(i int) wire.FlowID { return wire.FlowID(0xbad0_0000_0000 + uint64(i)) }
 	spoofed := func(i int) wire.NodeID { return wire.NodeID(10_000 + i) }
-	const heartbeat = 20 * time.Millisecond
+	const heartbeat = 50 * time.Millisecond
 	cases := []struct {
 		name, counter string
 		maxFlows      int
@@ -47,10 +50,12 @@ func TestAdversaryFlood(t *testing.T) {
 		// honest flow.
 		packet func(i int, live wire.FlowID) []byte
 		spoof  bool // packet i claims sender spoofed(i), not the attacker
-		// leaf makes the victim a last-stage relay of the honest flow, run
-		// with the control plane on: it monitors its observed hops and
-		// reports the silent ones to every hop it has.
-		leaf bool
+		// control runs every relay with the control plane on: the victim
+		// monitors its parents and reports the silent ones upstream. leaf
+		// makes the victim a last-stage relay of the honest flow; otherwise
+		// it is a stage-1 relay, and after the flood one of its children
+		// reports a parent down through it.
+		control, leaf bool
 	}{
 		{name: "heartbeats for absent flows", counter: "unmatched",
 			packet: func(i int, _ wire.FlowID) []byte { return wire.AppendHeartbeat(nil, forged(i)) }},
@@ -65,9 +70,12 @@ func TestAdversaryFlood(t *testing.T) {
 			packet: func(i int, _ wire.FlowID) []byte {
 				return wire.AppendPacketHeader(nil, wire.MsgAck, forged(i), 0, 0, 0, 0)
 			}},
-		{name: "heartbeats into a live flow from ids outside the book", counter: "parent_down_sent",
+		{name: "heartbeats into a live flow from ids outside the book", counter: "unmatched",
 			packet: func(_ int, live wire.FlowID) []byte { return wire.AppendHeartbeat(nil, live) },
-			spoof:  true, leaf: true},
+			spoof:  true, control: true, leaf: true},
+		{name: "heartbeats into a live stage-1 flow from ids outside the book", counter: "unmatched",
+			packet: func(_ int, live wire.FlowID) []byte { return wire.AppendHeartbeat(nil, live) },
+			spoof:  true, control: true},
 	}
 	nets := []struct {
 		name string
@@ -86,7 +94,7 @@ func TestAdversaryFlood(t *testing.T) {
 				nodes := make([]*Node, len(relays))
 				for i, id := range relays {
 					cfg := Config{MaxFlows: tc.maxFlows, Rng: rand.New(rand.NewSource(int64(id)))}
-					if tc.leaf {
+					if tc.control {
 						cfg.Heartbeat = heartbeat
 					}
 					n, err := New(id, tr, cfg)
@@ -135,17 +143,8 @@ func TestAdversaryFlood(t *testing.T) {
 				if err := tr.Attach(attacker, func(wire.NodeID, []byte) {}); err != nil {
 					t.Fatal(err)
 				}
-				// steady waits until read stops moving over two liveness
-				// timeouts of the leaf row's control plane.
-				steady := func(read func() int64) bool {
-					return simnet.Eventually(10*time.Second, time.Millisecond, func() bool {
-						n := read()
-						time.Sleep(2 * livenessBeats * heartbeat)
-						return read() == n
-					})
-				}
 				goroutines := func() int64 { return int64(runtime.NumGoroutine()) }
-				if tc.leaf {
+				if tc.control {
 					// Every id in the book gets its peer and connection
 					// first (a runt each relay counts and each source
 					// ignores), so a peer made from here on is for a
@@ -153,7 +152,11 @@ func TestAdversaryFlood(t *testing.T) {
 					for _, id := range append(relays, srcs...) {
 						tr.Send(attacker, id, nil)
 					}
-					if !steady(goroutines) {
+					if !simnet.Eventually(10*time.Second, time.Millisecond, func() bool {
+						n := goroutines()
+						time.Sleep(2 * heartbeat) // the connections' goroutines start on their own
+						return goroutines() == n
+					}) {
 						t.Fatal("goroutines never settled after the peers were made")
 					}
 				}
@@ -191,21 +194,51 @@ func TestAdversaryFlood(t *testing.T) {
 					t.Fatalf("%s did not move under the flood", tc.counter)
 				}
 				t.Logf("%s = %d of %d forged packets", tc.counter, victim.Counters().Get(tc.counter), flood)
-				if tc.leaf {
-					// Each observed hop is reported obsReportLimit times,
-					// one liveness timeout apart, then forgotten: wait for
-					// the reports to stop before counting goroutines.
-					if !steady(func() int64 { return victim.Counters().Get(tc.counter) }) {
-						t.Fatalf("%s never stopped moving", tc.counter)
+				if tc.control && !tc.leaf {
+					// A stage-2 child reports a parent down; the victim
+					// forwards it to its own parents, the source endpoints.
+					// The flood may still fill the peer queue to the victim,
+					// which drops what it cannot hold: the child sends again
+					// until a copy is forwarded, and the victim drops the
+					// later ones by their nonce.
+					child := g.Stages[1][0]
+					report := wire.AppendParentDown(nil, g.Flows[child], 777, []byte("sealed by the child"))
+					if !simnet.Eventually(10*time.Second, 5*time.Millisecond, func() bool {
+						tr.Send(child, victim.ID(), report)
+						return victim.Counters().Get("parent_down_forwarded") > 0
+					}) {
+						t.Fatal("the child's report was not forwarded")
+					}
+				}
+				if tc.control {
+					if tc.leaf {
+						// The leaf's liveness sweep runs on the wall clock, as
+						// its sockets do: past one liveness timeout after the
+						// flood, a stranger it kept a record of would have
+						// been reported.
+						time.Sleep((livenessBeats + 1) * heartbeat)
+					}
+					inGraph := map[wire.NodeID]bool{}
+					for _, id := range append(relays, srcs...) {
+						inGraph[id] = true
+					}
+					for _, e := range victim.FlowEvents(live) {
+						if e.Kind == EvParentDown && !inGraph[wire.NodeID(e.Arg)] {
+							t.Fatalf("the victim reported %d down, an id outside the graph", e.Arg)
+						}
+					}
+					// The leaf's parents heartbeat to it throughout.
+					if got := victim.Counters().Get("parent_down_sent"); tc.leaf && got != 0 {
+						t.Fatalf("parent_down_sent = %d under the flood, want 0", got)
 					}
 					if !simnet.Eventually(5*time.Second, time.Millisecond, func() bool {
 						return goroutines() <= running
 					}) {
-						t.Fatalf("%d goroutines after the reports, %d before the flood: a peer was made for a claimed id", runtime.NumGoroutine(), running)
+						t.Fatalf("%d goroutines after the flood, %d before it: a peer was made for a claimed id", runtime.NumGoroutine(), running)
 					}
-					if tr.Counters().Get("unroutable") == 0 {
-						t.Fatal("no report toward a claimed id was counted unroutable")
-					}
+				}
+				if got := tr.Counters().Get("unroutable"); got != 0 {
+					t.Fatalf("unroutable = %d: the relays sent toward an id outside the book", got)
 				}
 				if tc.counter == "flows_rejected" && tc.spoof {
 					// The latest refusal still in the recorder names the

@@ -44,10 +44,6 @@ func (n *Node) controlSweep(sh *shard, now int64) {
 	}
 }
 
-// obsReportLimit caps how often a leaf flow reports an observation-only
-// parent before forgetting it (see sweepHops).
-const obsReportLimit = 3
-
 // sendParentDown originates a report that parent `dead` has gone
 // quiet on this flow. The body — just the dead node's address — is sealed
 // under this node's per-node key, so only the source can read it and only
@@ -65,12 +61,11 @@ func (n *Node) sendParentDown(sh *shard, fs *flowState, dead wire.NodeID) {
 	sh.note(EvParentDown, fs.flow, uint64(dead))
 }
 
-// floodUpstream files one frame under every previous hop the flow knows —
-// parents named in the maps plus every observed sender (a last-stage
-// receiver has no maps) — the target set of acks and reports alike. Sends to
-// currently-dead nodes are dropped by the transport; redundancy across the
-// surviving parents is what carries the packet. The hops share the frame's
-// bytes: the transport only reads them.
+// floodUpstream files one frame under every parent the flow's routing block
+// names — the target set of acks and reports alike. Sends to currently-dead
+// nodes are dropped by the transport; redundancy across the surviving parents
+// is what carries the packet. The parents share the frame's bytes: the
+// transport only reads them.
 func (sh *shard) floodUpstream(fs *flowState, frame []byte) {
 	for _, h := range fs.hops() {
 		sh.batchFrame(h.id, frame)
@@ -103,7 +98,7 @@ func (fs *flowState) rememberReport(nonce uint64) {
 // patch newer than the last applied one wins. The new info replaces the old
 // one between two packets; parents that the patch swaps in
 // start with a fresh liveness grace so they are not instantly re-reported,
-// and liveness state for parents the patch removed is dropped. In-flight
+// and the records of parents the patch removed are dropped. In-flight
 // rounds are untouched — slices already queued from surviving parents keep
 // flowing, which is the point of splicing instead of rebuilding.
 func (n *Node) handleSplice(sh *shard, fs *flowState, pkt *wire.Packet) bool {
@@ -139,7 +134,7 @@ func (n *Node) handleSplice(sh *shard, fs *flowState, pkt *wire.Packet) bool {
 		}
 	}
 	n.dirAdd(sh, fs)
-	fs.declareParents(pi, fs.lastActive, true)
+	fs.declareParents(pi, fs.lastActive)
 	return true
 }
 

@@ -71,10 +71,7 @@ func injectFlowAt(n *Node, flow wire.FlowID, pi *wire.PerNodeInfo, now time.Time
 	fs := &flowState{flow: flow, lastActive: n.stamp(now)}
 	fs.setRoute(pi)
 	fs.route.d = 2
-	fs.declareParents(pi, fs.lastActive, false)
-	for i := range fs.hops() {
-		fs.hops()[i].flags |= hopObserved // every parent has been seen sending
-	}
+	fs.declareParents(pi, fs.lastActive)
 	// Full install: map, LRU link, child index and directory — exactly what creation + establishment on the packet path
 	// produce.
 	sh := n.shardFor(flow)
@@ -88,102 +85,86 @@ func injectFlowAt(n *Node, flow wire.FlowID, pi *wire.PerNodeInfo, now time.Time
 }
 
 // TestLivenessDetectionReportsQuietParent: with the control plane on, a
-// parent that stops talking is reported — a sealed ParentDown naming it
-// reaches the surviving upstream, and heartbeats flow to the children
-// throughout.
+// parent that stops talking is reported — a sealed ParentDown naming it goes
+// to exactly the flow's two declared parents, once a liveness timeout while
+// the silence lasts, and never names the parent that keeps heartbeating — and
+// heartbeats flow to the child throughout. It runs on a virtual clock, so no
+// scheduling stall can silence the live parent.
 func TestLivenessDetectionReportsQuietParent(t *testing.T) {
-	tr := &rawTransport{}
-	n, err := New(1, tr, Config{
-		Heartbeat: 10 * time.Millisecond,
-		Rng:       rand.New(rand.NewSource(1)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-
-	key := testKey(0x5a)
 	const (
 		flow = wire.FlowID(0xf00d)
 		p1   = wire.NodeID(101)
 		p2   = wire.NodeID(102)
 		c1   = wire.NodeID(201)
+		span = 200 * time.Millisecond
 	)
-	injectFlow(n, flow, &wire.PerNodeInfo{
+	s, n := virtualNode(t, 1, Config{Heartbeat: 10 * time.Millisecond})
+	got := map[wire.NodeID]map[wire.MsgType][][]byte{} // what each neighbour heard, by type
+	for _, id := range []wire.NodeID{p1, p2, c1} {
+		got[id] = map[wire.MsgType][][]byte{}
+		if err := s.Net.Attach(id, func(_ wire.NodeID, b []byte) {
+			got[id][wire.MsgType(b[0])] = append(got[id][wire.MsgType(b[0])], append([]byte(nil), b...))
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := testKey(0x5a)
+	injectFlowAt(n, flow, &wire.PerNodeInfo{
 		Children:   []wire.NodeID{c1},
 		ChildFlows: []wire.FlowID{0xc001},
 		Key:        key,
 		DataMap: []wire.DataForward{
 			{Parent: p1, Child: 0}, {Parent: p2, Child: 0},
 		},
-	})
+	}, s.Clk.Now())
+	// p1 heartbeats every 5 ms; p2 says nothing.
+	for at := 5 * time.Millisecond; at <= span; at += 5 * time.Millisecond {
+		s.At(at, func() { s.Net.Send(p1, 1, wire.AppendHeartbeat(nil, flow)) })
+	}
+	s.Run(span)
 
-	// Keep p1 alive with heartbeats; let p2 go quiet.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tk := time.NewTicker(5 * time.Millisecond)
-		defer tk.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tk.C:
-				n.onPacket(p1, wire.AppendHeartbeat(nil, flow))
+	c := n.Counters()
+	sent := c.Get("parent_down_sent")
+	// p2 was last heard at 0; the sweeps at 50, 90, 130 and 170 ms find it
+	// silent past the 40 ms timeout, one timeout after the last report.
+	if sent != 4 {
+		t.Fatalf("parent_down_sent = %d over %v, want 4", sent, span)
+	}
+	if hb := c.Get("heartbeats_in"); hb != int64(span/(5*time.Millisecond)) {
+		t.Fatalf("heartbeats_in = %d, want p1's %d", hb, span/(5*time.Millisecond))
+	}
+	if out := c.Get("heartbeats_out"); out == 0 || int64(len(got[c1][wire.MsgHeartbeat])) != out || c.Get("packets_out") != out+2*sent {
+		t.Fatalf("%d heartbeats to the child, heartbeats_out %d, packets_out %d: want every heartbeat at the child and nothing sent but heartbeats and a report to each parent",
+			len(got[c1][wire.MsgHeartbeat]), out, c.Get("packets_out"))
+	}
+	if len(got[c1][wire.MsgParentDown]) != 0 {
+		t.Fatal("a report went down to the child")
+	}
+	for _, p := range []wire.NodeID{p1, p2} {
+		reports := got[p][wire.MsgParentDown]
+		if int64(len(reports)) != sent {
+			t.Fatalf("parent %d heard %d reports of %d", p, len(reports), sent)
+		}
+		for _, r := range reports {
+			pkt, err := wire.UnmarshalPacket(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pkt.Flow != flow {
+				t.Fatalf("report stamped %x, want own flow %x", pkt.Flow, flow)
+			}
+			_, sealed, err := wire.ParseParentDown(pkt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := key.Open(sealed)
+			if err != nil {
+				t.Fatalf("report not sealed under the node key: %v", err)
+			}
+			if dead, err := wire.UnmarshalDownReport(plain); err != nil || dead != p2 {
+				t.Fatalf("report names %d (%v), want the quiet parent %d; never the live %d", dead, err, p2, p1)
 			}
 		}
-	}()
-
-	var reports []rawSend
-	simnet.Eventually(5*time.Second, 5*time.Millisecond, func() bool {
-		reports = tr.packetsOfType(wire.MsgParentDown)
-		return len(reports) > 0
-	})
-	close(stop)
-	wg.Wait()
-	if len(reports) == 0 {
-		t.Fatal("quiet parent never reported")
-	}
-	// Reports flood upstream: both parents are targets (the dead one's copy
-	// is simply lost in a real overlay).
-	seenDead := false
-	for _, r := range reports {
-		pkt, err := wire.UnmarshalPacket(r.data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pkt.Flow != flow {
-			t.Fatalf("report stamped %x, want own flow %x", pkt.Flow, flow)
-		}
-		_, sealed, err := wire.ParseParentDown(pkt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plain, err := key.Open(sealed)
-		if err != nil {
-			t.Fatalf("report not sealed under the node key: %v", err)
-		}
-		dead, err := wire.UnmarshalDownReport(plain)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dead == p1 {
-			t.Fatal("live (heartbeating) parent reported dead")
-		}
-		if dead == p2 {
-			seenDead = true
-		}
-	}
-	if !seenDead {
-		t.Fatal("no report names the quiet parent")
-	}
-	if len(tr.packetsOfType(wire.MsgHeartbeat)) == 0 {
-		t.Fatal("no heartbeats emitted to children")
-	}
-	if s := n.Counters(); s.Get("parent_down_sent") == 0 || s.Get("heartbeats_out") == 0 || s.Get("heartbeats_in") == 0 {
-		t.Fatalf("control counters not maintained: %v", s)
 	}
 }
 
@@ -342,8 +323,8 @@ func TestReportDedupIsPerFlow(t *testing.T) {
 }
 
 // TestSpliceSwapsParentAtomically: an authenticated splice replaces the
-// info block, grants the new parent a liveness grace, and drops state for
-// the removed one; a splice sealed under the wrong key is rejected.
+// info block, grants the new parent a liveness grace, and drops the removed
+// one's record; a splice sealed under the wrong key is rejected.
 func TestSpliceSwapsParentAtomically(t *testing.T) {
 	tr := &rawTransport{}
 	n, err := New(3, tr, Config{Rng: rand.New(rand.NewSource(3))})
@@ -404,15 +385,11 @@ func TestSpliceSwapsParentAtomically(t *testing.T) {
 	if routeOf(fs).DataMap[0].Parent != newPar {
 		t.Fatal("data-map not swapped")
 	}
-	nw, gone := fs.hops()[fs.hopIndex(newPar)], fs.hops()[fs.hopIndex(oldPar)]
-	if nw.flags&hopParent == 0 || gone.flags&hopParent != 0 || fs.route.nParents != 1 {
-		t.Fatalf("parents not swapped: %+v", fs.hops())
+	if len(fs.hops()) != 1 || fs.hops()[0].id != newPar {
+		t.Fatalf("parents not swapped, or the removed one's record survives: %+v", fs.hops())
 	}
-	if nw.flags&hopHeard == 0 {
-		t.Fatal("new parent has no liveness grace")
-	}
-	if fs.deadParents() != 0 || gone.miss != 0 || gone.flags&(hopHeard|hopReported) != 0 {
-		t.Fatal("stale liveness state for the removed parent survives")
+	if nw := fs.hops()[0]; nw.heardAt != fs.lastActive || nw.flags&hopReported != 0 || fs.deadParents() != 0 {
+		t.Fatalf("new parent has no fresh liveness grace: %+v", nw)
 	}
 }
 

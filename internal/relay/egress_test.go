@@ -145,7 +145,7 @@ func fanoutFlow(tb testing.TB, n *Node) (*shard, *flowState, *roundSlot, []wire.
 	fs := &flowState{flow: flow, lastActive: n.stamp(time.Now())}
 	fs.setRoute(info)
 	fs.route.d = d
-	fs.declareParents(info, 0, false)
+	fs.declareParents(info, 0)
 	rng := rand.New(rand.NewSource(2))
 	enc, err := code.NewEncoder(d, d, rng)
 	if err != nil {
@@ -324,7 +324,7 @@ func TestEgressForwardsSlotsVerbatim(t *testing.T) {
 	fs := &flowState{flow: flow, lastActive: n.stamp(time.Now())}
 	fs.setRoute(info)
 	fs.route.d = d
-	fs.declareParents(info, 0, false)
+	fs.declareParents(info, 0)
 	rng := rand.New(rand.NewSource(3))
 	enc, err := code.NewEncoder(d, len(wmParents), rng)
 	if err != nil {

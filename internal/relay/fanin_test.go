@@ -143,8 +143,8 @@ func TestSpliceSwapsChildIndexKey(t *testing.T) {
 		t.Fatal("an ack under the replaced child's key still moved the flow")
 	}
 	n.process(sh, newCh, ackFrame(newFlow))
-	// Upstream is the declared parent and the observed sender of the splice.
-	if acks := tr.packetsOfType(wire.MsgAck); !fs.ackSent || len(acks) != 2 || acks[0].to != parent {
+	// Upstream is the declared parent alone, not the splice's sender.
+	if acks := tr.packetsOfType(wire.MsgAck); !fs.ackSent || len(acks) != 1 || acks[0].to != parent {
 		t.Fatalf("the replacement's ack, under the patched child-flow, sent %+v", acks)
 	}
 }

@@ -61,7 +61,7 @@ func (n *Node) handleData(sh *shard, fs *flowState, from wire.NodeID, hi int, se
 	if decode {
 		n.tryDeliver(sh, fs, seq, s)
 	}
-	if forward && len(s.got) >= int(fs.route.nParents)-fs.deadParents() {
+	if forward && len(s.got) >= len(fs.hops())-fs.deadParents() {
 		n.stageRound(sh, fs, seq, s)
 	}
 	sh.advance(fs)

@@ -7,33 +7,29 @@ import (
 )
 
 // hop is one record of a flow's hop table: what the flow knows about one
-// previous hop. A record exists for every parent the routing block names
-// and every sender observed (capped, parents exempt), and is found by a
-// linear scan once per packet — a flow has d' parents. Stamps are
-// nanoseconds on the node's clock since Node.epoch, so a record is 32 bytes
-// and holds no pointer.
+// previous hop. Before establishment a record exists for every sender heard
+// (at most maxObservedHops), for set-up staging; from establishment on, for
+// exactly the parents the routing block names. It is found by a linear scan
+// once per packet — a flow has d' parents. Stamps are nanoseconds on the
+// node's clock since Node.epoch, so a record is 32 bytes and holds no pointer.
 type hop struct {
 	id    wire.NodeID
 	flags uint8
-	// downCount is how often an observation-only hop has been reported.
-	downCount uint8
-	child     uint8 // where this parent's data slice goes, under hopFeeds: the data map
+	child uint8 // where this parent's data slice goes, under hopFeeds: the data map
 	// miss counts the consecutive rounds a parent has missed; at
 	// deadParentStreak it is presumed down and rounds stop waiting for it,
 	// until it speaks again.
 	miss uint32
-	// heardAt is the last packet's arrival (valid under hopHeard); downAt the
-	// last report of this hop's silence (valid under hopReported).
+	// heardAt is the last packet's arrival, or the instant the block named a
+	// parent not yet heard; downAt the last report of this hop's silence
+	// (valid under hopReported).
 	heardAt, downAt int64
 }
 
 const (
-	hopParent    uint8 = 1 << iota // named by the slice-map or data-map
-	hopObserved                    // seen sending; counted against maxObservedHops
-	hopHeard                       // heardAt is set
-	hopReported                    // downAt is set
-	hopWasParent                   // scratch of declareParents
-	hopFeeds                       // child is set
+	hopReported uint8 = 1 << iota // downAt is set
+	hopFeeds                      // child is set
+	hopStale                      // scratch of declareParents: not named by the block
 )
 
 // deadParentStreak is how many consecutive rounds a parent must miss before
@@ -67,64 +63,45 @@ func (fs *flowState) hopIndex(id wire.NodeID) int {
 }
 
 // observe stamps the sender of a packet that arrived at now and returns the
-// index of its record, or -1 when the flow will not remember it: sender ids
-// are claimed, not proven, so only maxObservedHops observed senders are kept
-// per flow (declared parents always are). Unrecorded senders' packets are
-// still processed — the cap bounds state, not traffic.
+// index of its record, or -1 when the flow keeps none: an established flow
+// knows its parents from its block, so a stranger gets no record, and before
+// that, sender ids being claimed, not proven, only maxObservedHops senders
+// are kept per flow. Unrecorded senders' packets are still processed — the
+// cap bounds state, not traffic.
 func (fs *flowState) observe(from wire.NodeID, now int64) int {
-	hops := fs.hops()
-	i, observed := 0, 0
-	for ; i < len(hops) && hops[i].id != from; i++ {
-		if hops[i].flags&hopObserved != 0 {
-			observed++
-		}
-	}
-	if i == len(hops) {
-		if observed >= maxObservedHops {
+	i := fs.hopIndex(from)
+	if i < 0 {
+		if fs.has(routeUp) || len(fs.hops()) >= maxObservedHops {
 			return -1
 		}
-		fs.setHops(append(hops, hop{id: from}))
+		i = len(fs.hops())
+		fs.setHops(append(fs.hops(), hop{id: from}))
 	}
-	h := &fs.hops()[i]
-	h.flags |= hopObserved | hopHeard
-	h.heardAt = now
+	fs.hops()[i].heardAt = now
 	return i
 }
 
-// declareParents makes the parents named by pi's maps the flow's declared
-// parents and folds the data map into their records. At establishment one
-// not yet heard starts its liveness clock at now, so a parent that never
-// speaks is detected livenessBeats heartbeats later, not reported blind. A splice
-// also gives every parent it swaps in a fresh grace and drops the liveness
-// state of the ones it removes; a removed parent that was seen sending stays
-// as an observed hop. The data map folds when each parent feeds one child and
-// its entries run in child order, as the builder's do; any other is spilled.
-func (fs *flowState) declareParents(pi *wire.PerNodeInfo, now int64, splice bool) {
+// declareParents makes the parents named by pi's maps the flow's hop table
+// and folds the data map into their records. A parent already recorded keeps
+// its liveness state — at establishment, when it was heard; across a splice,
+// all of it. One not yet recorded starts its liveness clock at now, so a
+// parent that never speaks is detected livenessBeats heartbeats later, not
+// reported blind. Every other record goes: the senders set-up staging
+// observed, and the parents a splice removes. The data map folds when each
+// parent feeds one child and its entries run in child order, as the
+// builder's do; any other is spilled.
+func (fs *flowState) declareParents(pi *wire.PerNodeInfo, now int64) {
 	for i, hops := 0, fs.hops(); i < len(hops); i++ {
-		if h := &hops[i]; h.flags&hopParent != 0 {
-			h.flags = h.flags&^(hopParent|hopFeeds) | hopWasParent
-		}
+		hops[i].flags = hops[i].flags&^hopFeeds | hopStale
 	}
-	fs.route.nParents = 0
 	declare := func(p wire.NodeID) *hop {
 		i := fs.hopIndex(p)
 		if i < 0 {
 			i = len(fs.hops())
-			fs.setHops(append(fs.hops(), hop{id: p}))
+			fs.setHops(append(fs.hops(), hop{id: p, heardAt: now}))
 		}
 		h := &fs.hops()[i]
-		if h.flags&hopParent != 0 {
-			return h
-		}
-		h.flags |= hopParent
-		fs.route.nParents++
-		if fresh := splice && h.flags&hopWasParent == 0; fresh || h.flags&hopHeard == 0 {
-			h.flags |= hopHeard
-			h.heardAt = now
-			if fresh {
-				h.miss = 0
-			}
-		}
+		h.flags &^= hopStale
 		return h
 	}
 	fold, last := true, -1
@@ -144,18 +121,7 @@ func (fs *flowState) declareParents(pi *wire.PerNodeInfo, now int64, splice bool
 	for _, e := range pi.SliceMap {
 		declare(e.Src.Parent)
 	}
-	hops := slices.DeleteFunc(fs.hops(), func(h hop) bool {
-		return h.flags&(hopParent|hopObserved|hopWasParent) == hopWasParent
-	})
-	fs.setHops(hops)
-	for i := range hops {
-		h := &hops[i]
-		if h.flags&(hopParent|hopWasParent) == hopWasParent {
-			h.flags &^= hopHeard | hopReported
-			h.miss, h.downCount = 0, 0
-		}
-		h.flags &^= hopWasParent
-	}
+	fs.setHops(slices.DeleteFunc(fs.hops(), func(h hop) bool { return h.flags&hopStale != 0 }))
 }
 
 // dataMap appends the route's data map to dst in block order: the parent
@@ -179,9 +145,7 @@ func (fs *flowState) dataMap(dst []wire.DataForward) []wire.DataForward {
 // slice that arrived before the mark does not.
 func (fs *flowState) noteRound(from []wire.NodeID) {
 	for i, hops := 0, fs.hops(); i < len(hops); i++ {
-		h := &hops[i]
-		switch {
-		case h.flags&hopParent == 0:
+		switch h := &hops[i]; {
 		case !slices.Contains(from, h.id):
 			h.miss++
 		case h.miss < deadParentStreak:
@@ -193,50 +157,26 @@ func (fs *flowState) noteRound(from []wire.NodeID) {
 // deadParents counts the parents presumed down.
 func (fs *flowState) deadParents() (n int) {
 	for _, h := range fs.hops() {
-		if h.flags&hopParent != 0 && h.miss >= deadParentStreak {
+		if h.miss >= deadParentStreak {
 			n++
 		}
 	}
 	return n
 }
 
-// sweepHops calls report for every monitored hop silent for longer than
-// timeout, at most once per timeout while the silence lasts; a hop that
-// spoke again — data or heartbeat — clears its pending-report state. The
-// declared parents are monitored when the flow has any; a last-stage flow
-// has empty maps, so — exactly as for acks — its observed hops stand in.
-// Nothing ever tells such a leaf that the source spliced a dead node out, so
-// after obsReportLimit reports it forgets the address and the chatter ends
-// (the node is re-adopted the moment it speaks again).
+// sweepHops calls report for every parent silent for longer than timeout, at
+// most once per timeout while the silence lasts; a parent that spoke again —
+// data or heartbeat — clears its pending-report state.
 func (fs *flowState) sweepHops(now, timeout int64, report func(dead wire.NodeID)) {
-	monitored := hopParent
-	if fs.route.nParents == 0 {
-		monitored = hopObserved
-	}
-	hops := fs.hops()
-	for i := 0; i < len(hops); i++ {
-		h := &hops[i]
-		switch {
-		case h.flags&monitored == 0:
-		case h.flags&hopHeard == 0:
-			// Seeded at decode; start the clock rather than report blind.
-			h.flags |= hopHeard
-			h.heardAt = now
+	for i, hops := 0, fs.hops(); i < len(hops); i++ {
+		switch h := &hops[i]; {
 		case now-h.heardAt <= timeout:
 			h.flags &^= hopReported
-			h.downCount = 0
 		case h.flags&hopReported != 0 && now-h.downAt < timeout:
 		default:
 			h.flags |= hopReported
 			h.downAt = now
 			report(h.id)
-			if monitored == hopObserved {
-				if h.downCount++; h.downCount >= obsReportLimit {
-					hops = slices.Delete(hops, i, i+1)
-					fs.setHops(hops)
-					i--
-				}
-			}
 		}
 	}
 }

@@ -2,7 +2,6 @@ package relay
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -12,28 +11,28 @@ import (
 
 // Model-based test of the per-flow hop table: scripts of observe / data /
 // stage-round / sweep / establish / splice steps drive one flowState next to
-// a reference made of the six NodeID-keyed maps the table replaced, which
-// states the rules the way the relay used to apply them. After every step
-// the two must agree on every hop's flags, stamps and counters, on which
+// a reference made of NodeID-keyed maps, which states the rules plainly.
+// Before establishment the flow records the senders it hears, up to the cap;
+// from establishment on, exactly the parents its block names. After every
+// step the two must agree on every hop's stamps and counters, on which
 // senders the flow agreed to remember, on the dead-parent count, on the
 // upstream target set, and on exactly which hops a sweep reported.
 
 const hmTimeout = 40 // liveness timeout, in the script's clock units
 
+// refHops is the reference: a hop is recorded iff lastHeard holds it.
 type refHops struct {
-	parents    map[wire.NodeID]bool
-	seen       map[wire.NodeID]bool
-	lastHeard  map[wire.NodeID]int64
-	missStreak map[wire.NodeID]int
-	downSince  map[wire.NodeID]int64
-	downCount  map[wire.NodeID]int
+	established bool
+	parents     map[wire.NodeID]bool
+	lastHeard   map[wire.NodeID]int64
+	missStreak  map[wire.NodeID]int
+	downSince   map[wire.NodeID]int64
 }
 
 func newRefHops() *refHops {
 	return &refHops{
-		parents: map[wire.NodeID]bool{}, seen: map[wire.NodeID]bool{},
-		lastHeard: map[wire.NodeID]int64{}, missStreak: map[wire.NodeID]int{},
-		downSince: map[wire.NodeID]int64{}, downCount: map[wire.NodeID]int{},
+		parents: map[wire.NodeID]bool{}, lastHeard: map[wire.NodeID]int64{},
+		missStreak: map[wire.NodeID]int{}, downSince: map[wire.NodeID]int64{},
 	}
 }
 
@@ -49,43 +48,33 @@ func hmParentSet(pi *wire.PerNodeInfo) map[wire.NodeID]bool {
 }
 
 func (m *refHops) observe(from wire.NodeID, now int64) (recorded bool) {
-	known := m.seen[from]
-	if !known && (len(m.seen) < maxObservedHops || m.parents[from]) {
-		m.seen[from] = true
+	_, known := m.lastHeard[from]
+	if !known && !m.established && len(m.lastHeard) < maxObservedHops {
 		known = true
 	}
-	if known || m.parents[from] {
+	if known {
 		m.lastHeard[from] = now
 	}
 	return known
 }
 
-func (m *refHops) establish(pi *wire.PerNodeInfo, now int64) {
-	m.parents = hmParentSet(pi)
+// declare makes the block's parents the recorded hops: a parent not yet
+// recorded starts its clock at now, one recorded keeps its state, and every
+// other hop is forgotten with all of its state.
+func (m *refHops) declare(pi *wire.PerNodeInfo, now int64) {
+	m.parents, m.established = hmParentSet(pi), true
 	for p := range m.parents {
 		if _, ok := m.lastHeard[p]; !ok {
 			m.lastHeard[p] = now
 		}
 	}
-}
-
-func (m *refHops) splice(pi *wire.PerNodeInfo, now int64) {
-	next := hmParentSet(pi)
-	for p := range next {
+	for p := range m.lastHeard {
 		if !m.parents[p] {
-			m.lastHeard[p] = now
-			delete(m.missStreak, p)
-		}
-	}
-	for p := range m.parents {
-		if !next[p] {
 			delete(m.lastHeard, p)
 			delete(m.downSince, p)
-			delete(m.downCount, p)
 			delete(m.missStreak, p)
 		}
 	}
-	m.parents = next
 }
 
 func (m *refHops) stage(from []wire.NodeID) {
@@ -108,19 +97,9 @@ func (m *refHops) dead() (n int) {
 }
 
 func (m *refHops) sweep(now int64) (reported []wire.NodeID) {
-	monitored, obsOnly := m.parents, false
-	if len(monitored) == 0 {
-		monitored, obsOnly = m.seen, true
-	}
-	for p := range monitored {
-		last, ok := m.lastHeard[p]
-		if !ok {
-			m.lastHeard[p] = now
-			continue
-		}
-		if now-last <= hmTimeout {
+	for p := range m.parents {
+		if now-m.lastHeard[p] <= hmTimeout {
 			delete(m.downSince, p)
-			delete(m.downCount, p)
 			continue
 		}
 		if since, rep := m.downSince[p]; rep && now-since < hmTimeout {
@@ -128,14 +107,6 @@ func (m *refHops) sweep(now int64) (reported []wire.NodeID) {
 		}
 		m.downSince[p] = now
 		reported = append(reported, p)
-		if obsOnly {
-			if m.downCount[p]++; m.downCount[p] >= obsReportLimit {
-				delete(m.seen, p)
-				delete(m.lastHeard, p)
-				delete(m.downSince, p)
-				delete(m.downCount, p)
-			}
-		}
 	}
 	slices.Sort(reported)
 	return reported
@@ -143,12 +114,11 @@ func (m *refHops) sweep(now int64) (reported []wire.NodeID) {
 
 // hopHarness couples a flowState's hop table with the reference.
 type hopHarness struct {
-	tb          testing.TB
-	fs          flowState
-	ref         *refHops
-	now         int64
-	established bool
-	step        int
+	tb   testing.TB
+	fs   flowState
+	ref  *refHops
+	now  int64
+	step int
 }
 
 func (h *hopHarness) check(op string) {
@@ -164,36 +134,32 @@ func (h *hopHarness) check(op string) {
 		if _, dup := got[hp.id]; dup {
 			fail("two records for hop %d", hp.id)
 		}
-		if hp.flags&^(hopParent|hopObserved|hopHeard|hopReported) != 0 || hp.flags&(hopParent|hopObserved) == 0 {
-			fail("hop %d has flags %05b", hp.id, hp.flags)
+		if hp.flags&^hopReported != 0 {
+			fail("hop %d has flags %03b", hp.id, hp.flags)
 		}
 		got[hp.id] = hp
 	}
-	targets := maps.Clone(m.parents) // acks and reports go to parents ∪ observed
-	maps.Copy(targets, m.seen)
-	if len(got) != len(targets) {
-		fail("table holds %d hops, upstream target set has %d", len(got), len(targets))
+	// Acks and reports go to the table's hops: once established, the parents.
+	if len(got) != len(m.lastHeard) || m.established && len(got) != len(m.parents) {
+		fail("table holds %d hops, reference records %d and declares %d parents", len(got), len(m.lastHeard), len(m.parents))
 	}
-	for id := range targets {
+	for id, last := range m.lastHeard {
 		hp, ok := got[id]
 		if !ok {
-			fail("no record for upstream target %d", id)
+			fail("no record for hop %d", id)
 		}
-		if hp.flags&hopParent != 0 != m.parents[id] || hp.flags&hopObserved != 0 != m.seen[id] {
-			fail("hop %d flags %04b, reference parent=%v seen=%v", id, hp.flags, m.parents[id], m.seen[id])
-		}
-		if last, ok := m.lastHeard[id]; ok != (hp.flags&hopHeard != 0) || ok && last != hp.heardAt {
-			fail("hop %d heard=%v at %d, reference %v at %d", id, hp.flags&hopHeard != 0, hp.heardAt, ok, last)
+		if last != hp.heardAt {
+			fail("hop %d heard at %d, reference %d", id, hp.heardAt, last)
 		}
 		if since, ok := m.downSince[id]; ok != (hp.flags&hopReported != 0) || ok && since != hp.downAt {
 			fail("hop %d reported=%v at %d, reference %v at %d", id, hp.flags&hopReported != 0, hp.downAt, ok, since)
 		}
-		if int(hp.miss) != m.missStreak[id] || int(hp.downCount) != m.downCount[id] {
-			fail("hop %d miss %d down-count %d, reference %d and %d", id, hp.miss, hp.downCount, m.missStreak[id], m.downCount[id])
+		if int(hp.miss) != m.missStreak[id] {
+			fail("hop %d miss %d, reference %d", id, hp.miss, m.missStreak[id])
 		}
 	}
-	if int(h.fs.route.nParents) != len(m.parents) || h.fs.deadParents() != m.dead() {
-		fail("%d parents, %d dead; reference %d, %d", h.fs.route.nParents, h.fs.deadParents(), len(m.parents), m.dead())
+	if h.fs.deadParents() != m.dead() {
+		fail("%d dead; reference %d", h.fs.deadParents(), m.dead())
 	}
 }
 
@@ -230,18 +196,17 @@ func hmInfo(mask uint8) *wire.PerNodeInfo {
 
 func (h *hopHarness) declare(mask uint8) {
 	pi := hmInfo(mask)
-	if h.established {
-		h.fs.declareParents(pi, h.now, true)
-		h.ref.splice(pi, h.now)
-	} else {
-		h.fs.declareParents(pi, h.now, false)
-		h.ref.establish(pi, h.now)
-		h.established = true
-	}
+	h.fs.setRoute(pi) // established: observe records no stranger from now on
+	h.fs.declareParents(pi, h.now)
+	h.ref.declare(pi, h.now)
 	h.check(fmt.Sprintf("declare(%08b)", mask))
 }
 
+// stage notes a forwarded round, which only an established flow has.
 func (h *hopHarness) stage(mask uint8) {
+	if !h.ref.established {
+		return
+	}
 	var from []wire.NodeID
 	for i := 0; i < 8; i++ {
 		if mask&(1<<i) != 0 {
@@ -253,7 +218,11 @@ func (h *hopHarness) stage(mask uint8) {
 	h.check(fmt.Sprintf("stage(%v)", from))
 }
 
+// sweep runs the liveness sweep as controlSweep does: on an established flow.
 func (h *hopHarness) sweep() {
+	if !h.ref.established {
+		return
+	}
 	var got []wire.NodeID
 	h.fs.sweepHops(h.now, hmTimeout, func(dead wire.NodeID) { got = append(got, dead) })
 	slices.Sort(got)
@@ -297,13 +266,18 @@ func runHopScript(tb testing.TB, script []byte) {
 func TestHopTableAgainstModel(t *testing.T) {
 	t.Run("scenarios", func(t *testing.T) {
 		h := &hopHarness{tb: t, ref: newRefHops()}
-		// Set-up: two hops speak, the block names them and a third parents.
+		// Set-up: two hops and a stranger speak; the block names the two and
+		// a third parent.
 		h.observe(1, false)
 		h.observe(2, false)
+		h.observe(9, false)
 		h.now = 5
 		h.declare(0b0111)
 		if h.fs.hops()[h.fs.hopIndex(3)].heardAt != 5 || h.fs.hops()[h.fs.hopIndex(1)].heardAt != 0 {
 			t.Fatal("establishment reset a heard parent's clock, or did not start a silent one's")
+		}
+		if h.fs.hopIndex(9) >= 0 {
+			t.Fatal("establishment kept a sender the block does not name")
 		}
 		// Parent 3 misses rounds until presumed dead; a late slice revives it.
 		h.stage(0b011)
@@ -324,38 +298,34 @@ func TestHopTableAgainstModel(t *testing.T) {
 		h.sweep()
 		h.now = 95
 		h.sweep()
-		// A splice swaps parent 2 for 4: fresh grace, stale state gone, and 2,
-		// seen sending, stays an upstream target.
+		// A splice swaps parent 2 for 4: fresh grace, and 2's record goes.
 		h.declare(0b1101)
-		if i := h.fs.hopIndex(2); i < 0 || h.fs.hops()[i].flags != hopObserved {
-			t.Fatal("replaced parent should remain as an observed hop with no liveness state")
+		if h.fs.hopIndex(2) >= 0 {
+			t.Fatal("replaced parent kept its record")
 		}
-		// The observation cap binds strangers, never a declared parent.
+		h.observe(4, true) // declared by the splice, never seen until now
+	})
+	t.Run("stranger after establishment", func(t *testing.T) {
+		// A stranger heard before the block stages under the cap; one heard
+		// after gets no record, however often it speaks, and is never
+		// reported.
+		h := &hopHarness{tb: t, ref: newRefHops()}
 		for k := 0; k < maxObservedHops+10; k++ {
 			h.observe(wire.NodeID(1000+k), false)
 		}
-		if h.fs.observe(5000, h.now) >= 0 {
-			t.Fatal("sender past the cap was recorded")
+		if len(h.fs.hops()) != maxObservedHops {
+			t.Fatalf("%d senders recorded before establishment, cap %d", len(h.fs.hops()), maxObservedHops)
 		}
-		h.ref.observe(5000, h.now)
-		h.observe(4, true) // declared by the splice, never seen until now
-	})
-	t.Run("leaf forgets", func(t *testing.T) {
-		// No maps: observed hops stand in, and one that stays silent is
-		// reported obsReportLimit times, then forgotten, then re-adopted.
-		h := &hopHarness{tb: t, ref: newRefHops()}
-		h.observe(1, false)
-		h.observe(2, false)
-		h.declare(0)
-		for r := 1; r <= obsReportLimit; r++ {
+		h.declare(0b0011)
+		for r := 0; r < 3; r++ {
 			h.now += hmTimeout + 1
-			h.observe(2, false)
+			h.observe(5000, r%2 == 0)
+			h.observe(1, false)
 			h.sweep()
 		}
-		if h.fs.hopIndex(1) >= 0 || len(h.fs.hops()) != 1 {
-			t.Fatalf("silent observed hop not forgotten after %d reports: %+v", obsReportLimit, h.fs.hops())
+		if h.fs.hopIndex(5000) >= 0 || len(h.fs.hops()) != 2 {
+			t.Fatalf("hop table after a stranger spoke: %+v", h.fs.hops())
 		}
-		h.observe(1, true)
 	})
 	t.Run("random", func(t *testing.T) {
 		for seed := int64(1); seed <= 50; seed++ {
@@ -369,7 +339,9 @@ func TestHopTableAgainstModel(t *testing.T) {
 
 func FuzzHopTable(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 5, 7, 2, 3, 2, 3, 1, 2, 3, 50, 4, 0, 3, 45, 4, 0, 5, 13})
-	f.Add([]byte{0, 0, 5, 0, 3, 41, 4, 0, 3, 41, 4, 0, 3, 41, 4, 0, 1, 0})
+	// A stranger heard before the block is dropped at establishment; one that
+	// speaks after it, data or heartbeat, gets no record and is never reported.
+	f.Add([]byte{0, 1, 0, 2, 5, 3, 3, 10, 14, 5, 6, 6, 3, 50, 4, 0, 7, 20, 0, 0, 14, 5, 3, 41, 4, 0})
 	f.Add([]byte{7, 79, 15, 79, 5, 255, 6, 1, 14, 2, 5, 0, 3, 60, 4, 0})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 2048 {

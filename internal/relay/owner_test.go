@@ -191,7 +191,7 @@ func TestDropCountersNameTheDiscard(t *testing.T) {
 				sh.do(func() {
 					fs := sh.flows[flow]
 					for id := wire.NodeID(1000); len(fs.hops()) < maxObservedHops; id++ {
-						fs.setHops(append(fs.hops(), hop{id: id, flags: hopObserved}))
+						fs.setHops(append(fs.hops(), hop{id: id}))
 					}
 				})
 			},

@@ -193,7 +193,7 @@ const (
 	cSendDrops                // packets shed at a full transport peer queue
 	cGarbage                  // a header that does not parse, or an unknown type
 	cSetupIgnored             // duplicate, past the hop cap, or after the wave left
-	cUnmatched                // acks, reports and control packets for no flow
+	cUnmatched                // acks, reports and control packets for no flow, heartbeats from no parent
 	cQueueAbandoned           // packets still queued when Close began
 	cFlowsEstablished         // routing blocks decoded
 	cFlowsEvicted             // flows reaped by TTL eviction
@@ -377,10 +377,9 @@ type flowState struct {
 	dueAt   int64
 	armSeq  uint64
 
-	// hopBuf[:nHops] is the flow's one table of previous hops — declared
-	// parents, observed senders — while it fits (hops.go). A last-stage node
-	// has an empty slice-map/data-map, so observation is its only parent
-	// knowledge (and all the threat model grants it).
+	// hopBuf[:nHops] is the flow's one table of previous hops while it
+	// fits (hops.go): the senders set-up staging heard, then the parents its
+	// routing block names — at every stage, the last included.
 	hopBuf [inlineHops]hop
 	route  route
 	// spliceSeq is the sequence number of the last repair patch applied;
@@ -858,7 +857,11 @@ func (n *Node) dispatch(sh *shard, from wire.NodeID, pkt *wire.Packet, now int64
 		sh.ctr[cDataIn]++
 		n.handleData(sh, fs, from, hi, pkt.Seq, pkt.Slots)
 	case wire.MsgHeartbeat:
-		sh.ctr[cHeartbeatsIn]++
+		if hi < 0 {
+			sh.ctr[cUnmatched]++ // no parent's: it refreshed nothing
+		} else {
+			sh.ctr[cHeartbeatsIn]++
+		}
 	case wire.MsgSplice:
 		if n.handleSplice(sh, fs, pkt) {
 			sh.ctr[cSplicesApplied]++

@@ -25,8 +25,9 @@ func routeOf(fs *flowState) *wire.PerNodeInfo {
 // routeSeeds are blocks of every shape the in-place decode distinguishes: the
 // builder's (three children, a data map in child order), a fan-out and a
 // parent set past the inline room, a data map that does not fold (a parent
-// feeding two children, children out of order, entries naming no child), and
-// a leaf.
+// feeding two children, children out of order, entries naming no child), a
+// leaf naming parents in its slice map, and the builder's leaf block (its d'
+// parents as data-map entries that feed no child, wire.NoChild).
 func routeSeeds() []*wire.PerNodeInfo {
 	key := testKey(0x3c)
 	sm := func(parents ...wire.NodeID) (m []wire.SliceForward) {
@@ -55,6 +56,7 @@ func routeSeeds() []*wire.PerNodeInfo {
 				{Parent: 3, Child: 1}},
 		},
 		{Receiver: true, Key: key, SliceMap: sm(1, 2)},
+		{Key: key, DataMap: []wire.DataForward{{Parent: 1, Child: wire.NoChild}, {Parent: 2, Child: wire.NoChild}, {Parent: 3, Child: wire.NoChild}}},
 	}
 }
 
@@ -64,7 +66,7 @@ func routeSeeds() []*wire.PerNodeInfo {
 // same block, and a flow that takes it as its route, over an earlier route of
 // another shape, reads back the same children, child flows, flags and key, and
 // the same data map (its entries naming a child, in block order), inline or
-// spilled; its declared parents are exactly the maps' parents.
+// spilled; its hop table holds exactly the maps' parents.
 func FuzzRouteDecode(f *testing.F) {
 	seeds := routeSeeds()
 	for i, pi := range seeds {
@@ -92,9 +94,9 @@ func FuzzRouteDecode(f *testing.F) {
 		fs := &flowState{}
 		old := seeds[int(prev>>4)%len(seeds)]
 		fs.setRoute(old)
-		fs.declareParents(old, 1, false)
+		fs.declareParents(old, 1)
 		fs.setRoute(&scratch)
-		fs.declareParents(&scratch, 2, true)
+		fs.declareParents(&scratch, 2)
 
 		got := routeOf(fs)
 		if !slices.Equal(got.Children, want.Children) || !slices.Equal(got.ChildFlows, want.ChildFlows) ||
@@ -118,12 +120,12 @@ func FuzzRouteDecode(f *testing.F) {
 			parents[e.Src.Parent] = true
 		}
 		for _, h := range fs.hops() {
-			if h.flags&hopParent != 0 != parents[h.id] {
-				t.Fatalf("hop %d declared %v, named by the maps %v", h.id, h.flags&hopParent != 0, parents[h.id])
+			if !parents[h.id] {
+				t.Fatalf("hop %d recorded, the maps do not name it", h.id)
 			}
 		}
-		if int(fs.route.nParents) != len(parents) {
-			t.Fatalf("%d declared parents, the maps name %d", fs.route.nParents, len(parents))
+		if len(fs.hops()) != len(parents) {
+			t.Fatalf("%d hops recorded, the maps name %d parents", len(fs.hops()), len(parents))
 		}
 	})
 }

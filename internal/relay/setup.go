@@ -19,7 +19,8 @@ func (n *Node) sendAck(sh *shard, fs *flowState) {
 // until the wave is forwarded, and the wave's geometry, adopted (like d) from
 // the packets whose own slices decode into a checksummed routing block — a
 // forged claim only labels its packet — with the block's slice map and any
-// data that raced ahead of the decode. Senders without a hop record stage nothing.
+// data that raced ahead of the decode. Senders without a hop record stage
+// nothing, so from establishment on only the block's parents do.
 type setupStage struct {
 	pkts     []staged
 	sliceMap []wire.SliceForward
@@ -72,9 +73,7 @@ func (n *Node) handleSetup(sh *shard, fs *flowState, hi int, pkt *wire.Packet) {
 		// endpoints, its children were patched directly) or a leaf: no wave
 		// to forward, so the setup state, and the buffers it pins, is done.
 		sh.dropSetup(fs)
-	case !slices.ContainsFunc(fs.hops(), func(h hop) bool {
-		return h.flags&hopParent != 0 && st.find(h.id) == nil
-	}):
+	case !slices.ContainsFunc(fs.hops(), func(h hop) bool { return st.find(h.id) == nil }):
 		n.forwardSetup(sh, fs) // every declared parent's packet is in
 	case fs.due[dlSetup] == 0:
 		sh.setDeadline(fs, dlSetup, fs.lastActive+int64(n.cfg.SetupWait)) // lastActive is this packet's arrival
@@ -133,7 +132,10 @@ func (n *Node) establish(sh *shard, fs *flowState, d int) bool {
 	st.sliceMap = append(st.sliceMap[:0], pi.SliceMap...)
 	sh.ctr[cFlowsEstablished]++
 	n.flowEstablished(sh, fs)
-	fs.declareParents(pi, fs.lastActive, false)
+	fs.declareParents(pi, fs.lastActive)
+	// A packet staged by a sender the block does not name is of no use to the
+	// slice map: it and the receive buffer it pins go now.
+	st.pkts = slices.DeleteFunc(st.pkts, func(p staged) bool { return fs.hopIndex(p.from) < 0 })
 	n.dirAdd(sh, fs) // its children's acks and reports now find it
 
 	if pi.Receiver {

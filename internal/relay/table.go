@@ -21,12 +21,12 @@ import (
 // the map entry: a packet that passed it just before eviction is queued
 // behind it and finds a clean miss, never a half-removed flow.
 
-// maxObservedHops caps the observed senders in a flow's hop table
-// (hops.go). Sender ids inside a frame are claimed, not proven, so a
+// maxObservedHops caps the senders in the hop table (hops.go) of a flow not
+// yet established. Sender ids inside a frame are claimed, not proven, so a
 // single valid flow-id must not let a peer inflate per-flow state without
 // bound by cycling spoofed sender ids. The cap matches the maximum split
-// factor (64): every legitimate parent of a maximally-wide flow still
-// fits, and map-derived parents bypass the cap entirely.
+// factor (64): every legitimate parent of a maximally-wide flow still fits.
+// At establishment the table becomes the block's parents, however many.
 const maxObservedHops = 64
 
 // gcBatch bounds the evictions of the GC batch a shard's tick runs every
@@ -128,13 +128,13 @@ func (sh *shard) lruTouch(fs *flowState) {
 
 // route is the flow's routing block decoded in place, with no pointer: key,
 // children and the flow-id stamped on packets to each (a block's past
-// inlineKids are spilled), declared parents, flags and split factor. The data
-// map folds into the hop records (hops.go), the slice map into the set-up stage.
+// inlineKids are spilled), flags and split factor. The parents and the data
+// map they feed are the hop records (hops.go), the slice map is the set-up
+// stage's.
 type route struct {
 	key      slcrypto.SymmetricKey
 	kidFlows [inlineKids]wire.FlowID
 	kids     [inlineKids]wire.NodeID
-	nParents int32
 	nKids    uint8
 	flags    uint8
 	d        uint8

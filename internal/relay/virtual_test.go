@@ -191,8 +191,7 @@ func TestRoundWaitForwardsAtExactInstant(t *testing.T) {
 	// The data-map names one parent; make the flow wait on two so a round
 	// with p1's slice alone is short.
 	fs := n.shards[0].flows[flow]
-	fs.setHops(append(fs.hops(), hop{id: p2, flags: hopParent}))
-	fs.route.nParents++
+	fs.setHops(append(fs.hops(), hop{id: p2}))
 
 	rng := rand.New(rand.NewSource(7))
 	enc, err := code.NewEncoder(2, 2, rng)

@@ -30,11 +30,19 @@ type SliceForward struct {
 }
 
 // DataForward is one entry of the data-map (§4.3.7): during the data phase,
-// forward the data slice received from Parent to child Child.
+// forward the data slice received from Parent to child Child. An entry whose
+// Child is NoChild forwards nothing; it only names a parent. A last-stage
+// block has no children, and lists its d' parents this way, so every relay
+// learns its previous hops from its block (§3a grants it exactly those).
+// The format is unchanged by such entries, but a relay that predates them
+// knows no parent of a last-stage flow: relays and sources upgrade together.
 type DataForward struct {
 	Parent NodeID
 	Child  uint8
 }
+
+// NoChild is the Child of a data-map entry that only names a parent.
+const NoChild uint8 = 0xFF
 
 // PerNodeInfo is Ix, the routing information the source delivers
 // confidentially to relay x (§4.3.1). A relay learns nothing about the graph
