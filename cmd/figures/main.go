@@ -18,10 +18,7 @@
 // With -measured the tool instead re-runs Fig. 7 on a -nodes simnet
 // overlay, -trials per point: the attacker observes only the slices the
 // virtual network delivers, so -loss and -churn open a gap above the
-// analytic curves. With -scale it runs a session-churn scenario on a
-// -nodes walker universe for -window of virtual time: Weibull sessions and
-// lognormal downtimes over a quarter of the overlay while walker traffic
-// circulates, reporting deliveries, events/sec and heap bytes/node.
+// analytic curves.
 //
 // To profile one figure, run its benchmark:
 // go test -run '^$' -bench 'BenchmarkFigures/fig13' -cpuprofile cpu.prof .
@@ -32,45 +29,37 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
-	"time"
 
 	"infoslicing/internal/anonymity"
 	"infoslicing/internal/eval"
 	"infoslicing/internal/metrics"
-	"infoslicing/internal/simnet"
 )
 
 func main() {
 	fig := flag.Int("fig", 0, "figure to print (7-17, 19; 0 = all)")
 	seed := flag.Int64("seed", 1, "rng seed")
 	measured := flag.Bool("measured", false, "re-run Fig. 7 on a simnet overlay instead")
-	scale := flag.Bool("scale", false, "run the scale session-churn scenario instead")
-	nodes := flag.Int("nodes", 100000, "overlay size for -measured and -scale")
+	nodes := flag.Int("nodes", 100000, "overlay size for -measured")
 	trials := flag.Int("trials", 1000, "trials per point for -measured")
 	loss := flag.Float64("loss", 0, "per-link slice loss probability for -measured")
 	churn := flag.Float64("churn", 0, "per-relay down probability for -measured")
-	window := flag.Duration("window", 100*time.Millisecond, "virtual run window for -scale")
 	flag.Parse()
 
-	switch {
-	case *scale:
-		runScale(*nodes, *seed, *window)
-	case *measured:
+	if *measured {
 		show(eval.Measured(*nodes, *trials, *loss, *churn, func(f float64, r anonymity.MeasuredResult) {
 			fmt.Fprintf(os.Stderr, "figures: f=%.2f done (%d slices delivered, %d lost)\n", f, r.Deliveries, r.Lost)
 		}), *seed)
-	default:
-		ran := false
-		for _, f := range eval.Figures {
-			if *fig == 0 || *fig == f.Fig {
-				show(f, *seed)
-				ran = true
-			}
+		return
+	}
+	ran := false
+	for _, f := range eval.Figures {
+		if *fig == 0 || *fig == f.Fig {
+			show(f, *seed)
+			ran = true
 		}
-		if !ran {
-			log.Fatalf("figures: unknown figure %d", *fig)
-		}
+	}
+	if !ran {
+		log.Fatalf("figures: unknown figure %d", *fig)
 	}
 }
 
@@ -82,46 +71,4 @@ func show(f eval.Figure, seed int64) {
 	}
 	metrics.NewTable(f.Title, f.XLabel, ss...).Fprint(os.Stdout)
 	fmt.Println()
-}
-
-// runScale exercises the million-node event core: an N-node walker
-// universe under trace-style session churn.
-func runScale(nodes int, seed int64, window time.Duration) {
-	runtime.GC()
-	var before runtime.MemStats
-	runtime.ReadMemStats(&before)
-
-	clk := simnet.NewVirtualClock()
-	net := simnet.NewSimNet(clk, seed, simnet.LinkProfile{Delay: time.Millisecond})
-	s := &simnet.Script{Clk: clk, Net: net}
-	u, err := simnet.NewUniverse(s, simnet.UniverseConfig{
-		Nodes: nodes, Degree: 4, Walkers: nodes / 10, Seed: seed,
-	})
-	if err != nil {
-		log.Fatalf("figures: %v", err)
-	}
-	sched := s.ScheduleSessionChurn(simnet.SessionChurnSpec{
-		Nodes:    u.NodeIDs()[:nodes/4],
-		Session:  simnet.SessionDist{Kind: simnet.DistWeibull, Shape: 0.6, Scale: window / 5},
-		Downtime: simnet.SessionDist{Kind: simnet.DistLognormal, Shape: 0.8, Scale: window / 10},
-		Start:    window / 20,
-		Stop:     window * 9 / 10,
-		Seed:     seed + 1,
-	})
-	u.Seed()
-	t0 := time.Now()
-	u.Run(window)
-	wall := time.Since(t0)
-
-	runtime.GC()
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-	perNode := float64(after.HeapAlloc-before.HeapAlloc) / float64(nodes)
-	fmt.Printf("scale scenario: %d nodes, %s virtual window\n", nodes, window)
-	fmt.Printf("  deliveries        %d\n", u.Deliveries())
-	fmt.Printf("  churn transitions %d\n", len(sched))
-	fmt.Printf("  wall time         %s (%.0f events/sec)\n", wall.Round(time.Millisecond),
-		float64(u.Deliveries())/wall.Seconds())
-	fmt.Printf("  heap              %.0f bytes/node\n", perNode)
-	runtime.KeepAlive(u)
 }

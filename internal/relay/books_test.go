@@ -73,7 +73,7 @@ func TestBooksEvictionAndSweep(t *testing.T) {
 		}
 	}
 	slices := testSlices(t, 2, 2)
-	pi := &wire.PerNodeInfo{Receiver: true, Key: testKey(7)}
+	pi := &wire.PerNodeInfo{Receiver: true, Key: testKey(7), DataMap: parentsOnly(p1, p2)}
 	newRound := func(flow wire.FlowID, seq uint32) {
 		s.Net.Send(p1, 1, dataFrame(flow, seq, 2, slices[0]))
 	}
@@ -122,7 +122,7 @@ func TestBooksRoundsDoneAndExpired(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	injectFlowAt(n, flow, &wire.PerNodeInfo{Receiver: true, Key: testKey(7)}, s.Clk.Now())
+	injectFlowAt(n, flow, &wire.PerNodeInfo{Receiver: true, Key: testKey(7), DataMap: parentsOnly(p1, p2)}, s.Clk.Now())
 	slices := testSlices(t, 2, 2)
 	for seq := uint32(0); seq < 4; seq++ {
 		s.Net.Send(p1, 1, dataFrame(flow, seq, 2, slices[0]))

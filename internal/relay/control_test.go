@@ -65,6 +65,16 @@ func injectFlow(n *Node, flow wire.FlowID, pi *wire.PerNodeInfo) *flowState {
 	return injectFlowAt(n, flow, pi, time.Now())
 }
 
+// parentsOnly is the data map of a block with no children: it names the
+// relay's parents and forwards nothing, as the builder's last-stage blocks do.
+func parentsOnly(ids ...wire.NodeID) []wire.DataForward {
+	m := make([]wire.DataForward, len(ids))
+	for i, id := range ids {
+		m[i] = wire.DataForward{Parent: id, Child: wire.NoChild}
+	}
+	return m
+}
+
 // injectFlowAt is injectFlow with an explicit "now" — virtual-clock tests
 // pass their clock's time so liveness and GC stamps live on that timeline.
 func injectFlowAt(n *Node, flow wire.FlowID, pi *wire.PerNodeInfo, now time.Time) *flowState {

@@ -170,7 +170,7 @@ func newReceiverFlow(tb testing.TB, chunk int, msgs ...[]byte) *receiverFlow {
 	tb.Cleanup(n.Close)
 	key := testKey(0x71)
 	rf := &receiverFlow{clk: clk, n: n, sh: n.shardFor(wmFlow), chunk: chunk, rng: rand.New(rand.NewSource(72))}
-	rf.fs = injectFlowAt(n, wmFlow, &wire.PerNodeInfo{Receiver: true, Key: key}, clk.Now())
+	rf.fs = injectFlowAt(n, wmFlow, &wire.PerNodeInfo{Receiver: true, Key: key, DataMap: parentsOnly(wmParents...)}, clk.Now())
 	rf.seal(tb, key, msgs...)
 	return rf
 }
@@ -461,7 +461,7 @@ func TestDestinationShedsTailAtRest(t *testing.T) {
 	if !opener {
 		t.Fatal("no opener held across the splice")
 	}
-	patch := &wire.PerNodeInfo{Receiver: true, Key: newKey}
+	patch := &wire.PerNodeInfo{Receiver: true, Key: newKey, DataMap: parentsOnly(wmParents...)}
 	sealed, err := testKey(0x71).Seal(rng, spliceBody(1, patch))
 	if err != nil {
 		t.Fatal(err)

@@ -61,8 +61,8 @@ func TestLongFlowFlatCostBoundedHeap(t *testing.T) {
 			Key:        key,
 			DataMap:    []wire.DataForward{{Parent: parents[0], Child: 0}, {Parent: parents[1], Child: 1}},
 		}},
-		{"receiver", &wire.PerNodeInfo{Receiver: true, Key: key}},
-		{"bystander", &wire.PerNodeInfo{Key: slcrypto.SymmetricKey{}}},
+		{"receiver", &wire.PerNodeInfo{Receiver: true, Key: key, DataMap: parentsOnly(parents...)}},
+		{"bystander", &wire.PerNodeInfo{Key: slcrypto.SymmetricKey{}, DataMap: parentsOnly(parents...)}},
 	}
 	type member struct {
 		n      *Node

@@ -170,8 +170,12 @@ func TestDropCountersNameTheDiscard(t *testing.T) {
 			},
 			packet: dataFrame(flow, 0, 2, slices[0])},
 		{name: "slice for a node that neither forwards nor decodes", counter: "unwanted_slices", from: parent,
-			prepare: func(n *Node, _ *shard) { injectFlow(n, flow, &wire.PerNodeInfo{Key: testKey(1)}) },
-			packet:  dataFrame(flow, 0, 2, slices[0])},
+			prepare: func(n *Node, _ *shard) {
+				injectFlow(n, flow, &wire.PerNodeInfo{Key: testKey(1), DataMap: parentsOnly(parent)})
+			},
+			packet: dataFrame(flow, 0, 2, slices[0])},
+		{name: "slice from a sender the block does not name", counter: "unmatched", from: 77,
+			prepare: establish, packet: dataFrame(flow, 0, 2, slices[0])},
 		{name: "data past the pending bound", counter: "pending_dropped", from: parent,
 			prepare: func(n *Node, sh *shard) {
 				for range maxPendingData {

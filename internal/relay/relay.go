@@ -842,6 +842,12 @@ func (n *Node) dispatch(sh *shard, from wire.NodeID, pkt *wire.Packet, now int64
 		}
 	}
 	hi := fs.observe(from, now)
+	if hi < 0 && pkt.Type == wire.MsgData && fs.has(routeUp) {
+		// A slice from a sender the block does not name: it is not filed,
+		// so it completes no round, and it does not refresh the flow.
+		sh.ctr[cUnmatched]++
+		return
+	}
 	if pkt.Type != wire.MsgHeartbeat {
 		// Heartbeats prove the *parent* is alive; they deliberately do not
 		// refresh the flow itself, so an idle session still ages out of the

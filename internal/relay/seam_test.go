@@ -301,7 +301,7 @@ func TestShardStepTouchesNoIO(t *testing.T) {
 	const rxFlow = wire.FlowID(0x5ea1)
 	key := testKey(0x5e)
 	rxParents := []wire.NodeID{31, 32, 33}
-	injectFlowAt(r.n, rxFlow, &wire.PerNodeInfo{Receiver: true, Key: key}, r.n.epoch)
+	injectFlowAt(r.n, rxFlow, &wire.PerNodeInfo{Receiver: true, Key: key, DataMap: parentsOnly(rxParents...)}, r.n.epoch)
 	msgs := [][]byte{[]byte("first message"), []byte("second, lost"), []byte("third message")}
 	rounds := sealedRounds(t, key, rng, 3, msgs...)
 	rx := func(p int, seq uint32) inPkt {
@@ -347,8 +347,10 @@ func TestShardStepTouchesNoIO(t *testing.T) {
 	}
 	r.tick(reportAt)
 	want := each(kids, wire.MsgHeartbeat)
-	for id, ts := range each(parents, wire.MsgParentDown) {
-		want[id] = ts
+	for _, ps := range [][]wire.NodeID{parents, rxParents} {
+		for id, ts := range each(ps, wire.MsgParentDown) {
+			want[id] = ts
+		}
 	}
 	expect("heartbeat sweep", want)
 	if r.next != reportAt+heartbeat {
@@ -380,7 +382,7 @@ func TestGapWaitCountsFromStepNow(t *testing.T) {
 	)
 	r := newSeamRig(t, 1, Config{RoundWait: roundWait, FlowTTL: time.Hour})
 	key := testKey(0x6a)
-	fs := injectFlowAt(r.n, 0x6a, &wire.PerNodeInfo{Receiver: true, Key: key}, r.n.epoch)
+	fs := injectFlowAt(r.n, 0x6a, &wire.PerNodeInfo{Receiver: true, Key: key, DataMap: parentsOnly(11, 12)}, r.n.epoch)
 	rounds := sealedRounds(t, key, rand.New(rand.NewSource(6)), 2, []byte("a"), []byte("b"))
 	r.step(now, inPkt{from: 11, data: dataFrame(0x6a, 1, 2, rounds[1][0])}, inPkt{from: 12, data: dataFrame(0x6a, 1, 2, rounds[1][1])})
 	var due int64
@@ -554,4 +556,48 @@ func FuzzShardStep(f *testing.F) {
 			t.Fatalf("%d egress slabs outstanding after Close", got)
 		}
 	})
+}
+
+// TestStrangerDataFilesNothing: under an established flow, a data slice from
+// a sender the block does not name counts in unmatched and does nothing else.
+// It is not filed, so it cannot complete a round (and feed recoding a forged
+// slice), and it does not refresh the flow's activity stamp.
+func TestStrangerDataFilesNothing(t *testing.T) {
+	const (
+		ms   = time.Millisecond
+		flow = wire.FlowID(0x5eed)
+	)
+	r := newSeamRig(t, 2, Config{Shards: 1, RoundWait: 50 * ms})
+	fs := injectFlowAt(r.n, flow, &wire.PerNodeInfo{
+		Children:   []wire.NodeID{21, 22},
+		ChildFlows: []wire.FlowID{0x21, 0x22},
+		Key:        testKey(1),
+		Recode:     true,
+		DataMap:    []wire.DataForward{{Parent: 11, Child: 0}, {Parent: 12, Child: 1}},
+	}, r.n.epoch)
+	enc, err := code.NewEncoder(2, 2, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sl, err := enc.Encode(make([]byte, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.step(1*ms, inPkt{from: 11, data: dataFrame(flow, 0, 2, sl[0])})
+	before := r.n.Counters()
+	r.step(2*ms, inPkt{from: 999, data: dataFrame(flow, 0, 2, sl[1])})
+	c := r.n.Counters()
+	if got := c.Get("slices_filed"); got != 1 {
+		t.Errorf("slices_filed = %d, want 1: the stranger's slice was filed", got)
+	}
+	if got := c.Get("unmatched") - before.Get("unmatched"); got != 1 {
+		t.Errorf("unmatched moved by %d, want 1", got)
+	}
+	if len(r.frames) != 0 {
+		t.Errorf("the stranger's slice completed the round: frames to %d destinations", len(r.frames))
+	}
+	if fs.lastActive != int64(1*ms) {
+		t.Errorf("lastActive = %v, want the parent's 1ms: the stranger refreshed the flow", time.Duration(fs.lastActive))
+	}
+	checkBooks(t, r.n)
 }

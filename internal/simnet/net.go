@@ -24,15 +24,13 @@ var simVocab = metrics.NewVocab("packets", "bytes", "lost", "trace_dropped")
 // counterpart of overlay.ChanNetwork. It satisfies overlay.Transport (and
 // the Failer side the churner uses) without importing the overlay package.
 //
-// Scale design: per-endpoint state lives in a chunked arena of nodeSlots
-// addressed by dense indices (NodeIDs resolve through a flat []int32 for
-// small ids, a map only for outliers), so a 10^5–10^6 node universe costs
-// a few tens of bytes per node and zero map lookups on the send path.
-// Deliveries are closure-free — Send schedules a plain event record on the
-// clock's timer wheel and the clock hands it back via the netSink
-// interface. Per-link shaping state (profile override, cut flag, RNG) is
-// allocated lazily, only for links that are actually shaped: a universe
-// with fixed delays and no loss carries no per-link state at all.
+// Per-endpoint state lives in a chunked arena of nodeSlots addressed by
+// dense indices (NodeIDs resolve through a flat []int32 for small ids, a map
+// only for outliers), so a node costs a few tens of bytes and the send path
+// takes no map lookup. Deliveries are closure-free: Send schedules a plain
+// event record on the clock's queue and the clock hands it back via the
+// netSink interface. Per-link shaping state (profile override, cut flag,
+// RNG) is allocated lazily, only for links that are actually shaped.
 //
 // Determinism: every (from, to) link has a deterministic RNG stream seeded
 // from (netSeed, from, to) — created on first draw — and deliveries
@@ -78,8 +76,8 @@ const (
 
 	// DefaultTraceCap bounds EnableTrace's ring: old events are discarded
 	// once the cap is reached (trace_dropped counts them). Large enough for
-	// every scripted scenario and a 10k-node universe, small enough that a
-	// million-node soak with tracing on cannot OOM.
+	// every scripted scenario, small enough that a long soak with tracing
+	// on cannot OOM.
 	DefaultTraceCap = 1 << 20
 )
 
@@ -206,7 +204,7 @@ func (n *SimNet) EnableTrace() {
 // handler finishes with its buffer before returning (the overlay.Handler
 // contract normally grants the handler ownership beyond the call — relay
 // shard queues retain buffers — so pooling is opt-in for harnesses whose
-// handlers are known not to retain, e.g. the scale universes).
+// handlers are known not to retain, e.g. the measured anonymity sweep).
 func (n *SimNet) SetPooledPayloads(on bool) { n.pooled.Store(on) }
 
 // lookup resolves a NodeID to its dense index (-1 if never seen). Safe

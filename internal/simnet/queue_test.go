@@ -2,17 +2,16 @@ package simnet
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"time"
 )
 
-// --- timer wheel edge cases (satellite: wheel coverage) ---
+// --- event queue edge cases ---
 
 // Cancel racing the fire at the same instant: a timer stopped at the very
 // virtual instant it is due must not run, and Stop must report it was
 // still pending.
-func TestWheelCancelVsFireSameInstant(t *testing.T) {
+func TestQueueCancelVsFireSameInstant(t *testing.T) {
 	c := NewVirtualClock()
 	fired := false
 	var tm Timer
@@ -37,7 +36,7 @@ func TestWheelCancelVsFireSameInstant(t *testing.T) {
 // A timer handle must stay safe (and inert) after its slab record was
 // recycled and re-used by a later timer: generation counters protect
 // against cross-timer cancellation.
-func TestWheelStaleHandleAfterRecycle(t *testing.T) {
+func TestQueueStaleHandleAfterRecycle(t *testing.T) {
 	c := NewVirtualClock()
 	t1 := c.AfterFunc(time.Millisecond, func() {})
 	c.RunFor(2 * time.Millisecond) // t1 fires; its record returns to the freelist
@@ -52,65 +51,7 @@ func TestWheelStaleHandleAfterRecycle(t *testing.T) {
 	}
 }
 
-// Far-future timers park in the overflow heap (beyond the ~18min wheel
-// span) and must migrate back in and fire at the right time and order.
-func TestWheelOverflowMigration(t *testing.T) {
-	c := NewVirtualClock()
-	var order []int
-	c.AfterFunc(40*time.Minute, func() { order = append(order, 3) })
-	c.AfterFunc(25*time.Minute, func() { order = append(order, 2) })
-	c.AfterFunc(10*time.Millisecond, func() { order = append(order, 1) })
-	stopped := c.AfterFunc(30*time.Minute, func() { order = append(order, 99) })
-	if !stopped.Stop() {
-		t.Fatal("overflow timer Stop")
-	}
-	start := c.Now()
-	c.RunUntilIdle()
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("firing order = %v, want [1 2 3]", order)
-	}
-	if got := c.Now().Sub(start); got != 40*time.Minute {
-		t.Fatalf("clock after idle = %v, want 40m", got)
-	}
-}
-
-// Cascade ordering: events inserted at level-1/2 distances must still
-// fire in exact canonical time order against events inserted later at
-// level 0, including events landing in partially-consumed windows.
-func TestWheelCascadePreservesOrder(t *testing.T) {
-	c := NewVirtualClock()
-	var got []time.Duration
-	record := func(d time.Duration) func() {
-		return func() { got = append(got, d) }
-	}
-	// Spread across all wheel levels plus overflow, inserted shuffled.
-	ds := []time.Duration{
-		17 * time.Millisecond, // level 0 (tick ~259)
-		1 * time.Millisecond,
-		4*time.Second + 3*time.Millisecond, // level 2
-		200 * time.Millisecond,             // level 1
-		19 * time.Minute,                   // overflow
-		16*time.Millisecond + 700*time.Microsecond,
-		65537 * 65536 * time.Nanosecond, // just past a level-1 window
-	}
-	perm := []int{4, 2, 0, 6, 1, 5, 3}
-	for _, i := range perm {
-		c.AfterFunc(ds[i], record(ds[i]))
-	}
-	c.RunUntilIdle()
-	want := append([]time.Duration(nil), ds...)
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	if len(got) != len(want) {
-		t.Fatalf("fired %d of %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("firing order[%d] = %v, want %v (full: %v)", i, got[i], want[i], got)
-		}
-	}
-}
-
-// --- reference-model fuzz: wheel ≡ heap firing order ---
+// --- reference-model fuzz: the queue fires in sorted canonical order ---
 
 // refEvent mirrors the canonical key; the reference model is a sort.
 type refEvent struct {
@@ -138,13 +79,14 @@ func refLess(a, b refEvent) bool {
 	return a.seq < b.seq
 }
 
-// runWheelVsReference schedules a pseudo-random mix of near/mid/far/past
-// events — with incremental insertion while draining, plus cancellations —
-// and checks the wheel pops them in exactly the reference order.
-func runWheelVsReference(t *testing.T, seed int64, nEvents int) {
+// runQueueVsReference schedules a pseudo-random mix of same-instant, near
+// and far events — with incremental insertion while draining, plus
+// cancellations — and checks the queue pops them in exactly the reference
+// order.
+func runQueueVsReference(t *testing.T, seed int64, nEvents int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	w := newTimerWheel(0)
+	q := newEventQueue()
 	var live []refEvent
 	var cancelled map[int]bool = map[int]bool{}
 	handles := map[int]struct {
@@ -156,17 +98,14 @@ func runWheelVsReference(t *testing.T, seed int64, nEvents int) {
 
 	scheduleOne := func() {
 		var d int64
-		switch rng.Intn(10) {
-		case 0: // same tick / past-due
-			d = rng.Int63n(1 << wheelTickShift)
-		case 1, 2, 3: // level 0
-			d = rng.Int63n(1 << (wheelTickShift + wheelSlotBits))
-		case 4, 5, 6: // level 1
-			d = rng.Int63n(1 << (wheelTickShift + 2*wheelSlotBits))
-		case 7, 8: // level 2
-			d = rng.Int63n(1 << (wheelTickShift + 3*wheelSlotBits))
-		default: // overflow
-			d = rng.Int63n(1 << (wheelTickShift + 3*wheelSlotBits + 4))
+		switch rng.Intn(4) {
+		case 0: // the current instant: ties broken by class, link and seq
+		case 1: // microseconds
+			d = rng.Int63n(1 << 10)
+		case 2: // milliseconds
+			d = rng.Int63n(1 << 24)
+		default: // up to minutes
+			d = rng.Int63n(1 << 37)
 		}
 		re := refEvent{
 			when:  now + d,
@@ -177,11 +116,11 @@ func runWheelVsReference(t *testing.T, seed int64, nEvents int) {
 			id:    nextID,
 		}
 		nextID++
-		i := w.slab.alloc()
-		e := w.slab.at(i)
+		i := q.slab.alloc()
+		e := q.slab.at(i)
 		e.when, e.class, e.from, e.to, e.seq = re.when, re.class, re.from, re.to, re.seq
 		e.dstIdx = int32(re.id)
-		w.schedule(i)
+		q.schedule(i)
 		handles[re.id] = struct {
 			ref evRef
 			gen uint32
@@ -203,13 +142,13 @@ func runWheelVsReference(t *testing.T, seed int64, nEvents int) {
 			k := rng.Intn(len(live))
 			id := live[k].id
 			h := handles[id]
-			if w.slab.at(h.ref).gen == h.gen {
-				w.slab.at(h.ref).stopped = true
+			if q.slab.at(h.ref).gen == h.gen {
+				q.slab.at(h.ref).stopped = true
 				cancelled[id] = true
 				live = append(live[:k], live[k+1:]...)
 			}
 		}
-		i, ok := w.peek()
+		i, ok := q.peek()
 		if !ok {
 			if nextID < nEvents {
 				scheduleOne()
@@ -217,8 +156,8 @@ func runWheelVsReference(t *testing.T, seed int64, nEvents int) {
 			}
 			break
 		}
-		w.pop()
-		e := w.slab.at(i)
+		q.pop()
+		e := q.slab.at(i)
 		gotID := int(e.dstIdx)
 		if e.when > now {
 			now = e.when
@@ -231,7 +170,7 @@ func runWheelVsReference(t *testing.T, seed int64, nEvents int) {
 			}
 		}
 		if len(live) == 0 {
-			t.Fatalf("seed %d: wheel popped id %d but reference is empty", seed, gotID)
+			t.Fatalf("seed %d: queue popped id %d but reference is empty", seed, gotID)
 		}
 		wantID := live[best].id
 		if gotID != wantID {
@@ -241,28 +180,28 @@ func runWheelVsReference(t *testing.T, seed int64, nEvents int) {
 		if cancelled[gotID] {
 			t.Fatalf("seed %d: cancelled event %d fired", seed, gotID)
 		}
-		w.slab.release(i)
+		q.slab.release(i)
 		live = append(live[:best], live[best+1:]...)
 		popped++
 	}
 	if len(live) != 0 {
-		t.Fatalf("seed %d: wheel drained but %d reference events never fired", seed, len(live))
+		t.Fatalf("seed %d: queue drained but %d reference events never fired", seed, len(live))
 	}
-	if w.slab.live != 0 {
-		t.Fatalf("seed %d: slab leaks %d records after drain", seed, w.slab.live)
+	if q.slab.live != 0 {
+		t.Fatalf("seed %d: slab leaks %d records after drain", seed, q.slab.live)
 	}
 }
 
-func TestWheelMatchesReferenceHeap(t *testing.T) {
+func TestQueueMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		runWheelVsReference(t, seed, 400)
+		runQueueVsReference(t, seed, 400)
 	}
 }
 
-func FuzzWheelMatchesReferenceHeap(f *testing.F) {
+func FuzzQueueMatchesReference(f *testing.F) {
 	f.Add(int64(42))
 	f.Add(int64(1 << 40))
 	f.Fuzz(func(t *testing.T, seed int64) {
-		runWheelVsReference(t, seed, 150)
+		runQueueVsReference(t, seed, 150)
 	})
 }

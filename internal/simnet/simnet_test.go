@@ -2,6 +2,8 @@ package simnet
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -271,5 +273,86 @@ func TestEventually(t *testing.T) {
 	}
 	if Eventually(10*time.Millisecond, time.Millisecond, func() bool { return false }) {
 		t.Fatal("false condition reported true")
+	}
+}
+
+// 10^5 attached nodes under scripted churn cost a bounded number of bytes
+// each: the node arena, its id index and one handler pointer per node, plus
+// whatever the events in flight hold.
+func TestSimNet100kChurnBoundedMemory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("10^5 nodes: skipped in -short")
+	}
+	const nodes = 100_000
+	runtime.GC()
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
+
+	s := &Script{Clk: NewVirtualClock()}
+	s.Net = NewSimNet(s.Clk, 11, LinkProfile{Delay: time.Millisecond})
+	s.Net.SetPooledPayloads(true)
+	delivered := 0
+	noop := func(wire.NodeID, []byte) { delivered++ }
+	for id := wire.NodeID(1); id <= nodes; id++ {
+		if err := s.Net.Attach(id, noop); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A quarter of the nodes go down once and come back.
+	rng := rand.New(rand.NewSource(12))
+	for id := wire.NodeID(1); id <= nodes/4; id++ {
+		down := time.Duration(1+rng.Intn(40)) * time.Millisecond
+		s.KillAt(down, id)
+		s.ReviveAt(down+time.Duration(1+rng.Intn(10))*time.Millisecond, id)
+	}
+	// A tenth of the nodes, drawn afresh, send to a random peer each
+	// virtual millisecond.
+	pkt := make([]byte, 64)
+	for ms := 0; ms < 50; ms++ {
+		for k := 0; k < nodes/10; k++ {
+			_ = s.Net.Send(wire.NodeID(1+rng.Intn(nodes)), wire.NodeID(1+rng.Intn(nodes)), pkt)
+		}
+		s.Run(time.Duration(ms+1) * time.Millisecond)
+	}
+	s.Clk.RunUntilIdle()
+
+	runtime.GC()
+	var after runtime.MemStats
+	runtime.ReadMemStats(&after)
+	lost := s.Net.Counters().Get("lost")
+	if delivered == 0 || lost == 0 {
+		t.Fatalf("scenario did not run: %d delivered, %d lost to churn", delivered, lost)
+	}
+	perNode := float64(after.HeapAlloc-before.HeapAlloc) / nodes
+	t.Logf("10^5 nodes under churn: %d delivered, %d lost, %.0f bytes/node heap", delivered, lost, perNode)
+	if perNode > 256 {
+		t.Fatalf("the network costs %.0f bytes/node, want <= 256", perNode)
+	}
+	runtime.KeepAlive(s)
+}
+
+// BenchmarkSimSendSteadyState pins the closure-free pooled send+deliver
+// path at zero allocations per packet.
+func BenchmarkSimSendSteadyState(b *testing.B) {
+	clk := NewVirtualClock()
+	net := NewSimNet(clk, 1, LinkProfile{Delay: time.Millisecond})
+	net.SetPooledPayloads(true)
+	if err := net.Attach(1, func(wire.NodeID, []byte) {}); err != nil {
+		b.Fatal(err)
+	}
+	if err := net.Attach(2, func(wire.NodeID, []byte) {}); err != nil {
+		b.Fatal(err)
+	}
+	payload := make([]byte, 256)
+	payload[0] = 1
+	for i := 0; i < 64; i++ {
+		_ = net.Send(1, 2, payload)
+	}
+	clk.RunUntilIdle()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = net.Send(1, 2, payload)
+		clk.Step()
 	}
 }

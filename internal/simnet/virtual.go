@@ -29,9 +29,7 @@ type netSink interface {
 // Events fire one at a time, on the driver, in the canonical order
 // documented on event. The zero value is not usable; call NewVirtualClock.
 //
-// Events live in a slab-backed hierarchical timer wheel (see wheel.go)
-// rather than a global binary heap: schedule and cancel are O(1) for the
-// near-future timers that dominate simulation workloads, and no per-event
+// Events live in a slab-backed binary heap (queue.go); no per-event
 // allocation survives steady state.
 type VirtualClock struct {
 	mu    sync.Mutex
@@ -41,7 +39,7 @@ type VirtualClock struct {
 	nowA  atomic.Int64 // mirror of nowNs for lock-free Now/Elapsed
 	busy  int
 	seq   uint64 // tiebreak for clock-class events
-	wheel *timerWheel
+	queue *eventQueue
 	sinks []netSink
 }
 
@@ -51,7 +49,7 @@ type VirtualClock struct {
 func NewVirtualClock() *VirtualClock {
 	c := &VirtualClock{
 		epoch: time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC),
-		wheel: newTimerWheel(0),
+		queue: newEventQueue(),
 	}
 	c.cond = sync.NewCond(&c.mu)
 	return c
@@ -106,15 +104,15 @@ func (c *VirtualClock) scheduleNet(sink uint8, delay time.Duration, from, to uin
 		delay = 0
 	}
 	c.mu.Lock()
-	i := c.wheel.slab.alloc()
-	e := c.wheel.slab.at(i)
+	i := c.queue.slab.alloc()
+	e := c.queue.slab.at(i)
 	e.when = c.nowNs + int64(delay)
 	e.class = classNet
 	e.from, e.to, e.seq = from, to, seq
 	e.dstIdx, e.epoch = dstIdx, epoch
 	e.payload, e.pbuf = payload, pbuf
 	e.sink = sink
-	c.wheel.schedule(i)
+	c.queue.schedule(i)
 	c.mu.Unlock()
 }
 
@@ -123,8 +121,8 @@ func (c *VirtualClock) scheduleFnLocked(d time.Duration, f func()) (evRef, uint3
 	if d < 0 {
 		d = 0
 	}
-	i := c.wheel.slab.alloc()
-	e := c.wheel.slab.at(i)
+	i := c.queue.slab.alloc()
+	e := c.queue.slab.at(i)
 	e.when = c.nowNs + int64(d)
 	e.class = classClock
 	e.from, e.to = 0, 0
@@ -132,7 +130,7 @@ func (c *VirtualClock) scheduleFnLocked(d time.Duration, f func()) (evRef, uint3
 	c.seq++
 	e.fn = f
 	gen := e.gen
-	c.wheel.schedule(i)
+	c.queue.schedule(i)
 	return i, gen
 }
 
@@ -156,7 +154,7 @@ type vTimer struct {
 func (t *vTimer) Stop() bool {
 	t.c.mu.Lock()
 	defer t.c.mu.Unlock()
-	e := t.c.wheel.slab.at(t.ref)
+	e := t.c.queue.slab.at(t.ref)
 	if e.gen != t.gen || e.stopped {
 		return false
 	}
@@ -209,7 +207,7 @@ func (t *vTask) scheduleLocked() {
 func (t *vTask) Stop() {
 	t.c.mu.Lock()
 	t.stopped = true
-	e := t.c.wheel.slab.at(t.cur)
+	e := t.c.queue.slab.at(t.cur)
 	if e.gen == t.curGen {
 		e.stopped = true
 	}
@@ -279,20 +277,20 @@ func (c *VirtualClock) Step() bool {
 func (c *VirtualClock) stepBefore(limitNs int64, bounded bool) bool {
 	c.mu.Lock()
 	c.quiesceLocked()
-	i, ok := c.wheel.peek()
-	if !ok || (bounded && c.wheel.slab.at(i).when > limitNs) {
+	i, ok := c.queue.peek()
+	if !ok || (bounded && c.queue.slab.at(i).when > limitNs) {
 		c.mu.Unlock()
 		return false
 	}
-	e := c.wheel.slab.at(i)
-	c.wheel.pop()
+	e := c.queue.slab.at(i)
+	c.queue.pop()
 	if e.when > c.nowNs {
 		c.setNowLocked(e.when)
 	}
 	class, fn, sink := e.class, e.fn, e.sink
 	from, to, dstIdx, epoch := e.from, e.to, e.dstIdx, e.epoch
 	payload, pbuf := e.payload, e.pbuf
-	c.wheel.slab.release(i)
+	c.queue.slab.release(i)
 	c.busy++ // the dispatch itself holds a token while the callback runs
 	c.mu.Unlock()
 	if class == classClock {
